@@ -15,15 +15,11 @@
 //! * [`sailfish`] — a Sailfish-like programmable-switch gateway that
 //!   offloads **stateless** NFs only;
 //! * [`features`] — the Table 2 qualitative feature matrix;
-//! * [`cost`] — the Table 5 deployment-cost model;
-//! * [`arch`] — the comparators expressed as alternative stage graphs
-//!   over the Nezha datapath's combinators (`nezha_vswitch::stage`),
-//!   which the capacity models above drive.
+//! * [`cost`] — the Table 5 deployment-cost model.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod arch;
 pub mod cost;
 pub mod features;
 pub mod local;
@@ -31,7 +27,6 @@ pub mod sailfish;
 pub mod sirius;
 pub mod tea;
 
-pub use arch::{ArchCtx, ArchGraph, ArchParams};
 pub use cost::{DeploymentCost, ScaleOutTime};
 pub use features::{FeatureMatrix, SystemFeatures};
 pub use local::LocalOnly;

@@ -5,11 +5,9 @@
 //! the slow-path cycle cost, #concurrent flows from the session-entry
 //! footprint, #vNICs from the rule-table footprint.
 
-use crate::arch::{self, ArchCtx, ArchParams};
 use nezha_types::{Ipv4Addr, ServerId, VnicId, VpcId};
 use nezha_vswitch::config::VSwitchConfig;
 use nezha_vswitch::vnic::{Vnic, VnicProfile};
-use std::sync::Arc;
 
 /// A local-only vSwitch capacity model for one vNIC profile.
 #[derive(Clone, Debug)]
@@ -19,9 +17,6 @@ pub struct LocalOnly {
     /// The vNIC profile under load.
     pub profile: VnicProfile,
     vnic: Vnic,
-    /// The connection graph (slow-path pass → fast-path remainder),
-    /// compiled once at construction like the vSwitch's own graphs.
-    graph: Arc<arch::ArchGraph>,
 }
 
 impl LocalOnly {
@@ -38,28 +33,14 @@ impl LocalOnly {
             host,
             profile,
             vnic,
-            graph: Arc::new(arch::local_graph()),
         }
     }
 
     /// CPS capacity: one slow-path pass per connection (the first packet
     /// caches the bidirectional flow) plus the fast-path remainder of a
-    /// TCP_CRR exchange — the connection's cycle footprint is what the
-    /// compiled [`arch::local_graph`] accumulates.
+    /// TCP_CRR exchange.
     pub fn cps_capacity(&self, pkt_bytes: usize) -> f64 {
-        let mut ctx = ArchCtx::stateful();
-        let mut params = ArchParams {
-            slow_cycles: self.vnic.slow_path_cycles(&self.host.costs, pkt_bytes),
-            fast_cycles: self.host.costs.fast_path_cycles(pkt_bytes),
-            crr_fast_packets: 6,
-            ..ArchParams::default()
-        };
-        self.graph.eval(&mut ctx, &mut params);
-        debug_assert_eq!(
-            ctx.cycles,
-            self.vnic.crr_cycles(&self.host.costs, pkt_bytes)
-        );
-        self.host.capacity_hz() / ctx.cycles as f64
+        self.host.capacity_hz() / self.vnic.crr_cycles(&self.host.costs, pkt_bytes) as f64
     }
 
     /// Concurrent-flow capacity given a session-table memory budget.

@@ -5,8 +5,6 @@
 //! memory it cannot host stateful NFs at cloud scale — the Table 2 row
 //! that motivates Nezha's stateful support.
 
-use crate::arch::{self, ArchCtx, ArchParams};
-use nezha_vswitch::stage::StageVerdict;
 use serde::{Deserialize, Serialize};
 
 /// A Sailfish-like stateless gateway.
@@ -24,17 +22,9 @@ impl SailfishGateway {
         }
     }
 
-    /// Whether an NF with the given statefulness can be offloaded at
-    /// all: the [`arch::sailfish_graph`] statefulness branch either
-    /// admits it or stops the pipeline. (The struct is `Copy`-plain and
-    /// serde-visible, so the graph is built here rather than stored.)
+    /// Whether an NF with the given statefulness can be offloaded at all.
     pub fn can_offload(&self, stateful: bool) -> bool {
-        let graph = arch::sailfish_graph();
-        let mut ctx = ArchCtx {
-            stateful,
-            ..ArchCtx::default()
-        };
-        graph.eval(&mut ctx, &mut ArchParams::default()) == StageVerdict::Continue
+        !stateful
     }
 
     /// Whether a stateless table of `entries` fits on-chip.

@@ -13,16 +13,7 @@
 //!
 //! And one cost Nezha does not have at all: the pool is **new hardware**.
 
-use crate::arch::{self, ArchCtx, ArchParams};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
-
-/// The replication graph an instantiated pool carries (serde skips the
-/// compiled graph — it is a pure function of the architecture, not of
-/// the pool's parameters).
-fn replication_graph() -> Arc<arch::ArchGraph> {
-    Arc::new(arch::sirius_graph())
-}
 
 /// A Sirius-like DPU pool.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -37,10 +28,6 @@ pub struct SiriusPool {
     pub buckets: u32,
     /// Current bucket→card-pair assignment.
     assignment: Vec<usize>,
-    /// The connection graph (primary process + guarded in-line
-    /// replication hop), compiled once at construction.
-    #[serde(skip, default = "replication_graph")]
-    graph: Arc<arch::ArchGraph>,
 }
 
 impl SiriusPool {
@@ -56,22 +43,7 @@ impl SiriusPool {
             card_sessions,
             buckets,
             assignment,
-            graph: replication_graph(),
         }
-    }
-
-    /// Evaluates one (stateful) connection event against the compiled
-    /// replication graph: total cycle units, extra fabric packets, and
-    /// state copies for a connection whose primary share costs one unit.
-    fn conn_footprint(&self) -> ArchCtx {
-        let mut ctx = ArchCtx::stateful();
-        let mut params = ArchParams {
-            card_conn_cycles: 1,
-            replication_packets: 8,
-            ..ArchParams::default()
-        };
-        self.graph.eval(&mut ctx, &mut params);
-        ctx
     }
 
     /// Number of primary/secondary pairs.
@@ -82,10 +54,8 @@ impl SiriusPool {
     /// Aggregate CPS capacity. **Half** the raw card total: every new
     /// connection's state is replicated in-line by ping-ponging the
     /// packet between the pair, consuming both cards' cycles (§2.3.3).
-    /// The divisor is the graph's cycle footprint (2 units: primary +
-    /// replication hop), not a hand-written constant.
     pub fn cps_capacity(&self) -> f64 {
-        self.cards as f64 * self.card_cps / self.conn_footprint().cycles as f64
+        self.cards as f64 * self.card_cps / 2.0
     }
 
     /// Raw CPS the same silicon would deliver without in-line replication
@@ -94,10 +64,9 @@ impl SiriusPool {
         self.cards as f64 * self.card_cps
     }
 
-    /// Session capacity: state is held once per copy the graph records
-    /// (primary + secondary).
+    /// Session capacity: state is held twice (primary + secondary).
     pub fn session_capacity(&self) -> u64 {
-        self.cards as u64 * self.card_sessions / self.conn_footprint().state_copies as u64
+        self.cards as u64 * self.card_sessions / 2
     }
 
     /// The pair serving a flow hash.
@@ -140,10 +109,9 @@ impl SiriusPool {
     /// Per-connection extra packets on the pool fabric from in-line
     /// replication: each state-changing packet crosses to the secondary
     /// and back. A TCP_CRR connection changes state on SYN, final ACK of
-    /// the handshake, and both FINs ⇒ 4 state changes ⇒ 8 extra
-    /// traversals, accumulated by the graph's replication stage.
+    /// the handshake, and both FINs ⇒ 4 state changes ⇒ 8 extra traversals.
     pub fn replication_packets_per_conn(&self) -> u32 {
-        self.conn_footprint().fabric_packets
+        8
     }
 }
 

@@ -6,7 +6,6 @@
 //! for off-chip state, a DRAM-server bandwidth ceiling, and — like
 //! Sirius — **new components in the system** (the DRAM servers).
 
-use crate::arch::{self, ArchCtx, ArchParams};
 use nezha_sim::time::SimDuration;
 use serde::{Deserialize, Serialize};
 
@@ -53,31 +52,11 @@ impl TeaSwitch {
         }
     }
 
-    /// The latency of one state access at the given `offchip` locality,
-    /// evaluated through the [`arch::tea_graph`] locality branch. The
-    /// struct is `Copy`-plain (it travels through serde snapshots), so
-    /// the graph is built here rather than stored.
-    fn access_latency_s(&self, offchip: bool) -> f64 {
-        let graph = arch::tea_graph();
-        let mut ctx = ArchCtx {
-            offchip,
-            ..ArchCtx::default()
-        };
-        let mut params = ArchParams {
-            onchip_access_s: self.onchip_access.as_secs_f64(),
-            dram_rtt_s: self.dram_rtt.as_secs_f64(),
-            ..ArchParams::default()
-        };
-        graph.eval(&mut ctx, &mut params);
-        ctx.latency_s
-    }
-
-    /// Mean state-access latency for a working set of `sessions`: the
-    /// off-chip fraction mixes the graph's two locality outcomes.
+    /// Mean state-access latency for a working set of `sessions`.
     pub fn mean_access_latency(&self, sessions: u64) -> SimDuration {
         let f = self.offchip_fraction(sessions);
         SimDuration::from_secs_f64(
-            (1.0 - f) * self.access_latency_s(false) + f * self.access_latency_s(true),
+            (1.0 - f) * self.onchip_access.as_secs_f64() + f * self.dram_rtt.as_secs_f64(),
         )
     }
 

@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nezha_types::{Direction, FiveTuple, Ipv4Addr, ServerId, VnicId, VpcId};
-use nezha_vswitch::pipeline::slow_path_lookup;
+use nezha_vswitch::stage::lookup::pair_lookup;
 use nezha_vswitch::vnic::{Vnic, VnicProfile};
 use std::hint::black_box;
 
@@ -35,7 +35,7 @@ fn bench_rule_lookup(c: &mut Criterion) {
                     Ipv4Addr::new(10, 7, 0, 1),
                     9000,
                 );
-                black_box(slow_path_lookup(graph, &vnic, &tuple, Direction::Rx))
+                black_box(pair_lookup(graph, &vnic, &tuple, Direction::Rx))
             });
         });
     }

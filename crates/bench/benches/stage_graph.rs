@@ -1,11 +1,7 @@
-//! Microbenchmark of the stage-graph machinery itself: what the
-//! combinator indirection costs per packet, beyond the table work the
-//! stages do. Three measurements bound the refactor's overhead:
+//! Microbenchmark of the two stage-layer hot functions:
 //!
 //! * `eval/lookup` — one full lookup-graph evaluation over a default
 //!   vNIC (the work `bench_gate.sh` also floors end-to-end);
-//! * `eval/overhead` — the same graph shape with the table reads
-//!   replaced by no-op stages, isolating dispatch + predicate cost;
 //! * `plan/costs_from_plan` — realizing the slow-path cost plan against
 //!   a charged total (runs once per profiled slow-path packet).
 
@@ -13,61 +9,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use nezha_types::{Direction, FiveTuple, Ipv4Addr, ServerId, VnicId, VpcId};
 use nezha_vswitch::stage::costing::costs_from_plan;
 use nezha_vswitch::stage::lookup::{direction_lookup, lookup_graph};
-use nezha_vswitch::stage::{
-    branch, guard, seq, stage, tee, PktCtx, Stage, StageGraph, StageVerdict, SwitchEnv, SLOW_PLAN,
-};
+use nezha_vswitch::stage::SLOW_PLAN;
 use nezha_vswitch::vnic::{Vnic, VnicProfile};
 use std::hint::black_box;
-
-/// A stage that touches no tables: the graph shape without the work.
-#[derive(Debug)]
-struct Noop(&'static str);
-
-impl Stage<PktCtx> for Noop {
-    fn name(&self) -> &'static str {
-        self.0
-    }
-    fn eval(&self, _ctx: &mut PktCtx, _env: &mut (dyn SwitchEnv + '_)) -> StageVerdict {
-        StageVerdict::Continue
-    }
-}
-
-/// The lookup graph's exact topology (same seq/branch/guard/tee nesting)
-/// over no-op stages, so the diff against `eval/lookup` is pure
-/// combinator-dispatch overhead.
-fn noop_graph() -> StageGraph<PktCtx> {
-    fn is_tx(ctx: &PktCtx) -> bool {
-        ctx.dir == Direction::Tx
-    }
-    fn never(_: &PktCtx) -> bool {
-        false
-    }
-    StageGraph::compile(seq(vec![
-        stage(Noop("acl")),
-        stage(Noop("qos-classify")),
-        stage(Noop("stats-policy")),
-        branch(
-            "egress-routing",
-            is_tx,
-            seq(vec![
-                stage(Noop("pbr")),
-                branch(
-                    "pbr-steer",
-                    never,
-                    stage(Noop("pbr-steer-hop")),
-                    seq(vec![
-                        stage(Noop("route")),
-                        guard("overlay-hop", never, stage(Noop("vnic-server"))),
-                    ]),
-                ),
-            ]),
-            stage(Noop("rx-local")),
-        ),
-        guard("snat", is_tx, stage(Noop("nat"))),
-        tee(stage(Noop("mirror"))),
-    ]))
-    .expect("noop graph is valid")
-}
 
 fn default_vnic() -> Vnic {
     Vnic::new(
@@ -98,15 +42,6 @@ fn bench_stage_graph(c: &mut Criterion) {
         b.iter(|| {
             i = i.wrapping_add(1);
             black_box(direction_lookup(&full, &vnic, &tuple_for(i), Direction::Tx))
-        });
-    });
-
-    let noop = noop_graph();
-    group.bench_function("eval/overhead", |b| {
-        let mut i = 0u32;
-        b.iter(|| {
-            i = i.wrapping_add(1);
-            black_box(direction_lookup(&noop, &vnic, &tuple_for(i), Direction::Tx))
         });
     });
 

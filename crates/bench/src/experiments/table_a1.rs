@@ -16,7 +16,7 @@
 use crate::output::*;
 use nezha_types::{Direction, FiveTuple, Ipv4Addr, ServerId, VnicId, VpcId};
 use nezha_vswitch::config::VSwitchConfig;
-use nezha_vswitch::pipeline::slow_path_lookup;
+use nezha_vswitch::stage::lookup::pair_lookup;
 use nezha_vswitch::vnic::{Vnic, VnicProfile};
 
 const SIZES: [usize; 4] = [64, 128, 256, 512];
@@ -84,8 +84,8 @@ pub fn run() {
                 9000,
             );
             sink ^= nezha_types::headers::internet_checksum(&buf) as u64;
-            let r = slow_path_lookup(&graph, vnic, &tuple, Direction::Rx);
-            sink ^= r.pair.rx.qos_class as u64;
+            let pair = pair_lookup(&graph, vnic, &tuple, Direction::Rx);
+            sink ^= pair.rx.qos_class as u64;
             sim_cycles += cfg.costs.slow_path_cycles(bytes, rules, 0);
         }
         std::hint::black_box(sink);

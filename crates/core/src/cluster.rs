@@ -99,11 +99,9 @@ pub struct Cluster {
     /// Global switch: when false the cluster behaves as the pre-Nezha
     /// baseline (no offloading ever triggers).
     pub nezha_enabled: bool,
-    /// The compiled stage graphs the datapath handlers drive (shared with
-    /// every role: FE lookups evaluate `graphs.lookup`, cost/profiler
-    /// decomposition follows `graphs.process` — the same topology each
-    /// switch compiled for itself, per the paper's §3.1 equivalence).
-    pub(crate) graphs: std::sync::Arc<nezha_vswitch::SwitchGraphs>,
+    /// The rule-table lookup graph every FE evaluates on a flow-cache
+    /// miss — the same graph each switch runs locally (§3.1 equivalence).
+    pub(crate) lookup: nezha_vswitch::StageGraph,
 }
 
 impl Cluster {
@@ -154,7 +152,7 @@ impl Cluster {
                 cfg.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0xFA17,
             )),
             nezha_enabled: true,
-            graphs: std::sync::Arc::new(nezha_vswitch::SwitchGraphs::standard()),
+            lookup: nezha_vswitch::stage::lookup::lookup_graph(),
             cfg,
         }
     }
@@ -416,17 +414,17 @@ impl Cluster {
             .get(&vnic)
             .ok_or(NezhaError::UnknownVnic(vnic))?;
         if let Some(master) = self.master_vnics.get_mut(&vnic) {
-            master.tables.vnic_server.set(addr, server);
+            master.tables_mut().vnic_server.set(addr, server);
         }
         let home_vs = &mut self.switches[home.0 as usize];
         if let Some(home_vnic) = home_vs.vnic_mut(vnic) {
-            home_vnic.tables.vnic_server.set(addr, server);
+            home_vnic.tables_mut().vnic_server.set(addr, server);
             if home_vs.sync_vnic_memory(vnic).is_err() {
                 // The learned-mapping cache is full: drop the entry (the
                 // gateway remains authoritative; traffic to this peer
                 // resolves via the gateway/default path instead).
                 if let Some(home_vnic) = home_vs.vnic_mut(vnic) {
-                    home_vnic.tables.vnic_server.remove(addr);
+                    home_vnic.tables_mut().vnic_server.remove(addr);
                 }
                 let _ = home_vs.sync_vnic_memory(vnic);
             }
@@ -434,10 +432,10 @@ impl Cluster {
         let m = self.cfg.vswitch.memory;
         for ((fe_server, v), fe) in self.fes.iter_mut() {
             if *v == vnic {
-                fe.vnic.tables.vnic_server.set(addr, server);
+                fe.vnic.tables_mut().vnic_server.set(addr, server);
                 let pool = &mut self.switches[fe_server.0 as usize].mem;
                 if fe.sync_table_memory(pool, &m).is_err() {
-                    fe.vnic.tables.vnic_server.remove(addr);
+                    fe.vnic.tables_mut().vnic_server.remove(addr);
                     let _ = fe.sync_table_memory(pool, &m);
                 }
             }

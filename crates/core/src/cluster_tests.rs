@@ -14,14 +14,19 @@ const HOME: ServerId = ServerId(0);
 const VNIC: VnicId = VnicId(1);
 const SVC_PORT: u16 = 9000;
 
+/// Two racks of eight servers.
+fn small_topology() -> TopologyConfig {
+    TopologyConfig {
+        servers_per_rack: 8,
+        racks_per_pod: 2,
+        pods: 1,
+        ..TopologyConfig::default()
+    }
+}
+
 fn small_cluster(auto: bool) -> Cluster {
     let cfg = ClusterConfig::builder()
-        .topology(TopologyConfig {
-            servers_per_rack: 8,
-            racks_per_pod: 2,
-            pods: 1,
-            ..TopologyConfig::default()
-        })
+        .topology(small_topology())
         .auto(auto)
         .build();
     let mut cluster = Cluster::new(cfg);
@@ -531,5 +536,69 @@ fn rx_at_server_removed_from_fe_pool_is_a_counted_misroute() {
         c.stats().misroutes,
         before + 1,
         "RX at an ex-FE must be counted as a misroute"
+    );
+}
+
+/// A BE whose state memory is exhausted must be as visible as a local
+/// switch in the same spot: first packets whose session cannot be stored
+/// count on `vswitch.session_overflows{server}` at both BE sites (RX
+/// carry and TX origination), and are still processed.
+#[test]
+fn be_session_overflow_is_counted() {
+    use nezha_vswitch::config::{MemoryModel, VSwitchConfig};
+    // A minimal vNIC on a tiny SmartNIC: once offloaded, the BE has room
+    // for the BE metadata plus a few dozen 64 B state slabs.
+    let memory = MemoryModel {
+        vnic_base: 0,
+        ..MemoryModel::default()
+    };
+    let cfg = ClusterConfig::builder()
+        .topology(small_topology())
+        .vswitch(
+            VSwitchConfig::builder()
+                .table_memory(8 * 1024)
+                .memory(memory)
+                .build(),
+        )
+        .auto(false)
+        .build();
+    let mut c = Cluster::new(cfg);
+    let profile = VnicProfile {
+        acl_rules: 0,
+        routes: 0,
+        qos_rules: 0,
+        policy_rules: 0,
+        vnic_server_entries: 0,
+        ..VnicProfile::default()
+    };
+    let mut vnic = Vnic::new(VNIC, VpcId(1), Ipv4Addr::new(10, 7, 0, 1), profile, HOME);
+    vnic.allow_inbound_port(SVC_PORT);
+    c.add_vnic(vnic, HOME, VmConfig::with_vcpus(64)).unwrap();
+    c.trigger_offload(VNIC, SimTime(0)).unwrap();
+    c.run_until(SimTime(0) + SimDuration::from_secs(3));
+    assert_eq!(c.backend(VNIC).unwrap().phase, OffloadPhase::Offloaded);
+    assert_eq!(c.switch(HOME).unwrap().counters().session_overflows, 0);
+
+    let sessions_that_fit = (8 * 1024 / memory.state_slab) as u16;
+    let conns = 2 * sessions_that_fit;
+    for i in 0..conns {
+        c.add_conn(inbound_spec(
+            i,
+            c.now() + SimDuration::from_micros(100 * i as u64),
+        ))
+        .unwrap();
+    }
+    c.run_until(c.now() + SimDuration::from_secs(5));
+    assert_eq!(c.stats().completed, conns as u64, "overflow still forwards");
+    let home = c.switch(HOME).unwrap();
+    let unstored = conns as u64 - home.sessions.len() as u64;
+    assert!(unstored > 0, "every session fit: nothing overflowed");
+    // Every packet of an unstored flow retries (and fails) the
+    // establish: at least the SYN's RX carry and the SYN-ACK's TX
+    // origination per connection.
+    let overflows = home.counters().session_overflows;
+    assert!(
+        overflows >= 2 * unstored,
+        "{overflows} for {unstored} flows"
     );
 }

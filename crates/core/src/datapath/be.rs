@@ -10,7 +10,7 @@ use crate::datapath::dispatch::{flow_hash, process_locally, Event};
 use nezha_sim::time::{SimDuration, SimTime};
 use nezha_sim::trace::TraceEventKind;
 use nezha_types::{Direction, NezhaHeader, NezhaPayloadKind, Packet, SessionKey, VnicId};
-use nezha_vswitch::pipeline;
+use nezha_vswitch::{pipeline, VSwitch};
 
 /// Does this vNIC currently steer TX traffic through FEs?
 pub(crate) fn nezha_active_for_tx(cl: &Cluster, vnic: VnicId) -> bool {
@@ -75,6 +75,19 @@ pub(crate) fn degrade_to_local(ctx: &mut HandlerCtx<'_>, vnic: VnicId) -> bool {
     true
 }
 
+/// Creates the BE's state-only session for `pkt`'s flow. When state
+/// memory is exhausted the flow is still processed — against scratch
+/// state, so its stateful guarantees degrade — and the overflow counted.
+fn establish_state(vs: &mut VSwitch, key: SessionKey, pkt: &Packet, now: SimTime) {
+    let memory = vs.config().memory;
+    let established =
+        vs.sessions
+            .establish(key, pkt.vnic, pkt.dir, None, now, &mut vs.mem, &memory);
+    if established.is_err() {
+        vs.note_session_overflow();
+    }
+}
+
 /// TX packet from the local VM at its home (BE) vSwitch.
 pub(crate) fn be_handle_tx(ctx: &mut HandlerCtx<'_>, pkt: Packet, sent_at: SimTime) {
     let (server, now) = (ctx.server, ctx.now);
@@ -87,7 +100,6 @@ pub(crate) fn be_handle_tx(ctx: &mut HandlerCtx<'_>, pkt: Packet, sent_at: SimTi
     let key = SessionKey::of(pkt.vpc, pkt.tuple);
     let vs = &mut ctx.cl.switches[server.0 as usize];
     let costs = vs.config().costs;
-    let mem_model = vs.config().memory;
     let is_first = vs.sessions.get(&key).is_none();
     let cycles = if is_first {
         costs.be_first_packet
@@ -103,22 +115,7 @@ pub(crate) fn be_handle_tx(ctx: &mut HandlerCtx<'_>, pkt: Packet, sent_at: SimTi
     // State handling: create (state-only) or update, locally.
     let vs = &mut ctx.cl.switches[server.0 as usize];
     if is_first {
-        let mem_ok = vs
-            .sessions
-            .establish(
-                key,
-                pkt.vnic,
-                Direction::Tx,
-                None,
-                now,
-                &mut vs.mem,
-                &mem_model,
-            )
-            .is_ok();
-        if !mem_ok {
-            // State memory exhausted: the flow is processed but its
-            // stateful guarantees degrade (counted as overflow).
-        }
+        establish_state(vs, key, &pkt, now);
     }
     let mut nsh = NezhaHeader::bare(NezhaPayloadKind::TxCarry, pkt.vnic, pkt.vpc);
     if let Some(entry) = vs.sessions.get_mut(&key) {
@@ -178,7 +175,6 @@ pub(crate) fn be_handle_rx_carry(
     ctx.trace(now, &pkt, TraceEventKind::NshDecap);
     let key = SessionKey::of(pkt.vpc, pkt.tuple);
     let vs = &mut ctx.cl.switches[server.0 as usize];
-    let mem_model = vs.config().memory;
     let costs = vs.config().costs;
     let is_first = vs.sessions.get(&key).is_none();
     let cycles = if is_first {
@@ -206,15 +202,7 @@ pub(crate) fn be_handle_rx_carry(
 
     let vs = &mut ctx.cl.switches[server.0 as usize];
     if is_first {
-        let _ = vs.sessions.establish(
-            key,
-            pkt.vnic,
-            Direction::Rx,
-            None,
-            now,
-            &mut vs.mem,
-            &mem_model,
-        );
+        establish_state(vs, key, &pkt, now);
     }
     // Restore the info the FE carried for state initialization.
     let mut inner = pkt.strip_nezha();

@@ -5,8 +5,8 @@
 //! the packet-trace ring, the profiler, the fault engine, and the
 //! CPU-charging model exclusively through it (lint rule D7 enforces
 //! this). The handlers keep direct access to protocol state via
-//! [`HandlerCtx::cl`] — split field borrows (`switches` vs `fes`) are
-//! obtained with `let cl = &mut *ctx.cl;`.
+//! [`HandlerCtx::cl`] — split field borrows (`switches` vs `fes` vs
+//! `lookup`) are obtained with `let cl = &mut *ctx.cl;`.
 
 use crate::cluster::Cluster;
 use nezha_sim::profile::{Span, SpanId, StageHandle, StageSet};
@@ -102,12 +102,6 @@ impl<'c> HandlerCtx<'c> {
                 scaled: vs.scaled_cycles(cycles),
             }),
         }
-    }
-
-    /// The cluster's compiled stage graphs (cloned handle, so callers can
-    /// keep it across the split borrows of `cl`).
-    pub(crate) fn graphs(&self) -> std::sync::Arc<nezha_vswitch::SwitchGraphs> {
-        std::sync::Arc::clone(&self.cl.graphs)
     }
 
     /// Reports cycles burned on this server for its *own* (BE) traffic.

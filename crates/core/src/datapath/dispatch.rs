@@ -13,7 +13,7 @@ use crate::datapath::fe::{self, FeBinding};
 use nezha_sim::fault::FaultKind;
 use nezha_sim::time::SimTime;
 use nezha_types::{Direction, NezhaPayloadKind, Packet, ServerId};
-use nezha_vswitch::pipeline::{self, ProcessOutcome};
+use nezha_vswitch::pipeline::ProcessOutcome;
 
 /// Events driving the cluster.
 #[derive(Clone, Debug)]
@@ -183,26 +183,7 @@ pub(crate) fn process_locally(ctx: &mut HandlerCtx<'_>, pkt: Packet, sent_at: Si
     let (server, now) = (ctx.server, ctx.now);
     let vs = &mut ctx.cl.switches[server.0 as usize];
     let r = vs.process_local(&pkt, now);
-    // Priced after the fact so the fast path never pays the slow-path
-    // formula's `ln`; the vNIC set is untouched by `process_local`. A CPU
-    // drop reports no path — the charge the switch *attempted* still
-    // depends on what the flow-cache probe saw, which is re-derivable
-    // because a dropped packet mutates no session state.
-    let took_fast = match r.path {
-        Some(p) => p == nezha_vswitch::PathTaken::Fast,
-        None => vs
-            .sessions
-            .get(&nezha_types::SessionKey::of(pkt.vpc, pkt.tuple))
-            .is_some_and(|e| e.pre_actions.is_some()),
-    };
-    let cycles_hint = if took_fast {
-        vs.config().costs.fast_path_cycles(pkt.wire_len())
-    } else {
-        vs.vnic(pkt.vnic)
-            .map(|v| v.slow_path_cycles(&vs.config().costs, pkt.wire_len()))
-            .unwrap_or_else(|| vs.config().costs.slow_path_cycles(pkt.wire_len(), 0, 0))
-    };
-    ctx.note_local_cycles(cycles_hint);
+    ctx.note_local_cycles(r.cycles);
     match r.outcome {
         ProcessOutcome::Forwarded(action) => {
             ctx.count_mirrors(&action);
@@ -259,34 +240,4 @@ pub(crate) fn deliver_to_vm(
         Some(kernel_done) => ctx.complete(trace, sent_at, kernel_done),
         None => ctx.lose(trace),
     }
-}
-
-/// The vSwitch cost path an FE lookup took: a flow-cache miss re-executes
-/// the full slow path, a hit is fast-path work.
-pub(crate) fn fe_path(miss: bool) -> nezha_vswitch::PathTaken {
-    if miss {
-        nezha_vswitch::PathTaken::Slow
-    } else {
-        nezha_vswitch::PathTaken::Fast
-    }
-}
-
-/// Builds the profiler leaf list for one FE handler: the NSH carry share
-/// first (decap on the TX side, encap on RX), then the lookup's own
-/// per-stage cost split following the process graph's cost `plan` for
-/// the path taken. Overflow tiers clamp onto the last tier handle
-/// (inside `plan_leaves`).
-pub(crate) fn fe_stage_leaves(
-    st: &nezha_sim::profile::StageSet,
-    carry: nezha_sim::profile::StageHandle,
-    carry_cycles: u64,
-    plan: &[nezha_vswitch::CostSlot],
-    c: pipeline::StageCosts,
-) -> Vec<(nezha_sim::profile::StageHandle, u64)> {
-    // nezha-lint: allow(D10): stage attribution only runs under `profiler_enabled()`, never in measurement runs
-    let mut leaves = vec![(carry, carry_cycles)];
-    nezha_vswitch::stage::costing::plan_leaves(plan, st, &c, &mut |stage, cycles| {
-        leaves.push((stage, cycles));
-    });
-    leaves
 }

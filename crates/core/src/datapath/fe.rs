@@ -2,11 +2,13 @@
 //! pre-action lookup + piggybacking, and notify emission (§3.2.1/§3.2.2).
 
 use crate::datapath::ctx::HandlerCtx;
-use crate::datapath::dispatch::{fe_path, fe_stage_leaves, forward_to_peer};
+use crate::datapath::dispatch::forward_to_peer;
+use nezha_sim::profile::{SpanId, StageHandle};
 use nezha_sim::time::SimTime;
 use nezha_sim::trace::{DropReason, TraceEventKind};
-use nezha_types::{Direction, NezhaHeader, NezhaPayloadKind, Packet, ServerId, VnicId};
-use nezha_vswitch::pipeline;
+use nezha_types::{Direction, NezhaHeader, NezhaPayloadKind, Packet, PreActionPair, ServerId};
+use nezha_vswitch::pipeline::{self, PathTaken};
+use nezha_vswitch::stage::costing;
 
 /// Proof that `server` was a configured FE for a packet's vNIC at demux
 /// time, carrying the facts the RX handler needs (satellite of the
@@ -14,10 +16,6 @@ use nezha_vswitch::pipeline;
 /// unstated "caller checked membership" comment — it receives the claim
 /// as a value, and degrades to a counted misroute if the entry vanished).
 pub(crate) struct FeBinding {
-    /// The FE server the claim was made for.
-    pub(crate) server: ServerId,
-    /// The vNIC whose FE table the claim hit.
-    pub(crate) vnic: VnicId,
     /// Where this vNIC's stateful BE lives (captured from the entry).
     pub(crate) be: ServerId,
 }
@@ -35,12 +33,90 @@ impl FeBinding {
             return None;
         }
         let fe = cl.fes.get(&(server, pkt.vnic))?;
-        Some(FeBinding {
-            server,
-            vnic: pkt.vnic,
-            be: fe.be_location,
-        })
+        Some(FeBinding { be: fe.be_location })
     }
+}
+
+/// The front half both FE workflows share, once charged.
+struct FeVisit {
+    /// The session's bidirectional pre-actions.
+    pair: PreActionPair,
+    /// True when the flow cache missed and the rule lookup ran.
+    miss: bool,
+    /// When the FE's CPU finished with the packet.
+    done: SimTime,
+    /// The NSH-carry share of the scaled charge.
+    carry: u64,
+    /// The visit's root span (profiler enabled only).
+    root: Option<SpanId>,
+}
+
+/// Resolves `pkt`'s pre-actions at this server's FE (cached flow, or the
+/// rule lookup on a miss), prices and charges the visit, and records its
+/// span tree under `root_stage`. `carry_leaf` names the leaf the NSH
+/// carry share is attributed to; `None` leaves it to the caller (the RX
+/// side records it as an explicit marker to capture its id). Returns
+/// `None` — the packet already accounted for — when the FE entry is gone
+/// or the CPU is overloaded.
+fn fe_visit(
+    ctx: &mut HandlerCtx<'_>,
+    pkt: &Packet,
+    dir: Direction,
+    root_stage: StageHandle,
+    carry_leaf: Option<StageHandle>,
+) -> Option<FeVisit> {
+    let (server, now) = (ctx.server, ctx.now);
+    // Split borrows: switch, FE and lookup graph are distinct fields.
+    let cl = &mut *ctx.cl;
+    let vs = &mut cl.switches[server.0 as usize];
+    let mem_model = vs.config().memory;
+    let costs = vs.config().costs;
+    let Some(fe) = cl.fes.get_mut(&(server, pkt.vnic)) else {
+        // Membership was claimed at demux time; an FE entry vanishing
+        // between then and now means the pool changed under us — count
+        // it rather than silently dropping on the floor.
+        ctx.misroute(pkt);
+        return None;
+    };
+    let (pair, miss) = fe.lookup_or_insert(&cl.lookup, &pkt.tuple, dir, &mut vs.mem, &mem_model);
+    // A cache miss re-executes the full slow path: "the FE executes
+    // the same code as before deploying Nezha" (§5.1) — which is why
+    // per-FE CPS capacity matches a local vSwitch's, and Fig. 9's
+    // gain curve needs ~4 FEs to saturate the VM. Priced only on the
+    // miss branch: the slow-path formula costs an `ln` per call.
+    let bytes = pkt.wire_len();
+    let (path, lookup_cycles) = if miss {
+        (PathTaken::Slow, fe.vnic.slow_path_cycles(&costs, bytes))
+    } else {
+        (PathTaken::Fast, costs.fast_path_cycles(bytes))
+    };
+    let cycles = costs.fe_carry + lookup_cycles;
+    let charge = ctx.charge(pkt, cycles)?;
+    // Attribute the FE charge: the `fe_carry` share is NSH work, the
+    // remainder follows the lookup path's own cost plan.
+    let carry = charge.scaled.min(costs.fe_carry);
+    let mut root = None;
+    if ctx.profiler_enabled() {
+        if let Some(fe) = ctx.cl.fes.get(&(server, pkt.vnic)) {
+            let plan = costing::plan(path);
+            let c = costing::costs_from_plan(plan, &costs, &fe.vnic, bytes, charge.scaled - carry);
+            // Leaf assembly allocates: only under `profiler_enabled()`,
+            // never in measurement runs.
+            let mut leaves = Vec::from_iter(carry_leaf.map(|leaf| (leaf, carry)));
+            costing::plan_leaves(plan, ctx.stages(), &c, &mut |stage, cycles| {
+                leaves.push((stage, cycles));
+            });
+            root = ctx.span(root_stage, pkt, now, charge.done, &leaves);
+        }
+    }
+    ctx.note_remote_cycles(cycles);
+    Some(FeVisit {
+        pair,
+        miss,
+        done: charge.done,
+        carry,
+        root,
+    })
 }
 
 /// TX-carried packet arriving at an FE: look up pre-actions, finalize
@@ -51,70 +127,27 @@ pub(crate) fn fe_handle_tx_carry(
     mut pkt: Packet,
     sent_at: SimTime,
 ) {
-    let (server, now) = (ctx.server, ctx.now);
-    if !ctx.cl.fes.contains_key(&(server, pkt.vnic)) {
+    if !ctx.cl.fes.contains_key(&(ctx.server, pkt.vnic)) {
         return ctx.misroute(&pkt);
     }
-    ctx.trace(now, &pkt, TraceEventKind::NshDecap);
-    let graphs = ctx.graphs();
-    // Split borrows: switch and FE are distinct fields.
-    let cl = &mut *ctx.cl;
-    let vs = &mut cl.switches[server.0 as usize];
-    let mem_model = vs.config().memory;
-    let costs = vs.config().costs;
-    let Some(fe) = cl.fes.get_mut(&(server, pkt.vnic)) else {
-        return; // membership checked on entry; fes untouched since
-    };
-    let (pair, miss) = fe.lookup_or_insert(
-        &graphs.lookup,
-        &pkt.tuple,
-        Direction::Tx,
-        &mut vs.mem,
-        &mem_model,
-    );
-    // A cache miss re-executes the full slow path: "the FE executes
-    // the same code as before deploying Nezha" (§5.1) — which is why
-    // per-FE CPS capacity matches a local vSwitch's, and Fig. 9's
-    // gain curve needs ~4 FEs to saturate the VM. Priced only on the
-    // miss branch: the slow-path formula costs an `ln` per call.
-    let cycles = costs.fe_carry
-        + if miss {
-            fe.vnic.slow_path_cycles(&costs, pkt.wire_len())
-        } else {
-            costs.fast_path_cycles(pkt.wire_len())
-        };
-    let Some(charge) = ctx.charge(&pkt, cycles) else {
+    ctx.trace(ctx.now, &pkt, TraceEventKind::NshDecap);
+    let st = ctx.stages();
+    let (root_stage, decap) = (st.fe_tx_carry, st.nsh_decap);
+    let Some(FeVisit {
+        pair,
+        miss,
+        done,
+        root,
+        ..
+    }) = fe_visit(ctx, &pkt, Direction::Tx, root_stage, Some(decap))
+    else {
         return;
     };
-    let done = charge.done;
-    // Attribute the FE charge: the `fe_carry` share is NSH decap work,
-    // the remainder follows the lookup path's own cost decomposition.
     // The root hangs off the BE's encap marker carried in `prof_span`,
     // and replaces it so the notify (if any) chains off this FE visit.
-    if ctx.profiler_enabled() {
-        if let Some(fe) = ctx.cl.fes.get(&(server, pkt.vnic)) {
-            let st = ctx.stages();
-            let charged = charge.scaled;
-            let decap = charged.min(costs.fe_carry);
-            let leaves = fe_stage_leaves(
-                st,
-                st.nsh_decap,
-                decap,
-                graphs.process.plan(fe_path(miss)),
-                pipeline::stage_costs(
-                    &costs,
-                    &fe.vnic,
-                    pkt.wire_len(),
-                    charged - decap,
-                    fe_path(miss),
-                ),
-            );
-            if let Some(root) = ctx.span(st.fe_tx_carry, &pkt, now, done, &leaves) {
-                pkt.prof_span = root.to_raw();
-            }
-        }
+    if let Some(root) = root {
+        pkt.prof_span = root.to_raw();
     }
-    ctx.note_remote_cycles(cycles);
 
     // Reconstruct the carried state and finalize.
     let mut carried = nezha_types::SessionState {
@@ -155,67 +188,25 @@ pub(crate) fn fe_handle_rx(
 ) {
     let (server, now) = (ctx.server, ctx.now);
     let be = binding.be;
-    let graphs = ctx.graphs();
-    let cl = &mut *ctx.cl;
-    let vs = &mut cl.switches[server.0 as usize];
-    let mem_model = vs.config().memory;
-    let costs = vs.config().costs;
-    let Some(fe) = cl.fes.get_mut(&(binding.server, binding.vnic)) else {
-        // The binding was claimed at demux time; an FE entry vanishing
-        // between then and now means the pool changed under us — count
-        // it rather than silently dropping on the floor.
-        return ctx.misroute(&pkt);
-    };
-    let (pair, miss) = fe.lookup_or_insert(
-        &graphs.lookup,
-        &pkt.tuple,
-        Direction::Rx,
-        &mut vs.mem,
-        &mem_model,
-    );
-    let cycles = costs.fe_carry
-        + if miss {
-            fe.vnic.slow_path_cycles(&costs, pkt.wire_len())
-        } else {
-            costs.fast_path_cycles(pkt.wire_len())
-        };
-    let Some(charge) = ctx.charge(&pkt, cycles) else {
+    let st = ctx.stages();
+    let (root_stage, encap) = (st.fe_rx, st.nsh_encap);
+    let Some(FeVisit {
+        pair,
+        done,
+        carry,
+        root,
+        ..
+    }) = fe_visit(ctx, &pkt, Direction::Rx, root_stage, None)
+    else {
         return;
     };
     ctx.note_fe_rx();
-    let done = charge.done;
-    // Attribute the FE charge as on the TX side, except the carry
-    // share is encap work here (the FE wraps the packet for the BE).
-    let mut hop_span = 0u64;
-    if ctx.profiler_enabled() {
-        if let Some(fe) = ctx.cl.fes.get(&(binding.server, binding.vnic)) {
-            let st = ctx.stages();
-            let charged = charge.scaled;
-            let encap = charged.min(costs.fe_carry);
-            let leaves = fe_stage_leaves(
-                st,
-                st.nsh_encap,
-                0,
-                graphs.process.plan(fe_path(miss)),
-                pipeline::stage_costs(
-                    &costs,
-                    &fe.vnic,
-                    pkt.wire_len(),
-                    charged - encap,
-                    fe_path(miss),
-                ),
-            );
-            if let Some(root) = ctx.span(st.fe_rx, &pkt, now, done, &leaves) {
-                // The encap leaf doubles as the causal hop parent the BE
-                // will see — record it explicitly to capture its id.
-                let id = ctx.span_marker(st.nsh_encap, Some(root), &pkt, now, done, encap);
-                if let Some(id) = id {
-                    hop_span = id.to_raw();
-                }
-            }
-        }
-    }
-    ctx.note_remote_cycles(cycles);
+    // The carry share is encap work here (the FE wraps the packet for
+    // the BE). Its span doubles as the causal hop parent the BE will
+    // see — recorded explicitly to capture its id.
+    let hop_span = root
+        .and_then(|root| ctx.span_marker(encap, Some(root), &pkt, now, done, carry))
+        .map_or(0, |id| id.to_raw());
 
     let mut nsh = NezhaHeader::bare(NezhaPayloadKind::RxCarry, pkt.vnic, pkt.vpc);
     nsh.pre_actions = Some(pair);

@@ -13,7 +13,7 @@ use nezha_sim::dense::{DenseMap, Interner};
 use nezha_sim::resources::MemoryPool;
 use nezha_types::{Direction, FiveTuple, PreActionPair, ServerId, SessionKey};
 use nezha_vswitch::config::MemoryModel;
-use nezha_vswitch::pipeline;
+use nezha_vswitch::stage::lookup::pair_lookup;
 use nezha_vswitch::vnic::Vnic;
 
 /// One FE instance: an offloaded vNIC's tables hosted on a remote server.
@@ -82,16 +82,16 @@ impl FrontEnd {
     }
 
     /// Returns the cached pre-actions for the session of `tuple`, running
-    /// the slow-path lookup over `graph` (and caching the result in
-    /// `pool`) on a miss. The FE runs the *same* compiled lookup graph as
-    /// the local/BE vSwitch — Nezha's equivalence property (§3.1).
+    /// the rule lookup over `graph` (and caching the result in `pool`) on
+    /// a miss. The FE runs the *same* lookup graph as the local vSwitch —
+    /// Nezha's equivalence property (§3.1).
     ///
     /// The boolean is `true` on a miss — the caller charges lookup cycles
     /// instead of fast-path cycles, and (on the TX workflow) considers a
     /// notify packet (§3.2.2).
     pub fn lookup_or_insert(
         &mut self,
-        graph: &nezha_vswitch::PktGraph,
+        graph: &nezha_vswitch::StageGraph,
         tuple: &FiveTuple,
         pkt_dir: Direction,
         pool: &mut MemoryPool,
@@ -103,7 +103,7 @@ impl FrontEnd {
             return (*self.pairs.resolve(id), false);
         }
         self.misses += 1;
-        let pair = pipeline::slow_path_lookup(graph, &self.vnic, tuple, pkt_dir).pair;
+        let pair = pair_lookup(graph, &self.vnic, tuple, pkt_dir);
         if pool.alloc(m.flow_entry).is_ok() {
             let id = self.pairs.intern(pair);
             self.flows.insert(key, id);
@@ -162,7 +162,7 @@ mod tests {
         FrontEnd::new(vnic, ServerId(0))
     }
 
-    fn graph() -> nezha_vswitch::PktGraph {
+    fn graph() -> nezha_vswitch::StageGraph {
         nezha_vswitch::stage::lookup::lookup_graph()
     }
 

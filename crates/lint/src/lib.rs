@@ -18,7 +18,6 @@
 //! | D9   | error    | `SimRng` seeded outside `derive_seed`, or a stream name reused across modules |
 //! | D10  | error    | heap allocation on a hot path (ladder drain, DenseMap probe, NSH codec, datapath handlers) |
 //! | D11  | error    | `static mut` / statics / `thread_local!` / `Rc` / `RefCell` in shard-candidate code |
-//! | D12  | error    | direct rule-table field access outside stage impls / graph construction / control-plane table management |
 //!
 //! Escape hatch: `// nezha-lint: allow(D3): <justification>` on the
 //! violating line or the line above. The justification is mandatory —
@@ -29,7 +28,7 @@
 //! is a hand-rolled lexer feeding two passes. Pass 1 (`symbols`,
 //! `callgraph`) builds a workspace-wide symbol index and a conservative
 //! intra-crate call graph from the token streams; pass 2 runs the
-//! D1–D7 + D12 token-pattern rules (`rules`) and the D8–D11
+//! D1–D7 token-pattern rules (`rules`) and the D8–D11
 //! call-graph/dataflow rules (`graph_rules`). See DESIGN.md §9c for the
 //! architecture and the false-negative envelope.
 

@@ -15,11 +15,11 @@ use nezha_lint::{
 };
 
 const USAGE: &str = "\
-nezha-lint: workspace determinism, panic-safety & layering checks (rules D1-D12)
+nezha-lint: workspace determinism, panic-safety & layering checks (rules D1-D11)
 
 Two-pass analyzer: pass 1 indexes symbols and builds a conservative
 intra-crate call graph across the whole workspace; pass 2 runs the
-token-pattern rules (D1-D7, D12 stage-layer table access) and the
+token-pattern rules (D1-D7) and the
 call-graph/dataflow rules (D8 panic reachability, D9 RNG-stream
 lineage, D10 hot-path allocation, D11 shard safety).
 

@@ -1,8 +1,8 @@
-//! The D1–D7 + D12 determinism, panic-safety & layering rules, plus the
+//! The D1–D7 determinism, panic-safety & layering rules, plus the
 //! shared rule registry and allow-directive machinery used by the graph
 //! rules (D8–D11, see `graph_rules`).
 //!
-//! D1–D7 and D12 are token-pattern matches over the lexed stream with a
+//! D1–D7 are token-pattern matches over the lexed stream with a
 //! path-based scope. Test items (`#[test]` fns, `#[cfg(test)]` mods) are
 //! stripped before matching: the rules guard simulation-visible and
 //! control-plane behaviour, not assertions about it.
@@ -61,7 +61,7 @@ pub struct RuleInfo {
 }
 
 /// Every rule the analyzer knows, in id order.
-pub const ALL_RULES: [RuleInfo; 12] = [
+pub const ALL_RULES: [RuleInfo; 11] = [
     RuleInfo {
         id: "D1",
         severity: Severity::Error,
@@ -119,12 +119,6 @@ pub const ALL_RULES: [RuleInfo; 12] = [
         summary: "static mut, non-const statics, thread_local!, Rc/RefCell in sim-visible \
                   shard-candidate code",
     },
-    RuleInfo {
-        id: "D12",
-        severity: Severity::Error,
-        summary: "direct rule-table field access outside stage impls, graph construction, \
-                  or control-plane table management",
-    },
 ];
 
 /// Which rules apply to a given workspace-relative path.
@@ -137,7 +131,6 @@ struct Scope {
     d5: bool,
     d6: bool,
     d7: bool,
-    d12: bool,
 }
 
 /// Crates whose code runs inside the simulation and therefore must be
@@ -214,32 +207,6 @@ const HINT_D6: &str =
 const HINT_D7: &str = "route metrics/trace/profiler/fault access through the HandlerCtx methods \
      (ctx.span/ctx.trace/ctx.charge/ctx.drop_pkt/…); the plumbing lives in \
      crates/core/src/datapath/ctx.rs";
-const HINT_D12: &str =
-    "read rule tables from inside a Stage impl (env.vnic().tables) or drive the compiled \
-     stage graph (SwitchGraphs / lookup_graph); ad-hoc table reads fork the pipeline \
-     semantics the graph is the single source of truth for";
-
-/// The per-vNIC rule-table fields whose direct access rule D12 polices.
-const D12_TABLES: [&str; 8] = [
-    "acl",
-    "route",
-    "qos",
-    "nat",
-    "policy",
-    "mirror",
-    "pbr",
-    "vnic_server",
-];
-
-/// Files sanctioned to touch `tables.*` fields directly: the stage impls
-/// and graph construction (`crates/vswitch/src/stage/`), the tables'
-/// owner (`vnic.rs` builds and size-accounts them), and the table
-/// implementations themselves.
-fn d12_exempt(path: &str) -> bool {
-    path.starts_with("crates/vswitch/src/stage/")
-        || path.starts_with("crates/vswitch/src/tables/")
-        || path == "crates/vswitch/src/vnic.rs"
-}
 
 fn scope_for(path: &str) -> Scope {
     // Fixture files exercise every rule regardless of where they live.
@@ -252,7 +219,6 @@ fn scope_for(path: &str) -> Scope {
             d5: true,
             d6: true,
             d7: true,
-            d12: true,
         };
     }
     let sim_visible = SIM_VISIBLE.iter().any(|p| path.starts_with(p));
@@ -276,9 +242,6 @@ fn scope_for(path: &str) -> Scope {
         d6: sim_visible && path != "crates/sim/src/profile.rs",
         // ctx.rs *is* the sanctioned plumbing layer.
         d7: datapath && !path.ends_with("ctx.rs"),
-        // Control-plane files *manage* tables (rule pushes, vNIC moves);
-        // everything else must go through the compiled stage graph.
-        d12: sim_visible && !control_plane && !d12_exempt(path),
     }
 }
 
@@ -524,24 +487,6 @@ pub(crate) fn token_rules(rel_path: &str, toks: &[SpannedTok]) -> Vec<Violation>
                             ),
                             HINT_D7,
                         );
-                    }
-                }
-
-                // D12: rule-table fields read outside the stage layer.
-                if scope.d12 && id == "tables" && tok_is(toks, i + 1, '.') {
-                    if let Some(field) = ident_at(toks, i + 2) {
-                        if D12_TABLES.contains(&field) {
-                            push(
-                                t.line,
-                                "D12",
-                                Severity::Error,
-                                format!(
-                                    "direct rule-table access `tables.{field}` outside the \
-                                     stage layer"
-                                ),
-                                HINT_D12,
-                            );
-                        }
                     }
                 }
             }
@@ -818,31 +763,6 @@ mod tests {
         }
         // Same-named files in other crates keep their old (exempt) scope.
         assert!(rules_found("crates/vswitch/src/config.rs", src).is_empty());
-    }
-
-    #[test]
-    fn d12_flags_table_reads_outside_the_stage_layer() {
-        let src = "fn f(vnic: &Vnic, t: &FiveTuple) { let v = vnic.tables.acl.lookup(t, d); }\n";
-        assert_eq!(rules_found("crates/core/src/x.rs", src), vec![("D12", 1)]);
-        assert_eq!(
-            rules_found("crates/vswitch/src/pipeline.rs", src),
-            vec![("D12", 1)]
-        );
-        // Stage impls, graph construction, the tables' owner, and the
-        // table implementations themselves are the sanctioned homes.
-        for exempt in [
-            "crates/vswitch/src/stage/lookup.rs",
-            "crates/vswitch/src/tables/acl.rs",
-            "crates/vswitch/src/vnic.rs",
-        ] {
-            assert!(rules_found(exempt, src).is_empty(), "{exempt}");
-        }
-        // Control-plane table management (rule pushes) stays direct.
-        let push_rule = "fn apply(vnic: &mut Vnic) { vnic.tables.vnic_server.set(a, s); }\n";
-        assert!(rules_found("crates/core/src/cluster.rs", push_rule).is_empty());
-        // Unknown fields on some other `tables` binding are not flagged.
-        let other = "fn f(x: &T) { let n = x.tables.len(); }\n";
-        assert!(rules_found("crates/core/src/x.rs", other).is_empty());
     }
 
     #[test]

@@ -190,20 +190,6 @@ fn d11_violation_reports_static_mut_and_refcell() {
 }
 
 #[test]
-fn d12_violation_reports_ad_hoc_table_reads() {
-    let (code, out) = lint_fixture("d12_violation.rs", &[]);
-    assert_eq!(code, 1, "output: {out}");
-    assert!(out.contains("[D12]"), "output: {out}");
-    for line in [7, 8, 13] {
-        assert!(
-            out.contains(&format!("d12_violation.rs:{line}")),
-            "output: {out}"
-        );
-    }
-    assert!(out.contains("3 error(s)"), "output: {out}");
-}
-
-#[test]
 fn d8_clean_tree_passes() {
     let (code, out) = lint_fixture("d8_clean", &["--deny-warnings"]);
     assert_eq!(code, 0, "output: {out}");
@@ -249,7 +235,6 @@ fn clean_fixtures_pass() {
         "d10_clean.rs",
         "d10_obs_clean.rs",
         "d11_clean.rs",
-        "d12_clean.rs",
         "test_code_clean.rs",
         "allow_justified.rs",
     ] {

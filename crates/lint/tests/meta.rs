@@ -1,5 +1,5 @@
 //! Meta-test: the rule catalogue, the fixture tree, and the CLI test
-//! suite must stay in lock-step. Every rule D1–D12 needs a violation
+//! suite must stay in lock-step. Every rule D1–D11 needs a violation
 //! fixture (a file or a directory tree), a clean fixture, and a CLI test
 //! that asserts its id — otherwise a rule can silently rot.
 
@@ -11,9 +11,9 @@ fn fixtures() -> PathBuf {
 }
 
 #[test]
-fn the_catalogue_covers_d1_through_d12_exactly_once() {
+fn the_catalogue_covers_d1_through_d11_exactly_once() {
     let ids: Vec<&str> = ALL_RULES.iter().map(|r| r.id).collect();
-    let expect: Vec<String> = (1..=12).map(|i| format!("D{i}")).collect();
+    let expect: Vec<String> = (1..=11).map(|i| format!("D{i}")).collect();
     assert_eq!(ids, expect.iter().map(String::as_str).collect::<Vec<_>>());
 }
 

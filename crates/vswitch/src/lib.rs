@@ -22,14 +22,13 @@
 //! * [`vnic`] — a vNIC: its tables, overlay address, and size profile;
 //! * [`session`] — the bidirectional session table with aging (including
 //!   the short SYN aging of §7.3);
-//! * [`pipeline`] — slow-path lookup (with cycle costing) and fast-path
-//!   `process_pkt(pre_actions, state)`;
-//! * [`stage`] — the pipeline as typed, composable stage graphs:
-//!   combinators ([`stage::seq`], [`stage::branch`], [`stage::tee`],
-//!   [`stage::guard`]), the compiled [`StageGraph`], graph-derived cost
-//!   plans;
-//! * [`vswitch`] — the vSwitch facade: resource enforcement + driving
-//!   the compiled graph.
+//! * [`pipeline`] — the fast-path `process_pkt(pre_actions, state)` and
+//!   the per-packet result types;
+//! * [`stage`] — the slow-path rule-table lookup as one composable
+//!   [`StageGraph`] ([`stage::seq`], [`stage::branch`], [`stage::tee`],
+//!   [`stage::guard`]) and the two cost plans;
+//! * [`vswitch`] — the vSwitch: resource enforcement and the
+//!   straight-line [`VSwitch::process_local`].
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -44,12 +43,10 @@ pub mod vnic;
 pub mod vswitch;
 
 pub use config::{CostModel, VSwitchConfig};
-pub use pipeline::{finalize_with_state, process_pkt, slow_path_lookup, update_state};
-pub use pipeline::{LookupResult, PathTaken, ProcessOutcome, ProcessResult};
+pub use pipeline::{finalize_with_state, process_pkt, update_state};
+pub use pipeline::{PathTaken, ProcessOutcome, ProcessResult};
 pub use session::{SessionEntry, SessionTable};
-pub use stage::{
-    CostSlot, PktCtx, PktGraph, Stage, StageCtx, StageGraph, StageVerdict, SwitchEnv, SwitchGraphs,
-};
+pub use stage::{CostSlot, PktCtx, Stage, StageGraph, StageVerdict};
 pub use tables::acl::{AclRule, AclTable, PortRange};
 pub use tables::nat::NatTable;
 pub use tables::policy::PolicyTable;

@@ -1,27 +1,16 @@
-//! The packet-processing pipeline: slow-path rule lookup and fast-path
-//! `process_pkt(pre_actions, state)`.
+//! The fast-path `process_pkt(pre_actions, state)` and the result types
+//! of one packet's trip through a vSwitch.
 //!
-//! These are *pure* functions over tables and state — the same code runs
+//! These are *pure* functions over pre-actions and state — the same code runs
 //! in three places, exactly as the paper requires for its equivalence
 //! argument (§3.1): in the traditional local vSwitch, at a Nezha FE
 //! (which has rules/flows but receives state in the packet), and at a
 //! Nezha BE (which has state but receives pre-actions in the packet).
 
-use crate::config::CostModel;
-use crate::vnic::Vnic;
 use nezha_types::{
-    Action, Direction, FiveTuple, Packet, PreAction, PreActionPair, SessionState,
-    StatefulDecapState, TcpEvent,
+    Action, Direction, Packet, PreAction, SessionState, StatefulDecapState, TcpEvent,
 };
 use serde::{Deserialize, Serialize};
-
-/// Result of one slow-path lookup: the bidirectional pre-actions that get
-/// cached as a flow entry.
-#[derive(Clone, Copy, Debug)]
-pub struct LookupResult {
-    /// Pre-actions for both directions of the session.
-    pub pair: PreActionPair,
-}
 
 /// Which processing path a packet took.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -62,6 +51,11 @@ pub struct ProcessResult {
     /// Which path the packet took; `None` for CPU drops (an overloaded
     /// switch rejects the packet before it takes any path).
     pub path: Option<PathTaken>,
+    /// The nominal cycles (before gray-failure scaling) the switch priced
+    /// this packet at: charged on success, attempted on a CPU drop. An
+    /// unknown vNIC is priced as a table-less slow path, though nothing
+    /// is charged for it.
+    pub cycles: u64,
     /// When the vSwitch finished with the packet (includes CPU queueing).
     pub done_at: nezha_sim::time::SimTime,
     /// True when a new session entry was created by this packet.
@@ -71,8 +65,9 @@ pub struct ProcessResult {
     pub session_overflow: bool,
 }
 
-/// Per-stage decomposition of one CPU charge, produced by [`stage_costs`]
-/// for the profiler. Leaf cycles always sum to exactly the charged total.
+/// Per-stage decomposition of one CPU charge, produced by
+/// [`costs_from_plan`](crate::stage::costing::costs_from_plan) for the
+/// profiler. Leaf cycles always sum to exactly the charged total.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StageCosts {
     /// Per-byte DMA + copy share.
@@ -92,52 +87,6 @@ impl StageCosts {
     /// Sum of every leaf share (equals the charged total by construction).
     pub fn total(&self) -> u64 {
         self.dma + self.parse + self.session + self.overhead + self.tiers.iter().sum::<u64>()
-    }
-}
-
-/// Splits one charged cycle `total` into per-stage shares following the
-/// process graph's derived cost plan for `path`.
-///
-/// Shares are assigned by sequential budgeting — each stage takes
-/// `min(model cost, remaining budget)` and the path's absorber slot
-/// takes the remainder — so the parts sum to `total` *exactly* even when
-/// a vNIC `lookup_weight` or gray-failure multiplier scaled the charge
-/// away from the nominal model costs (see [`crate::stage::costing`]).
-/// The plans here are the standard graph's, proven equal to the compiled
-/// topology by the stage-module tests; callers holding a compiled graph
-/// should prefer [`crate::stage::SwitchGraphs::stage_costs`]. Costs the
-/// model does not split (BE state work, notify processing) are not
-/// artificially split here.
-pub fn stage_costs(
-    costs: &CostModel,
-    vnic: &Vnic,
-    bytes: usize,
-    total: u64,
-    path: PathTaken,
-) -> StageCosts {
-    let plan = match path {
-        PathTaken::Fast => crate::stage::FAST_PLAN,
-        PathTaken::Slow => crate::stage::SLOW_PLAN,
-    };
-    crate::stage::costing::costs_from_plan(plan, costs, vnic, bytes, total)
-}
-
-/// Runs the compiled rule-table `graph` for the session of `tuple` as
-/// seen from direction `pkt_dir`, producing the bidirectional
-/// pre-actions.
-///
-/// Table order mirrors §2.2.2's "at least five tables": ACL, QoS, policy,
-/// VXLAN routing, vNIC-server mapping (+ NAT for NAT vNICs) — composed in
-/// [`crate::stage::lookup`]. The result depends only on the vNIC's
-/// tables and the tuple — stateless, hence FE-replicable.
-pub fn slow_path_lookup(
-    graph: &crate::stage::PktGraph,
-    vnic: &Vnic,
-    tuple: &FiveTuple,
-    pkt_dir: Direction,
-) -> LookupResult {
-    LookupResult {
-        pair: crate::stage::lookup::pair_lookup(graph, vnic, tuple, pkt_dir),
     }
 }
 
@@ -213,16 +162,14 @@ pub fn mirror_copies(action: &Action) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stage::PktGraph;
-    use crate::vnic::VnicProfile;
-    use nezha_types::TcpState;
-    use nezha_types::{Decision, Ipv4Addr, ServerId, TcpFlags, VnicId, VpcId};
+    use crate::stage::lookup::{lookup_graph, pair_lookup};
+    use crate::vnic::{Vnic, VnicProfile};
+    use nezha_types::{
+        Decision, FiveTuple, Ipv4Addr, PreActionPair, ServerId, TcpFlags, TcpState, VnicId, VpcId,
+    };
 
-    /// A graph-free façade over [`slow_path_lookup`] so the table-order
-    /// assertions below read as before the combinator refactor.
-    fn lookup(vnic: &Vnic, tuple: &FiveTuple, pkt_dir: Direction) -> LookupResult {
-        let graph: PktGraph = crate::stage::lookup::lookup_graph();
-        slow_path_lookup(&graph, vnic, tuple, pkt_dir)
+    fn lookup(vnic: &Vnic, tuple: &FiveTuple, pkt_dir: Direction) -> PreActionPair {
+        pair_lookup(&lookup_graph(), vnic, tuple, pkt_dir)
     }
 
     fn vnic() -> Vnic {
@@ -250,20 +197,20 @@ mod tests {
         let v = vnic();
         let a = lookup(&v, &tx_tuple(), Direction::Tx);
         let b = lookup(&v, &tx_tuple(), Direction::Tx);
-        assert_eq!(a.pair, b.pair);
+        assert_eq!(a, b);
         // Looking up from the RX side of the same session yields the same
         // bidirectional pair — this is what makes FE caching direction-
         // agnostic.
         let c = lookup(&v, &tx_tuple().reversed(), Direction::Rx);
-        assert_eq!(a.pair, c.pair);
+        assert_eq!(a, c);
     }
 
     #[test]
     fn tx_preaction_resolves_next_hop() {
         let v = vnic();
         let r = lookup(&v, &tx_tuple(), Direction::Tx);
-        assert!(r.pair.tx.next_hop.is_some(), "mapped peer must resolve");
-        assert_eq!(r.pair.rx.next_hop, None, "ingress delivers locally");
+        assert!(r.tx.next_hop.is_some(), "mapped peer must resolve");
+        assert_eq!(r.rx.next_hop, None, "ingress delivers locally");
     }
 
     #[test]
@@ -289,8 +236,8 @@ mod tests {
             9000,
         );
         let r = lookup(&v, &t, Direction::Tx);
-        assert_eq!(r.pair.tx.verdict, Decision::Accept);
-        assert_eq!(r.pair.tx.next_hop, None);
+        assert_eq!(r.tx.verdict, Decision::Accept);
+        assert_eq!(r.tx.next_hop, None);
     }
 
     #[test]
@@ -311,11 +258,11 @@ mod tests {
             9000,
         );
         let r = lookup(&v, &steered, Direction::Tx);
-        assert_eq!(r.pair.tx.next_hop, Some(ServerId(42)));
+        assert_eq!(r.tx.next_hop, Some(ServerId(42)));
         // Unsteered sources still follow the destination route.
         let normal = tx_tuple();
         let r = lookup(&v, &normal, Direction::Tx);
-        assert_ne!(r.pair.tx.next_hop, Some(ServerId(42)));
+        assert_ne!(r.tx.next_hop, Some(ServerId(42)));
     }
 
     #[test]
@@ -333,8 +280,8 @@ mod tests {
             9000,
         );
         let r = lookup(&v, &t, Direction::Tx);
-        assert_eq!(r.pair.tx.verdict, Decision::Drop);
-        assert!(!r.pair.tx.stateful_acl, "routing drops are not stateful");
+        assert_eq!(r.tx.verdict, Decision::Drop);
+        assert!(!r.tx.stateful_acl, "routing drops are not stateful");
     }
 
     #[test]
@@ -343,7 +290,7 @@ mod tests {
         let r = lookup(&v, &tx_tuple(), Direction::Tx);
         let mut state = SessionState::default();
         let pkt = Packet::tx_data(1, VpcId(1), VnicId(1), tx_tuple(), TcpFlags::SYN, 0);
-        let act = process_pkt(&r.pair.tx, &mut state, &pkt);
+        let act = process_pkt(&r.tx, &mut state, &pkt);
         assert_eq!(state.first_dir, Some(Direction::Tx));
         assert_eq!(state.tcp, TcpState::SynSent);
         assert_eq!(act.verdict, Decision::Accept);
@@ -365,12 +312,12 @@ mod tests {
         // Unsolicited: first packet is RX.
         let mut state = SessionState::default();
         let pkt = Packet::rx_data(1, VpcId(1), VnicId(1), rx, TcpFlags::SYN, 0);
-        let act = process_pkt(&r.pair.rx, &mut state, &pkt);
+        let act = process_pkt(&r.rx, &mut state, &pkt);
         assert_eq!(act.verdict, Decision::Drop);
 
         // Solicited: the session's first packet was TX.
         let mut state = SessionState::first_packet(Direction::Tx);
-        let act = process_pkt(&r.pair.rx, &mut state, &pkt);
+        let act = process_pkt(&r.rx, &mut state, &pkt);
         assert_eq!(act.verdict, Decision::Accept);
     }
 
@@ -401,7 +348,7 @@ mod tests {
         pkt.overlay_encap_src = Some(Ipv4Addr::new(100, 64, 0, 7));
         // RX must be permitted: loosen verdict by treating first dir RX as
         // accepted (LB vNICs allow inbound).
-        let mut pre_rx = r.pair.rx;
+        let mut pre_rx = r.rx;
         pre_rx.verdict = Decision::Accept;
         pre_rx.stateful_acl = false;
         process_pkt(&pre_rx, &mut state, &pkt);
@@ -413,7 +360,7 @@ mod tests {
         );
 
         // The TX response is re-encapsulated toward the recorded LB.
-        let mut pre_tx = r.pair.tx;
+        let mut pre_tx = r.tx;
         pre_tx.verdict = Decision::Accept;
         pre_tx.stateful_acl = false;
         let tx_pkt = Packet::tx_data(
@@ -431,7 +378,7 @@ mod tests {
     #[test]
     fn stats_policy_from_preaction_becomes_state_and_records() {
         let v = vnic();
-        let mut pre = lookup(&v, &tx_tuple(), Direction::Tx).pair.tx;
+        let mut pre = lookup(&v, &tx_tuple(), Direction::Tx).tx;
         pre.stats_policy = 3;
         let mut state = SessionState::default();
         let pkt = Packet::tx_data(1, VpcId(1), VnicId(1), tx_tuple(), TcpFlags::SYN, 100);

@@ -1,21 +1,63 @@
-//! Realizes a graph's cost plan against a charged cycle total.
+//! The cost plans of the two packet paths, realized against a charged
+//! cycle total.
 //!
-//! A compiled [`StageGraph`](super::StageGraph) carries one
-//! [`CostSlot`] plan per path, collected from stage declarations in
-//! topology order. [`costs_from_plan`] walks the plan with sequential
-//! budgeting — each slot takes `min(model cost, remaining budget)` and
-//! the path's absorber slot takes the remainder — so the shares sum to
-//! the charged total *exactly* even when a vNIC `lookup_weight` or a
-//! gray-failure multiplier scaled the charge away from the nominal
-//! model costs. [`plan_leaves`] then maps each realized slot onto the
-//! profiler's registered stage handles, which is how flamegraph leaves
-//! follow graph topology automatically.
+//! A plan is a sequence of [`CostSlot`]s in budget order; there are
+//! exactly two, [`FAST_PLAN`] and [`SLOW_PLAN`]. [`costs_from_plan`]
+//! walks a plan with sequential budgeting — each slot takes
+//! `min(model cost, remaining budget)` and the plan's absorber slot
+//! takes the remainder — so the shares sum to the charged total
+//! *exactly* even when a vNIC `lookup_weight` or a gray-failure
+//! multiplier scaled the charge away from the nominal model costs.
+//! [`plan_leaves`] then maps each realized slot onto the profiler's
+//! registered stage handles. Costs the model does not split (BE state
+//! work, notify processing) are not artificially split here.
 
-use super::graph::CostSlot;
 use crate::config::CostModel;
-use crate::pipeline::StageCosts;
+use crate::pipeline::{PathTaken, StageCosts};
 use crate::vnic::Vnic;
 use nezha_sim::profile::{StageHandle, StageSet};
+
+/// One slot of the charge decomposition, in budget order. A plan's last
+/// slot must be an absorber ([`CostSlot::SessionResidue`] or
+/// [`CostSlot::RuleTiers`]) for the shares to sum to the charge.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum CostSlot {
+    /// Per-byte DMA + copy share.
+    Dma,
+    /// Header-parse share.
+    Parse,
+    /// Fast-path session share: the cached-flow lookup absorbs the whole
+    /// remaining budget (it is the fast path's only post-parse work).
+    SessionResidue,
+    /// Slow-path session-creation share.
+    SessionCreate,
+    /// First-packet slow-path overhead share.
+    SlowOverhead,
+    /// The rule-pipeline tiers: each extra table takes its model cost and
+    /// tier 0 (base pipeline + ACL) absorbs the remaining budget.
+    RuleTiers,
+}
+
+/// The fast-path plan: ingest, parse, cached-flow lookup.
+pub const FAST_PLAN: &[CostSlot] = &[CostSlot::Dma, CostSlot::Parse, CostSlot::SessionResidue];
+
+/// The slow-path plan: ingest, parse, session creation, first-packet
+/// overhead, rule-table tiers.
+pub const SLOW_PLAN: &[CostSlot] = &[
+    CostSlot::Dma,
+    CostSlot::Parse,
+    CostSlot::SessionCreate,
+    CostSlot::SlowOverhead,
+    CostSlot::RuleTiers,
+];
+
+/// The plan a packet that took `path` is charged by.
+pub fn plan(path: PathTaken) -> &'static [CostSlot] {
+    match path {
+        PathTaken::Fast => FAST_PLAN,
+        PathTaken::Slow => SLOW_PLAN,
+    }
+}
 
 /// Splits one charged cycle `total` into per-stage shares following
 /// `plan` (see the module docs for the exact-sum budgeting rule).

@@ -1,10 +1,8 @@
-//! The stage-combinator core: typed stages composed into a compiled
+//! The stage-combinator core: rule-table stages composed into a
 //! [`StageGraph`].
 //!
-//! A [`Stage`] is a value with a typed interface — it reads and writes a
-//! context `C` (the packet view) and may call into the context family's
-//! environment ([`StageCtx::Env`], the switch services behind the
-//! pipeline), returning a [`StageVerdict`]. Stages compose with four
+//! A [`Stage`] reads one vNIC's rule tables and writes the packet's
+//! [`PktCtx`], returning a [`StageVerdict`]. Stages compose with four
 //! combinators:
 //!
 //! * [`seq`] — run stages in order, short-circuiting on [`StageVerdict::Stop`];
@@ -12,13 +10,11 @@
 //! * [`tee`] — a side-effect tap whose verdict never gates the pipeline;
 //! * [`guard`] — a predicate-gated optional subgraph.
 //!
-//! [`StageGraph::compile`] validates the composition **once at
-//! construction** and derives the per-path [`CostSlot`] plans the
-//! profiler and `stage_costs` decomposition follow — so the flamegraph
-//! topology and the exact cycle-reconciliation invariant are properties
-//! of the graph, not of hand-maintained parallel code.
+//! [`StageGraph::compile`] rejects empty `seq`s and inventories the
+//! stage names once at construction.
 
-use crate::pipeline::PathTaken;
+use super::PktCtx;
+use crate::vnic::Vnic;
 use std::fmt;
 
 /// What a stage tells the graph walker after evaluating.
@@ -26,104 +22,72 @@ use std::fmt;
 pub enum StageVerdict {
     /// Proceed to the next stage.
     Continue,
-    /// Terminal: the packet's fate is decided; skip the rest of the graph.
+    /// Terminal: skip the rest of the graph.
     Stop,
 }
 
-/// A context family for stage graphs: the mutable per-packet context type
-/// itself, plus the environment its stages call into. The environment is
-/// a generic-lifetime associated type so graphs stay lifetime-free (and
-/// thus storable in a `VSwitch`/cluster) while environments may borrow
-/// the switch they drive.
-pub trait StageCtx {
-    /// The environment stages of this context family receive
-    /// (`dyn`-traits and `()` both work).
-    type Env<'a>: ?Sized;
-}
-
-/// A composable pipeline stage with a typed interface: context `C` in,
-/// [`StageVerdict`] out, with switch services reached through the
-/// context family's environment.
+/// One rule-table stage: packet context in, [`StageVerdict`] out.
 ///
-/// Stages must be pure over `(ctx, env)` — all state they read or write
-/// lives in the context or behind the environment, never in the stage
-/// value itself. That is what lets one compiled graph serve every packet
-/// and every role (local, FE, BE) concurrently.
-pub trait Stage<C: StageCtx>: fmt::Debug + Send + Sync {
-    /// Stable stage name (graph inventory, validation errors, docs).
+/// Stages must be pure over `(ctx, vnic)` — everything they read or
+/// write lives in the context or in the vNIC's tables, never in the
+/// stage value itself. That is what lets one compiled graph serve every
+/// packet and every role (local, FE) alike.
+pub trait Stage: fmt::Debug + Send + Sync {
+    /// Stable stage name (graph inventory, docs).
     fn name(&self) -> &'static str;
 
-    /// Evaluates the stage against one packet context.
-    fn eval(&self, ctx: &mut C, env: &mut C::Env<'_>) -> StageVerdict;
-
-    /// The cycle-cost slots this stage contributes to the charge
-    /// decomposition when a packet takes `path`. Most stages model no
-    /// cost of their own and return the empty slice.
-    fn cost_slots(&self, path: PathTaken) -> &'static [CostSlot] {
-        let _ = path;
-        &[]
-    }
+    /// Evaluates the stage for one packet against `vnic`'s tables.
+    fn eval(&self, ctx: &mut PktCtx, vnic: &Vnic) -> StageVerdict;
 }
 
 /// A stage predicate: branch/guard selectors over the packet context.
 /// Plain function pointers keep nodes `Debug + Send + Sync` and
 /// allocation-free to evaluate.
-pub type Pred<C> = fn(&C) -> bool;
-
-/// The name of the distinguished [`branch`] that splits the session
-/// fast path (then-arm) from the slow path (else-arm). Cost-plan
-/// derivation resolves this branch by [`PathTaken`]; every other branch
-/// must be cost-neutral.
-pub const PATH_SPLIT: &str = "flow-cache";
+pub type Pred = fn(&PktCtx) -> bool;
 
 /// One node of a stage graph: a stage or a combinator over subgraphs.
-pub enum Node<C: StageCtx> {
+pub enum Node {
     /// A leaf stage.
-    Stage(Box<dyn Stage<C>>),
+    Stage(Box<dyn Stage>),
     /// Ordered composition; stops at the first [`StageVerdict::Stop`].
-    Seq(Vec<Node<C>>),
+    Seq(Vec<Node>),
     /// Predicate-selected alternatives.
     Branch {
-        /// Branch name ([`PATH_SPLIT`] marks the fast/slow split).
+        /// Branch name (docs, `Debug`).
         name: &'static str,
         /// Selector: `true` evaluates `then_node`, `false` `else_node`.
-        pred: Pred<C>,
+        pred: Pred,
         /// Taken when the predicate holds.
-        then_node: Box<Node<C>>,
+        then_node: Box<Node>,
         /// Taken otherwise.
-        else_node: Box<Node<C>>,
+        else_node: Box<Node>,
     },
     /// A side-effect tap: the subgraph runs, its verdict is ignored.
-    Tee(Box<Node<C>>),
+    Tee(Box<Node>),
     /// A predicate-gated subgraph; skipped (as `Continue`) when the
     /// predicate is false.
     Guard {
-        /// Guard name (validation errors, docs).
+        /// Guard name (docs, `Debug`).
         name: &'static str,
         /// Gate: the subgraph runs only when this holds.
-        pred: Pred<C>,
+        pred: Pred,
         /// The gated subgraph.
-        inner: Box<Node<C>>,
+        inner: Box<Node>,
     },
 }
 
 /// Wraps a stage value as a graph node.
-pub fn stage<C: StageCtx, S: Stage<C> + 'static>(s: S) -> Node<C> {
+pub fn stage<S: Stage + 'static>(s: S) -> Node {
     Node::Stage(Box::new(s))
 }
 
 /// Sequential composition of `nodes` (must be non-empty at compile).
-pub fn seq<C: StageCtx>(nodes: Vec<Node<C>>) -> Node<C> {
+pub fn seq(nodes: Vec<Node>) -> Node {
     Node::Seq(nodes)
 }
 
 /// Predicate-selected alternative subgraphs.
-pub fn branch<C: StageCtx>(
-    name: &'static str,
-    pred: Pred<C>,
-    then_node: Node<C>,
-    else_node: Node<C>,
-) -> Node<C> {
+pub fn branch(name: &'static str, pred: Pred, then_node: Node, else_node: Node) -> Node {
     Node::Branch {
         name,
         pred,
@@ -133,12 +97,12 @@ pub fn branch<C: StageCtx>(
 }
 
 /// A side-effect tap: `inner` runs but can never stop the pipeline.
-pub fn tee<C: StageCtx>(inner: Node<C>) -> Node<C> {
+pub fn tee(inner: Node) -> Node {
     Node::Tee(Box::new(inner))
 }
 
 /// A predicate-gated subgraph.
-pub fn guard<C: StageCtx>(name: &'static str, pred: Pred<C>, inner: Node<C>) -> Node<C> {
+pub fn guard(name: &'static str, pred: Pred, inner: Node) -> Node {
     Node::Guard {
         name,
         pred,
@@ -146,13 +110,13 @@ pub fn guard<C: StageCtx>(name: &'static str, pred: Pred<C>, inner: Node<C>) -> 
     }
 }
 
-impl<C: StageCtx> Node<C> {
-    fn eval(&self, ctx: &mut C, env: &mut C::Env<'_>) -> StageVerdict {
+impl Node {
+    fn eval(&self, ctx: &mut PktCtx, vnic: &Vnic) -> StageVerdict {
         match self {
-            Node::Stage(s) => s.eval(ctx, env),
+            Node::Stage(s) => s.eval(ctx, vnic),
             Node::Seq(nodes) => {
                 for n in nodes {
-                    if n.eval(ctx, &mut *env) == StageVerdict::Stop {
+                    if n.eval(ctx, vnic) == StageVerdict::Stop {
                         return StageVerdict::Stop;
                     }
                 }
@@ -165,18 +129,18 @@ impl<C: StageCtx> Node<C> {
                 ..
             } => {
                 if pred(ctx) {
-                    then_node.eval(ctx, env)
+                    then_node.eval(ctx, vnic)
                 } else {
-                    else_node.eval(ctx, env)
+                    else_node.eval(ctx, vnic)
                 }
             }
             Node::Tee(inner) => {
-                let _ = inner.eval(ctx, env);
+                let _ = inner.eval(ctx, vnic);
                 StageVerdict::Continue
             }
             Node::Guard { pred, inner, .. } => {
                 if pred(ctx) {
-                    inner.eval(ctx, env)
+                    inner.eval(ctx, vnic)
                 } else {
                     StageVerdict::Continue
                 }
@@ -184,103 +148,30 @@ impl<C: StageCtx> Node<C> {
         }
     }
 
-    fn collect_names(&self, out: &mut Vec<&'static str>) {
+    /// Appends this subtree's stage names in pre-order, rejecting empty
+    /// `seq`s along the way.
+    fn collect_names(&self, out: &mut Vec<&'static str>) -> Result<(), GraphError> {
         match self {
-            Node::Stage(s) => out.push(s.name()),
-            Node::Seq(nodes) => {
-                for n in nodes {
-                    n.collect_names(out);
-                }
+            Node::Stage(s) => {
+                out.push(s.name());
+                Ok(())
             }
+            Node::Seq(nodes) if nodes.is_empty() => Err(GraphError::EmptySeq),
+            Node::Seq(nodes) => nodes.iter().try_for_each(|n| n.collect_names(out)),
             Node::Branch {
                 then_node,
                 else_node,
                 ..
             } => {
-                then_node.collect_names(out);
-                else_node.collect_names(out);
+                then_node.collect_names(out)?;
+                else_node.collect_names(out)
             }
             Node::Tee(inner) | Node::Guard { inner, .. } => inner.collect_names(out),
         }
     }
-
-    fn validate(&self) -> Result<(), GraphError> {
-        match self {
-            Node::Stage(_) => Ok(()),
-            Node::Seq(nodes) => {
-                if nodes.is_empty() {
-                    return Err(GraphError::EmptySeq);
-                }
-                nodes.iter().try_for_each(Node::validate)
-            }
-            Node::Branch {
-                then_node,
-                else_node,
-                ..
-            } => {
-                then_node.validate()?;
-                else_node.validate()
-            }
-            Node::Tee(inner) | Node::Guard { inner, .. } => inner.validate(),
-        }
-    }
-
-    /// Appends this subtree's cost slots for `path` to `out`, resolving
-    /// the [`PATH_SPLIT`] branch by `path` and rejecting cost slots whose
-    /// execution the plan could not predict statically.
-    fn collect_plan(&self, path: PathTaken, out: &mut Vec<CostSlot>) -> Result<(), GraphError> {
-        match self {
-            Node::Stage(s) => {
-                out.extend_from_slice(s.cost_slots(path));
-                Ok(())
-            }
-            Node::Seq(nodes) => nodes.iter().try_for_each(|n| n.collect_plan(path, out)),
-            Node::Branch {
-                name,
-                then_node,
-                else_node,
-                ..
-            } => {
-                if *name == PATH_SPLIT {
-                    match path {
-                        PathTaken::Fast => then_node.collect_plan(path, out),
-                        PathTaken::Slow => else_node.collect_plan(path, out),
-                    }
-                } else {
-                    // A data-dependent branch must be cost-neutral (or
-                    // symmetric): the decomposition cannot depend on
-                    // which arm ran.
-                    let (mut a, mut b) = (Vec::new(), Vec::new());
-                    then_node.collect_plan(path, &mut a)?;
-                    else_node.collect_plan(path, &mut b)?;
-                    if a != b {
-                        return Err(GraphError::AmbiguousCost(name));
-                    }
-                    out.append(&mut a);
-                    Ok(())
-                }
-            }
-            Node::Tee(inner) => Self::require_cost_neutral(inner, path, "tee"),
-            Node::Guard { name, inner, .. } => Self::require_cost_neutral(inner, path, name),
-        }
-    }
-
-    fn require_cost_neutral(
-        inner: &Node<C>,
-        path: PathTaken,
-        name: &'static str,
-    ) -> Result<(), GraphError> {
-        let mut slots = Vec::new();
-        inner.collect_plan(path, &mut slots)?;
-        if slots.is_empty() {
-            Ok(())
-        } else {
-            Err(GraphError::ConditionalCost(name))
-        }
-    }
 }
 
-impl<C: StageCtx> fmt::Debug for Node<C> {
+impl fmt::Debug for Node {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Node::Stage(s) => write!(f, "{}", s.name()),
@@ -306,138 +197,40 @@ impl<C: StageCtx> fmt::Debug for Node<C> {
     }
 }
 
-/// One slot of the charge decomposition, in budget order. The plans a
-/// graph compiles to are sequences of these; `stage_costs` realizes a
-/// plan against a concrete charge by sequential budgeting, so leaf
-/// cycles always sum to exactly the charged total.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum CostSlot {
-    /// Per-byte DMA + copy share.
-    Dma,
-    /// Header-parse share.
-    Parse,
-    /// Fast-path session share: the cached-flow lookup absorbs the whole
-    /// remaining budget (it is the fast path's only post-parse work).
-    SessionResidue,
-    /// Slow-path session-creation share.
-    SessionCreate,
-    /// First-packet slow-path overhead share.
-    SlowOverhead,
-    /// The rule-pipeline tiers: each extra table takes its model cost and
-    /// tier 0 (base pipeline + ACL) absorbs the remaining budget.
-    RuleTiers,
-}
-
-impl CostSlot {
-    /// True when this slot absorbs the remaining budget (must be the
-    /// last slot of any non-empty plan).
-    pub fn is_absorber(self) -> bool {
-        matches!(self, CostSlot::SessionResidue | CostSlot::RuleTiers)
-    }
-}
-
-/// The standard fast-path plan (what the canonical process graph derives).
-pub const FAST_PLAN: &[CostSlot] = &[CostSlot::Dma, CostSlot::Parse, CostSlot::SessionResidue];
-
-/// The standard slow-path plan (what the canonical process graph derives).
-pub const SLOW_PLAN: &[CostSlot] = &[
-    CostSlot::Dma,
-    CostSlot::Parse,
-    CostSlot::SessionCreate,
-    CostSlot::SlowOverhead,
-    CostSlot::RuleTiers,
-];
-
 /// Why a composition failed to compile.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum GraphError {
     /// A `seq` combinator with no stages.
     EmptySeq,
-    /// A non-[`PATH_SPLIT`] branch whose arms declare different cost
-    /// slots — the decomposition would depend on runtime data.
-    AmbiguousCost(&'static str),
-    /// A `tee`/`guard` subtree declares cost slots, but whether it runs
-    /// is not statically known.
-    ConditionalCost(&'static str),
-    /// A plan declares the same cost slot twice.
-    DuplicateSlot(CostSlot),
-    /// A budget-absorbing slot is missing or not last, so leaf cycles
-    /// could not sum to the charged total exactly.
-    MisplacedAbsorber(PathTaken),
 }
 
 impl fmt::Display for GraphError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             GraphError::EmptySeq => write!(f, "seq combinator with no stages"),
-            GraphError::AmbiguousCost(n) => {
-                write!(f, "branch '{n}': arms declare different cost slots")
-            }
-            GraphError::ConditionalCost(n) => {
-                write!(f, "tee/guard '{n}': conditional subtree declares cost slots")
-            }
-            GraphError::DuplicateSlot(s) => write!(f, "cost slot {s:?} declared twice"),
-            GraphError::MisplacedAbsorber(p) => write!(
-                f,
-                "{p:?} plan lacks a trailing budget-absorbing slot; leaves would not sum to the charge"
-            ),
         }
     }
 }
 
 impl std::error::Error for GraphError {}
 
-/// A validated, compiled stage graph: the composition itself plus the
-/// derived inventory and per-path cost plans.
-pub struct StageGraph<C: StageCtx> {
-    root: Node<C>,
+/// A validated stage graph: the composition plus its stage inventory.
+pub struct StageGraph {
+    root: Node,
     names: Vec<&'static str>,
-    fast_plan: Vec<CostSlot>,
-    slow_plan: Vec<CostSlot>,
 }
 
-impl<C: StageCtx> StageGraph<C> {
-    /// Validates the composition and derives its stage inventory and
-    /// cost plans. Called once at vSwitch (or cluster) construction.
-    pub fn compile(root: Node<C>) -> Result<Self, GraphError> {
-        root.validate()?;
+impl StageGraph {
+    /// Validates the composition and inventories its stages.
+    pub fn compile(root: Node) -> Result<Self, GraphError> {
         let mut names = Vec::new();
-        root.collect_names(&mut names);
-        let mut plans = [Vec::new(), Vec::new()];
-        for (path, plan) in [PathTaken::Fast, PathTaken::Slow]
-            .into_iter()
-            .zip(&mut plans)
-        {
-            root.collect_plan(path, plan)?;
-            for (i, slot) in plan.iter().enumerate() {
-                if plan[..i].contains(slot) {
-                    return Err(GraphError::DuplicateSlot(*slot));
-                }
-                if slot.is_absorber() != (i == plan.len() - 1) {
-                    return Err(GraphError::MisplacedAbsorber(path));
-                }
-            }
-        }
-        let [fast_plan, slow_plan] = plans;
-        Ok(StageGraph {
-            root,
-            names,
-            fast_plan,
-            slow_plan,
-        })
+        root.collect_names(&mut names)?;
+        Ok(StageGraph { root, names })
     }
 
-    /// Walks the graph for one packet context.
-    pub fn eval(&self, ctx: &mut C, env: &mut C::Env<'_>) -> StageVerdict {
-        self.root.eval(ctx, env)
-    }
-
-    /// The derived cost plan for `path`.
-    pub fn plan(&self, path: PathTaken) -> &[CostSlot] {
-        match path {
-            PathTaken::Fast => &self.fast_plan,
-            PathTaken::Slow => &self.slow_plan,
-        }
+    /// Walks the graph for one packet context over `vnic`'s tables.
+    pub fn eval(&self, ctx: &mut PktCtx, vnic: &Vnic) -> StageVerdict {
+        self.root.eval(ctx, vnic)
     }
 
     /// Stage names in evaluation (pre-)order, both branch arms included.
@@ -451,12 +244,10 @@ impl<C: StageCtx> StageGraph<C> {
     }
 }
 
-impl<C: StageCtx> fmt::Debug for StageGraph<C> {
+impl fmt::Debug for StageGraph {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("StageGraph")
             .field("root", &self.root)
-            .field("fast_plan", &self.fast_plan)
-            .field("slow_plan", &self.slow_plan)
             .finish()
     }
 }

@@ -2,151 +2,110 @@
 //! under the vswitch 600-line file-size cap).
 
 use super::*;
+use crate::vnic::VnicProfile;
+use nezha_types::{Direction, FiveTuple, Ipv4Addr, ServerId, VnicId, VpcId};
+use std::sync::{Arc, Mutex};
 
-/// Test context: a hit log and a flag the predicates read.
-#[derive(Default)]
-struct Ctx {
-    hits: Vec<&'static str>,
-    flag: bool,
-}
+/// The order in which [`Mark`] stages ran.
+type Hits = Arc<Mutex<Vec<&'static str>>>;
 
-impl StageCtx for Ctx {
-    type Env<'a> = ();
-}
-
+/// Logs its name when evaluated and returns a fixed verdict.
 #[derive(Debug)]
-struct Mark(&'static str, StageVerdict);
-impl Stage<Ctx> for Mark {
+struct Mark(&'static str, StageVerdict, Hits);
+impl Stage for Mark {
     fn name(&self) -> &'static str {
         self.0
     }
-    fn eval(&self, ctx: &mut Ctx, _env: &mut ()) -> StageVerdict {
-        ctx.hits.push(self.0);
+    fn eval(&self, _ctx: &mut PktCtx, _vnic: &Vnic) -> StageVerdict {
+        self.2.lock().unwrap().push(self.0);
         self.1
     }
 }
 
-#[derive(Debug)]
-struct Cost(&'static str, &'static [CostSlot]);
-impl Stage<Ctx> for Cost {
-    fn name(&self) -> &'static str {
-        self.0
-    }
-    fn eval(&self, _ctx: &mut Ctx, _env: &mut ()) -> StageVerdict {
-        StageVerdict::Continue
-    }
-    fn cost_slots(&self, _path: PathTaken) -> &'static [CostSlot] {
-        self.1
-    }
+fn mark(hits: &Hits, name: &'static str, verdict: StageVerdict) -> Node {
+    stage(Mark(name, verdict, Arc::clone(hits)))
 }
 
-fn flag(c: &Ctx) -> bool {
-    c.flag
+/// The predicate the tests select on: the context's direction.
+fn is_tx(c: &PktCtx) -> bool {
+    c.dir == Direction::Tx
+}
+
+/// Evaluates `g` for a packet in `dir`; returns the verdict.
+fn run(g: &StageGraph, dir: Direction) -> StageVerdict {
+    let addr = Ipv4Addr::new(10, 7, 0, 1);
+    let profile = VnicProfile {
+        acl_rules: 0,
+        routes: 0,
+        vnic_server_entries: 0,
+        ..VnicProfile::default()
+    };
+    let vnic = Vnic::new(VnicId(1), VpcId(1), addr, profile, ServerId(0));
+    let mut ctx = PktCtx::new(FiveTuple::tcp(addr, 1, addr, 2), dir);
+    g.eval(&mut ctx, &vnic)
+}
+
+fn taken(hits: &Hits) -> Vec<&'static str> {
+    std::mem::take(&mut *hits.lock().unwrap())
 }
 
 #[test]
 fn seq_short_circuits_on_stop() {
+    let hits = Hits::default();
     let g = StageGraph::compile(seq(vec![
-        stage(Mark("a", StageVerdict::Continue)),
-        stage(Mark("b", StageVerdict::Stop)),
-        stage(Mark("c", StageVerdict::Continue)),
+        mark(&hits, "a", StageVerdict::Continue),
+        mark(&hits, "b", StageVerdict::Stop),
+        mark(&hits, "c", StageVerdict::Continue),
     ]))
     .unwrap();
-    let mut ctx = Ctx::default();
-    assert_eq!(g.eval(&mut ctx, &mut ()), StageVerdict::Stop);
-    assert_eq!(ctx.hits, ["a", "b"]);
+    assert_eq!(run(&g, Direction::Tx), StageVerdict::Stop);
+    assert_eq!(taken(&hits), ["a", "b"]);
+    assert_eq!(g.stage_names(), ["a", "b", "c"]);
+    assert!(g.contains_stage("c"));
 }
 
 #[test]
 fn branch_selects_by_predicate_and_guard_gates() {
+    let hits = Hits::default();
     let g = StageGraph::compile(seq(vec![
         branch(
             "side",
-            flag,
-            stage(Mark("then", StageVerdict::Continue)),
-            stage(Mark("else", StageVerdict::Continue)),
+            is_tx,
+            mark(&hits, "then", StageVerdict::Continue),
+            mark(&hits, "else", StageVerdict::Continue),
         ),
-        guard("opt", flag, stage(Mark("gated", StageVerdict::Continue))),
+        guard("opt", is_tx, mark(&hits, "gated", StageVerdict::Continue)),
     ]))
     .unwrap();
-    let mut ctx = Ctx {
-        flag: true,
-        ..Ctx::default()
-    };
-    g.eval(&mut ctx, &mut ());
-    assert_eq!(ctx.hits, ["then", "gated"]);
-    let mut ctx = Ctx::default();
-    g.eval(&mut ctx, &mut ());
-    assert_eq!(ctx.hits, ["else"]);
+    run(&g, Direction::Tx);
+    assert_eq!(taken(&hits), ["then", "gated"]);
+    run(&g, Direction::Rx);
+    assert_eq!(taken(&hits), ["else"]);
 }
 
 #[test]
 fn tee_never_stops_the_pipeline() {
+    let hits = Hits::default();
     let g = StageGraph::compile(seq(vec![
-        tee(stage(Mark("tap", StageVerdict::Stop))),
-        stage(Mark("after", StageVerdict::Continue)),
+        tee(mark(&hits, "tap", StageVerdict::Stop)),
+        mark(&hits, "after", StageVerdict::Continue),
     ]))
     .unwrap();
-    let mut ctx = Ctx::default();
-    assert_eq!(g.eval(&mut ctx, &mut ()), StageVerdict::Continue);
-    assert_eq!(ctx.hits, ["tap", "after"]);
+    assert_eq!(run(&g, Direction::Tx), StageVerdict::Continue);
+    assert_eq!(taken(&hits), ["tap", "after"]);
 }
 
 #[test]
-fn compile_rejects_empty_seq_and_conditional_costs() {
+fn compile_rejects_empty_seq() {
     assert_eq!(
-        StageGraph::<Ctx>::compile(seq(vec![])).unwrap_err(),
+        StageGraph::compile(seq(vec![])).unwrap_err(),
         GraphError::EmptySeq
     );
-    let err = StageGraph::compile(guard(
-        "g",
-        flag,
-        stage(Cost("c", &[CostSlot::Dma, CostSlot::SessionResidue])),
-    ))
-    .unwrap_err();
-    assert_eq!(err, GraphError::ConditionalCost("g"));
-}
-
-#[test]
-fn compile_rejects_plans_without_trailing_absorber() {
-    let err = StageGraph::compile(stage(Cost("c", &[CostSlot::Dma]))).unwrap_err();
-    assert_eq!(err, GraphError::MisplacedAbsorber(PathTaken::Fast));
-}
-
-#[test]
-fn path_split_branch_resolves_plans() {
-    #[derive(Debug)]
-    struct Probe;
-    impl Stage<Ctx> for Probe {
-        fn name(&self) -> &'static str {
-            "probe"
-        }
-        fn eval(&self, _c: &mut Ctx, _e: &mut ()) -> StageVerdict {
-            StageVerdict::Continue
-        }
-        fn cost_slots(&self, path: PathTaken) -> &'static [CostSlot] {
-            match path {
-                PathTaken::Fast => &[CostSlot::SessionResidue],
-                PathTaken::Slow => &[CostSlot::SessionCreate],
-            }
-        }
-    }
-    let g = StageGraph::compile(seq(vec![
-        stage(Cost("ingest", &[CostSlot::Dma])),
-        stage(Cost("parse", &[CostSlot::Parse])),
-        stage(Probe),
-        branch(
-            PATH_SPLIT,
-            flag,
-            stage(Mark("fast", StageVerdict::Continue)),
-            stage(Cost(
-                "rules",
-                &[CostSlot::SlowOverhead, CostSlot::RuleTiers],
-            )),
-        ),
-    ]))
-    .unwrap();
-    assert_eq!(g.plan(PathTaken::Fast), FAST_PLAN);
-    assert_eq!(g.plan(PathTaken::Slow), SLOW_PLAN);
-    assert!(g.contains_stage("probe"));
+    let hits = Hits::default();
+    let nested = guard("g", is_tx, tee(seq(vec![])));
+    assert_eq!(
+        StageGraph::compile(seq(vec![mark(&hits, "a", StageVerdict::Continue), nested]))
+            .unwrap_err(),
+        GraphError::EmptySeq
+    );
 }

@@ -4,11 +4,11 @@
 //! legacy `direction_lookup` exactly: ACL → QoS classify → stats policy
 //! → routing (PBR steer, overlay route + vNIC-server selection, or local
 //! Rx delivery) → source NAT (Tx only) → mirror tap. Stage bodies are
-//! the only code (outside graph construction) allowed to touch
-//! `tables::*` fields directly — lint rule D12 enforces this boundary.
+//! the only datapath code that reads `Vnic::tables`, which is private to
+//! this crate.
 
-use super::graph::{branch, guard, seq, stage, Node, Stage, StageVerdict};
-use super::{PktCtx, PktGraph, SwitchEnv};
+use super::graph::{branch, guard, seq, stage, Node, Stage, StageGraph, StageVerdict};
+use super::PktCtx;
 use crate::tables::route::RouteTarget;
 use crate::vnic::Vnic;
 use nezha_types::{Direction, FiveTuple, PreAction, PreActionPair};
@@ -29,13 +29,13 @@ fn overlay_routed(ctx: &PktCtx) -> bool {
 #[derive(Debug)]
 pub struct AclLookup;
 
-impl Stage<PktCtx> for AclLookup {
+impl Stage for AclLookup {
     fn name(&self) -> &'static str {
         "acl"
     }
 
-    fn eval(&self, ctx: &mut PktCtx, env: &mut (dyn SwitchEnv + '_)) -> StageVerdict {
-        ctx.draft.acl = env.vnic().tables.acl.lookup(&ctx.tuple, ctx.dir);
+    fn eval(&self, ctx: &mut PktCtx, vnic: &Vnic) -> StageVerdict {
+        ctx.draft.acl = vnic.tables.acl.lookup(&ctx.tuple, ctx.dir);
         StageVerdict::Continue
     }
 }
@@ -44,13 +44,13 @@ impl Stage<PktCtx> for AclLookup {
 #[derive(Debug)]
 pub struct QosClassify;
 
-impl Stage<PktCtx> for QosClassify {
+impl Stage for QosClassify {
     fn name(&self) -> &'static str {
         "qos-classify"
     }
 
-    fn eval(&self, ctx: &mut PktCtx, env: &mut (dyn SwitchEnv + '_)) -> StageVerdict {
-        ctx.draft.qos_class = env.vnic().tables.qos.classify(ctx.tuple.dst_port);
+    fn eval(&self, ctx: &mut PktCtx, vnic: &Vnic) -> StageVerdict {
+        ctx.draft.qos_class = vnic.tables.qos.classify(ctx.tuple.dst_port);
         StageVerdict::Continue
     }
 }
@@ -59,16 +59,16 @@ impl Stage<PktCtx> for QosClassify {
 #[derive(Debug)]
 pub struct StatsPolicy;
 
-impl Stage<PktCtx> for StatsPolicy {
+impl Stage for StatsPolicy {
     fn name(&self) -> &'static str {
         "stats-policy"
     }
 
-    fn eval(&self, ctx: &mut PktCtx, env: &mut (dyn SwitchEnv + '_)) -> StageVerdict {
+    fn eval(&self, ctx: &mut PktCtx, vnic: &Vnic) -> StageVerdict {
         let t = &ctx.tuple;
         ctx.draft.stats_policy = match ctx.dir {
-            Direction::Tx => env.vnic().tables.policy.lookup(t.dst_ip, t.dst_port),
-            Direction::Rx => env.vnic().tables.policy.lookup(t.src_ip, t.src_port),
+            Direction::Tx => vnic.tables.policy.lookup(t.dst_ip, t.dst_port),
+            Direction::Rx => vnic.tables.policy.lookup(t.src_ip, t.src_port),
         };
         StageVerdict::Continue
     }
@@ -78,13 +78,13 @@ impl Stage<PktCtx> for StatsPolicy {
 #[derive(Debug)]
 pub struct PbrLookup;
 
-impl Stage<PktCtx> for PbrLookup {
+impl Stage for PbrLookup {
     fn name(&self) -> &'static str {
         "pbr"
     }
 
-    fn eval(&self, ctx: &mut PktCtx, env: &mut (dyn SwitchEnv + '_)) -> StageVerdict {
-        ctx.draft.pbr_via = env.vnic().tables.pbr.lookup(ctx.tuple.src_ip);
+    fn eval(&self, ctx: &mut PktCtx, vnic: &Vnic) -> StageVerdict {
+        ctx.draft.pbr_via = vnic.tables.pbr.lookup(ctx.tuple.src_ip);
         StageVerdict::Continue
     }
 }
@@ -93,21 +93,17 @@ impl Stage<PktCtx> for PbrLookup {
 #[derive(Debug)]
 pub struct PbrSteer;
 
-impl Stage<PktCtx> for PbrSteer {
+impl Stage for PbrSteer {
     fn name(&self) -> &'static str {
         "pbr-steer"
     }
 
-    fn eval(&self, ctx: &mut PktCtx, env: &mut (dyn SwitchEnv + '_)) -> StageVerdict {
+    fn eval(&self, ctx: &mut PktCtx, vnic: &Vnic) -> StageVerdict {
         let Some(via) = ctx.draft.pbr_via else {
             return StageVerdict::Continue;
         };
         ctx.draft.routable = true;
-        ctx.draft.next_hop = env
-            .vnic()
-            .tables
-            .vnic_server
-            .select(via, ctx.tuple.stable_hash());
+        ctx.draft.next_hop = vnic.tables.vnic_server.select(via, ctx.tuple.stable_hash());
         StageVerdict::Continue
     }
 }
@@ -116,13 +112,13 @@ impl Stage<PktCtx> for PbrSteer {
 #[derive(Debug)]
 pub struct RouteLookup;
 
-impl Stage<PktCtx> for RouteLookup {
+impl Stage for RouteLookup {
     fn name(&self) -> &'static str {
         "route"
     }
 
-    fn eval(&self, ctx: &mut PktCtx, env: &mut (dyn SwitchEnv + '_)) -> StageVerdict {
-        match env.vnic().tables.route.lookup(ctx.tuple.dst_ip) {
+    fn eval(&self, ctx: &mut PktCtx, vnic: &Vnic) -> StageVerdict {
+        match vnic.tables.route.lookup(ctx.tuple.dst_ip) {
             Some(RouteTarget::Overlay(hint)) => {
                 ctx.draft.routable = true;
                 ctx.draft.overlay_hint = Some(hint);
@@ -138,16 +134,16 @@ impl Stage<PktCtx> for RouteLookup {
 #[derive(Debug)]
 pub struct VnicServerSelect;
 
-impl Stage<PktCtx> for VnicServerSelect {
+impl Stage for VnicServerSelect {
     fn name(&self) -> &'static str {
         "vnic-server"
     }
 
-    fn eval(&self, ctx: &mut PktCtx, env: &mut (dyn SwitchEnv + '_)) -> StageVerdict {
+    fn eval(&self, ctx: &mut PktCtx, vnic: &Vnic) -> StageVerdict {
         let Some(hint) = ctx.draft.overlay_hint else {
             return StageVerdict::Continue;
         };
-        let map = &env.vnic().tables.vnic_server;
+        let map = &vnic.tables.vnic_server;
         let flow_hash = ctx.tuple.stable_hash();
         ctx.draft.next_hop = map
             .select(ctx.tuple.dst_ip, flow_hash)
@@ -160,12 +156,12 @@ impl Stage<PktCtx> for VnicServerSelect {
 #[derive(Debug)]
 pub struct RxLocalDeliver;
 
-impl Stage<PktCtx> for RxLocalDeliver {
+impl Stage for RxLocalDeliver {
     fn name(&self) -> &'static str {
         "rx-local"
     }
 
-    fn eval(&self, ctx: &mut PktCtx, _env: &mut (dyn SwitchEnv + '_)) -> StageVerdict {
+    fn eval(&self, ctx: &mut PktCtx, _vnic: &Vnic) -> StageVerdict {
         ctx.draft.routable = true;
         ctx.draft.next_hop = None;
         StageVerdict::Continue
@@ -176,13 +172,13 @@ impl Stage<PktCtx> for RxLocalDeliver {
 #[derive(Debug)]
 pub struct NatRewrite;
 
-impl Stage<PktCtx> for NatRewrite {
+impl Stage for NatRewrite {
     fn name(&self) -> &'static str {
         "nat"
     }
 
-    fn eval(&self, ctx: &mut PktCtx, env: &mut (dyn SwitchEnv + '_)) -> StageVerdict {
-        ctx.draft.nat_rewrite = env.vnic().tables.nat.lookup(ctx.tuple.src_ip);
+    fn eval(&self, ctx: &mut PktCtx, vnic: &Vnic) -> StageVerdict {
+        ctx.draft.nat_rewrite = vnic.tables.nat.lookup(ctx.tuple.src_ip);
         StageVerdict::Continue
     }
 }
@@ -192,23 +188,23 @@ impl Stage<PktCtx> for NatRewrite {
 #[derive(Debug)]
 pub struct MirrorTap;
 
-impl Stage<PktCtx> for MirrorTap {
+impl Stage for MirrorTap {
     fn name(&self) -> &'static str {
         "mirror"
     }
 
-    fn eval(&self, ctx: &mut PktCtx, env: &mut (dyn SwitchEnv + '_)) -> StageVerdict {
+    fn eval(&self, ctx: &mut PktCtx, vnic: &Vnic) -> StageVerdict {
         let t = &ctx.tuple;
         ctx.draft.mirror_to = match ctx.dir {
-            Direction::Tx => env.vnic().tables.mirror.lookup(t.dst_ip, t.dst_port),
-            Direction::Rx => env.vnic().tables.mirror.lookup(t.src_ip, t.src_port),
+            Direction::Tx => vnic.tables.mirror.lookup(t.dst_ip, t.dst_port),
+            Direction::Rx => vnic.tables.mirror.lookup(t.src_ip, t.src_port),
         };
         StageVerdict::Continue
     }
 }
 
 /// The standard per-direction rule-table pipeline, composed.
-pub fn direction_node() -> Node<PktCtx> {
+pub fn direction_node() -> Node {
     seq(vec![
         stage(AclLookup),
         stage(QosClassify),
@@ -235,48 +231,29 @@ pub fn direction_node() -> Node<PktCtx> {
     ])
 }
 
-/// Compiles the standard lookup graph stand-alone (benchmarks, tests).
-pub fn lookup_graph() -> PktGraph {
-    PktGraph::compile(direction_node()).expect("standard lookup graph is valid")
-}
-
-/// A minimal environment for pure rule-table lookups: exposes one vNIC,
-/// no process-level operations.
-#[derive(Debug)]
-pub struct LookupEnv<'a> {
-    vnic: &'a Vnic,
-}
-
-impl<'a> LookupEnv<'a> {
-    /// An environment reading `vnic`'s tables.
-    pub fn new(vnic: &'a Vnic) -> Self {
-        LookupEnv { vnic }
-    }
-}
-
-impl SwitchEnv for LookupEnv<'_> {
-    fn vnic(&self) -> &Vnic {
-        self.vnic
-    }
+/// Compiles the standard lookup graph (once per switch and per cluster).
+pub fn lookup_graph() -> StageGraph {
+    StageGraph::compile(direction_node()).expect("standard lookup graph is valid")
 }
 
 /// Evaluates the lookup graph for one direction of `tuple`.
 pub fn direction_lookup(
-    graph: &PktGraph,
+    graph: &StageGraph,
     vnic: &Vnic,
     tuple: &FiveTuple,
     dir: Direction,
 ) -> PreAction {
-    let mut ctx = PktCtx::lookup(*tuple, dir);
-    let mut env = LookupEnv::new(vnic);
-    graph.eval(&mut ctx, &mut env);
+    let mut ctx = PktCtx::new(*tuple, dir);
+    graph.eval(&mut ctx, vnic);
     ctx.draft.finish(vnic)
 }
 
 /// Evaluates the lookup graph for both directions of the session the
-/// packet belongs to, producing the bidirectional pre-action pair.
+/// packet belongs to, producing the bidirectional pre-action pair that
+/// gets cached as a flow entry. The result depends only on the vNIC's
+/// tables and the tuple — stateless, hence FE-replicable.
 pub fn pair_lookup(
-    graph: &PktGraph,
+    graph: &StageGraph,
     vnic: &Vnic,
     tuple: &FiveTuple,
     pkt_dir: Direction,
@@ -290,3 +267,7 @@ pub fn pair_lookup(
         rx: direction_lookup(graph, vnic, &tx_tuple.reversed(), Direction::Rx),
     }
 }
+
+#[cfg(test)]
+#[path = "lookup_tests.rs"]
+mod tests;

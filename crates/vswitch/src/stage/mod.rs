@@ -1,92 +1,57 @@
-//! Pipeline-as-combinators: the vSwitch datapath as typed, composable
-//! stage graphs.
+//! The rule-table lookup pipeline as a composable stage graph, plus the
+//! cost plans that split a CPU charge into per-stage shares.
 //!
-//! The paper's equivalence argument (§3.1) rests on the *same*
-//! packet-processing pipeline running in three places — the traditional
-//! local vSwitch, a Nezha FE, and a Nezha BE. This module makes that
-//! pipeline a first-class value: stages with typed interfaces
-//! ([`PktCtx`] in, [`StageVerdict`] out) composed with [`seq`],
-//! [`branch`], [`tee`] and [`guard`] into a [`StageGraph`] that is
-//! compiled (validated + cost-planned) **once at construction** and then
-//! drives every packet.
+//! The paper's equivalence argument (§3.1) rests on the *same* rule
+//! lookup running at the traditional local vSwitch and at a Nezha FE.
+//! The lookup is the one part of the datapath with real structure — ten
+//! stages, three branches/guards, a tee — so it is a first-class value:
+//! stages ([`PktCtx`] in, [`StageVerdict`] out) composed with [`seq`],
+//! [`branch`], [`tee`] and [`guard`] into one [`StageGraph`]. Everything
+//! around it (flow-cache probe, CPU charge, session establishment,
+//! admission) is straight-line code in
+//! [`VSwitch::process_local`](crate::VSwitch::process_local).
 //!
-//! * [`graph`] — the combinator core: [`Stage`], [`Node`], compilation,
-//!   cost-plan derivation;
-//! * [`lookup`] — the rule-table pipeline (ACL, QoS, policy, PBR, route,
-//!   vNIC-server, NAT, mirror) as stages over [`PktCtx`];
-//! * [`process`] — the session fast/slow split as macro-stages delegating
-//!   to a [`SwitchEnv`];
-//! * [`costing`] — realizes a graph's [`CostSlot`] plan against a charged
-//!   cycle total (exact reconciliation) and maps it onto profiler
-//!   stage handles;
-//! * `local` — the [`SwitchEnv`] implementation driving
-//!   `VSwitch::process_local`.
-//!
-//! Alternative pipelines (new tables, NAT/firewall variants, baseline
-//! architectures) are new graphs over the same combinators — not forks
-//! of `vswitch.rs`.
+//! * [`graph`] — the combinator core: [`Stage`], [`Node`], [`StageGraph`];
+//! * [`lookup`] — the rule tables (ACL, QoS, policy, PBR, route,
+//!   vNIC-server, NAT, mirror) as stages, and the lookup entry points;
+//! * [`costing`] — the fast/slow [`CostSlot`] plans, realized against a
+//!   charged cycle total (exact reconciliation) and mapped onto profiler
+//!   stage handles.
 
 pub mod costing;
 pub mod graph;
-pub(crate) mod local;
 pub mod lookup;
-pub mod process;
 
+pub use costing::{CostSlot, FAST_PLAN, SLOW_PLAN};
 pub use graph::{
-    branch, guard, seq, stage, tee, CostSlot, GraphError, Node, Pred, Stage, StageCtx, StageGraph,
-    StageVerdict, FAST_PLAN, PATH_SPLIT, SLOW_PLAN,
+    branch, guard, seq, stage, tee, GraphError, Node, Pred, Stage, StageGraph, StageVerdict,
 };
-pub use process::ProcOp;
 
-use crate::config::CostModel;
-use crate::pipeline::{PathTaken, StageCosts};
 use crate::tables::acl::AclVerdict;
 use crate::vnic::Vnic;
-use nezha_types::{Decision, Direction, FiveTuple, Ipv4Addr, PreAction, PreActionPair, ServerId};
+use nezha_types::{Decision, Direction, FiveTuple, Ipv4Addr, PreAction, ServerId};
 
-/// The packet context every vSwitch stage reads and writes: the tuple
-/// under consideration, the direction, the accumulating pre-action
-/// draft, and the path the flow-cache probe decided.
+/// The packet context every lookup stage reads and writes: the tuple
+/// under consideration, the direction, and the accumulating pre-action
+/// draft.
 #[derive(Clone, Copy, Debug)]
 pub struct PktCtx {
     /// The five-tuple as seen from `dir`.
     pub tuple: FiveTuple,
     /// The direction this evaluation models.
     pub dir: Direction,
-    /// The pre-action under construction (lookup stages).
+    /// The pre-action under construction.
     pub draft: PreActionDraft,
-    /// Fast or slow, once the flow-cache probe has decided.
-    pub path: Option<PathTaken>,
 }
 
 impl PktCtx {
     /// A context for one rule-table lookup pass.
-    pub fn lookup(tuple: FiveTuple, dir: Direction) -> Self {
+    pub fn new(tuple: FiveTuple, dir: Direction) -> Self {
         PktCtx {
             tuple,
             dir,
             draft: PreActionDraft::default(),
-            path: None,
         }
-    }
-}
-
-impl StageCtx for PktCtx {
-    type Env<'a> = dyn SwitchEnv + 'a;
-}
-
-/// The environment vSwitch stages call into: read access to the vNIC
-/// under processing (rule tables), and process-level operations for the
-/// macro-stages of the fast/slow split.
-pub trait SwitchEnv {
-    /// The vNIC whose tables this evaluation consults.
-    fn vnic(&self) -> &Vnic;
-
-    /// Executes one process-level operation. Pure lookup environments
-    /// keep the default (their graphs contain no process stages).
-    fn op(&mut self, op: ProcOp, ctx: &mut PktCtx) -> StageVerdict {
-        let _ = (op, ctx);
-        StageVerdict::Continue
     }
 }
 
@@ -154,51 +119,5 @@ impl PreActionDraft {
             stats_policy: self.stats_policy,
             mirror_to: self.mirror_to,
         }
-    }
-}
-
-/// A compiled stage graph over the vSwitch packet context.
-pub type PktGraph = StageGraph<PktCtx>;
-
-/// The two compiled graphs one switch (or cluster role) drives: the
-/// full process pipeline (fast/slow split) and the rule-table lookup
-/// subgraph the slow path — and the Nezha FE — evaluates per direction.
-#[derive(Debug)]
-pub struct SwitchGraphs {
-    /// The process pipeline: probe → charge → fast/slow split → admit.
-    pub process: PktGraph,
-    /// The per-direction rule-table lookup pipeline.
-    pub lookup: PktGraph,
-}
-
-impl SwitchGraphs {
-    /// Compiles the standard pipeline (the paper's Fig. 1).
-    pub fn standard() -> Self {
-        SwitchGraphs {
-            process: StageGraph::compile(process::process_node())
-                .expect("standard process graph is valid"),
-            lookup: StageGraph::compile(lookup::direction_node())
-                .expect("standard lookup graph is valid"),
-        }
-    }
-
-    /// Splits one charged cycle total into per-stage shares following
-    /// the process graph's derived cost plan (leaves sum to `total`
-    /// exactly).
-    pub fn stage_costs(
-        &self,
-        costs: &CostModel,
-        vnic: &Vnic,
-        bytes: usize,
-        total: u64,
-        path: PathTaken,
-    ) -> StageCosts {
-        costing::costs_from_plan(self.process.plan(path), costs, vnic, bytes, total)
-    }
-
-    /// Runs the lookup subgraph for both directions of `tuple`'s
-    /// session, producing the bidirectional pre-actions.
-    pub fn lookup_pair(&self, vnic: &Vnic, tuple: &FiveTuple, pkt_dir: Direction) -> PreActionPair {
-        lookup::pair_lookup(&self.lookup, vnic, tuple, pkt_dir)
     }
 }

@@ -285,8 +285,9 @@ pub struct Vnic {
     /// Size/feature profile.
     pub profile: VnicProfile,
     /// The rule tables (present when this node holds them; a Nezha BE in
-    /// the final stage has dropped them).
-    pub tables: VnicTables,
+    /// the final stage has dropped them). Read only by the lookup stages
+    /// in [`crate::stage::lookup`]; written through [`Vnic::tables_mut`].
+    pub(crate) tables: VnicTables,
 }
 
 impl Vnic {
@@ -311,6 +312,13 @@ impl Vnic {
     /// Memory its tables occupy under `m`.
     pub fn table_memory(&self, m: &MemoryModel) -> u64 {
         self.tables.memory_bytes(m)
+    }
+
+    /// The control plane's write door to the rule tables (rule pushes,
+    /// learned vNIC-server mappings). Callers holding the vNIC inside a
+    /// switch follow up with `VSwitch::sync_vnic_memory`.
+    pub fn tables_mut(&mut self) -> &mut VnicTables {
+        &mut self.tables
     }
 
     /// Opens an inbound service port: inserts a top-priority stateless

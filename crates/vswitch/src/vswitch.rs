@@ -1,21 +1,18 @@
 //! The assembled vSwitch: vNICs + session table + CPU/memory enforcement.
 //!
-//! Since the pipeline-as-combinators refactor this file is a *facade*:
 //! [`VSwitch::process_local`] implements the traditional architecture of
-//! the paper's Fig. 1 by driving the compiled process
-//! [`StageGraph`](crate::stage::StageGraph) (built once at construction)
-//! over a [`LocalRun`] environment — the fast/slow split, rule lookup and
-//! session establishment live in [`crate::stage`], all charged against
-//! the CPU server and the table memory pool owned here. `nezha-core`
-//! builds the BE and FE roles from the finer-grained primitives also
-//! exposed here ([`VSwitch::charge`], [`VSwitch::vnic`], the session
-//! table).
+//! the paper's Fig. 1 as one straight-line function: look up the session
+//! (fast path) or the rule tables (slow path, via the lookup
+//! [`StageGraph`]), all charged against the CPU server and the table
+//! memory pool owned here. `nezha-core` builds the BE and FE roles from
+//! the finer-grained primitives also exposed here ([`VSwitch::charge`],
+//! [`VSwitch::vnic`], the session table).
 
 use crate::config::VSwitchConfig;
-use crate::pipeline::{PathTaken, ProcessOutcome, ProcessResult};
+use crate::pipeline::{self, PathTaken, ProcessOutcome, ProcessResult};
 use crate::session::SessionTable;
-use crate::stage::local::LocalRun;
-use crate::stage::{costing, PktCtx, SwitchGraphs};
+use crate::stage::lookup::{lookup_graph, pair_lookup};
+use crate::stage::{costing, StageGraph};
 use crate::telemetry::SwitchTelemetry;
 use crate::vnic::Vnic;
 use nezha_sim::dense::DenseMap;
@@ -24,9 +21,8 @@ use nezha_sim::profile::{Profiler, Span, SpanId, StageSet};
 use nezha_sim::resources::{CpuOutcome, CpuServer, MemoryPool, OutOfMemory};
 use nezha_sim::time::SimTime;
 use nezha_sim::trace::{DropReason, PacketTrace, TraceEvent, TraceEventKind};
-use nezha_types::{Packet, VnicId};
+use nezha_types::{Decision, Packet, SessionKey, SessionState, VnicId};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 pub use crate::telemetry::VSwitchCounters;
 
@@ -50,9 +46,8 @@ pub struct VSwitch {
     /// The session table (public: the Nezha BE role manipulates it).
     pub sessions: SessionTable,
     pub(crate) tel: SwitchTelemetry,
-    /// The compiled stage graphs this switch drives (process pipeline +
-    /// lookup subgraph), built once at construction.
-    graphs: Arc<SwitchGraphs>,
+    /// The rule-table lookup graph the slow path evaluates.
+    lookup: StageGraph,
     /// Cycles charged per vNIC (for the controller's offload-candidate
     /// ranking, §4.2.1), measured over the CPU's utilization window.
     vnic_cycles: BTreeMap<VnicId, f64>,
@@ -67,8 +62,7 @@ pub struct VSwitch {
 }
 
 impl VSwitch {
-    /// Builds a vSwitch on server `id` with the given configuration,
-    /// compiling the standard stage graphs.
+    /// Builds a vSwitch on server `id` with the given configuration.
     pub fn new(id: nezha_types::ServerId, cfg: VSwitchConfig) -> Self {
         VSwitch {
             id,
@@ -78,7 +72,7 @@ impl VSwitch {
             vnics: DenseMap::new(),
             sessions: SessionTable::new(),
             tel: SwitchTelemetry::register(&MetricsRegistry::new(), id),
-            graphs: Arc::new(SwitchGraphs::standard()),
+            lookup: lookup_graph(),
             vnic_cycles: BTreeMap::new(),
             vnic_charged: DenseMap::new(),
             cycle_multiplier: 1.0,
@@ -89,11 +83,6 @@ impl VSwitch {
     /// The configuration.
     pub fn config(&self) -> &VSwitchConfig {
         &self.cfg
-    }
-
-    /// The compiled stage graphs this switch drives.
-    pub fn graphs(&self) -> &Arc<SwitchGraphs> {
-        &self.graphs
     }
 
     /// Re-homes this switch's `vswitch.*{server=N}` counters into a shared
@@ -303,46 +292,132 @@ impl VSwitch {
         }
     }
 
+    /// Counts one first packet whose session could not be stored because
+    /// table memory is exhausted (`vswitch.session_overflows{server}`).
+    pub fn note_session_overflow(&self) {
+        self.tel.registry.inc(self.tel.session_overflows);
+    }
+
     /// Processes one packet in the **traditional local architecture**:
     /// this vSwitch holds the vNIC's rules, flows, and state.
-    ///
-    /// The facade only traces the arrival and screens unknown vNICs
-    /// (they indicate a stale vNIC-server mapping upstream); everything
-    /// else — flow-cache probe, CPU charge, rule lookup, session
-    /// establishment, admission — is the compiled process graph driving
-    /// a [`LocalRun`] environment.
     pub fn process_local(&mut self, pkt: &Packet, now: SimTime) -> ProcessResult {
         self.trace_event(now, pkt, TraceEventKind::Enqueue);
-        if !self.vnics.contains_key(&pkt.vnic) {
-            return self.finish_traced(
-                ProcessOutcome::Unroutable,
-                Some(PathTaken::Slow),
-                now,
-                false,
-                false,
-                pkt,
-            );
-        }
-        let graphs = Arc::clone(&self.graphs);
-        let mut ctx = PktCtx::lookup(pkt.tuple, pkt.dir);
-        let mut run = LocalRun::new(self, &graphs, pkt, now);
-        graphs.process.eval(&mut ctx, &mut run);
-        let r = run.finish();
-        // A CPU drop happens before the packet takes any path (satellite
-        // of the refactor: `path` is None instead of a meaningless value).
-        let path = match r.outcome {
-            ProcessOutcome::CpuOverload => None,
-            _ => Some(r.path),
+        let costs = self.cfg.costs;
+        let bytes = pkt.wire_len();
+        // Unroutable until the rule lookup finds a route.
+        let mut result = ProcessResult {
+            outcome: ProcessOutcome::Unroutable,
+            path: Some(PathTaken::Slow),
+            cycles: 0,
+            done_at: now,
+            created_session: false,
+            session_overflow: false,
         };
-        self.finish_traced(r.outcome, path, r.done, r.created, r.overflow, pkt)
+        let Some(vnic) = self.vnics.get(&pkt.vnic) else {
+            // A stale vNIC-server mapping upstream.
+            result.cycles = costs.slow_path_cycles(bytes, 0, 0);
+            return self.finish_traced(pkt, result);
+        };
+
+        // Probe the flow cache: a hit yields this direction's pre-action.
+        let key = SessionKey::of(pkt.vpc, pkt.tuple);
+        let cached = self
+            .sessions
+            .get(&key)
+            .and_then(|e| e.pre_actions.as_ref())
+            .map(|pair| *pair.for_direction(pkt.dir));
+        // Priced after the probe, so fast-path packets skip the slow-path
+        // formula's `ln`.
+        let (path, cycles, probe) = match cached {
+            Some(_) => (
+                PathTaken::Fast,
+                costs.fast_path_cycles(bytes),
+                TraceEventKind::TableHit,
+            ),
+            None => (
+                PathTaken::Slow,
+                vnic.slow_path_cycles(&costs, bytes),
+                TraceEventKind::TableMiss,
+            ),
+        };
+        self.trace_event(now, pkt, probe);
+        result.cycles = cycles;
+        let CpuOutcome::Done { done_at } = self.charge(now, pkt.vnic, cycles) else {
+            // An overloaded switch rejects the packet before any path.
+            result.outcome = ProcessOutcome::CpuOverload;
+            result.path = None;
+            return self.finish_traced(pkt, result);
+        };
+        result.path = Some(path);
+        result.done_at = done_at;
+        self.trace_event(now, pkt, TraceEventKind::CpuCharge { cycles });
+        self.profile_local(pkt, now, done_at, cycles, bytes, path);
+
+        // `charge` needed the whole switch; take the vNIC back.
+        let Some(vnic) = self.vnics.get_mut(&pkt.vnic) else {
+            return self.finish_traced(pkt, result);
+        };
+        let pre = match cached {
+            Some(pre) => pre,
+            None => {
+                let pair = pair_lookup(&self.lookup, vnic, &pkt.tuple, pkt.dir);
+                let pre = *pair.for_direction(pkt.dir);
+                // Stateless routing drops are final: no session for them.
+                if pre.verdict == Decision::Drop && !pre.stateful_acl {
+                    return self.finish_traced(pkt, result);
+                }
+                let memory = &self.cfg.memory;
+                match self.sessions.get_mut(&key) {
+                    None => {
+                        let established = self.sessions.establish(
+                            key,
+                            pkt.vnic,
+                            pkt.dir,
+                            Some(pair),
+                            now,
+                            &mut self.mem,
+                            memory,
+                        );
+                        result.created_session = established.is_ok();
+                        result.session_overflow = established.is_err();
+                    }
+                    // The entry lost its cached flows to a rule update:
+                    // re-cache the fresh lookup if memory allows.
+                    Some(e) => {
+                        if self.mem.alloc(memory.flow_entry).is_ok() {
+                            e.pre_actions = Some(pair);
+                        }
+                    }
+                }
+                pre
+            }
+        };
+        let action = match self.sessions.get_mut(&key) {
+            Some(e) => {
+                e.last_seen = now;
+                pipeline::process_pkt(&pre, &mut e.state, pkt)
+            }
+            // Session memory exhausted: process against ephemeral state
+            // (stateful guarantees degrade exactly as they would on a
+            // real overflowing switch).
+            None => pipeline::process_pkt(&pre, &mut SessionState::default(), pkt),
+        };
+        result.outcome = if action.verdict == Decision::Drop {
+            ProcessOutcome::AclDrop
+        } else if !vnic.tables.qos.admit(now, action.qos_class, bytes as u64) {
+            ProcessOutcome::RateLimited
+        } else {
+            ProcessOutcome::Forwarded(action)
+        };
+        self.finish_traced(pkt, result)
     }
 
     /// Records the span tree for one successful local-pipeline charge:
     /// a `local` root (linked to any span the packet already carries)
     /// with per-stage leaves whose cycles sum to exactly what the CPU
-    /// model charged. Leaves follow the process graph's cost plan for
-    /// the path taken. No-op while the profiler is disabled.
-    pub(crate) fn profile_local(
+    /// model charged. Leaves follow the cost plan of the path taken.
+    /// No-op while the profiler is disabled.
+    fn profile_local(
         &self,
         pkt: &Packet,
         start: SimTime,
@@ -373,39 +448,26 @@ impl VSwitch {
             packets: 1,
         };
         let root = prof.record(base);
-        let c = self
-            .graphs
-            .stage_costs(&self.cfg.costs, vnic, bytes, total, path);
-        costing::plan_leaves(
-            self.graphs.process.plan(path),
-            st,
-            &c,
-            &mut |stage, cycles| {
-                if cycles > 0 {
-                    prof.record(Span {
-                        stage,
-                        parent: root,
-                        cycles,
-                        bytes: 0,
-                        packets: 0,
-                        ..base
-                    });
-                }
-            },
-        );
+        let plan = costing::plan(path);
+        let c = costing::costs_from_plan(plan, &self.cfg.costs, vnic, bytes, total);
+        costing::plan_leaves(plan, st, &c, &mut |stage, cycles| {
+            if cycles > 0 {
+                prof.record(Span {
+                    stage,
+                    parent: root,
+                    cycles,
+                    bytes: 0,
+                    packets: 0,
+                    ..base
+                });
+            }
+        });
     }
 
-    fn finish_traced(
-        &mut self,
-        outcome: ProcessOutcome,
-        path: Option<PathTaken>,
-        done_at: SimTime,
-        created_session: bool,
-        session_overflow: bool,
-        pkt: &Packet,
-    ) -> ProcessResult {
+    /// Counts and traces the terminal `result` of one packet.
+    fn finish_traced(&self, pkt: &Packet, result: ProcessResult) -> ProcessResult {
         let reg = &self.tel.registry;
-        let drop_reason = match outcome {
+        let drop_reason = match result.outcome {
             ProcessOutcome::Forwarded(a) => {
                 reg.inc(self.tel.forwarded);
                 if a.mirror_to.is_some() {
@@ -430,19 +492,13 @@ impl VSwitch {
                 Some(DropReason::Backlog)
             }
         };
-        if session_overflow {
-            reg.inc(self.tel.session_overflows);
+        if result.session_overflow {
+            self.note_session_overflow();
         }
         if let Some(reason) = drop_reason {
-            self.trace_event(done_at, pkt, TraceEventKind::Drop(reason));
+            self.trace_event(result.done_at, pkt, TraceEventKind::Drop(reason));
         }
-        ProcessResult {
-            outcome,
-            path,
-            done_at,
-            created_session,
-            session_overflow,
-        }
+        result
     }
 }
 

@@ -2,6 +2,7 @@ use super::*;
 use crate::config::VSwitchConfig;
 use crate::tables::acl::PortRange;
 use crate::tables::qos::{ClassLimit, QosRule};
+use crate::tables::route::RouteTarget;
 use crate::vnic::VnicProfile;
 use nezha_types::{FiveTuple, Ipv4Addr, ServerId, TcpFlags, VpcId};
 
@@ -333,4 +334,245 @@ fn best_effort_class_is_unlimited() {
         assert!(r.outcome != ProcessOutcome::RateLimited);
     }
     assert_eq!(vs.counters().rate_limited, 0);
+}
+
+/// Drives `process_local` through every outcome it can produce and pins
+/// the whole result plus the packet's trace-event order
+/// `Enqueue → TableHit|TableMiss → CpuCharge → [Drop]`.
+#[test]
+fn process_local_outcome_table() {
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    enum Price {
+        Fast,
+        Slow,
+        /// An unknown vNIC: the table-less slow-path formula.
+        Tableless,
+    }
+    struct Case {
+        name: &'static str,
+        /// Table memory beyond the vNIC's own tables (session room).
+        session_room: u64,
+        /// Brings the switch into the state the probe packet meets.
+        warm_up: fn(&mut VSwitch),
+        pkt: Packet,
+        outcome: &'static str,
+        path: Option<PathTaken>,
+        created: bool,
+        overflow: bool,
+        price: Price,
+        /// Flow-cache probe event; `None` when the vNIC screen stops first.
+        probe: Option<TraceEventKind>,
+        charged: bool,
+        drop: Option<DropReason>,
+    }
+    const PROBE: u64 = 777;
+    const T0: SimTime = SimTime(0);
+    const LIMITED_PORT: u16 = 8443; // outside the synthetic QoS rules
+    let blackholed = Ipv4Addr::new(192, 0, 2, 9);
+    fn label(o: &ProcessOutcome) -> &'static str {
+        match o {
+            ProcessOutcome::Forwarded(_) => "forwarded",
+            ProcessOutcome::AclDrop => "acl-drop",
+            ProcessOutcome::Unroutable => "unroutable",
+            ProcessOutcome::RateLimited => "rate-limited",
+            ProcessOutcome::CpuOverload => "cpu-overload",
+        }
+    }
+    fn ack(mut p: Packet) -> Packet {
+        p.tcp_flags = TcpFlags::ACK;
+        p
+    }
+    fn to(mut p: Packet, dst: Ipv4Addr, port: u16) -> Packet {
+        p.tuple.dst_ip = dst;
+        p.tuple.dst_port = port;
+        p
+    }
+    fn first_packet(vs: &mut VSwitch) {
+        assert!(vs.process_local(&tx_pkt(1, 40000), T0).created_session);
+    }
+    let unsolicited_rx = Packet::rx_data(
+        PROBE,
+        VpcId(1),
+        VnicId(1),
+        FiveTuple::tcp(
+            Ipv4Addr::new(172, 30, 1, 1),
+            50000,
+            Ipv4Addr::new(10, 7, 0, 1),
+            9000,
+        ),
+        TcpFlags::SYN,
+        64,
+    );
+    let base = Case {
+        name: "slow create",
+        session_room: 1 << 20,
+        warm_up: |_| {},
+        pkt: tx_pkt(PROBE, 40000),
+        outcome: "forwarded",
+        path: Some(PathTaken::Slow),
+        created: true,
+        overflow: false,
+        price: Price::Slow,
+        probe: Some(TraceEventKind::TableMiss),
+        charged: true,
+        drop: None,
+    };
+    let cases = [
+        Case {
+            name: "fast hit",
+            warm_up: first_packet,
+            pkt: ack(tx_pkt(PROBE, 40000)),
+            path: Some(PathTaken::Fast),
+            created: false,
+            price: Price::Fast,
+            probe: Some(TraceEventKind::TableHit),
+            ..base
+        },
+        Case {
+            name: "stateless routing drop",
+            pkt: to(tx_pkt(PROBE, 40000), blackholed, 9000),
+            outcome: "unroutable",
+            created: false,
+            drop: Some(DropReason::NoRoute),
+            ..base
+        },
+        Case {
+            name: "re-cache after rule update",
+            warm_up: |vs| {
+                first_packet(vs);
+                let memory = vs.cfg.memory;
+                assert_eq!(vs.sessions.invalidate_flows(&mut vs.mem, &memory), 1);
+            },
+            pkt: ack(tx_pkt(PROBE, 40000)),
+            created: false,
+            ..base
+        },
+        Case {
+            name: "session-memory overflow",
+            session_room: 0,
+            created: false,
+            overflow: true,
+            ..base
+        },
+        Case {
+            name: "acl drop",
+            pkt: unsolicited_rx,
+            outcome: "acl-drop",
+            drop: Some(DropReason::PolicyDeny),
+            ..base
+        },
+        Case {
+            name: "rate limit",
+            pkt: to(
+                tx_pkt(PROBE, 40000),
+                Ipv4Addr::new(10, 7, 0, 100),
+                LIMITED_PORT,
+            ),
+            outcome: "rate-limited",
+            drop: Some(DropReason::RateLimited),
+            ..base
+        },
+        Case {
+            name: "cpu overload",
+            warm_up: |vs| {
+                let overloaded = (0..5000u64).any(|i| {
+                    vs.process_local(&tx_pkt(i, 1000 + i as u16), T0).outcome
+                        == ProcessOutcome::CpuOverload
+                });
+                assert!(overloaded, "backlog bound never engaged");
+            },
+            outcome: "cpu-overload",
+            path: None,
+            created: false,
+            charged: false,
+            drop: Some(DropReason::Backlog),
+            ..base
+        },
+        Case {
+            name: "unknown vnic",
+            pkt: Packet {
+                vnic: VnicId(99),
+                ..tx_pkt(PROBE, 40000)
+            },
+            outcome: "unroutable",
+            created: false,
+            price: Price::Tableless,
+            probe: None,
+            charged: false,
+            drop: Some(DropReason::NoRoute),
+            ..base
+        },
+        base,
+    ];
+    for c in cases {
+        let mut vnic = Vnic::new(
+            VnicId(1),
+            VpcId(1),
+            Ipv4Addr::new(10, 7, 0, 1),
+            VnicProfile::default(),
+            ServerId(0),
+        );
+        vnic.tables
+            .route
+            .insert(blackholed.masked(24), 24, RouteTarget::Blackhole);
+        vnic.tables.qos.add_rule(QosRule {
+            dst_ports: PortRange::only(LIMITED_PORT),
+            class: 3,
+        });
+        vnic.tables.qos.add_limit(ClassLimit {
+            class: 3,
+            rate_bytes_per_sec: 1.0,
+            burst_bytes: 1.0,
+        });
+        let defaults = VSwitchConfig::default();
+        let table_bytes = vnic.table_memory(&defaults.memory);
+        let slow_cycles = vnic.slow_path_cycles(&defaults.costs, c.pkt.wire_len());
+        let cfg = VSwitchConfig::builder()
+            .table_memory(table_bytes + c.session_room)
+            .build();
+        let mut vs = VSwitch::new(ServerId(0), cfg);
+        vs.add_vnic(vnic).unwrap();
+        (c.warm_up)(&mut vs);
+        let trace = PacketTrace::with_capacity(64);
+        vs.attach_trace(&trace);
+        let overflows_before = vs.counters().session_overflows;
+
+        let r = vs.process_local(&c.pkt, T0);
+
+        let name = c.name;
+        assert_eq!(label(&r.outcome), c.outcome, "{name}: outcome");
+        assert_eq!(r.path, c.path, "{name}: path");
+        assert_eq!(r.created_session, c.created, "{name}: created_session");
+        assert_eq!(r.session_overflow, c.overflow, "{name}: session_overflow");
+        assert_eq!(
+            vs.counters().session_overflows - overflows_before,
+            u64::from(c.overflow),
+            "{name}: overflow counter"
+        );
+        let cycles = match c.price {
+            Price::Fast => cfg.costs.fast_path_cycles(c.pkt.wire_len()),
+            Price::Slow => slow_cycles,
+            Price::Tableless => cfg.costs.slow_path_cycles(c.pkt.wire_len(), 0, 0),
+        };
+        assert_eq!(r.cycles, cycles, "{name}: cycles");
+        assert_eq!(r.done_at > T0, c.charged, "{name}: done_at");
+        let want: Vec<TraceEventKind> = [
+            Some(TraceEventKind::Enqueue),
+            c.probe,
+            c.charged.then_some(TraceEventKind::CpuCharge { cycles }),
+            c.drop.map(TraceEventKind::Drop),
+        ]
+        .into_iter()
+        .flatten()
+        .collect();
+        let got: Vec<TraceEventKind> = trace.packet(PROBE).iter().map(|e| e.kind).collect();
+        assert_eq!(got, want, "{name}: trace events");
+        if c.name == "re-cache after rule update" {
+            let again = vs.process_local(&ack(tx_pkt(PROBE + 1, 40000)), T0);
+            assert_eq!(again.path, Some(PathTaken::Fast), "{name}: re-cached");
+        }
+        if c.name == "stateless routing drop" {
+            assert_eq!(vs.sessions.len(), 0, "{name}: no session for routing drops");
+        }
+    }
 }

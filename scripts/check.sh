@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
 # The full local gate, in the order CI would run it: formatting, the
 # nezha-lint determinism/panic-safety pass, lints as errors, then the
-# test suite.
+# whole workspace's test suite (`cargo test --workspace`: plain
+# `cargo test` runs only the root package's integration suites and skips
+# every crate-level unit and property test).
 #
 # Usage: scripts/check.sh [--fast]
 #   --fast   skip the full test suite (quick pre-commit run); still runs
-#            the stage-graph equivalence smoke (combinator pipeline vs
-#            the legacy reference semantics, plus the exact cost-plan
-#            reconciliation properties), the reduced chaos smoke scenario
+#            the vswitch crate's tests (lookup graph vs its straight-line
+#            reference, the exact cost-plan reconciliation properties,
+#            the process_local outcome table), the reduced chaos smoke scenario
 #            so the fault-injection path is never shipped unexercised,
 #            plus the profiler smoke run
 #            (`experiments profile` self-asserts its cycle reconciliation)
@@ -59,8 +61,8 @@ echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 if [ "$fast" -eq 1 ]; then
-    echo "==> cargo test -q -p nezha-vswitch --test stage_graph_properties   (--fast: graph-equivalence smoke)"
-    cargo test -q -p nezha-vswitch --test stage_graph_properties
+    echo "==> cargo test -q -p nezha-vswitch   (--fast: lookup-graph equivalence + cost-plan smoke)"
+    cargo test -q -p nezha-vswitch
     echo "==> cargo test -q --test chaos smoke_   (--fast: reduced chaos scenario)"
     cargo test -q --test chaos smoke_
     echo "==> experiments profile   (--fast: profiler smoke, artifacts to target/profile-smoke)"
@@ -72,8 +74,8 @@ if [ "$fast" -eq 1 ]; then
     cargo run -q --release -p nezha-bench --bin experiments -- watch
     echo "All checks passed (--fast: full test suite skipped)."
 else
-    echo "==> cargo test -q"
-    cargo test -q
+    echo "==> cargo test --workspace -q"
+    cargo test --workspace -q
     echo "==> cargo test -q --test chaos   (fault-injection suite)"
     cargo test -q --test chaos
     echo "All checks passed."

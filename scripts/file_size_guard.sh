@@ -17,15 +17,14 @@ cd "$(dirname "$0")/.."
 
 MAX_LINES=1200
 
-# Post-refactor, `crates/vswitch` is a set of focused stage/table modules
-# behind a facade, so it gets a tighter cap: no file may exceed 600
-# lines. A file that wants more is a module that wants splitting — the
-# stage combinators make that cheap (new stages, not a bigger monolith).
+# `crates/vswitch` is a set of focused table/stage modules, so it gets a
+# tighter cap: no file may exceed 600 lines. A file that wants more is a
+# module that wants splitting.
 VSWITCH_MAX_LINES=600
 
 # One entry per line; keep justifications honest and specific.
 ALLOW=(
-    # (none — vswitch.rs is a facade well under even the 600-line cap)
+    # (none)
 )
 
 allow_max_for() {

@@ -338,7 +338,7 @@ fn mirrored_prefixes_generate_copies_under_offload() {
     let mut c = cluster();
     {
         let vnic = c.switch_mut(HOME).unwrap().vnic_mut(VNIC).unwrap();
-        vnic.tables
+        vnic.tables_mut()
             .mirror
             .insert(nezha::vswitch::tables::mirror::MirrorRule {
                 dst_prefix: (Ipv4Addr::new(10, 7, 3, 0), 24),

@@ -21,7 +21,8 @@
 use nezha::types::{
     Direction, FiveTuple, Ipv4Addr, Packet, ServerId, SessionState, TcpFlags, VnicId, VpcId,
 };
-use nezha::vswitch::pipeline::{finalize_with_state, process_pkt, slow_path_lookup, update_state};
+use nezha::vswitch::pipeline::{finalize_with_state, process_pkt, update_state};
+use nezha::vswitch::stage::lookup::pair_lookup;
 use nezha::vswitch::tables::acl::{AclRule, PortRange};
 use nezha::vswitch::vnic::{Vnic, VnicProfile};
 use proptest::prelude::*;
@@ -101,7 +102,7 @@ fn build_vnic(rules: &[AclRule], stateful_decap: bool) -> Vnic {
         ServerId(0),
     );
     for r in rules {
-        vnic.tables.acl.insert(*r);
+        vnic.tables_mut().acl.insert(*r);
     }
     vnic
 }
@@ -164,7 +165,7 @@ proptest! {
         for (i, s) in steps.iter().enumerate() {
             let pkt = make_packet(tuple, s, i as u64);
             let pair = *mono_pair
-                .get_or_insert_with(|| slow_path_lookup(&graph, &vnic, &pkt.tuple, pkt.dir).pair);
+                .get_or_insert_with(|| pair_lookup(&graph, &vnic, &pkt.tuple, pkt.dir));
             let action = process_pkt(pair.for_direction(pkt.dir), &mut mono_state, &pkt);
             mono_actions.push(action);
         }
@@ -189,14 +190,14 @@ proptest! {
                     // FE half: look up (or hit the cached) pre-actions and
                     // finalize with the carried state.
                     let pair = *fe_cached
-                        .get_or_insert_with(|| slow_path_lookup(&graph, &vnic, &pkt.tuple, pkt.dir).pair);
+                        .get_or_insert_with(|| pair_lookup(&graph, &vnic, &pkt.tuple, pkt.dir));
                     split_actions.push(finalize_with_state(&pair.tx, &carried, &pkt));
                 }
                 Direction::Rx => {
                     // FE half: pre-actions piggybacked (plus the overlay
                     // encap source the FE would otherwise destroy).
                     let pair = *fe_cached
-                        .get_or_insert_with(|| slow_path_lookup(&graph, &vnic, &pkt.tuple, pkt.dir).pair);
+                        .get_or_insert_with(|| pair_lookup(&graph, &vnic, &pkt.tuple, pkt.dir));
                     // BE half: the packet arrives with its decap info
                     // restored from the header; full transition + final.
                     split_actions.push(process_pkt(&pair.rx, &mut be_state, &pkt));
