@@ -5,8 +5,8 @@
 //!
 //! * [`crate::config`] — [`ClusterConfig`] + builder and the delayed
 //!   [`ConfigOp`] pushes;
-//! * [`crate::telemetry`] — the shared registry/trace/profiler bundle and
-//!   the aggregated [`ClusterStats`] view;
+//! * [`crate::telemetry`] — the shared [`Telemetry`] handle, the closed
+//!   instrument vocabularies and the aggregated [`ClusterStats`] view;
 //! * `crate::datapath` — the per-packet handlers (BE/FE roles, NSH demux,
 //!   the `HandlerCtx` plumbing every handler works through);
 //! * `crate::driver` — connection scripts, retries and probes.
@@ -20,7 +20,7 @@ use crate::controller::ControllerState;
 use crate::fe::FrontEnd;
 use crate::gateway::Gateway;
 use crate::monitor::MonitorState;
-use crate::telemetry::ClusterTelemetry;
+use crate::telemetry::{ClusterTelemetry, Ctr};
 use crate::vm::{VmConfig, VmModel};
 use nezha_sim::dense::DenseMap;
 use nezha_sim::engine::Engine;
@@ -28,6 +28,7 @@ use nezha_sim::fault::{FaultKind, FaultPlan, FaultState};
 use nezha_sim::metrics::MetricsRegistry;
 use nezha_sim::profile::Profiler;
 use nezha_sim::rng::SimRng;
+use nezha_sim::telemetry::Telemetry;
 use nezha_sim::time::SimTime;
 use nezha_sim::topology::Topology;
 use nezha_sim::trace::PacketTrace;
@@ -109,18 +110,13 @@ impl Cluster {
     pub fn new(cfg: ClusterConfig) -> Self {
         let topo = Topology::new(cfg.topology);
         let n = topo.total_servers() as usize;
-        let tel = ClusterTelemetry::register(MetricsRegistry::new(), n);
+        // The one telemetry handle: every component is built around it.
+        let tel = ClusterTelemetry::register(Telemetry::new(), n);
         let switches: Vec<VSwitch> = (0..n)
-            .map(|i| {
-                let mut vs = VSwitch::new(ServerId(i as u32), cfg.vswitch);
-                vs.attach_metrics(&tel.registry);
-                vs.attach_trace(&tel.trace);
-                vs.attach_profiler(&tel.profiler);
-                vs
-            })
+            .map(|i| VSwitch::with_telemetry(ServerId(i as u32), cfg.vswitch, &tel.shared))
             .collect();
         let mut engine = Engine::new();
-        engine.attach_metrics(&tel.registry);
+        engine.attach_metrics(&tel.shared.registry);
         engine.schedule_in(cfg.controller.report_period, Event::ControllerTick);
         engine.schedule_in(cfg.controller.ping_period, Event::MonitorTick);
         engine.schedule_in(cfg.aging_period, Event::AgingTick);
@@ -205,32 +201,32 @@ impl Cluster {
     /// and the management plane all report here. Take `.snapshot()` to
     /// read every metric deterministically.
     pub fn metrics(&self) -> &MetricsRegistry {
-        &self.tel.registry
+        &self.tel.shared.registry
     }
 
     /// The shared packet-trace ring (disabled until
     /// [`Cluster::enable_trace`]).
     pub fn trace(&self) -> &PacketTrace {
-        &self.tel.trace
+        &self.tel.shared.trace
     }
 
     /// Turns on structured per-packet tracing, keeping at most `capacity`
     /// most-recent events. Pass 0 to disable again.
     pub fn enable_trace(&mut self, capacity: usize) {
-        self.tel.trace.set_capacity(capacity);
+        self.tel.shared.trace.set_capacity(capacity);
     }
 
     /// The shared cycle-attribution [`Profiler`] (disabled until
     /// [`Cluster::enable_profile`]).
     pub fn profiler(&self) -> &Profiler {
-        &self.tel.profiler
+        &self.tel.shared.profiler
     }
 
     /// Turns on cycle-attribution profiling: every subsequent CPU charge
     /// records a causal span tree, keeping at most `span_capacity` full
     /// span records (aggregate stage/flamegraph totals are unbounded).
     pub fn enable_profile(&mut self, span_capacity: usize) {
-        self.tel.profiler.enable(span_capacity);
+        self.tel.shared.profiler.enable(span_capacity);
     }
 
     /// Turns on the live observability plane: windowed rollups of every
@@ -264,11 +260,11 @@ impl Cluster {
     /// time advances; experiments stepping the run window-by-window call
     /// it explicitly at segment ends.
     pub fn close_windows_to(&mut self, t: SimTime) {
-        let crate::telemetry::ClusterTelemetry {
-            windows, registry, ..
+        let ClusterTelemetry {
+            windows, shared, ..
         } = &mut self.tel;
         if let Some(w) = windows.as_mut() {
-            w.advance_to(t, registry);
+            w.advance_to(t, &shared.registry);
         }
     }
 
@@ -592,7 +588,7 @@ impl Cluster {
     /// first (liveness flags, vSwitch cycle multipliers), then the
     /// recorded condition set the per-packet queries are answered from.
     pub(crate) fn handle_fault(&mut self, kind: FaultKind, now: SimTime) {
-        self.tel.inc(self.tel.fault_events);
+        self.tel.inc(Ctr::FaultEvents);
         match &kind {
             FaultKind::Crash { server } => {
                 if let Some(alive) = self.alive.get_mut(server.0 as usize) {

@@ -20,6 +20,7 @@
 use crate::be::{BackendMeta, OffloadPhase};
 use crate::cluster::{Cluster, ConfigOp, Event};
 use crate::fe::FrontEnd;
+use crate::telemetry::{Ctr, Hist};
 use nezha_sim::time::{SimDuration, SimTime};
 use nezha_types::{NezhaError, NezhaResult, ServerId, VnicId};
 use serde::{Deserialize, Serialize};
@@ -164,7 +165,7 @@ impl Cluster {
             // below are based on. The gauge handles were pre-registered
             // at startup (D5): no string-keyed registry lookup here.
             if let Some(g) = self.tel.ctrl_gauges.get(i).copied() {
-                let reg = &self.tel.registry;
+                let reg = &self.tel.shared.registry;
                 reg.set(g.cpu_util, cpu);
                 reg.set(g.mem_util, mem);
                 reg.set(g.local_cycles, local);
@@ -274,7 +275,7 @@ impl Cluster {
             });
         }
         let mut meta = BackendMeta::new(now);
-        self.tel.inc(self.tel.offload_events);
+        self.tel.inc(Ctr::OffloadEvents);
 
         // Push rule tables to each FE with a modeled per-FE delay.
         let mut worst = SimDuration::ZERO;
@@ -394,11 +395,11 @@ impl Cluster {
         if new_fes.is_empty() {
             return 0;
         }
-        self.tel.inc(self.tel.scale_out_events);
+        self.tel.inc(Ctr::ScaleOutEvents);
         self.controller.last_scale_out.insert(vnic, now);
         // Every added FE re-hashes a slice of the flow space onto a cold
         // cache — counted as churn for the recovery metrics.
-        self.tel.add(self.tel.rehash_churn, new_fes.len() as u64);
+        self.tel.add(Ctr::RehashChurn, new_fes.len() as u64);
         let Some(meta) = self.be_meta.get_mut(&vnic) else {
             return 0; // meta existence checked at fn entry
         };
@@ -450,7 +451,7 @@ impl Cluster {
         if victims.is_empty() {
             return;
         }
-        self.tel.inc(self.tel.scale_in_events);
+        self.tel.inc(Ctr::ScaleInEvents);
         for vnic in victims {
             self.remove_fe(vnic, server, now);
             // Keep the pool at the minimum (§4.4 logic shared with
@@ -473,7 +474,7 @@ impl Cluster {
         }
         // A removal re-hashes the departed FE's flow slice onto the
         // survivors (churn, mirrored by the add side in scale-out).
-        self.tel.inc(self.tel.rehash_churn);
+        self.tel.inc(Ctr::RehashChurn);
         let remaining: Vec<ServerId> = meta.ready_fes().to_vec();
         if let Some(fe) = self.fes.remove(&(fe_server, vnic)) {
             let m = self.cfg.vswitch.memory;
@@ -518,7 +519,7 @@ impl Cluster {
             return Err(NezhaError::NotOffloaded(vnic));
         };
         meta.phase = OffloadPhase::FallbackDual;
-        self.tel.inc(self.tel.fallback_events);
+        self.tel.inc(Ctr::FallbackEvents);
         // Gateway points back at the BE; once learned, tear the FEs down.
         let addr = self.vnic_addr[&vnic];
         let cfg = self.cfg.controller;
@@ -642,7 +643,7 @@ impl Cluster {
                     meta.activated_at = Some(now);
                     let completion = now.since(meta.triggered_at);
                     self.tel
-                        .observe_duration(self.tel.offload_completion, completion);
+                        .observe_duration(Hist::OffloadCompletion, completion);
                     // Enter the final stage after learning-interval + RTT.
                     self.engine.schedule_in(
                         self.gateway.learning_interval() + SimDuration::from_millis(2),

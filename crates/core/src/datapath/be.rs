@@ -7,6 +7,8 @@ use crate::cluster::Cluster;
 use crate::config::ConfigOp;
 use crate::datapath::ctx::HandlerCtx;
 use crate::datapath::dispatch::{flow_hash, process_locally, Event};
+use crate::telemetry::Ctr;
+use nezha_sim::profile::Stage;
 use nezha_sim::time::{SimDuration, SimTime};
 use nezha_sim::trace::TraceEventKind;
 use nezha_types::{Direction, NezhaHeader, NezhaPayloadKind, Packet, SessionKey, VnicId};
@@ -55,7 +57,7 @@ pub(crate) fn degrade_to_local(ctx: &mut HandlerCtx<'_>, vnic: VnicId) -> bool {
         return false;
     };
     meta.phase = OffloadPhase::FallbackDual;
-    ctx.inc_degraded();
+    ctx.cl.tel.inc(Ctr::DegradedEvents);
     let cl = &mut *ctx.cl;
     let addr = cl.vnic_addr[&vnic];
     let cfg = cl.cfg.controller;
@@ -145,9 +147,9 @@ pub(crate) fn be_handle_tx(ctx: &mut HandlerCtx<'_>, pkt: Packet, sent_at: SimTi
     // Span tree: the BE charge is pure session work (the cost model
     // does not split it further); the zero-cycle encap marker is the
     // causal parent the FE's span will hang off across the hop.
-    let st = ctx.stages();
-    if let Some(root) = ctx.span(st.be_tx, &pkt, now, done, &[(st.session_update, charged)]) {
-        let encap = ctx.span_marker(st.nsh_encap, Some(root), &pkt, done, done, 0);
+    let leaves = [(Stage::SessionUpdate, charged)];
+    if let Some(root) = ctx.span(Stage::BeTx, &pkt, now, done, &leaves) {
+        let encap = ctx.span_marker(Stage::NshEncap, root, &pkt, done..done, 0);
         if let Some(encap) = encap {
             out.prof_span = encap.to_raw();
         }
@@ -188,15 +190,9 @@ pub(crate) fn be_handle_rx_carry(
     let done = charge.done;
     // The BE charge is again pure session work; the zero-cycle decap
     // marker documents the hop in the tree (flamegraphs skip it).
-    let st = ctx.stages();
-    if let Some(root) = ctx.span(
-        st.be_rx_carry,
-        &pkt,
-        now,
-        done,
-        &[(st.session_update, charge.scaled)],
-    ) {
-        ctx.span_marker(st.nsh_decap, Some(root), &pkt, now, now, 0);
+    let leaves = [(Stage::SessionUpdate, charge.scaled)];
+    if let Some(root) = ctx.span(Stage::BeRxCarry, &pkt, now, done, &leaves) {
+        ctx.span_marker(Stage::NshDecap, root, &pkt, now..now, 0);
     }
     ctx.note_local_cycles(cycles);
 
@@ -240,14 +236,8 @@ pub(crate) fn be_handle_notify(ctx: &mut HandlerCtx<'_>, nsh: NezhaHeader, pkt: 
     };
     // The notify chains off the FE span that emitted it, closing the
     // BE → FE → BE causal loop for the packet that missed.
-    let st = ctx.stages();
-    let _ = ctx.span(
-        st.be_notify,
-        &pkt,
-        now,
-        charge.done,
-        &[(st.notify, charge.scaled)],
-    );
+    let leaves = [(Stage::Notify, charge.scaled)];
+    ctx.span(Stage::BeNotify, &pkt, now, charge.done, &leaves);
     let vs = &mut ctx.cl.switches[server.0 as usize];
     if let Some(entry) = vs.sessions.get_mut(&key) {
         if let Some(p) = nsh.stats_policy {
@@ -274,7 +264,7 @@ pub(crate) fn be_handle_direct_rx(ctx: &mut HandlerCtx<'_>, pkt: Packet, sent_at
         _ => return process_locally(ctx, pkt, sent_at),
     };
     // Final stage: tables are gone. Bounce to an FE (costs a parse).
-    ctx.inc_stale_bounces();
+    ctx.cl.tel.inc(Ctr::StaleBounces);
     let Some(fe) = fe else {
         return ctx.lose(pkt.trace);
     };
@@ -286,14 +276,8 @@ pub(crate) fn be_handle_direct_rx(ctx: &mut HandlerCtx<'_>, pkt: Packet, sent_at
     let mut out = pkt;
     // A stale bounce costs one parse; the FE visit it triggers hangs
     // off this root via `prof_span`.
-    let st = ctx.stages();
-    if let Some(root) = ctx.span(
-        st.be_direct_rx,
-        &out,
-        now,
-        done,
-        &[(st.parse, charge.scaled)],
-    ) {
+    let leaves = [(Stage::Parse, charge.scaled)];
+    if let Some(root) = ctx.span(Stage::BeDirectRx, &out, now, done, &leaves) {
         out.prof_span = root.to_raw();
     }
     out.outer_src = Some(server);

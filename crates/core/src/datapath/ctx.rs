@@ -1,26 +1,29 @@
 //! [`HandlerCtx`]: the one place the datapath's cross-cutting plumbing
 //! lives.
 //!
-//! Every BE/FE handler receives a `&mut HandlerCtx` and reaches metrics,
-//! the packet-trace ring, the profiler, the fault engine, and the
-//! CPU-charging model exclusively through it (lint rule D7 enforces
-//! this). The handlers keep direct access to protocol state via
-//! [`HandlerCtx::cl`] — split field borrows (`switches` vs `fes` vs
-//! `lookup`) are obtained with `let cl = &mut *ctx.cl;`.
+//! Every BE/FE handler receives a `&mut HandlerCtx`. Its methods are the
+//! ones that bind this invocation's `server`/`now` or carry logic (the
+//! arrival gate, charging, span/trace recording, loss/deny/completion
+//! accounting). A plain counter increment needs neither, so handlers
+//! write `ctx.cl.tel.inc(Ctr::…)` directly — the closed [`Ctr`]
+//! vocabulary is the whole interface. The handlers keep direct access to
+//! protocol state via [`HandlerCtx::cl`] — split field borrows
+//! (`switches` vs `fes` vs `lookup`) are obtained with
+//! `let cl = &mut *ctx.cl;`.
 
 use crate::cluster::Cluster;
-use nezha_sim::profile::{Span, SpanId, StageHandle, StageSet};
+use crate::telemetry::Ctr;
+use nezha_sim::profile::{SpanId, Stage};
 use nezha_sim::resources::CpuOutcome;
 use nezha_sim::time::SimTime;
-use nezha_sim::trace::{DropReason, TraceEvent, TraceEventKind};
+use nezha_sim::trace::{DropReason, TraceEventKind};
 use nezha_types::{Action, Packet, ServerId};
 use nezha_vswitch::pipeline;
+use std::ops::Range;
 
 /// Borrowed view of the cluster for one handler invocation: the packet's
 /// current server, the arrival time, and the full cluster state.
 ///
-/// The cross-cutting methods below are the *only* sanctioned route from
-/// a datapath handler to telemetry, faults, and cycle charging.
 pub(crate) struct HandlerCtx<'c> {
     /// The whole cluster; handlers use this for protocol state only.
     pub(crate) cl: &'c mut Cluster,
@@ -65,7 +68,7 @@ impl<'c> HandlerCtx<'c> {
             // Scripted link faults: partitions drop deterministically,
             // (bursty) loss models sample the seeded fault RNG.
             if self.cl.faults.should_drop(src, dst) {
-                self.cl.tel.inc(self.cl.tel.fault_link_drops);
+                self.cl.tel.inc(Ctr::FaultLinkDrops);
                 self.drop_pkt(pkt, DropReason::Fault);
                 return false;
             }
@@ -120,58 +123,39 @@ impl<'c> HandlerCtx<'c> {
 
     /// Records one cluster-level trace event for `pkt` at this server.
     pub(crate) fn trace(&self, at: SimTime, pkt: &Packet, kind: TraceEventKind) {
-        self.cl.trace_pkt(at, self.server, pkt, kind);
-    }
-
-    /// Whether profiling is on (so handlers can skip leaf assembly).
-    pub(crate) fn profiler_enabled(&self) -> bool {
-        self.cl.tel.profiler.is_enabled()
-    }
-
-    /// The pre-registered stage handles (interned once; lint rule D6).
-    pub(crate) fn stages(&self) -> &StageSet {
-        &self.cl.tel.stages
+        self.cl.tel.shared.trace_pkt(at, self.server, pkt, kind);
     }
 
     /// Records this handler's root span plus its cycle-bearing leaves;
     /// returns the root id for threading across the BE↔FE hop.
     pub(crate) fn span(
         &self,
-        stage: StageHandle,
+        stage: Stage,
         pkt: &Packet,
         start: SimTime,
         end: SimTime,
-        leaves: &[(StageHandle, u64)],
+        leaves: &[(Stage, u64)],
     ) -> Option<SpanId> {
         self.cl
             .tel
-            .profile_handler(stage, pkt, self.server, start, end, leaves)
+            .shared
+            .span_tree(stage, pkt, self.server, start, end, leaves)
     }
 
     /// Records one explicit marker span (NSH encap/decap hop parents)
-    /// under `parent`. Bytes/packets are not re-counted — the root span
-    /// carries them.
+    /// over `during` under `parent`.
     pub(crate) fn span_marker(
         &self,
-        stage: StageHandle,
-        parent: Option<SpanId>,
+        stage: Stage,
+        parent: SpanId,
         pkt: &Packet,
-        start: SimTime,
-        end: SimTime,
+        during: Range<SimTime>,
         cycles: u64,
     ) -> Option<SpanId> {
-        self.cl.tel.profiler.record(Span {
-            stage,
-            parent,
-            trace: pkt.trace,
-            server: self.server,
-            vnic: pkt.vnic,
-            start,
-            end,
-            cycles,
-            bytes: 0,
-            packets: 0,
-        })
+        self.cl
+            .tel
+            .shared
+            .span_marker(stage, parent, pkt, self.server, during, cycles)
     }
 
     // ------------------------------------------------------------------
@@ -189,13 +173,15 @@ impl<'c> HandlerCtx<'c> {
     /// loss accounting (the caller decides whether the packet counts).
     pub(crate) fn fault_drop_marker(&self, at: SimTime, pkt: &Packet, reason: DropReason) {
         self.trace(at, pkt, TraceEventKind::Drop(reason));
-        self.cl.tel.profile_fault_drop(pkt, self.server, at);
+        // A leafless tree: the zero-cycle marker lands under the packet's
+        // causal span, so injected losses show inside the victim's tree.
+        self.span(Stage::FaultDrop, pkt, at, at, &[]);
     }
 
     /// A packet arrived somewhere that cannot process it: count the
     /// misroute and lose the packet (retry scheduled).
     pub(crate) fn misroute(&mut self, pkt: &Packet) {
-        self.cl.tel.inc(self.cl.tel.misroutes);
+        self.cl.tel.inc(Ctr::Misroutes);
         self.cl.lose_packet(pkt.trace, self.now);
     }
 
@@ -220,63 +206,13 @@ impl<'c> HandlerCtx<'c> {
 
     /// Counts the mirror copies an action fans out (§2.2.2).
     pub(crate) fn count_mirrors(&self, action: &Action) {
-        self.cl.tel.add(
-            self.cl.tel.mirror_copies,
-            pipeline::mirror_copies(action) as u64,
-        );
-    }
-
-    /// One notify packet generated (§3.2.2).
-    pub(crate) fn inc_notifies(&self) {
-        self.cl.tel.inc(self.cl.tel.notifies);
-    }
-
-    /// One RX packet bounced off the post-final-stage BE.
-    pub(crate) fn inc_stale_bounces(&self) {
-        self.cl.tel.inc(self.cl.tel.stale_bounces);
-    }
-
-    /// One graceful degradation to local processing.
-    pub(crate) fn inc_degraded(&self) {
-        self.cl.tel.inc(self.cl.tel.degraded_events);
-    }
-
-    /// One notify discarded by the scripted fault engine.
-    pub(crate) fn inc_fault_notify_drops(&self) {
-        self.cl.tel.inc(self.cl.tel.fault_notify_drops);
+        self.cl
+            .tel
+            .add(Ctr::MirrorCopies, pipeline::mirror_copies(action) as u64);
     }
 
     /// Samples the scripted notify-loss fault (seeded fault RNG stream).
     pub(crate) fn drop_notify(&mut self) -> bool {
         self.cl.faults.drop_notify()
-    }
-
-    /// One RX packet processed by this server's FE — feeds the per-server
-    /// `fe.rx_pkts` window counters behind the fairness SLO. No-op until
-    /// [`Cluster::enable_windows`](crate::cluster::Cluster::enable_windows).
-    pub(crate) fn note_fe_rx(&self) {
-        self.cl.tel.note_fe_rx(self.server);
-    }
-}
-
-impl Cluster {
-    /// Records one cluster-level trace event for `pkt` at `server`.
-    /// Datapath code calls this through [`HandlerCtx::trace`].
-    pub(crate) fn trace_pkt(
-        &self,
-        at: SimTime,
-        server: ServerId,
-        pkt: &Packet,
-        kind: TraceEventKind,
-    ) {
-        if self.tel.trace.is_enabled() {
-            self.tel.trace.record(TraceEvent {
-                at,
-                trace_id: pkt.trace,
-                server,
-                vnic: pkt.vnic,
-                kind,
-            });
-        }
     }
 }

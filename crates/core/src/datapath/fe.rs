@@ -3,7 +3,8 @@
 
 use crate::datapath::ctx::HandlerCtx;
 use crate::datapath::dispatch::forward_to_peer;
-use nezha_sim::profile::{SpanId, StageHandle};
+use crate::telemetry::Ctr;
+use nezha_sim::profile::{SpanId, Stage};
 use nezha_sim::time::SimTime;
 use nezha_sim::trace::{DropReason, TraceEventKind};
 use nezha_types::{Direction, NezhaHeader, NezhaPayloadKind, Packet, PreActionPair, ServerId};
@@ -62,8 +63,8 @@ fn fe_visit(
     ctx: &mut HandlerCtx<'_>,
     pkt: &Packet,
     dir: Direction,
-    root_stage: StageHandle,
-    carry_leaf: Option<StageHandle>,
+    root_stage: Stage,
+    carry_leaf: Option<Stage>,
 ) -> Option<FeVisit> {
     let (server, now) = (ctx.server, ctx.now);
     // Split borrows: switch, FE and lookup graph are distinct fields.
@@ -96,16 +97,13 @@ fn fe_visit(
     // remainder follows the lookup path's own cost plan.
     let carry = charge.scaled.min(costs.fe_carry);
     let mut root = None;
-    if ctx.profiler_enabled() {
+    if ctx.cl.tel.shared.profiler.is_enabled() {
         if let Some(fe) = ctx.cl.fes.get(&(server, pkt.vnic)) {
-            let plan = costing::plan(path);
-            let c = costing::costs_from_plan(plan, &costs, &fe.vnic, bytes, charge.scaled - carry);
-            // Leaf assembly allocates: only under `profiler_enabled()`,
-            // never in measurement runs.
+            // Leaf assembly allocates: only while profiling, never in
+            // measurement runs.
             let mut leaves = Vec::from_iter(carry_leaf.map(|leaf| (leaf, carry)));
-            costing::plan_leaves(plan, ctx.stages(), &c, &mut |stage, cycles| {
-                leaves.push((stage, cycles));
-            });
+            let rest = charge.scaled - carry;
+            costing::charge_leaves(path, &costs, &fe.vnic, bytes, rest, &mut leaves);
             root = ctx.span(root_stage, pkt, now, charge.done, &leaves);
         }
     }
@@ -131,15 +129,19 @@ pub(crate) fn fe_handle_tx_carry(
         return ctx.misroute(&pkt);
     }
     ctx.trace(ctx.now, &pkt, TraceEventKind::NshDecap);
-    let st = ctx.stages();
-    let (root_stage, decap) = (st.fe_tx_carry, st.nsh_decap);
     let Some(FeVisit {
         pair,
         miss,
         done,
         root,
         ..
-    }) = fe_visit(ctx, &pkt, Direction::Tx, root_stage, Some(decap))
+    }) = fe_visit(
+        ctx,
+        &pkt,
+        Direction::Tx,
+        Stage::FeTxCarry,
+        Some(Stage::NshDecap),
+    )
     else {
         return;
     };
@@ -188,24 +190,22 @@ pub(crate) fn fe_handle_rx(
 ) {
     let (server, now) = (ctx.server, ctx.now);
     let be = binding.be;
-    let st = ctx.stages();
-    let (root_stage, encap) = (st.fe_rx, st.nsh_encap);
     let Some(FeVisit {
         pair,
         done,
         carry,
         root,
         ..
-    }) = fe_visit(ctx, &pkt, Direction::Rx, root_stage, None)
+    }) = fe_visit(ctx, &pkt, Direction::Rx, Stage::FeRx, None)
     else {
         return;
     };
-    ctx.note_fe_rx();
+    ctx.cl.tel.note_fe_rx(server);
     // The carry share is encap work here (the FE wraps the packet for
     // the BE). Its span doubles as the causal hop parent the BE will
     // see — recorded explicitly to capture its id.
     let hop_span = root
-        .and_then(|root| ctx.span_marker(encap, Some(root), &pkt, now, done, carry))
+        .and_then(|root| ctx.span_marker(Stage::NshEncap, root, &pkt, now..done, carry))
         .map_or(0, |id| id.to_raw());
 
     let mut nsh = NezhaHeader::bare(NezhaPayloadKind::RxCarry, pkt.vnic, pkt.vpc);
@@ -230,7 +230,7 @@ pub(crate) fn fe_handle_rx(
 /// Emits one FE→BE notify packet for a missed flow (§3.2.2).
 pub(crate) fn send_notify(ctx: &mut HandlerCtx<'_>, pkt: &Packet, policy: u8, done: SimTime) {
     let fe_server = ctx.server;
-    ctx.inc_notifies();
+    ctx.cl.tel.inc(Ctr::Notifies);
     ctx.trace(done, pkt, TraceEventKind::Notify);
     let be = ctx.cl.vnic_home[&pkt.vnic];
     let mut nsh = NezhaHeader::bare(NezhaPayloadKind::Notify, pkt.vnic, pkt.vpc);
@@ -252,7 +252,7 @@ pub(crate) fn send_notify(ctx: &mut HandlerCtx<'_>, pkt: &Packet, policy: u8, do
     // Scripted notify loss (§3.2.2's channel is best-effort: the BE's
     // rule-table-involved state converges on a later miss instead).
     if ctx.drop_notify() {
-        ctx.inc_fault_notify_drops();
+        ctx.cl.tel.inc(Ctr::FaultNotifyDrops);
         ctx.fault_drop_marker(done, &notify, DropReason::Fault);
         return;
     }

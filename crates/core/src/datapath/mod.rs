@@ -11,21 +11,27 @@
 //!
 //! # The `HandlerCtx` contract
 //!
-//! Handlers contain *protocol logic only*. Every cross-cutting concern —
-//! metrics, packet tracing, profiler spans, fault queries, CPU-cycle
-//! charging, loss/deny/completion accounting — goes through
-//! [`ctx::HandlerCtx`]; the plumbing exists once, in `ctx.rs`. Inside
-//! `datapath/` (except `ctx.rs` itself) direct access to `Cluster::tel`,
-//! `.metrics()`, `.profiler()`, `.trace_pkt()`, `.profile_handler()` or
-//! `.profile_fault_drop()` is a lint error (rule D7).
+//! Handlers contain *protocol logic only*. What stays on
+//! [`ctx::HandlerCtx`] is every operation that binds this invocation's
+//! `server`/`now` or carries logic of its own: the arrival gate, CPU
+//! charging, span and trace recording, the fault-drop marker, and the
+//! loss/deny/completion accounting. It has no pure forwarders: a plain
+//! counter increment is `ctx.cl.tel.inc(Ctr::…)` — the closed
+//! `telemetry::Ctr` vocabulary is the interface, and there is no
+//! string or handle a handler could get wrong.
+//!
+//! Span and trace records are built only by
+//! `nezha_sim::telemetry::Telemetry` (`trace_pkt`, `span_tree`,
+//! `span_marker`), which `HandlerCtx::{trace, span, span_marker}` call
+//! with the server bound; no `Span` or `TraceEvent` literal is written
+//! anywhere else.
 //!
 //! A handler MAY:
 //! * read/mutate protocol state through `ctx.cl` (switches, sessions,
 //!   FEs, BE metadata, gateway, topology, engine scheduling);
-//! * call any `HandlerCtx` method.
+//! * call any `HandlerCtx` method, and `ctx.cl.tel.{inc, add}`.
 //!
 //! A handler MUST NOT:
-//! * touch `tel`, the registry, the trace ring, or the profiler directly;
 //! * draw from the RNG (only `lose_packet`'s jitter does, inside the
 //!   driver);
 //! * panic on broken invariants — degrade to a counted misroute/loss.

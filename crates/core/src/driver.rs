@@ -9,6 +9,7 @@
 use crate::cluster::Cluster;
 use crate::conn::ConnStatus;
 use crate::datapath::dispatch::{flow_hash, Event};
+use crate::telemetry::{Ctr, Hist, Series};
 use nezha_sim::time::{SimDuration, SimTime};
 use nezha_types::{Direction, Packet, ServerId};
 
@@ -49,7 +50,7 @@ impl Cluster {
                 Packet::rx_data(trace, spec.vpc, spec.vnic, tuple, step.flags, payload)
             }
         };
-        self.tel.series_add(self.tel.total_series, now, 1.0);
+        self.tel.series_add(Series::Total, now, 1.0);
         match step.dir {
             Direction::Tx => {
                 // VM-originated: the kernel pays its share of the
@@ -98,13 +99,13 @@ impl Cluster {
         }
         conn.pos += 1;
         conn.retries = 0;
-        self.tel.inc(self.tel.pkt_ok);
+        self.tel.inc(Ctr::PktOk);
         if conn.pos == conn.spec.kind.script().len() {
             conn.status = ConnStatus::Completed;
             let latency = now.since(conn.started_at);
-            self.tel.inc(self.tel.completed);
-            self.tel.observe_duration(self.tel.conn_latency, latency);
-            self.tel.series_add(self.tel.cps_series, now, 1.0);
+            self.tel.inc(Ctr::Completed);
+            self.tel.observe_duration(Hist::ConnLatency, latency);
+            self.tel.series_add(Series::Cps, now, 1.0);
             if let Some(vm) = self.vms.get_mut(&conn.spec.vnic) {
                 vm.conn_completed();
             }
@@ -127,7 +128,7 @@ impl Cluster {
         conn.retries += 1;
         if conn.retries > self.cfg.max_retries {
             conn.status = ConnStatus::Failed;
-            self.tel.inc(self.tel.failed);
+            self.tel.inc(Ctr::Failed);
             return;
         }
         self.inject_step(conn_id, step, now);
@@ -137,10 +138,10 @@ impl Cluster {
     /// exponential backoff (base `retry_timeout`, doubling per retry up
     /// to `retry_cap`) plus ±25% seeded jitter.
     pub(crate) fn lose_packet(&mut self, trace: u64, now: SimTime) {
-        self.tel.series_add(self.tel.loss_series, now, 1.0);
-        self.tel.inc(self.tel.pkt_dropped);
+        self.tel.series_add(Series::Loss, now, 1.0);
+        self.tel.inc(Ctr::PktDropped);
         if self.faults.any_active() {
-            self.tel.inc(self.tel.fault_inflight_loss);
+            self.tel.inc(Ctr::FaultInflightLoss);
         }
         if trace & PROBE_BIT != 0 || trace == 0 {
             return; // probes and notify packets (trace 0) are not retried
@@ -166,7 +167,7 @@ impl Cluster {
         {
             if conn.status == ConnStatus::InFlight {
                 conn.status = ConnStatus::Denied;
-                self.tel.inc(self.tel.denied);
+                self.tel.inc(Ctr::Denied);
             }
         }
     }
@@ -176,7 +177,7 @@ impl Cluster {
         if trace & PROBE_BIT != 0 {
             if trace & SILENT_BIT == 0 {
                 self.tel
-                    .observe_duration(self.tel.probe_latency, at.since(sent_at));
+                    .observe_duration(Hist::ProbeLatency, at.since(sent_at));
             }
             return;
         }

@@ -15,6 +15,7 @@
 //! inspection.
 
 use crate::cluster::{Cluster, Event};
+use crate::telemetry::{Ctr, Hist};
 use nezha_sim::time::SimTime;
 use nezha_types::{ServerId, VnicId};
 use std::collections::BTreeMap;
@@ -87,7 +88,7 @@ impl Cluster {
         if targets.len() >= 4 && apparently_dead * 2 > targets.len() {
             if !self.monitor.suspended {
                 self.monitor.suspended = true;
-                self.tel.inc(self.tel.monitor_suspensions);
+                self.tel.inc(Ctr::MonitorSuspensions);
             }
             return;
         }
@@ -132,7 +133,7 @@ impl Cluster {
                     if cur < cfg.min_fes {
                         self.scale_out_excluding(vnic, cfg.min_fes - cur, &[fe], now);
                     }
-                    self.tel.inc(self.tel.failover_events);
+                    self.tel.inc(Ctr::FailoverEvents);
                 }
             }
         }
@@ -158,9 +159,9 @@ impl Cluster {
         }
         if let Some(crashed_at) = self.monitor.crash_pending.remove(&dead) {
             self.tel
-                .observe_duration(self.tel.detection_latency, now.since(crashed_at));
+                .observe_duration(Hist::DetectionLatency, now.since(crashed_at));
         }
-        self.tel.inc(self.tel.failover_events);
+        self.tel.inc(Ctr::FailoverEvents);
         for vnic in victims {
             self.remove_fe(vnic, dead, now);
             let cur = self.be_meta.get(&vnic).map_or(0, |m| m.fe_list.len());

@@ -1,23 +1,17 @@
-//! The cluster's telemetry plumbing: the shared [`MetricsRegistry`], the
-//! shared [`PacketTrace`] ring, the cycle-attribution [`Profiler`], and
-//! every pre-registered handle the hot paths increment through.
+//! The cluster's telemetry plumbing: the one [`Telemetry`] handle every
+//! component is constructed with, and the closed vocabularies ([`Ctr`],
+//! [`Hist`], [`Series`]) naming each cluster-level instrument once.
 //!
 //! Registration happens exactly once, in [`ClusterTelemetry::register`]
 //! (called from `Cluster::new`); registry lookups are string-keyed and
-//! must never run mid-simulation (lint rules D5/D6). Datapath handlers
-//! reach this module only through `datapath::ctx::HandlerCtx` (lint rule
-//! D7); the management plane (`controller.rs`, `monitor.rs`) uses the
-//! handles directly.
+//! must never run mid-simulation (lint rule D5).
 
-use nezha_sim::metrics::{
-    CounterHandle, GaugeHandle, HistogramHandle, MetricsRegistry, SeriesHandle,
-};
+use nezha_sim::metrics::{CounterHandle, GaugeHandle, HistogramHandle, SeriesHandle};
 use nezha_sim::obs::{RegistryWindows, SloRule};
-use nezha_sim::profile::{Profiler, Span, SpanId, StageHandle, StageSet};
 use nezha_sim::stats::{Counter, Samples, TimeSeries};
+use nezha_sim::telemetry::Telemetry;
 use nezha_sim::time::{SimDuration, SimTime};
-use nezha_sim::trace::PacketTrace;
-use nezha_types::{Packet, ServerId};
+use nezha_types::ServerId;
 
 /// Aggregated measurements.
 ///
@@ -83,50 +77,91 @@ pub struct ClusterStats {
     pub detection_latency: Samples,
 }
 
-/// The cluster's telemetry plumbing: the shared registry, the shared
-/// packet-trace ring, and the pre-registered handles every hot-path
-/// increment goes through. Registered once in `Cluster::new`.
+/// Declares a closed instrument vocabulary: each line names a variant
+/// and its registry key, once. The variant indexes the handle array
+/// registered from `ALL`.
+macro_rules! vocabulary {
+    ($(#[$meta:meta])* $name:ident { $($variant:ident = $key:literal),+ $(,)? }) => {
+        $(#[$meta])*
+        #[derive(Clone, Copy, Debug)]
+        pub(crate) enum $name { $($variant),+ }
+
+        impl $name {
+            /// Every variant with its registry key, in index order.
+            const ALL: [($name, &'static str); [$($key),+].len()] =
+                [$(($name::$variant, $key)),+];
+        }
+    };
+}
+
+vocabulary! {
+    /// The cluster-level counters.
+    Ctr {
+        PktOk = "pkt.ok",
+        PktDropped = "pkt.dropped",
+        Completed = "conn.completed",
+        Denied = "conn.denied",
+        Failed = "conn.failed",
+        Notifies = "nsh.notifies",
+        MirrorCopies = "pkt.mirror_copies",
+        StaleBounces = "pkt.stale_bounces",
+        Misroutes = "pkt.misroutes",
+        OffloadEvents = "ctrl.offload_events",
+        ScaleOutEvents = "ctrl.scale_out_events",
+        ScaleInEvents = "ctrl.scale_in_events",
+        FallbackEvents = "ctrl.fallback_events",
+        FailoverEvents = "ctrl.failover_events",
+        MonitorSuspensions = "monitor.suspensions",
+        FaultEvents = "fault.events",
+        FaultLinkDrops = "fault.link_drops",
+        FaultNotifyDrops = "fault.notify_drops",
+        FaultInflightLoss = "fault.inflight_loss",
+        DegradedEvents = "ctrl.degraded_events",
+        RehashChurn = "fault.rehash_churn",
+    }
+}
+
+vocabulary! {
+    /// The cluster-level exact-sample histograms (seconds).
+    Hist {
+        ProbeLatency = "latency.probe",
+        ConnLatency = "latency.conn",
+        OffloadCompletion = "offload.completion",
+        DetectionLatency = "fault.detection_latency",
+    }
+}
+
+vocabulary! {
+    /// The cluster-level binned series.
+    Series {
+        Cps = "conn.cps",
+        Loss = "pkt.loss",
+        Total = "pkt.total",
+    }
+}
+
+impl Series {
+    fn bin(self) -> SimDuration {
+        match self {
+            Series::Cps => SimDuration::from_millis(50),
+            Series::Loss | Series::Total => SimDuration::from_millis(100),
+        }
+    }
+}
+
+/// The cluster's telemetry plumbing: the shared handle and the
+/// pre-registered handles every hot-path increment goes through.
+/// Registered once in `Cluster::new`.
 #[derive(Debug, Clone)]
 pub(crate) struct ClusterTelemetry {
-    /// The registry shared by the engine, every vSwitch, and the cluster.
-    pub(crate) registry: MetricsRegistry,
-    /// The trace ring shared with every vSwitch (disabled until
-    /// `Cluster::enable_trace`).
-    pub(crate) trace: PacketTrace,
-    /// The cycle-attribution profiler shared with every vSwitch (disabled
-    /// until `Cluster::enable_profile`).
-    pub(crate) profiler: Profiler,
-    /// Pre-registered span stage handles (lint rule D6: stage lookups are
-    /// string-keyed and must never run mid-simulation).
-    pub(crate) stages: StageSet,
-    pub(crate) pkt_ok: CounterHandle,
-    pub(crate) pkt_dropped: CounterHandle,
-    pub(crate) probe_latency: HistogramHandle,
-    pub(crate) conn_latency: HistogramHandle,
-    pub(crate) cps_series: SeriesHandle,
-    pub(crate) loss_series: SeriesHandle,
-    pub(crate) total_series: SeriesHandle,
-    pub(crate) offload_completion: HistogramHandle,
-    pub(crate) completed: CounterHandle,
-    pub(crate) denied: CounterHandle,
-    pub(crate) failed: CounterHandle,
-    pub(crate) notifies: CounterHandle,
-    pub(crate) mirror_copies: CounterHandle,
-    pub(crate) stale_bounces: CounterHandle,
-    pub(crate) misroutes: CounterHandle,
-    pub(crate) offload_events: CounterHandle,
-    pub(crate) scale_out_events: CounterHandle,
-    pub(crate) scale_in_events: CounterHandle,
-    pub(crate) fallback_events: CounterHandle,
-    pub(crate) failover_events: CounterHandle,
-    pub(crate) monitor_suspensions: CounterHandle,
-    pub(crate) fault_events: CounterHandle,
-    pub(crate) fault_link_drops: CounterHandle,
-    pub(crate) fault_notify_drops: CounterHandle,
-    pub(crate) fault_inflight_loss: CounterHandle,
-    pub(crate) degraded_events: CounterHandle,
-    pub(crate) rehash_churn: CounterHandle,
-    pub(crate) detection_latency: HistogramHandle,
+    /// The registry, trace ring and profiler shared by the engine, every
+    /// vSwitch, and the cluster (trace and profiler disabled until
+    /// `Cluster::enable_trace` / `Cluster::enable_profile`).
+    pub(crate) shared: Telemetry,
+    /// Handles indexed by [`Ctr`], [`Hist`] and [`Series`].
+    counters: [CounterHandle; Ctr::ALL.len()],
+    hists: [HistogramHandle; Hist::ALL.len()],
+    series: [SeriesHandle; Series::ALL.len()],
     /// Per-server controller report gauges, indexed by `ServerId.0`.
     /// Pre-registered at startup: registry lookups are string-keyed and
     /// must never run mid-simulation (lint rule D5).
@@ -150,10 +185,9 @@ pub(crate) struct ServerCtrlGauges {
 }
 
 impl ClusterTelemetry {
-    /// Registers every handle. The registration *order* is part of the
-    /// golden-snapshot contract: metric snapshots serialize in it, so it
-    /// must not change across refactors.
-    pub(crate) fn register(registry: MetricsRegistry, servers: usize) -> Self {
+    /// Registers every cluster-level handle against `shared`.
+    pub(crate) fn register(shared: Telemetry, servers: usize) -> Self {
+        let registry = &shared.registry;
         let ctrl_gauges = (0..servers)
             .map(|i| {
                 let labels = [("server", i.to_string())];
@@ -165,46 +199,14 @@ impl ClusterTelemetry {
                 }
             })
             .collect();
-        let c = |name: &str| registry.counter(name, &[]);
-        let h = |name: &str| registry.histogram(name, &[]);
-        let profiler = Profiler::new();
-        let stages = StageSet::register(&profiler);
         ClusterTelemetry {
-            trace: PacketTrace::disabled(),
-            profiler,
-            stages,
-            pkt_ok: c("pkt.ok"),
-            pkt_dropped: c("pkt.dropped"),
-            probe_latency: h("latency.probe"),
-            conn_latency: h("latency.conn"),
-            cps_series: registry.series("conn.cps", &[], SimDuration::from_millis(50)),
-            loss_series: registry.series("pkt.loss", &[], SimDuration::from_millis(100)),
-            total_series: registry.series("pkt.total", &[], SimDuration::from_millis(100)),
-            offload_completion: h("offload.completion"),
-            completed: c("conn.completed"),
-            denied: c("conn.denied"),
-            failed: c("conn.failed"),
-            notifies: c("nsh.notifies"),
-            mirror_copies: c("pkt.mirror_copies"),
-            stale_bounces: c("pkt.stale_bounces"),
-            misroutes: c("pkt.misroutes"),
-            offload_events: c("ctrl.offload_events"),
-            scale_out_events: c("ctrl.scale_out_events"),
-            scale_in_events: c("ctrl.scale_in_events"),
-            fallback_events: c("ctrl.fallback_events"),
-            failover_events: c("ctrl.failover_events"),
-            monitor_suspensions: c("monitor.suspensions"),
-            fault_events: c("fault.events"),
-            fault_link_drops: c("fault.link_drops"),
-            fault_notify_drops: c("fault.notify_drops"),
-            fault_inflight_loss: c("fault.inflight_loss"),
-            degraded_events: c("ctrl.degraded_events"),
-            rehash_churn: c("fault.rehash_churn"),
-            detection_latency: h("fault.detection_latency"),
+            counters: Ctr::ALL.map(|(_, key)| registry.counter(key, &[])),
+            hists: Hist::ALL.map(|(_, key)| registry.histogram(key, &[])),
+            series: Series::ALL.map(|(s, key)| registry.series(key, &[], s.bin())),
             ctrl_gauges,
             windows: None,
             fe_rx: None,
-            registry,
+            shared,
         }
     }
 
@@ -222,7 +224,8 @@ impl ClusterTelemetry {
     ) {
         let fe_rx = (0..servers)
             .map(|i| {
-                self.registry
+                self.shared
+                    .registry
                     .counter("fe.rx_pkts", &[("server", i.to_string())])
             })
             .collect();
@@ -235,129 +238,69 @@ impl ClusterTelemetry {
     pub(crate) fn note_fe_rx(&self, server: ServerId) {
         if let Some(fe_rx) = &self.fe_rx {
             if let Some(h) = fe_rx.get(server.0 as usize) {
-                self.registry.inc(*h);
+                self.shared.registry.inc(*h);
             }
         }
     }
 
     /// Counter increment (hot path: one borrow + one index).
-    pub(crate) fn inc(&self, h: CounterHandle) {
-        self.registry.inc(h);
+    pub(crate) fn inc(&self, c: Ctr) {
+        self.add(c, 1);
     }
 
     /// Counter increment by `n`.
-    pub(crate) fn add(&self, h: CounterHandle, n: u64) {
-        self.registry.add(h, n);
+    pub(crate) fn add(&self, c: Ctr, n: u64) {
+        self.shared.registry.add(self.counters[c as usize], n);
     }
 
     /// Duration observation in seconds.
-    pub(crate) fn observe_duration(&self, h: HistogramHandle, d: SimDuration) {
-        self.registry.observe_duration(h, d);
+    pub(crate) fn observe_duration(&self, h: Hist, d: SimDuration) {
+        self.shared
+            .registry
+            .observe_duration(self.hists[h as usize], d);
     }
 
     /// Series bin accumulation.
-    pub(crate) fn series_add(&self, h: SeriesHandle, at: SimTime, v: f64) {
-        self.registry.series_add(h, at, v);
-    }
-
-    /// Records one handler root span (zero cycles, one packet, the wire
-    /// bytes) plus its cycle-bearing leaves, returning the root id so the
-    /// caller can thread it through the next BE↔FE hop. The root parents
-    /// on the packet's carried causal id (`pkt.prof_span`). Zero-cycle
-    /// leaves are skipped — markers that must exist regardless (the NSH
-    /// hop parents) are recorded by the caller directly.
-    pub(crate) fn profile_handler(
-        &self,
-        stage: StageHandle,
-        pkt: &Packet,
-        server: ServerId,
-        start: SimTime,
-        end: SimTime,
-        leaves: &[(StageHandle, u64)],
-    ) -> Option<SpanId> {
-        if !self.profiler.is_enabled() {
-            return None;
-        }
-        let base = Span {
-            stage,
-            parent: SpanId::from_raw(pkt.prof_span),
-            trace: pkt.trace,
-            server,
-            vnic: pkt.vnic,
-            start,
-            end,
-            cycles: 0,
-            bytes: pkt.wire_len() as u64,
-            packets: 1,
-        };
-        let root = self.profiler.record(base);
-        for &(stage, cycles) in leaves {
-            if cycles > 0 {
-                self.profiler.record(Span {
-                    stage,
-                    parent: root,
-                    cycles,
-                    bytes: 0,
-                    packets: 0,
-                    ..base
-                });
-            }
-        }
-        root
-    }
-
-    /// Records the zero-cycle drop marker for a packet the fault engine
-    /// (or a dead peer) discarded, parented under the packet's causal
-    /// span so injected losses show up inside the victim's span tree.
-    pub(crate) fn profile_fault_drop(&self, pkt: &Packet, server: ServerId, at: SimTime) {
-        if !self.profiler.is_enabled() {
-            return;
-        }
-        self.profiler.record(Span {
-            stage: self.stages.fault_drop,
-            parent: SpanId::from_raw(pkt.prof_span),
-            trace: pkt.trace,
-            server,
-            vnic: pkt.vnic,
-            start: at,
-            end: at,
-            cycles: 0,
-            bytes: pkt.wire_len() as u64,
-            packets: 1,
-        });
+    pub(crate) fn series_add(&self, s: Series, at: SimTime, v: f64) {
+        self.shared
+            .registry
+            .series_add(self.series[s as usize], at, v);
     }
 
     /// Assembles the legacy [`ClusterStats`] view from the registry.
     pub(crate) fn stats(&self) -> ClusterStats {
-        let v = |h: CounterHandle| self.registry.counter_value(h);
+        let reg = &self.shared.registry;
+        let v = |c: Ctr| reg.counter_value(self.counters[c as usize]);
+        let h = |h: Hist| reg.histogram_samples(self.hists[h as usize]);
+        let s = |s: Series| reg.series_data(self.series[s as usize]);
         ClusterStats {
             pkts: Counter {
-                ok: v(self.pkt_ok),
-                dropped: v(self.pkt_dropped),
+                ok: v(Ctr::PktOk),
+                dropped: v(Ctr::PktDropped),
             },
-            probe_latency: self.registry.histogram_samples(self.probe_latency),
-            conn_latency: self.registry.histogram_samples(self.conn_latency),
-            cps_series: self.registry.series_data(self.cps_series),
-            loss_series: self.registry.series_data(self.loss_series),
-            total_series: self.registry.series_data(self.total_series),
-            offload_completion: self.registry.histogram_samples(self.offload_completion),
-            completed: v(self.completed),
-            denied: v(self.denied),
-            failed: v(self.failed),
-            notifies: v(self.notifies),
-            mirror_copies: v(self.mirror_copies),
-            stale_bounces: v(self.stale_bounces),
-            misroutes: v(self.misroutes),
-            offload_events: v(self.offload_events),
-            scale_out_events: v(self.scale_out_events),
-            scale_in_events: v(self.scale_in_events),
-            fallback_events: v(self.fallback_events),
-            failover_events: v(self.failover_events),
-            monitor_suspensions: v(self.monitor_suspensions),
-            fault_events: v(self.fault_events),
-            degraded_events: v(self.degraded_events),
-            rehash_churn: v(self.rehash_churn),
-            detection_latency: self.registry.histogram_samples(self.detection_latency),
+            probe_latency: h(Hist::ProbeLatency),
+            conn_latency: h(Hist::ConnLatency),
+            cps_series: s(Series::Cps),
+            loss_series: s(Series::Loss),
+            total_series: s(Series::Total),
+            offload_completion: h(Hist::OffloadCompletion),
+            completed: v(Ctr::Completed),
+            denied: v(Ctr::Denied),
+            failed: v(Ctr::Failed),
+            notifies: v(Ctr::Notifies),
+            mirror_copies: v(Ctr::MirrorCopies),
+            stale_bounces: v(Ctr::StaleBounces),
+            misroutes: v(Ctr::Misroutes),
+            offload_events: v(Ctr::OffloadEvents),
+            scale_out_events: v(Ctr::ScaleOutEvents),
+            scale_in_events: v(Ctr::ScaleInEvents),
+            fallback_events: v(Ctr::FallbackEvents),
+            failover_events: v(Ctr::FailoverEvents),
+            monitor_suspensions: v(Ctr::MonitorSuspensions),
+            fault_events: v(Ctr::FaultEvents),
+            degraded_events: v(Ctr::DegradedEvents),
+            rehash_churn: v(Ctr::RehashChurn),
+            detection_latency: h(Hist::DetectionLatency),
         }
     }
 }

@@ -44,14 +44,10 @@ const HINT_D11: &str = "pass per-shard state by &mut instead; shared mutable sta
 /// Observability modules allowed to keep `Rc`/`RefCell` internals: they
 /// are never shared across shard boundaries (one instance per shard,
 /// merged through explicit snapshots).
-const D11_ALLOWED_FILES: [&str; 7] = [
+const D11_ALLOWED_FILES: [&str; 3] = [
     "crates/sim/src/metrics.rs",
     "crates/sim/src/trace.rs",
     "crates/sim/src/profile.rs",
-    "crates/sim/src/obs/mod.rs",
-    "crates/sim/src/obs/loghist.rs",
-    "crates/sim/src/obs/slo.rs",
-    "crates/sim/src/obs/export.rs",
 ];
 
 /// Hot-path files where *every* function is a D10 root (the PR 6

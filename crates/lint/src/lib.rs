@@ -8,12 +8,9 @@
 //! | rule | severity | what it forbids |
 //! |------|----------|-----------------|
 //! | D1   | error    | `Instant::now` / `SystemTime::now` in sim-visible crates |
-//! | D2   | error    | `thread_rng` / `from_entropy` / OS-entropy RNGs outside `nezha-sim::rng` |
 //! | D3   | error    | iteration over `HashMap`/`HashSet` bindings in sim-visible crates |
 //! | D4   | error    | `unwrap`/`expect`/`panic!`/`todo!` in control-plane modules |
 //! | D5   | warning  | `MetricsRegistry` handle acquisition outside a startup path |
-//! | D6   | warning  | `Profiler` stage-handle interning outside a startup path |
-//! | D7   | error    | direct telemetry/trace/profiler access in datapath handlers (must go through `HandlerCtx`) |
 //! | D8   | error    | panic site transitively reachable from a control-plane entry point |
 //! | D9   | error    | `SimRng` seeded outside `derive_seed`, or a stream name reused across modules |
 //! | D10  | error    | heap allocation on a hot path (ladder drain, DenseMap probe, NSH codec, datapath handlers) |
@@ -28,7 +25,7 @@
 //! is a hand-rolled lexer feeding two passes. Pass 1 (`symbols`,
 //! `callgraph`) builds a workspace-wide symbol index and a conservative
 //! intra-crate call graph from the token streams; pass 2 runs the
-//! D1–D7 token-pattern rules (`rules`) and the D8–D11
+//! D1/D3–D5 token-pattern rules (`rules`) and the D8–D11
 //! call-graph/dataflow rules (`graph_rules`). See DESIGN.md §9c for the
 //! architecture and the false-negative envelope.
 
@@ -102,7 +99,7 @@ pub struct Analysis {
 
 /// Two-pass analysis: pass 1 builds the workspace-wide symbol index and
 /// call graph over *every* workspace file plus the targets (so D8–D11
-/// can resolve cross-file calls); pass 2 runs D1–D7 token rules and
+/// can resolve cross-file calls); pass 2 runs the D1/D3–D5 token rules and
 /// D8–D11 graph rules, reporting only violations in `targets`.
 pub fn analyze(root: &Path, targets: &[PathBuf]) -> io::Result<Analysis> {
     // Index set = workspace ∪ targets, deduped by workspace-relative path.

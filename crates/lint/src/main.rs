@@ -15,11 +15,11 @@ use nezha_lint::{
 };
 
 const USAGE: &str = "\
-nezha-lint: workspace determinism, panic-safety & layering checks (rules D1-D11)
+nezha-lint: workspace determinism & panic-safety checks (rules D1, D3-D5, D8-D11)
 
 Two-pass analyzer: pass 1 indexes symbols and builds a conservative
 intra-crate call graph across the whole workspace; pass 2 runs the
-token-pattern rules (D1-D7) and the
+token-pattern rules (D1, D3-D5) and the
 call-graph/dataflow rules (D8 panic reachability, D9 RNG-stream
 lineage, D10 hot-path allocation, D11 shard safety).
 
@@ -32,7 +32,7 @@ OPTIONS:
                        tests/, examples/; vendor/, target/ and fixtures skipped)
     --json             machine-readable JSON on stdout
     --github           GitHub Actions ::error/::warning annotations on stdout
-    --deny-warnings    treat warnings (D5/D6/stale allows) as failures
+    --deny-warnings    treat warnings (D5/stale allows) as failures
     --stale-allows     also report allow() directives that suppress nothing
     --root DIR         workspace root for relative paths / --workspace
                        (default: the repo containing this crate)

@@ -1,8 +1,8 @@
-//! The D1–D7 determinism, panic-safety & layering rules, plus the
+//! The token-pattern determinism & panic-safety rules (D1, D3–D5), plus the
 //! shared rule registry and allow-directive machinery used by the graph
 //! rules (D8–D11, see `graph_rules`).
 //!
-//! D1–D7 are token-pattern matches over the lexed stream with a
+//! They are token-pattern matches over the lexed stream with a
 //! path-based scope. Test items (`#[test]` fns, `#[cfg(test)]` mods) are
 //! stripped before matching: the rules guard simulation-visible and
 //! control-plane behaviour, not assertions about it.
@@ -60,17 +60,14 @@ pub struct RuleInfo {
     pub summary: &'static str,
 }
 
-/// Every rule the analyzer knows, in id order.
-pub const ALL_RULES: [RuleInfo; 11] = [
+/// Every rule the analyzer knows, in id order. Ids are stable: D2, D6,
+/// D7 and D12 were retired once the compiler or a closed type made their
+/// violations unrepresentable, and are not reused.
+pub const ALL_RULES: [RuleInfo; 8] = [
     RuleInfo {
         id: "D1",
         severity: Severity::Error,
         summary: "Instant::now / SystemTime::now in sim-visible crates",
-    },
-    RuleInfo {
-        id: "D2",
-        severity: Severity::Error,
-        summary: "thread_rng / from_entropy / OS-entropy RNGs outside nezha-sim::rng",
     },
     RuleInfo {
         id: "D3",
@@ -86,16 +83,6 @@ pub const ALL_RULES: [RuleInfo; 11] = [
         id: "D5",
         severity: Severity::Warning,
         summary: "MetricsRegistry handle acquisition outside a startup path",
-    },
-    RuleInfo {
-        id: "D6",
-        severity: Severity::Warning,
-        summary: "Profiler stage-handle interning outside a startup path",
-    },
-    RuleInfo {
-        id: "D7",
-        severity: Severity::Error,
-        summary: "direct telemetry/trace/profiler access in datapath handlers (use HandlerCtx)",
     },
     RuleInfo {
         id: "D8",
@@ -125,12 +112,9 @@ pub const ALL_RULES: [RuleInfo; 11] = [
 #[derive(Clone, Copy, Debug)]
 struct Scope {
     d1: bool,
-    d2: bool,
     d3: bool,
     d4: bool,
     d5: bool,
-    d6: bool,
-    d7: bool,
 }
 
 /// Crates whose code runs inside the simulation and therefore must be
@@ -164,16 +148,6 @@ pub(crate) const CONTROL_PLANE_PATHS: [&str; 3] = [
     "crates/core/src/driver.rs",
 ];
 
-/// Cross-cutting accessors that datapath handlers must reach through
-/// `HandlerCtx` instead of calling directly (rule D7).
-const D7_METHODS: [&str; 5] = [
-    "metrics",
-    "profiler",
-    "trace_pkt",
-    "profile_handler",
-    "profile_fault_drop",
-];
-
 /// Methods whose call on a `HashMap`/`HashSet` binding observes the
 /// (randomised) iteration order.
 const ITER_METHODS: [&str; 8] = [
@@ -190,35 +164,22 @@ const ITER_METHODS: [&str; 8] = [
 /// `MetricsRegistry` methods that register (or string-look-up) a handle.
 const REGISTRY_METHODS: [&str; 5] = ["counter", "gauge", "histogram", "series", "log_histogram"];
 
-/// `Profiler` methods that intern (string-look-up) a stage handle.
-const STAGE_METHODS: [&str; 1] = ["stage"];
-
 const HINT_D1: &str = "take time from the simulated clock (nezha-sim SimTime / engine now())";
-const HINT_D2: &str = "construct RNGs from the run seed via nezha-sim's SimRng";
 const HINT_D3: &str =
     "use BTreeMap/BTreeSet (or sort keys first), or allow-list with a justification";
 const HINT_D4: &str = "return a typed NezhaResult error instead of panicking in the control plane";
 const HINT_D5: &str =
     "pre-register the handle in new()/register()/attach_metrics() and store it; registry \
      lookups are string-keyed and do not belong on the simulation path";
-const HINT_D6: &str =
-    "intern the StageHandle in new()/register() and store it (e.g. in a StageSet); \
-     `.stage(\"…\")` interns a string and does not belong in a per-packet hot loop";
-const HINT_D7: &str = "route metrics/trace/profiler/fault access through the HandlerCtx methods \
-     (ctx.span/ctx.trace/ctx.charge/ctx.drop_pkt/…); the plumbing lives in \
-     crates/core/src/datapath/ctx.rs";
 
 fn scope_for(path: &str) -> Scope {
     // Fixture files exercise every rule regardless of where they live.
     if path.contains("fixtures") {
         return Scope {
             d1: true,
-            d2: true,
             d3: true,
             d4: true,
             d5: true,
-            d6: true,
-            d7: true,
         };
     }
     let sim_visible = SIM_VISIBLE.iter().any(|p| path.starts_with(p));
@@ -228,8 +189,6 @@ fn scope_for(path: &str) -> Scope {
         CONTROL_PLANE_FILES.contains(&file_name) || CONTROL_PLANE_PATHS.contains(&path);
     Scope {
         d1: sim_visible || path.starts_with("crates/bench/src/"),
-        // `nezha-sim::rng` is the one sanctioned home for entropy plumbing.
-        d2: path != "crates/sim/src/rng.rs",
         d3: sim_visible,
         d4: sim_visible && (control_plane || datapath),
         // metrics.rs implements the registry itself; the obs layer reads
@@ -238,14 +197,10 @@ fn scope_for(path: &str) -> Scope {
         d5: sim_visible
             && path != "crates/sim/src/metrics.rs"
             && !path.starts_with("crates/sim/src/obs/"),
-        // profile.rs implements the profiler itself.
-        d6: sim_visible && path != "crates/sim/src/profile.rs",
-        // ctx.rs *is* the sanctioned plumbing layer.
-        d7: datapath && !path.ends_with("ctx.rs"),
     }
 }
 
-/// Runs the token-pattern rules (D1–D7) over one file, applying allow
+/// Runs the token-pattern rules (D1, D3–D5) over one file, applying allow
 /// directives. The graph rules (D8–D11) need the whole workspace index —
 /// use `analyze` in the crate root for the full two-pass run.
 pub fn check_file(rel_path: &str, src: &str) -> Vec<Violation> {
@@ -256,7 +211,7 @@ pub fn check_file(rel_path: &str, src: &str) -> Vec<Violation> {
     apply_allows_tracked(raw, &lexed.allows, &mut used)
 }
 
-/// The D1–D7 token-pattern pass: raw violations, before allow directives.
+/// The token-pattern pass (D1, D3–D5): raw violations, before allow directives.
 pub(crate) fn token_rules(rel_path: &str, toks: &[SpannedTok]) -> Vec<Violation> {
     let scope = scope_for(rel_path);
     let hash_names = if scope.d3 {
@@ -324,31 +279,6 @@ pub(crate) fn token_rules(rel_path: &str, toks: &[SpannedTok]) -> Vec<Violation>
                         format!("wall-clock read `{id}::now()` in sim-visible code"),
                         HINT_D1,
                     );
-                }
-
-                // D2: OS-entropy RNG construction.
-                if scope.d2 {
-                    if id == "thread_rng" || id == "from_entropy" || id == "OsRng" {
-                        push(
-                            t.line,
-                            "D2",
-                            Severity::Error,
-                            format!("unseeded RNG source `{id}` outside nezha-sim::rng"),
-                            HINT_D2,
-                        );
-                    } else if id == "rand"
-                        && tok_is(toks, i + 1, ':')
-                        && tok_is(toks, i + 2, ':')
-                        && ident_at(toks, i + 3) == Some("random")
-                    {
-                        push(
-                            t.line,
-                            "D2",
-                            Severity::Error,
-                            "unseeded RNG source `rand::random` outside nezha-sim::rng".to_string(),
-                            HINT_D2,
-                        );
-                    }
                 }
 
                 // D3: order-visible iteration over a hash collection.
@@ -428,64 +358,6 @@ pub(crate) fn token_rules(rel_path: &str, toks: &[SpannedTok]) -> Vec<Violation>
                                  startup path"
                             ),
                             HINT_D5,
-                        );
-                    }
-                }
-
-                // D6: profiler stage-handle interning outside a startup path.
-                if scope.d6
-                    && STAGE_METHODS.contains(&id.as_str())
-                    && i >= 1
-                    && tok_is(toks, i - 1, '.')
-                    && tok_is(toks, i + 1, '(')
-                {
-                    let in_startup = fn_stack
-                        .last()
-                        .map(|(f, _)| is_startup_fn(f))
-                        .unwrap_or(false);
-                    if !in_startup {
-                        let fname = fn_stack
-                            .last()
-                            .map(|(f, _)| f.as_str())
-                            .unwrap_or("<top level>");
-                        push(
-                            t.line,
-                            "D6",
-                            Severity::Warning,
-                            format!(
-                                "profiler stage handle `.{id}(..)` interned in `{fname}`, \
-                                 not a startup path"
-                            ),
-                            HINT_D6,
-                        );
-                    }
-                }
-
-                // D7: datapath handlers bypassing HandlerCtx to reach the
-                // telemetry plumbing directly.
-                if scope.d7 {
-                    if id == "tel" && i >= 1 && tok_is(toks, i - 1, '.') {
-                        push(
-                            t.line,
-                            "D7",
-                            Severity::Error,
-                            "direct `.tel` telemetry access in a datapath handler".to_string(),
-                            HINT_D7,
-                        );
-                    }
-                    if D7_METHODS.contains(&id.as_str())
-                        && i >= 1
-                        && tok_is(toks, i - 1, '.')
-                        && tok_is(toks, i + 1, '(')
-                    {
-                        push(
-                            t.line,
-                            "D7",
-                            Severity::Error,
-                            format!(
-                                "direct `.{id}(..)` call bypasses HandlerCtx in a datapath handler"
-                            ),
-                            HINT_D7,
                         );
                     }
                 }
@@ -670,13 +542,6 @@ mod tests {
     }
 
     #[test]
-    fn d2_flags_entropy_everywhere_except_sim_rng() {
-        let src = "fn f() { let mut r = thread_rng(); }\n";
-        assert_eq!(rules_found("crates/lint/src/x.rs", src), vec![("D2", 1)]);
-        assert!(rules_found("crates/sim/src/rng.rs", src).is_empty());
-    }
-
-    #[test]
     fn d3_flags_hash_iteration_but_not_btree() {
         let src = "struct S { m: HashMap<u32, u32>, b: BTreeMap<u32, u32> }\n\
                    fn f(s: &S) {\n\
@@ -713,44 +578,6 @@ mod tests {
     }
 
     #[test]
-    fn d6_allows_startup_paths_and_exempts_profile_rs() {
-        let ok =
-            "impl T { fn register(&mut self, p: &Profiler) { self.h = p.stage(\"parse\"); } }\n";
-        let bad = "impl T { fn tick(&mut self, p: &Profiler) { let h = p.stage(\"parse\"); } }\n";
-        assert!(rules_found("crates/core/src/x.rs", ok).is_empty());
-        assert_eq!(rules_found("crates/core/src/x.rs", bad), vec![("D6", 1)]);
-        // The profiler's own implementation interns freely.
-        assert!(rules_found("crates/sim/src/profile.rs", bad).is_empty());
-    }
-
-    #[test]
-    fn d7_flags_datapath_handlers_but_not_ctx_or_cluster() {
-        let tel = "fn f(ctx: &mut HandlerCtx) { ctx.cl.tel.inc(ctx.cl.tel.misroutes); }\n";
-        assert_eq!(
-            rules_found("crates/core/src/datapath/be.rs", tel),
-            vec![("D7", 1), ("D7", 1)]
-        );
-        let call = "fn f(cl: &Cluster, pkt: &Packet) { cl.trace_pkt(now, s, pkt, kind); }\n";
-        assert_eq!(
-            rules_found("crates/core/src/datapath/fe.rs", call),
-            vec![("D7", 1)]
-        );
-        // The plumbing layer itself and code outside datapath/ are exempt.
-        assert!(rules_found("crates/core/src/datapath/ctx.rs", tel).is_empty());
-        assert!(rules_found("crates/core/src/cluster.rs", tel).is_empty());
-    }
-
-    #[test]
-    fn d7_does_not_flag_sanctioned_ctx_usage() {
-        let src = "fn f(ctx: &mut HandlerCtx, pkt: &Packet) {\n\
-                       if !ctx.gate(pkt) { return; }\n\
-                       ctx.trace(ctx.now, pkt, TraceEventKind::NshDecap);\n\
-                       if ctx.profiler_enabled() { let st = ctx.stages(); }\n\
-                   }\n";
-        assert!(rules_found("crates/core/src/datapath/dispatch.rs", src).is_empty());
-    }
-
-    #[test]
     fn d4_covers_datapath_and_split_out_control_plane_paths() {
         let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
         for path in [
@@ -781,18 +608,13 @@ mod tests {
 
     #[test]
     fn fault_module_is_sim_visible_for_determinism_rules() {
-        // The chaos engine lives in the sim crate, so a wall-clock read or
-        // ambient entropy inside it would silently break seed-for-seed
-        // fault replay — D1/D2 must cover it with no allow-list entry.
+        // The chaos engine lives in the sim crate, so a wall-clock read
+        // inside it would silently break seed-for-seed fault replay — D1
+        // must cover it with no allow-list entry.
         let clock = "fn f() { let t = Instant::now(); }\n";
         assert_eq!(
             rules_found("crates/sim/src/fault.rs", clock),
             vec![("D1", 1)]
-        );
-        let entropy = "fn f() { let mut r = thread_rng(); }\n";
-        assert_eq!(
-            rules_found("crates/sim/src/fault.rs", entropy),
-            vec![("D2", 1)]
         );
     }
 

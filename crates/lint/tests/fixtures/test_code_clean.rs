@@ -9,11 +9,10 @@ mod tests {
     #[test]
     fn wall_clock_and_hash_iteration_are_fine_here() {
         let t0 = Instant::now();
-        let mut rng = rand::thread_rng();
         let map: HashMap<u32, u32> = HashMap::new();
         for (k, v) in &map {
             assert!(k <= v);
         }
-        drop((t0, rng.gen::<u64>()));
+        drop(t0);
     }
 }

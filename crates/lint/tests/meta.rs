@@ -1,5 +1,5 @@
 //! Meta-test: the rule catalogue, the fixture tree, and the CLI test
-//! suite must stay in lock-step. Every rule D1–D11 needs a violation
+//! suite must stay in lock-step. Every surviving rule needs a violation
 //! fixture (a file or a directory tree), a clean fixture, and a CLI test
 //! that asserts its id — otherwise a rule can silently rot.
 
@@ -10,11 +10,13 @@ fn fixtures() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
 }
 
+/// Ids are never renumbered: D2 (no entropy source exists in the
+/// vendored `rand`), D6 (stages are a closed enum) and D7 (one
+/// `Telemetry` type owns the plumbing) were retired, not reused.
 #[test]
-fn the_catalogue_covers_d1_through_d11_exactly_once() {
+fn the_catalogue_is_exactly_the_surviving_ids() {
     let ids: Vec<&str> = ALL_RULES.iter().map(|r| r.id).collect();
-    let expect: Vec<String> = (1..=11).map(|i| format!("D{i}")).collect();
-    assert_eq!(ids, expect.iter().map(String::as_str).collect::<Vec<_>>());
+    assert_eq!(ids, ["D1", "D3", "D4", "D5", "D8", "D9", "D10", "D11"]);
 }
 
 #[test]

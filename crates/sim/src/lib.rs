@@ -38,8 +38,11 @@
 //!   ([`merge_effects`]) whose output order is a pure function of
 //!   (shard id, sorted effect keys);
 //! * [`profile`] — cycle-attribution profiler and causal span tracer:
-//!   pre-registered stage handles, spans that link across the BE↔FE hop,
-//!   and deterministic flamegraph / Chrome `trace_event` exporters.
+//!   the closed [`Stage`] vocabulary, spans that link across the BE↔FE
+//!   hop, and deterministic flamegraph / Chrome `trace_event` exporters;
+//! * [`telemetry`] — the one [`Telemetry`] handle (registry + trace +
+//!   profiler) every component is constructed with, and the only trace
+//!   event and span constructors.
 //!
 //! The engine is intentionally *generic over the event type*: higher layers
 //! (`nezha-core`, the experiment harnesses) define their own event enums and
@@ -59,6 +62,7 @@ pub mod resources;
 pub mod rng;
 pub mod shard;
 pub mod stats;
+pub mod telemetry;
 pub mod time;
 pub mod topology;
 pub mod trace;
@@ -74,12 +78,13 @@ pub use obs::{
     HistSummary, LogHistogram, RegistryWindows, SloEdge, SloEvent, SloRule, SloWatchdog,
     WindowRecord, WindowValue, WindowedRollup,
 };
-pub use profile::{Profiler, Span, SpanId, SpanRecord, StageHandle, StageSet, StageTotals};
+pub use profile::{Profiler, Span, SpanId, SpanRecord, Stage, StageTotals};
 pub use report::{BenchReport, Sample, BENCH_SCHEMA_VERSION};
 pub use resources::{CpuOutcome, CpuServer, MemoryPool, UtilizationWindow};
 pub use rng::{derive_seed, derive_seed_indexed, SimRng};
 pub use shard::{merge_effects, ShardSpec};
 pub use stats::{Counter, Samples, TimeSeries};
+pub use telemetry::Telemetry;
 pub use time::{SimDuration, SimTime};
 pub use topology::{Topology, TopologyConfig};
 pub use trace::{DropReason, PacketTrace, TraceEvent, TraceEventKind, TraceFilter};

@@ -13,10 +13,10 @@
 //! accounts for. Spans are recorded *after the fact* in a single call
 //! ([`Profiler::record`]) because the deterministic CPU model knows a
 //! charge's completion time synchronously — there is no open/close pair to
-//! mismatch. Stage names are interned once at startup into cheap `Copy`
-//! [`StageHandle`]s (same discipline as `MetricsRegistry`; lint rule D6
-//! enforces it), so the per-packet cost when enabled is a `RefCell` borrow
-//! plus vector pushes, and a single flag test when disabled.
+//! mismatch. The stage vocabulary is the closed [`Stage`] enum — there is
+//! no string-keyed stage table to look up — so the per-packet cost when
+//! enabled is a `RefCell` borrow plus vector pushes, and a single flag
+//! test when disabled.
 //!
 //! ## Causal parents
 //!
@@ -44,23 +44,123 @@
 //! produce byte-identical exports. Recording never changes simulation
 //! behaviour: the profiler is a pure observer and is disabled by default.
 
+use crate::metrics::{json_f64, json_str};
 use crate::time::SimTime;
 use nezha_types::{ServerId, VnicId};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
-/// Number of `rule_tier{n}` stages pre-registered by [`StageSet`]. Covers
-/// the base pipeline tier plus every `extra_tables` profile up to 7.
+/// Number of `rule_tier{n}` stages. Covers the base pipeline tier plus
+/// every `extra_tables` profile up to 7.
 pub const RULE_TIERS: usize = 8;
 
 /// Sentinel for "no parent path" in the intern table.
 const NO_PATH: u32 = u32::MAX;
 
-/// A pre-registered profiling stage. Cheap to copy and store; acquire
-/// once at startup via [`Profiler::stage`] (lint rule D6).
+/// The closed profiling-stage vocabulary. The exporters print
+/// [`Stage::name`], so the names are part of the golden contract.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
-pub struct StageHandle(usize);
+pub enum Stage {
+    /// Header parse cost.
+    Parse,
+    /// Per-byte DMA + copy cost.
+    Dma,
+    /// Session/flow-table lookup (fast hit) or creation (slow path).
+    SessionLookup,
+    /// BE connection-state adoption/update.
+    SessionUpdate,
+    /// First-packet slow-path overhead (upcalls, validation).
+    Slowpath,
+    /// NSH encapsulation work.
+    NshEncap,
+    /// NSH decapsulation work.
+    NshDecap,
+    /// Notify processing.
+    Notify,
+    /// Rule-pipeline tier `n`: `rule_tier0` (base pipeline + ACL) through
+    /// `rule_tier{RULE_TIERS-1}` (extra per-table costs); larger `n`
+    /// count as the last tier.
+    RuleTier(u8),
+    /// Root: traditional local (non-offloaded) processing.
+    Local,
+    /// Root: BE egress handling (state update + encap toward an FE).
+    BeTx,
+    /// Root: FE handling of a BE-encapsulated egress carry.
+    FeTxCarry,
+    /// Root: FE handling of ingress traffic from the gateway.
+    FeRx,
+    /// Root: BE handling of an FE-encapsulated ingress carry.
+    BeRxCarry,
+    /// Root: BE handling of an FE notify.
+    BeNotify,
+    /// Root: BE handling of ingress that bypassed the FEs.
+    BeDirectRx,
+    /// Marker: a packet discarded by the fault engine (0 cycles).
+    FaultDrop,
+}
+
+/// Stage names by [`Stage::index`] (flamegraph frames: no `;`, spaces or
+/// newlines).
+const STAGE_NAMES: [&str; Stage::COUNT] = [
+    "parse",
+    "dma",
+    "session_lookup",
+    "session_update",
+    "slowpath",
+    "nsh_encap",
+    "nsh_decap",
+    "notify",
+    "rule_tier0",
+    "rule_tier1",
+    "rule_tier2",
+    "rule_tier3",
+    "rule_tier4",
+    "rule_tier5",
+    "rule_tier6",
+    "rule_tier7",
+    "local",
+    "be_tx",
+    "fe_tx_carry",
+    "fe_rx",
+    "be_rx_carry",
+    "be_notify",
+    "be_direct_rx",
+    "fault_drop",
+];
+
+impl Stage {
+    /// Number of distinct stages.
+    pub const COUNT: usize = 16 + RULE_TIERS;
+
+    /// Dense index in `0..Stage::COUNT`.
+    pub fn index(self) -> usize {
+        match self {
+            Stage::Parse => 0,
+            Stage::Dma => 1,
+            Stage::SessionLookup => 2,
+            Stage::SessionUpdate => 3,
+            Stage::Slowpath => 4,
+            Stage::NshEncap => 5,
+            Stage::NshDecap => 6,
+            Stage::Notify => 7,
+            Stage::RuleTier(n) => 8 + (n as usize).min(RULE_TIERS - 1),
+            Stage::Local => 8 + RULE_TIERS,
+            Stage::BeTx => 9 + RULE_TIERS,
+            Stage::FeTxCarry => 10 + RULE_TIERS,
+            Stage::FeRx => 11 + RULE_TIERS,
+            Stage::BeRxCarry => 12 + RULE_TIERS,
+            Stage::BeNotify => 13 + RULE_TIERS,
+            Stage::BeDirectRx => 14 + RULE_TIERS,
+            Stage::FaultDrop => 15 + RULE_TIERS,
+        }
+    }
+
+    /// The stage's name as the exporters print it.
+    pub fn name(self) -> &'static str {
+        STAGE_NAMES[self.index()]
+    }
+}
 
 /// Identity of one recorded span.
 ///
@@ -97,8 +197,8 @@ impl SpanId {
 /// Input to [`Profiler::record`]: one closed interval of attributed work.
 #[derive(Clone, Copy, Debug)]
 pub struct Span {
-    /// Pre-registered stage this work belongs to.
-    pub stage: StageHandle,
+    /// Stage this work belongs to.
+    pub stage: Stage,
     /// Causal parent, if any (possibly recorded on another server).
     pub parent: Option<SpanId>,
     /// Trace id of the packet this work was done for (0 if none).
@@ -127,8 +227,8 @@ pub struct SpanRecord {
     pub id: SpanId,
     /// Causal parent, if any.
     pub parent: Option<SpanId>,
-    /// Stage (resolve the name with [`Profiler::stage_name`]).
-    pub stage: StageHandle,
+    /// Stage.
+    pub stage: Stage,
     /// Packet trace id (0 if none).
     pub trace: u64,
     /// Server the work ran on.
@@ -169,17 +269,15 @@ impl StageTotals {
 #[derive(Debug)]
 struct PathNode {
     parent: u32,
-    stage: usize,
+    stage: Stage,
 }
 
 #[derive(Debug, Default)]
 struct Inner {
     enabled: bool,
-    stages: Vec<String>,
-    stage_index: BTreeMap<String, usize>,
-    stage_agg: Vec<StageTotals>,
+    stage_agg: [StageTotals; Stage::COUNT],
     paths: Vec<PathNode>,
-    path_index: BTreeMap<(u32, usize), u32>,
+    path_index: BTreeMap<(u32, Stage), u32>,
     path_agg: Vec<StageTotals>,
     spans: VecDeque<SpanRecord>,
     capacity: usize,
@@ -197,32 +295,9 @@ pub struct Profiler {
 }
 
 impl Profiler {
-    /// Creates a disabled profiler with no registered stages.
+    /// Creates a disabled profiler.
     pub fn new() -> Self {
         Profiler::default()
-    }
-
-    /// Registers (or looks up) a stage by name, returning its handle.
-    ///
-    /// Idempotent; meant for startup only (lint rule D6 flags hot-path
-    /// acquisition). Stage names become flamegraph frames, so they must
-    /// not contain `;`, spaces, or newlines.
-    pub fn stage(&self, name: &str) -> StageHandle {
-        let mut inner = self.inner.borrow_mut();
-        if let Some(&i) = inner.stage_index.get(name) {
-            return StageHandle(i);
-        }
-        let i = inner.stages.len();
-        inner.stages.push(name.to_string());
-        inner.stage_index.insert(name.to_string(), i);
-        inner.stage_agg.push(StageTotals::default());
-        StageHandle(i)
-    }
-
-    /// The registered name of a stage handle.
-    pub fn stage_name(&self, h: StageHandle) -> String {
-        let inner = self.inner.borrow();
-        inner.stages.get(h.0).cloned().unwrap_or_default()
     }
 
     /// Enables recording with a span-ring capacity. Aggregates (stage and
@@ -244,7 +319,7 @@ impl Profiler {
         }
     }
 
-    /// Stops recording (registered stages and collected data remain).
+    /// Stops recording (collected data remains).
     pub fn disable(&self) {
         self.inner.borrow_mut().enabled = false;
     }
@@ -255,19 +330,20 @@ impl Profiler {
         self.inner.borrow().enabled
     }
 
-    /// Discards all recorded data (stage registrations survive).
+    /// Discards all recorded data. Packets in flight still carry span
+    /// ids minted before the clear, so the interned path table and the
+    /// sequence counter survive (only their aggregates are zeroed): a
+    /// later span recorded under such a parent resolves to the right
+    /// stack and can never alias a post-clear span.
     pub fn clear(&self) {
         let mut inner = self.inner.borrow_mut();
-        for a in &mut inner.stage_agg {
+        inner.stage_agg = Default::default();
+        for a in &mut inner.path_agg {
             *a = StageTotals::default();
         }
-        inner.paths.clear();
-        inner.path_index.clear();
-        inner.path_agg.clear();
         inner.spans.clear();
         inner.recorded = 0;
         inner.evicted = 0;
-        inner.next_seq = 0;
     }
 
     /// Records one span. Returns `None` when disabled (the only per-call
@@ -277,18 +353,15 @@ impl Profiler {
         if !inner.enabled {
             return None;
         }
-        if span.stage.0 >= inner.stages.len() {
-            return None; // handle from a different profiler; ignore
-        }
         let parent_path = span.parent.map_or(NO_PATH, |p| p.path);
-        let key = (parent_path, span.stage.0);
+        let key = (parent_path, span.stage);
         let path = match inner.path_index.get(&key) {
             Some(&p) => p,
             None => {
                 let p = inner.paths.len() as u32;
                 inner.paths.push(PathNode {
                     parent: parent_path,
-                    stage: span.stage.0,
+                    stage: span.stage,
                 });
                 inner.path_agg.push(StageTotals::default());
                 inner.path_index.insert(key, p);
@@ -296,7 +369,7 @@ impl Profiler {
             }
         };
         inner.path_agg[path as usize].add(&span);
-        inner.stage_agg[span.stage.0].add(&span);
+        inner.stage_agg[span.stage.index()].add(&span);
         let id = SpanId {
             seq: inner.next_seq,
             path,
@@ -341,14 +414,16 @@ impl Profiler {
         self.inner.borrow().stage_agg.iter().map(|a| a.cycles).sum()
     }
 
-    /// Per-stage self totals, sorted by stage name.
+    /// Per-stage self totals for every [`Stage`], sorted by stage name.
     pub fn stage_totals(&self) -> Vec<(String, StageTotals)> {
         let inner = self.inner.borrow();
-        inner
-            .stage_index
+        let mut totals: Vec<(String, StageTotals)> = STAGE_NAMES
             .iter()
-            .map(|(name, &i)| (name.clone(), inner.stage_agg[i]))
-            .collect()
+            .zip(inner.stage_agg)
+            .map(|(name, agg)| (name.to_string(), agg))
+            .collect();
+        totals.sort_by(|a, b| a.0.cmp(&b.0));
+        totals
     }
 
     /// All span records currently in the ring, oldest first.
@@ -398,7 +473,7 @@ impl Profiler {
         let mut cur = id.path;
         while (cur as usize) < inner.paths.len() {
             let node = &inner.paths[cur as usize];
-            out.push(inner.stages[node.stage].clone());
+            out.push(node.stage.name().to_string());
             if node.parent == NO_PATH {
                 break;
             }
@@ -422,7 +497,7 @@ impl Profiler {
             let mut cur = pid as u32;
             loop {
                 let node = &inner.paths[cur as usize];
-                stack.push(inner.stages[node.stage].as_str());
+                stack.push(node.stage.name());
                 if node.parent == NO_PATH {
                     break;
                 }
@@ -456,7 +531,7 @@ impl Profiler {
                 "{{\"name\":{},\"cat\":\"nezha\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
                  \"pid\":{},\"tid\":{},\"args\":{{\"span\":{},\"parent\":{},\"trace\":{},\
                  \"cycles\":{},\"bytes\":{},\"packets\":{}}}}}",
-                json_str(&inner.stages[s.stage.0]),
+                json_str(s.stage.name()),
                 json_f64(ts),
                 json_f64(dur),
                 s.server.0,
@@ -474,107 +549,11 @@ impl Profiler {
     }
 }
 
-/// The standard Nezha stage vocabulary, pre-registered as a bundle.
-///
-/// Both the vSwitch and the cluster register a `StageSet` against the
-/// same shared [`Profiler`] at startup (registration is idempotent, so
-/// the handles agree) and index it from their hot paths.
-#[derive(Clone, Debug)]
-pub struct StageSet {
-    /// Header parse cost.
-    pub parse: StageHandle,
-    /// Per-byte DMA + copy cost.
-    pub dma: StageHandle,
-    /// Session/flow-table lookup (fast hit) or creation (slow path).
-    pub session_lookup: StageHandle,
-    /// BE connection-state adoption/update.
-    pub session_update: StageHandle,
-    /// First-packet slow-path overhead (upcalls, validation).
-    pub slowpath: StageHandle,
-    /// NSH encapsulation work.
-    pub nsh_encap: StageHandle,
-    /// NSH decapsulation work.
-    pub nsh_decap: StageHandle,
-    /// Notify processing.
-    pub notify: StageHandle,
-    /// Rule-pipeline tiers: `rule_tier0` (base pipeline + ACL) through
-    /// `rule_tier{RULE_TIERS-1}` (extra per-table costs).
-    pub rule_tiers: Vec<StageHandle>,
-    /// Root: traditional local (non-offloaded) processing.
-    pub local: StageHandle,
-    /// Root: BE egress handling (state update + encap toward an FE).
-    pub be_tx: StageHandle,
-    /// Root: FE handling of a BE-encapsulated egress carry.
-    pub fe_tx_carry: StageHandle,
-    /// Root: FE handling of ingress traffic from the gateway.
-    pub fe_rx: StageHandle,
-    /// Root: BE handling of an FE-encapsulated ingress carry.
-    pub be_rx_carry: StageHandle,
-    /// Root: BE handling of an FE notify.
-    pub be_notify: StageHandle,
-    /// Root: BE handling of ingress that bypassed the FEs.
-    pub be_direct_rx: StageHandle,
-    /// Marker: a packet discarded by the fault engine (0 cycles).
-    pub fault_drop: StageHandle,
-}
-
-impl StageSet {
-    /// Registers the standard stages (idempotent).
-    pub fn register(p: &Profiler) -> StageSet {
-        StageSet {
-            parse: p.stage("parse"),
-            dma: p.stage("dma"),
-            session_lookup: p.stage("session_lookup"),
-            session_update: p.stage("session_update"),
-            slowpath: p.stage("slowpath"),
-            nsh_encap: p.stage("nsh_encap"),
-            nsh_decap: p.stage("nsh_decap"),
-            notify: p.stage("notify"),
-            rule_tiers: (0..RULE_TIERS)
-                .map(|i| p.stage(&format!("rule_tier{i}")))
-                .collect(),
-            local: p.stage("local"),
-            be_tx: p.stage("be_tx"),
-            fe_tx_carry: p.stage("fe_tx_carry"),
-            fe_rx: p.stage("fe_rx"),
-            be_rx_carry: p.stage("be_rx_carry"),
-            be_notify: p.stage("be_notify"),
-            be_direct_rx: p.stage("be_direct_rx"),
-            fault_drop: p.stage("fault_drop"),
-        }
-    }
-}
-
-/// Escapes a string for JSON output.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Formats an `f64` deterministically (shortest round-trip form).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn span(stage: StageHandle, parent: Option<SpanId>, cycles: u64) -> Span {
+    fn span(stage: Stage, parent: Option<SpanId>, cycles: u64) -> Span {
         Span {
             stage,
             parent,
@@ -592,8 +571,7 @@ mod tests {
     #[test]
     fn disabled_profiler_records_nothing() {
         let p = Profiler::new();
-        let s = p.stage("parse");
-        assert_eq!(p.record(span(s, None, 100)), None);
+        assert_eq!(p.record(span(Stage::Parse, None, 100)), None);
         assert_eq!(p.recorded(), 0);
         assert_eq!(p.total_cycles(), 0);
         assert_eq!(p.flamegraph(), "");
@@ -603,21 +581,53 @@ mod tests {
         );
     }
 
+    /// Flamegraphs, Chrome traces and `stage_totals` print these names,
+    /// so the table is part of the golden contract.
     #[test]
-    fn stage_registration_is_idempotent() {
-        let p = Profiler::new();
-        let a = p.stage("parse");
-        let b = p.stage("parse");
-        assert_eq!(a, b);
-        assert_eq!(p.stage_name(a), "parse");
+    fn stage_index_and_name_match_the_golden_table() {
+        let table = [
+            (Stage::Parse, "parse"),
+            (Stage::Dma, "dma"),
+            (Stage::SessionLookup, "session_lookup"),
+            (Stage::SessionUpdate, "session_update"),
+            (Stage::Slowpath, "slowpath"),
+            (Stage::NshEncap, "nsh_encap"),
+            (Stage::NshDecap, "nsh_decap"),
+            (Stage::Notify, "notify"),
+            (Stage::RuleTier(0), "rule_tier0"),
+            (Stage::RuleTier(1), "rule_tier1"),
+            (Stage::RuleTier(2), "rule_tier2"),
+            (Stage::RuleTier(3), "rule_tier3"),
+            (Stage::RuleTier(4), "rule_tier4"),
+            (Stage::RuleTier(5), "rule_tier5"),
+            (Stage::RuleTier(6), "rule_tier6"),
+            (Stage::RuleTier(7), "rule_tier7"),
+            (Stage::Local, "local"),
+            (Stage::BeTx, "be_tx"),
+            (Stage::FeTxCarry, "fe_tx_carry"),
+            (Stage::FeRx, "fe_rx"),
+            (Stage::BeRxCarry, "be_rx_carry"),
+            (Stage::BeNotify, "be_notify"),
+            (Stage::BeDirectRx, "be_direct_rx"),
+            (Stage::FaultDrop, "fault_drop"),
+        ];
+        assert_eq!(table.len(), Stage::COUNT);
+        for (i, (stage, name)) in table.iter().enumerate() {
+            assert_eq!((stage.index(), stage.name()), (i, *name));
+        }
+        // Tiers past the last one count as the last one.
+        assert_eq!(Stage::RuleTier(200).name(), "rule_tier7");
+        // `stage_totals` lists every stage, sorted by name.
+        let totals = Profiler::new().stage_totals();
+        assert_eq!(totals.len(), Stage::COUNT);
+        assert!(totals.windows(2).all(|w| w[0].0 < w[1].0));
     }
 
     #[test]
     fn span_ids_round_trip_through_raw() {
         let p = Profiler::new();
         p.enable(16);
-        let s = p.stage("parse");
-        let id = p.record(span(s, None, 10)).unwrap();
+        let id = p.record(span(Stage::Parse, None, 10)).unwrap();
         assert_eq!(SpanId::from_raw(id.to_raw()), Some(id));
         assert_eq!(SpanId::from_raw(0), None);
     }
@@ -626,8 +636,7 @@ mod tests {
     fn totals_and_flamegraph_accumulate_per_stack() {
         let p = Profiler::new();
         p.enable(16);
-        let root = p.stage("be_tx");
-        let leaf = p.stage("session_update");
+        let (root, leaf) = (Stage::BeTx, Stage::SessionUpdate);
         let r = p.record(span(root, None, 0)).unwrap();
         p.record(span(leaf, Some(r), 250)).unwrap();
         p.record(span(leaf, Some(r), 250)).unwrap();
@@ -649,10 +658,9 @@ mod tests {
     fn ring_evicts_oldest_but_keeps_aggregates() {
         let p = Profiler::new();
         p.enable(2);
-        let s = p.stage("parse");
-        let a = p.record(span(s, None, 1)).unwrap();
-        let _b = p.record(span(s, None, 2)).unwrap();
-        let _c = p.record(span(s, None, 3)).unwrap();
+        let a = p.record(span(Stage::Parse, None, 1)).unwrap();
+        let _b = p.record(span(Stage::Parse, None, 2)).unwrap();
+        let _c = p.record(span(Stage::Parse, None, 3)).unwrap();
         assert_eq!(p.evicted(), 1);
         assert_eq!(p.recorded(), 3);
         assert_eq!(p.span(a), None);
@@ -664,10 +672,8 @@ mod tests {
     fn children_and_packet_queries_follow_links() {
         let p = Profiler::new();
         p.enable(16);
-        let root = p.stage("fe_tx_carry");
-        let leaf = p.stage("nsh_decap");
-        let r = p.record(span(root, None, 0)).unwrap();
-        let c = p.record(span(leaf, Some(r), 400)).unwrap();
+        let r = p.record(span(Stage::FeTxCarry, None, 0)).unwrap();
+        let c = p.record(span(Stage::NshDecap, Some(r), 400)).unwrap();
         let kids = p.children(r);
         assert_eq!(kids.len(), 1);
         assert_eq!(kids[0].id, c);
@@ -680,9 +686,8 @@ mod tests {
         let mk = || {
             let p = Profiler::new();
             p.enable(16);
-            let s = p.stage("parse");
-            let r = p.record(span(s, None, 123)).unwrap();
-            p.record(span(s, Some(r), 45)).unwrap();
+            let r = p.record(span(Stage::Parse, None, 123)).unwrap();
+            p.record(span(Stage::Parse, Some(r), 45)).unwrap();
             p.chrome_trace()
         };
         let a = mk();
@@ -693,13 +698,24 @@ mod tests {
         assert!(a.ends_with("]}"));
     }
 
+    /// Regression: a packet in flight across `clear()` still carries its
+    /// pre-clear span id; recording under it used to intern a path whose
+    /// parent index was gone, and `flamegraph()` indexed out of bounds.
     #[test]
-    fn stage_set_handles_agree_across_registrations() {
+    fn clear_with_spans_in_flight_keeps_stacks_resolvable() {
         let p = Profiler::new();
-        let a = StageSet::register(&p);
-        let b = StageSet::register(&p);
-        assert_eq!(a.parse, b.parse);
-        assert_eq!(a.rule_tiers, b.rule_tiers);
-        assert_eq!(a.rule_tiers.len(), RULE_TIERS);
+        p.enable(16);
+        let root = p.record(span(Stage::BeTx, None, 0)).unwrap();
+        let child = p.record(span(Stage::NshEncap, Some(root), 0)).unwrap();
+        p.clear();
+        assert_eq!(
+            (p.recorded(), p.total_cycles(), p.flamegraph()),
+            (0, 0, String::new())
+        );
+        let late = p.record(span(Stage::FeTxCarry, Some(child), 40)).unwrap();
+        assert_eq!(p.flamegraph(), "be_tx;nsh_encap;fe_tx_carry 40\n");
+        assert_eq!(p.stack(late), vec!["be_tx", "nsh_encap", "fe_tx_carry"]);
+        // Ids minted after the clear never alias the ones still in flight.
+        assert_ne!(p.record(span(Stage::BeTx, None, 0)), Some(root));
     }
 }

@@ -168,17 +168,13 @@ pub struct PacketTrace {
 }
 
 impl Default for PacketTrace {
+    /// A trace that records nothing (capacity 0).
     fn default() -> Self {
-        PacketTrace::disabled()
+        PacketTrace::with_capacity(0)
     }
 }
 
 impl PacketTrace {
-    /// A trace that records nothing (capacity 0).
-    pub fn disabled() -> Self {
-        PacketTrace::with_capacity(0)
-    }
-
     /// A trace keeping at most `capacity` most-recent events.
     pub fn with_capacity(capacity: usize) -> Self {
         PacketTrace {
@@ -297,7 +293,7 @@ mod tests {
 
     #[test]
     fn disabled_trace_records_nothing() {
-        let t = PacketTrace::disabled();
+        let t = PacketTrace::default();
         assert!(!t.is_enabled());
         t.record(ev(1, 1, 1, TraceEventKind::Enqueue));
         assert!(t.is_empty());

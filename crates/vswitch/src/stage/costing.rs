@@ -9,13 +9,15 @@
 //! *exactly* even when a vNIC `lookup_weight` or a gray-failure
 //! multiplier scaled the charge away from the nominal model costs.
 //! [`plan_leaves`] then maps each realized slot onto the profiler's
-//! registered stage handles. Costs the model does not split (BE state
-//! work, notify processing) are not artificially split here.
+//! [`Stage`] vocabulary, and [`charge_leaves`] is the one assembly of
+//! the three that both the local path and the FE visit record from.
+//! Costs the model does not split (BE state work, notify processing) are
+//! not artificially split here.
 
 use crate::config::CostModel;
 use crate::pipeline::{PathTaken, StageCosts};
 use crate::vnic::Vnic;
-use nezha_sim::profile::{StageHandle, StageSet};
+use nezha_sim::profile::{Stage, RULE_TIERS};
 
 /// One slot of the charge decomposition, in budget order. A plan's last
 /// slot must be an absorber ([`CostSlot::SessionResidue`] or
@@ -104,27 +106,38 @@ pub fn costs_from_plan(
     out
 }
 
-/// Emits `(handle, cycles)` for each realized slot of `plan`, in plan
-/// order, against the profiler's registered stage set. Zero-cycle leaves
-/// are emitted too — the span recorder filters them — so callers that
-/// record directly should skip zeros themselves.
-pub fn plan_leaves(
-    plan: &[CostSlot],
-    st: &StageSet,
-    c: &StageCosts,
-    f: &mut dyn FnMut(StageHandle, u64),
-) {
+/// Emits `(stage, cycles)` for each realized slot of `plan`, in plan
+/// order. Zero-cycle leaves are emitted too — the span recorder
+/// (`Telemetry::span_tree`) skips them.
+pub fn plan_leaves(plan: &[CostSlot], c: &StageCosts, f: &mut dyn FnMut(Stage, u64)) {
     for slot in plan {
         match slot {
-            CostSlot::Dma => f(st.dma, c.dma),
-            CostSlot::Parse => f(st.parse, c.parse),
-            CostSlot::SessionResidue | CostSlot::SessionCreate => f(st.session_lookup, c.session),
-            CostSlot::SlowOverhead => f(st.slowpath, c.overhead),
+            CostSlot::Dma => f(Stage::Dma, c.dma),
+            CostSlot::Parse => f(Stage::Parse, c.parse),
+            CostSlot::SessionResidue | CostSlot::SessionCreate => {
+                f(Stage::SessionLookup, c.session)
+            }
+            CostSlot::SlowOverhead => f(Stage::Slowpath, c.overhead),
             CostSlot::RuleTiers => {
                 for (i, &cycles) in c.tiers.iter().enumerate() {
-                    f(st.rule_tiers[i.min(st.rule_tiers.len() - 1)], cycles);
+                    f(Stage::RuleTier(i.min(RULE_TIERS - 1) as u8), cycles);
                 }
             }
         }
     }
+}
+
+/// Appends to `out` the profiler leaves of one charged `total` on `path`:
+/// the path's plan, realized against the total, mapped to stages.
+pub fn charge_leaves(
+    path: PathTaken,
+    costs: &CostModel,
+    vnic: &Vnic,
+    bytes: usize,
+    total: u64,
+    out: &mut Vec<(Stage, u64)>,
+) {
+    let plan = plan(path);
+    let c = costs_from_plan(plan, costs, vnic, bytes, total);
+    plan_leaves(plan, &c, &mut |stage, cycles| out.push((stage, cycles)));
 }

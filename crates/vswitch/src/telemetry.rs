@@ -1,9 +1,8 @@
-//! Per-switch telemetry plumbing: counter handles, trace buffer,
-//! profiler + registered stage set.
+//! Per-switch telemetry plumbing: the shared [`Telemetry`] handle and
+//! this switch's counter handles.
 
-use nezha_sim::metrics::{CounterHandle, MetricsRegistry};
-use nezha_sim::profile::{Profiler, StageSet};
-use nezha_sim::trace::PacketTrace;
+use nezha_sim::metrics::CounterHandle;
+use nezha_sim::telemetry::Telemetry;
 
 /// Lifetime packet counters of one vSwitch.
 ///
@@ -28,15 +27,12 @@ pub struct VSwitchCounters {
     pub mirrored: u64,
 }
 
-/// Pre-registered handles for the per-switch counters. Registered once at
-/// construction (or re-registered on `VSwitch::attach_metrics`); the hot
-/// path only does handle increments.
+/// The telemetry handle this switch was constructed with, plus its
+/// `vswitch.*{server=N}` counter handles (registered once, here; the hot
+/// path only does handle increments).
 #[derive(Clone, Debug)]
 pub(crate) struct SwitchTelemetry {
-    pub(crate) registry: MetricsRegistry,
-    pub(crate) trace: PacketTrace,
-    pub(crate) profiler: Profiler,
-    pub(crate) stages: StageSet,
+    pub(crate) shared: Telemetry,
     pub(crate) forwarded: CounterHandle,
     pub(crate) acl_drops: CounterHandle,
     pub(crate) unroutable: CounterHandle,
@@ -47,16 +43,11 @@ pub(crate) struct SwitchTelemetry {
 }
 
 impl SwitchTelemetry {
-    pub(crate) fn register(registry: &MetricsRegistry, server: nezha_types::ServerId) -> Self {
+    pub(crate) fn register(tel: &Telemetry, server: nezha_types::ServerId) -> Self {
         let labels = [("server", server.raw().to_string())];
-        let c = |name: &str| registry.counter(name, &labels);
-        let profiler = Profiler::new();
-        let stages = StageSet::register(&profiler);
+        let c = |name: &str| tel.registry.counter(name, &labels);
         SwitchTelemetry {
-            registry: registry.clone(),
-            trace: PacketTrace::disabled(),
-            profiler,
-            stages,
+            shared: tel.clone(),
             forwarded: c("vswitch.forwarded"),
             acl_drops: c("vswitch.acl_drops"),
             unroutable: c("vswitch.unroutable"),
@@ -68,7 +59,7 @@ impl SwitchTelemetry {
     }
 
     pub(crate) fn view(&self) -> VSwitchCounters {
-        let v = |h: CounterHandle| self.registry.counter_value(h);
+        let v = |h: CounterHandle| self.shared.registry.counter_value(h);
         VSwitchCounters {
             forwarded: v(self.forwarded),
             acl_drops: v(self.acl_drops),

@@ -16,11 +16,11 @@ use crate::stage::{costing, StageGraph};
 use crate::telemetry::SwitchTelemetry;
 use crate::vnic::Vnic;
 use nezha_sim::dense::DenseMap;
-use nezha_sim::metrics::MetricsRegistry;
-use nezha_sim::profile::{Profiler, Span, SpanId, StageSet};
+use nezha_sim::profile::Stage;
 use nezha_sim::resources::{CpuOutcome, CpuServer, MemoryPool, OutOfMemory};
+use nezha_sim::telemetry::Telemetry;
 use nezha_sim::time::SimTime;
-use nezha_sim::trace::{DropReason, PacketTrace, TraceEvent, TraceEventKind};
+use nezha_sim::trace::{DropReason, TraceEventKind};
 use nezha_types::{Decision, Packet, SessionKey, SessionState, VnicId};
 use std::collections::BTreeMap;
 
@@ -62,8 +62,16 @@ pub struct VSwitch {
 }
 
 impl VSwitch {
-    /// Builds a vSwitch on server `id` with the given configuration.
+    /// Builds a standalone vSwitch on server `id` with the given
+    /// configuration and a private [`Telemetry`] handle.
     pub fn new(id: nezha_types::ServerId, cfg: VSwitchConfig) -> Self {
+        Self::with_telemetry(id, cfg, &Telemetry::new())
+    }
+
+    /// Builds a vSwitch reporting into the shared `tel`: its
+    /// `vswitch.*{server=N}` counters, trace events and span trees land
+    /// beside every other component constructed with the same handle.
+    pub fn with_telemetry(id: nezha_types::ServerId, cfg: VSwitchConfig, tel: &Telemetry) -> Self {
         VSwitch {
             id,
             version: 1,
@@ -71,7 +79,7 @@ impl VSwitch {
             mem: MemoryPool::new(cfg.table_memory),
             vnics: DenseMap::new(),
             sessions: SessionTable::new(),
-            tel: SwitchTelemetry::register(&MetricsRegistry::new(), id),
+            tel: SwitchTelemetry::register(tel, id),
             lookup: lookup_graph(),
             vnic_cycles: BTreeMap::new(),
             vnic_charged: DenseMap::new(),
@@ -85,50 +93,10 @@ impl VSwitch {
         &self.cfg
     }
 
-    /// Re-homes this switch's `vswitch.*{server=N}` counters into a shared
-    /// [`MetricsRegistry`] (carrying over any counts already accumulated in
-    /// the private default registry). The cluster calls this so one
-    /// snapshot covers every switch.
-    pub fn attach_metrics(&mut self, registry: &MetricsRegistry) {
-        let old = self.tel.view();
-        let trace = self.tel.trace.clone();
-        let profiler = self.tel.profiler.clone();
-        let stages = self.tel.stages.clone();
-        self.tel = SwitchTelemetry::register(registry, self.id);
-        self.tel.trace = trace;
-        self.tel.profiler = profiler;
-        self.tel.stages = stages;
-        let carry = [
-            (self.tel.forwarded, old.forwarded),
-            (self.tel.acl_drops, old.acl_drops),
-            (self.tel.unroutable, old.unroutable),
-            (self.tel.rate_limited, old.rate_limited),
-            (self.tel.cpu_drops, old.cpu_drops),
-            (self.tel.session_overflows, old.session_overflows),
-            (self.tel.mirrored, old.mirrored),
-        ];
-        for (h, n) in carry {
-            registry.add(h, n);
-        }
-    }
-
-    /// Attaches a shared [`PacketTrace`]; subsequent packets record
-    /// structured events (enqueue, CPU charge, table hit/miss, drops).
-    pub fn attach_trace(&mut self, trace: &PacketTrace) {
-        self.tel.trace = trace.clone();
-    }
-
-    /// Attaches a shared [`Profiler`]; while it is enabled, every CPU
-    /// charge in [`VSwitch::process_local`] records a causal span tree
-    /// decomposed per pipeline stage.
-    pub fn attach_profiler(&mut self, profiler: &Profiler) {
-        self.tel.profiler = profiler.clone();
-        self.tel.stages = StageSet::register(profiler);
-    }
-
-    /// The attached profiler (a private disabled one by default).
-    pub fn profiler(&self) -> &Profiler {
-        &self.tel.profiler
+    /// The telemetry handle this switch reports into (trace ring and
+    /// profiler disabled until the owner enables them).
+    pub fn telemetry(&self) -> &Telemetry {
+        &self.tel.shared
     }
 
     /// Lifetime counters, assembled from the metrics registry.
@@ -278,24 +246,16 @@ impl VSwitch {
         self.sessions.expire(now, &self.cfg, &mut self.mem)
     }
 
-    /// Records one structured trace event for `pkt` (no-op when no trace
-    /// buffer is attached or the filter rejects it).
+    /// Records one structured trace event for `pkt` (no-op while the
+    /// trace ring is disabled or the filter rejects it).
     pub fn trace_event(&self, at: SimTime, pkt: &Packet, kind: TraceEventKind) {
-        if self.tel.trace.is_enabled() {
-            self.tel.trace.record(TraceEvent {
-                at,
-                trace_id: pkt.trace,
-                server: self.id,
-                vnic: pkt.vnic,
-                kind,
-            });
-        }
+        self.tel.shared.trace_pkt(at, self.id, pkt, kind);
     }
 
     /// Counts one first packet whose session could not be stored because
     /// table memory is exhausted (`vswitch.session_overflows{server}`).
     pub fn note_session_overflow(&self) {
-        self.tel.registry.inc(self.tel.session_overflows);
+        self.tel.shared.registry.inc(self.tel.session_overflows);
     }
 
     /// Processes one packet in the **traditional local architecture**:
@@ -351,7 +311,18 @@ impl VSwitch {
         result.path = Some(path);
         result.done_at = done_at;
         self.trace_event(now, pkt, TraceEventKind::CpuCharge { cycles });
-        self.profile_local(pkt, now, done_at, cycles, bytes, path);
+        // The span tree of a successful charge: a `local` root with
+        // per-stage leaves summing to exactly what the CPU model charged.
+        if self.tel.shared.profiler.is_enabled() {
+            if let Some(vnic) = self.vnics.get(&pkt.vnic) {
+                let mut leaves = Vec::new();
+                let total = self.scaled_cycles(cycles);
+                costing::charge_leaves(path, &costs, vnic, bytes, total, &mut leaves);
+                self.tel
+                    .shared
+                    .span_tree(Stage::Local, pkt, self.id, now, done_at, &leaves);
+            }
+        }
 
         // `charge` needed the whole switch; take the vNIC back.
         let Some(vnic) = self.vnics.get_mut(&pkt.vnic) else {
@@ -412,61 +383,9 @@ impl VSwitch {
         self.finish_traced(pkt, result)
     }
 
-    /// Records the span tree for one successful local-pipeline charge:
-    /// a `local` root (linked to any span the packet already carries)
-    /// with per-stage leaves whose cycles sum to exactly what the CPU
-    /// model charged. Leaves follow the cost plan of the path taken.
-    /// No-op while the profiler is disabled.
-    fn profile_local(
-        &self,
-        pkt: &Packet,
-        start: SimTime,
-        end: SimTime,
-        nominal_cycles: u64,
-        bytes: usize,
-        path: PathTaken,
-    ) {
-        let prof = &self.tel.profiler;
-        if !prof.is_enabled() {
-            return;
-        }
-        let Some(vnic) = self.vnics.get(&pkt.vnic) else {
-            return;
-        };
-        let st = &self.tel.stages;
-        let total = self.scaled_cycles(nominal_cycles);
-        let base = Span {
-            stage: st.local,
-            parent: SpanId::from_raw(pkt.prof_span),
-            trace: pkt.trace,
-            server: self.id,
-            vnic: pkt.vnic,
-            start,
-            end,
-            cycles: 0,
-            bytes: bytes as u64,
-            packets: 1,
-        };
-        let root = prof.record(base);
-        let plan = costing::plan(path);
-        let c = costing::costs_from_plan(plan, &self.cfg.costs, vnic, bytes, total);
-        costing::plan_leaves(plan, st, &c, &mut |stage, cycles| {
-            if cycles > 0 {
-                prof.record(Span {
-                    stage,
-                    parent: root,
-                    cycles,
-                    bytes: 0,
-                    packets: 0,
-                    ..base
-                });
-            }
-        });
-    }
-
     /// Counts and traces the terminal `result` of one packet.
     fn finish_traced(&self, pkt: &Packet, result: ProcessResult) -> ProcessResult {
-        let reg = &self.tel.registry;
+        let reg = &self.tel.shared.registry;
         let drop_reason = match result.outcome {
             ProcessOutcome::Forwarded(a) => {
                 reg.inc(self.tel.forwarded);

@@ -530,11 +530,12 @@ fn process_local_outcome_table() {
         let cfg = VSwitchConfig::builder()
             .table_memory(table_bytes + c.session_room)
             .build();
-        let mut vs = VSwitch::new(ServerId(0), cfg);
+        let tel = Telemetry::new();
+        let trace = &tel.trace;
+        let mut vs = VSwitch::with_telemetry(ServerId(0), cfg, &tel);
         vs.add_vnic(vnic).unwrap();
         (c.warm_up)(&mut vs);
-        let trace = PacketTrace::with_capacity(64);
-        vs.attach_trace(&trace);
+        trace.set_capacity(64);
         let overflows_before = vs.counters().session_overflows;
 
         let r = vs.process_local(&c.pkt, T0);

@@ -3,7 +3,6 @@
 //! absorber-closed plans, and of the profiler leaves [`plan_leaves`]
 //! emits for them.
 
-use nezha_sim::profile::{Profiler, StageSet};
 use nezha_types::{Ipv4Addr, ServerId, VnicId, VpcId};
 use nezha_vswitch::config::CostModel;
 use nezha_vswitch::stage::costing::{costs_from_plan, plan_leaves};
@@ -141,11 +140,9 @@ proptest! {
         bytes in 0usize..10_000,
         total in 0u64..5_000_000,
     ) {
-        let p = Profiler::new();
-        let st = StageSet::register(&p);
         let c = costs_from_plan(&plan, &costs, &vnic, bytes, total);
         let mut sum = 0u64;
-        plan_leaves(&plan, &st, &c, &mut |_stage, cycles| sum += cycles);
+        plan_leaves(&plan, &c, &mut |_stage, cycles| sum += cycles);
         prop_assert_eq!(sum, total);
     }
 }

@@ -82,8 +82,9 @@ pub mod prelude {
     pub use nezha_core::vm::VmConfig;
     pub use nezha_core::Event;
     pub use nezha_sim::metrics::{MetricsDiff, MetricsRegistry, MetricsSnapshot};
-    pub use nezha_sim::profile::{Profiler, Span, SpanId, SpanRecord};
+    pub use nezha_sim::profile::{Profiler, Span, SpanId, SpanRecord, Stage};
     pub use nezha_sim::report::{BenchReport, Sample, BENCH_SCHEMA_VERSION};
+    pub use nezha_sim::telemetry::Telemetry;
     pub use nezha_sim::time::{SimDuration, SimTime};
     pub use nezha_sim::topology::TopologyConfig;
     pub use nezha_sim::trace::{PacketTrace, TraceEvent, TraceEventKind, TraceFilter};

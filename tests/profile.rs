@@ -115,7 +115,7 @@ fn span_tree_links_the_full_be_fe_be_chain() {
     let spans = prof.spans();
     let notify_root = spans
         .iter()
-        .find(|s| prof.stage_name(s.stage) == "be_notify")
+        .find(|s| s.stage.name() == "be_notify")
         .expect("no notify was profiled");
     // The interned path alone reconstructs the cross-server chain.
     assert_eq!(
@@ -130,7 +130,7 @@ fn span_tree_links_the_full_be_fe_be_chain() {
     let fe_visit = prof
         .span(notify_root.parent.expect("notify has no parent"))
         .expect("parent span missing from the ring");
-    assert_eq!(prof.stage_name(fe_visit.stage), "fe_tx_carry");
+    assert_eq!(fe_visit.stage.name(), "fe_tx_carry");
     assert_ne!(fe_visit.server, home, "the FE visit runs on another server");
     // The notify packet travels with trace id 0, yet its spans still
     // attach to the originating packet's tree: only the causal id links
@@ -139,13 +139,13 @@ fn span_tree_links_the_full_be_fe_be_chain() {
     let encap = prof
         .span(fe_visit.parent.expect("FE visit has no parent"))
         .expect("encap marker missing from the ring");
-    assert_eq!(prof.stage_name(encap.stage), "nsh_encap");
+    assert_eq!(encap.stage.name(), "nsh_encap");
     assert_eq!(encap.server, home);
     assert_eq!(encap.cycles, 0, "the encap hop marker carries no cycles");
     let be_root = prof
         .span(encap.parent.expect("encap marker has no parent"))
         .expect("BE root missing from the ring");
-    assert_eq!(prof.stage_name(be_root.stage), "be_tx");
+    assert_eq!(be_root.stage.name(), "be_tx");
     assert_eq!(be_root.server, home);
     assert_eq!(be_root.parent, None, "the BE TX root starts the tree");
     assert_eq!(be_root.trace, fe_visit.trace, "same packet, same trace id");
@@ -158,7 +158,7 @@ fn rx_chain_crosses_from_fe_to_be() {
     let spans = prof.spans();
     let be_rx = spans
         .iter()
-        .find(|s| prof.stage_name(s.stage) == "be_rx_carry")
+        .find(|s| s.stage.name() == "be_rx_carry")
         .expect("no RX carry was profiled");
     assert_eq!(
         prof.stack(be_rx.id),
