@@ -23,7 +23,7 @@ use crate::monitor::MonitorState;
 use crate::telemetry::{ClusterTelemetry, Ctr};
 use crate::vm::{VmConfig, VmModel};
 use nezha_sim::dense::DenseMap;
-use nezha_sim::engine::Engine;
+use nezha_sim::engine::{Engine, Scheduled};
 use nezha_sim::fault::{FaultKind, FaultPlan, FaultState};
 use nezha_sim::metrics::MetricsRegistry;
 use nezha_sim::profile::Profiler;
@@ -82,6 +82,9 @@ pub struct Cluster {
     /// Slot reuse is LIFO and ids are a pure function of the schedule
     /// call sequence, so replay stays seed-deterministic.
     pub(crate) pkt_slab: nezha_sim::dense::Slab<Packet>,
+    /// [`Cluster::run_until`]'s batch buffer, kept across calls so a run
+    /// stepped in 1 ms slices does not allocate and regrow it per slice.
+    batch: Vec<Scheduled<Event>>,
     next_probe_id: u64,
     /// Telemetry: shared registry + trace + pre-registered handles.
     pub(crate) tel: ClusterTelemetry,
@@ -134,6 +137,7 @@ impl Cluster {
             vms: DenseMap::new(),
             conns: Vec::new(),
             pkt_slab: nezha_sim::dense::Slab::new(),
+            batch: Vec::new(),
             next_probe_id: 1,
             tel,
             controller: ControllerState::new(),
@@ -300,9 +304,10 @@ impl Cluster {
             .ok_or(NezhaError::UnknownServer(s))
     }
 
-    /// Whether a server is alive.
+    /// Whether a server is alive (`false` for a server outside the
+    /// topology).
     pub fn is_alive(&self, s: ServerId) -> bool {
-        self.alive[s.0 as usize]
+        self.alive.get(s.0 as usize).copied().unwrap_or(false)
     }
 
     /// The BE metadata of an offloaded vNIC, if any.
@@ -530,7 +535,7 @@ impl Cluster {
     }
 
     /// Crashes a server at `at` (its vSwitch stops processing and stops
-    /// answering health probes).
+    /// answering health probes). A server outside the topology is ignored.
     pub fn crash_at(&mut self, server: ServerId, at: SimTime) {
         self.engine.schedule_at(at, Event::Crash { server });
     }
@@ -563,7 +568,7 @@ impl Cluster {
     /// handled (a boundary event belongs to the window it opens), and all
     /// windows up to `deadline` are flushed once the event heap drains.
     pub fn run_until(&mut self, deadline: SimTime) {
-        let mut batch = Vec::new();
+        let mut batch = std::mem::take(&mut self.batch);
         loop {
             self.engine.pop_batch_until(deadline, &mut batch);
             match batch.first() {
@@ -579,6 +584,7 @@ impl Cluster {
                 self.handle(s.event, at);
             }
         }
+        self.batch = batch;
         if self.tel.windows.is_some() {
             self.close_windows_to(deadline);
         }

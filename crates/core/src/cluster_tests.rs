@@ -29,6 +29,11 @@ fn small_cluster(auto: bool) -> Cluster {
         .topology(small_topology())
         .auto(auto)
         .build();
+    with_service_vnic(cfg, VmConfig::with_vcpus(64))
+}
+
+/// A cluster with the one test vNIC (service port open) homed on `HOME`.
+fn with_service_vnic(cfg: ClusterConfig, vm: VmConfig) -> Cluster {
     let mut cluster = Cluster::new(cfg);
     let mut vnic = Vnic::new(
         VNIC,
@@ -38,9 +43,7 @@ fn small_cluster(auto: bool) -> Cluster {
         HOME,
     );
     vnic.allow_inbound_port(SVC_PORT);
-    cluster
-        .add_vnic(vnic, HOME, VmConfig::with_vcpus(64))
-        .unwrap();
+    cluster.add_vnic(vnic, HOME, vm).unwrap();
     cluster
 }
 
@@ -601,4 +604,87 @@ fn be_session_overflow_is_counted() {
         overflows >= 2 * unstored,
         "{overflows} for {unstored} flows"
     );
+}
+
+#[test]
+fn crash_at_unknown_server_is_ignored() {
+    let mut c = small_cluster(false);
+    let ghost = ServerId(9_999);
+    assert!(
+        !c.is_alive(ghost),
+        "a server outside the topology is not alive"
+    );
+    c.crash_at(ghost, SimTime(0) + SimDuration::from_millis(5));
+    let end = run_conns(&mut c, 50, SimDuration::from_millis(1));
+    assert_eq!(c.now(), end);
+    assert_eq!(c.stats().completed, 50);
+    assert!(c.monitor.crash_pending.is_empty());
+    assert!((0..16).all(|s| c.is_alive(ServerId(s))));
+}
+
+/// The §6.1 testbed at quarter scale (what `TestbedOpts::scaled()` builds
+/// in the experiments harness): two racks of 16, 1-core vSwitches, a VM
+/// with a quarter of the kernel capacity.
+fn scaled_testbed() -> Cluster {
+    let cfg = ClusterConfig::builder()
+        .topology(TopologyConfig {
+            servers_per_rack: 16,
+            racks_per_pod: 2,
+            pods: 1,
+            ..TopologyConfig::default()
+        })
+        .cores(1)
+        .auto(false)
+        .build();
+    let vm = VmConfig {
+        per_core_cps: 13_425.0,
+        ..VmConfig::with_vcpus(64)
+    };
+    with_service_vnic(cfg, vm)
+}
+
+/// The path every packet-level figure takes — offload, settle, *then*
+/// register the traffic starting at `now` — loses nothing: the engine's
+/// books balance with thousands of `StartConn`s queued right behind an
+/// idle settle, and every connection and packet is accounted for.
+#[test]
+fn post_settle_registration_conserves_events_and_packets() {
+    let mut c = scaled_testbed();
+    c.trigger_offload(VNIC, SimTime(0)).unwrap();
+    c.run_until(SimTime(0) + SimDuration::from_secs(3));
+    assert_eq!(c.backend(VNIC).unwrap().phase, OffloadPhase::Offloaded);
+    let idle_pending = c.engine.pending();
+
+    let balance = |c: &Cluster| {
+        let snap = c.metrics().snapshot();
+        snap.counter("engine.scheduled") - snap.counter("engine.processed")
+    };
+    const CONNS: u16 = 4_000;
+    let start = c.now();
+    for i in 0..CONNS {
+        c.add_conn(crate::conn::ConnSpec {
+            peer_server: ServerId(16 + (i % 8) as u32), // second rack
+            ..inbound_spec(i, start + SimDuration::from_micros(250 * i as u64))
+        })
+        .unwrap();
+    }
+    assert_eq!(c.engine.pending(), idle_pending + CONNS as usize);
+    assert_eq!(balance(&c), c.engine.pending() as u64);
+
+    c.run_until(start + SimDuration::from_secs(4));
+    assert_eq!(balance(&c), c.engine.pending() as u64);
+    assert_eq!(
+        c.engine.pending(),
+        idle_pending,
+        "only the idle ticks remain"
+    );
+    assert!(c
+        .conns
+        .iter()
+        .all(|s| s.status == crate::conn::ConnStatus::Completed));
+    let stats = c.stats();
+    assert_eq!(stats.completed, CONNS as u64);
+    assert_eq!(stats.pkts.dropped, 0);
+    let injected: f64 = stats.total_series.points().iter().map(|(_, v)| v).sum();
+    assert_eq!(injected as u64, stats.pkts.ok + stats.pkts.dropped);
 }

@@ -131,8 +131,11 @@ impl Cluster {
             }
             Event::Config(op) => self.apply_config(op, now),
             Event::Crash { server } => {
-                self.alive[server.0 as usize] = false;
-                self.monitor.crash_pending.insert(server, now);
+                // A server outside the topology has nothing to crash.
+                if let Some(alive) = self.alive.get_mut(server.0 as usize) {
+                    *alive = false;
+                    self.monitor.crash_pending.insert(server, now);
+                }
             }
             Event::StartProbe { pkt, from } => {
                 let pkt = self.pkt_slab.take(pkt);

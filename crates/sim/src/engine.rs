@@ -84,10 +84,12 @@ pub struct Engine<E> {
     /// `(at, seq)` so the earliest key sits at the back: a pop is
     /// `Vec::pop`, and a whole bucket is ordered by one cache-friendly
     /// unstable sort at promotion time instead of per-key heap sifts.
-    /// Sub-bucket-latency keys scheduled after the promotion are merged
-    /// in by binary-search insertion — the run only ever spans one 20 µs
-    /// bucket (tens of keys), so the shift is a short L1 `memmove`,
-    /// cheaper and branch-friendlier than a heap sift.
+    /// Keys scheduled below the horizon after the promotion are merged in
+    /// by binary-search insertion. That shift stays a short L1 `memmove`
+    /// because of the one invariant the drain side keeps: on return to
+    /// the caller the horizon is at most one bucket past
+    /// `max(now, deadline)`, so the run spans one bucket (tens of keys)
+    /// and everything later takes the O(1) bucket push.
     run: Vec<HeapKey>,
     /// The far-future bucket ladder: `buckets[i]` holds keys due in
     /// `[(bucket_base + i) * bucket_ns, (bucket_base + i + 1) * bucket_ns)`,
@@ -131,10 +133,10 @@ pub struct Engine<E> {
 /// Default width of one far-future bucket: 20 µs of simulated time — a
 /// hair above the fabric's common-case one-way latency, so most packet
 /// arrivals land one or two buckets out (an O(1) push) instead of in the
-/// sorted run. The clock can never pass the horizon without draining the
-/// run (only pops advance it), so the run holds at most one promoted
-/// bucket plus the in-flight events scheduled since: tens of keys,
-/// L1-resident.
+/// sorted run. Promotion happens only for buckets that start at or before
+/// the caller's deadline, so the run holds at most one promoted bucket
+/// plus the sub-bucket-latency events scheduled since: tens of keys,
+/// L1-resident, however sparse the pending events are.
 const BUCKET_NS: u64 = 20_000;
 
 /// Pre-registered handles the engine updates when metrics are attached.
@@ -223,17 +225,23 @@ impl<E> Engine<E> {
         self.bucket_base.saturating_mul(self.bucket_ns)
     }
 
-    /// Ensures the global earliest pending event (if any) is resident in
-    /// the run by promoting the next nonempty bucket when the run has
-    /// gone dry. The clock only advances by popping, so `now` can never
-    /// pass the horizon — a nonempty run always owns the global minimum
-    /// and promotion is exactly one bucket at a time: one unstable sort,
-    /// then every pop is O(1).
-    fn refill(&mut self) {
-        if !self.run.is_empty() {
+    /// Ensures the earliest pending event due by `limit` (if any) is
+    /// resident in the run: when the run has gone dry, skips empty
+    /// buckets and promotes the first nonempty one — one unstable sort,
+    /// then every pop is O(1) — but only while the front bucket *starts*
+    /// at or before `limit`. A nonempty run owns the global minimum (run
+    /// keys are below the horizon, ladder keys at or above it) and a
+    /// bucket left on the ladder holds nothing due by `limit`, so a peek
+    /// never moves the horizon more than one bucket past its deadline.
+    fn refill(&mut self, limit: SimTime) {
+        // `immediate` is due at `now`, ahead of anything on the ladder.
+        if !self.run.is_empty() || !self.immediate.is_empty() {
             return;
         }
-        while let Some(front) = self.buckets.front_mut() {
+        while self.horizon_ns() <= limit.0 {
+            let Some(front) = self.buckets.front_mut() else {
+                return;
+            };
             if front.is_empty() {
                 self.buckets.pop_front();
                 self.bucket_base += 1;
@@ -327,7 +335,7 @@ impl<E> Engine<E> {
             }
             return Some(Scheduled { at, event });
         }
-        self.refill();
+        self.refill(SimTime(u64::MAX));
         let k = self.run.pop()?;
         debug_assert!(k.at >= self.now, "event queue went backwards");
         self.now = k.at;
@@ -347,23 +355,16 @@ impl<E> Engine<E> {
     /// Used by harnesses that interleave simulation with periodic sampling:
     /// the clock advances to `deadline` when the queue has nothing earlier.
     pub fn pop_until(&mut self, deadline: SimTime) -> Option<Scheduled<E>> {
-        self.refill();
-        // Earliest pending instant: `immediate` (when present) lives at
-        // `draining_at == now`, which no run key can precede.
-        let due = if !self.immediate.is_empty() {
-            self.draining_at.expect("immediate implies draining_at")
-        } else if let Some(k) = self.run.last() {
-            k.at
-        } else {
-            self.now = self.now.max(deadline);
-            return None;
+        self.refill(deadline);
+        let popped = match self.resident_due() {
+            Some(due) if due <= deadline => self.pop(),
+            _ => {
+                self.now = self.now.max(deadline);
+                None
+            }
         };
-        if due <= deadline {
-            self.pop()
-        } else {
-            self.now = self.now.max(deadline);
-            None
-        }
+        self.debug_assert_horizon();
+        popped
     }
 
     /// Pops *every* event due at the earliest pending instant `<= deadline`
@@ -379,19 +380,15 @@ impl<E> Engine<E> {
     /// peek per *batch* instead of one per event.
     pub fn pop_batch_until(&mut self, deadline: SimTime, batch: &mut Vec<Scheduled<E>>) {
         batch.clear();
-        self.refill();
-        let due = if !self.immediate.is_empty() {
-            self.draining_at.expect("immediate implies draining_at")
-        } else if let Some(k) = self.run.last() {
-            k.at
-        } else {
-            self.now = self.now.max(deadline);
-            return;
+        self.refill(deadline);
+        let due = match self.resident_due() {
+            Some(due) if due <= deadline => due,
+            _ => {
+                self.now = self.now.max(deadline);
+                self.debug_assert_horizon();
+                return;
+            }
         };
-        if due > deadline {
-            self.now = self.now.max(deadline);
-            return;
-        }
         // Run entries at `due` pre-date (= smaller `seq` than) anything
         // in `immediate` — see `pop` — so they drain first.
         while let Some(&k) = self.run.last() {
@@ -416,20 +413,39 @@ impl<E> Engine<E> {
         if let Some(tel) = &self.telemetry {
             tel.registry.add(tel.processed, n);
         }
+        self.debug_assert_horizon();
+    }
+
+    /// Earliest pending instant outside the ladder: `immediate` (when
+    /// present) lives at `draining_at == now`, which no run key can
+    /// precede.
+    fn resident_due(&self) -> Option<SimTime> {
+        if self.immediate.is_empty() {
+            self.run.last().map(|k| k.at)
+        } else {
+            self.draining_at
+        }
+    }
+
+    /// The drain side's one invariant: every pop flavour hands control
+    /// back with the horizon at most one bucket past `max(now, deadline)`
+    /// — which is `now` itself, an idle pop having left the clock at its
+    /// deadline — so what the caller schedules next beyond that bucket is
+    /// an O(1) ladder push, never a sorted insert.
+    #[inline]
+    fn debug_assert_horizon(&self) {
+        let limit = self.now.0.saturating_add(self.bucket_ns);
+        debug_assert!(self.horizon_ns() <= limit, "horizon ran past now");
     }
 
     /// Due time of the next pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        if !self.immediate.is_empty() {
-            return self.draining_at;
-        }
-        if let Some(k) = self.run.last() {
-            return Some(k.at);
-        }
-        self.buckets
-            .iter()
-            .find(|b| !b.is_empty())
-            .map(|b| b.iter().map(|k| k.at).min().expect("nonempty"))
+        self.resident_due().or_else(|| {
+            self.buckets
+                .iter()
+                .find(|b| !b.is_empty())
+                .map(|b| b.iter().map(|k| k.at).min().expect("nonempty"))
+        })
     }
 
     /// Drops all pending events (used when tearing down a scenario).
@@ -508,6 +524,60 @@ mod tests {
         // Clock advanced to the deadline even though nothing popped.
         assert_eq!(eng.now(), SimTime(50));
         assert_eq!(eng.pop().unwrap().event, "late");
+    }
+
+    #[test]
+    fn promotion_stops_at_the_deadline() {
+        let mut eng = Engine::new();
+        eng.schedule_at(SimTime(500_000_000), 0u32);
+        assert!(eng.pop_until(SimTime(1_000_000)).is_none());
+        assert!(eng.run.is_empty());
+        assert!(eng.horizon_ns() <= 1_000_000 + eng.bucket_ns);
+        // Everything registered after the idle peek takes the bucket path.
+        for i in 0..10_000u64 {
+            eng.schedule_at(SimTime(2_000_000 + i * 37), 1);
+        }
+        assert_eq!(eng.run.len(), 0);
+        assert_eq!(eng.pending(), 10_001);
+        let drained: Vec<_> = std::iter::from_fn(|| eng.pop()).map(|s| s.at).collect();
+        assert_eq!(drained.len(), 10_001);
+        assert!(drained.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(drained.last(), Some(&SimTime(500_000_000)));
+    }
+
+    #[test]
+    fn idle_slices_do_not_grow_the_run() {
+        const MS: u64 = 1_000_000;
+        let mut eng = Engine::new();
+        eng.schedule_at(SimTime(100 * MS), 0u64);
+        let mut batch = Vec::new();
+        let mut ticks = 0;
+        for slice in 1..=1_000u64 {
+            let deadline = SimTime(slice * MS);
+            loop {
+                eng.pop_batch_until(deadline, &mut batch);
+                if batch.is_empty() {
+                    break;
+                }
+                for s in batch.drain(..) {
+                    ticks += 1;
+                    eng.schedule_at(SimTime(s.at.0 + 100 * MS), s.event + 1);
+                }
+            }
+            assert_eq!(eng.now(), deadline);
+            assert!(eng.run.is_empty(), "slice {slice}: run={}", eng.run.len());
+            assert!(eng.horizon_ns() <= deadline.0 + eng.bucket_ns);
+            // A caller registering traffic between slices stays on the
+            // ladder: nothing lands in the sorted run.
+            eng.schedule_at(SimTime(deadline.0 + MS / 2), u64::MAX);
+            assert!(eng.run.is_empty());
+            assert_eq!(
+                eng.pop_until(SimTime(deadline.0 + MS / 2)).unwrap().event,
+                u64::MAX
+            );
+        }
+        assert_eq!(ticks, 10);
+        assert_eq!(eng.pending(), 1);
     }
 
     #[test]

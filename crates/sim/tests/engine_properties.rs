@@ -7,9 +7,170 @@ use nezha_sim::time::{SimDuration, SimTime};
 use nezha_sim::topology::{Topology, TopologyConfig};
 use nezha_types::ServerId;
 use proptest::prelude::*;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// The reference the engine is compared against: a binary heap ordered by
+/// `(at, seq)` and the three documented pop flavours, nothing else.
+#[derive(Default)]
+struct ModelQueue {
+    heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
+    now: u64,
+    seq: u64,
+    processed: u64,
+}
+
+impl ModelQueue {
+    fn schedule_at(&mut self, at: u64, ev: u32) {
+        self.heap.push(Reverse((at.max(self.now), self.seq, ev)));
+        self.seq += 1;
+    }
+
+    fn peek(&self) -> Option<u64> {
+        self.heap.peek().map(|Reverse((at, _, _))| *at)
+    }
+
+    fn pop(&mut self) -> Option<(u64, u32)> {
+        let Reverse((at, _, ev)) = self.heap.pop()?;
+        self.now = at;
+        self.processed += 1;
+        Some((at, ev))
+    }
+
+    /// Pops the minimum if it is due by `deadline`; otherwise only the
+    /// clock moves (to `deadline`, never backwards).
+    fn pop_until(&mut self, deadline: u64) -> Option<(u64, u32)> {
+        if self.peek().is_some_and(|at| at <= deadline) {
+            self.pop()
+        } else {
+            self.now = self.now.max(deadline);
+            None
+        }
+    }
+}
+
+/// Offsets from `now`, in units of `scale` ns: inside one bucket, a few
+/// buckets out, slice-sized, and sparse far-future (the periodic-tick
+/// distance that used to drag the horizon out).
+fn offset(kind: u64, raw: u64, scale: u64) -> u64 {
+    let span = match kind % 5 {
+        0 => 1,
+        1 => 20_000,
+        2 => 200_000,
+        3 => 2_000_000,
+        _ => 600_000_000,
+    };
+    (raw % span) * scale
+}
+
+/// Replays `ops` on `eng` and on the model, comparing everything
+/// observable after every step.
+fn check_against_model(
+    mut eng: Engine<u32>,
+    scale: u64,
+    ops: &[(u32, u64, u64)],
+) -> Result<(), TestCaseError> {
+    let mut model = ModelQueue::default();
+    let mut batch = Vec::new();
+    let mut next_ev = 0u32;
+    for (step, &(op, a, b)) in ops.iter().enumerate() {
+        // The target instant of this step: usually ahead of the clock,
+        // now and then behind it (a stale deadline, a schedule to clamp).
+        let t = if b % 7 == 0 {
+            model.now.saturating_sub(a % 1_000)
+        } else {
+            model.now + offset(a, b, scale)
+        };
+        match op {
+            0..=2 => {
+                eng.schedule_at(SimTime(t), next_ev);
+                model.schedule_at(t, next_ev);
+                next_ev += 1;
+            }
+            3 => {
+                let delay = t.saturating_sub(model.now);
+                eng.schedule_in(SimDuration(delay), next_ev);
+                model.schedule_at(model.now + delay, next_ev);
+                next_ev += 1;
+            }
+            // Same-instant burst: FIFO among equals.
+            4 => {
+                for _ in 0..(2 + b % 7) {
+                    eng.schedule_at(SimTime(t), next_ev);
+                    model.schedule_at(t, next_ev);
+                    next_ev += 1;
+                }
+            }
+            5 => {
+                let got = eng.pop().map(|s| (s.at.0, s.event));
+                prop_assert_eq!(got, model.pop(), "step {step}: pop");
+            }
+            // A bounded pop, then a schedule hard on its heels — the
+            // "register traffic right after an idle peek" sequence.
+            6 | 7 => {
+                let got = eng.pop_until(SimTime(t)).map(|s| (s.at.0, s.event));
+                prop_assert_eq!(got, model.pop_until(t), "step {step}: pop_until({t})");
+                if op == 7 {
+                    let at = model.now + offset(b, a, scale);
+                    eng.schedule_at(SimTime(at), next_ev);
+                    model.schedule_at(at, next_ev);
+                    next_ev += 1;
+                }
+            }
+            _ => {
+                eng.pop_batch_until(SimTime(t), &mut batch);
+                let got: Vec<(u64, u32)> = batch.drain(..).map(|s| (s.at.0, s.event)).collect();
+                let mut want = Vec::new();
+                if let Some(first) = model.pop_until(t) {
+                    want.push(first);
+                    while model.peek() == Some(first.0) {
+                        want.extend(model.pop());
+                    }
+                }
+                prop_assert_eq!(got, want, "step {step}: pop_batch_until({t})");
+            }
+        }
+        prop_assert_eq!(eng.now().0, model.now, "step {step} (op {op}): now");
+        prop_assert_eq!(
+            eng.pending(),
+            model.heap.len(),
+            "step {step} (op {op}): pending"
+        );
+        prop_assert_eq!(
+            eng.processed(),
+            model.processed,
+            "step {step} (op {op}): processed"
+        );
+        prop_assert_eq!(
+            eng.peek_time().map(|t| t.0),
+            model.peek(),
+            "step {step} (op {op}): peek"
+        );
+    }
+    // Whatever is left drains in model order.
+    while let Some(want) = model.pop() {
+        prop_assert_eq!(eng.pop().map(|s| (s.at.0, s.event)), Some(want));
+    }
+    prop_assert!(eng.pop().is_none());
+    Ok(())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// Any interleaving of schedules and the three pop flavours delivers
+    /// exactly what a `(at, seq)` binary heap delivers — with the packet
+    /// datapath's 20 µs buckets, with everything inside one epoch-wide
+    /// bucket, and with an epoch-wide ladder the offsets actually span.
+    #[test]
+    fn engine_matches_a_binary_heap_model(
+        ops in prop::collection::vec((0u32..10, any::<u64>(), any::<u64>()), 1..250),
+    ) {
+        let epoch = SimDuration::from_secs(1800);
+        check_against_model(Engine::new(), 1, &ops)?;
+        check_against_model(Engine::with_bucket_width(epoch), 1, &ops)?;
+        check_against_model(Engine::with_bucket_width(epoch), 1_000_000, &ops)?;
+    }
 
     /// Pops are globally ordered by (time, schedule sequence), regardless
     /// of insertion order.

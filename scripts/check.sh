@@ -3,7 +3,9 @@
 # nezha-lint determinism/panic-safety pass, lints as errors, then the
 # whole workspace's test suite (`cargo test --workspace`: plain
 # `cargo test` runs only the root package's integration suites and skips
-# every crate-level unit and property test).
+# every crate-level unit and property test), then the standalone
+# `benchmark/` crate's tests (it is outside the workspace, so nothing
+# above compiles it).
 #
 # Usage: scripts/check.sh [--fast]
 #   --fast   skip the full test suite (quick pre-commit run); still runs
@@ -78,5 +80,9 @@ else
     cargo test --workspace -q
     echo "==> cargo test -q --test chaos   (fault-injection suite)"
     cargo test -q --test chaos
+    # benchmark/ compiles against a specific public API (ROADMAP item 2):
+    # API drift must fail here, not in the acceptance run.
+    echo "==> cargo test --offline -q --manifest-path benchmark/Cargo.toml   (the yardstick still builds and passes)"
+    cargo test --offline -q --manifest-path benchmark/Cargo.toml
     echo "All checks passed."
 fi
