@@ -9,7 +9,7 @@
 //! ```
 //!
 //! `--flag` arguments apply to the experiment id that precedes them
-//! (e.g. `experiments bench --config=testbed --out=bench.json`).
+//! (e.g. `experiments watch --config=chaos --jsonl=windows.jsonl`).
 
 use nezha_bench::experiments::{self, DispatchOutcome};
 use std::process::ExitCode;

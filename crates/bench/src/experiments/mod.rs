@@ -5,18 +5,17 @@
 //! ([`Experiment::name`], the CLI subcommand), an argument hook
 //! ([`Experiment::configure`]), and a typed [`Experiment::run`] that
 //! receives the shared [`Harness`] and returns a [`BenchReport`]. The
-//! CLI, the bench regression gate, and future experiments all enter
-//! through [`dispatch_with`]; there is no per-experiment wiring left.
+//! CLI and future experiments all enter through [`dispatch_with`];
+//! there is no per-experiment wiring left.
 //!
 //! The paper-figure modules keep their original `run()` free functions
 //! (plain-text tables plus legacy snapshot lines — those byte-exact
 //! outputs are pinned by golden tests) and are adapted into the registry
-//! by [`Legacy`]; `profile`, `chaos`, and `bench` implement the trait
+//! by [`Legacy`]; `chaos`, `profile` and `watch` implement the trait
 //! natively and return fully-populated reports.
 
 pub mod ablations;
 pub mod appendix_b2;
-pub mod bench;
 pub mod chaos;
 pub mod fig10;
 pub mod fig11;
@@ -113,7 +112,6 @@ pub fn registry() -> Vec<Box<dyn Experiment>> {
         legacy("ablations", ablations::run),
         Box::new(chaos::Chaos),
         Box::new(profile::Profile),
-        Box::new(bench::Bench::default()),
         Box::new(watch::Watch::default()),
     ]
 }
@@ -141,7 +139,6 @@ pub const ALL: &[&str] = &[
     "ablations",
     "chaos",
     "profile",
-    "bench",
     "watch",
 ];
 

@@ -8,8 +8,9 @@
 //!    card, which every experiment uses;
 //! 2. the same sweep driven through this repository's actual Rust lookup
 //!    code, timed on the **simulated clock** (each iteration charges the
-//!    modeled slow-path cost) so the table is identical run-to-run — a
-//!    wall-clock variant lives in `cargo bench rule_lookup`. Absolute
+//!    modeled slow-path cost) so the table is identical run-to-run — the
+//!    host-time cost of the same lookup is `benchmark/`'s
+//!    `vswitch.stage.lookup_ns` probe. Absolute
 //!    numbers differ from the paper's FPGA+CPU card, the shape (monotone
 //!    degradation in both axes) is the target.
 

@@ -13,9 +13,8 @@
 //! *shapes* — who wins, by what factor, where the knees sit — are the
 //! reproduction targets (see EXPERIMENTS.md for the side-by-side record).
 //!
-//! Criterion microbenchmarks (`benches/`) cover the genuinely
-//! CPU-measurable pieces: the rule-table lookup (Table A1's subject),
-//! session-table operations, NSH encode/decode, and the FE-selection hash.
+//! Nothing here reads the host clock: how fast the simulator itself runs
+//! is measured from outside, by `benchmark/` (see its README).
 
 #![warn(missing_docs)]
 

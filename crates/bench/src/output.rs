@@ -7,8 +7,7 @@
 //! the human-readable tables stay the primary output — but:
 //!
 //! * `NEZHA_SNAPSHOT_DIR=<dir>` writes `<dir>/<id>.json`;
-//! * `NEZHA_BENCH_JSON=1` prints the line to stdout (the same switch
-//!   the Criterion benches use for their JSON lines).
+//! * `NEZHA_BENCH_JSON=1` prints the line to stdout.
 
 use nezha_sim::metrics::MetricsSnapshot;
 use nezha_sim::report::BenchReport;
@@ -22,7 +21,7 @@ use std::io::Write;
 ///   `NEZHA_SNAPSHOT_DIR` / `NEZHA_BENCH_JSON` switches) — golden
 ///   fixtures that pin those lines stay valid.
 /// * `NEZHA_REPORT_DIR=<dir>` additionally writes the typed report as
-///   `<dir>/<id>.report.json` (schema-versioned, timing segregated).
+///   `<dir>/<id>.report.json` (schema-versioned).
 ///
 /// Write errors are reported on stderr, never fatal.
 pub fn emit_report(report: &BenchReport) {
@@ -32,7 +31,7 @@ pub fn emit_report(report: &BenchReport) {
     if let Ok(dir) = std::env::var("NEZHA_REPORT_DIR") {
         if !dir.is_empty() {
             let path = std::path::Path::new(&dir).join(format!("{}.report.json", report.id));
-            if let Err(e) = std::fs::write(&path, report.to_json()) {
+            if let Err(e) = std::fs::write(&path, report.deterministic_json()) {
                 eprintln!("warning: cannot write report {}: {e}", path.display());
             }
         }

@@ -142,12 +142,12 @@ impl Cluster {
             tel,
             controller: ControllerState::new(),
             monitor: MonitorState::new(),
-            // nezha-lint: allow(D9): seed derivation pinned by golden fixtures (refactor_equivalence, BENCH_pr6); migrate to derive_seed when re-baselining
+            // nezha-lint: allow(D9): seed derivation pinned by golden fixtures (refactor_equivalence, the benchmark's payload digests); migrate to derive_seed when re-baselining
             rng: SimRng::new(cfg.seed),
             blackholes: std::collections::BTreeSet::new(),
             // An independent stream derived from the seed (not forked from
             // `rng`, so enabling faults never perturbs baseline draws).
-            // nezha-lint: allow(D9): seed derivation pinned by golden fixtures (refactor_equivalence, BENCH_pr6); migrate to derive_seed when re-baselining
+            // nezha-lint: allow(D9): seed derivation pinned by golden fixtures (refactor_equivalence, the benchmark's payload digests); migrate to derive_seed when re-baselining
             faults: FaultState::new(SimRng::new(
                 cfg.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0xFA17,
             )),
@@ -597,10 +597,11 @@ impl Cluster {
         self.tel.inc(Ctr::FaultEvents);
         match &kind {
             FaultKind::Crash { server } => {
+                // A server outside the topology has nothing to crash.
                 if let Some(alive) = self.alive.get_mut(server.0 as usize) {
                     *alive = false;
+                    self.monitor.crash_pending.insert(*server, now);
                 }
-                self.monitor.crash_pending.insert(*server, now);
             }
             FaultKind::Restart { server } => {
                 if let Some(alive) = self.alive.get_mut(server.0 as usize) {

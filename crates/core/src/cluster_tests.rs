@@ -4,6 +4,7 @@
 use crate::be::OffloadPhase;
 use crate::cluster::{retry_backoff, Cluster, ClusterConfig, ConfigOp, Event};
 use crate::vm::VmConfig;
+use nezha_sim::fault::FaultPlan;
 use nezha_sim::time::{SimDuration, SimTime};
 use nezha_sim::topology::TopologyConfig;
 use nezha_types::{FiveTuple, Ipv4Addr, NezhaError, ServerId, SessionKey, VnicId, VpcId};
@@ -615,6 +616,8 @@ fn crash_at_unknown_server_is_ignored() {
         "a server outside the topology is not alive"
     );
     c.crash_at(ghost, SimTime(0) + SimDuration::from_millis(5));
+    // The scripted-fault path must ignore it the same way.
+    c.apply_fault_plan(FaultPlan::new().crash(SimTime(0) + SimDuration::from_millis(6), ghost));
     let end = run_conns(&mut c, 50, SimDuration::from_millis(1));
     assert_eq!(c.now(), end);
     assert_eq!(c.stats().completed, 50);

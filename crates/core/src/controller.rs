@@ -665,7 +665,7 @@ impl Cluster {
                 // (§4.2.1): frees the memory that becomes #flows headroom.
                 vs.remove_vnic(vnic);
                 let m = self.cfg.vswitch.memory;
-                vs.sessions.drop_cached_flows(&mut vs.mem, &m);
+                vs.sessions.invalidate_flows(&mut vs.mem, &m);
             }
             ConfigOp::FallbackFinal { vnic } => {
                 let Some(meta) = self.be_meta.get(&vnic) else {

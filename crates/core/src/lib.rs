@@ -28,10 +28,10 @@
 //! * [`cluster`] — the event-driven world tying everything together:
 //!   construction and accessors live here, while the per-packet BE/FE
 //!   handlers live in the private `datapath` module (`dispatch` demux,
-//!   `be`/`fe` handlers, and the `HandlerCtx` cross-cutting layer —
-//!   lint rule D7 keeps telemetry access behind it), configuration in
-//!   [`config`], instrument registration in [`telemetry`], and
-//!   connection-script driving in the private `driver` module;
+//!   `be`/`fe` handlers, and the `HandlerCtx` cross-cutting layer),
+//!   configuration in [`config`], instrument registration in
+//!   [`telemetry`], and connection-script driving in the private
+//!   `driver` module;
 //! * [`controller`] — offload/fallback/scale-out/scale-in per Fig. 8;
 //! * [`monitor`] — ping-polling crash detection and ≤2 s failover;
 //! * [`migration`] — the VM live-migration cost model (Fig. A1);

@@ -226,8 +226,8 @@ impl RegionReport {
     }
 
     /// Renders the run as a [`BenchReport`] whose metrics section is a
-    /// deterministic function of the simulation (safe to exact-diff in
-    /// the bench gate regardless of shard count or host). The percentile
+    /// deterministic function of the simulation (safe to exact-diff
+    /// against goldens regardless of shard count or host). The percentile
     /// sections are [`LogHistogram`]-sourced latency/utilization
     /// quantiles — also pure functions of the seed, since log-bucket
     /// counts are insertion-order independent.

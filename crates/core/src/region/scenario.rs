@@ -5,7 +5,7 @@
 //! flash crowds, correlated fault waves, and tenant churn/migration
 //! rates. [`Scenario::quiet`] reproduces the original steady-state
 //! model (used by the Fig. 3/4/13 calibration experiments);
-//! [`Scenario::production_day`] is the `region10k` shape — one diurnal
+//! [`Scenario::production_day`] is the production shape — one diurnal
 //! day with every stressor enabled.
 //!
 //! Everything here is a *pure function* of the scenario parameters and
@@ -67,7 +67,7 @@ impl Scenario {
 
     /// One full production day with every stressor on: a strong diurnal
     /// wave, flash crowds, correlated fault waves, and tenant
-    /// churn/migration. The `region10k` experiment runs this shape.
+    /// churn/migration. `experiments watch --config=region` runs it.
     pub fn production_day() -> Self {
         Scenario {
             days: 1,

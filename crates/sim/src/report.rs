@@ -1,27 +1,22 @@
-//! Typed, schema-versioned benchmark reports.
+//! Typed, schema-versioned experiment reports.
 //!
 //! Every experiment ends by producing a [`BenchReport`]: a named bundle
-//! of [`Sample`]s split into two sections with different determinism
-//! contracts:
-//!
-//! * **deterministic** — pure functions of the seed (event counts,
-//!   simulated durations, completion totals). Two same-seed runs must
-//!   produce byte-identical deterministic sections; regression gates and
-//!   golden diffs compare only this part.
-//! * **timing** — wall-clock observations (events per wall-second, peak
-//!   RSS). These vary run-to-run and machine-to-machine and are
-//!   explicitly segregated so a `BENCH_*.json` diff never mixes the two.
+//! of config echoes, [`Sample`]s and latency-percentile blocks, every
+//! one a pure function of the seed (event counts, simulated durations,
+//! completion totals). Two same-seed runs must produce byte-identical
+//! reports; golden fixtures pin the rendering. Nothing here is measured
+//! on the host clock — wall time and RSS are `benchmark/`'s business.
 //!
 //! The JSON rendering is deterministic given the report contents: fields
 //! print in insertion order, floats use shortest-round-trip formatting,
-//! and the schema carries an explicit version so downstream tooling
-//! (`scripts/bench_gate.sh`) can refuse reports it does not understand.
+//! and the schema carries an explicit version so downstream tooling can
+//! refuse reports it does not understand.
 
 use crate::metrics::{json_f64, json_str, MetricsSnapshot};
 use crate::obs::{HistSummary, LogHistogram, REL_ERROR_BOUND};
 use std::fmt::Write as _;
 
-/// Version of the JSON layout emitted by [`BenchReport::to_json`].
+/// Version of the JSON layout emitted by [`BenchReport::deterministic_json`].
 /// Bump when the shape (not the set of sample names) changes.
 /// v2 added the optional `percentiles` section (latency quantiles
 /// sourced from [`LogHistogram`], stamped with its error bound).
@@ -30,7 +25,7 @@ pub const BENCH_SCHEMA_VERSION: u32 = 2;
 /// One measured quantity.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Sample {
-    /// Sample name, unique within its section (e.g. `events_processed`).
+    /// Sample name, unique within its report (e.g. `events_processed`).
     pub name: String,
     /// The measured value.
     pub value: f64,
@@ -58,17 +53,16 @@ impl Sample {
     }
 }
 
-/// A typed experiment report: id + config echo + segregated samples.
+/// A typed experiment report: id + config echo + samples.
 ///
 /// Built fluently:
 ///
 /// ```
 /// use nezha_sim::report::BenchReport;
 ///
-/// let r = BenchReport::new("bench.testbed")
+/// let r = BenchReport::new("chaos")
 ///     .config("cores", 4)
-///     .metric("events_processed", 123456.0, "events")
-///     .timing("events_per_wall_sec", 2.5e6, "1/s");
+///     .metric("events_processed", 123456.0, "events");
 /// assert_eq!(r.get("events_processed"), Some(123456.0));
 /// assert!(r.deterministic_json() == r.clone().deterministic_json());
 /// ```
@@ -79,7 +73,6 @@ pub struct BenchReport {
     config: Vec<(String, String)>,
     deterministic: Vec<Sample>,
     percentiles: Vec<(String, HistSummary)>,
-    timing: Vec<Sample>,
     /// Optional raw metrics snapshot attached by experiments that also
     /// export the legacy one-line snapshot format.
     pub snapshot: Option<MetricsSnapshot>,
@@ -94,29 +87,23 @@ impl BenchReport {
         }
     }
 
-    /// Echoes one configuration knob (part of the deterministic payload).
+    /// Echoes one configuration knob.
     pub fn config(mut self, key: impl Into<String>, value: impl ToString) -> Self {
         self.config.push((key.into(), value.to_string()));
         self
     }
 
-    /// Adds a deterministic sample (a pure function of the seed).
+    /// Adds a sample (a pure function of the seed).
     pub fn metric(mut self, name: impl Into<String>, value: f64, unit: impl Into<String>) -> Self {
         self.deterministic.push(Sample::new(name, value, unit));
         self
     }
 
     /// Adds a named latency-percentile block sourced from a
-    /// [`LogHistogram`] (part of the deterministic payload; quantiles
-    /// carry the histogram's documented relative-error bound).
+    /// [`LogHistogram`] (quantiles carry the histogram's documented
+    /// relative-error bound).
     pub fn percentiles(mut self, name: impl Into<String>, hist: &LogHistogram) -> Self {
         self.percentiles.push((name.into(), hist.summary()));
-        self
-    }
-
-    /// Adds a wall-clock sample (machine- and run-dependent).
-    pub fn timing(mut self, name: impl Into<String>, value: f64, unit: impl Into<String>) -> Self {
-        self.timing.push(Sample::new(name, value, unit));
         self
     }
 
@@ -127,23 +114,12 @@ impl BenchReport {
         self
     }
 
-    /// Looks a sample up by name, deterministic section first.
+    /// Looks a sample up by name.
     pub fn get(&self, name: &str) -> Option<f64> {
         self.deterministic
             .iter()
-            .chain(self.timing.iter())
             .find(|s| s.name == name)
             .map(|s| s.value)
-    }
-
-    /// The deterministic samples, in insertion order.
-    pub fn deterministic_samples(&self) -> &[Sample] {
-        &self.deterministic
-    }
-
-    /// The timing samples, in insertion order.
-    pub fn timing_samples(&self) -> &[Sample] {
-        &self.timing
     }
 
     /// The percentile blocks, in insertion order.
@@ -156,7 +132,9 @@ impl BenchReport {
         &self.config
     }
 
-    fn render(&self, include_timing: bool) -> String {
+    /// The report as JSON — what same-seed runs must reproduce
+    /// byte-for-byte and what golden fixtures pin.
+    pub fn deterministic_json(&self) -> String {
         let mut out = String::new();
         let _ = write!(
             out,
@@ -200,50 +178,9 @@ impl BenchReport {
             }
             out.push_str("\n  }");
         }
-        if include_timing {
-            out.push_str(",\n  \"timing\": {");
-            for (i, s) in self.timing.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "\n    {}", s.json());
-            }
-            out.push_str("\n  }");
-        }
         out.push_str("\n}\n");
         out
     }
-
-    /// Full JSON: deterministic payload plus the segregated timing block.
-    pub fn to_json(&self) -> String {
-        self.render(true)
-    }
-
-    /// JSON of the deterministic payload only — what same-seed runs must
-    /// reproduce byte-for-byte and what regression gates diff.
-    pub fn deterministic_json(&self) -> String {
-        self.render(false)
-    }
-}
-
-/// Renders several reports as one schema-versioned JSON document — the
-/// shape of the checked-in `BENCH_*.json` trajectory files.
-pub fn reports_json(phase: &str, reports: &[BenchReport]) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\n\"schema_version\": {},\n\"phase\": {},\n\"reports\": [\n",
-        BENCH_SCHEMA_VERSION,
-        json_str(phase)
-    );
-    for (i, r) in reports.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        out.push_str(r.to_json().trim_end());
-    }
-    out.push_str("\n]\n}\n");
-    out
 }
 
 #[cfg(test)]
@@ -251,54 +188,40 @@ mod tests {
     use super::*;
 
     fn sample_report() -> BenchReport {
-        BenchReport::new("bench.testbed")
-            .config("cores", 4)
+        BenchReport::new("region.nezha")
+            .config("shards", 4)
             .config("seed", 0x4e5a)
             .metric("events_processed", 1_234_567.0, "events")
             .metric("sim_seconds", 2.5, "s")
-            .timing("wall_seconds", 0.731, "s")
-            .timing("events_per_wall_sec", 1.69e6, "1/s")
     }
 
     #[test]
-    fn lookup_spans_both_sections() {
+    fn lookup_finds_samples_by_name() {
         let r = sample_report();
         assert_eq!(r.get("sim_seconds"), Some(2.5));
-        assert_eq!(r.get("wall_seconds"), Some(0.731));
+        assert_eq!(r.get("events_processed"), Some(1_234_567.0));
         assert_eq!(r.get("missing"), None);
     }
 
     #[test]
-    fn deterministic_json_excludes_timing() {
-        let r = sample_report();
-        let d = r.deterministic_json();
-        assert!(d.contains("\"events_processed\""));
-        assert!(!d.contains("\"timing\""));
-        assert!(!d.contains("wall_seconds"));
-        let full = r.to_json();
-        assert!(full.contains("\"timing\""));
-        assert!(full.contains("wall_seconds"));
-    }
-
-    #[test]
     fn same_content_renders_identically() {
-        assert_eq!(sample_report().to_json(), sample_report().to_json());
+        assert_eq!(
+            sample_report().deterministic_json(),
+            sample_report().deterministic_json()
+        );
     }
 
     #[test]
     fn schema_version_is_stamped() {
         assert!(sample_report()
-            .to_json()
+            .deterministic_json()
             .starts_with("{\n  \"schema_version\": 2,"));
-        let doc = reports_json("pre-optimization", &[sample_report()]);
-        assert!(doc.contains("\"phase\": \"pre-optimization\""));
-        assert!(doc.contains("\"reports\": ["));
     }
 
     #[test]
     fn percentile_section_renders_when_present() {
         let plain = sample_report();
-        assert!(!plain.to_json().contains("\"percentiles\""));
+        assert!(!plain.deterministic_json().contains("\"percentiles\""));
         let mut h = LogHistogram::new();
         for v in [0.001, 0.002, 0.004, 0.1] {
             h.record(v);

@@ -126,35 +126,20 @@ impl SessionTable {
         }
     }
 
-    /// Drops the cached pre-actions of **every** entry, releasing their
-    /// flow-entry bytes. This is the BE entering Nezha's final stage:
-    /// "we can delete the rule tables and cached flows on the BE" (§4.2.1).
-    /// Returns the bytes freed.
-    pub fn drop_cached_flows(&mut self, pool: &mut MemoryPool, m: &MemoryModel) -> u64 {
-        let mut freed = 0;
-        for e in self.entries.values_mut() {
-            if e.pre_actions.take().is_some() {
-                freed += m.flow_entry;
-            }
-        }
-        pool.free(freed);
-        freed
-    }
-
-    /// Invalidates cached pre-actions only (keeps state), as happens when
-    /// rule tables change: "the associated cached flows are invalidated
+    /// Drops the cached pre-actions of **every** entry (keeping state),
+    /// releasing their flow-entry bytes. Two callers in the paper: a
+    /// rule-table change — "the associated cached flows are invalidated
     /// and deleted, which will be regenerated after subsequent rule table
-    /// lookups" (§3.2.2). Returns how many entries were invalidated.
+    /// lookups" (§3.2.2) — and the BE entering Nezha's final stage — "we
+    /// can delete the rule tables and cached flows on the BE" (§4.2.1).
+    /// Returns how many entries were invalidated (`flow_entry` bytes each).
     pub fn invalidate_flows(&mut self, pool: &mut MemoryPool, m: &MemoryModel) -> usize {
-        let mut n = 0;
-        let mut freed = 0;
-        for e in self.entries.values_mut() {
-            if e.pre_actions.take().is_some() {
-                n += 1;
-                freed += m.flow_entry;
-            }
-        }
-        pool.free(freed);
+        let n = self
+            .entries
+            .values_mut()
+            .filter_map(|e| e.pre_actions.take())
+            .count();
+        pool.free(n as u64 * m.flow_entry);
         n
     }
 
@@ -311,7 +296,7 @@ mod tests {
     }
 
     #[test]
-    fn drop_cached_flows_multiplies_capacity() {
+    fn invalidate_flows_multiplies_capacity() {
         // The §6.2.1 mechanism: dropping 100 B of flow entry per session
         // leaves 64 B entries — the same pool then fits ~2.5x the sessions.
         let (mut t, _, cfg) = setup();
@@ -329,8 +314,8 @@ mod tests {
             .unwrap();
         }
         assert_eq!(pool.available(), 0);
-        let freed = t.drop_cached_flows(&mut pool, &cfg.memory);
-        assert_eq!(freed, 1000);
+        assert_eq!(t.invalidate_flows(&mut pool, &cfg.memory), 10);
+        assert_eq!(pool.available(), 1000);
         // 1000 freed bytes now fit 15 more state-only sessions.
         for i in 10..25 {
             t.establish(

@@ -135,7 +135,7 @@ proptest! {
                 }
                 1 => table.remove(&key(n), &mut pool, &cfg.memory),
                 2 => {
-                    table.drop_cached_flows(&mut pool, &cfg.memory);
+                    table.invalidate_flows(&mut pool, &cfg.memory);
                 }
                 _ => {
                     table.expire(SimTime(now.0 + 60_000_000_000), &cfg, &mut pool);

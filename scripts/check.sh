@@ -70,8 +70,8 @@ if [ "$fast" -eq 1 ]; then
     echo "==> experiments profile   (--fast: profiler smoke, artifacts to target/profile-smoke)"
     mkdir -p target/profile-smoke
     NEZHA_PROFILE_DIR=target/profile-smoke cargo run -q --release -p nezha-bench --bin experiments -- profile
-    echo "==> experiments bench --config=region10k_smoke   (--fast: shard-equivalence smoke)"
-    cargo run -q --release -p nezha-bench --bin experiments -- bench --config=region10k_smoke
+    echo "==> cargo test -q --test shard_equivalence   (--fast: 1/2/4/8-shard goldens)"
+    cargo test -q --test shard_equivalence
     echo "==> experiments watch   (--fast: observability smoke, self-asserts >=1 SLO event)"
     cargo run -q --release -p nezha-bench --bin experiments -- watch
     echo "All checks passed (--fast: full test suite skipped)."

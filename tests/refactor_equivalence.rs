@@ -1,7 +1,7 @@
 //! Refactor-equivalence harness: pins the observable behavior of the
 //! datapath against fixtures generated **before** the `cluster.rs` →
-//! `datapath/` decomposition. Three scenario families (testbed, chaos,
-//! profile) run on three seeds each; for every run the full
+//! `datapath/` decomposition. Four scenario families (testbed, chaos,
+//! profile, multi_vnic) run on three seeds each; for every run the full
 //! [`ClusterStats`] view, the FNV-1a hash of the metrics snapshot JSON,
 //! and (for the profile scenario) the complete flamegraph text must be
 //! byte-identical to the checked-in pre-refactor fixture.
@@ -15,11 +15,14 @@
 
 use nezha::core::cluster::{Cluster, ClusterConfig, ClusterStats};
 use nezha::core::conn::{ConnKind, ConnSpec};
+use nezha::core::controller::ControllerConfig;
 use nezha::core::vm::VmConfig;
+use nezha::sim::rng::SimRng;
 use nezha::sim::time::{SimDuration, SimTime};
 use nezha::sim::topology::TopologyConfig;
 use nezha::types::{FiveTuple, Ipv4Addr, ServerId, VnicId, VpcId};
 use nezha::vswitch::vnic::{Vnic, VnicProfile};
+use nezha::workloads::cps::CpsWorkload;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -103,6 +106,14 @@ fn stats_repr(stats: &mut ClusterStats) -> String {
     out
 }
 
+fn push_metrics_hash(out: &mut String, c: &Cluster) {
+    let _ = writeln!(
+        out,
+        "metrics_hash={:016x}",
+        fnv1a(c.metrics().snapshot().to_json().as_bytes())
+    );
+}
+
 fn base_config(seed: u64) -> ClusterConfig {
     ClusterConfig::builder()
         .topology(TopologyConfig {
@@ -164,11 +175,7 @@ fn run_testbed(seed: u64) -> String {
     c.crash_at(victim, c.now() + SimDuration::from_millis(150));
     c.run_until(c.now() + SimDuration::from_secs(8));
     let mut out = stats_repr(&mut c.stats());
-    let _ = writeln!(
-        out,
-        "metrics_hash={:016x}",
-        fnv1a(c.metrics().snapshot().to_json().as_bytes())
-    );
+    push_metrics_hash(&mut out, &c);
     let _ = writeln!(out, "trace_events={}", c.trace().events().len());
     out
 }
@@ -195,11 +202,7 @@ fn run_chaos(seed: u64) -> String {
     );
     c.run_until(t0 + SimDuration::from_secs(8));
     let mut out = stats_repr(&mut c.stats());
-    let _ = writeln!(
-        out,
-        "metrics_hash={:016x}",
-        fnv1a(c.metrics().snapshot().to_json().as_bytes())
-    );
+    push_metrics_hash(&mut out, &c);
     out
 }
 
@@ -255,11 +258,7 @@ fn run_profile(seed: u64) -> String {
     }
     c.run_until(c.now() + SimDuration::from_secs(6));
     let mut out = stats_repr(&mut c.stats());
-    let _ = writeln!(
-        out,
-        "metrics_hash={:016x}",
-        fnv1a(c.metrics().snapshot().to_json().as_bytes())
-    );
+    push_metrics_hash(&mut out, &c);
     let _ = writeln!(
         out,
         "chrome_trace_hash={:016x}",
@@ -267,6 +266,72 @@ fn run_profile(seed: u64) -> String {
     );
     let _ = writeln!(out, "--- flamegraph ---");
     out.push_str(&c.profiler().flamegraph());
+    out
+}
+
+/// Multi-vNIC concurrent offload on a multi-pod fabric: 128 servers in
+/// 4 pods with 1-core vSwitches, four vNICs on four homes offloaded at
+/// once onto 4 FEs each (`initial_fes = min_fes = 4`), then TCP_CRR to
+/// every vNIC from 8 clients in another pod. The load is short (250 ms
+/// at 18k conn/s per vNIC) so the family stays cheap in a debug build.
+fn run_multi_vnic(seed: u64) -> String {
+    let cfg = ClusterConfig::builder()
+        .topology(TopologyConfig {
+            servers_per_rack: 16,
+            racks_per_pod: 2,
+            pods: 4,
+            ..TopologyConfig::default()
+        })
+        .cores(1)
+        .controller(ControllerConfig {
+            initial_fes: 4,
+            min_fes: 4,
+            ..ControllerConfig::default()
+        })
+        .seed(seed)
+        .build();
+    let mut c = Cluster::new(cfg);
+    let vnics: Vec<(VnicId, Ipv4Addr)> = (0..4u32)
+        .map(|i| (VnicId(i + 1), Ipv4Addr::new(10, 7, 0, (i + 1) as u8)))
+        .collect();
+    for (i, &(id, addr)) in vnics.iter().enumerate() {
+        let home = ServerId(i as u32);
+        let mut vnic = Vnic::new(id, VpcId(1), addr, VnicProfile::default(), home);
+        vnic.allow_inbound_port(9000);
+        let vm = VmConfig {
+            vcpus: 64,
+            per_core_cps: 13_425.0,
+            ..VmConfig::default()
+        };
+        c.add_vnic(vnic, home, vm).unwrap();
+    }
+    for &(id, _) in &vnics {
+        c.trigger_offload(id, c.now()).unwrap();
+    }
+    c.run_until(c.now() + SimDuration::from_secs(3));
+    let start = c.now();
+    let clients: Vec<ServerId> = (64..72).map(ServerId).collect();
+    for (i, &(id, addr)) in vnics.iter().enumerate() {
+        let wl = CpsWorkload::tcp_crr(
+            id,
+            VpcId(1),
+            addr,
+            9000,
+            clients.clone(),
+            18_000.0,
+            SimDuration::from_millis(250),
+        );
+        let mut rng = SimRng::new(seed ^ (i as u64 + 1));
+        for spec in wl.generate(start, &mut rng) {
+            c.add_conn(spec).unwrap();
+        }
+    }
+    c.run_until(start + SimDuration::from_secs(2));
+    let mut out = stats_repr(&mut c.stats());
+    for &(id, _) in &vnics {
+        let _ = writeln!(out, "fes[{}]={:?}", id.0, c.fe_servers(id));
+    }
+    push_metrics_hash(&mut out, &c);
     out
 }
 
@@ -331,5 +396,12 @@ fn chaos_scenario_matches_pre_refactor_fixtures() {
 fn profile_scenario_matches_pre_refactor_fixtures() {
     for seed in SEEDS {
         check_or_regen("profile", seed, &run_profile(seed));
+    }
+}
+
+#[test]
+fn multi_vnic_scenario_matches_pre_refactor_fixtures() {
+    for seed in SEEDS {
+        check_or_regen("multi_vnic", seed, &run_multi_vnic(seed));
     }
 }

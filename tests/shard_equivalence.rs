@@ -36,7 +36,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// A scaled-down `region10k`: every stressor of the production-day
+/// A scaled-down production region: every stressor of the production-day
 /// scenario on a population large enough that churn, migration, flash
 /// crowds, and fault waves all fire on every seed.
 fn scenario_cfg(seed: u64, shards: u32) -> RegionConfig {
