@@ -77,11 +77,12 @@ pub struct Cluster {
     /// the former ordered map — the per-packet conn lookups on the
     /// datapath become direct indexing.
     pub(crate) conns: Vec<ConnState>,
-    /// In-flight packets parked between schedule and arrival, addressed
-    /// by the `u32` id inside [`Event::Arrive`] / [`Event::StartProbe`].
+    /// In-flight packets parked between schedule and arrival — each
+    /// with the instant its network journey began — addressed by the
+    /// `u32` id inside [`Event::Arrive`] / [`Event::StartProbe`].
     /// Slot reuse is LIFO and ids are a pure function of the schedule
     /// call sequence, so replay stays seed-deterministic.
-    pub(crate) pkt_slab: nezha_sim::dense::Slab<Packet>,
+    pub(crate) pkt_slab: nezha_sim::dense::Slab<(Packet, SimTime)>,
     /// [`Cluster::run_until`]'s batch buffer, kept across calls so a run
     /// stepped in 1 ms slices does not allocate and regrow it per slice.
     batch: Vec<Scheduled<Event>>,
@@ -181,8 +182,9 @@ impl Cluster {
         self.engine.now()
     }
 
-    /// Parks `pkt` in the packet slab and schedules its arrival at
-    /// `server` — the heap entry carries the slab id, not the packet.
+    /// Parks `pkt` (and `sent_at`, when its journey began) in the packet
+    /// slab and schedules its arrival at `server` — the queue entry
+    /// carries the slab id, not the packet.
     pub(crate) fn schedule_arrive(
         &mut self,
         at: SimTime,
@@ -190,15 +192,8 @@ impl Cluster {
         pkt: Packet,
         sent_at: SimTime,
     ) {
-        let pkt = self.pkt_slab.insert(pkt);
-        self.engine.schedule_at(
-            at,
-            Event::Arrive {
-                server,
-                pkt,
-                sent_at,
-            },
-        );
+        let pkt = self.pkt_slab.insert((pkt, sent_at));
+        self.engine.schedule_at(at, Event::Arrive { server, pkt });
     }
 
     /// The cluster's shared [`MetricsRegistry`] — engine, every vSwitch,
@@ -462,7 +457,6 @@ impl Cluster {
             spec,
             pos: 0,
             retries: 0,
-            started_at: spec.start,
             status: ConnStatus::InFlight,
         });
         self.engine
@@ -529,7 +523,7 @@ impl Cluster {
         let id = PROBE_BIT | if silent { SILENT_BIT } else { 0 } | self.next_probe_id;
         self.next_probe_id += 1;
         let pkt = Packet::rx_data(id, vpc, vnic, tuple, nezha_types::TcpFlags::ACK, payload);
-        let pkt = self.pkt_slab.insert(pkt);
+        let pkt = self.pkt_slab.insert((pkt, at));
         self.engine.schedule_at(at, Event::StartProbe { pkt, from });
         Ok(())
     }
@@ -546,7 +540,8 @@ impl Cluster {
     /// the same plan observe identical fault behavior.
     pub fn apply_fault_plan(&mut self, plan: FaultPlan) {
         for ev in plan.into_events() {
-            self.engine.schedule_at(ev.at, Event::Fault(ev.kind));
+            self.engine
+                .schedule_at(ev.at, Event::Fault(Box::new(ev.kind)));
         }
     }
 

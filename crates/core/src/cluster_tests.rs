@@ -102,7 +102,7 @@ fn scheduled_retries_back_off_exponentially_with_bounded_jitter() {
         // Isolate the one RetryStep this loss schedules.
         c.engine.clear();
         if let Some(conn) = c.conn_mut(id) {
-            conn.retries = k;
+            conn.retries = k as u16;
         }
         let before = c.engine.now();
         c.lose_packet(id << 4, before);
@@ -474,7 +474,7 @@ fn stateful_decap_survives_the_split() {
         Some(Ipv4Addr::new(100, 64, 0, 5))
     );
     // The entry is state-only at the BE (flows live at the FEs).
-    assert!(entry.pre_actions.is_none());
+    assert!(!entry.has_cached_flows());
 }
 
 #[test]
@@ -489,7 +489,7 @@ fn live_migration_via_be_location_update() {
     // Move state to the new home (migration copies it with the VM).
     c.engine.schedule_in(
         SimDuration::from_micros(800),
-        Event::Config(ConfigOp::BeLocationUpdate {
+        Event::config(ConfigOp::BeLocationUpdate {
             vnic: VNIC,
             new_home,
         }),
@@ -623,6 +623,52 @@ fn crash_at_unknown_server_is_ignored() {
     assert_eq!(c.stats().completed, 50);
     assert!(c.monitor.crash_pending.is_empty());
     assert!((0..16).all(|s| c.is_alive(ServerId(s))));
+}
+
+/// The rare control payloads ride boxed behind the 16-byte `Event`; they
+/// must still fire at their instant in `(at, seq)` order *between* the
+/// packet events scheduled around them. Four probe packets arrive at the
+/// home switch at one instant, interleaved with a crash, a restart and a
+/// BE relocation at that same instant: each packet's fate tells which
+/// control events had fired before it.
+#[test]
+fn boxed_control_events_fire_in_seq_order_between_packets() {
+    let mut c = small_cluster(false);
+    let at = SimTime(0) + SimDuration::from_millis(5);
+    let arrive = |c: &mut Cluster, n: u16| {
+        let tuple = FiveTuple::tcp(
+            Ipv4Addr::new(10, 7, 1, 9),
+            30_000 + n,
+            Ipv4Addr::new(10, 7, 0, 1),
+            SVC_PORT,
+        );
+        let trace = (1u64 << 63) | u64::from(n); // probe bit: no conn bookkeeping
+        let syn = nezha_types::TcpFlags::SYN;
+        let pkt = nezha_types::Packet::rx_data(trace, VpcId(1), VNIC, tuple, syn, 64);
+        c.schedule_arrive(at, HOME, pkt, at);
+    };
+    arrive(&mut c, 1); // alive, home: delivered
+    c.apply_fault_plan(FaultPlan::new().crash(at, HOME));
+    arrive(&mut c, 2); // dead: dropped at the gate
+    c.apply_fault_plan(FaultPlan::new().restart(at, HOME));
+    arrive(&mut c, 3); // alive again: delivered
+    let new_home = ServerId(7);
+    c.engine.schedule_at(
+        at,
+        Event::config(ConfigOp::BeLocationUpdate {
+            vnic: VNIC,
+            new_home,
+        }),
+    );
+    arrive(&mut c, 4); // HOME is no longer the home: misroute
+    c.run_until(at + SimDuration::from_millis(10));
+    let stats = c.stats();
+    assert_eq!(stats.fault_events, 2);
+    assert_eq!(c.vnic_home[&VNIC], new_home);
+    assert_eq!(stats.probe_latency.len(), 2, "packets 1 and 3 delivered");
+    assert_eq!(stats.misroutes, 1, "packet 4 arrived after the relocation");
+    assert_eq!(stats.pkts.dropped, 2, "packets 2 and 4 lost");
+    assert!(c.is_alive(HOME));
 }
 
 /// The §6.1 testbed at quarter scale (what `TestbedOpts::scaled()` builds

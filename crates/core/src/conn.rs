@@ -144,14 +144,17 @@ pub struct ConnState {
     /// The immutable spec.
     pub spec: ConnSpec,
     /// Next step index to inject (0-based). `script.len()` = completed.
-    pub pos: usize,
-    /// Retries used on the current step.
-    pub retries: u32,
-    /// When the first packet was injected.
-    pub started_at: SimTime,
+    /// Scripts are at most 7 steps; the trace id packs this in 4 bits.
+    pub pos: u8,
+    /// Retries used on the current step (saturating).
+    pub retries: u16,
     /// Terminal status.
     pub status: ConnStatus,
 }
+
+// One registered connection per cache line: the table is the largest
+// per-connection structure a CPS run keeps.
+const _: () = assert!(std::mem::size_of::<ConnState>() <= 64);
 
 /// Terminal status of a connection.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

@@ -286,7 +286,7 @@ impl Cluster {
                 .lognormal_duration(cfg.config_push_median, cfg.config_push_sigma);
             worst = worst.max(delay);
             self.engine
-                .schedule_in(delay, Event::Config(ConfigOp::FeConfigured { vnic, fe }));
+                .schedule_in(delay, Event::config(ConfigOp::FeConfigured { vnic, fe }));
         }
         self.be_meta.insert(vnic, meta);
 
@@ -294,17 +294,17 @@ impl Cluster {
         // at apply time it reflects whichever FEs actually configured.
         let gw_at = now + worst + cfg.gateway_update_delay;
         self.engine
-            .schedule_at(gw_at, Event::Config(ConfigOp::GatewaySyncFes { vnic }));
+            .schedule_at(gw_at, Event::config(ConfigOp::GatewaySyncFes { vnic }));
         if self.cfg.skip_dual_running {
             // Ablation: tear the BE's tables down the moment the FEs are
             // up — before a single peer has learned the new mapping.
             self.engine
-                .schedule_at(now + worst, Event::Config(ConfigOp::BeFinalStage { vnic }));
+                .schedule_at(now + worst, Event::config(ConfigOp::BeFinalStage { vnic }));
         }
         // Activation check once every sender has learned the new mapping.
         self.engine.schedule_at(
             gw_at + self.gateway.learning_interval(),
-            Event::Config(ConfigOp::CheckActivation { vnic }),
+            Event::config(ConfigOp::CheckActivation { vnic }),
         );
         Ok(())
     }
@@ -414,13 +414,13 @@ impl Cluster {
                 .rng
                 .lognormal_duration(cfg.config_push_median, cfg.config_push_sigma);
             self.engine
-                .schedule_in(delay, Event::Config(ConfigOp::FeConfigured { vnic, fe }));
+                .schedule_in(delay, Event::config(ConfigOp::FeConfigured { vnic, fe }));
         }
         // Gateway learns the wider set after the pushes.
         let _ = fe_list;
         self.engine.schedule_in(
             cfg.config_push_median.times(2) + cfg.gateway_update_delay,
-            Event::Config(ConfigOp::GatewaySyncFes { vnic }),
+            Event::config(ConfigOp::GatewaySyncFes { vnic }),
         );
         added
     }
@@ -491,7 +491,7 @@ impl Cluster {
         };
         self.engine.schedule_in(
             self.cfg.controller.gateway_update_delay,
-            Event::Config(ConfigOp::GatewayUpdate { addr, servers }),
+            Event::config(ConfigOp::GatewayUpdate { addr, servers }),
         );
         let _ = now;
     }
@@ -526,14 +526,14 @@ impl Cluster {
         let gw_at = now + cfg.gateway_update_delay;
         self.engine.schedule_at(
             gw_at,
-            Event::Config(ConfigOp::GatewayUpdate {
+            Event::config(ConfigOp::GatewayUpdate {
                 addr,
                 servers: vec![home],
             }),
         );
         self.engine.schedule_at(
             gw_at + self.gateway.learning_interval() + SimDuration::from_millis(50),
-            Event::Config(ConfigOp::FallbackFinal { vnic }),
+            Event::config(ConfigOp::FallbackFinal { vnic }),
         );
         Ok(())
     }
@@ -606,7 +606,7 @@ impl Cluster {
                 if meta.all_ready() {
                     self.engine.schedule_in(
                         self.cfg.controller.gateway_update_delay,
-                        Event::Config(ConfigOp::GatewaySyncFes { vnic }),
+                        Event::config(ConfigOp::GatewaySyncFes { vnic }),
                     );
                 }
             }
@@ -647,7 +647,7 @@ impl Cluster {
                     // Enter the final stage after learning-interval + RTT.
                     self.engine.schedule_in(
                         self.gateway.learning_interval() + SimDuration::from_millis(2),
-                        Event::Config(ConfigOp::BeFinalStage { vnic }),
+                        Event::config(ConfigOp::BeFinalStage { vnic }),
                     );
                 }
             }

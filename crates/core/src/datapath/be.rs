@@ -64,7 +64,7 @@ pub(crate) fn degrade_to_local(ctx: &mut HandlerCtx<'_>, vnic: VnicId) -> bool {
     let gw_at = now + cfg.gateway_update_delay;
     cl.engine.schedule_at(
         gw_at,
-        Event::Config(ConfigOp::GatewayUpdate {
+        Event::config(ConfigOp::GatewayUpdate {
             addr,
             // nezha-lint: allow(D10): degradation to local vswitch is a rare fault-recovery event, not per-packet work
             servers: vec![home],
@@ -72,7 +72,7 @@ pub(crate) fn degrade_to_local(ctx: &mut HandlerCtx<'_>, vnic: VnicId) -> bool {
     );
     cl.engine.schedule_at(
         gw_at + cl.gateway.learning_interval() + SimDuration::from_millis(50),
-        Event::Config(ConfigOp::FallbackFinal { vnic }),
+        Event::config(ConfigOp::FallbackFinal { vnic }),
     );
     true
 }

@@ -16,21 +16,24 @@ use nezha_types::{Direction, NezhaPayloadKind, Packet, ServerId};
 use nezha_vswitch::pipeline::ProcessOutcome;
 
 /// Events driving the cluster.
+///
+/// Sixteen bytes: a queued event is an id and a step index, never a
+/// payload. Packets park in the cluster's packet slab, and the rare
+/// control payloads ([`ConfigOp`], [`FaultKind`]) ride boxed, so the
+/// engine's parked-event slab and batch entries stay one-third the size
+/// a 48-byte `FaultKind` inline would make them.
 #[derive(Clone, Debug)]
 pub enum Event {
     /// A packet arrives at a server's vSwitch.
     ///
-    /// The packet itself is parked in the cluster's packet slab and the
-    /// heap entry carries only its 4-byte id: the event heap sifts
-    /// ~50-byte entries instead of ~220-byte ones, which is most of the
-    /// simulator's memory traffic under load.
+    /// The packet and the instant its network journey began (for
+    /// latency) are parked in the cluster's packet slab; the queue entry
+    /// carries only the 4-byte slab id.
     Arrive {
         /// Receiving server.
         server: ServerId,
         /// Slab id of the parked packet (`Cluster::schedule_arrive`).
         pkt: u32,
-        /// When the packet's current network journey began (for latency).
-        sent_at: SimTime,
     },
     /// Start a registered connection.
     StartConn {
@@ -42,14 +45,14 @@ pub enum Event {
         /// Connection id.
         conn: u64,
         /// The step that completed.
-        from_step: usize,
+        from_step: u8,
     },
     /// Retransmit a lost step.
     RetryStep {
         /// Connection id.
         conn: u64,
         /// The step to retry.
-        step: usize,
+        step: u8,
     },
     /// Periodic controller tick (utilization reports + decisions).
     ControllerTick,
@@ -57,8 +60,9 @@ pub enum Event {
     MonitorTick,
     /// Periodic session-aging sweep.
     AgingTick,
-    /// A delayed configuration push takes effect.
-    Config(ConfigOp),
+    /// A delayed configuration push takes effect (build with
+    /// [`Event::config`]).
+    Config(Box<ConfigOp>),
     /// Hard-crash a server's SmartNIC.
     Crash {
         /// The crashing server.
@@ -73,7 +77,18 @@ pub enum Event {
         from: ServerId,
     },
     /// A scripted fault transition fires (see `Cluster::apply_fault_plan`).
-    Fault(FaultKind),
+    Fault(Box<FaultKind>),
+}
+
+const _: () = assert!(std::mem::size_of::<Event>() <= 16);
+const _: () = assert!(std::mem::size_of::<nezha_sim::engine::Scheduled<Event>>() <= 24);
+
+impl Event {
+    /// A delayed configuration push.
+    pub fn config(op: ConfigOp) -> Event {
+        // nezha-lint: allow(D10): control-plane events only
+        Event::Config(Box::new(op))
+    }
 }
 
 /// The flow hash used for FE selection: `Hash(5-tuple)` over the session's
@@ -107,12 +122,8 @@ impl Cluster {
     /// Dispatches one engine event.
     pub(crate) fn handle(&mut self, ev: Event, now: SimTime) {
         match ev {
-            Event::Arrive {
-                server,
-                pkt,
-                sent_at,
-            } => {
-                let pkt = self.pkt_slab.take(pkt);
+            Event::Arrive { server, pkt } => {
+                let (pkt, sent_at) = self.pkt_slab.take(pkt);
                 self.handle_arrive(server, pkt, sent_at, now);
             }
             Event::StartConn { conn } => self.inject_step(conn, 0, now),
@@ -129,7 +140,7 @@ impl Cluster {
                 self.engine
                     .schedule_in(self.cfg.aging_period, Event::AgingTick);
             }
-            Event::Config(op) => self.apply_config(op, now),
+            Event::Config(op) => self.apply_config(*op, now),
             Event::Crash { server } => {
                 // A server outside the topology has nothing to crash.
                 if let Some(alive) = self.alive.get_mut(server.0 as usize) {
@@ -138,10 +149,10 @@ impl Cluster {
                 }
             }
             Event::StartProbe { pkt, from } => {
-                let pkt = self.pkt_slab.take(pkt);
+                let (pkt, _) = self.pkt_slab.take(pkt);
                 self.start_probe(pkt, from, now);
             }
-            Event::Fault(kind) => self.handle_fault(kind, now),
+            Event::Fault(kind) => self.handle_fault(*kind, now),
         }
     }
 

@@ -29,7 +29,7 @@ pub fn retry_backoff(base: SimDuration, cap: SimDuration, retries: u32) -> SimDu
 }
 
 impl Cluster {
-    pub(crate) fn inject_step(&mut self, conn_id: u64, step_idx: usize, now: SimTime) {
+    pub(crate) fn inject_step(&mut self, conn_id: u64, step_idx: u8, now: SimTime) {
         let Some(conn) = self.conn(conn_id) else {
             return;
         };
@@ -38,10 +38,10 @@ impl Cluster {
         }
         let spec = conn.spec;
         let script = spec.kind.script();
-        let step = script[step_idx];
+        let step = script[usize::from(step_idx)];
         let tuple = spec.step_tuple(step.dir);
         let payload = if step.has_payload { spec.payload } else { 0 };
-        let trace = (conn_id << 4) | step_idx as u64;
+        let trace = (conn_id << 4) | u64::from(step_idx);
         let mut pkt = match step.dir {
             Direction::Tx => {
                 Packet::tx_data(trace, spec.vpc, spec.vnic, tuple, step.flags, payload)
@@ -85,7 +85,7 @@ impl Cluster {
         }
     }
 
-    pub(crate) fn advance_conn(&mut self, conn_id: u64, from_step: usize, now: SimTime) {
+    pub(crate) fn advance_conn(&mut self, conn_id: u64, from_step: u8, now: SimTime) {
         // Field-level indexing (not the `conn_mut` helper) keeps the
         // borrow split so the telemetry calls below stay legal.
         let Some(conn) = conn_id
@@ -100,9 +100,9 @@ impl Cluster {
         conn.pos += 1;
         conn.retries = 0;
         self.tel.inc(Ctr::PktOk);
-        if conn.pos == conn.spec.kind.script().len() {
+        if usize::from(conn.pos) == conn.spec.kind.script().len() {
             conn.status = ConnStatus::Completed;
-            let latency = now.since(conn.started_at);
+            let latency = now.since(conn.spec.start);
             self.tel.inc(Ctr::Completed);
             self.tel.observe_duration(Hist::ConnLatency, latency);
             self.tel.series_add(Series::Cps, now, 1.0);
@@ -115,7 +115,7 @@ impl Cluster {
         }
     }
 
-    pub(crate) fn retry_step(&mut self, conn_id: u64, step: usize, now: SimTime) {
+    pub(crate) fn retry_step(&mut self, conn_id: u64, step: u8, now: SimTime) {
         let Some(conn) = conn_id
             .checked_sub(1)
             .and_then(|i| self.conns.get_mut(i as usize))
@@ -125,8 +125,8 @@ impl Cluster {
         if conn.status != ConnStatus::InFlight || conn.pos != step {
             return;
         }
-        conn.retries += 1;
-        if conn.retries > self.cfg.max_retries {
+        conn.retries = conn.retries.saturating_add(1);
+        if u32::from(conn.retries) > self.cfg.max_retries {
             conn.status = ConnStatus::Failed;
             self.tel.inc(Ctr::Failed);
             return;
@@ -147,8 +147,8 @@ impl Cluster {
             return; // probes and notify packets (trace 0) are not retried
         }
         let conn = trace >> 4;
-        let step = (trace & 0xf) as usize;
-        let retries = self.conn(conn).map_or(0, |c| c.retries);
+        let step = (trace & 0xf) as u8;
+        let retries = self.conn(conn).map_or(0, |c| u32::from(c.retries));
         let base = retry_backoff(self.cfg.retry_timeout, self.cfg.retry_cap, retries);
         let jitter = 0.75 + 0.5 * self.rng.f64();
         let delay = SimDuration::from_secs_f64(base.as_secs_f64() * jitter);
@@ -182,14 +182,9 @@ impl Cluster {
             return;
         }
         let conn = trace >> 4;
-        let step = (trace & 0xf) as usize;
-        self.engine.schedule_at(
-            at,
-            Event::AdvanceConn {
-                conn,
-                from_step: step,
-            },
-        );
+        let from_step = (trace & 0xf) as u8;
+        self.engine
+            .schedule_at(at, Event::AdvanceConn { conn, from_step });
     }
 
     pub(crate) fn start_probe(&mut self, mut pkt: Packet, from: ServerId, now: SimTime) {

@@ -119,6 +119,9 @@ impl FrontEnd {
         let n = self.flows.len();
         pool.free(n as u64 * m.flow_entry);
         self.flows.clear();
+        // Every id died with its flow: the previous rule generation's
+        // pre-action values must not stay interned forever.
+        self.pairs.clear();
         n
     }
 
@@ -218,6 +221,26 @@ mod tests {
         // Second lookup is a miss again (nothing cached) but still works.
         let (_, miss) = f.lookup_or_insert(&g, &tuple(1), Direction::Tx, &mut pool, &m);
         assert!(miss);
+    }
+
+    #[test]
+    fn invalidate_forgets_the_previous_rule_generation() {
+        let mut f = fe();
+        let g = graph();
+        let mut pool = MemoryPool::new(1_000_000);
+        let m = MemoryModel::default();
+        let (before, _) = f.lookup_or_insert(&g, &tuple(1), Direction::Tx, &mut pool, &m);
+        assert_eq!(f.pairs.len(), 1);
+        // A table update changes what the lookup yields ...
+        let peer = tuple(1).dst_ip;
+        f.vnic.tables_mut().vnic_server.set(peer, ServerId(5));
+        f.invalidate_flows(&mut pool, &m);
+        assert!(f.pairs.is_empty());
+        // ... and only the new generation's value is interned afterwards.
+        let (after, miss) = f.lookup_or_insert(&g, &tuple(1), Direction::Tx, &mut pool, &m);
+        assert!(miss);
+        assert_ne!(before, after);
+        assert_eq!(f.pairs.len(), 1);
     }
 
     #[test]

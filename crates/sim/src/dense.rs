@@ -221,27 +221,37 @@ impl<K: Hash + Eq, V> DenseMap<K, V> {
     /// Looks up a key.
     #[inline]
     pub fn get(&self, key: &K) -> Option<&V> {
-        if self.keys.is_empty() {
-            return None;
-        }
-        self.probe(key)
-            .ok()
-            .map(|slot| &self.values[self.index[slot] as usize])
+        self.index_of(key).map(|i| &self.values[i])
     }
 
     /// Mutable lookup.
     #[inline]
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        self.index_of(key).map(|i| &mut self.values[i])
+    }
+
+    /// The dense-storage position of `key`'s entry, for callers that
+    /// come back to the same entry several times ([`DenseMap::value_at`],
+    /// [`DenseMap::value_at_mut`]) without probing again. Inserts leave
+    /// it valid; `remove`, `retain` and `clear` do not.
+    #[inline]
+    pub fn index_of(&self, key: &K) -> Option<usize> {
         if self.keys.is_empty() {
             return None;
         }
-        match self.probe(key) {
-            Ok(slot) => {
-                let i = self.index[slot] as usize;
-                Some(&mut self.values[i])
-            }
-            Err(_) => None,
-        }
+        self.probe(key).ok().map(|slot| self.index[slot] as usize)
+    }
+
+    /// The value at dense position `i` (from [`DenseMap::index_of`]).
+    #[inline]
+    pub fn value_at(&self, i: usize) -> &V {
+        &self.values[i]
+    }
+
+    /// Mutable access to the value at dense position `i`.
+    #[inline]
+    pub fn value_at_mut(&mut self, i: usize) -> &mut V {
+        &mut self.values[i]
     }
 
     /// True when `key` is present.
@@ -252,21 +262,30 @@ impl<K: Hash + Eq, V> DenseMap<K, V> {
 
     /// Inserts, returning the previous value for `key` if any.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
+        self.insert_entry(key, value).1
+    }
+
+    /// Inserts, returning the stored value in place plus the previous
+    /// value for `key` if any — the caller keeps working on the entry
+    /// without probing for it again.
+    pub fn insert_entry(&mut self, key: K, value: V) -> (&mut V, Option<V>) {
         self.maybe_grow();
         match self.probe(&key) {
             Ok(slot) => {
-                let i = self.index[slot] as usize;
-                Some(std::mem::replace(&mut self.values[i], value))
+                let v = &mut self.values[self.index[slot] as usize];
+                let old = std::mem::replace(v, value);
+                (v, Some(old))
             }
             Err(free) => {
                 assert!(self.keys.len() < (TOMBSTONE as usize), "DenseMap full");
                 if self.index[free] == TOMBSTONE {
                     self.tombstones -= 1;
                 }
-                self.index[free] = self.keys.len() as u32;
+                let i = self.keys.len();
+                self.index[free] = i as u32;
                 self.keys.push(key);
                 self.values.push(value);
-                None
+                (&mut self.values[i], None)
             }
         }
     }
@@ -600,6 +619,14 @@ impl<T: Hash + Eq + Copy> Interner<T> {
     #[inline]
     pub fn resolve(&self, id: u32) -> &T {
         &self.values[id as usize]
+    }
+
+    /// Forgets every value, keeping the allocations. Every id handed out
+    /// so far dies: call only once nothing holds one (a cache that just
+    /// dropped all its entries).
+    pub fn clear(&mut self) {
+        self.values.clear();
+        self.ids.clear();
     }
 }
 

@@ -287,6 +287,14 @@ impl<E> Engine<E> {
             let pos = self.run.binary_search(&key).unwrap_err();
             self.run.insert(pos, key);
         } else {
+            if self.buckets.is_empty() {
+                // An empty ladder has no position to keep: re-anchor it
+                // at the clock, or the first key after an idle stretch
+                // (or a `clear`) would open one empty bucket per width
+                // of simulated time slept through. Only ever forwards —
+                // run keys stay below the horizon.
+                self.bucket_base = self.bucket_base.max(self.now.0 / self.bucket_ns);
+            }
             let idx = (at.0 / self.bucket_ns - self.bucket_base) as usize;
             if idx >= self.buckets.len() {
                 let spare = &mut self.spare;
@@ -578,6 +586,22 @@ mod tests {
         }
         assert_eq!(ticks, 10);
         assert_eq!(eng.pending(), 1);
+    }
+
+    #[test]
+    fn an_empty_ladder_follows_the_clock() {
+        let mut eng: Engine<u32> = Engine::new();
+        // Idle for 10 s, then one key a bucket ahead: one or two ladder
+        // slots, not the 500 000 between time zero and now.
+        assert!(eng.pop_until(SimTime(10_000_000_000)).is_none());
+        eng.schedule_in(SimDuration::from_micros(20), 1);
+        assert!(eng.buckets.len() <= 2, "buckets={}", eng.buckets.len());
+        // The same after a `clear` and a second idle stretch.
+        eng.clear();
+        assert!(eng.pop_until(SimTime(20_000_000_000)).is_none());
+        eng.schedule_in(SimDuration::from_micros(20), 2);
+        assert!(eng.buckets.len() <= 2, "buckets={}", eng.buckets.len());
+        assert_eq!(eng.pop().unwrap().at, SimTime(20_000_020_000));
     }
 
     #[test]

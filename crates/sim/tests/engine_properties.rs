@@ -117,6 +117,19 @@ fn check_against_model(
                     next_ev += 1;
                 }
             }
+            // Fully idle, then schedule: drain everything, let the clock
+            // run on with nothing pending, and schedule from there.
+            10 => {
+                while let Some(want) = model.pop() {
+                    prop_assert_eq!(eng.pop().map(|s| (s.at.0, s.event)), Some(want));
+                }
+                prop_assert!(eng.pop_until(SimTime(t)).is_none(), "step {step}: idle");
+                prop_assert_eq!(model.pop_until(t), None);
+                let at = model.now + offset(b, a, scale);
+                eng.schedule_at(SimTime(at), next_ev);
+                model.schedule_at(at, next_ev);
+                next_ev += 1;
+            }
             _ => {
                 eng.pop_batch_until(SimTime(t), &mut batch);
                 let got: Vec<(u64, u32)> = batch.drain(..).map(|s| (s.at.0, s.event)).collect();
@@ -164,7 +177,7 @@ proptest! {
     /// bucket, and with an epoch-wide ladder the offsets actually span.
     #[test]
     fn engine_matches_a_binary_heap_model(
-        ops in prop::collection::vec((0u32..10, any::<u64>(), any::<u64>()), 1..250),
+        ops in prop::collection::vec((0u32..11, any::<u64>(), any::<u64>()), 1..250),
     ) {
         let epoch = SimDuration::from_secs(1800);
         check_against_model(Engine::new(), 1, &ops)?;

@@ -14,19 +14,26 @@
 //! flood cannot pin BE memory; closed sessions are reclaimed on sweep.
 
 use crate::config::{MemoryModel, VSwitchConfig};
-use nezha_sim::dense::DenseMap;
+use nezha_sim::dense::{DenseMap, Interner};
 use nezha_sim::resources::{MemoryPool, OutOfMemory};
 use nezha_sim::time::SimTime;
 use nezha_types::{Direction, PreActionPair, SessionKey, SessionState, TcpState};
+
+/// [`SessionEntry::flow`] of an entry with no cached flows.
+const NO_FLOW: u32 = u32::MAX;
 
 /// One bidirectional session entry.
 #[derive(Clone, Debug)]
 pub struct SessionEntry {
     /// The vNIC this session belongs to (for per-vNIC attribution).
     pub vnic: nezha_types::VnicId,
-    /// Cached pre-actions for both directions; `None` once offloaded to
-    /// FEs (BE role) or for entries created without a local rule lookup.
-    pub pre_actions: Option<PreActionPair>,
+    /// The cached pre-actions for both directions, as an id interned in
+    /// the owning table ([`SessionTable::pre_actions`] resolves it);
+    /// [`NO_FLOW`] once offloaded to FEs (BE role), after a rule update,
+    /// or for entries created without a local rule lookup. Sessions over
+    /// one vNIC's rule tables share a few hundred distinct pairs, so the
+    /// entry carries 4 bytes instead of the 64-byte pair.
+    flow: u32,
     /// The locally-kept session state (single copy).
     pub state: SessionState,
     /// Creation time.
@@ -35,10 +42,18 @@ pub struct SessionEntry {
     pub last_seen: SimTime,
 }
 
+const _: () = assert!(std::mem::size_of::<SessionEntry>() <= 80);
+
 impl SessionEntry {
+    /// True while the entry holds cached flows (and is charged
+    /// `flow_entry` bytes for them on top of the state slab).
+    pub fn has_cached_flows(&self) -> bool {
+        self.flow != NO_FLOW
+    }
+
     fn memory_bytes(&self, m: &MemoryModel) -> u64 {
         m.state_slab
-            + if self.pre_actions.is_some() {
+            + if self.has_cached_flows() {
                 m.flow_entry
             } else {
                 0
@@ -57,6 +72,8 @@ impl SessionEntry {
 #[derive(Debug, Default)]
 pub struct SessionTable {
     entries: DenseMap<SessionKey, SessionEntry>,
+    /// Distinct pre-action values behind the entries' `flow` ids.
+    pairs: Interner<PreActionPair>,
     created_total: u64,
     expired_total: u64,
     rejected_total: u64,
@@ -100,23 +117,40 @@ impl SessionTable {
         }
     }
 
-    /// Inserts a new session, charging `pool`. On memory exhaustion the
-    /// insert is rejected — the overload condition behind the paper's
-    /// #concurrent-flows hotspots.
-    pub fn insert(
-        &mut self,
-        key: SessionKey,
-        entry: SessionEntry,
-        pool: &mut MemoryPool,
-        m: &MemoryModel,
-    ) -> Result<(), OutOfMemory> {
-        debug_assert!(!self.entries.contains_key(&key), "duplicate session insert");
-        pool.alloc(entry.memory_bytes(m)).inspect_err(|_e| {
-            self.rejected_total += 1;
-        })?;
-        self.entries.insert(key, entry);
-        self.created_total += 1;
-        Ok(())
+    /// The slot of `key`'s entry, for a caller that returns to one entry
+    /// several times per packet ([`SessionTable::at`],
+    /// [`SessionTable::at_mut`], [`SessionTable::cache_flows`]) and wants
+    /// to probe once. Stays valid across [`SessionTable::establish`];
+    /// `remove` and `expire` invalidate it.
+    pub fn slot(&self, key: &SessionKey) -> Option<usize> {
+        self.entries.index_of(key)
+    }
+
+    /// The entry in `slot`.
+    pub fn at(&self, slot: usize) -> &SessionEntry {
+        self.entries.value_at(slot)
+    }
+
+    /// The entry in `slot`, mutably.
+    pub fn at_mut(&mut self, slot: usize) -> &mut SessionEntry {
+        self.entries.value_at_mut(slot)
+    }
+
+    /// The cached pre-actions of `entry` (an entry of this table), if it
+    /// holds any.
+    pub fn pre_actions(&self, entry: &SessionEntry) -> Option<&PreActionPair> {
+        entry
+            .has_cached_flows()
+            .then(|| self.pairs.resolve(entry.flow))
+    }
+
+    /// Caches `pair` on the entry in `slot`. The caller has charged the
+    /// pool `flow_entry` bytes for it (an entry re-caching after
+    /// [`SessionTable::invalidate_flows`]).
+    pub fn cache_flows(&mut self, slot: usize, pair: PreActionPair) {
+        let e = self.entries.value_at_mut(slot);
+        debug_assert!(!e.has_cached_flows(), "flow entry charged twice");
+        e.flow = self.pairs.intern(pair);
     }
 
     /// Removes one session, releasing its memory.
@@ -134,11 +168,14 @@ impl SessionTable {
     /// can delete the rule tables and cached flows on the BE" (§4.2.1).
     /// Returns how many entries were invalidated (`flow_entry` bytes each).
     pub fn invalidate_flows(&mut self, pool: &mut MemoryPool, m: &MemoryModel) -> usize {
-        let n = self
-            .entries
-            .values_mut()
-            .filter_map(|e| e.pre_actions.take())
-            .count();
+        let mut n = 0;
+        for e in self.entries.values_mut() {
+            n += usize::from(e.has_cached_flows());
+            e.flow = NO_FLOW;
+        }
+        // No entry holds an id any more: the old rule generation's
+        // pre-action values go with it.
+        self.pairs.clear();
         pool.free(n as u64 * m.flow_entry);
         n
     }
@@ -171,8 +208,10 @@ impl SessionTable {
         expired
     }
 
-    /// Creates-and-inserts the common case: a first packet in direction
-    /// `dir` with optional cached pre-actions.
+    /// Creates and inserts a new session — a first packet in direction
+    /// `dir` with optional cached pre-actions — charging `pool`. On
+    /// memory exhaustion the insert is rejected: the overload condition
+    /// behind the paper's #concurrent-flows hotspots.
     #[allow(clippy::too_many_arguments)]
     pub fn establish(
         &mut self,
@@ -184,21 +223,23 @@ impl SessionTable {
         pool: &mut MemoryPool,
         m: &MemoryModel,
     ) -> Result<&mut SessionEntry, OutOfMemory> {
+        let bytes = m.state_slab + pre_actions.map_or(0, |_| m.flow_entry);
+        pool.alloc(bytes).inspect_err(|_e| {
+            self.rejected_total += 1;
+        })?;
         let mut state = SessionState::first_packet(dir);
         state.tcp = TcpState::None;
-        self.insert(
-            key,
-            SessionEntry {
-                vnic,
-                pre_actions,
-                state,
-                created: now,
-                last_seen: now,
-            },
-            pool,
-            m,
-        )?;
-        Ok(self.entries.get_mut(&key).expect("just inserted"))
+        let entry = SessionEntry {
+            vnic,
+            flow: pre_actions.map_or(NO_FLOW, |pair| self.pairs.intern(pair)),
+            state,
+            created: now,
+            last_seen: now,
+        };
+        let (stored, previous) = self.entries.insert_entry(key, entry);
+        debug_assert!(previous.is_none(), "duplicate session insert");
+        self.created_total += 1;
+        Ok(stored)
     }
 
     /// Iterates over `(key, entry)` pairs (stable only within one run).
@@ -434,7 +475,10 @@ mod tests {
         .unwrap();
         assert_eq!(t.invalidate_flows(&mut pool, &cfg.memory), 1);
         let e = t.get(&key(1)).unwrap();
-        assert!(e.pre_actions.is_none());
+        assert!(!e.has_cached_flows());
+        assert!(t.pre_actions(e).is_none());
+        // No entry holds an id: the interned values went with the flows.
+        assert!(t.pairs.is_empty());
         assert_eq!(e.state.first_dir, Some(Direction::Tx));
         assert_eq!(pool.used(), 64);
         // Idempotent.

@@ -231,7 +231,7 @@ impl VSwitch {
             .filter(|(_, e)| e.vnic == id)
             .map(|(_, e)| {
                 m.state_slab
-                    + if e.pre_actions.is_some() {
+                    + if e.has_cached_flows() {
                         m.flow_entry
                     } else {
                         0
@@ -279,12 +279,13 @@ impl VSwitch {
             return self.finish_traced(pkt, result);
         };
 
-        // Probe the flow cache: a hit yields this direction's pre-action.
+        // Probe the flow cache — the packet's one session-table probe;
+        // everything below returns to the entry through `slot`. A hit
+        // yields this direction's pre-action.
         let key = SessionKey::of(pkt.vpc, pkt.tuple);
-        let cached = self
-            .sessions
-            .get(&key)
-            .and_then(|e| e.pre_actions.as_ref())
+        let slot = self.sessions.slot(&key);
+        let cached = slot
+            .and_then(|s| self.sessions.pre_actions(self.sessions.at(s)))
             .map(|pair| *pair.for_direction(pkt.dir));
         // Priced after the probe, so fast-path packets skip the slow-path
         // formula's `ln`.
@@ -328,8 +329,8 @@ impl VSwitch {
         let Some(vnic) = self.vnics.get_mut(&pkt.vnic) else {
             return self.finish_traced(pkt, result);
         };
-        let pre = match cached {
-            Some(pre) => pre,
+        let (pre, entry) = match cached {
+            Some(pre) => (pre, slot.map(|s| self.sessions.at_mut(s))),
             None => {
                 let pair = pair_lookup(&self.lookup, vnic, &pkt.tuple, pkt.dir);
                 let pre = *pair.for_direction(pkt.dir);
@@ -338,7 +339,7 @@ impl VSwitch {
                     return self.finish_traced(pkt, result);
                 }
                 let memory = &self.cfg.memory;
-                match self.sessions.get_mut(&key) {
+                let entry = match slot {
                     None => {
                         let established = self.sessions.establish(
                             key,
@@ -351,19 +352,21 @@ impl VSwitch {
                         );
                         result.created_session = established.is_ok();
                         result.session_overflow = established.is_err();
+                        established.ok()
                     }
                     // The entry lost its cached flows to a rule update:
                     // re-cache the fresh lookup if memory allows.
-                    Some(e) => {
+                    Some(s) => {
                         if self.mem.alloc(memory.flow_entry).is_ok() {
-                            e.pre_actions = Some(pair);
+                            self.sessions.cache_flows(s, pair);
                         }
+                        Some(self.sessions.at_mut(s))
                     }
-                }
-                pre
+                };
+                (pre, entry)
             }
         };
-        let action = match self.sessions.get_mut(&key) {
+        let action = match entry {
             Some(e) => {
                 e.last_seen = now;
                 pipeline::process_pkt(&pre, &mut e.state, pkt)

@@ -4,13 +4,14 @@
 use nezha_sim::resources::MemoryPool;
 use nezha_sim::time::SimTime;
 use nezha_types::{
-    Decision, Direction, FiveTuple, Ipv4Addr, PreActionPair, SessionKey, VnicId, VpcId,
+    Decision, Direction, FiveTuple, Ipv4Addr, PreActionPair, ServerId, SessionKey, VnicId, VpcId,
 };
 use nezha_vswitch::config::VSwitchConfig;
 use nezha_vswitch::session::SessionTable;
 use nezha_vswitch::tables::acl::{AclRule, AclTable, PortRange};
 use nezha_vswitch::tables::route::{RouteTable, RouteTarget};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 fn arb_rule() -> impl Strategy<Value = AclRule> {
     (
@@ -147,7 +148,7 @@ proptest! {
                 .iter()
                 .map(|(_, e)| {
                     cfg.memory.state_slab
-                        + if e.pre_actions.is_some() { cfg.memory.flow_entry } else { 0 }
+                        + if e.has_cached_flows() { cfg.memory.flow_entry } else { 0 }
                 })
                 .sum();
             prop_assert_eq!(pool.used(), expect);
@@ -156,6 +157,97 @@ proptest! {
         table.expire(SimTime(now.0 + 600_000_000_000), &cfg, &mut pool);
         prop_assert_eq!(pool.used(), 0);
         prop_assert!(table.is_empty());
+    }
+
+    /// The interned table against a model that stores each entry's full
+    /// `Option<PreActionPair>`: establish with and without cached flows
+    /// (into a pool small enough to reject some), re-cache after
+    /// `invalidate_flows`, remove and expire — after every step each live
+    /// key resolves to the model's pair, and `pool.used()` and
+    /// `counters()` are what the model's entries imply.
+    #[test]
+    fn interned_pre_actions_match_an_inline_model(
+        ops in prop::collection::vec((0u8..6, 0u16..24, 0u32..5), 1..200),
+    ) {
+        struct ModelEntry {
+            pair: Option<PreActionPair>,
+            last_seen: SimTime,
+        }
+        let cfg = VSwitchConfig::default();
+        let m = &cfg.memory;
+        let mut table = SessionTable::new();
+        let mut pool = MemoryPool::new(12 * (m.state_slab + m.flow_entry));
+        let mut model: BTreeMap<u16, ModelEntry> = BTreeMap::new();
+        let (mut created, mut expired, mut rejected) = (0u64, 0u64, 0u64);
+        let bytes = |pair: &Option<PreActionPair>| {
+            m.state_slab + pair.map_or(0, |_| m.flow_entry)
+        };
+        let used = |model: &BTreeMap<u16, ModelEntry>| -> u64 {
+            model.values().map(|e| bytes(&e.pair)).sum()
+        };
+        let key = |n: u16| SessionKey::of(
+            VpcId(1),
+            FiveTuple::tcp(Ipv4Addr::new(10, 0, 0, n as u8), 1000 + n, Ipv4Addr::new(10, 1, 0, 1), 80),
+        );
+        let pair = |hop: u32| PreActionPair::accept(Some(ServerId(hop)), None);
+        let mut now = SimTime(0);
+        for (op, n, hop) in ops {
+            now = SimTime(now.0 + 1_000_000_000);
+            match op {
+                // Establish, with (0) or without (1) cached flows.
+                0 | 1 if !model.contains_key(&n) => {
+                    let cached = (op == 0).then(|| pair(hop));
+                    let fits = used(&model) + bytes(&cached) <= pool.capacity();
+                    let got = table
+                        .establish(key(n), VnicId(1), Direction::Tx, cached, now, &mut pool, m)
+                        .is_ok();
+                    prop_assert_eq!(got, fits);
+                    if fits {
+                        created += 1;
+                        model.insert(n, ModelEntry { pair: cached, last_seen: now });
+                    } else {
+                        rejected += 1;
+                    }
+                }
+                // Re-cache on an entry that lost its flows, as the slow
+                // path does after a rule update.
+                2 => {
+                    if let (Some(e), Some(slot)) = (model.get_mut(&n), table.slot(&key(n))) {
+                        if e.pair.is_none() && pool.alloc(m.flow_entry).is_ok() {
+                            table.cache_flows(slot, pair(hop));
+                            e.pair = Some(pair(hop));
+                        }
+                    }
+                }
+                3 => {
+                    table.remove(&key(n), &mut pool, m);
+                    model.remove(&n);
+                }
+                4 => {
+                    let want = model.values_mut().filter_map(|e| e.pair.take()).count();
+                    prop_assert_eq!(table.invalidate_flows(&mut pool, m), want);
+                }
+                5 => {
+                    // Entries here never leave `TcpState::None`: the
+                    // established-session timeout applies to all of them.
+                    now = SimTime(now.0 + u64::from(hop) * 3_000_000_000);
+                    let before = model.len();
+                    model.retain(|_, e| now.since(e.last_seen) <= cfg.session_aging);
+                    let want = before - model.len();
+                    prop_assert_eq!(table.expire(now, &cfg, &mut pool), want);
+                    expired += want as u64;
+                }
+                _ => {}
+            }
+            prop_assert_eq!(table.len(), model.len());
+            for (&n, e) in &model {
+                let got = table.get(&key(n)).expect("live in the model");
+                prop_assert_eq!(table.pre_actions(got).copied(), e.pair);
+                prop_assert_eq!(got.has_cached_flows(), e.pair.is_some());
+            }
+            prop_assert_eq!(pool.used(), used(&model));
+            prop_assert_eq!(table.counters(), (created, expired, rejected));
+        }
     }
 
     /// Canonical-hash affinity: for any tuple, both directions select the
