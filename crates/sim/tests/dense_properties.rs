@@ -1,48 +1,152 @@
 //! Property tests of the interned dense-index structures that replaced
 //! per-packet `BTreeMap` lookups on the datapath.
 //!
-//! Two contracts are pinned here:
+//! Three contracts are pinned here:
 //!
-//! * **Round-trip** — after any insert/remove sequence, a [`DenseMap`]
-//!   agrees with a `BTreeMap` model on length, membership, and every
-//!   value, and an [`Interner`] resolves every id back to its value.
+//! * **Round-trip** — after any insert/remove/retain sequence, a
+//!   [`DenseMap`] agrees with a `BTreeMap` model on length, membership,
+//!   and every value — for ordinary keys and for keys whose hashes are
+//!   crafted against the index's slot encoding (one home slot, one tag,
+//!   all-ones top bits, full 64-bit collisions) — and an [`Interner`]
+//!   resolves every id back to its value.
+//! * **One key compare per hit** — a probe rejects colliding slots from
+//!   the tag in the index word, counted with a key whose `==` counts.
 //! * **D3 iteration order** — determinism requires ordered *iteration*,
 //!   not ordered *lookup*: iteration order must be a pure function of
 //!   the call sequence (insertion order with `swap_remove` backfill),
 //!   regression-checked against an explicit model on three fixed seeds.
 
-use nezha_sim::dense::{DenseMap, Interner};
+use nezha_sim::dense::{fx_hash, DenseMap, Interner};
 use proptest::prelude::*;
+use std::cell::Cell;
 use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
+
+/// The `u64` whose `fx_hash` is `target`: the hasher's one-word mix and
+/// its final avalanche are bijections (odd multipliers, 32-bit
+/// xor-shifts), so they invert. Self-checking — a change to the hasher
+/// fails the assert here, not the properties below.
+fn fx_preimage(target: u64) -> u64 {
+    fn inverse(odd: u64) -> u64 {
+        // Newton's iteration doubles the correct low bits each round.
+        (0..6).fold(odd, |x, _| {
+            x.wrapping_mul(2u64.wrapping_sub(odd.wrapping_mul(x)))
+        })
+    }
+    let mut h = target;
+    h ^= h >> 32;
+    h = h.wrapping_mul(inverse(0xd6e8_feb8_6659_fd93));
+    h ^= h >> 32;
+    let word = h.wrapping_mul(inverse(0x51_7c_c1_b7_27_22_0a_95));
+    assert_eq!(
+        fx_hash(&word),
+        target,
+        "FxHasher64 changed; fix fx_preimage"
+    );
+    word
+}
+
+/// A key that hashes to whatever the test says: its hand-written `Hash`
+/// feeds the hasher the preimage of the wanted hash; equality is by `id`
+/// (each maker below derives the hash from the id).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Crafted {
+    id: u16,
+    word: u64,
+}
+
+impl Crafted {
+    fn hashing_to(id: u16, hash: u64) -> Self {
+        let word = fx_preimage(hash);
+        Crafted { id, word }
+    }
+}
+
+impl Hash for Crafted {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.word);
+    }
+}
+
+/// Every key shares its low 32 hash bits — one home slot at every table
+/// size, one ever-longer probe run — and differs in the tag.
+fn same_home(id: u16) -> Crafted {
+    Crafted::hashing_to(id, ((id as u64) << 48) | 0x2a)
+}
+
+/// Every key shares its top 31 hash bits — one tag at every table size,
+/// so the tag filters nothing — set to all ones: at the minimum table a
+/// live slot is then as close to `EMPTY`/`TOMBSTONE` as one can get.
+fn same_tag(id: u16) -> Crafted {
+    Crafted::hashing_to(id, (!0 << 33) | (id as u64).wrapping_mul(0x9e37_79b9))
+}
+
+/// Full 64-bit collisions: same home, same tag, only `==` tells keys
+/// apart.
+fn same_hash(id: u16) -> Crafted {
+    Crafted::hashing_to(id, !0)
+}
+
+/// Dense-index ↔ BTreeMap round-trip: both maps see the same op
+/// sequence (five in eight insert, two remove, one `retain` by value
+/// residue) and must agree on every observable on the way and
+/// afterwards. 64 keys take the index through 8, 16, 32, 64 and 128
+/// slots; after every removal the entry `swap_remove` moved is looked
+/// up, since its slot was re-pointed.
+fn check_against_model<K: Hash + Ord + Copy + std::fmt::Debug>(
+    key: fn(u16) -> K,
+    ops: &[(u16, u8, u32)],
+) -> Result<(), TestCaseError> {
+    let mut dense: DenseMap<K, u32> = DenseMap::new();
+    let mut model: BTreeMap<K, u32> = BTreeMap::new();
+    for &(id, op, val) in ops {
+        let k = key(id);
+        match op {
+            0..=4 => prop_assert_eq!(dense.insert(k, val), model.insert(k, val)),
+            5 | 6 => {
+                let moved = dense.keys().last().copied();
+                prop_assert_eq!(dense.remove(&k), model.remove(&k));
+                if let Some(moved) = moved {
+                    prop_assert_eq!(dense.get(&moved), model.get(&moved), "moved entry lost");
+                }
+            }
+            _ => {
+                dense.retain(|_, v| *v % 3 != val % 3);
+                model.retain(|_, v| *v % 3 != val % 3);
+            }
+        }
+        prop_assert_eq!(dense.len(), model.len());
+    }
+    for id in 0u16..64 {
+        let k = key(id);
+        prop_assert_eq!(
+            dense.get(&k),
+            model.get(&k),
+            "lookup diverged at key {}",
+            id
+        );
+        prop_assert_eq!(dense.contains_key(&k), model.contains_key(&k));
+    }
+    // Same contents, independent of each map's own order.
+    let mut got: Vec<(K, u32)> = dense.iter().map(|(k, v)| (*k, *v)).collect();
+    got.sort_unstable();
+    let want: Vec<(K, u32)> = model.iter().map(|(k, v)| (*k, *v)).collect();
+    prop_assert_eq!(got, want);
+    Ok(())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
-    /// Dense-index ↔ BTreeMap round-trip: both maps see the same op
-    /// sequence and must agree on every observable afterwards.
+    /// Ordinary keys, then the same ops under each crafted hash.
     #[test]
     fn dense_map_matches_btreemap(
-        ops in prop::collection::vec((0u16..64, prop::bool::ANY, 0u32..1000), 1..400),
+        ops in prop::collection::vec((0u16..64, 0u8..8, 0u32..1000), 1..400),
     ) {
-        let mut dense: DenseMap<u16, u32> = DenseMap::new();
-        let mut model: BTreeMap<u16, u32> = BTreeMap::new();
-        for (key, is_insert, val) in ops {
-            if is_insert {
-                prop_assert_eq!(dense.insert(key, val), model.insert(key, val));
-            } else {
-                prop_assert_eq!(dense.remove(&key), model.remove(&key));
-            }
-            prop_assert_eq!(dense.len(), model.len());
-        }
-        for k in 0u16..64 {
-            prop_assert_eq!(dense.get(&k), model.get(&k), "lookup diverged at key {}", k);
-            prop_assert_eq!(dense.contains_key(&k), model.contains_key(&k));
-        }
-        // Same contents, independent of each map's own order.
-        let mut got: Vec<(u16, u32)> = dense.iter().map(|(k, v)| (*k, *v)).collect();
-        got.sort_unstable();
-        let want: Vec<(u16, u32)> = model.iter().map(|(k, v)| (*k, *v)).collect();
-        prop_assert_eq!(got, want);
+        check_against_model(|id| id, &ops)?;
+        check_against_model(same_home, &ops)?;
+        check_against_model(same_tag, &ops)?;
+        check_against_model(same_hash, &ops)?;
     }
 
     /// Interner round-trip: every id resolves back to the value it was
@@ -105,5 +209,65 @@ fn iteration_order_follows_swap_remove_discipline() {
             assert_eq!(got, order, "seed {seed:#x} diverged at step {step}");
         }
         assert!(!order.is_empty(), "seed {seed:#x} ended empty — weak test");
+    }
+}
+
+thread_local!(static KEY_COMPARES: Cell<u64> = const { Cell::new(0) });
+
+/// A key whose `==` counts itself.
+#[derive(Clone, Copy, Debug, Eq)]
+struct CountedEq(u64);
+
+impl Hash for CountedEq {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.0);
+    }
+}
+
+impl PartialEq for CountedEq {
+    fn eq(&self, other: &Self) -> bool {
+        KEY_COMPARES.with(|c| c.set(c.get() + 1));
+        self.0 == other.0
+    }
+}
+
+fn key_compares_during(f: impl FnOnce()) -> u64 {
+    let before = KEY_COMPARES.with(Cell::get);
+    f();
+    KEY_COMPARES.with(Cell::get) - before
+}
+
+/// The clock-free pin of the tag filter: at the highest load a table
+/// reaches (one entry short of the 7/8 that doubles it), a hit opens
+/// the key it returns and a miss opens none, give or take a false tag
+/// match. Comparing every occupied slot on the way costs about 4.5
+/// compares per hit and 30 per miss at this load.
+#[test]
+fn dense_probe_compares_one_key_per_hit_and_none_per_miss() {
+    for slots in [1u64 << 12, 1 << 16] {
+        let n = slots / 8 * 7 - 1;
+        let mut map: DenseMap<CountedEq, u64> = DenseMap::new();
+        for k in 0..n {
+            map.insert(CountedEq(k), k);
+        }
+        let hits = key_compares_during(|| {
+            for k in 0..n {
+                assert_eq!(map.get(&CountedEq(k)), Some(&k));
+            }
+        });
+        let misses = key_compares_during(|| {
+            for k in n..2 * n {
+                assert_eq!(map.get(&CountedEq(k)), None);
+            }
+        });
+        let (per_hit, per_miss) = (hits as f64 / n as f64, misses as f64 / n as f64);
+        assert!(
+            per_hit <= 1.05,
+            "{slots} slots: {per_hit} key compares per hit"
+        );
+        assert!(
+            per_miss <= 0.05,
+            "{slots} slots: {per_miss} key compares per miss"
+        );
     }
 }

@@ -11,15 +11,14 @@
 //! 200 MB (§2.2.2), which is one of the forces behind the #vNICs-limited-
 //! by-memory bottleneck.
 
+use nezha_sim::dense::DenseMap;
 use nezha_types::{Ipv4Addr, ServerId};
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Hosting set for one overlay address. Almost every entry points at a
 /// single server (only offloaded vNICs fan out to FE lists), and `set`
 /// runs once per learned peer connection, so the single-server case is
 /// kept inline to avoid a heap allocation per call.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 enum Hosting {
     One(ServerId),
     Many(Vec<ServerId>),
@@ -39,9 +38,13 @@ impl Hosting {
 /// Under Nezha an offloaded vNIC maps to *several* servers (its FEs); the
 /// sender picks one by flow hash. A non-offloaded vNIC maps to exactly its
 /// home server.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+///
+/// Point lookups only — `select` runs on every FE miss and the map is
+/// never walked — so a [`DenseMap`] serves it (lint rule D3 is about
+/// iteration).
+#[derive(Clone, Debug, Default)]
 pub struct VnicServerMap {
-    entries: BTreeMap<Ipv4Addr, Hosting>,
+    entries: DenseMap<Ipv4Addr, Hosting>,
 }
 
 impl VnicServerMap {

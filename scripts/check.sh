@@ -11,7 +11,9 @@
 #   --fast   skip the full test suite (quick pre-commit run); still runs
 #            the vswitch crate's tests (lookup graph vs its straight-line
 #            reference, the exact cost-plan reconciliation properties,
-#            the process_local outcome table), the reduced chaos smoke scenario
+#            the process_local outcome table), the `nezha-sim` dense
+#            tests (every per-packet table rests on `DenseMap`'s slot
+#            encoding), the reduced chaos smoke scenario
 #            so the fault-injection path is never shipped unexercised,
 #            plus the profiler smoke run
 #            (`experiments profile` self-asserts its cycle reconciliation)
@@ -65,6 +67,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 if [ "$fast" -eq 1 ]; then
     echo "==> cargo test -q -p nezha-vswitch   (--fast: lookup-graph equivalence + cost-plan smoke)"
     cargo test -q -p nezha-vswitch
+    echo "==> cargo test -q -p nezha-sim dense   (--fast: DenseMap slot encoding vs its BTreeMap model)"
+    cargo test -q -p nezha-sim dense
     echo "==> cargo test -q --test chaos smoke_   (--fast: reduced chaos scenario)"
     cargo test -q --test chaos smoke_
     echo "==> experiments profile   (--fast: profiler smoke, artifacts to target/profile-smoke)"
