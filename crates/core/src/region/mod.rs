@@ -45,20 +45,22 @@ pub mod generator;
 pub mod middlebox;
 pub mod scenario;
 mod shard;
+mod window;
 
 pub use generator::{Lifecycle, Tenant, TenantModel};
 pub use scenario::Scenario;
 
 use barrier::{Barrier, GrantOutcome, Migration, OffloadRequest, ShardInbox};
 use nezha_sim::metrics::{CounterHandle, HistogramHandle, MetricsRegistry};
-use nezha_sim::obs::{LogHistogram, SloRule, WindowRecord, WindowValue, WindowedRollup};
+use nezha_sim::obs::{LogHistogram, SloRule, WindowedRollup};
 use nezha_sim::report::BenchReport;
 use nezha_sim::rng::{derive_seed, SimRng};
-use nezha_sim::shard::{merge_effects, ShardSpec};
+use nezha_sim::shard::ShardSpec;
 use nezha_sim::stats::Samples;
 use nezha_sim::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use shard::RegionShard;
+use window::EpochWindows;
 
 /// Which capability a demand spike stresses (Fig. 3's hotspot causes).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -308,21 +310,6 @@ impl RegionTelemetry {
     }
 }
 
-/// Folds one barrier grant outcome into the current window's scratch:
-/// grant/denial counts plus the completion-time histogram.
-fn note_grant_window(
-    outcome: &GrantOutcome,
-    granted: &mut u64,
-    denied: &mut u64,
-    completions: &mut LogHistogram,
-) {
-    *granted += outcome.granted.len() as u64;
-    *denied += outcome.denied.len() as u64;
-    for &(_, secs) in &outcome.granted {
-        completions.record(secs);
-    }
-}
-
 /// Samples one offload activation completion time from `rng`: the
 /// slowest of the initial FE config pushes, plus the gateway update,
 /// plus the learning interval — identical in form to the packet-level
@@ -350,10 +337,10 @@ pub struct Region {
     completion_rng: SimRng,
     tel: Option<RegionTelemetry>,
     /// Per-epoch windowed rollup + SLO watchdog; `None` until
-    /// [`Region::enable_windows`]. Window `i` is epoch `i`, built by
-    /// merging shard-local effects at the barrier — the JSONL stream and
-    /// SLO event log are byte-identical for any shard count.
-    windows: Option<WindowedRollup>,
+    /// [`Region::enable_windows`]. One window per epoch, folded once at
+    /// the barrier ([`window`]) — the JSONL stream and SLO event log are
+    /// byte-identical for any shard count.
+    windows: Option<EpochWindows>,
 }
 
 impl Region {
@@ -378,17 +365,18 @@ impl Region {
     /// Turns on the per-epoch observability plane: each epoch closes as
     /// one window (counter deltas, utilization and completion-time
     /// histograms), retained in a ring of `retain` records, with `rules`
-    /// evaluated at every close. Shard-local effects are merged at the
-    /// barrier in canonical order, so the window stream is part of the
-    /// shard-count-invariance contract.
+    /// evaluated at every close. Shards contribute counts, the
+    /// histograms are recorded at the barrier, so the window stream is
+    /// part of the shard-count-invariance contract.
     pub fn enable_windows(&mut self, retain: usize, rules: Vec<SloRule>) {
-        self.windows = Some(WindowedRollup::new(retain, rules));
+        self.windows = Some(EpochWindows::new(retain, rules));
     }
 
     /// The windowed rollup; `None` until [`Region::enable_windows`].
-    /// A new run ([`Region::run_scenario`]) continues appending windows.
+    /// A new run ([`Region::run_scenario`]) continues appending windows:
+    /// window indices keep counting up from the rollup's `closed()`.
     pub fn windows(&self) -> Option<&WindowedRollup> {
-        self.windows.as_ref()
+        self.windows.as_ref().map(|w| &w.rollup)
     }
 
     /// Attaches a [`MetricsRegistry`]: subsequent runs mirror the
@@ -432,6 +420,10 @@ impl Region {
         let model = TenantModel::from_config(&cfg);
         let servers = cfg.servers as u64;
         let mut report = RegionReport::default();
+        // Every server reports one sample per epoch, crashed or not.
+        let samples = total_epochs as usize * cfg.servers;
+        report.cpu_utils.reserve(samples);
+        report.mem_utils.reserve(samples);
         let mut barrier = Barrier::new(&cfg);
         let mut inboxes: Vec<ShardInbox> = vec![ShardInbox::default(); self.shards.len()];
 
@@ -439,12 +431,9 @@ impl Region {
             sh.begin_run(&cfg, sc, &model, total_epochs, epoch_ns);
         }
 
-        // Barrier-level window scratch, reset every epoch. The pre-run
-        // proactive grants below land in epoch 0's inboxes, so they are
-        // accounted to window 0.
-        let windows_on = self.windows.is_some();
-        let (mut win_granted, mut win_denied) = (0u64, 0u64);
-        let mut win_completions = LogHistogram::new();
+        if let Some(w) = &mut self.windows {
+            w.begin_run();
+        }
 
         // Nezha proactively offloads every server already above the
         // threshold at rollout; grants land in epoch 0's inboxes.
@@ -456,13 +445,10 @@ impl Region {
                 .collect();
             let outcome = barrier.resolve_requests(per_shard, cfg.initial_fes as u64);
             self.record_grants(&outcome, &mut report, &mut inboxes);
-            if windows_on {
-                note_grant_window(
-                    &outcome,
-                    &mut win_granted,
-                    &mut win_denied,
-                    &mut win_completions,
-                );
+            // These land in epoch 0's inboxes, so they are accounted to
+            // this run's first window.
+            if let Some(w) = &mut self.windows {
+                w.note_grants(&outcome);
             }
         }
 
@@ -491,7 +477,6 @@ impl Region {
             let mut requests: Vec<(u32, Vec<OffloadRequest>)> =
                 Vec::with_capacity(self.shards.len());
             let mut migrations: Vec<(u32, Vec<Migration>)> = Vec::with_capacity(self.shards.len());
-            let mut win_effects: Vec<(u32, Vec<(String, WindowValue)>)> = Vec::new();
             for sh in &mut self.shards {
                 let inbox = std::mem::take(&mut inboxes[sh.id() as usize]);
                 let mut out = sh.run_epoch(
@@ -504,12 +489,15 @@ impl Region {
                     nezha,
                     epochs_per_day,
                 );
-                for &(cpu, mem) in &out.utils {
+                for &(cpu, mem) in sh.utils() {
                     report.cpu_utils.record(cpu);
                     report.mem_utils.record(mem);
                     if let Some(tel) = &self.tel {
                         tel.registry.observe(tel.cpu_util, cpu);
                         tel.registry.observe(tel.mem_util, mem);
+                    }
+                    if let Some(w) = &mut self.windows {
+                        w.record_util(cpu, mem);
                     }
                 }
                 day_cps += out.overloads[0];
@@ -531,8 +519,8 @@ impl Region {
                     tel.registry.add(tel.scale_out_events, out.scale_outs);
                     tel.registry.add(tel.fes_provisioned, out.scale_outs);
                 }
-                if windows_on {
-                    win_effects.push((sh.id(), out.window_effects()));
+                if let Some(w) = &mut self.windows {
+                    w.add_effects(out.window_effects());
                 }
                 requests.push((sh.id(), std::mem::take(&mut out.requests)));
                 migrations.push((sh.id(), std::mem::take(&mut out.migrations)));
@@ -543,13 +531,8 @@ impl Region {
             // owners of their destination servers. Both apply next epoch.
             let outcome = barrier.resolve_requests(requests, cfg.initial_fes as u64);
             self.record_grants(&outcome, &mut report, &mut inboxes);
-            if windows_on {
-                note_grant_window(
-                    &outcome,
-                    &mut win_granted,
-                    &mut win_denied,
-                    &mut win_completions,
-                );
+            if let Some(w) = &mut self.windows {
+                w.note_grants(&outcome);
             }
             let mut win_migrations = 0u64;
             for m in Barrier::merge_migrations(migrations) {
@@ -561,26 +544,9 @@ impl Region {
                 inboxes[self.spec.owner(m.1) as usize].arrivals.push(m);
             }
 
-            // Window close: fold the shard-local effects in canonical
-            // (shard, key) order, then overlay the barrier-level values
-            // (which are already global and partition-independent).
-            if let Some(windows) = &mut self.windows {
-                let mut rec = WindowRecord::from_effects(
-                    epoch,
-                    t_epoch,
-                    SimTime((epoch + 1) * epoch_ns),
-                    merge_effects(std::mem::take(&mut win_effects)),
-                );
-                rec.set_counter("region.offload_granted", win_granted);
-                rec.set_counter("region.offload_denied", win_denied);
-                rec.set_counter("region.migrations", win_migrations);
-                rec.set_counter("region.flash_crowds", u64::from(plan.flash.is_some()));
-                if !win_completions.is_empty() {
-                    rec.set_hist("region.offload_completion_secs", win_completions.summary());
-                }
-                windows.push(rec);
-                (win_granted, win_denied) = (0, 0);
-                win_completions = LogHistogram::new();
+            if let Some(w) = &mut self.windows {
+                let end = SimTime((epoch + 1) * epoch_ns);
+                w.close(t_epoch, end, win_migrations, plan.flash.is_some());
             }
 
             if (epoch + 1) % epochs_per_day == 0 {
@@ -944,6 +910,91 @@ mod tests {
             .map(|s| s.count)
             .sum();
         assert_eq!(hist_count as usize, report.cpu_utils.len());
+    }
+
+    /// Every bit of a report: counters, daily rows and each raw sample.
+    fn exact_bits(r: &RegionReport) -> Vec<u64> {
+        let mut bits = vec![
+            r.offload_events,
+            r.offload_denied,
+            r.total_fes_provisioned,
+            r.scale_out_events,
+            r.tenant_births,
+            r.tenant_deaths,
+            r.migrations,
+            r.flash_crowds,
+            r.fault_crashes,
+        ];
+        for daily in [&r.daily_cps, &r.daily_flows, &r.daily_vnics] {
+            bits.extend(daily.iter().copied());
+        }
+        for samples in [&r.cpu_utils, &r.mem_utils, &r.completion_times] {
+            bits.push(samples.len() as u64);
+            bits.extend(samples.raw().iter().map(|v| v.to_bits()));
+        }
+        bits
+    }
+
+    #[test]
+    fn windows_observe_without_perturbing_the_report() {
+        // The window fold reads the samples the report gets; it must not
+        // reorder, drop or add one, at any shard count.
+        let sc = Scenario::production_day();
+        let mut base = None;
+        for shards in [1u32, 3, 8] {
+            let cfg = RegionConfig {
+                shards,
+                ..stress_cfg()
+            };
+            let off = Region::new(cfg).run_scenario(&sc, true);
+            let mut watched = Region::new(cfg);
+            watched.enable_windows(24, region_rules());
+            let on = watched.run_scenario(&sc, true);
+            let bits = exact_bits(&on);
+            assert_eq!(
+                bits,
+                exact_bits(&off),
+                "shards={shards}: windows moved a bit"
+            );
+            assert_eq!(base.get_or_insert(bits.clone()), &bits, "shards={shards}");
+
+            // Each window's histograms count that epoch's samples once.
+            let w = watched.windows().unwrap();
+            for key in ["region.util.cpu", "region.util.mem"] {
+                let counted: u64 = w
+                    .windows()
+                    .map(|rec| rec.hist(key).map_or(0, |s| s.count))
+                    .sum();
+                assert_eq!(
+                    counted as usize,
+                    on.cpu_utils.len(),
+                    "shards={shards} {key}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_second_run_continues_the_window_stream() {
+        let mut r = Region::new(stress_cfg());
+        r.enable_windows(64, region_rules());
+        let _ = r.run_scenario(&Scenario::production_day(), true);
+        let _ = r.run_scenario(&Scenario::quiet(1), true);
+        let w = r.windows().unwrap();
+        assert_eq!(w.closed(), 48);
+        assert_eq!(w.closed() as usize, w.jsonl_lines().len());
+        let indices: Vec<u64> = w.windows().map(|rec| rec.index).collect();
+        assert_eq!(
+            indices,
+            (0..48).collect::<Vec<u64>>(),
+            "monotonic across runs"
+        );
+        for (i, line) in w.jsonl_lines().iter().enumerate() {
+            assert!(line.starts_with(&format!("{{\"window\": {i},")), "{line}");
+        }
+        // Window times restart with the run's clock; only the index is
+        // the stream position.
+        assert_eq!(w.windows().nth(24).unwrap().start, SimTime(0));
     }
 
     #[test]

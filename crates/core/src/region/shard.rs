@@ -28,7 +28,6 @@ use super::scenario::Scenario;
 use super::{completion_from, RegionConfig, SpikeKind};
 use nezha_sim::engine::Engine;
 use nezha_sim::fault::{FaultKind, FaultPlan, FaultState};
-use nezha_sim::obs::{LogHistogram, WindowValue};
 use nezha_sim::rng::{derive_seed_indexed, SimRng};
 use nezha_sim::shard::ShardSpec;
 use nezha_sim::time::SimTime;
@@ -61,12 +60,12 @@ impl QueueEvent {
     }
 }
 
-/// Everything one shard reports from one epoch. Consumed by the barrier
-/// in ascending shard order.
+/// Everything one shard reports from one epoch besides the utilization
+/// samples (those stay in the shard's reused buffer,
+/// [`RegionShard::utils`]). Consumed by the barrier in ascending shard
+/// order.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct EpochOutput {
-    /// `(cpu, mem)` utilization per owned server, ascending server order.
-    pub utils: Vec<(f64, f64)>,
     /// Offload requests (server, completion secs), ascending server order.
     pub requests: Vec<OffloadRequest>,
     /// Outbound tenant migrations, ascending (server, tenant) order.
@@ -86,64 +85,23 @@ pub(crate) struct EpochOutput {
 }
 
 impl EpochOutput {
-    /// Renders the epoch as shard-local window effects for the region's
-    /// observability plane: counter deltas plus utilization histograms.
-    ///
-    /// Every value is merge-invariant — counters add, [`LogHistogram`]s
-    /// merge bucket-wise — so folding the per-shard effect lists through
-    /// `merge_effects` produces the same window record for any shard
-    /// count (the shard-equivalence contract extends to the rollup
-    /// stream).
-    pub(crate) fn window_effects(&self) -> Vec<(String, WindowValue)> {
-        let mut cpu = LogHistogram::new();
-        let mut mem = LogHistogram::new();
-        for &(c, m) in &self.utils {
-            cpu.record(c);
-            mem.record(m);
-        }
-        vec![
-            (
-                "region.overload.cps".into(),
-                WindowValue::Count(self.overloads[0]),
-            ),
-            (
-                "region.overload.flows".into(),
-                WindowValue::Count(self.overloads[1]),
-            ),
-            (
-                "region.overload.vnics".into(),
-                WindowValue::Count(self.overloads[2]),
-            ),
-            (
-                "region.offload_requests".into(),
-                WindowValue::Count(self.requests.len() as u64),
-            ),
-            (
-                "region.migrations_out".into(),
-                WindowValue::Count(self.migrations.len() as u64),
-            ),
-            (
-                "region.tenant_births".into(),
-                WindowValue::Count(self.births),
-            ),
-            (
-                "region.tenant_deaths".into(),
-                WindowValue::Count(self.deaths),
-            ),
-            (
-                "region.fault_crashes".into(),
-                WindowValue::Count(self.crashes),
-            ),
-            (
-                "region.fault_restarts".into(),
-                WindowValue::Count(self.restarts),
-            ),
-            (
-                "region.scale_out_events".into(),
-                WindowValue::Count(self.scale_outs),
-            ),
-            ("region.util.cpu".into(), WindowValue::Hist(cpu)),
-            ("region.util.mem".into(), WindowValue::Hist(mem)),
+    /// The epoch as shard-local window effects for the region's
+    /// observability plane: counter deltas, nothing else. Counts with
+    /// the same key add at the barrier, so the window record is the same
+    /// for any shard count; the window's histograms are the region's own
+    /// (it sees every sample once, in [`RegionShard::utils`]).
+    pub(crate) fn window_effects(&self) -> [(&'static str, u64); 10] {
+        [
+            ("region.overload.cps", self.overloads[0]),
+            ("region.overload.flows", self.overloads[1]),
+            ("region.overload.vnics", self.overloads[2]),
+            ("region.offload_requests", self.requests.len() as u64),
+            ("region.migrations_out", self.migrations.len() as u64),
+            ("region.tenant_births", self.births),
+            ("region.tenant_deaths", self.deaths),
+            ("region.fault_crashes", self.crashes),
+            ("region.fault_restarts", self.restarts),
+            ("region.scale_out_events", self.scale_outs),
         ]
     }
 }
@@ -174,6 +132,9 @@ pub(crate) struct RegionShard {
     fault: FaultState,
     /// Drain buffer reused across epochs.
     drained: Vec<QueueEvent>,
+    /// `(cpu, mem)` utilization per owned server from the last epoch,
+    /// ascending server order; reused across epochs.
+    utils: Vec<(f64, f64)>,
 }
 
 impl RegionShard {
@@ -182,7 +143,7 @@ impl RegionShard {
     pub fn new(id: u32, spec: &ShardSpec, cfg: &RegionConfig) -> Self {
         let range = spec.range(id);
         let first = range.start;
-        let servers = range
+        let servers: Vec<ShardServer> = range
             .map(|g| {
                 let mut rng = SimRng::new(derive_seed_indexed(cfg.seed, "region.server", g));
                 let base_cpu = (cfg.cpu_median * (cfg.cpu_sigma * rng.normal()).exp()).min(0.98);
@@ -207,7 +168,6 @@ impl RegionShard {
         RegionShard {
             id,
             first,
-            servers,
             queue: Engine::with_bucket_width(cfg.epoch),
             fault: FaultState::new(SimRng::new(derive_seed_indexed(
                 cfg.seed,
@@ -215,12 +175,20 @@ impl RegionShard {
                 u64::from(id),
             ))),
             drained: Vec::new(),
+            utils: Vec::with_capacity(servers.len()),
+            servers,
         }
     }
 
     /// Shard id.
     pub fn id(&self) -> u32 {
         self.id
+    }
+
+    /// The last epoch's `(cpu, mem)` utilization per owned server, in
+    /// ascending server order (empty before the first epoch).
+    pub fn utils(&self) -> &[(f64, f64)] {
+        &self.utils
     }
 
     /// Events still pending on the shard queue (tenant lifecycle +
@@ -355,6 +323,7 @@ impl RegionShard {
         epochs_per_day: u64,
     ) -> EpochOutput {
         let mut out = EpochOutput::default();
+        self.utils.clear();
 
         // 1. Barrier responses from last epoch (disjoint server sets).
         for &g in &inbox.grants {
@@ -429,7 +398,7 @@ impl RegionShard {
             if srv.crashed {
                 // The vSwitch is down: no demand served, no draws made
                 // (the stream resumes exactly where it paused).
-                out.utils.push((0.0, 0.0));
+                self.utils.push((0.0, 0.0));
                 continue;
             }
             // Small multiplicative wander around the baseline, scaled by
@@ -445,7 +414,7 @@ impl RegionShard {
                 cpu *= 0.15;
                 mem *= 0.4;
             }
-            out.utils.push((cpu, mem));
+            self.utils.push((cpu, mem));
 
             // Threshold-triggered proactive offload request.
             if nezha && !srv.offloaded && !srv.requested && cpu.max(mem) > cfg.offload_threshold {

@@ -76,7 +76,7 @@ pub use metrics::{
 };
 pub use obs::{
     HistSummary, LogHistogram, RegistryWindows, SloEdge, SloEvent, SloRule, SloWatchdog,
-    WindowRecord, WindowValue, WindowedRollup,
+    WindowRecord, WindowedRollup,
 };
 pub use profile::{Profiler, Span, SpanId, SpanRecord, Stage, StageTotals};
 pub use report::{BenchReport, Sample, BENCH_SCHEMA_VERSION};

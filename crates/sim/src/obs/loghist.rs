@@ -17,11 +17,13 @@
 //!   platform, build, and optimization level — no `ln()`/`log2()` whose
 //!   last ulp could differ.
 //! - **State is pure integer counts plus order-independent extrema.**
-//!   Merging two histograms is a bucket-wise `u64` add (plus min/max,
-//!   which are associative and commutative), so merging per-shard
-//!   histograms at a barrier yields *bit-identical* state to recording
-//!   the union into one histogram in any order. That is what lets the
-//!   region's window stream be byte-identical at 1/2/4/8 shards.
+//!   Recording is a `u64` increment (plus min/max, which are
+//!   associative and commutative) and merging a bucket-wise add, so one
+//!   histogram fed the union of the observations in any order and
+//!   per-partition histograms merged in any grouping hold
+//!   *bit-identical* state. That is what lets the region's window
+//!   stream be byte-identical at 1/2/4/8 shards (the region records
+//!   each window once, at the barrier, and [`LogHistogram::clear`]s it).
 //! - **Recording is allocation-free.** The bucket array is preallocated
 //!   at construction; `record` is an index computation plus a counter
 //!   increment (enforced by nezha-lint rule D10).
@@ -180,39 +182,62 @@ impl LogHistogram {
     /// midpoints clamped to the observed `[min, max]`, so the relative
     /// error is bounded by [`REL_ERROR_BOUND`] for in-range values.
     pub fn percentile(&self, p: f64) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let rank = ((p / 100.0) * self.total as f64).ceil() as u64;
-        let rank = rank.clamp(1, self.total);
-        if rank == self.total {
-            // The top rank is the exact max — no bucket rounding.
-            return self.max();
-        }
-        let mut seen = self.low;
-        if rank <= seen {
-            // The answer falls among <=0/NaN observations; report the
-            // exact min when it was finite, else 0.
-            return self.min().min(0.0);
-        }
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if rank <= seen {
-                return Self::bucket_mid(i).clamp(self.min, self.max);
-            }
-        }
-        self.max()
+        self.percentiles([p])[0]
     }
 
     /// Convenience: `(p50, p90, p99, p999)` — the quantile set every
-    /// window record and SLO rule consumes.
+    /// window record and SLO rule consumes, from one pass over the
+    /// buckets.
     pub fn quantiles(&self) -> (f64, f64, f64, f64) {
-        (
-            self.percentile(50.0),
-            self.percentile(90.0),
-            self.percentile(99.0),
-            self.percentile(99.9),
-        )
+        let [p50, p90, p99, p999] = self.percentiles([50.0, 90.0, 99.0, 99.9]);
+        (p50, p90, p99, p999)
+    }
+
+    /// Nearest-rank percentiles for ascending `ps`, in one cumulative
+    /// walk: the bucket that satisfied one rank is where the search for
+    /// the next one resumes.
+    fn percentiles<const N: usize>(&self, ps: [f64; N]) -> [f64; N] {
+        debug_assert!(ps.windows(2).all(|w| w[0] <= w[1]), "ascending ps");
+        let mut out = [0.0; N];
+        if self.total == 0 {
+            return out;
+        }
+        // `seen` counts the low (<= 0 / NaN) observations, which sort
+        // below bucket 0, plus every bucket before `next`.
+        let (mut seen, mut next) = (self.low, 0);
+        for (answer, p) in out.iter_mut().zip(ps) {
+            let rank = ((p / 100.0) * self.total as f64).ceil() as u64;
+            let rank = rank.clamp(1, self.total);
+            *answer = if rank == self.total {
+                // The top rank is the exact max — no bucket rounding.
+                self.max()
+            } else if rank <= self.low {
+                // The answer falls among <=0/NaN observations; report
+                // the exact min when it was finite, else 0.
+                self.min().min(0.0)
+            } else {
+                while seen < rank && next < NUM_BUCKETS {
+                    seen += self.counts[next];
+                    next += 1;
+                }
+                if seen < rank {
+                    self.max()
+                } else {
+                    Self::bucket_mid(next - 1).clamp(self.min, self.max)
+                }
+            };
+        }
+        out
+    }
+
+    /// Forgets every observation, keeping the bucket array: the state
+    /// equals [`LogHistogram::new`]'s without its allocation.
+    pub fn clear(&mut self) {
+        self.counts.fill(0);
+        self.low = 0;
+        self.total = 0;
+        self.min = f64::INFINITY;
+        self.max = f64::NEG_INFINITY;
     }
 
     /// Merges `other` into `self`: bucket-wise count add plus extrema

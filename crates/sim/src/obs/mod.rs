@@ -22,10 +22,12 @@
 //!   close, emitting edge-triggered deterministic [`SloEvent`]s.
 //! - [`export`] — Prometheus text exposition and JSONL helpers.
 //!
-//! Region shards contribute [`WindowValue`] effects that are merged at
-//! the per-epoch barrier through `shard::merge_effects`, so the window
-//! stream is byte-identical at 1/2/4/8 shards (pinned by
-//! `tests/shard_equivalence.rs`).
+//! Region shards contribute counter deltas only, which
+//! [`WindowRecord::from_effects`] adds up; the region records its
+//! per-epoch histograms itself, once, in ascending `(shard, server)`
+//! order at the barrier. Integer adds and bucket counts are
+//! order-free, so the window stream is byte-identical at 1/2/4/8 shards
+//! (pinned by `tests/shard_equivalence.rs`).
 
 pub mod export;
 mod loghist;
@@ -39,20 +41,6 @@ use crate::metrics::{json_f64, json_str, MetricsRegistry};
 use crate::time::{SimDuration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
-
-/// One per-shard window contribution, merged across shards at a barrier.
-///
-/// Counters add; histograms merge bucket-wise — both operations are
-/// commutative and associative, so the merged window is independent of
-/// the shard count (the merge *order* is already fixed by
-/// `shard::merge_effects`).
-#[derive(Clone, Debug)]
-pub enum WindowValue {
-    /// A counter delta contributed by one shard.
-    Count(u64),
-    /// A histogram of this window's observations from one shard.
-    Hist(LogHistogram),
-}
 
 /// The closed contents of one observation window: counter deltas, gauge
 /// values, and histogram summaries, keyed by canonical metric name.
@@ -80,36 +68,28 @@ impl WindowRecord {
         }
     }
 
-    /// Builds a record by folding barrier-merged shard effects: counts
-    /// with the same key add, histograms with the same key merge. The
-    /// result is independent of how observations were partitioned.
+    /// Builds a record by folding per-shard counter deltas: counts with
+    /// the same key add, keys that sum to zero are left out. Integer
+    /// adds commute, so the result is independent of how the counted
+    /// events were partitioned and of the order the shards arrive in.
     pub fn from_effects(
         index: u64,
         start: SimTime,
         end: SimTime,
-        effects: Vec<(String, WindowValue)>,
+        effects: impl IntoIterator<Item = (&'static str, u64)>,
     ) -> Self {
         let mut w = WindowRecord::new(index, start, end);
-        let mut hists: BTreeMap<String, LogHistogram> = BTreeMap::new();
-        for (key, value) in effects {
-            match value {
-                WindowValue::Count(n) => {
-                    *w.counters.entry(key).or_insert(0) += n;
+        for (key, n) in effects {
+            if n == 0 {
+                continue;
+            }
+            match w.counters.get_mut(key) {
+                Some(sum) => *sum += n,
+                None => {
+                    w.counters.insert(key.to_string(), n);
                 }
-                WindowValue::Hist(h) => match hists.get_mut(&key) {
-                    Some(acc) => acc.merge(&h),
-                    None => {
-                        hists.insert(key, h);
-                    }
-                },
             }
         }
-        for (key, h) in hists {
-            if !h.is_empty() {
-                w.hists.insert(key, h.summary());
-            }
-        }
-        w.counters.retain(|_, v| *v != 0);
         w
     }
 
@@ -418,24 +398,17 @@ mod tests {
 
     #[test]
     fn from_effects_is_partition_invariant() {
-        let mk = |vals: &[f64], n: u64| {
-            let mut h = LogHistogram::new();
-            for &v in vals {
-                h.record(v);
-            }
-            vec![
-                ("lat".to_string(), WindowValue::Hist(h)),
-                ("done".to_string(), WindowValue::Count(n)),
-            ]
-        };
-        let one =
-            WindowRecord::from_effects(0, SimTime(0), SimTime(1), mk(&[1.0, 2.0, 3.0, 4.0], 4));
-        let mut split = mk(&[1.0, 3.0], 2);
-        split.extend(mk(&[2.0, 4.0], 2));
+        let one = WindowRecord::from_effects(0, SimTime(0), SimTime(1), [("done", 4), ("lost", 0)]);
+        // Two shards, arriving in either order, one of them idle on
+        // "done": same record.
+        let split = [("done", 1), ("lost", 0), ("done", 3), ("idle", 0)];
         let two = WindowRecord::from_effects(0, SimTime(0), SimTime(1), split);
+        let rev = WindowRecord::from_effects(0, SimTime(0), SimTime(1), split.into_iter().rev());
         assert_eq!(one, two);
+        assert_eq!(one, rev);
         assert_eq!(one.json_line(), two.json_line());
         assert_eq!(one.counter("done"), 4);
+        assert_eq!(one.counters().count(), 1, "zero sums are left out");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property tests of the observability plane's histogram contract.
 //!
-//! Two guarantees are load-bearing for the rest of the PR and are pinned
-//! here over randomized inputs rather than hand-picked vectors:
+//! Four guarantees are load-bearing for the rest of the PR and are
+//! pinned here over randomized inputs rather than hand-picked vectors:
 //!
 //! * **Merge algebra** — [`LogHistogram::merge`] must be associative and
 //!   commutative up to full state equality (counts, low bucket, total,
@@ -12,6 +12,12 @@
 //!   the tracked range must land within [`REL_ERROR_BOUND`] of the exact
 //!   answer computed by [`Samples`] over the same observations, on both
 //!   log-uniform and heavy-tailed inputs.
+//! * **One-pass summary** — [`LogHistogram::summary`] answers its four
+//!   quantiles from a single cumulative walk; each must equal the
+//!   stand-alone [`LogHistogram::percentile`] query bit for bit, on
+//!   empty, single-value, low-bucket-only and top-rank inputs too.
+//! * **Clear is new** — a cleared histogram is `==` a fresh one, so a
+//!   reused window histogram cannot carry state across windows.
 
 use nezha_sim::obs::{LogHistogram, REL_ERROR_BOUND};
 use nezha_sim::stats::Samples;
@@ -45,6 +51,15 @@ fn observation() -> impl Strategy<Value = f64> {
             let mantissa = 1.0 + (m as f64) / (1u64 << 52) as f64;
             mantissa * 2f64.powi(e as i32 - 24)
         }
+    })
+}
+
+/// Only values the low bucket takes: zero, negatives, NaN.
+fn low_only() -> impl Strategy<Value = f64> {
+    (0u32..3, 0.0f64..5.0).prop_map(|(sel, neg)| match sel {
+        0 => 0.0,
+        1 => -neg,
+        _ => f64::NAN,
     })
 }
 
@@ -96,6 +111,47 @@ proptest! {
         prop_assert_eq!(left, right);
     }
 
+    /// The one-pass summary equals four independent percentile
+    /// queries. Below 1 000 observations p999 is the top rank (the
+    /// exact max); above, it resolves to a bucket — both are drawn, as
+    /// are the empty and the single-value histogram.
+    #[test]
+    fn summary_equals_four_percentile_calls(
+        body in prop::collection::vec(observation(), 0..40),
+        bulk in prop::collection::vec(log_uniform(), 0..1_200),
+        take_bulk in any::<bool>(),
+    ) {
+        let mut values = body;
+        if take_bulk {
+            values.extend(bulk);
+        }
+        check_summary(&hist_of(&values))?;
+    }
+
+    /// Same, when every rank falls in the low (<= 0 / NaN) bucket.
+    #[test]
+    fn summary_equals_four_percentile_calls_low_bucket_only(
+        values in prop::collection::vec(low_only(), 1..60),
+    ) {
+        check_summary(&hist_of(&values))?;
+    }
+
+    /// `clear()` leaves exactly the state of `new()`, whatever was
+    /// recorded before, and the cleared histogram records like a new one.
+    #[test]
+    fn clear_equals_new(
+        before in prop::collection::vec(observation(), 0..200),
+        after in prop::collection::vec(observation(), 0..200),
+    ) {
+        let mut h = hist_of(&before);
+        h.clear();
+        prop_assert_eq!(&h, &LogHistogram::new());
+        for &v in &after {
+            h.record(v);
+        }
+        prop_assert_eq!(h, hist_of(&after));
+    }
+
     /// Every quantile on log-uniform in-range data is within the
     /// documented relative error of the exact (Samples) answer.
     #[test]
@@ -113,6 +169,22 @@ proptest! {
     ) {
         check_percentile_bound(&values)?;
     }
+}
+
+fn check_summary(h: &LogHistogram) -> Result<(), TestCaseError> {
+    let s = h.summary();
+    prop_assert_eq!(s.count, h.count());
+    // Bit patterns, so that a NaN could not compare unequal to itself.
+    for (name, got, p) in [
+        ("p50", s.p50, 50.0),
+        ("p90", s.p90, 90.0),
+        ("p99", s.p99, 99.0),
+        ("p999", s.p999, 99.9),
+        ("max", s.max, 100.0),
+    ] {
+        prop_assert_eq!(got.to_bits(), h.percentile(p).to_bits(), "{}", name);
+    }
+    Ok(())
 }
 
 fn check_percentile_bound(values: &[f64]) -> Result<(), TestCaseError> {

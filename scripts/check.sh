@@ -7,6 +7,12 @@
 # `benchmark/` crate's tests (it is outside the workspace, so nothing
 # above compiles it).
 #
+# Not part of the gate, because they need a second checkout at the
+# parent commit: `scripts/digests.sh` (the five payload digests, to diff
+# between parent and change) and `scripts/pairs.sh` (alternating
+# parent/change benchmark pairs with medians, quartiles and the win
+# count — what a performance claim is measured with).
+#
 # Usage: scripts/check.sh [--fast]
 #   --fast   skip the full test suite (quick pre-commit run); still runs
 #            the vswitch crate's tests (lookup graph vs its straight-line
