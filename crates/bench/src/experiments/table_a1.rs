@@ -61,8 +61,6 @@ pub fn run() {
             )
         })
         .collect();
-    // One compiled lookup graph serves every cell, like the real datapath.
-    let graph = nezha_vswitch::stage::lookup::lookup_graph();
     print_grid(|bytes, rules| {
         let idx = RULES.iter().position(|&r| r == rules).unwrap();
         let vnic = &vnics[idx];
@@ -85,7 +83,7 @@ pub fn run() {
                 9000,
             );
             sink ^= nezha_types::headers::internet_checksum(&buf) as u64;
-            let pair = pair_lookup(&graph, vnic, &tuple, Direction::Rx);
+            let pair = pair_lookup(vnic, &tuple, Direction::Rx);
             sink ^= pair.rx.qos_class as u64;
             sim_cycles += cfg.costs.slow_path_cycles(bytes, rules, 0);
         }

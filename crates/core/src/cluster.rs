@@ -104,9 +104,6 @@ pub struct Cluster {
     /// Global switch: when false the cluster behaves as the pre-Nezha
     /// baseline (no offloading ever triggers).
     pub nezha_enabled: bool,
-    /// The rule-table lookup graph every FE evaluates on a flow-cache
-    /// miss — the same graph each switch runs locally (§3.1 equivalence).
-    pub(crate) lookup: nezha_vswitch::StageGraph,
 }
 
 impl Cluster {
@@ -153,7 +150,6 @@ impl Cluster {
                 cfg.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0xFA17,
             )),
             nezha_enabled: true,
-            lookup: nezha_vswitch::stage::lookup::lookup_graph(),
             cfg,
         }
     }

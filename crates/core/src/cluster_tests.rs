@@ -625,6 +625,36 @@ fn crash_at_unknown_server_is_ignored() {
     assert!((0..16).all(|s| c.is_alive(ServerId(s))));
 }
 
+/// Server ids inside a control-plane op are input: one naming a server
+/// outside the topology is ignored, not indexed with.
+#[test]
+fn config_ops_naming_an_unknown_server_are_ignored() {
+    let mut c = small_cluster(false);
+    let ghost = ServerId(9_999);
+    let addr = Ipv4Addr::new(10, 7, 0, 1);
+    for op in [
+        ConfigOp::GatewayUpdate {
+            addr,
+            servers: vec![ghost],
+        },
+        ConfigOp::FeConfigured {
+            vnic: VNIC,
+            fe: ghost,
+        },
+        ConfigOp::BeLocationUpdate {
+            vnic: VNIC,
+            new_home: ghost,
+        },
+    ] {
+        c.engine
+            .schedule_in(SimDuration::from_millis(5), Event::config(op));
+    }
+    run_conns(&mut c, 50, SimDuration::from_millis(1));
+    assert_eq!(c.stats().completed, 50);
+    assert_eq!(c.vnic_home[&VNIC], HOME);
+    assert_eq!(c.gateway.current(addr), Some(&[HOME][..]));
+}
+
 /// The rare control payloads ride boxed behind the 16-byte `Event`; they
 /// must still fire at their instant in `(at, seq)` order *between* the
 /// packet events scheduled around them. Four probe packets arrive at the

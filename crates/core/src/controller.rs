@@ -571,7 +571,7 @@ impl Cluster {
     pub(crate) fn apply_config(&mut self, op: ConfigOp, now: SimTime) {
         match op {
             ConfigOp::FeConfigured { vnic, fe } => {
-                if !self.alive[fe.0 as usize] {
+                if !self.is_alive(fe) {
                     return;
                 }
                 let Some(meta) = self.be_meta.get_mut(&vnic) else {
@@ -611,10 +611,8 @@ impl Cluster {
                 }
             }
             ConfigOp::GatewayUpdate { addr, servers } => {
-                let live: Vec<ServerId> = servers
-                    .into_iter()
-                    .filter(|s| self.alive[s.0 as usize])
-                    .collect();
+                let live: Vec<ServerId> =
+                    servers.into_iter().filter(|s| self.is_alive(*s)).collect();
                 if !live.is_empty() {
                     self.gateway.update(addr, live, now);
                 }
@@ -627,7 +625,7 @@ impl Cluster {
                     .ready_fes()
                     .iter()
                     .copied()
-                    .filter(|s| self.alive[s.0 as usize])
+                    .filter(|s| self.is_alive(*s))
                     .collect();
                 if servers.is_empty() {
                     servers = vec![self.vnic_home[&vnic]];
@@ -689,6 +687,10 @@ impl Cluster {
             }
             ConfigOp::BeLocationUpdate { vnic, new_home } => {
                 // §7.2: live migration — repoint every FE's BE location.
+                // A home outside the topology has no vSwitch to move to.
+                if new_home.0 as usize >= self.switches.len() {
+                    return;
+                }
                 for ((_, v), fe) in self.fes.iter_mut() {
                     if *v == vnic {
                         fe.be_location = new_home;

@@ -67,7 +67,6 @@ fn fe_visit(
     carry_leaf: Option<Stage>,
 ) -> Option<FeVisit> {
     let (server, now) = (ctx.server, ctx.now);
-    // Split borrows: switch, FE and lookup graph are distinct fields.
     let cl = &mut *ctx.cl;
     let vs = &mut cl.switches[server.0 as usize];
     let mem_model = vs.config().memory;
@@ -79,7 +78,7 @@ fn fe_visit(
         ctx.misroute(pkt);
         return None;
     };
-    let (pair, miss) = fe.lookup_or_insert(&cl.lookup, &pkt.tuple, dir, &mut vs.mem, &mem_model);
+    let (pair, miss) = fe.lookup_or_insert(&pkt.tuple, dir, &mut vs.mem, &mem_model);
     // A cache miss re-executes the full slow path: "the FE executes
     // the same code as before deploying Nezha" (§5.1) — which is why
     // per-FE CPS capacity matches a local vSwitch's, and Fig. 9's

@@ -82,16 +82,15 @@ impl FrontEnd {
     }
 
     /// Returns the cached pre-actions for the session of `tuple`, running
-    /// the rule lookup over `graph` (and caching the result in `pool`) on
-    /// a miss. The FE runs the *same* lookup graph as the local vSwitch —
-    /// Nezha's equivalence property (§3.1).
+    /// the rule lookup (and caching the result in `pool`) on a miss. The
+    /// FE calls the *same* lookup function as the local vSwitch — Nezha's
+    /// equivalence property (§3.1).
     ///
     /// The boolean is `true` on a miss — the caller charges lookup cycles
     /// instead of fast-path cycles, and (on the TX workflow) considers a
     /// notify packet (§3.2.2).
     pub fn lookup_or_insert(
         &mut self,
-        graph: &nezha_vswitch::StageGraph,
         tuple: &FiveTuple,
         pkt_dir: Direction,
         pool: &mut MemoryPool,
@@ -103,7 +102,7 @@ impl FrontEnd {
             return (*self.pairs.resolve(id), false);
         }
         self.misses += 1;
-        let pair = pair_lookup(graph, &self.vnic, tuple, pkt_dir);
+        let pair = pair_lookup(&self.vnic, tuple, pkt_dir);
         if pool.alloc(m.flow_entry).is_ok() {
             let id = self.pairs.intern(pair);
             self.flows.insert(key, id);
@@ -165,10 +164,6 @@ mod tests {
         FrontEnd::new(vnic, ServerId(0))
     }
 
-    fn graph() -> nezha_vswitch::StageGraph {
-        nezha_vswitch::stage::lookup::lookup_graph()
-    }
-
     fn tuple(port: u16) -> FiveTuple {
         FiveTuple::tcp(
             Ipv4Addr::new(10, 7, 0, 1),
@@ -181,12 +176,11 @@ mod tests {
     #[test]
     fn miss_then_hit() {
         let mut f = fe();
-        let g = graph();
         let mut pool = MemoryPool::new(1_000_000);
         let m = MemoryModel::default();
-        let (p1, miss1) = f.lookup_or_insert(&g, &tuple(1000), Direction::Tx, &mut pool, &m);
+        let (p1, miss1) = f.lookup_or_insert(&tuple(1000), Direction::Tx, &mut pool, &m);
         assert!(miss1);
-        let (p2, miss2) = f.lookup_or_insert(&g, &tuple(1000), Direction::Tx, &mut pool, &m);
+        let (p2, miss2) = f.lookup_or_insert(&tuple(1000), Direction::Tx, &mut pool, &m);
         assert!(!miss2);
         assert_eq!(p1, p2);
         assert_eq!(f.counters(), (1, 1, 0));
@@ -197,12 +191,10 @@ mod tests {
     #[test]
     fn both_directions_share_one_cached_flow() {
         let mut f = fe();
-        let g = graph();
         let mut pool = MemoryPool::new(1_000_000);
         let m = MemoryModel::default();
-        let (pa, _) = f.lookup_or_insert(&g, &tuple(1000), Direction::Tx, &mut pool, &m);
-        let (pb, miss) =
-            f.lookup_or_insert(&g, &tuple(1000).reversed(), Direction::Rx, &mut pool, &m);
+        let (pa, _) = f.lookup_or_insert(&tuple(1000), Direction::Tx, &mut pool, &m);
+        let (pb, miss) = f.lookup_or_insert(&tuple(1000).reversed(), Direction::Rx, &mut pool, &m);
         assert!(!miss, "reverse direction must hit the same entry");
         assert_eq!(pa, pb);
         assert_eq!(f.cached_flows(), 1);
@@ -211,25 +203,23 @@ mod tests {
     #[test]
     fn oom_skips_caching_but_still_answers() {
         let mut f = fe();
-        let g = graph();
         let mut pool = MemoryPool::new(0);
         let m = MemoryModel::default();
-        let (_, miss) = f.lookup_or_insert(&g, &tuple(1), Direction::Tx, &mut pool, &m);
+        let (_, miss) = f.lookup_or_insert(&tuple(1), Direction::Tx, &mut pool, &m);
         assert!(miss);
         assert_eq!(f.cached_flows(), 0);
         assert_eq!(f.counters().2, 1);
         // Second lookup is a miss again (nothing cached) but still works.
-        let (_, miss) = f.lookup_or_insert(&g, &tuple(1), Direction::Tx, &mut pool, &m);
+        let (_, miss) = f.lookup_or_insert(&tuple(1), Direction::Tx, &mut pool, &m);
         assert!(miss);
     }
 
     #[test]
     fn invalidate_forgets_the_previous_rule_generation() {
         let mut f = fe();
-        let g = graph();
         let mut pool = MemoryPool::new(1_000_000);
         let m = MemoryModel::default();
-        let (before, _) = f.lookup_or_insert(&g, &tuple(1), Direction::Tx, &mut pool, &m);
+        let (before, _) = f.lookup_or_insert(&tuple(1), Direction::Tx, &mut pool, &m);
         assert_eq!(f.pairs.len(), 1);
         // A table update changes what the lookup yields ...
         let peer = tuple(1).dst_ip;
@@ -237,7 +227,7 @@ mod tests {
         f.invalidate_flows(&mut pool, &m);
         assert!(f.pairs.is_empty());
         // ... and only the new generation's value is interned afterwards.
-        let (after, miss) = f.lookup_or_insert(&g, &tuple(1), Direction::Tx, &mut pool, &m);
+        let (after, miss) = f.lookup_or_insert(&tuple(1), Direction::Tx, &mut pool, &m);
         assert!(miss);
         assert_ne!(before, after);
         assert_eq!(f.pairs.len(), 1);
@@ -246,11 +236,10 @@ mod tests {
     #[test]
     fn invalidate_and_release_free_memory() {
         let mut f = fe();
-        let g = graph();
         let mut pool = MemoryPool::new(20_000_000);
         let m = MemoryModel::default();
         for p in 0..10 {
-            f.lookup_or_insert(&g, &tuple(p), Direction::Tx, &mut pool, &m);
+            f.lookup_or_insert(&tuple(p), Direction::Tx, &mut pool, &m);
         }
         assert_eq!(pool.used(), 10 * m.flow_entry);
         assert_eq!(f.invalidate_flows(&mut pool, &m), 10);
@@ -259,7 +248,7 @@ mod tests {
         // Simulate the host charging table memory, then releasing the FE.
         pool.alloc(f.table_memory(&m)).unwrap();
         f.charged_table_bytes = f.table_memory(&m);
-        f.lookup_or_insert(&g, &tuple(0), Direction::Tx, &mut pool, &m);
+        f.lookup_or_insert(&tuple(0), Direction::Tx, &mut pool, &m);
         let f2 = f;
         f2.release(&mut pool, &m);
         assert_eq!(pool.used(), 0);

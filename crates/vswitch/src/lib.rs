@@ -24,9 +24,9 @@
 //!   the short SYN aging of §7.3);
 //! * [`pipeline`] — the fast-path `process_pkt(pre_actions, state)` and
 //!   the per-packet result types;
-//! * [`stage`] — the slow-path rule-table lookup as one composable
-//!   [`StageGraph`] ([`stage::seq`], [`stage::branch`], [`stage::tee`],
-//!   [`stage::guard`]) and the two cost plans;
+//! * [`stage`] — the slow-path rule-table lookup, one straight-line
+//!   function shared by the local vSwitch and every FE
+//!   ([`stage::lookup::pair_lookup`]), and the two cost plans;
 //! * [`vswitch`] — the vSwitch: resource enforcement and the
 //!   straight-line [`VSwitch::process_local`].
 
@@ -46,7 +46,7 @@ pub use config::{CostModel, VSwitchConfig};
 pub use pipeline::{finalize_with_state, process_pkt, update_state};
 pub use pipeline::{PathTaken, ProcessOutcome, ProcessResult};
 pub use session::{SessionEntry, SessionTable};
-pub use stage::{CostSlot, PktCtx, Stage, StageGraph, StageVerdict};
+pub use stage::CostSlot;
 pub use tables::acl::{AclRule, AclTable, PortRange};
 pub use tables::nat::NatTable;
 pub use tables::policy::PolicyTable;

@@ -113,11 +113,8 @@ pub fn process_pkt(pre: &PreAction, state: &mut SessionState, pkt: &Packet) -> A
 /// cannot adopt rule-table-involved state — that arrives later via notify
 /// packets (§3.2.2).
 pub fn update_state(pre: Option<&PreAction>, state: &mut SessionState, pkt: &Packet) {
-    if state.first_dir.is_none() {
-        state.first_dir = Some(pkt.dir);
-    }
+    let first = *state.first_dir.get_or_insert(pkt.dir);
     if pkt.tuple.protocol == nezha_types::IpProtocol::Tcp {
-        let first = state.first_dir.expect("set above");
         let ev = TcpEvent::from_flags(pkt.tcp_flags, pkt.dir, first);
         state.tcp = state.tcp.step(ev);
     }
@@ -162,15 +159,9 @@ pub fn mirror_copies(action: &Action) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stage::lookup::{lookup_graph, pair_lookup};
+    use crate::stage::lookup::pair_lookup;
     use crate::vnic::{Vnic, VnicProfile};
-    use nezha_types::{
-        Decision, FiveTuple, Ipv4Addr, PreActionPair, ServerId, TcpFlags, TcpState, VnicId, VpcId,
-    };
-
-    fn lookup(vnic: &Vnic, tuple: &FiveTuple, pkt_dir: Direction) -> PreActionPair {
-        pair_lookup(&lookup_graph(), vnic, tuple, pkt_dir)
-    }
+    use nezha_types::{Decision, FiveTuple, Ipv4Addr, ServerId, TcpFlags, TcpState, VnicId, VpcId};
 
     fn vnic() -> Vnic {
         Vnic::new(
@@ -195,20 +186,20 @@ mod tests {
     #[test]
     fn lookup_is_deterministic_and_direction_symmetric() {
         let v = vnic();
-        let a = lookup(&v, &tx_tuple(), Direction::Tx);
-        let b = lookup(&v, &tx_tuple(), Direction::Tx);
+        let a = pair_lookup(&v, &tx_tuple(), Direction::Tx);
+        let b = pair_lookup(&v, &tx_tuple(), Direction::Tx);
         assert_eq!(a, b);
         // Looking up from the RX side of the same session yields the same
         // bidirectional pair — this is what makes FE caching direction-
         // agnostic.
-        let c = lookup(&v, &tx_tuple().reversed(), Direction::Rx);
+        let c = pair_lookup(&v, &tx_tuple().reversed(), Direction::Rx);
         assert_eq!(a, c);
     }
 
     #[test]
     fn tx_preaction_resolves_next_hop() {
         let v = vnic();
-        let r = lookup(&v, &tx_tuple(), Direction::Tx);
+        let r = pair_lookup(&v, &tx_tuple(), Direction::Tx);
         assert!(r.tx.next_hop.is_some(), "mapped peer must resolve");
         assert_eq!(r.rx.next_hop, None, "ingress delivers locally");
     }
@@ -235,7 +226,7 @@ mod tests {
             Ipv4Addr::new(172, 30, 1, 1),
             9000,
         );
-        let r = lookup(&v, &t, Direction::Tx);
+        let r = pair_lookup(&v, &t, Direction::Tx);
         assert_eq!(r.tx.verdict, Decision::Accept);
         assert_eq!(r.tx.next_hop, None);
     }
@@ -257,11 +248,11 @@ mod tests {
             Ipv4Addr::new(10, 7, 0, 100),
             9000,
         );
-        let r = lookup(&v, &steered, Direction::Tx);
+        let r = pair_lookup(&v, &steered, Direction::Tx);
         assert_eq!(r.tx.next_hop, Some(ServerId(42)));
         // Unsteered sources still follow the destination route.
         let normal = tx_tuple();
-        let r = lookup(&v, &normal, Direction::Tx);
+        let r = pair_lookup(&v, &normal, Direction::Tx);
         assert_ne!(r.tx.next_hop, Some(ServerId(42)));
     }
 
@@ -279,7 +270,7 @@ mod tests {
             Ipv4Addr::new(192, 0, 2, 9),
             9000,
         );
-        let r = lookup(&v, &t, Direction::Tx);
+        let r = pair_lookup(&v, &t, Direction::Tx);
         assert_eq!(r.tx.verdict, Decision::Drop);
         assert!(!r.tx.stateful_acl, "routing drops are not stateful");
     }
@@ -287,7 +278,7 @@ mod tests {
     #[test]
     fn process_pkt_initializes_first_dir_and_fsm() {
         let v = vnic();
-        let r = lookup(&v, &tx_tuple(), Direction::Tx);
+        let r = pair_lookup(&v, &tx_tuple(), Direction::Tx);
         let mut state = SessionState::default();
         let pkt = Packet::tx_data(1, VpcId(1), VnicId(1), tx_tuple(), TcpFlags::SYN, 0);
         let act = process_pkt(&r.tx, &mut state, &pkt);
@@ -307,7 +298,7 @@ mod tests {
             Ipv4Addr::new(10, 7, 0, 1),
             9000,
         );
-        let r = lookup(&v, &rx, Direction::Rx);
+        let r = pair_lookup(&v, &rx, Direction::Rx);
 
         // Unsolicited: first packet is RX.
         let mut state = SessionState::default();
@@ -340,7 +331,7 @@ mod tests {
             Ipv4Addr::new(10, 8, 0, 1), // real server (this vNIC)
             8080,
         );
-        let r = lookup(&v, &rx, Direction::Rx);
+        let r = pair_lookup(&v, &rx, Direction::Rx);
         let mut state = SessionState::default();
 
         // RX packet from the LB, overlay-encapsulated with the LB address.
@@ -378,7 +369,7 @@ mod tests {
     #[test]
     fn stats_policy_from_preaction_becomes_state_and_records() {
         let v = vnic();
-        let mut pre = lookup(&v, &tx_tuple(), Direction::Tx).tx;
+        let mut pre = pair_lookup(&v, &tx_tuple(), Direction::Tx).tx;
         pre.stats_policy = 3;
         let mut state = SessionState::default();
         let pkt = Packet::tx_data(1, VpcId(1), VnicId(1), tx_tuple(), TcpFlags::SYN, 100);

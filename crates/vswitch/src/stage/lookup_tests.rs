@@ -1,13 +1,19 @@
-//! Property tests of the lookup graph: equivalence of the
-//! combinator-composed pipeline against a straight-line reference
-//! implementation of the same table walk. They live beside the code
-//! because the reference reads `Vnic::tables` directly, which is private
-//! to this crate — that is the point: it re-states the semantics
-//! independently of the stage graph it checks.
+//! Tests of the rule lookup: equivalence of [`rule_lookup`] against a
+//! second straight-line statement of the same table walk, and a literal
+//! case table that shares no code with either. They live beside the code
+//! because they read and build `Vnic::tables` directly, which is private
+//! to this crate. A change to the walk is made in `rule_lookup` and in
+//! `reference_lookup`, by hand, twice — that is the point.
 
-use super::{direction_lookup, lookup_graph, pair_lookup};
+use super::{pair_lookup, rule_lookup};
+use crate::tables::acl::{AclTable, AclVerdict, PortRange};
+use crate::tables::mirror::MirrorRule;
+use crate::tables::nat::NatRule;
+use crate::tables::pbr::PbrRule;
+use crate::tables::policy::PolicyRule;
+use crate::tables::qos::QosRule;
 use crate::tables::route::RouteTarget;
-use crate::vnic::{Vnic, VnicProfile};
+use crate::vnic::{Vnic, VnicProfile, VnicTables};
 use nezha_types::{Decision, Direction, FiveTuple, Ipv4Addr, PreAction, ServerId, VnicId, VpcId};
 use proptest::prelude::*;
 
@@ -115,14 +121,124 @@ fn reference_lookup(vnic: &Vnic, tuple: &FiveTuple, dir: Direction) -> PreAction
     }
 }
 
+// ---------------------------------------------------------------------
+// Literal cases: one hand-built vNIC, one row per arm of the walk, the
+// expected pre-action written out.
+// ---------------------------------------------------------------------
+
+const NAT_PUBLIC: Ipv4Addr = Ipv4Addr::new(203, 0, 113, 7);
+const COLLECTOR: Ipv4Addr = Ipv4Addr::new(10, 7, 240, 1);
+
+/// 10.7.0.1 behind a stateful security group (Tx accept, Rx drop), with
+/// one rule in every other table.
+fn hand_built_vnic() -> Vnic {
+    let ip = Ipv4Addr::new;
+    let stateful = |decision| AclVerdict {
+        decision,
+        stateful: true,
+    };
+    let mut t = VnicTables {
+        acl: AclTable::new(stateful(Decision::Accept), stateful(Decision::Drop)),
+        ..VnicTables::default()
+    };
+    t.qos.add_rule(QosRule {
+        dst_ports: PortRange { lo: 8000, hi: 8999 },
+        class: 2,
+    });
+    t.policy.insert(PolicyRule {
+        dst_prefix: (ip(10, 9, 0, 0), 16),
+        dst_ports: PortRange::ANY,
+        policy: 5,
+    });
+    t.mirror.insert(MirrorRule {
+        dst_prefix: (ip(10, 9, 0, 0), 16),
+        dst_ports: PortRange::only(443),
+        collector: COLLECTOR,
+    });
+    t.pbr.insert(PbrRule {
+        src_prefix: (ip(10, 7, 192, 0), 24),
+        via: ip(10, 7, 241, 0),
+    });
+    t.nat.insert(NatRule {
+        src_prefix: (ip(10, 7, 0, 0), 24),
+        public: NAT_PUBLIC,
+    });
+    for net in [8, 9, 10] {
+        let hint = RouteTarget::Overlay(ip(10, net, 0, 254));
+        t.route.insert(ip(10, net, 0, 0), 16, hint);
+    }
+    t.route.insert(ip(10, 66, 0, 0), 16, RouteTarget::Blackhole);
+    t.vnic_server.set(ip(10, 7, 241, 0), ServerId(41)); // the PBR hop
+    t.vnic_server.set(ip(10, 8, 0, 5), ServerId(5)); // a destination
+    t.vnic_server.set(ip(10, 9, 0, 254), ServerId(9)); // a route's hint
+    let profile = VnicProfile {
+        stateful_decap: true,
+        ..VnicProfile::default()
+    };
+    let mut vnic = Vnic::new(VnicId(1), VpcId(1), ip(10, 7, 0, 1), profile, ServerId(0));
+    vnic.tables = t;
+    vnic
+}
+
+#[test]
+fn each_arm_of_the_walk_yields_its_literal_pre_action() {
+    use Decision::{Accept, Drop};
+    let vnic = hand_built_vnic();
+    let ip = Ipv4Addr::new;
+    let (own, steered) = (ip(10, 7, 0, 1), ip(10, 7, 192, 9));
+    // A PBR hit never reads the routes (its destination is blackholed);
+    // a routing drop is stateless even under a stateful ACL, and NAT is
+    // looked up regardless.
+    #[rustfmt::skip]
+    let tx_rows = [
+        // arm, source, destination, port  -> verdict, stateful_acl, next_hop, NAT, qos, policy, mirrored
+        ("PBR hit",            steered, ip(10, 66, 0, 1),  8080, Accept, true,  Some(41), false, 2, 0, false),
+        ("route, destination", own,     ip(10, 8, 0, 5),   80,   Accept, true,  Some(5),  true,  0, 0, false),
+        ("route, its hint",    own,     ip(10, 9, 0, 77),  443,  Accept, true,  Some(9),  true,  0, 5, true),
+        ("route, neither",     own,     ip(10, 10, 0, 3),  80,   Accept, true,  None,     true,  0, 0, false),
+        ("blackhole",          own,     ip(10, 66, 0, 1),  80,   Drop,   false, None,     true,  0, 0, false),
+        ("route miss",         own,     ip(192, 168, 1, 1), 80,  Drop,   false, None,     true,  0, 0, false),
+    ];
+    for (arm, src, dst, port, verdict, stateful_acl, hop, nat, qos_class, stats_policy, mirrored) in
+        tx_rows
+    {
+        let want = PreAction {
+            verdict,
+            stateful_acl,
+            next_hop: hop.map(ServerId),
+            nat_rewrite: nat.then_some(NAT_PUBLIC),
+            stateful_decap: true,
+            qos_class,
+            stats_policy,
+            mirror_to: mirrored.then_some(COLLECTOR),
+        };
+        let tuple = FiveTuple::tcp(src, 4000, dst, port);
+        assert_eq!(rule_lookup(&vnic, &tuple, Direction::Tx), want, "tx, {arm}");
+    }
+    // Rx: no hop and no NAT; policy and mirror match the *source*
+    // (10.9.0.77:443), the QoS class is still the destination port's.
+    let from_peer = FiveTuple::tcp(ip(10, 9, 0, 77), 443, own, 8080);
+    let want = PreAction {
+        verdict: Drop,
+        stateful_acl: true,
+        next_hop: None,
+        nat_rewrite: None,
+        stateful_decap: true,
+        qos_class: 2,
+        stats_policy: 5,
+        mirror_to: Some(COLLECTOR),
+    };
+    assert_eq!(rule_lookup(&vnic, &from_peer, Direction::Rx), want);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The combinator-composed lookup pipeline computes, packet for
-    /// packet, the same pre-action as the legacy monolith's table walk
-    /// (restated above as `reference_lookup`).
+    /// `rule_lookup` computes, packet for packet, the same pre-action as
+    /// the legacy monolith's table walk (restated above as
+    /// `reference_lookup`).
     #[test]
-    fn lookup_graph_matches_the_legacy_reference(
+    fn rule_lookup_matches_the_legacy_reference(
         vnic in arb_vnic(),
         src_off in 0u32..=0xffff,
         dst_raw in any::<u32>(),
@@ -131,7 +247,6 @@ proptest! {
         dst_port in any::<u16>(),
         dir in arb_dir(),
     ) {
-        let graph = lookup_graph();
         let subnet = vnic.addr.masked(16);
         // Sources sit in the vNIC's /16 (where the synthetic PBR/NAT
         // rules live); destinations are biased there too, with fully
@@ -142,7 +257,7 @@ proptest! {
             Ipv4Addr(dst_raw)
         };
         let tuple = FiveTuple::tcp(Ipv4Addr(subnet.0 | src_off), src_port, dst, dst_port);
-        let got = direction_lookup(&graph, &vnic, &tuple, dir);
+        let got = rule_lookup(&vnic, &tuple, dir);
         prop_assert_eq!(got, reference_lookup(&vnic, &tuple, dir));
     }
 
@@ -158,7 +273,6 @@ proptest! {
         dst_port in any::<u16>(),
         dir in arb_dir(),
     ) {
-        let graph = lookup_graph();
         let subnet = vnic.addr.masked(16);
         let tuple = FiveTuple::tcp(
             Ipv4Addr(subnet.0 | src_off),
@@ -166,12 +280,30 @@ proptest! {
             Ipv4Addr(subnet.0 | dst_off),
             dst_port,
         );
-        let pair = pair_lookup(&graph, &vnic, &tuple, dir);
+        let pair = pair_lookup(&vnic, &tuple, dir);
         let tx_tuple = match dir {
             Direction::Tx => tuple,
             Direction::Rx => tuple.reversed(),
         };
         prop_assert_eq!(pair.tx, reference_lookup(&vnic, &tx_tuple, Direction::Tx));
         prop_assert_eq!(pair.rx, reference_lookup(&vnic, &tx_tuple.reversed(), Direction::Rx));
+    }
+
+    /// Either direction's packet of a session computes the same pair —
+    /// what lets an FE cache one flow entry for both.
+    #[test]
+    fn pair_lookup_is_the_same_from_either_direction(
+        vnic in arb_vnic(),
+        src_off in 0u32..=0xffff,
+        dst_raw in any::<u32>(),
+        src_port in any::<u16>(),
+        dst_port in any::<u16>(),
+    ) {
+        let src = Ipv4Addr(vnic.addr.masked(16).0 | src_off);
+        let tuple = FiveTuple::tcp(src, src_port, Ipv4Addr(dst_raw), dst_port);
+        prop_assert_eq!(
+            pair_lookup(&vnic, &tuple, Direction::Tx),
+            pair_lookup(&vnic, &tuple.reversed(), Direction::Rx)
+        );
     }
 }

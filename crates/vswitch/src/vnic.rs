@@ -285,8 +285,8 @@ pub struct Vnic {
     /// Size/feature profile.
     pub profile: VnicProfile,
     /// The rule tables (present when this node holds them; a Nezha BE in
-    /// the final stage has dropped them). Read only by the lookup stages
-    /// in [`crate::stage::lookup`]; written through [`Vnic::tables_mut`].
+    /// the final stage has dropped them). Read only by the rule lookup in
+    /// [`crate::stage::lookup`]; written through [`Vnic::tables_mut`].
     pub(crate) tables: VnicTables,
 }
 

@@ -2,17 +2,17 @@
 //!
 //! [`VSwitch::process_local`] implements the traditional architecture of
 //! the paper's Fig. 1 as one straight-line function: look up the session
-//! (fast path) or the rule tables (slow path, via the lookup
-//! [`StageGraph`]), all charged against the CPU server and the table
-//! memory pool owned here. `nezha-core` builds the BE and FE roles from
-//! the finer-grained primitives also exposed here ([`VSwitch::charge`],
-//! [`VSwitch::vnic`], the session table).
+//! (fast path) or the rule tables (slow path, via [`pair_lookup`]), all
+//! charged against the CPU server and the table memory pool owned here.
+//! `nezha-core` builds the BE and FE roles from the finer-grained
+//! primitives also exposed here ([`VSwitch::charge`], [`VSwitch::vnic`],
+//! the session table).
 
 use crate::config::VSwitchConfig;
 use crate::pipeline::{self, PathTaken, ProcessOutcome, ProcessResult};
 use crate::session::SessionTable;
-use crate::stage::lookup::{lookup_graph, pair_lookup};
-use crate::stage::{costing, StageGraph};
+use crate::stage::costing;
+use crate::stage::lookup::pair_lookup;
 use crate::telemetry::SwitchTelemetry;
 use crate::vnic::Vnic;
 use nezha_sim::dense::DenseMap;
@@ -46,8 +46,6 @@ pub struct VSwitch {
     /// The session table (public: the Nezha BE role manipulates it).
     pub sessions: SessionTable,
     pub(crate) tel: SwitchTelemetry,
-    /// The rule-table lookup graph the slow path evaluates.
-    lookup: StageGraph,
     /// Cycles charged per vNIC (for the controller's offload-candidate
     /// ranking, §4.2.1), measured over the CPU's utilization window.
     vnic_cycles: BTreeMap<VnicId, f64>,
@@ -80,7 +78,6 @@ impl VSwitch {
             vnics: DenseMap::new(),
             sessions: SessionTable::new(),
             tel: SwitchTelemetry::register(tel, id),
-            lookup: lookup_graph(),
             vnic_cycles: BTreeMap::new(),
             vnic_charged: DenseMap::new(),
             cycle_multiplier: 1.0,
@@ -332,7 +329,7 @@ impl VSwitch {
         let (pre, entry) = match cached {
             Some(pre) => (pre, slot.map(|s| self.sessions.at_mut(s))),
             None => {
-                let pair = pair_lookup(&self.lookup, vnic, &pkt.tuple, pkt.dir);
+                let pair = pair_lookup(vnic, &pkt.tuple, pkt.dir);
                 let pre = *pair.for_direction(pkt.dir);
                 // Stateless routing drops are final: no session for them.
                 if pre.verdict == Decision::Drop && !pre.stateful_acl {

@@ -15,8 +15,8 @@
 #
 # Usage: scripts/check.sh [--fast]
 #   --fast   skip the full test suite (quick pre-commit run); still runs
-#            the vswitch crate's tests (lookup graph vs its straight-line
-#            reference, the exact cost-plan reconciliation properties,
+#            the vswitch crate's tests (the rule lookup vs its reference
+#            and case table, the exact cost-plan reconciliation properties,
 #            the process_local outcome table), the `nezha-sim` dense
 #            tests (every per-packet table rests on `DenseMap`'s slot
 #            encoding), the reduced chaos smoke scenario
@@ -71,7 +71,7 @@ echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 if [ "$fast" -eq 1 ]; then
-    echo "==> cargo test -q -p nezha-vswitch   (--fast: lookup-graph equivalence + cost-plan smoke)"
+    echo "==> cargo test -q -p nezha-vswitch   (--fast: rule lookup vs its reference + cost-plan properties)"
     cargo test -q -p nezha-vswitch
     echo "==> cargo test -q -p nezha-sim dense   (--fast: DenseMap slot encoding vs its BTreeMap model)"
     cargo test -q -p nezha-sim dense

@@ -149,7 +149,6 @@ proptest! {
         steps in prop::collection::vec(step_strategy(), 1..12),
     ) {
         let vnic = build_vnic(&rules, stateful_decap);
-        let graph = nezha::vswitch::stage::lookup::lookup_graph();
         // Session tuple, oriented client -> VM.
         let tuple = FiveTuple::tcp(
             Ipv4Addr::new(10, 7, 1, client_octet),
@@ -165,7 +164,7 @@ proptest! {
         for (i, s) in steps.iter().enumerate() {
             let pkt = make_packet(tuple, s, i as u64);
             let pair = *mono_pair
-                .get_or_insert_with(|| pair_lookup(&graph, &vnic, &pkt.tuple, pkt.dir));
+                .get_or_insert_with(|| pair_lookup(&vnic, &pkt.tuple, pkt.dir));
             let action = process_pkt(pair.for_direction(pkt.dir), &mut mono_state, &pkt);
             mono_actions.push(action);
         }
@@ -190,14 +189,14 @@ proptest! {
                     // FE half: look up (or hit the cached) pre-actions and
                     // finalize with the carried state.
                     let pair = *fe_cached
-                        .get_or_insert_with(|| pair_lookup(&graph, &vnic, &pkt.tuple, pkt.dir));
+                        .get_or_insert_with(|| pair_lookup(&vnic, &pkt.tuple, pkt.dir));
                     split_actions.push(finalize_with_state(&pair.tx, &carried, &pkt));
                 }
                 Direction::Rx => {
                     // FE half: pre-actions piggybacked (plus the overlay
                     // encap source the FE would otherwise destroy).
                     let pair = *fe_cached
-                        .get_or_insert_with(|| pair_lookup(&graph, &vnic, &pkt.tuple, pkt.dir));
+                        .get_or_insert_with(|| pair_lookup(&vnic, &pkt.tuple, pkt.dir));
                     // BE half: the packet arrives with its decap info
                     // restored from the header; full transition + final.
                     split_actions.push(process_pkt(&pair.rx, &mut be_state, &pkt));
