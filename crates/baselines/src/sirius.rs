@@ -87,8 +87,8 @@ impl SiriusPool {
         for &p in &self.assignment {
             counts[p] += 1;
         }
-        let src = (0..self.pairs()).max_by_key(|&p| counts[p]).unwrap();
-        let dst = (0..self.pairs()).min_by_key(|&p| counts[p]).unwrap();
+        let src = (0..self.pairs()).max_by_key(|&p| counts[p]).unwrap_or(0);
+        let dst = (0..self.pairs()).min_by_key(|&p| counts[p]).unwrap_or(0);
         if src == dst {
             return 0;
         }

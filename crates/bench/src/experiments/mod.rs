@@ -11,7 +11,7 @@
 //! The paper-figure modules keep their original `run()` free functions
 //! (plain-text tables plus legacy snapshot lines — those byte-exact
 //! outputs are pinned by golden tests) and are adapted into the registry
-//! by [`Legacy`]; `chaos`, `profile` and `watch` implement the trait
+//! by `Legacy`; `chaos`, `profile` and `watch` implement the trait
 //! natively and return fully-populated reports.
 
 pub mod ablations;

@@ -72,7 +72,8 @@ pub fn run() {
         // The loop executes the repository's real lookup code (kept live
         // via the black-boxed sink), but the reported throughput comes
         // from a simulated cycle counter charged per iteration — wall
-        // clock here would make the table vary run-to-run (lint rule D1).
+        // clock here would make the table vary run-to-run (`Instant::now`
+        // is a `clippy.toml` disallowed method).
         let mut sim_cycles = 0u64;
         let mut sink = 0u64;
         for i in 0..iters {

@@ -196,7 +196,7 @@ mod tests {
         for _ in 0..a.direct_capacity() {
             a.allocate().unwrap();
         }
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..200 {
             if let Ok(VnicAttachment::Child { parent_bdf, vlan }) = a.allocate() {
                 assert!(seen.insert((parent_bdf, vlan)), "duplicate tag");

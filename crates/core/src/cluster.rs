@@ -140,12 +140,14 @@ impl Cluster {
             tel,
             controller: ControllerState::new(),
             monitor: MonitorState::new(),
-            // nezha-lint: allow(D9): seed derivation pinned by golden fixtures (refactor_equivalence, the benchmark's payload digests); migrate to derive_seed when re-baselining
+            // Raw seed, not `derive_seed`: pinned by golden fixtures
+            // (refactor_equivalence, the benchmark's payload digests);
+            // migrate when re-baselining.
             rng: SimRng::new(cfg.seed),
             blackholes: std::collections::BTreeSet::new(),
             // An independent stream derived from the seed (not forked from
             // `rng`, so enabling faults never perturbs baseline draws).
-            // nezha-lint: allow(D9): seed derivation pinned by golden fixtures (refactor_equivalence, the benchmark's payload digests); migrate to derive_seed when re-baselining
+            // The mix is pinned by the same goldens.
             faults: FaultState::new(SimRng::new(
                 cfg.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0xFA17,
             )),
@@ -232,8 +234,8 @@ impl Cluster {
     /// per-FE-server `fe.rx_pkts` counters the fairness rule consumes.
     ///
     /// Call before the run starts (registration is string-keyed and must
-    /// not happen mid-simulation — lint rule D5). Runs that never enable
-    /// windows carry zero overhead and identical snapshots.
+    /// not happen mid-simulation: each lookup allocates its key). Runs that
+    /// never enable windows carry zero overhead and identical snapshots.
     pub fn enable_windows(
         &mut self,
         width: nezha_sim::time::SimDuration,

@@ -163,7 +163,7 @@ impl Cluster {
             let (local, remote) = self.controller.split(server);
             // Publish the per-server utilization report the decisions
             // below are based on. The gauge handles were pre-registered
-            // at startup (D5): no string-keyed registry lookup here.
+            // at startup: no string-keyed registry lookup here.
             if let Some(g) = self.tel.ctrl_gauges.get(i).copied() {
                 let reg = &self.tel.shared.registry;
                 reg.set(g.cpu_util, cpu);

@@ -66,7 +66,8 @@ pub(crate) fn degrade_to_local(ctx: &mut HandlerCtx<'_>, vnic: VnicId) -> bool {
         gw_at,
         Event::config(ConfigOp::GatewayUpdate {
             addr,
-            // nezha-lint: allow(D10): degradation to local vswitch is a rare fault-recovery event, not per-packet work
+            // Allocates: degradation to the local vSwitch is a rare
+            // fault-recovery event, not per-packet work.
             servers: vec![home],
         }),
     );

@@ -8,7 +8,7 @@
 //! write `ctx.cl.tel.inc(Ctr::…)` directly — the closed [`Ctr`]
 //! vocabulary is the whole interface. The handlers keep direct access to
 //! protocol state via [`HandlerCtx::cl`] — split field borrows
-//! (`switches` vs `fes` vs `lookup`) are obtained with
+//! (`switches` vs `fes`) are obtained with
 //! `let cl = &mut *ctx.cl;`.
 
 use crate::cluster::Cluster;

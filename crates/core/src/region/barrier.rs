@@ -21,9 +21,10 @@
 //! requests for every shard count.
 
 use super::scenario::Scenario;
+use super::stream::Stream;
 use super::RegionConfig;
 use nezha_sim::fault::FaultPlan;
-use nezha_sim::rng::{derive_seed, SimRng};
+use nezha_sim::rng::SimRng;
 use nezha_sim::shard::merge_effects;
 use nezha_sim::time::SimTime;
 use nezha_types::ServerId;
@@ -81,7 +82,7 @@ impl Barrier {
     /// Fresh barrier for one run, with an empty FE pool.
     pub fn new(cfg: &RegionConfig) -> Self {
         Barrier {
-            rng: SimRng::new(derive_seed(cfg.seed, "region.controller")),
+            rng: Stream::Controller.rng(cfg.seed),
             fe_pool_used: 0,
             fe_pool_cap: cfg.fe_pool_cap,
         }

@@ -7,7 +7,7 @@
 //! would dominate memory for no benefit, so [`TenantModel`] stores only
 //! the distribution parameters — O(1) state regardless of population
 //! size — and derives every tenant on demand as a pure function of
-//! `derive_seed_indexed(seed, "region.tenant", id)`.
+//! `Stream::Tenant.rng_at(seed, id)`.
 //!
 //! Purity is also what makes the population shard-count invariant: any
 //! shard can re-derive exactly the tenants homed on its servers without
@@ -15,8 +15,8 @@
 //! removed/added bit-exactly on both sides from the id alone.
 
 use super::scenario::Scenario;
+use super::stream::Stream;
 use super::RegionConfig;
-use nezha_sim::rng::{derive_seed_indexed, SimRng};
 
 /// O(1)-state generator for the tenant population.
 #[derive(Clone, Copy, Debug)]
@@ -83,7 +83,7 @@ impl TenantModel {
     /// Derives tenant `id` — a pure function of `(seed, id)`; two calls
     /// always return bit-identical tenants.
     pub fn tenant(&self, id: u64) -> Tenant {
-        let mut rng = SimRng::new(derive_seed_indexed(self.seed, "region.tenant", id));
+        let mut rng = Stream::Tenant.rng_at(self.seed, id);
         let cpu_w = rng.bounded_pareto(self.alpha, self.weight_lo, self.weight_hi);
         let mem_w = rng.bounded_pareto(self.alpha, self.weight_lo, self.weight_hi);
         Tenant {

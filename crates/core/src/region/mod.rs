@@ -27,12 +27,12 @@
 //! # Sharded execution
 //!
 //! The region runs as `cfg.shards` independent per-partition event loops
-//! ([`shard`]): each shard owns a contiguous server range (and the
-//! tenants homed there), its own `derive_seed_indexed` RNG streams, and
+//! (`shard`): each shard owns a contiguous server range (and the
+//! tenants homed there), its own indexed RNG streams (`stream`), and
 //! its own bucket-ladder queue of deferred lifecycle/fault events.
 //! Cross-shard effects — offload grants against the region FE pool,
 //! tenant migrations, flash crowds, fault waves — are exchanged only at
-//! per-epoch [`barrier`] merges whose ordering is a pure function of
+//! per-epoch `barrier` merges whose ordering is a pure function of
 //! (epoch, shard id, sorted effect keys). The invariant, enforced by
 //! `tests/shard_equivalence.rs`: **the same seed produces byte-identical
 //! results for any shard count**.
@@ -45,6 +45,7 @@ pub mod generator;
 pub mod middlebox;
 pub mod scenario;
 mod shard;
+mod stream;
 mod window;
 
 pub use generator::{Lifecycle, Tenant, TenantModel};
@@ -54,12 +55,13 @@ use barrier::{Barrier, GrantOutcome, Migration, OffloadRequest, ShardInbox};
 use nezha_sim::metrics::{CounterHandle, HistogramHandle, MetricsRegistry};
 use nezha_sim::obs::{LogHistogram, SloRule, WindowedRollup};
 use nezha_sim::report::BenchReport;
-use nezha_sim::rng::{derive_seed, SimRng};
+use nezha_sim::rng::SimRng;
 use nezha_sim::shard::ShardSpec;
 use nezha_sim::stats::Samples;
 use nezha_sim::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use shard::RegionShard;
+use stream::Stream;
 use window::EpochWindows;
 
 /// Which capability a demand spike stresses (Fig. 3's hotspot causes).
@@ -356,7 +358,7 @@ impl Region {
             cfg,
             spec,
             shards,
-            completion_rng: SimRng::new(derive_seed(cfg.seed, "region.completion")),
+            completion_rng: Stream::Completion.rng(cfg.seed),
             tel: None,
             windows: None,
         }

@@ -5,7 +5,7 @@
 //!
 //! * **Per-server streams.** Every random draw a server makes (baseline,
 //!   wobble, spikes, offload races, scale-outs) comes from that server's
-//!   own `derive_seed_indexed(seed, "region.server", id)` stream — a
+//!   own `Stream::Server.rng_at(seed, id)` stream — a
 //!   pure function of the global server id, so the draw sequence is
 //!   identical no matter which shard executes it.
 //! * **Canonical intra-epoch ordering.** Queue events due in an epoch
@@ -25,10 +25,11 @@
 use super::barrier::{EpochPlan, Migration, OffloadRequest, ShardInbox};
 use super::generator::{Lifecycle, TenantModel};
 use super::scenario::Scenario;
+use super::stream::Stream;
 use super::{completion_from, RegionConfig, SpikeKind};
 use nezha_sim::engine::Engine;
 use nezha_sim::fault::{FaultKind, FaultPlan, FaultState};
-use nezha_sim::rng::{derive_seed_indexed, SimRng};
+use nezha_sim::rng::SimRng;
 use nezha_sim::shard::ShardSpec;
 use nezha_sim::time::SimTime;
 use nezha_types::ServerId;
@@ -145,7 +146,7 @@ impl RegionShard {
         let first = range.start;
         let servers: Vec<ShardServer> = range
             .map(|g| {
-                let mut rng = SimRng::new(derive_seed_indexed(cfg.seed, "region.server", g));
+                let mut rng = Stream::Server.rng_at(cfg.seed, g);
                 let base_cpu = (cfg.cpu_median * (cfg.cpu_sigma * rng.normal()).exp()).min(0.98);
                 let heavy = rng.chance(cfg.mem_heavy_frac);
                 let base_mem = if heavy {
@@ -169,11 +170,7 @@ impl RegionShard {
             id,
             first,
             queue: Engine::with_bucket_width(cfg.epoch),
-            fault: FaultState::new(SimRng::new(derive_seed_indexed(
-                cfg.seed,
-                "region.shard.fault",
-                u64::from(id),
-            ))),
+            fault: FaultState::new(Stream::ShardFault.rng_at(cfg.seed, u64::from(id))),
             drained: Vec::new(),
             utils: Vec::with_capacity(servers.len()),
             servers,
@@ -211,11 +208,7 @@ impl RegionShard {
         epoch_ns: u64,
     ) {
         self.queue = Engine::with_bucket_width(cfg.epoch);
-        self.fault = FaultState::new(SimRng::new(derive_seed_indexed(
-            cfg.seed,
-            "region.shard.fault",
-            u64::from(self.id),
-        )));
+        self.fault = FaultState::new(Stream::ShardFault.rng_at(cfg.seed, u64::from(self.id)));
         let servers_total = cfg.servers as u64;
         for (local, srv) in self.servers.iter_mut().enumerate() {
             srv.tenant_cpu = 0.0;
@@ -310,7 +303,10 @@ impl RegionShard {
     }
 
     /// Runs one epoch over the owned partition.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the barrier's per-epoch plan and inbox plus the run's config, scenario and tenant model are separate `Region` fields, borrowed apart so the shard loop can hold `&mut` to the shard"
+    )]
     pub fn run_epoch(
         &mut self,
         t_epoch: SimTime,

@@ -1,10 +1,12 @@
 //! The cluster's telemetry plumbing: the one [`Telemetry`] handle every
-//! component is constructed with, and the closed vocabularies ([`Ctr`],
-//! [`Hist`], [`Series`]) naming each cluster-level instrument once.
+//! component is constructed with, and the closed vocabularies (`Ctr`,
+//! `Hist`, `Series`) naming each cluster-level instrument once.
 //!
-//! Registration happens exactly once, in [`ClusterTelemetry::register`]
-//! (called from `Cluster::new`); registry lookups are string-keyed and
-//! must never run mid-simulation (lint rule D5).
+//! Registration happens exactly once, in `ClusterTelemetry::register`
+//! (called from `Cluster::new`). Registry lookups are string-keyed — each
+//! builds its key `String` — so handlers record through the handle arrays
+//! and never look up mid-simulation; a per-event lookup would show in
+//! `tests/alloc_budget.rs`.
 
 use nezha_sim::metrics::{CounterHandle, GaugeHandle, HistogramHandle, SeriesHandle};
 use nezha_sim::obs::{RegistryWindows, SloRule};
@@ -16,9 +18,9 @@ use nezha_types::ServerId;
 /// Aggregated measurements.
 ///
 /// Since the telemetry redesign this is an owned *view* assembled on
-/// demand from the cluster's [`MetricsRegistry`] by `Cluster::stats`;
-/// field names are unchanged so `c.stats.X` call sites only became
-/// `c.stats().X`. Experiments should prefer reading the registry snapshot
+/// demand from the cluster's [`nezha_sim::metrics::MetricsRegistry`] by
+/// `Cluster::stats`; field names are unchanged so `c.stats.X` call sites
+/// only became `c.stats().X`. Experiments should prefer reading the registry snapshot
 /// directly (`c.metrics().snapshot()`).
 #[derive(Clone, Debug)]
 pub struct ClusterStats {
@@ -163,8 +165,8 @@ pub(crate) struct ClusterTelemetry {
     hists: [HistogramHandle; Hist::ALL.len()],
     series: [SeriesHandle; Series::ALL.len()],
     /// Per-server controller report gauges, indexed by `ServerId.0`.
-    /// Pre-registered at startup: registry lookups are string-keyed and
-    /// must never run mid-simulation (lint rule D5).
+    /// Pre-registered at startup: a string-keyed lookup per report would
+    /// allocate its key mid-simulation.
     pub(crate) ctrl_gauges: Vec<ServerCtrlGauges>,
     /// Windowed-rollup driver (None until `Cluster::enable_windows`).
     pub(crate) windows: Option<RegistryWindows>,

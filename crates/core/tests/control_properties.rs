@@ -61,7 +61,7 @@ proptest! {
         want in 1u32..3_000,
     ) {
         let mut a = BdfAllocator::new(sriov, children);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         let mut granted = 0u32;
         for _ in 0..want {
             match a.allocate() {

@@ -15,11 +15,12 @@
 //! * [`Interner`] — values deduplicated through a `DenseMap` into `u32`
 //!   ids, so big per-packet tables store 4 bytes instead of the value.
 //!
-//! ## Determinism argument (lint rule D3)
+//! ## Determinism argument
 //!
-//! D3's contract is that determinism requires ordered *iteration*, not
-//! ordered *lookup*: a lookup by key returns the same value whatever the
-//! bucket layout, so hash-distributing the index is free. Iteration
+//! `clippy.toml` disallows `HashMap`/`HashSet` because determinism
+//! requires ordered *iteration*, not ordered *lookup*: a lookup by key
+//! returns the same value whatever the bucket layout, so
+//! hash-distributing the index is free. Iteration
 //! order here is a pure function of the insert/remove call sequence
 //! (insertion order, with `swap_remove` backfill on removal) — same
 //! seed, same calls, same order, every run, on every platform. What the
@@ -147,6 +148,10 @@ impl<K: Hash + Eq, V> std::ops::Index<&K> for DenseMap<K, V> {
     type Output = V;
 
     /// Panics when `key` is absent, like the standard maps.
+    #[expect(
+        clippy::expect_used,
+        reason = "`Index` has no fallible form; callers that can miss use `get`"
+    )]
     fn index(&self, key: &K) -> &V {
         self.get(key).expect("no entry found for key")
     }
@@ -443,6 +448,10 @@ impl<T> Slab<T> {
 
     /// Parks a value, returning its id.
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "2^32 live slab slots is beyond any simulated run; ids are u32 to keep events 16 bytes"
+    )]
     pub fn insert(&mut self, value: T) -> u32 {
         match self.free.pop() {
             Some(id) => {
@@ -463,6 +472,10 @@ impl<T> Slab<T> {
     /// Panics when `id` is vacant — a vacant take means an event was
     /// duplicated or double-freed, which must never happen.
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "a vacant take means an event was duplicated or double-freed: a simulator bug, not an input"
+    )]
     pub fn take(&mut self, id: u32) -> T {
         let v = self.slots[id as usize].take().expect("vacant slab slot");
         self.free.push(id);
@@ -531,6 +544,10 @@ impl<T: Hash + Eq> Interner<T> {
 impl<T: Hash + Eq + Copy> Interner<T> {
     /// Returns the id for `value`, assigning the next dense id on first
     /// sight.
+    #[expect(
+        clippy::expect_used,
+        reason = "2^32 distinct interned values is beyond any simulated run; ids are u32 to keep entries small"
+    )]
     pub fn intern(&mut self, value: T) -> u32 {
         if let Some(&id) = self.ids.get(&value) {
             return id;
@@ -658,6 +675,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "`Hash::hash` takes no context: a test-local counter is the only way to count calls"
+    )]
     fn dense_retain_that_keeps_everything_hashes_and_allocates_nothing() {
         thread_local!(static HASHES: std::cell::Cell<u32> = const { std::cell::Cell::new(0) });
         #[derive(PartialEq, Eq)]

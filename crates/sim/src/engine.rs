@@ -284,7 +284,7 @@ impl<E> Engine<E> {
             // Below the horizon: merge into the (descending-sorted) run.
             // `seq` is unique, so the search always misses and yields the
             // insertion point that keeps `(at, seq)` order.
-            let pos = self.run.binary_search(&key).unwrap_err();
+            let (Ok(pos) | Err(pos)) = self.run.binary_search(&key);
             self.run.insert(pos, key);
         } else {
             if self.buckets.is_empty() {
@@ -336,6 +336,10 @@ impl<E> Engine<E> {
             }
         }
         if let Some(event) = self.immediate.pop_front() {
+            #[expect(
+                clippy::expect_used,
+                reason = "`schedule` pushes to `immediate` only when `draining_at == Some(at)`, and `clear` empties both"
+            )]
             let at = self.draining_at.expect("immediate implies draining_at");
             self.processed += 1;
             if let Some(tel) = &self.telemetry {
@@ -451,8 +455,7 @@ impl<E> Engine<E> {
         self.resident_due().or_else(|| {
             self.buckets
                 .iter()
-                .find(|b| !b.is_empty())
-                .map(|b| b.iter().map(|k| k.at).min().expect("nonempty"))
+                .find_map(|b| b.iter().map(|k| k.at).min())
         })
     }
 

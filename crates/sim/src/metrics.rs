@@ -26,6 +26,11 @@
 //! instance dimensions expressed as labels (`server`, `vnic`, `direction`,
 //! `architecture`) rather than baked into names.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "observability handle: an `Rc<RefCell<_>>` clone-to-share store, one instance per shard, never shared across a shard boundary (shards merge through explicit snapshots)"
+)]
+
 use crate::obs::LogHistogram;
 use crate::stats::{Samples, TimeSeries};
 use crate::time::{SimDuration, SimTime};
@@ -389,54 +394,64 @@ impl MetricsSnapshot {
         self.entries.is_empty()
     }
 
-    fn expect(&self, key: &str, kind: &str) -> &MetricValue {
-        self.get(key).unwrap_or_else(|| {
+    #[expect(
+        clippy::panic,
+        reason = "a mistyped metric key in an experiment or test must fail loudly, listing the known keys; snapshots are read after a run, never by the simulation"
+    )]
+    fn expect<'a, T>(
+        &'a self,
+        key: &str,
+        kind: &str,
+        pick: impl FnOnce(&'a MetricValue) -> Option<T>,
+    ) -> T {
+        let Some(m) = self.get(key) else {
             panic!(
                 "no {kind} '{key}' in snapshot; known keys: {:?}",
                 self.entries.keys().collect::<Vec<_>>()
             )
-        })
+        };
+        pick(m).unwrap_or_else(|| panic!("metric '{key}' is not a {kind}: {m:?}"))
     }
 
     /// Value of the counter at `key`. Panics (listing known keys) when the
     /// key is absent or not a counter — experiments should fail loudly.
     pub fn counter(&self, key: &str) -> u64 {
-        match self.expect(key, "counter") {
-            MetricValue::Counter(v) => *v,
-            m => panic!("metric '{key}' is not a counter: {m:?}"),
-        }
+        self.expect(key, "counter", |m| match m {
+            MetricValue::Counter(v) => Some(*v),
+            _ => None,
+        })
     }
 
     /// Value of the gauge at `key`.
     pub fn gauge(&self, key: &str) -> f64 {
-        match self.expect(key, "gauge") {
-            MetricValue::Gauge(v) => *v,
-            m => panic!("metric '{key}' is not a gauge: {m:?}"),
-        }
+        self.expect(key, "gauge", |m| match m {
+            MetricValue::Gauge(v) => Some(*v),
+            _ => None,
+        })
     }
 
     /// The histogram at `key` (cloned so percentile queries can sort).
     pub fn histogram(&self, key: &str) -> Samples {
-        match self.expect(key, "histogram") {
-            MetricValue::Histogram(s) => s.clone(),
-            m => panic!("metric '{key}' is not a histogram: {m:?}"),
-        }
+        self.expect(key, "histogram", |m| match m {
+            MetricValue::Histogram(s) => Some(s.clone()),
+            _ => None,
+        })
     }
 
     /// The series at `key`.
     pub fn series(&self, key: &str) -> &TimeSeries {
-        match self.expect(key, "series") {
-            MetricValue::Series(s) => s,
-            m => panic!("metric '{key}' is not a series: {m:?}"),
-        }
+        self.expect(key, "series", |m| match m {
+            MetricValue::Series(s) => Some(s),
+            _ => None,
+        })
     }
 
     /// The log histogram at `key`.
     pub fn log_histogram(&self, key: &str) -> &LogHistogram {
-        match self.expect(key, "loghist") {
-            MetricValue::LogHist(h) => h,
-            m => panic!("metric '{key}' is not a loghist: {m:?}"),
-        }
+        self.expect(key, "loghist", |m| match m {
+            MetricValue::LogHist(h) => Some(h),
+            _ => None,
+        })
     }
 
     /// Serializes the snapshot as deterministic JSON: keys sorted, floats

@@ -26,7 +26,7 @@
 //!   each window once, at the barrier, and [`LogHistogram::clear`]s it).
 //! - **Recording is allocation-free.** The bucket array is preallocated
 //!   at construction; `record` is an index computation plus a counter
-//!   increment (enforced by nezha-lint rule D10).
+//!   increment.
 
 /// Number of linear sub-buckets per power-of-two octave (2^6).
 pub const SUB_BUCKETS: usize = 64;
@@ -118,11 +118,12 @@ impl LogHistogram {
         ((exp - MIN_EXP) as usize) * SUB_BUCKETS + sub
     }
 
-    /// Records one observation. Allocation-free (nezha-lint D10).
+    /// Records one observation. Allocation-free: a fixed bucket array.
     #[inline]
-    // `!(v > 0.0)` is deliberate, not `v <= 0.0`: the negated form is
-    // true for NaN, which must land in the low bucket.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    #[expect(
+        clippy::neg_cmp_op_on_partial_ord,
+        reason = "`!(v > 0.0)`, not `v <= 0.0`: the negated form is true for NaN, which must land in the low bucket"
+    )]
     pub fn record(&mut self, v: f64) {
         self.total += 1;
         if !(v > 0.0) {

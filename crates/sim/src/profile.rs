@@ -44,6 +44,11 @@
 //! produce byte-identical exports. Recording never changes simulation
 //! behaviour: the profiler is a pure observer and is disabled by default.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "observability handle: an `Rc<RefCell<_>>` clone-to-share store, one instance per shard, never shared across a shard boundary (shards merge through explicit snapshots)"
+)]
+
 use crate::metrics::{json_f64, json_str};
 use crate::time::SimTime;
 use nezha_types::{ServerId, VnicId};

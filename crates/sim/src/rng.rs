@@ -14,13 +14,13 @@ use std::fmt;
 
 /// Derives a named RNG stream from a base seed.
 ///
-/// Every `SimRng` outside this module should be seeded through here (or
-/// [`derive_seed_indexed`]) with a unique, human-readable stream name:
-/// `SimRng::new(derive_seed(cfg.seed, "cluster.faults"))`. Named streams
-/// make each component's randomness independent of every other's — and
-/// they are the static precondition for sharded region execution, where
-/// each shard must be able to re-derive exactly its own streams.
-/// `nezha-lint` rule D9 enforces the discipline.
+/// A simulator component seeds its `SimRng` through here (or
+/// [`derive_seed_indexed`]) with a unique, human-readable stream name.
+/// Named streams make each component's randomness independent of every
+/// other's — and they are the static precondition for sharded region
+/// execution, where each shard must be able to re-derive exactly its own
+/// streams. A component keeps its names in one closed enum (the region's
+/// is `nezha_core::region`'s `Stream`), so uniqueness is one `match`.
 ///
 /// The mix is an FNV-1a fold of the stream name into the base seed,
 /// finished with splitmix64 — deterministic, allocation-free, and stable
@@ -60,7 +60,9 @@ impl fmt::Debug for SimRng {
 }
 
 impl SimRng {
-    /// Creates an RNG from a 64-bit seed.
+    /// Creates an RNG from a 64-bit seed. Raw seeds are for tests, drivers
+    /// and examples (and the two golden-pinned sites in `Cluster::new`);
+    /// simulator components go through [`derive_seed`].
     pub fn new(seed: u64) -> Self {
         SimRng {
             inner: SmallRng::seed_from_u64(seed),

@@ -13,6 +13,11 @@
 //! can narrow capture to one server/vNIC or to drops only, keeping the cost
 //! near zero when a test cares about a single flow.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "observability handle: an `Rc<RefCell<_>>` clone-to-share store, one instance per shard, never shared across a shard boundary (shards merge through explicit snapshots)"
+)]
+
 use crate::time::SimTime;
 use nezha_types::{ServerId, VnicId};
 use std::cell::RefCell;

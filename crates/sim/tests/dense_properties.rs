@@ -212,7 +212,13 @@ fn iteration_order_follows_swap_remove_discipline() {
     }
 }
 
-thread_local!(static KEY_COMPARES: Cell<u64> = const { Cell::new(0) });
+thread_local!(
+    #[expect(
+        clippy::disallowed_types,
+        reason = "`PartialEq::eq` takes no context: a test-local counter is the only way to count calls"
+    )]
+    static KEY_COMPARES: Cell<u64> = const { Cell::new(0) }
+);
 
 /// A key whose `==` counts itself.
 #[derive(Clone, Copy, Debug, Eq)]

@@ -229,7 +229,8 @@ impl NezhaHeader {
     pub fn decode(data: &[u8]) -> CodecResult<(Self, usize)> {
         let view = NshView::parse(data)?;
         let consumed = view.wire_len();
-        // nezha-lint: allow(D10): `decode` is the owned-copy convenience variant; the zero-copy hot path is `NshView::parse`
+        // Owned-copy convenience variant; the zero-copy path is `NshView::parse`
+        // (held at zero allocations by tests/alloc_budget.rs).
         Ok((view.to_owned(), consumed))
     }
 }
@@ -245,6 +246,7 @@ impl NezhaHeader {
 #[derive(Clone, Copy, Debug)]
 pub struct NshView<'a> {
     data: &'a [u8],
+    kind: NezhaPayloadKind,
     flags: u8,
     /// Offset of the decap address (meaningful only when flagged).
     decap_off: usize,
@@ -280,13 +282,13 @@ impl<'a> NshView<'a> {
                 value: data[2] as u64,
             });
         }
-        if NezhaPayloadKind::from_u8(data[3]).is_none() {
+        let Some(kind) = NezhaPayloadKind::from_u8(data[3]) else {
             return Err(CodecError::BadField {
                 what: "nezha",
                 field: "kind",
                 value: data[3] as u64,
             });
-        }
+        };
         let flags = data[12];
         let mut off = NezhaHeader::FIXED_LEN;
         let decap_off = off;
@@ -310,6 +312,7 @@ impl<'a> NshView<'a> {
         }
         Ok(NshView {
             data,
+            kind,
             flags,
             decap_off,
             stats_off,
@@ -327,8 +330,7 @@ impl<'a> NshView<'a> {
     /// Packet role.
     #[inline]
     pub fn kind(&self) -> NezhaPayloadKind {
-        // Validated by `parse`.
-        NezhaPayloadKind::from_u8(self.data[3]).expect("kind validated at parse")
+        self.kind
     }
 
     /// vNIC id.
@@ -385,13 +387,11 @@ impl<'a> NshView<'a> {
     pub fn pre_actions(&self) -> Option<PreActionPair> {
         if self.flags & F_HAS_PRE_ACTIONS != 0 {
             let off = self.pre_off;
-            let tx = decode_pre_action(&self.data[off..off + NezhaHeader::PRE_ACTION_LEN])
-                .expect("bounds validated at parse");
+            let tx = decode_pre_action(&self.data[off..off + NezhaHeader::PRE_ACTION_LEN]);
             let rx = decode_pre_action(
                 &self.data
                     [off + NezhaHeader::PRE_ACTION_LEN..off + 2 * NezhaHeader::PRE_ACTION_LEN],
-            )
-            .expect("bounds validated at parse");
+            );
             Some(PreActionPair { tx, rx })
         } else {
             None
@@ -480,13 +480,13 @@ fn encode_pre_action_into(p: &PreAction, buf: &mut [u8]) -> usize {
     NezhaHeader::PRE_ACTION_LEN
 }
 
-fn decode_pre_action(data: &[u8]) -> CodecResult<PreAction> {
+fn decode_pre_action(data: &[u8]) -> PreAction {
     debug_assert!(data.len() >= NezhaHeader::PRE_ACTION_LEN);
     let flags = data[0];
     let next_hop_raw = u32::from_be_bytes([data[1], data[2], data[3], data[4]]);
     let nat_raw = u32::from_be_bytes([data[5], data[6], data[7], data[8]]);
     let mirror_raw = u32::from_be_bytes([data[11], data[12], data[13], data[14]]);
-    Ok(PreAction {
+    PreAction {
         verdict: if flags & PA_ACCEPT != 0 {
             Decision::Accept
         } else {
@@ -499,7 +499,7 @@ fn decode_pre_action(data: &[u8]) -> CodecResult<PreAction> {
         qos_class: data[9],
         stats_policy: data[10],
         mirror_to: (flags & PA_HAS_MIRROR != 0).then_some(Ipv4Addr(mirror_raw)),
-    })
+    }
 }
 
 #[cfg(test)]

@@ -67,8 +67,8 @@ impl SessionEntry {
 /// instead of ordered-tree walks. Lookup order is never visible;
 /// iteration (aging sweeps, flow invalidation) is aggregate-only, so
 /// the map's deterministic insertion order — a pure function of the
-/// call sequence — preserves byte-identical same-seed runs (lint rule
-/// D3's contract constrains iteration, not lookup).
+/// call sequence — preserves byte-identical same-seed runs (determinism
+/// constrains iteration, not lookup; see `nezha_sim::dense`).
 #[derive(Debug, Default)]
 pub struct SessionTable {
     entries: DenseMap<SessionKey, SessionEntry>,
@@ -212,7 +212,10 @@ impl SessionTable {
     /// `dir` with optional cached pre-actions — charging `pool`. On
     /// memory exhaustion the insert is rejected: the overload condition
     /// behind the paper's #concurrent-flows hotspots.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "key, vNIC, direction and pre-actions come from the packet, the clock from the engine, pool and model from the vSwitch: three owners, no struct to borrow them from together"
+    )]
     pub fn establish(
         &mut self,
         key: SessionKey,

@@ -40,8 +40,8 @@ impl Hosting {
 /// home server.
 ///
 /// Point lookups only — `select` runs on every FE miss and the map is
-/// never walked — so a [`DenseMap`] serves it (lint rule D3 is about
-/// iteration).
+/// never walked — so a [`DenseMap`] serves it (the `HashMap` ban in
+/// `clippy.toml` is about iteration order).
 #[derive(Clone, Debug, Default)]
 pub struct VnicServerMap {
     entries: DenseMap<Ipv4Addr, Hosting>,

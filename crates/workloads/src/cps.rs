@@ -99,7 +99,7 @@ impl CpsWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     fn wl(rate: f64) -> CpsWorkload {
         CpsWorkload::tcp_crr(
@@ -125,7 +125,7 @@ mod tests {
     fn tuples_are_unique_and_orderly() {
         let mut rng = SimRng::new(2);
         let specs = wl(5_000.0).generate(SimTime::ZERO, &mut rng);
-        let tuples: HashSet<_> = specs.iter().map(|s| s.tuple).collect();
+        let tuples: BTreeSet<_> = specs.iter().map(|s| s.tuple).collect();
         assert_eq!(tuples.len(), specs.len(), "duplicate tuples");
         // Start times are nondecreasing and inside the window.
         for w in specs.windows(2) {
@@ -153,7 +153,7 @@ mod tests {
     fn clients_cycle_across_servers() {
         let mut rng = SimRng::new(3);
         let specs = wl(3_000.0).generate(SimTime::ZERO, &mut rng);
-        let servers: HashSet<_> = specs.iter().map(|s| s.peer_server).collect();
+        let servers: BTreeSet<_> = specs.iter().map(|s| s.peer_server).collect();
         assert_eq!(servers.len(), 2);
     }
 }

@@ -64,7 +64,7 @@ impl PersistentFlows {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     fn wl(count: usize) -> PersistentFlows {
         PersistentFlows {
@@ -82,7 +82,7 @@ mod tests {
     fn generates_distinct_persistent_conns() {
         let specs = wl(10_000).generate(SimTime::ZERO);
         assert_eq!(specs.len(), 10_000);
-        let tuples: HashSet<_> = specs.iter().map(|s| s.tuple).collect();
+        let tuples: BTreeSet<_> = specs.iter().map(|s| s.tuple).collect();
         assert_eq!(tuples.len(), 10_000);
         assert!(specs.iter().all(|s| s.kind == ConnKind::PersistentInbound));
     }

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# The full local gate, in the order CI would run it: formatting, the
-# nezha-lint determinism/panic-safety pass, lints as errors, then the
-# whole workspace's test suite (`cargo test --workspace`: plain
-# `cargo test` runs only the root package's integration suites and skips
-# every crate-level unit and property test), then the standalone
-# `benchmark/` crate's tests (it is outside the workspace, so nothing
-# above compiles it).
+# The full local gate, in the order CI would run it: formatting, clippy
+# with warnings as errors (the determinism and panic-safety rules are
+# `clippy.toml` + the crate-level denies, DESIGN.md §9), rustdoc with
+# warnings as errors, then the whole workspace's test suite (`cargo test
+# --workspace`: plain `cargo test` runs only the root package's
+# integration suites and skips every crate-level unit and property
+# test), then the standalone `benchmark/` crate's tests (it is outside
+# the workspace, so nothing above compiles it).
 #
 # Not part of the gate, because they need a second checkout at the
 # parent commit: `scripts/digests.sh` (the five payload digests, to diff
@@ -25,9 +26,6 @@
 #            (`experiments profile` self-asserts its cycle reconciliation)
 #            and the observability smoke (`experiments watch` runs the
 #            windowed chaos scenario and asserts the SLO watchdog fires).
-#            nezha-lint runs only on .rs files changed vs origin/main
-#            (the symbol index is still built workspace-wide, so D8-D11
-#            cross-file reasoning stays exact).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -48,27 +46,11 @@ cargo fmt --check
 echo "==> scripts/file_size_guard.sh"
 ./scripts/file_size_guard.sh
 
-if [ "$fast" -eq 1 ]; then
-    # Only lint files changed vs the merge base with origin/main; pass 1
-    # still indexes the whole workspace, so graph rules see every caller.
-    base=$(git merge-base HEAD origin/main 2>/dev/null || git rev-parse HEAD)
-    changed=()
-    while IFS= read -r f; do
-        [[ -f "$f" && "$f" != *fixtures* ]] && changed+=("$f")
-    done < <(git diff --name-only "$base" -- '*.rs'; git ls-files --others --exclude-standard -- '*.rs')
-    if [ "${#changed[@]}" -gt 0 ]; then
-        echo "==> nezha-lint --stale-allows --deny-warnings   (--fast: ${#changed[@]} changed file(s))"
-        cargo run -q -p nezha-lint -- --stale-allows --deny-warnings "${changed[@]}"
-    else
-        echo "==> nezha-lint   (--fast: no .rs files changed vs origin/main, skipped)"
-    fi
-else
-    echo "==> nezha-lint --workspace --stale-allows --deny-warnings"
-    cargo run -q -p nezha-lint -- --workspace --stale-allows --deny-warnings
-fi
-
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> RUSTDOCFLAGS=-Dwarnings cargo doc --workspace --no-deps"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
 if [ "$fast" -eq 1 ]; then
     echo "==> cargo test -q -p nezha-vswitch   (--fast: rule lookup vs its reference + cost-plan properties)"

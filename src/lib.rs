@@ -66,14 +66,14 @@ pub use nezha_types as types;
 pub use nezha_vswitch as vswitch;
 pub use nezha_workloads as workloads;
 
-/// The most commonly used names, importable in one line.
-///
-/// Covers building a cluster ([`Cluster`], [`ClusterConfig`],
-/// [`VSwitchConfig`], their builders), populating it ([`Vnic`],
-/// [`VnicProfile`], [`VmConfig`], the workload generators), driving it
-/// ([`SimTime`], [`SimDuration`], [`ConnSpec`]), and reading it back
-/// ([`MetricsRegistry`], [`PacketTrace`], [`Profiler`], [`NezhaError`]).
 pub mod prelude {
+    //! The most commonly used names, importable in one line.
+    //!
+    //! Covers building a cluster ([`Cluster`], [`ClusterConfig`],
+    //! [`VSwitchConfig`], their builders), populating it ([`Vnic`],
+    //! [`VnicProfile`], [`VmConfig`], the workload generators), driving it
+    //! ([`SimTime`], [`SimDuration`], [`ConnSpec`]), and reading it back
+    //! ([`MetricsRegistry`], [`PacketTrace`], [`Profiler`], [`NezhaError`]).
     pub use nezha_core::cluster::{Cluster, ClusterConfig, ClusterConfigBuilder, LbMode};
     pub use nezha_core::config::ConfigOp;
     pub use nezha_core::conn::{ConnKind, ConnSpec};

@@ -1,0 +1,138 @@
+//! The hot path's allocation budget, measured: heap allocations per
+//! engine event on a TCP_CRR run, and exactly zero on the two per-packet
+//! primitives that run does not cross (the NSH codec, `DenseMap::get`).
+//!
+//! One `#[test]` on purpose: the counter is process-wide, and a second
+//! test running on another thread would be counted too.
+
+use std::hint::black_box;
+
+use nezha::core::cluster::{Cluster, ClusterConfig};
+use nezha::core::vm::VmConfig;
+use nezha::sim::dense::DenseMap;
+use nezha::sim::rng::SimRng;
+use nezha::sim::time::{SimDuration, SimTime};
+use nezha::types::{
+    Decision, Direction, Ipv4Addr, NezhaHeader, NezhaPayloadKind, NshView, PreAction,
+    PreActionPair, ServerId, VnicId, VpcId,
+};
+use nezha::vswitch::vnic::{Vnic, VnicProfile};
+use nezha::workloads::cps::CpsWorkload;
+
+#[expect(
+    clippy::disallowed_types,
+    reason = "the counting allocator's two `static AtomicU64` statistics; nothing in the simulator reads them"
+)]
+#[path = "../benchmark/src/alloc.rs"]
+mod alloc;
+
+#[global_allocator]
+static GLOBAL: alloc::CountingAlloc = alloc::CountingAlloc;
+
+const VNIC: VnicId = VnicId(1);
+const HOME: ServerId = ServerId(0);
+const SERVICE: Ipv4Addr = Ipv4Addr::new(10, 7, 0, 1);
+const PORT: u16 = 9000;
+
+/// Allocation calls made while `f` runs.
+fn allocs_during(f: impl FnOnce()) -> u64 {
+    let before = alloc::counts().0;
+    f();
+    alloc::counts().0 - before
+}
+
+/// `examples/quickstart.rs`'s cluster under 20k conn/s TCP_CRR for two
+/// simulated seconds: allocations per engine event over the second one.
+fn allocs_per_event(offload: bool) -> f64 {
+    let cfg = ClusterConfig::builder()
+        .cores(1)
+        .auto_offload(false)
+        .build();
+    let mut cluster = Cluster::new(cfg);
+    let mut vnic = Vnic::new(VNIC, VpcId(1), SERVICE, VnicProfile::default(), HOME);
+    vnic.allow_inbound_port(PORT);
+    let vm = VmConfig {
+        per_core_cps: 13_425.0,
+        ..VmConfig::default()
+    };
+    cluster.add_vnic(vnic, HOME, vm).unwrap();
+    if offload {
+        cluster.trigger_offload(VNIC, SimTime::ZERO).unwrap();
+        cluster.run_until(SimTime::ZERO + SimDuration::from_secs(3));
+    }
+
+    let start = cluster.now();
+    let wl = CpsWorkload::tcp_crr(
+        VNIC,
+        VpcId(1),
+        SERVICE,
+        PORT,
+        (24..32).map(ServerId).collect(),
+        20_000.0,
+        SimDuration::from_secs(2),
+    );
+    for spec in wl.generate(start, &mut SimRng::new(7)) {
+        cluster.add_conn(spec).unwrap();
+    }
+    cluster.run_until(start + SimDuration::from_secs(1));
+    let events = cluster.engine.processed();
+    let allocs = allocs_during(|| cluster.run_until(start + SimDuration::from_secs(2)));
+    let events = cluster.engine.processed() - events;
+    assert!(events > 100_000, "only {events} events in the window");
+    allocs as f64 / events as f64
+}
+
+#[test]
+fn hot_path_stays_inside_its_allocation_budget() {
+    // Measured at this seed, debug and release alike: 0.124 local (37 246
+    // allocations / 301 203 events), 0.111 offloaded (48 923 / 441 763).
+    // Request counts are a function of the seed, not of the host; the
+    // bound is the larger one + ~20 %.
+    for offload in [false, true] {
+        let per_event = allocs_per_event(offload);
+        assert!(
+            per_event <= 0.15,
+            "{per_event:.3} allocations per event (offload={offload}), budget 0.15"
+        );
+    }
+
+    let pa = PreAction {
+        verdict: Decision::Accept,
+        stateful_acl: true,
+        next_hop: Some(ServerId(12)),
+        nat_rewrite: Some(Ipv4Addr::new(100, 64, 0, 9)),
+        stateful_decap: true,
+        qos_class: 3,
+        stats_policy: 5,
+        mirror_to: None,
+    };
+    let header = NezhaHeader {
+        first_dir: Some(Direction::Tx),
+        decap_addr: Some(Ipv4Addr::new(100, 64, 3, 4)),
+        stats_policy: Some(5),
+        pre_actions: Some(PreActionPair { tx: pa, rx: pa }),
+        ..NezhaHeader::bare(NezhaPayloadKind::RxCarry, VNIC, VpcId(7))
+    };
+    let mut buf = [0u8; NezhaHeader::MAX_WIRE_LEN];
+    let codec = allocs_during(|| {
+        for _ in 0..10_000 {
+            let n = black_box(&header).encode_into(&mut buf);
+            let view = NshView::parse(black_box(&buf[..n])).unwrap();
+            black_box((view.kind(), view.vnic(), view.vpc(), view.first_dir()));
+            black_box((view.decap_addr(), view.stats_policy(), view.pre_actions()));
+        }
+    });
+    assert_eq!(codec, 0, "NSH encode_into/parse/accessors allocated");
+
+    let mut map = DenseMap::new();
+    for k in 0..10_000u64 {
+        map.insert(k, k);
+    }
+    let probes = allocs_during(|| {
+        for k in 0..10_000u64 {
+            black_box(map.get(black_box(&k)));
+            black_box(map.get(black_box(&(k + 10_000))));
+        }
+    });
+    assert_eq!(probes, 0, "DenseMap::get allocated");
+}

@@ -197,9 +197,9 @@ fn snapshot_histogram_percentiles_match_samples() {
 
 #[test]
 fn snapshots_are_seed_identical_and_seed_sensitive() {
-    // The exact property lint rules D1-D5 protect: with hash-order
-    // iteration, wall-clock reads, or ambient entropy anywhere in the
-    // sim-visible crates, one of these two assertions fails.
+    // The exact property `clippy.toml`'s disallowed lists protect: with
+    // hash-order iteration, wall-clock reads, or ambient entropy anywhere
+    // in the sim-visible crates, one of these two assertions fails.
     let (json_a1, _) = run_telemetry_scenario(42);
     let (json_a2, _) = run_telemetry_scenario(42);
     assert_eq!(json_a1, json_a2, "same seed must be byte-identical");

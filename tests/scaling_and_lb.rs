@@ -123,7 +123,7 @@ fn elephant_pinning_isolates_the_flow() {
         VpcId(1),
         FiveTuple::tcp(Ipv4Addr::new(10, 7, 2, 9), 5555, SERVICE, 9000),
     );
-    let picks: std::collections::HashSet<_> = (0..64u64)
+    let picks: std::collections::BTreeSet<_> = (0..64u64)
         .filter_map(|h| meta.select_fe(&other, h))
         .collect();
     assert!(picks.len() > 1);
