@@ -23,7 +23,7 @@ use crate::monitor::MonitorState;
 use crate::telemetry::{ClusterTelemetry, Ctr};
 use crate::vm::{VmConfig, VmModel};
 use nezha_sim::dense::DenseMap;
-use nezha_sim::engine::{Engine, Scheduled};
+use nezha_sim::engine::Engine;
 use nezha_sim::fault::{FaultKind, FaultPlan, FaultState};
 use nezha_sim::metrics::MetricsRegistry;
 use nezha_sim::profile::Profiler;
@@ -83,9 +83,6 @@ pub struct Cluster {
     /// Slot reuse is LIFO and ids are a pure function of the schedule
     /// call sequence, so replay stays seed-deterministic.
     pub(crate) pkt_slab: nezha_sim::dense::Slab<(Packet, SimTime)>,
-    /// [`Cluster::run_until`]'s batch buffer, kept across calls so a run
-    /// stepped in 1 ms slices does not allocate and regrow it per slice.
-    batch: Vec<Scheduled<Event>>,
     next_probe_id: u64,
     /// Telemetry: shared registry + trace + pre-registered handles.
     pub(crate) tel: ClusterTelemetry,
@@ -135,7 +132,6 @@ impl Cluster {
             vms: DenseMap::new(),
             conns: Vec::new(),
             pkt_slab: nezha_sim::dense::Slab::new(),
-            batch: Vec::new(),
             next_probe_id: 1,
             tel,
             controller: ControllerState::new(),
@@ -550,34 +546,22 @@ impl Cluster {
 
     /// Runs the cluster until simulated time `deadline`.
     ///
-    /// Dispatch is batched: each engine round drains every event due at
-    /// the earliest pending instant, then handles them in sequence order
-    /// — identical delivery order to one-at-a-time popping (see
-    /// [`Engine::pop_batch_until`]), with one heap peek per instant
-    /// instead of one per event.
+    /// Dispatch is one event at a time, in `(at, seq)` order, straight
+    /// from [`Engine::pop_until`]: the event moves out of its queue entry
+    /// into its handler with no intermediate buffer.
     ///
     /// When windows are enabled, every window whose end falls at or
-    /// before the next batch's timestamp is closed *before* that batch is
+    /// before an event's timestamp is closed *before* that event is
     /// handled (a boundary event belongs to the window it opens), and all
-    /// windows up to `deadline` are flushed once the event heap drains.
+    /// windows up to `deadline` are flushed once the events due by then
+    /// are drained.
     pub fn run_until(&mut self, deadline: SimTime) {
-        let mut batch = std::mem::take(&mut self.batch);
-        loop {
-            self.engine.pop_batch_until(deadline, &mut batch);
-            match batch.first() {
-                None => break,
-                Some(s) => {
-                    if self.tel.windows.is_some() {
-                        self.close_windows_to(s.at);
-                    }
-                }
+        while let Some(s) = self.engine.pop_until(deadline) {
+            if self.tel.windows.is_some() {
+                self.close_windows_to(s.at);
             }
-            for s in batch.drain(..) {
-                let at = s.at;
-                self.handle(s.event, at);
-            }
+            self.handle(s.event, s.at);
         }
-        self.batch = batch;
         if self.tel.windows.is_some() {
             self.close_windows_to(deadline);
         }

@@ -20,8 +20,8 @@ use nezha_vswitch::pipeline::ProcessOutcome;
 /// Sixteen bytes: a queued event is an id and a step index, never a
 /// payload. Packets park in the cluster's packet slab, and the rare
 /// control payloads ([`ConfigOp`], [`FaultKind`]) ride boxed, so the
-/// engine's parked-event slab and batch entries stay one-third the size
-/// a 48-byte `FaultKind` inline would make them.
+/// engine's `{at, seq, event}` queue entry is 32 bytes, where a 48-byte
+/// `FaultKind` inline would make it 64 or more.
 #[derive(Clone, Debug)]
 pub enum Event {
     /// A packet arrives at a server's vSwitch.
@@ -81,7 +81,6 @@ pub enum Event {
 }
 
 const _: () = assert!(std::mem::size_of::<Event>() <= 16);
-const _: () = assert!(std::mem::size_of::<nezha_sim::engine::Scheduled<Event>>() <= 24);
 
 impl Event {
     /// A delayed configuration push.

@@ -5,14 +5,21 @@
 //! a monotone sequence number). Combined with the seeded [`crate::SimRng`],
 //! a run is a pure function of its inputs — a property every experiment
 //! harness and regression test in this repository relies on.
+//!
+//! Storage: a pending event is one `{at, seq, event}` entry, payload
+//! inline, held in exactly one place — the `immediate` lane (due now),
+//! the sorted run (due before the horizon), the fine rung (one unordered
+//! bucket per 20 µs, at most `RUNG` of them) or the coarse rung (one
+//! bucket per `RUNG` fine widths, for everything past the fine rung's
+//! end). An entry moves coarse → fine → run at most once each: the
+//! two-rung ladder queue of Tang, Goh & Thng (ACM TOMACS 2005).
 
-use crate::dense::Slab;
 use crate::metrics::{CounterHandle, MetricsRegistry};
 use crate::time::{SimDuration, SimTime};
-use std::cmp::Ordering;
+use std::collections::VecDeque;
 use std::fmt;
 
-/// An event with its due time and stable tie-break sequence.
+/// An event with its due time.
 #[derive(Clone, Debug)]
 pub struct Scheduled<E> {
     /// When the event fires.
@@ -21,37 +28,21 @@ pub struct Scheduled<E> {
     pub event: E,
 }
 
-/// The queue entry: 24 bytes of `(at, seq, slab id)`. The event payload
-/// itself parks in the engine's slab, so every sort swap and run shift
-/// moves three words instead of a whole event.
-#[derive(Clone, Copy, Debug)]
-struct HeapKey {
+/// The queue entry: due time, stable tie-break sequence and the event
+/// itself — 32 bytes for the cluster's 16-byte event, 24 for a `u64`.
+/// The one copy of a queued event from schedule to pop.
+#[derive(Debug)]
+struct Entry<E> {
     at: SimTime,
     seq: u64,
-    id: u32,
+    event: E,
 }
 
-impl PartialEq for HeapKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for HeapKey {}
-
-impl Ord for HeapKey {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Inverted so that an ascending sort puts the earliest time (then
-        // lowest sequence number) last, where `Vec::pop` is O(1).
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-impl PartialOrd for HeapKey {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+impl<E> Entry<E> {
+    /// Delivery order: `(at, seq)`, unique because `seq` is.
+    #[inline]
+    fn key(&self) -> (SimTime, u64) {
+        (self.at, self.seq)
     }
 }
 
@@ -80,64 +71,77 @@ impl PartialOrd for HeapKey {
 pub struct Engine<E> {
     now: SimTime,
     seq: u64,
-    /// Every pending key with `at < horizon`, sorted descending by
-    /// `(at, seq)` so the earliest key sits at the back: a pop is
+    /// Every pending entry with `at < horizon`, sorted descending by
+    /// `(at, seq)` so the earliest sits at the back: a pop is
     /// `Vec::pop`, and a whole bucket is ordered by one cache-friendly
     /// unstable sort at promotion time instead of per-key heap sifts.
-    /// Keys scheduled below the horizon after the promotion are merged in
-    /// by binary-search insertion. That shift stays a short L1 `memmove`
-    /// because of the one invariant the drain side keeps: on return to
-    /// the caller the horizon is at most one bucket past
+    /// Entries scheduled below the horizon after the promotion are merged
+    /// in by binary-search insertion. That shift stays a short L1
+    /// `memmove` because of the one invariant the drain side keeps: on
+    /// return to the caller the horizon is at most one bucket past
     /// `max(now, deadline)`, so the run spans one bucket (tens of keys)
     /// and everything later takes the O(1) bucket push.
-    run: Vec<HeapKey>,
-    /// The far-future bucket ladder: `buckets[i]` holds keys due in
+    run: Vec<Entry<E>>,
+    /// The fine rung: `buckets[i]` holds entries due in
     /// `[(bucket_base + i) * bucket_ns, (bucket_base + i + 1) * bucket_ns)`,
-    /// unordered. A far event costs one O(1) bucket push at schedule time
-    /// and its share of one bulk sort when its whole bucket promotes —
-    /// never a per-key sift.
-    buckets: std::collections::VecDeque<Vec<HeapKey>>,
+    /// unordered. It ends where the coarse rung starts, at bucket
+    /// `far_base * RUNG`, and never spans more than [`RUNG`] buckets
+    /// (`far_base * RUNG - bucket_base <= RUNG`). A slot opens empty and
+    /// takes a `spare` when its first entry lands.
+    buckets: VecDeque<Vec<Entry<E>>>,
     /// Absolute bucket index of `buckets[0]`. The run/ladder boundary
     /// (`horizon`) is `bucket_base * bucket_ns`.
     bucket_base: u64,
-    /// Width of one far-future bucket in nanoseconds ([`BUCKET_NS`] by
-    /// default). The ladder holds one bucket per width-worth of pending
-    /// horizon, so the width must match the timeline's granularity: 20 µs
-    /// for the packet datapath, epoch-scale for coarse region timelines
-    /// (via [`Engine::with_bucket_width`]) — a 20 µs ladder spanning a
-    /// simulated day would need ~4 billion buckets.
+    /// The coarse rung: `far[j]` holds entries in fine buckets
+    /// `[(far_base + j) * RUNG, (far_base + j + 1) * RUNG)`, unordered.
+    /// Its front bucket is scattered into the fine rung — each entry
+    /// moves once — when the fine rung is empty and the front bucket
+    /// starts at or before the caller's deadline.
+    far: VecDeque<Vec<Entry<E>>>,
+    /// Absolute coarse index of `far[0]`.
+    far_base: u64,
+    /// Width of one fine bucket in nanoseconds ([`BUCKET_NS`] by
+    /// default). The coarse rung holds one bucket per `RUNG` widths of
+    /// pending horizon, so the width must match the timeline's
+    /// granularity: 20 µs for the packet datapath, epoch-scale for coarse
+    /// region timelines (via [`Engine::with_bucket_width`]) — a 20 µs
+    /// ladder spanning a simulated day would need ~4 million coarse
+    /// buckets.
     bucket_ns: u64,
-    /// Total keys across `buckets`.
+    /// Total entries across both rungs.
     staged_len: usize,
-    /// Events scheduled *at* the instant most recently drained by
-    /// [`Engine::pop_batch_until`]. The batch pop removed every queued
-    /// entry at that instant, and any later same-instant schedule gets a
-    /// strictly larger sequence number, so FIFO order here *is* `(at,
-    /// seq)` order — these events skip the run and the parked slab
-    /// entirely. Completion-style events (fire "now") are a quarter of a
-    /// packet workload, so this path matters.
-    immediate: std::collections::VecDeque<E>,
-    /// The instant whose batch was most recently drained; the only due
-    /// time `immediate` events can have.
+    /// Events scheduled *at* the instant being drained (`draining_at`).
+    /// Every entry queued for that instant before it started draining is
+    /// in the run (below the horizon) with a smaller sequence number and
+    /// pops first, so FIFO order here *is* `(at, seq)` order — these
+    /// events skip the run entirely. Completion-style events (fire "now")
+    /// are a quarter of a packet workload, so this path matters.
+    immediate: VecDeque<E>,
+    /// The instant most recently popped from the run; the only due time
+    /// `immediate` events can have (it equals `now` while any are queued).
     draining_at: Option<SimTime>,
-    /// Retired bucket allocations, reused for new buckets so steady-state
-    /// scheduling never touches the allocator (capacity is invisible to
-    /// behavior; only contents are).
-    spare: Vec<Vec<HeapKey>>,
-    /// Pending event payloads, addressed by the heap keys' slab ids.
-    parked: Slab<E>,
+    /// Empty `Vec`s with capacity — the run's storage retired at each
+    /// promotion — handed to the next fine slot whose first entry lands,
+    /// so steady-state scheduling never touches the allocator (capacity
+    /// is invisible to behavior; only contents are). At most [`RUNG`].
+    spare: Vec<Vec<Entry<E>>>,
     processed: u64,
     telemetry: Option<EngineTelemetry>,
 }
 
-/// Default width of one far-future bucket: 20 µs of simulated time — a
-/// hair above the fabric's common-case one-way latency, so most packet
+/// Default width of one fine bucket: 20 µs of simulated time — a hair
+/// above the fabric's common-case one-way latency, so most packet
 /// arrivals land one or two buckets out (an O(1) push) instead of in the
 /// sorted run. Promotion happens only for buckets that start at or before
 /// the caller's deadline, so the run holds at most one promoted bucket
 /// plus the sub-bucket-latency events scheduled since: tens of keys,
 /// L1-resident, however sparse the pending events are.
 const BUCKET_NS: u64 = 20_000;
+
+/// Fine buckets per coarse bucket, and the most the fine rung spans:
+/// 20.48 ms at the default width, 1 024 epochs for a region. A key an
+/// hour out opens ~176 K coarse slots, not 180 M fine ones.
+const RUNG: u64 = 1024;
 
 /// Pre-registered handles the engine updates when metrics are attached.
 #[derive(Clone, Debug)]
@@ -161,27 +165,29 @@ impl<E> Engine<E> {
             now: SimTime::ZERO,
             seq: 0,
             run: Vec::new(),
-            buckets: std::collections::VecDeque::new(),
+            buckets: VecDeque::new(),
             bucket_base: 0,
+            far: VecDeque::new(),
+            far_base: 1,
             bucket_ns: BUCKET_NS,
             staged_len: 0,
-            immediate: std::collections::VecDeque::new(),
+            immediate: VecDeque::new(),
             draining_at: None,
             spare: Vec::new(),
-            parked: Slab::new(),
             processed: 0,
             telemetry: None,
         }
     }
 
-    /// Creates an engine whose far-future ladder uses `width`-wide buckets
+    /// Creates an engine whose ladder uses `width`-wide fine buckets
     /// instead of the default 20 µs.
     ///
-    /// The ladder's memory is one bucket per `width` of pending horizon,
-    /// so coarse timelines (the region simulator schedules churn and
-    /// fault events across whole simulated days at epoch granularity)
-    /// must use an epoch-scale width. Delivery semantics are identical
-    /// for every width — only promotion batching changes.
+    /// The ladder's memory is one coarse bucket per `RUNG` widths of
+    /// pending horizon, so coarse timelines (the region simulator
+    /// schedules churn and fault events across whole simulated days at
+    /// epoch granularity) must use an epoch-scale width. Delivery
+    /// semantics are identical for every width — only promotion batching
+    /// changes.
     pub fn with_bucket_width(width: SimDuration) -> Self {
         let mut eng = Engine::new();
         assert!(width.nanos() > 0, "bucket width must be positive");
@@ -226,13 +232,15 @@ impl<E> Engine<E> {
     }
 
     /// Ensures the earliest pending event due by `limit` (if any) is
-    /// resident in the run: when the run has gone dry, skips empty
+    /// resident in the run: when the run has gone dry, skips empty fine
     /// buckets and promotes the first nonempty one — one unstable sort,
-    /// then every pop is O(1) — but only while the front bucket *starts*
-    /// at or before `limit`. A nonempty run owns the global minimum (run
-    /// keys are below the horizon, ladder keys at or above it) and a
-    /// bucket left on the ladder holds nothing due by `limit`, so a peek
-    /// never moves the horizon more than one bucket past its deadline.
+    /// then every pop is O(1) — and, whenever the fine rung runs out,
+    /// scatters the coarse rung's front bucket into it. Either step
+    /// happens only for a bucket that *starts* at or before `limit`. A
+    /// nonempty run owns the global minimum (run keys are below the
+    /// horizon, rung keys at or above it) and a bucket left on a rung
+    /// holds nothing due by `limit`, so a peek never moves the horizon
+    /// more than one bucket past its deadline.
     fn refill(&mut self, limit: SimTime) {
         // `immediate` is due at `now`, ahead of anything on the ladder.
         if !self.run.is_empty() || !self.immediate.is_empty() {
@@ -240,7 +248,22 @@ impl<E> Engine<E> {
         }
         while self.horizon_ns() <= limit.0 {
             let Some(front) = self.buckets.front_mut() else {
-                return;
+                // The fine rung is dry: its next `RUNG` buckets are the
+                // coarse front bucket's.
+                let start = self.far_base * RUNG;
+                if start.saturating_mul(self.bucket_ns) > limit.0 {
+                    return;
+                }
+                let Some(coarse) = self.far.pop_front() else {
+                    return;
+                };
+                debug_assert!(start >= self.bucket_base, "horizon moved backwards");
+                self.bucket_base = start;
+                self.far_base += 1;
+                for e in coarse {
+                    self.push_fine(e);
+                }
+                continue;
             };
             if front.is_empty() {
                 self.buckets.pop_front();
@@ -251,16 +274,31 @@ impl<E> Engine<E> {
             self.buckets.pop_front();
             self.bucket_base += 1;
             self.staged_len -= keys.len();
-            // `HeapKey`'s Ord is inverted (max-heap order), so an
-            // ascending sort under it is descending `(at, seq)` — the
-            // earliest key ends up at the back, where `Vec::pop` is O(1).
-            keys.sort_unstable();
+            // Descending `(at, seq)`: the earliest entry ends up at the
+            // back, where `Vec::pop` is O(1).
+            keys.sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
             let retired = std::mem::replace(&mut self.run, keys);
-            if retired.capacity() > 0 && self.spare.len() < 32 {
+            if retired.capacity() > 0 && self.spare.len() < RUNG as usize {
                 self.spare.push(retired);
             }
             return;
         }
+    }
+
+    /// Files `e` — due at or past the horizon, before the coarse rung —
+    /// in its fine bucket. A slot's first entry brings a spare `Vec`.
+    fn push_fine(&mut self, e: Entry<E>) {
+        let idx = (e.at.0 / self.bucket_ns - self.bucket_base) as usize;
+        if idx >= self.buckets.len() {
+            self.buckets.resize_with(idx + 1, Vec::new);
+        }
+        let slot = &mut self.buckets[idx];
+        if slot.capacity() == 0 {
+            if let Some(spare) = self.spare.pop() {
+                *slot = spare;
+            }
+        }
+        slot.push(e);
     }
 
     /// Schedules `event` at absolute time `at`. Times before `now` are
@@ -273,37 +311,37 @@ impl<E> Engine<E> {
             tel.registry.inc(tel.scheduled);
         }
         if self.draining_at == Some(at) {
-            // `at == now` and the batch pop already emptied the heap of
-            // this instant, so FIFO order is exactly `(at, seq)` order.
+            // `at == now`: see `immediate`.
             self.immediate.push_back(event);
             return;
         }
-        let id = self.parked.insert(event);
-        let key = HeapKey { at, seq, id };
+        let entry = Entry { at, seq, event };
         if at.0 < self.horizon_ns() {
             // Below the horizon: merge into the (descending-sorted) run.
-            // `seq` is unique, so the search always misses and yields the
-            // insertion point that keeps `(at, seq)` order.
-            let (Ok(pos) | Err(pos)) = self.run.binary_search(&key);
-            self.run.insert(pos, key);
-        } else {
-            if self.buckets.is_empty() {
-                // An empty ladder has no position to keep: re-anchor it
-                // at the clock, or the first key after an idle stretch
-                // (or a `clear`) would open one empty bucket per width
-                // of simulated time slept through. Only ever forwards —
-                // run keys stay below the horizon.
-                self.bucket_base = self.bucket_base.max(self.now.0 / self.bucket_ns);
-            }
-            let idx = (at.0 / self.bucket_ns - self.bucket_base) as usize;
-            if idx >= self.buckets.len() {
-                let spare = &mut self.spare;
-                self.buckets
-                    .resize_with(idx + 1, || spare.pop().unwrap_or_default());
-            }
-            self.buckets[idx].push(key);
-            self.staged_len += 1;
+            let pos = self.run.partition_point(|e| e.key() > (at, seq));
+            self.run.insert(pos, entry);
+            return;
         }
+        if self.buckets.is_empty() && self.far.is_empty() {
+            // Empty rungs have no position to keep: re-anchor both at the
+            // clock, or the first key after an idle stretch (or a
+            // `clear`) would open one coarse slot per 20.48 ms slept
+            // through. Only ever forwards — run keys stay below the
+            // horizon.
+            self.bucket_base = self.bucket_base.max(self.now.0 / self.bucket_ns);
+            self.far_base = self.bucket_base / RUNG + 1;
+        }
+        let bucket = at.0 / self.bucket_ns;
+        if bucket < self.far_base * RUNG {
+            self.push_fine(entry);
+        } else {
+            let idx = (bucket / RUNG - self.far_base) as usize;
+            if idx >= self.far.len() {
+                self.far.resize_with(idx + 1, Vec::new);
+            }
+            self.far[idx].push(entry);
+        }
+        self.staged_len += 1;
     }
 
     /// Schedules `event` after `delay` from the current time.
@@ -322,44 +360,25 @@ impl<E> Engine<E> {
     /// schedules are diverted to `immediate` with larger `seq`), so the
     /// run goes first and `immediate` follows in FIFO (= `seq`) order.
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
-        if let Some(&k) = self.run.last() {
-            if self.draining_at == Some(k.at) {
-                self.run.pop();
-                self.processed += 1;
-                if let Some(tel) = &self.telemetry {
-                    tel.registry.inc(tel.processed);
+        let (at, event) = match self.run.last() {
+            Some(e) if self.draining_at == Some(e.at) => self.run.pop().map(|e| (e.at, e.event))?,
+            _ => match self.immediate.pop_front() {
+                Some(event) => (self.now, event),
+                None => {
+                    self.refill(SimTime(u64::MAX));
+                    let e = self.run.pop()?;
+                    debug_assert!(e.at >= self.now, "event queue went backwards");
+                    self.now = e.at;
+                    self.draining_at = Some(e.at);
+                    (e.at, e.event)
                 }
-                return Some(Scheduled {
-                    at: k.at,
-                    event: self.parked.take(k.id),
-                });
-            }
-        }
-        if let Some(event) = self.immediate.pop_front() {
-            #[expect(
-                clippy::expect_used,
-                reason = "`schedule` pushes to `immediate` only when `draining_at == Some(at)`, and `clear` empties both"
-            )]
-            let at = self.draining_at.expect("immediate implies draining_at");
-            self.processed += 1;
-            if let Some(tel) = &self.telemetry {
-                tel.registry.inc(tel.processed);
-            }
-            return Some(Scheduled { at, event });
-        }
-        self.refill(SimTime(u64::MAX));
-        let k = self.run.pop()?;
-        debug_assert!(k.at >= self.now, "event queue went backwards");
-        self.now = k.at;
-        self.draining_at = Some(k.at);
+            },
+        };
         self.processed += 1;
         if let Some(tel) = &self.telemetry {
             tel.registry.inc(tel.processed);
         }
-        Some(Scheduled {
-            at: k.at,
-            event: self.parked.take(k.id),
-        })
+        Some(Scheduled { at, event })
     }
 
     /// Pops the next event only if it is due at or before `deadline`.
@@ -379,94 +398,48 @@ impl<E> Engine<E> {
         popped
     }
 
-    /// Pops *every* event due at the earliest pending instant `<= deadline`
-    /// into `batch` (cleared first), advancing the clock to that instant.
-    /// Advances the clock to `deadline` and leaves `batch` empty when
-    /// nothing is due.
-    ///
-    /// Delivery order is unchanged from popping one at a time: the batch
-    /// is the same-timestamp prefix of the queue in sequence order, and
-    /// any event a batch member schedules — even at the very same instant
-    /// — receives a strictly larger sequence number, so it sorts after
-    /// every batch member and fires on a later call. Callers amortize one
-    /// peek per *batch* instead of one per event.
-    pub fn pop_batch_until(&mut self, deadline: SimTime, batch: &mut Vec<Scheduled<E>>) {
-        batch.clear();
-        self.refill(deadline);
-        let due = match self.resident_due() {
-            Some(due) if due <= deadline => due,
-            _ => {
-                self.now = self.now.max(deadline);
-                self.debug_assert_horizon();
-                return;
-            }
-        };
-        // Run entries at `due` pre-date (= smaller `seq` than) anything
-        // in `immediate` — see `pop` — so they drain first.
-        while let Some(&k) = self.run.last() {
-            if k.at != due {
-                break;
-            }
-            self.run.pop();
-            batch.push(Scheduled {
-                at: k.at,
-                event: self.parked.take(k.id),
-            });
-        }
-        batch.extend(
-            self.immediate
-                .drain(..)
-                .map(|event| Scheduled { at: due, event }),
-        );
-        self.now = due;
-        self.draining_at = Some(due);
-        let n = batch.len() as u64;
-        self.processed += n;
-        if let Some(tel) = &self.telemetry {
-            tel.registry.add(tel.processed, n);
-        }
-        self.debug_assert_horizon();
-    }
-
     /// Earliest pending instant outside the ladder: `immediate` (when
-    /// present) lives at `draining_at == now`, which no run key can
-    /// precede.
+    /// present) is due at `now`, which no run key can precede.
     fn resident_due(&self) -> Option<SimTime> {
         if self.immediate.is_empty() {
-            self.run.last().map(|k| k.at)
+            self.run.last().map(|e| e.at)
         } else {
-            self.draining_at
+            Some(self.now)
         }
     }
 
-    /// The drain side's one invariant: every pop flavour hands control
-    /// back with the horizon at most one bucket past `max(now, deadline)`
-    /// — which is `now` itself, an idle pop having left the clock at its
-    /// deadline — so what the caller schedules next beyond that bucket is
-    /// an O(1) ladder push, never a sorted insert.
+    /// The drain side's invariants: a pop hands control back with the
+    /// horizon at most one bucket past `max(now, deadline)` — which is
+    /// `now` itself, an idle pop having left the clock at its deadline —
+    /// so what the caller schedules next beyond that bucket is an O(1)
+    /// ladder push, never a sorted insert; and the fine rung spans at
+    /// most `RUNG` buckets.
     #[inline]
     fn debug_assert_horizon(&self) {
         let limit = self.now.0.saturating_add(self.bucket_ns);
         debug_assert!(self.horizon_ns() <= limit, "horizon ran past now");
+        debug_assert!(
+            (self.bucket_base..=self.bucket_base + RUNG).contains(&(self.far_base * RUNG)),
+            "fine rung spans more than RUNG buckets"
+        );
     }
 
     /// Due time of the next pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.resident_due().or_else(|| {
-            self.buckets
-                .iter()
-                .find_map(|b| b.iter().map(|k| k.at).min())
-        })
+        let earliest = |b: &Vec<Entry<E>>| b.iter().map(|e| e.at).min();
+        self.resident_due()
+            .or_else(|| self.buckets.iter().find_map(earliest))
+            .or_else(|| self.far.iter().find_map(earliest))
     }
 
     /// Drops all pending events (used when tearing down a scenario).
     pub fn clear(&mut self) {
         self.run.clear();
         self.buckets.clear();
+        self.far.clear();
         self.staged_len = 0;
         self.immediate.clear();
         self.draining_at = None;
-        self.parked = Slab::new();
     }
 }
 
@@ -561,19 +534,12 @@ mod tests {
         const MS: u64 = 1_000_000;
         let mut eng = Engine::new();
         eng.schedule_at(SimTime(100 * MS), 0u64);
-        let mut batch = Vec::new();
         let mut ticks = 0;
         for slice in 1..=1_000u64 {
             let deadline = SimTime(slice * MS);
-            loop {
-                eng.pop_batch_until(deadline, &mut batch);
-                if batch.is_empty() {
-                    break;
-                }
-                for s in batch.drain(..) {
-                    ticks += 1;
-                    eng.schedule_at(SimTime(s.at.0 + 100 * MS), s.event + 1);
-                }
+            while let Some(s) = eng.pop_until(deadline) {
+                ticks += 1;
+                eng.schedule_at(SimTime(s.at.0 + 100 * MS), s.event + 1);
             }
             assert_eq!(eng.now(), deadline);
             assert!(eng.run.is_empty(), "slice {slice}: run={}", eng.run.len());
@@ -598,13 +564,27 @@ mod tests {
         // slots, not the 500 000 between time zero and now.
         assert!(eng.pop_until(SimTime(10_000_000_000)).is_none());
         eng.schedule_in(SimDuration::from_micros(20), 1);
-        assert!(eng.buckets.len() <= 2, "buckets={}", eng.buckets.len());
+        assert!(eng.buckets.len() + eng.far.len() <= 2);
         // The same after a `clear` and a second idle stretch.
         eng.clear();
         assert!(eng.pop_until(SimTime(20_000_000_000)).is_none());
         eng.schedule_in(SimDuration::from_micros(20), 2);
-        assert!(eng.buckets.len() <= 2, "buckets={}", eng.buckets.len());
+        assert!(eng.buckets.len() + eng.far.len() <= 2);
         assert_eq!(eng.pop().unwrap().at, SimTime(20_000_020_000));
+    }
+
+    #[test]
+    fn a_far_future_key_opens_few_ladder_slots() {
+        // One coarse slot per 20.48 ms between now and the key, not one
+        // fine slot per 20 µs (500 001 for 10 s before the coarse rung).
+        for (secs, max_slots) in [(10, 1_000), (3_600, 200_000)] {
+            let mut eng = Engine::new();
+            eng.schedule_in(SimDuration::from_secs(secs), 7u32);
+            let slots = eng.buckets.len() + eng.far.len();
+            assert!(slots <= max_slots, "{secs} s: {slots} ladder slots");
+            let s = eng.pop().unwrap();
+            assert_eq!((s.at, s.event), (SimTime(secs * 1_000_000_000), 7));
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// The reference the engine is compared against: a binary heap ordered by
-/// `(at, seq)` and the three documented pop flavours, nothing else.
+/// `(at, seq)` and the two documented pop flavours, nothing else.
 #[derive(Default)]
 struct ModelQueue {
     heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
@@ -71,7 +71,6 @@ fn check_against_model(
     ops: &[(u32, u64, u64)],
 ) -> Result<(), TestCaseError> {
     let mut model = ModelQueue::default();
-    let mut batch = Vec::new();
     let mut next_ev = 0u32;
     for (step, &(op, a, b)) in ops.iter().enumerate() {
         // The target instant of this step: usually ahead of the clock,
@@ -130,17 +129,21 @@ fn check_against_model(
                 model.schedule_at(at, next_ev);
                 next_ev += 1;
             }
+            // Drain every event at the earliest instant <= t, one
+            // `pop_until` at a time (what `Cluster::run_until` does).
             _ => {
-                eng.pop_batch_until(SimTime(t), &mut batch);
-                let got: Vec<(u64, u32)> = batch.drain(..).map(|s| (s.at.0, s.event)).collect();
+                let mut got = Vec::new();
+                if let Some(first) = eng.pop_until(SimTime(t)) {
+                    let at = first.at;
+                    got.push((at.0, first.event));
+                    got.extend(std::iter::from_fn(|| eng.pop_until(at)).map(|s| (s.at.0, s.event)));
+                }
                 let mut want = Vec::new();
                 if let Some(first) = model.pop_until(t) {
                     want.push(first);
-                    while model.peek() == Some(first.0) {
-                        want.extend(model.pop());
-                    }
+                    want.extend(std::iter::from_fn(|| model.pop_until(first.0)));
                 }
-                prop_assert_eq!(got, want, "step {step}: pop_batch_until({t})");
+                prop_assert_eq!(got, want, "step {step}: drain the instant <= {t}");
             }
         }
         prop_assert_eq!(eng.now().0, model.now, "step {step} (op {op}): now");
@@ -171,10 +174,12 @@ fn check_against_model(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
-    /// Any interleaving of schedules and the three pop flavours delivers
+    /// Any interleaving of schedules, pops and instant drains delivers
     /// exactly what a `(at, seq)` binary heap delivers — with the packet
-    /// datapath's 20 µs buckets, with everything inside one epoch-wide
-    /// bucket, and with an epoch-wide ladder the offsets actually span.
+    /// datapath's 20 µs buckets (600 ms offsets cross its 20.48 ms coarse
+    /// rung), with everything inside one epoch-wide bucket, with an
+    /// epoch-wide fine rung the offsets actually span (7 days against a
+    /// 21-day coarse rung), and with offsets that cross that coarse rung.
     #[test]
     fn engine_matches_a_binary_heap_model(
         ops in prop::collection::vec((0u32..11, any::<u64>(), any::<u64>()), 1..250),
@@ -183,6 +188,7 @@ proptest! {
         check_against_model(Engine::new(), 1, &ops)?;
         check_against_model(Engine::with_bucket_width(epoch), 1, &ops)?;
         check_against_model(Engine::with_bucket_width(epoch), 1_000_000, &ops)?;
+        check_against_model(Engine::with_bucket_width(epoch), 100_000_000, &ops)?;
     }
 
     /// Pops are globally ordered by (time, schedule sequence), regardless

@@ -20,7 +20,9 @@
 #            and case table, the exact cost-plan reconciliation properties,
 #            the process_local outcome table), the `nezha-sim` dense
 #            tests (every per-packet table rests on `DenseMap`'s slot
-#            encoding), the reduced chaos smoke scenario
+#            encoding) and engine tests (the unit tests and the proptest
+#            against a `BinaryHeap` model: every event goes through the
+#            two-rung ladder), the reduced chaos smoke scenario
 #            so the fault-injection path is never shipped unexercised,
 #            plus the profiler smoke run
 #            (`experiments profile` self-asserts its cycle reconciliation)
@@ -57,6 +59,8 @@ if [ "$fast" -eq 1 ]; then
     cargo test -q -p nezha-vswitch
     echo "==> cargo test -q -p nezha-sim dense   (--fast: DenseMap slot encoding vs its BTreeMap model)"
     cargo test -q -p nezha-sim dense
+    echo "==> cargo test -q -p nezha-sim engine   (--fast: the event ladder vs its BinaryHeap model)"
+    cargo test -q -p nezha-sim engine
     echo "==> cargo test -q --test chaos smoke_   (--fast: reduced chaos scenario)"
     cargo test -q --test chaos smoke_
     echo "==> experiments profile   (--fast: profiler smoke, artifacts to target/profile-smoke)"
