@@ -15,7 +15,7 @@
 //! extend this struct with the management plane.
 
 use crate::be::BackendMeta;
-use crate::conn::{ConnKind, ConnSpec, ConnState, ConnStatus};
+use crate::conn::{ConnKind, ConnSpec, ConnState, ConnTable};
 use crate::controller::ControllerState;
 use crate::fe::FrontEnd;
 use crate::gateway::Gateway;
@@ -72,11 +72,10 @@ pub struct Cluster {
     /// used to (re)configure FEs and to re-arm the BE on fallback.
     pub(crate) master_vnics: DenseMap<VnicId, Vnic>,
     pub(crate) vms: DenseMap<VnicId, VmModel>,
-    /// Connection states, indexed by `id - 1`: ids are handed out
-    /// sequentially from 1 and never reclaimed, so the dense Vec replaces
-    /// the former ordered map — the per-packet conn lookups on the
-    /// datapath become direct indexing.
-    pub(crate) conns: Vec<ConnState>,
+    /// Connection states by id. Ids are handed out sequentially from 1
+    /// and never reused; records are freed a chunk at a time once every
+    /// connection in the chunk is terminal.
+    pub(crate) conns: ConnTable,
     /// In-flight packets parked between schedule and arrival — each
     /// with the instant its network journey began — addressed by the
     /// `u32` id inside [`Event::Arrive`] / [`Event::StartProbe`].
@@ -130,7 +129,7 @@ impl Cluster {
             vnic_addr: DenseMap::new(),
             master_vnics: DenseMap::new(),
             vms: DenseMap::new(),
-            conns: Vec::new(),
+            conns: ConnTable::default(),
             pkt_slab: nezha_sim::dense::Slab::new(),
             next_probe_id: 1,
             tel,
@@ -439,7 +438,6 @@ impl Cluster {
     /// Errors with [`NezhaError::UnknownVnic`] when `spec.vnic` was never
     /// [added](Cluster::add_vnic).
     pub fn add_conn(&mut self, spec: ConnSpec) -> NezhaResult<u64> {
-        let id = self.conns.len() as u64 + 1;
         let peer_addr = match spec.kind {
             ConnKind::Inbound | ConnKind::PersistentInbound | ConnKind::SynOnly => {
                 spec.tuple.src_ip
@@ -447,29 +445,23 @@ impl Cluster {
             ConnKind::Outbound => spec.tuple.dst_ip,
         };
         self.map_peer(spec.vnic, peer_addr, spec.peer_server)?;
-        self.conns.push(ConnState {
-            spec,
-            pos: 0,
-            retries: 0,
-            status: ConnStatus::InFlight,
-        });
+        let id = self.conns.push(spec);
         self.engine
             .schedule_at(spec.start, Event::StartConn { conn: id });
         Ok(id)
     }
 
-    /// The state of connection `id` (ids start at 1; 0 and probe traces
-    /// resolve to `None`).
+    /// The state of connection `id` (ids start at 1; 0, probe traces and
+    /// freed records resolve to `None`).
     pub(crate) fn conn(&self, id: u64) -> Option<&ConnState> {
-        self.conns.get(usize::try_from(id.checked_sub(1)?).ok()?)
+        self.conns.get(id)
     }
 
-    /// Mutable access to connection `id` (the datapath uses split field
-    /// borrows instead; tests drive connections through this).
+    /// Mutable access to connection `id` (tests drive connections
+    /// through this).
     #[cfg(test)]
     pub(crate) fn conn_mut(&mut self, id: u64) -> Option<&mut ConnState> {
-        self.conns
-            .get_mut(usize::try_from(id.checked_sub(1)?).ok()?)
+        self.conns.get_mut(id)
     }
 
     /// Injects a standalone probe packet (latency measurement, Fig. 12).

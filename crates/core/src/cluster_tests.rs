@@ -767,3 +767,94 @@ fn post_settle_registration_conserves_events_and_packets() {
     let injected: f64 = stats.total_series.points().iter().map(|(_, v)| v).sum();
     assert_eq!(injected as u64, stats.pkts.ok + stats.pkts.dropped);
 }
+
+/// Resident connection records, and the `InFlight` ones among them.
+fn conn_records(c: &Cluster) -> (usize, usize) {
+    let live = c
+        .conns
+        .iter()
+        .filter(|s| s.status == crate::conn::ConnStatus::InFlight)
+        .count();
+    (c.conns.iter().count(), live)
+}
+
+/// The connection table follows the live connections, not every
+/// connection ever registered: about five chunks of TCP_CRR, one in
+/// seven an unsolicited inbound the ACL denies, registered at a constant
+/// rate step by step over ten aging periods, never keep more than the
+/// live connections' chunks plus two resident, and after the drain only
+/// the partial tail chunk is left. Handler events naming a freed id are
+/// no-ops.
+#[test]
+fn conn_table_stays_bounded_by_live_connections() {
+    use crate::conn::CHUNK;
+    let mut c = small_cluster(false);
+    const CONNS: u16 = 5 * CHUNK as u16 + 100;
+    let horizon = c.cfg.aging_period.times(10);
+    let step = SimDuration::from_millis(100);
+    let steps = horizon.nanos() / step.nanos();
+    let per_step = u64::from(CONNS).div_ceil(steps);
+    let spacing = SimDuration(step.nanos() / per_step);
+    let mut n = 0u16;
+    let mut t = SimTime(0);
+    while n < CONNS {
+        for k in 0..per_step.min(u64::from(CONNS - n)) {
+            let mut spec = inbound_spec(n, t + spacing.times(k));
+            if n % 7 == 3 {
+                spec.tuple.dst_port = 47_123; // no accept rule: denied
+            }
+            c.add_conn(spec).unwrap();
+            n += 1;
+        }
+        t += step;
+        c.run_until(t);
+        let (resident, live) = conn_records(&c);
+        assert!(
+            resident <= (live.div_ceil(CHUNK) + 2) * CHUNK,
+            "at {t:?}: {resident} records resident for {live} live connections"
+        );
+    }
+    c.run_until(t + SimDuration::from_secs(5));
+    let stats = c.stats();
+    assert_eq!(stats.completed + stats.denied, u64::from(CONNS));
+    assert!(stats.denied > 0);
+    assert_eq!(conn_records(&c), (usize::from(CONNS) % CHUNK, 0));
+
+    // Id 1's chunk is freed: its late events change nothing.
+    assert!(c.conn(1).is_none());
+    let before = (c.metrics().snapshot().to_json(), c.engine.pending());
+    let now = c.now();
+    c.handle(
+        Event::AdvanceConn {
+            conn: 1,
+            from_step: 0,
+        },
+        now,
+    );
+    c.handle(Event::RetryStep { conn: 1, step: 0 }, now);
+    assert_eq!(
+        (c.metrics().snapshot().to_json(), c.engine.pending()),
+        before
+    );
+}
+
+/// Connections that exhaust their retries against a crashed home are
+/// terminal too: every full chunk of them is freed.
+#[test]
+fn failed_connections_release_their_chunks() {
+    use crate::conn::CHUNK;
+    let mut c = small_cluster(false);
+    c.crash_at(HOME, SimTime(0));
+    const CONNS: u16 = 2 * CHUNK as u16 + 100;
+    for i in 0..CONNS {
+        c.add_conn(inbound_spec(
+            i,
+            SimTime(0) + SimDuration::from_micros(i as u64),
+        ))
+        .unwrap();
+    }
+    // Six attempts, the last backoffs at the 2 s cap plus jitter.
+    c.run_until(SimTime(0) + SimDuration::from_secs(20));
+    assert_eq!(c.stats().failed, u64::from(CONNS));
+    assert_eq!(conn_records(&c), (usize::from(CONNS) % CHUNK, 0));
+}

@@ -169,6 +169,104 @@ pub enum ConnStatus {
     Failed,
 }
 
+/// Connections per [`ConnTable`] chunk: 256 KiB of [`ConnState`]s.
+pub(crate) const CHUNK: usize = 4096;
+
+/// The registered connections, by id.
+///
+/// Ids are handed out sequentially from 1 and never reused. Records live
+/// in fixed chunks of [`CHUNK`], and a full chunk is dropped as soon as
+/// every connection in it is terminal, so the table's resident size
+/// follows the live connections, not every connection ever registered.
+/// A terminal connection has no packet and no pending retry left (one
+/// step is in flight at a time, and a retry keeps it `InFlight`), so no
+/// handler ever needs a freed record: `get` of a freed id is `None`,
+/// the same no-op every handler performs for a non-`InFlight`
+/// connection.
+#[derive(Debug, Default)]
+pub(crate) struct ConnTable {
+    /// `None` once the chunk is freed.
+    chunks: Vec<Option<Vec<ConnState>>>,
+    /// Per chunk: connections still `InFlight`.
+    open: Vec<u16>,
+    /// Connections ever registered: the last id handed out.
+    len: u64,
+}
+
+/// `(chunk, index)` of connection `id`; `None` for id 0.
+fn slot(id: u64) -> Option<(usize, usize)> {
+    let i = usize::try_from(id.checked_sub(1)?).ok()?;
+    Some((i / CHUNK, i % CHUNK))
+}
+
+impl ConnTable {
+    /// Registers an `InFlight` connection; returns its id.
+    pub(crate) fn push(&mut self, spec: ConnSpec) -> u64 {
+        let conn = ConnState {
+            spec,
+            pos: 0,
+            retries: 0,
+            status: ConnStatus::InFlight,
+        };
+        match self.chunks.last_mut() {
+            // A freed chunk was full, so only a resident tail has room.
+            Some(Some(tail)) if tail.len() < CHUNK => tail.push(conn),
+            _ => {
+                let mut tail = Vec::with_capacity(CHUNK);
+                tail.push(conn);
+                self.chunks.push(Some(tail));
+                self.open.push(0);
+            }
+        }
+        if let Some(open) = self.open.last_mut() {
+            *open += 1;
+        }
+        self.len += 1;
+        self.len
+    }
+
+    /// Connection `id`, while its chunk is resident.
+    pub(crate) fn get(&self, id: u64) -> Option<&ConnState> {
+        let (c, i) = slot(id)?;
+        self.chunks.get(c)?.as_ref()?.get(i)
+    }
+
+    /// Mutable [`ConnTable::get`]. Leave `status` to
+    /// [`ConnTable::finish`], which keeps the chunk counts.
+    pub(crate) fn get_mut(&mut self, id: u64) -> Option<&mut ConnState> {
+        let (c, i) = slot(id)?;
+        self.chunks.get_mut(c)?.as_mut()?.get_mut(i)
+    }
+
+    /// The one transition out of `InFlight`: sets `status` on connection
+    /// `id` and frees its chunk once the chunk is full and nothing in it
+    /// is `InFlight`. Returns whether `id` was `InFlight`; for any other
+    /// id it does nothing.
+    pub(crate) fn finish(&mut self, id: u64, status: ConnStatus) -> bool {
+        let Some((c, i)) = slot(id) else {
+            return false;
+        };
+        let Some(Some(chunk)) = self.chunks.get_mut(c) else {
+            return false;
+        };
+        match chunk.get_mut(i) {
+            Some(conn) if conn.status == ConnStatus::InFlight => conn.status = status,
+            _ => return false,
+        }
+        self.open[c] -= 1;
+        if self.open[c] == 0 && chunk.len() == CHUNK {
+            self.chunks[c] = None;
+        }
+        true
+    }
+
+    /// The resident records, in id order.
+    #[cfg(test)]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &ConnState> {
+        self.chunks.iter().flatten().flatten()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,5 +336,94 @@ mod tests {
         let a = s.step_tuple(Direction::Rx).canonical();
         let b = s.step_tuple(Direction::Tx).canonical();
         assert_eq!(a, b);
+    }
+
+    /// A table holding ids `1..=n`, all `InFlight`.
+    fn table(n: usize) -> ConnTable {
+        let mut t = ConnTable::default();
+        for _ in 0..n {
+            t.push(spec(ConnKind::Inbound));
+        }
+        t
+    }
+
+    const CHUNK_IDS: u64 = CHUNK as u64;
+
+    #[test]
+    fn ids_stay_sequential_across_retirements() {
+        let mut t = ConnTable::default();
+        let pinned = CHUNK_IDS + 1;
+        for n in 1..=3 * CHUNK_IDS + 5 {
+            assert_eq!(t.push(spec(ConnKind::Inbound)), n);
+            // Chunks are freed underneath the ids still being handed
+            // out, around one that is not.
+            if n != pinned {
+                assert!(t.finish(n, ConnStatus::Completed));
+            }
+        }
+        assert_eq!(t.len, 3 * CHUNK_IDS + 5);
+        assert!(t.get(1).is_none() && t.get(2 * CHUNK_IDS + 1).is_none());
+        assert!(t.get(pinned).is_some());
+        assert_eq!(t.iter().count(), CHUNK + 5);
+    }
+
+    #[test]
+    fn retired_ids_read_none_and_live_ids_keep_their_chunk() {
+        let mut t = table(2 * CHUNK);
+        let straggler = CHUNK_IDS + 7;
+        for id in 1..=2 * CHUNK_IDS {
+            if id != straggler {
+                t.finish(id, ConnStatus::Completed);
+            }
+        }
+        assert!(t.get(1).is_none() && t.get(CHUNK_IDS).is_none());
+        let live = t.get(straggler).expect("its chunk is pinned");
+        assert_eq!(live.status, ConnStatus::InFlight);
+        assert_eq!(
+            t.get(CHUNK_IDS + 1).map(|c| c.status),
+            Some(ConnStatus::Completed),
+            "a pinned chunk keeps its terminal records"
+        );
+        assert_eq!(t.iter().count(), CHUNK);
+        // Out of range and id 0 are absent, never a panic.
+        assert!(t.get(0).is_none() && t.get(2 * CHUNK_IDS + 1).is_none());
+        assert!(!t.finish(0, ConnStatus::Failed));
+        assert!(!t.finish(u64::MAX, ConnStatus::Failed));
+    }
+
+    #[test]
+    fn only_a_full_chunk_is_freed() {
+        let mut t = table(CHUNK + 3);
+        for id in 1..=CHUNK_IDS + 3 {
+            assert!(t.finish(id, ConnStatus::Completed));
+        }
+        assert!(t.get(CHUNK_IDS).is_none(), "the full chunk is freed");
+        assert_eq!(t.iter().count(), 3, "the partial tail stays");
+        // Filling the tail and finishing it frees it too.
+        for _ in 3..CHUNK {
+            t.push(spec(ConnKind::Inbound));
+        }
+        for id in CHUNK_IDS + 4..=2 * CHUNK_IDS {
+            t.finish(id, ConnStatus::Denied);
+        }
+        assert_eq!(t.iter().count(), 0);
+        assert_eq!(t.push(spec(ConnKind::Inbound)), 2 * CHUNK_IDS + 1);
+        assert_eq!(t.iter().count(), 1);
+    }
+
+    #[test]
+    fn a_second_finish_is_a_no_op() {
+        let mut t = table(CHUNK);
+        assert!(t.finish(1, ConnStatus::Completed));
+        assert!(!t.finish(1, ConnStatus::Denied));
+        assert_eq!(t.get(1).map(|c| c.status), Some(ConnStatus::Completed));
+        // Had the second call counted, the chunk would be freed one
+        // connection early, under the still-live last id.
+        for id in 2..CHUNK_IDS {
+            t.finish(id, ConnStatus::Failed);
+        }
+        assert!(t.get(CHUNK_IDS).is_some());
+        assert!(t.finish(CHUNK_IDS, ConnStatus::Completed));
+        assert!(t.get(CHUNK_IDS).is_none());
     }
 }

@@ -86,12 +86,7 @@ impl Cluster {
     }
 
     pub(crate) fn advance_conn(&mut self, conn_id: u64, from_step: u8, now: SimTime) {
-        // Field-level indexing (not the `conn_mut` helper) keeps the
-        // borrow split so the telemetry calls below stay legal.
-        let Some(conn) = conn_id
-            .checked_sub(1)
-            .and_then(|i| self.conns.get_mut(i as usize))
-        else {
+        let Some(conn) = self.conns.get_mut(conn_id) else {
             return;
         };
         if conn.status != ConnStatus::InFlight || conn.pos != from_step {
@@ -100,26 +95,23 @@ impl Cluster {
         conn.pos += 1;
         conn.retries = 0;
         self.tel.inc(Ctr::PktOk);
-        if usize::from(conn.pos) == conn.spec.kind.script().len() {
-            conn.status = ConnStatus::Completed;
-            let latency = now.since(conn.spec.start);
-            self.tel.inc(Ctr::Completed);
-            self.tel.observe_duration(Hist::ConnLatency, latency);
-            self.tel.series_add(Series::Cps, now, 1.0);
-            if let Some(vm) = self.vms.get_mut(&conn.spec.vnic) {
-                vm.conn_completed();
-            }
-        } else {
+        if usize::from(conn.pos) < conn.spec.kind.script().len() {
             let next = conn.pos;
-            self.inject_step(conn_id, next, now);
+            return self.inject_step(conn_id, next, now);
+        }
+        let spec = conn.spec;
+        self.conns.finish(conn_id, ConnStatus::Completed);
+        self.tel.inc(Ctr::Completed);
+        self.tel
+            .observe_duration(Hist::ConnLatency, now.since(spec.start));
+        self.tel.series_add(Series::Cps, now, 1.0);
+        if let Some(vm) = self.vms.get_mut(&spec.vnic) {
+            vm.conn_completed();
         }
     }
 
     pub(crate) fn retry_step(&mut self, conn_id: u64, step: u8, now: SimTime) {
-        let Some(conn) = conn_id
-            .checked_sub(1)
-            .and_then(|i| self.conns.get_mut(i as usize))
-        else {
+        let Some(conn) = self.conns.get_mut(conn_id) else {
             return;
         };
         if conn.status != ConnStatus::InFlight || conn.pos != step {
@@ -127,7 +119,7 @@ impl Cluster {
         }
         conn.retries = conn.retries.saturating_add(1);
         if u32::from(conn.retries) > self.cfg.max_retries {
-            conn.status = ConnStatus::Failed;
+            self.conns.finish(conn_id, ConnStatus::Failed);
             self.tel.inc(Ctr::Failed);
             return;
         }
@@ -161,14 +153,8 @@ impl Cluster {
         if trace & PROBE_BIT != 0 {
             return;
         }
-        if let Some(conn) = (trace >> 4)
-            .checked_sub(1)
-            .and_then(|i| self.conns.get_mut(i as usize))
-        {
-            if conn.status == ConnStatus::InFlight {
-                conn.status = ConnStatus::Denied;
-                self.tel.inc(Ctr::Denied);
-            }
+        if self.conns.finish(trace >> 4, ConnStatus::Denied) {
+            self.tel.inc(Ctr::Denied);
         }
     }
 

@@ -22,7 +22,10 @@
 #            tests (every per-packet table rests on `DenseMap`'s slot
 #            encoding) and engine tests (the unit tests and the proptest
 #            against a `BinaryHeap` model: every event goes through the
-#            two-rung ladder), the reduced chaos smoke scenario
+#            two-rung ladder), the `nezha-core` connection tests (the
+#            chunked connection table's unit tests and the cluster runs
+#            that check it frees every finished chunk), the reduced chaos
+#            smoke scenario
 #            so the fault-injection path is never shipped unexercised,
 #            plus the profiler smoke run
 #            (`experiments profile` self-asserts its cycle reconciliation)
@@ -61,6 +64,8 @@ if [ "$fast" -eq 1 ]; then
     cargo test -q -p nezha-sim dense
     echo "==> cargo test -q -p nezha-sim engine   (--fast: the event ladder vs its BinaryHeap model)"
     cargo test -q -p nezha-sim engine
+    echo "==> cargo test -q -p nezha-core conn   (--fast: the connection table frees finished chunks)"
+    cargo test -q -p nezha-core conn
     echo "==> cargo test -q --test chaos smoke_   (--fast: reduced chaos scenario)"
     cargo test -q --test chaos smoke_
     echo "==> experiments profile   (--fast: profiler smoke, artifacts to target/profile-smoke)"
