@@ -43,6 +43,66 @@ pub use crate::telemetry::ClusterStats;
 
 use crate::driver::{PROBE_BIT, SILENT_BIT};
 
+/// A `u32`-addressed arena with a LIFO free list: where packets park
+/// between schedule and arrival, so a queued event carries a 4-byte id
+/// instead of a 200-byte copy.
+///
+/// `insert` returns an id; `take` moves the value out and recycles the
+/// id. Ids are recycled most-recently-freed first, so the id sequence is
+/// a pure function of the call sequence.
+#[derive(Debug)]
+pub(crate) struct Slab<T> {
+    slots: Vec<Option<T>>,
+    free: Vec<u32>,
+}
+
+impl<T> Default for Slab<T> {
+    fn default() -> Self {
+        Slab {
+            slots: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+}
+
+impl<T> Slab<T> {
+    /// Parks a value, returning its id.
+    #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "2^32 live slab slots is beyond any simulated run; ids are u32 to keep events 16 bytes"
+    )]
+    pub(crate) fn insert(&mut self, value: T) -> u32 {
+        match self.free.pop() {
+            Some(id) => {
+                debug_assert!(self.slots[id as usize].is_none());
+                self.slots[id as usize] = Some(value);
+                id
+            }
+            None => {
+                let id = u32::try_from(self.slots.len()).expect("slab overflow");
+                self.slots.push(Some(value));
+                id
+            }
+        }
+    }
+
+    /// Moves the value at `id` out, recycling the slot.
+    ///
+    /// Panics when `id` is vacant — a vacant take means an event was
+    /// duplicated or double-freed, which must never happen.
+    #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "a vacant take means an event was duplicated or double-freed: a simulator bug, not an input"
+    )]
+    pub(crate) fn take(&mut self, id: u32) -> T {
+        let v = self.slots[id as usize].take().expect("vacant slab slot");
+        self.free.push(id);
+        v
+    }
+}
+
 /// The packet-level testbed.
 #[derive(Debug)]
 pub struct Cluster {
@@ -81,7 +141,7 @@ pub struct Cluster {
     /// `u32` id inside [`Event::Arrive`] / [`Event::StartProbe`].
     /// Slot reuse is LIFO and ids are a pure function of the schedule
     /// call sequence, so replay stays seed-deterministic.
-    pub(crate) pkt_slab: nezha_sim::dense::Slab<(Packet, SimTime)>,
+    pub(crate) pkt_slab: Slab<(Packet, SimTime)>,
     next_probe_id: u64,
     /// Telemetry: shared registry + trace + pre-registered handles.
     pub(crate) tel: ClusterTelemetry,
@@ -130,7 +190,7 @@ impl Cluster {
             master_vnics: DenseMap::new(),
             vms: DenseMap::new(),
             conns: ConnTable::default(),
-            pkt_slab: nezha_sim::dense::Slab::new(),
+            pkt_slab: Slab::default(),
             next_probe_id: 1,
             tel,
             controller: ControllerState::new(),

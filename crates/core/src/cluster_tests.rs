@@ -2,7 +2,7 @@
 //! `cluster.rs` so the construction/accessor module stays small).
 
 use crate::be::OffloadPhase;
-use crate::cluster::{retry_backoff, Cluster, ClusterConfig, ConfigOp, Event};
+use crate::cluster::{retry_backoff, Cluster, ClusterConfig, ConfigOp, Event, Slab};
 use crate::vm::VmConfig;
 use nezha_sim::fault::FaultPlan;
 use nezha_sim::time::{SimDuration, SimTime};
@@ -857,4 +857,27 @@ fn failed_connections_release_their_chunks() {
     c.run_until(SimTime(0) + SimDuration::from_secs(20));
     assert_eq!(c.stats().failed, u64::from(CONNS));
     assert_eq!(conn_records(&c), (usize::from(CONNS) % CHUNK, 0));
+}
+
+#[test]
+fn slab_recycles_lifo() {
+    let mut s = Slab::default();
+    let a = s.insert("a");
+    let b = s.insert("b");
+    assert_eq!((a, b), (0, 1));
+    assert_eq!(s.take(a), "a");
+    // Most-recently-freed id is reused first.
+    assert_eq!(s.insert("c"), a);
+    assert_eq!(s.take(b), "b");
+    assert_eq!(s.take(a), "c");
+    assert_eq!((s.insert("d"), s.insert("e")), (a, b));
+}
+
+#[test]
+#[should_panic(expected = "vacant slab slot")]
+fn slab_vacant_take_panics() {
+    let mut s: Slab<u8> = Slab::default();
+    let id = s.insert(1);
+    s.take(id);
+    s.take(id);
 }

@@ -11,8 +11,10 @@ use crate::telemetry::Ctr;
 use nezha_sim::profile::Stage;
 use nezha_sim::time::{SimDuration, SimTime};
 use nezha_sim::trace::TraceEventKind;
-use nezha_types::{Direction, NezhaHeader, NezhaPayloadKind, Packet, SessionKey, VnicId};
-use nezha_vswitch::{pipeline, VSwitch};
+use nezha_types::{
+    Direction, NezhaHeader, NezhaPayloadKind, Packet, SessionKey, SessionState, VnicId,
+};
+use nezha_vswitch::VSwitch;
 
 /// Does this vNIC currently steer TX traffic through FEs?
 pub(crate) fn nezha_active_for_tx(cl: &Cluster, vnic: VnicId) -> bool {
@@ -122,15 +124,11 @@ pub(crate) fn be_handle_tx(ctx: &mut HandlerCtx<'_>, pkt: Packet, sent_at: SimTi
     }
     let mut nsh = NezhaHeader::bare(NezhaPayloadKind::TxCarry, pkt.vnic, pkt.vpc);
     if let Some(entry) = vs.sessions.get_mut(&key) {
-        pipeline::update_state(None, &mut entry.state, &pkt);
+        entry.state.update(None, &pkt);
         entry.last_seen = now;
-        nsh.first_dir = entry.state.first_dir;
-        nsh.decap_addr = entry.state.decap.map(|d| d.overlay_src);
-        if entry.state.stats.policy != 0 {
-            nsh.stats_policy = Some(entry.state.stats.policy);
-        }
+        nsh.carry_state(&entry.state);
     } else {
-        nsh.first_dir = Some(Direction::Tx);
+        nsh.carry_state(&SessionState::first_packet(Direction::Tx));
     }
     // Select the FE by flow hash and ship the packet with its state.
     // `nezha_active_for_tx` above implies the meta exists; degrade to a
@@ -211,10 +209,9 @@ pub(crate) fn be_handle_rx_carry(
         if let Some(p) = nsh.stats_policy {
             entry.state.stats.policy = p;
         }
-        pipeline::process_pkt(&pair.rx, &mut entry.state, &inner)
+        entry.state.process_pkt(&pair.rx, &inner)
     } else {
-        let mut scratch = nezha_types::SessionState::default();
-        pipeline::process_pkt(&pair.rx, &mut scratch, &inner)
+        SessionState::default().process_pkt(&pair.rx, &inner)
     };
     if action.verdict == nezha_types::Decision::Drop {
         return ctx.deny(pkt.trace);

@@ -18,7 +18,6 @@ use nezha_sim::resources::CpuOutcome;
 use nezha_sim::time::SimTime;
 use nezha_sim::trace::{DropReason, TraceEventKind};
 use nezha_types::{Action, Packet, ServerId};
-use nezha_vswitch::pipeline;
 use std::ops::Range;
 
 /// Borrowed view of the cluster for one handler invocation: the packet's
@@ -204,11 +203,11 @@ impl<'c> HandlerCtx<'c> {
     // Targeted event counters and fault queries.
     // ------------------------------------------------------------------
 
-    /// Counts the mirror copies an action fans out (§2.2.2).
+    /// Counts the mirror copies an action fans out: one when it names a
+    /// collector, else none (§2.2.2).
     pub(crate) fn count_mirrors(&self, action: &Action) {
-        self.cl
-            .tel
-            .add(Ctr::MirrorCopies, pipeline::mirror_copies(action) as u64);
+        let copies = u64::from(action.mirror_to.is_some());
+        self.cl.tel.add(Ctr::MirrorCopies, copies);
     }
 
     /// Samples the scripted notify-loss fault (seeded fault RNG stream).

@@ -13,7 +13,7 @@ use crate::datapath::fe::{self, FeBinding};
 use nezha_sim::fault::FaultKind;
 use nezha_sim::time::SimTime;
 use nezha_types::{Direction, NezhaPayloadKind, Packet, ServerId};
-use nezha_vswitch::pipeline::ProcessOutcome;
+use nezha_vswitch::ProcessOutcome;
 
 /// Events driving the cluster.
 ///

@@ -8,8 +8,8 @@ use nezha_sim::profile::{SpanId, Stage};
 use nezha_sim::time::SimTime;
 use nezha_sim::trace::{DropReason, TraceEventKind};
 use nezha_types::{Direction, NezhaHeader, NezhaPayloadKind, Packet, PreActionPair, ServerId};
-use nezha_vswitch::pipeline::{self, PathTaken};
 use nezha_vswitch::stage::costing;
+use nezha_vswitch::PathTaken;
 
 /// Proof that `server` was a configured FE for a packet's vNIC at demux
 /// time, carrying the facts the RX handler needs (satellite of the
@@ -150,19 +150,9 @@ pub(crate) fn fe_handle_tx_carry(
         pkt.prof_span = root.to_raw();
     }
 
-    // Reconstruct the carried state and finalize.
-    let mut carried = nezha_types::SessionState {
-        first_dir: nsh.first_dir,
-        ..Default::default()
-    };
-    if let Some(a) = nsh.decap_addr {
-        carried.decap = Some(nezha_types::StatefulDecapState { overlay_src: a });
-    }
-    if let Some(p) = nsh.stats_policy {
-        carried.stats.policy = p;
-    }
+    // Finalize against the state the BE carried.
     let inner = pkt.strip_nezha();
-    let action = pipeline::finalize_with_state(&pair.tx, &carried, &inner);
+    let action = nsh.carried_state().finalize(&pair.tx, &inner);
     if action.verdict == nezha_types::Decision::Drop {
         return ctx.deny(pkt.trace);
     }

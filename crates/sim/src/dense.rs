@@ -1,12 +1,8 @@
 //! Interned dense indices: the hot-path replacements for per-packet
 //! `BTreeMap` lookups.
 //!
-//! Three structures, all fully deterministic:
+//! Two structures, both fully deterministic:
 //!
-//! * [`Slab`] — an arena of `u32`-addressed slots with a LIFO free list.
-//!   Used to park large payloads (packets) outside the event queue so a
-//!   queued event is a handful of bytes instead of a 200-byte copy on
-//!   every heap sift.
 //! * [`DenseMap`] — a hash-indexed map whose entries live in one dense,
 //!   insertion-ordered `Vec`. Lookups probe a private open-addressing
 //!   table keyed by a **fixed** multiply-xor hash (no per-process
@@ -407,98 +403,6 @@ impl<K: Hash + Eq, V> DenseMap<K, V> {
     }
 }
 
-/// A `u32`-addressed arena with a LIFO free list.
-///
-/// `insert` returns a stable id; `take` moves the value out and recycles
-/// the id. Ids are recycled most-recently-freed first, so the id
-/// sequence — like everything else here — is a pure function of the
-/// call sequence.
-#[derive(Clone, Debug, Default)]
-pub struct Slab<T> {
-    slots: Vec<Option<T>>,
-    free: Vec<u32>,
-}
-
-impl<T> Slab<T> {
-    /// An empty slab.
-    pub fn new() -> Self {
-        Slab {
-            slots: Vec::new(),
-            free: Vec::new(),
-        }
-    }
-
-    /// An empty slab with capacity for `cap` values before reallocating.
-    pub fn with_capacity(cap: usize) -> Self {
-        Slab {
-            slots: Vec::with_capacity(cap),
-            free: Vec::new(),
-        }
-    }
-
-    /// Number of occupied slots.
-    pub fn len(&self) -> usize {
-        self.slots.len() - self.free.len()
-    }
-
-    /// True when no slots are occupied.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Parks a value, returning its id.
-    #[inline]
-    #[expect(
-        clippy::expect_used,
-        reason = "2^32 live slab slots is beyond any simulated run; ids are u32 to keep events 16 bytes"
-    )]
-    pub fn insert(&mut self, value: T) -> u32 {
-        match self.free.pop() {
-            Some(id) => {
-                debug_assert!(self.slots[id as usize].is_none());
-                self.slots[id as usize] = Some(value);
-                id
-            }
-            None => {
-                let id = u32::try_from(self.slots.len()).expect("slab overflow");
-                self.slots.push(Some(value));
-                id
-            }
-        }
-    }
-
-    /// Moves the value at `id` out, recycling the slot.
-    ///
-    /// Panics when `id` is vacant — a vacant take means an event was
-    /// duplicated or double-freed, which must never happen.
-    #[inline]
-    #[expect(
-        clippy::expect_used,
-        reason = "a vacant take means an event was duplicated or double-freed: a simulator bug, not an input"
-    )]
-    pub fn take(&mut self, id: u32) -> T {
-        let v = self.slots[id as usize].take().expect("vacant slab slot");
-        self.free.push(id);
-        v
-    }
-
-    /// Borrows the value at `id`, if occupied.
-    pub fn get(&self, id: u32) -> Option<&T> {
-        self.slots.get(id as usize).and_then(|s| s.as_ref())
-    }
-
-    /// Mutably borrows the value at `id`, if occupied.
-    pub fn get_mut(&mut self, id: u32) -> Option<&mut T> {
-        self.slots.get_mut(id as usize).and_then(|s| s.as_mut())
-    }
-
-    /// Drops every value and recyclable id.
-    pub fn clear(&mut self) {
-        self.slots.clear();
-        self.free.clear();
-    }
-}
-
 /// A value interner: deduplicates equal values into a dense, append-only
 /// table and hands out `u32` ids.
 ///
@@ -726,30 +630,5 @@ mod tests {
         let k = (7u64, 9u32);
         assert_eq!(fx_hash(&k), fx_hash(&k));
         assert_ne!(fx_hash(&(1u64, 2u32)), fx_hash(&(2u64, 1u32)));
-    }
-
-    #[test]
-    fn slab_recycles_lifo() {
-        let mut s = Slab::new();
-        let a = s.insert("a");
-        let b = s.insert("b");
-        assert_eq!((a, b), (0, 1));
-        assert_eq!(s.take(a), "a");
-        // Most-recently-freed id is reused first.
-        assert_eq!(s.insert("c"), a);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.get(b), Some(&"b"));
-        assert_eq!(s.take(b), "b");
-        assert_eq!(s.take(a), "c");
-        assert!(s.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "vacant slab slot")]
-    fn slab_vacant_take_panics() {
-        let mut s: Slab<u8> = Slab::new();
-        let id = s.insert(1);
-        s.take(id);
-        s.take(id);
     }
 }

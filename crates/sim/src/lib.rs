@@ -76,7 +76,7 @@ pub mod time;
 pub mod topology;
 pub mod trace;
 
-pub use dense::{DenseMap, Slab};
+pub use dense::DenseMap;
 pub use engine::{Engine, Scheduled};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultState, GilbertElliott};
 pub use metrics::{

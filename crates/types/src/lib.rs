@@ -4,10 +4,11 @@
 //! addresses and identifiers, 5-tuples and flow/session keys, wire-format
 //! packet headers (Ethernet / IPv4 / TCP / UDP / VXLAN) with encode/decode
 //! and checksum support, packet processing actions and pre-actions, the TCP
-//! connection-tracking finite state machine, and the **Nezha Service Header
-//! (NSH)** — the outer header Nezha uses to carry session state (TX path)
-//! and pre-actions (RX path) between a vNIC backend (BE) and its frontends
-//! (FEs).
+//! connection-tracking finite state machine, the session state with the
+//! fast path's `process_pkt(pre_actions, state)` over it, and the **Nezha
+//! Service Header (NSH)** — the outer header Nezha uses to carry session
+//! state (TX path) and pre-actions (RX path) between a vNIC backend (BE)
+//! and its frontends (FEs).
 //!
 //! Everything in this crate is plain data: no I/O, no clocks, no global
 //! state. The simulator (`nezha-sim`), the vSwitch model (`nezha-vswitch`)

@@ -37,7 +37,7 @@ use crate::action::{Decision, PreAction, PreActionPair};
 use crate::addr::{Ipv4Addr, ServerId, VnicId, VpcId};
 use crate::error::{CodecError, CodecResult};
 use crate::flow::Direction;
-use bytes::BufMut;
+use crate::state::{SessionState, StatefulDecapState};
 use serde::{Deserialize, Serialize};
 
 /// Magic bytes "NZ" identifying a Nezha service header.
@@ -91,9 +91,8 @@ pub struct NezhaHeader {
     pub vnic: VnicId,
     /// Tenant VPC.
     pub vpc: VpcId,
-    /// Carried first-packet direction (TX carry: the BE's recorded state;
-    /// also echoed on RX carry so the BE can skip a state write when its
-    /// state already matches).
+    /// Carried first-packet direction: the BE's recorded state, on TX
+    /// carry only (the FE's stateful-ACL input).
     pub first_dir: Option<Direction>,
     /// Carried stateful-decap address. On TX carry: the state's recorded
     /// LB address the FE must encapsulate toward. On RX carry: the original
@@ -145,44 +144,33 @@ impl NezhaHeader {
         n
     }
 
-    /// Serializes the header.
-    pub fn encode<B: BufMut>(&self, buf: &mut B) {
-        buf.put_u16(NEZHA_MAGIC);
-        buf.put_u8(NEZHA_VERSION);
-        buf.put_u8(self.kind as u8);
-        buf.put_u32(self.vnic.0);
-        buf.put_u32(self.vpc.0);
-        let mut flags = 0u8;
-        if let Some(d) = self.first_dir {
-            flags |= F_HAS_FIRST_DIR;
-            if d == Direction::Tx {
-                flags |= F_FIRST_DIR_TX;
-            }
-        }
-        if self.decap_addr.is_some() {
-            flags |= F_HAS_DECAP;
-        }
-        if self.stats_policy.is_some() {
-            flags |= F_HAS_STATS_POLICY;
-        }
-        if self.pre_actions.is_some() {
-            flags |= F_HAS_PRE_ACTIONS;
-        }
-        buf.put_u8(flags);
-        if let Some(a) = self.decap_addr {
-            buf.put_slice(&a.octets());
-        }
-        if let Some(p) = self.stats_policy {
-            buf.put_u8(p);
-        }
-        if let Some(pp) = &self.pre_actions {
-            encode_pre_action(&pp.tx, buf);
-            encode_pre_action(&pp.rx, buf);
-        }
+    /// Writes the TX carry (BE → FE, §3.2.2): the session state the FE
+    /// needs to finalize — first-packet direction, the stateful-decap
+    /// address, and the statistics policy when one is in force.
+    pub fn carry_state(&mut self, state: &SessionState) {
+        self.first_dir = state.first_dir;
+        self.decap_addr = state.decap.map(|d| d.overlay_src);
+        self.stats_policy = (state.stats.policy != 0).then_some(state.stats.policy);
+    }
+
+    /// Reads the TX carry back at the FE: the state [`carry_state`] wrote,
+    /// every other field at its default.
+    ///
+    /// [`carry_state`]: NezhaHeader::carry_state
+    pub fn carried_state(&self) -> SessionState {
+        let mut state = SessionState {
+            first_dir: self.first_dir,
+            decap: self
+                .decap_addr
+                .map(|overlay_src| StatefulDecapState { overlay_src }),
+            ..SessionState::default()
+        };
+        state.stats.policy = self.stats_policy.unwrap_or(0);
+        state
     }
 
     /// Serializes the header into a caller-provided slice without any
-    /// allocation or `BufMut` indirection, returning the bytes written.
+    /// allocation, returning the bytes written.
     ///
     /// `buf` must hold at least [`wire_len`](NezhaHeader::wire_len) bytes;
     /// a `[u8; NezhaHeader::MAX_WIRE_LEN]` on the stack always fits.
@@ -219,8 +207,8 @@ impl NezhaHeader {
             off += 1;
         }
         if let Some(pp) = &self.pre_actions {
-            off += encode_pre_action_into(&pp.tx, &mut buf[off..]);
-            off += encode_pre_action_into(&pp.rx, &mut buf[off..]);
+            off += encode_pre_action(&pp.tx, &mut buf[off..]);
+            off += encode_pre_action(&pp.rx, &mut buf[off..]);
         }
         off
     }
@@ -420,37 +408,8 @@ const PA_HAS_NAT: u8 = 0x08;
 const PA_STATEFUL_DECAP: u8 = 0x10;
 const PA_HAS_MIRROR: u8 = 0x20;
 
-fn encode_pre_action<B: BufMut>(p: &PreAction, buf: &mut B) {
-    let mut flags = 0u8;
-    if p.verdict.is_accept() {
-        flags |= PA_ACCEPT;
-    }
-    if p.stateful_acl {
-        flags |= PA_STATEFUL_ACL;
-    }
-    if p.next_hop.is_some() {
-        flags |= PA_HAS_NEXT_HOP;
-    }
-    if p.nat_rewrite.is_some() {
-        flags |= PA_HAS_NAT;
-    }
-    if p.stateful_decap {
-        flags |= PA_STATEFUL_DECAP;
-    }
-    if p.mirror_to.is_some() {
-        flags |= PA_HAS_MIRROR;
-    }
-    buf.put_u8(flags);
-    buf.put_u32(p.next_hop.map_or(0, |s| s.0));
-    buf.put_u32(p.nat_rewrite.map_or(0, |a| a.0));
-    buf.put_u8(p.qos_class);
-    buf.put_u8(p.stats_policy);
-    buf.put_u32(p.mirror_to.map_or(0, |a| a.0));
-    buf.put_u8(0); // pad to 16
-}
-
-/// Slice-target twin of [`encode_pre_action`]; returns bytes written.
-fn encode_pre_action_into(p: &PreAction, buf: &mut [u8]) -> usize {
+/// Writes one pre-action's 16 bytes; returns bytes written.
+fn encode_pre_action(p: &PreAction, buf: &mut [u8]) -> usize {
     let mut flags = 0u8;
     if p.verdict.is_accept() {
         flags |= PA_ACCEPT;
@@ -505,7 +464,16 @@ fn decode_pre_action(data: &[u8]) -> PreAction {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::BytesMut;
+    use crate::state::StatsState;
+    use crate::tcp_fsm::TcpState;
+    use proptest::prelude::*;
+
+    /// The header's bytes, through the one encoder.
+    fn encode(h: &NezhaHeader) -> Vec<u8> {
+        let mut buf = [0u8; NezhaHeader::MAX_WIRE_LEN];
+        let n = h.encode_into(&mut buf);
+        buf[..n].to_vec()
+    }
 
     fn full_header() -> NezhaHeader {
         NezhaHeader {
@@ -534,8 +502,7 @@ mod tests {
     #[test]
     fn full_round_trip() {
         let h = full_header();
-        let mut buf = BytesMut::new();
-        h.encode(&mut buf);
+        let buf = encode(&h);
         assert_eq!(buf.len(), h.wire_len());
         let (d, n) = NezhaHeader::decode(&buf).unwrap();
         assert_eq!(d, h);
@@ -552,8 +519,7 @@ mod tests {
             NezhaPayloadKind::HealthReply,
         ] {
             let h = NezhaHeader::bare(kind, VnicId(1), VpcId(2));
-            let mut buf = BytesMut::new();
-            h.encode(&mut buf);
+            let buf = encode(&h);
             assert_eq!(buf.len(), NezhaHeader::FIXED_LEN);
             let (d, _) = NezhaHeader::decode(&buf).unwrap();
             assert_eq!(d, h);
@@ -565,8 +531,7 @@ mod tests {
         for dir in [Direction::Tx, Direction::Rx] {
             let mut h = NezhaHeader::bare(NezhaPayloadKind::TxCarry, VnicId(1), VpcId(1));
             h.first_dir = Some(dir);
-            let mut buf = BytesMut::new();
-            h.encode(&mut buf);
+            let buf = encode(&h);
             let (d, _) = NezhaHeader::decode(&buf).unwrap();
             assert_eq!(d.first_dir, Some(dir));
         }
@@ -575,9 +540,7 @@ mod tests {
     #[test]
     fn rejects_bad_magic_version_kind() {
         let h = NezhaHeader::bare(NezhaPayloadKind::Notify, VnicId(1), VpcId(1));
-        let mut buf = BytesMut::new();
-        h.encode(&mut buf);
-        let mut raw = buf.to_vec();
+        let mut raw = encode(&h);
 
         raw[0] = 0;
         assert!(matches!(
@@ -606,29 +569,13 @@ mod tests {
     #[test]
     fn truncated_optional_fields_rejected() {
         let h = full_header();
-        let mut buf = BytesMut::new();
-        h.encode(&mut buf);
+        let buf = encode(&h);
         // Cut in the middle of the pre-action block.
         let cut = &buf[..NezhaHeader::FIXED_LEN + 4 + 1 + 3];
         assert!(matches!(
             NezhaHeader::decode(cut),
             Err(CodecError::Truncated { what: "nezha", .. })
         ));
-    }
-
-    #[test]
-    fn encode_into_matches_bufmut_encode() {
-        for h in [
-            full_header(),
-            NezhaHeader::bare(NezhaPayloadKind::Notify, VnicId(9), VpcId(3)),
-        ] {
-            let mut buf = BytesMut::new();
-            h.encode(&mut buf);
-            let mut arr = [0u8; NezhaHeader::MAX_WIRE_LEN];
-            let n = h.encode_into(&mut arr);
-            assert_eq!(n, h.wire_len());
-            assert_eq!(&arr[..n], &buf[..], "byte-identical encodings");
-        }
     }
 
     #[test]
@@ -676,5 +623,72 @@ mod tests {
         assert_eq!(h.wire_len(), 18);
         h.pre_actions = Some(PreActionPair::accept(None, None));
         assert_eq!(h.wire_len(), 18 + 32);
+    }
+
+    #[test]
+    fn a_first_packet_carry_is_its_direction_alone() {
+        // What the BE ships when it could not store the session.
+        let mut h = NezhaHeader::bare(NezhaPayloadKind::TxCarry, VnicId(1), VpcId(1));
+        h.carry_state(&SessionState::first_packet(Direction::Tx));
+        let mut want = NezhaHeader::bare(NezhaPayloadKind::TxCarry, VnicId(1), VpcId(1));
+        want.first_dir = Some(Direction::Tx);
+        assert_eq!(h, want);
+    }
+
+    fn arb_state() -> impl Strategy<Value = SessionState> {
+        let tcp = prop::sample::select(vec![
+            TcpState::None,
+            TcpState::SynSent,
+            TcpState::SynReceived,
+            TcpState::Established,
+            TcpState::FinWait,
+            TcpState::Closing,
+            TcpState::Closed,
+        ]);
+        (
+            prop::option::of(prop::bool::ANY),
+            tcp,
+            prop::option::of(any::<u32>()),
+            any::<u8>(),
+            (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+        )
+            .prop_map(|(tx, tcp, decap, policy, counts)| SessionState {
+                first_dir: tx.map(|tx| if tx { Direction::Tx } else { Direction::Rx }),
+                tcp,
+                decap: decap.map(|a| StatefulDecapState {
+                    overlay_src: Ipv4Addr(a),
+                }),
+                stats: StatsState {
+                    policy,
+                    tx_packets: counts.0,
+                    rx_packets: counts.1,
+                    tx_bytes: counts.2,
+                    rx_bytes: counts.3,
+                },
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The TX carry survives the wire: whatever state the BE carries,
+        /// the FE reads back exactly its first direction, decap address
+        /// and statistics policy, within the header budget.
+        #[test]
+        fn tx_carry_round_trips_through_the_wire(s in arb_state()) {
+            let mut h = NezhaHeader::bare(NezhaPayloadKind::TxCarry, VnicId(3), VpcId(4));
+            h.carry_state(&s);
+            let mut buf = [0u8; NezhaHeader::MAX_WIRE_LEN];
+            let n = h.encode_into(&mut buf);
+            prop_assert!(n <= NezhaHeader::MAX_WIRE_LEN);
+            let parsed = NshView::parse(&buf[..n]).unwrap().to_owned();
+            let mut want = SessionState {
+                first_dir: s.first_dir,
+                decap: s.decap,
+                ..SessionState::default()
+            };
+            want.stats.policy = s.stats.policy;
+            prop_assert_eq!(parsed.carried_state(), want);
+        }
     }
 }

@@ -205,7 +205,9 @@ impl Packet {
             VxlanHeader { vni: self.vpc.0 }.encode(&mut buf);
         }
         if let Some(nsh) = &self.nezha {
-            nsh.encode(&mut buf);
+            let mut hdr = [0u8; NezhaHeader::MAX_WIRE_LEN];
+            let n = nsh.encode_into(&mut hdr);
+            buf.extend_from_slice(&hdr[..n]);
         }
         self.encode_inner(&mut buf);
         buf

@@ -6,10 +6,22 @@
 //! flow statistics); paper §7.1 measures the *used* state at 5–8 B average
 //! against a fixed 64 B slab — we model both the slab and the measured
 //! size so the Fig. 15 experiment can reproduce that gap.
+//!
+//! The fast path's `process_pkt(pre_actions, state)` lives here too, as
+//! [`SessionState::process_pkt`] and its two halves. They are pure
+//! functions over a pre-action, the state and the packet, and the same
+//! code runs in three places, exactly as the paper's equivalence
+//! argument requires (§3.1): in the traditional local vSwitch, at a
+//! Nezha FE (which has rules/flows but receives state in the packet),
+//! and at a Nezha BE (which has state but receives pre-actions in the
+//! packet).
 
+use crate::action::{Action, PreAction};
 use crate::addr::Ipv4Addr;
+use crate::five_tuple::IpProtocol;
 use crate::flow::Direction;
-use crate::tcp_fsm::TcpState;
+use crate::packet::Packet;
+use crate::tcp_fsm::{TcpEvent, TcpState};
 use serde::{Deserialize, Serialize};
 
 /// State recorded by stateful decapsulation (paper §5.2): the overlay
@@ -112,11 +124,77 @@ impl SessionState {
     pub fn is_empty(&self) -> bool {
         self.used_bytes() == 0
     }
+
+    /// The fast-path `process_pkt(pre_actions, state)` of the paper's
+    /// Fig. 1: combines a direction's pre-action with the session state to
+    /// produce the final action, and applies the state transition the
+    /// packet implies.
+    ///
+    /// This exact function runs on the BE for RX packets (state local,
+    /// pre-actions from the packet) and at the local vSwitch; the FE runs
+    /// its decision half, [`SessionState::finalize`], on TX packets (state
+    /// from the packet) — byte-identical decisions either way, which
+    /// `tests/separation_equivalence.rs` verifies.
+    pub fn process_pkt(&mut self, pre: &PreAction, pkt: &Packet) -> Action {
+        self.update(Some(pre), pkt);
+        self.finalize(pre, pkt)
+    }
+
+    /// Applies the state transitions a packet implies.
+    ///
+    /// With `pre = Some(_)` this is the full transition (pre-action-derived
+    /// state like the statistics policy is adopted). With `pre = None` it is
+    /// the **BE-side TX half** under Nezha: the BE sees the packet before any
+    /// rule lookup, so it can apply packet-derived transitions (first-packet
+    /// direction, TCP FSM, statistics under the already-known policy) but
+    /// cannot adopt rule-table-involved state — that arrives later via notify
+    /// packets (§3.2.2).
+    pub fn update(&mut self, pre: Option<&PreAction>, pkt: &Packet) {
+        let first = *self.first_dir.get_or_insert(pkt.dir);
+        if pkt.tuple.protocol == IpProtocol::Tcp {
+            let ev = TcpEvent::from_flags(pkt.tcp_flags, pkt.dir, first);
+            self.tcp = self.tcp.step(ev);
+        }
+        // Stateful decap (§5.2): RX records the overlay source.
+        if pre.is_some_and(|p| p.stateful_decap) && pkt.dir == Direction::Rx {
+            if let Some(src) = pkt.overlay_encap_src {
+                self.decap = Some(StatefulDecapState { overlay_src: src });
+            }
+        }
+        // Rule-table-involved state: adopt the statistics policy the
+        // pre-action dictates (§3.2.2), then record under whatever policy is
+        // in force.
+        if let Some(p) = pre {
+            if p.stats_policy != 0 {
+                self.stats.policy = p.stats_policy;
+            }
+        }
+        if self.stats.policy != 0 {
+            self.stats.record(pkt.dir, pkt.wire_len() as u64);
+        }
+    }
+
+    /// Computes the final action from a pre-action and the (already
+    /// updated) state — pure, no state mutation. This is the decision half
+    /// of [`SessionState::process_pkt`], runnable wherever the two inputs
+    /// happen to meet: at the local vSwitch, at the FE (state carried in),
+    /// or at the BE (pre-actions carried in).
+    pub fn finalize(&self, pre: &PreAction, pkt: &Packet) -> Action {
+        let mut action = Action::finalize(pre, pkt.dir, self.first_dir);
+        if pre.stateful_decap && pkt.dir == Direction::Tx {
+            action.encap_override = self.decap.map(|d| d.overlay_src);
+        }
+        action
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::action::Decision;
+    use crate::addr::{ServerId, VnicId, VpcId};
+    use crate::five_tuple::FiveTuple;
+    use crate::headers::TcpFlags;
 
     #[test]
     fn empty_state_uses_zero_of_its_slab() {
@@ -163,5 +241,108 @@ mod tests {
         let live = s.used_bytes();
         s.tcp = TcpState::Closed;
         assert!(s.used_bytes() < live);
+    }
+
+    // `process_pkt` over literal pre-actions, one per stateful NF.
+
+    fn tx_tuple() -> FiveTuple {
+        FiveTuple::tcp(
+            Ipv4Addr::new(10, 7, 0, 1),
+            40000,
+            Ipv4Addr::new(10, 7, 0, 100),
+            9000,
+        )
+    }
+
+    /// A security group's stateful default for inbound traffic.
+    fn stateful_drop() -> PreAction {
+        PreAction {
+            stateful_acl: true,
+            ..PreAction::drop()
+        }
+    }
+
+    #[test]
+    fn process_pkt_initializes_first_dir_and_fsm() {
+        let mut state = SessionState::default();
+        let pkt = Packet::tx_data(1, VpcId(1), VnicId(1), tx_tuple(), TcpFlags::SYN, 0);
+        let act = state.process_pkt(&PreAction::accept(Some(ServerId(7))), &pkt);
+        assert_eq!(state.first_dir, Some(Direction::Tx));
+        assert_eq!(state.tcp, TcpState::SynSent);
+        assert_eq!(act.verdict, Decision::Accept);
+        assert_eq!(act.next_hop, Some(ServerId(7)));
+    }
+
+    #[test]
+    fn stateful_acl_blocks_unsolicited_rx_but_allows_responses() {
+        let pkt = Packet::rx_data(
+            1,
+            VpcId(1),
+            VnicId(1),
+            tx_tuple().reversed(),
+            TcpFlags::SYN,
+            0,
+        );
+        // Unsolicited: first packet is RX.
+        let mut state = SessionState::default();
+        let act = state.process_pkt(&stateful_drop(), &pkt);
+        assert_eq!(act.verdict, Decision::Drop);
+        // Solicited: the session's first packet was TX.
+        let mut state = SessionState::first_packet(Direction::Tx);
+        let act = state.process_pkt(&stateful_drop(), &pkt);
+        assert_eq!(act.verdict, Decision::Accept);
+    }
+
+    #[test]
+    fn stateful_decap_records_and_reencapsulates() {
+        let lb = Ipv4Addr::new(100, 64, 0, 7);
+        let decap = PreAction {
+            stateful_decap: true,
+            ..PreAction::accept(None)
+        };
+        let client = FiveTuple::tcp(
+            Ipv4Addr::new(203, 0, 113, 50),
+            55555,
+            Ipv4Addr::new(10, 8, 0, 1),
+            8080,
+        );
+        let mut state = SessionState::default();
+        // RX packet from the LB, overlay-encapsulated with the LB address.
+        let mut pkt = Packet::rx_data(1, VpcId(1), VnicId(2), client, TcpFlags::SYN, 0);
+        pkt.overlay_encap_src = Some(lb);
+        state.process_pkt(&decap, &pkt);
+        assert_eq!(state.decap, Some(StatefulDecapState { overlay_src: lb }));
+        // The TX response is re-encapsulated toward the recorded LB.
+        let flags = TcpFlags::SYN | TcpFlags::ACK;
+        let reply = Packet::tx_data(2, VpcId(1), VnicId(2), client.reversed(), flags, 0);
+        let act = state.process_pkt(&decap, &reply);
+        assert_eq!(act.encap_override, Some(lb));
+    }
+
+    #[test]
+    fn stats_policy_from_preaction_becomes_state_and_records() {
+        let pre = PreAction {
+            stats_policy: 3,
+            ..PreAction::accept(None)
+        };
+        let mut state = SessionState::default();
+        let pkt = Packet::tx_data(1, VpcId(1), VnicId(1), tx_tuple(), TcpFlags::SYN, 100);
+        state.process_pkt(&pre, &pkt);
+        assert_eq!(state.stats.policy, 3);
+        assert_eq!(state.stats.tx_packets, 1);
+        assert!(state.stats.tx_bytes > 100);
+    }
+
+    #[test]
+    fn be_tx_half_keeps_the_policy_it_already_has() {
+        // `update(None, ..)` never adopts rule-table-involved state, but
+        // records under a policy the state already carries.
+        let pkt = Packet::tx_data(1, VpcId(1), VnicId(1), tx_tuple(), TcpFlags::SYN, 0);
+        let mut state = SessionState::default();
+        state.update(None, &pkt);
+        assert_eq!((state.stats.policy, state.stats.tx_packets), (0, 0));
+        state.stats.policy = 4;
+        state.update(None, &pkt);
+        assert_eq!((state.stats.policy, state.stats.tx_packets), (4, 1));
     }
 }

@@ -22,13 +22,16 @@
 //! * [`vnic`] — a vNIC: its tables, overlay address, and size profile;
 //! * [`session`] — the bidirectional session table with aging (including
 //!   the short SYN aging of §7.3);
-//! * [`pipeline`] — the fast-path `process_pkt(pre_actions, state)` and
-//!   the per-packet result types;
 //! * [`stage`] — the slow-path rule-table lookup, one straight-line
 //!   function shared by the local vSwitch and every FE
-//!   ([`stage::lookup::pair_lookup`]), and the two cost plans;
-//! * [`vswitch`] — the vSwitch: resource enforcement and the
-//!   straight-line [`VSwitch::process_local`].
+//!   ([`stage::lookup::pair_lookup`]), and the per-stage split of a
+//!   charge for the profiler ([`stage::costing::charge_leaves`]);
+//! * [`vswitch`] — the vSwitch: resource enforcement, the straight-line
+//!   [`VSwitch::process_local`] and its per-packet result types.
+//!
+//! The fast-path `process_pkt(pre_actions, state)` itself is
+//! [`nezha_types::SessionState::process_pkt`], next to the TCP FSM and
+//! the final-action rule it glues together.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -43,7 +46,6 @@
 )]
 
 pub mod config;
-pub mod pipeline;
 pub mod session;
 pub mod stage;
 pub mod tables;
@@ -52,10 +54,7 @@ pub mod vnic;
 pub mod vswitch;
 
 pub use config::{CostModel, VSwitchConfig};
-pub use pipeline::{finalize_with_state, process_pkt, update_state};
-pub use pipeline::{PathTaken, ProcessOutcome, ProcessResult};
 pub use session::{SessionEntry, SessionTable};
-pub use stage::CostSlot;
 pub use tables::acl::{AclRule, AclTable, PortRange};
 pub use tables::nat::NatTable;
 pub use tables::policy::PolicyTable;
@@ -63,4 +62,4 @@ pub use tables::qos::QosTable;
 pub use tables::route::RouteTable;
 pub use tables::vnic_server::VnicServerMap;
 pub use vnic::{Vnic, VnicProfile, VnicTables};
-pub use vswitch::VSwitch;
+pub use vswitch::{PathTaken, ProcessOutcome, ProcessResult, VSwitch};

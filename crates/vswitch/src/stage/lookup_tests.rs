@@ -1,6 +1,7 @@
 //! Tests of the rule lookup: equivalence of [`rule_lookup`] against a
-//! second straight-line statement of the same table walk, and a literal
-//! case table that shares no code with either. They live beside the code
+//! second straight-line statement of the same table walk, a literal case
+//! table that shares no code with either, and worked `pair_lookup`
+//! examples on the default synthetic vNIC. They live beside the code
 //! because they read and build `Vnic::tables` directly, which is private
 //! to this crate. A change to the walk is made in `rule_lookup` and in
 //! `reference_lookup`, by hand, twice — that is the point.
@@ -306,4 +307,117 @@ proptest! {
             pair_lookup(&vnic, &tuple.reversed(), Direction::Rx)
         );
     }
+}
+
+// ---------------------------------------------------------------------
+// `pair_lookup` on the default synthetic vNIC.
+// ---------------------------------------------------------------------
+
+fn default_vnic() -> Vnic {
+    Vnic::new(
+        VnicId(1),
+        VpcId(1),
+        Ipv4Addr::new(10, 7, 0, 1),
+        VnicProfile::default(),
+        ServerId(0),
+    )
+}
+
+/// From the vNIC's own address to a mapped peer, outside the synthetic
+/// ACL drop ranges.
+fn tx_tuple() -> FiveTuple {
+    FiveTuple::tcp(
+        Ipv4Addr::new(10, 7, 0, 1),
+        40000,
+        Ipv4Addr::new(10, 7, 0, 100),
+        9000,
+    )
+}
+
+#[test]
+fn lookup_is_deterministic_and_direction_symmetric() {
+    let v = default_vnic();
+    let a = pair_lookup(&v, &tx_tuple(), Direction::Tx);
+    let b = pair_lookup(&v, &tx_tuple(), Direction::Tx);
+    assert_eq!(a, b);
+    // Looking up from the RX side of the same session yields the same
+    // bidirectional pair — this is what makes FE caching direction-
+    // agnostic.
+    let c = pair_lookup(&v, &tx_tuple().reversed(), Direction::Rx);
+    assert_eq!(a, c);
+}
+
+#[test]
+fn tx_preaction_resolves_next_hop() {
+    let r = pair_lookup(&default_vnic(), &tx_tuple(), Direction::Tx);
+    assert!(r.tx.next_hop.is_some(), "mapped peer must resolve");
+    assert_eq!(r.rx.next_hop, None, "ingress delivers locally");
+}
+
+#[test]
+fn unmapped_destination_uses_gateway() {
+    // A vNIC with no vNIC-server entries at all: destinations are
+    // routable via the default route but resolve to no server, which
+    // models egress via the VPC gateway (next_hop None, Accept).
+    let profile = VnicProfile {
+        vnic_server_entries: 0,
+        ..VnicProfile::default()
+    };
+    let v = Vnic::new(
+        VnicId(3),
+        VpcId(1),
+        Ipv4Addr::new(10, 7, 0, 1),
+        profile,
+        ServerId(0),
+    );
+    let t = FiveTuple::tcp(
+        Ipv4Addr::new(10, 7, 0, 1),
+        40000,
+        Ipv4Addr::new(172, 30, 1, 1),
+        9000,
+    );
+    let r = pair_lookup(&v, &t, Direction::Tx);
+    assert_eq!(r.tx.verdict, Decision::Accept);
+    assert_eq!(r.tx.next_hop, None);
+}
+
+#[test]
+fn pbr_overrides_destination_routing() {
+    let mut v = default_vnic();
+    // Map the policy hop to a concrete server, then steer the test
+    // subnet's 192.x sources through it.
+    let via = Ipv4Addr::new(10, 7, 250, 1);
+    v.tables.vnic_server.set(via, ServerId(42));
+    v.tables.pbr.insert(PbrRule {
+        src_prefix: (Ipv4Addr::new(10, 7, 192, 0), 24),
+        via,
+    });
+    let steered = FiveTuple::tcp(
+        Ipv4Addr::new(10, 7, 192, 5),
+        40000,
+        Ipv4Addr::new(10, 7, 0, 100),
+        9000,
+    );
+    let r = pair_lookup(&v, &steered, Direction::Tx);
+    assert_eq!(r.tx.next_hop, Some(ServerId(42)));
+    // Unsteered sources still follow the destination route.
+    let r = pair_lookup(&v, &tx_tuple(), Direction::Tx);
+    assert_ne!(r.tx.next_hop, Some(ServerId(42)));
+}
+
+#[test]
+fn blackhole_routes_drop_statelessly() {
+    let mut v = default_vnic();
+    v.tables
+        .route
+        .insert(Ipv4Addr::new(192, 0, 2, 0), 24, RouteTarget::Blackhole);
+    let t = FiveTuple::tcp(
+        Ipv4Addr::new(10, 7, 0, 1),
+        40000,
+        Ipv4Addr::new(192, 0, 2, 9),
+        9000,
+    );
+    let r = pair_lookup(&v, &t, Direction::Tx);
+    assert_eq!(r.tx.verdict, Decision::Drop);
+    assert!(!r.tx.stateful_acl, "routing drops are not stateful");
 }

@@ -1,5 +1,5 @@
-//! The slow path's two fixed pieces: the rule-table lookup, and the cost
-//! plans that split a CPU charge into per-stage shares.
+//! The slow path's two fixed pieces: the rule-table lookup, and the split
+//! of a CPU charge into per-stage shares.
 //!
 //! The paper's equivalence argument (§3.1) rests on the *same* rule
 //! lookup running at the traditional local vSwitch and at a Nezha FE, so
@@ -11,11 +11,8 @@
 //! * [`lookup`] — the walk over the rule tables (ACL, QoS, policy, PBR,
 //!   route, vNIC-server, NAT, mirror): [`lookup::rule_lookup`] for one
 //!   direction, [`lookup::pair_lookup`] for a session;
-//! * [`costing`] — the fast/slow [`CostSlot`] plans, realized against a
-//!   charged cycle total (exact reconciliation) and mapped onto profiler
-//!   stage handles.
+//! * [`costing`] — [`costing::charge_leaves`]: one charged cycle total on
+//!   the fast or slow path, split exactly into profiler stage leaves.
 
 pub mod costing;
 pub mod lookup;
-
-pub use costing::{CostSlot, FAST_PLAN, SLOW_PLAN};

@@ -3,13 +3,12 @@
 //! [`VSwitch::process_local`] implements the traditional architecture of
 //! the paper's Fig. 1 as one straight-line function: look up the session
 //! (fast path) or the rule tables (slow path, via [`pair_lookup`]), all
-//! charged against the CPU server and the table memory pool owned here.
-//! `nezha-core` builds the BE and FE roles from the finer-grained
-//! primitives also exposed here ([`VSwitch::charge`], [`VSwitch::vnic`],
-//! the session table).
+//! charged against the CPU server and the table memory pool owned here,
+//! then [`SessionState::process_pkt`]. `nezha-core` builds the BE and FE
+//! roles from the finer-grained primitives also exposed here
+//! ([`VSwitch::charge`], [`VSwitch::vnic`], the session table).
 
 use crate::config::VSwitchConfig;
-use crate::pipeline::{self, PathTaken, ProcessOutcome, ProcessResult};
 use crate::session::SessionTable;
 use crate::stage::costing;
 use crate::stage::lookup::pair_lookup;
@@ -21,10 +20,64 @@ use nezha_sim::resources::{CpuOutcome, CpuServer, MemoryPool, OutOfMemory};
 use nezha_sim::telemetry::Telemetry;
 use nezha_sim::time::SimTime;
 use nezha_sim::trace::{DropReason, TraceEventKind};
-use nezha_types::{Decision, Packet, SessionKey, SessionState, VnicId};
+use nezha_types::{Action, Decision, Packet, SessionKey, SessionState, VnicId};
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 pub use crate::telemetry::VSwitchCounters;
+
+/// Which processing path a packet took.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+pub enum PathTaken {
+    /// Exact-match hit on the cached flow.
+    Fast,
+    /// Full rule-table lookup.
+    Slow,
+}
+
+/// Terminal outcome for one packet.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum ProcessOutcome {
+    /// The packet proceeds with this final action.
+    Forwarded(Action),
+    /// Dropped by policy (final ACL verdict).
+    AclDrop,
+    /// Dropped: no route covers the destination.
+    Unroutable,
+    /// Dropped: per-class QoS rate exceeded.
+    RateLimited,
+    /// Dropped: the vSwitch CPU backlog bound was exceeded (overload).
+    CpuOverload,
+}
+
+impl ProcessOutcome {
+    /// True when the packet survived.
+    pub fn is_forwarded(&self) -> bool {
+        matches!(self, ProcessOutcome::Forwarded(_))
+    }
+}
+
+/// Full result of processing one packet at one vSwitch.
+#[derive(Clone, Copy, Debug)]
+pub struct ProcessResult {
+    /// What happened.
+    pub outcome: ProcessOutcome,
+    /// Which path the packet took; `None` for CPU drops (an overloaded
+    /// switch rejects the packet before it takes any path).
+    pub path: Option<PathTaken>,
+    /// The nominal cycles (before gray-failure scaling) the switch priced
+    /// this packet at: charged on success, attempted on a CPU drop. An
+    /// unknown vNIC is priced as a table-less slow path, though nothing
+    /// is charged for it.
+    pub cycles: u64,
+    /// When the vSwitch finished with the packet (includes CPU queueing).
+    pub done_at: SimTime,
+    /// True when a new session entry was created by this packet.
+    pub created_session: bool,
+    /// True when session-table memory was exhausted and the flow is being
+    /// processed without caching (a #concurrent-flows overload signal).
+    pub session_overflow: bool,
+}
 
 /// A SmartNIC vSwitch instance.
 #[derive(Debug)]
@@ -366,12 +419,12 @@ impl VSwitch {
         let action = match entry {
             Some(e) => {
                 e.last_seen = now;
-                pipeline::process_pkt(&pre, &mut e.state, pkt)
+                e.state.process_pkt(&pre, pkt)
             }
             // Session memory exhausted: process against ephemeral state
             // (stateful guarantees degrade exactly as they would on a
             // real overflowing switch).
-            None => pipeline::process_pkt(&pre, &mut SessionState::default(), pkt),
+            None => SessionState::default().process_pkt(&pre, pkt),
         };
         result.outcome = if action.verdict == Decision::Drop {
             ProcessOutcome::AclDrop

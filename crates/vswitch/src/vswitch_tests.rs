@@ -577,3 +577,10 @@ fn process_local_outcome_table() {
         }
     }
 }
+
+#[test]
+fn outcome_helpers() {
+    assert!(ProcessOutcome::Forwarded(Action::drop()).is_forwarded());
+    assert!(!ProcessOutcome::AclDrop.is_forwarded());
+    assert!(!ProcessOutcome::CpuOverload.is_forwarded());
+}

@@ -16,9 +16,12 @@
 #
 # Usage: scripts/check.sh [--fast]
 #   --fast   skip the full test suite (quick pre-commit run); still runs
-#            the vswitch crate's tests (the rule lookup vs its reference
-#            and case table, the exact cost-plan reconciliation properties,
-#            the process_local outcome table), the `nezha-sim` dense
+#            the `nezha-types` tests (the session-state transitions and
+#            `process_pkt`, the BE->FE state carry through the wire, the
+#            one NSH encoder and its parser), the vswitch crate's tests
+#            (the rule lookup vs its reference and case table, the cost
+#            split's exact-sum and stage-order properties, the
+#            process_local outcome table), the `nezha-sim` dense
 #            tests (every per-packet table rests on `DenseMap`'s slot
 #            encoding) and engine tests (the unit tests and the proptest
 #            against a `BinaryHeap` model: every event goes through the
@@ -58,7 +61,9 @@ echo "==> RUSTDOCFLAGS=-Dwarnings cargo doc --workspace --no-deps"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
 if [ "$fast" -eq 1 ]; then
-    echo "==> cargo test -q -p nezha-vswitch   (--fast: rule lookup vs its reference + cost-plan properties)"
+    echo "==> cargo test -q -p nezha-types   (--fast: state transitions, the TX carry, the NSH codec)"
+    cargo test -q -p nezha-types
+    echo "==> cargo test -q -p nezha-vswitch   (--fast: rule lookup vs its reference + cost-split properties)"
     cargo test -q -p nezha-vswitch
     echo "==> cargo test -q -p nezha-sim dense   (--fast: DenseMap slot encoding vs its BTreeMap model)"
     cargo test -q -p nezha-sim dense

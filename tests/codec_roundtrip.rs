@@ -87,13 +87,19 @@ fn nsh_strategy() -> impl Strategy<Value = NezhaHeader> {
         })
 }
 
+/// The header's bytes, through the one NSH encoder.
+fn encode_nsh(h: &NezhaHeader) -> Vec<u8> {
+    let mut buf = [0u8; NezhaHeader::MAX_WIRE_LEN];
+    let n = h.encode_into(&mut buf);
+    buf[..n].to_vec()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(500))]
 
     #[test]
     fn nsh_round_trips(h in nsh_strategy()) {
-        let mut buf = BytesMut::new();
-        h.encode(&mut buf);
+        let buf = encode_nsh(&h);
         prop_assert_eq!(buf.len(), h.wire_len());
         let (decoded, used) = NezhaHeader::decode(&buf).unwrap();
         prop_assert_eq!(decoded, h);
@@ -194,8 +200,7 @@ proptest! {
         h in nsh_strategy(),
         cut in 0usize..48,
     ) {
-        let mut buf = BytesMut::new();
-        h.encode(&mut buf);
+        let buf = encode_nsh(&h);
         let cut = cut.min(buf.len());
         // Must return an error or a valid prefix decode — never panic.
         let _ = NezhaHeader::decode(&buf[..cut]);
@@ -269,8 +274,7 @@ mod seeded {
         let mut rng = SimRng::new(0x4e5a_0001);
         for case in 0..1000 {
             let h = random_header(&mut rng);
-            let mut buf = BytesMut::new();
-            h.encode(&mut buf);
+            let buf = encode_nsh(&h);
             assert_eq!(buf.len(), h.wire_len(), "case {case}: wire_len mismatch");
             let (decoded, consumed) =
                 NezhaHeader::decode(&buf).unwrap_or_else(|e| panic!("case {case}: {e:?}"));
@@ -288,8 +292,7 @@ mod seeded {
         let mut rng = SimRng::new(0x4e5a_0002);
         for case in 0..200 {
             let h = random_header(&mut rng);
-            let mut buf = BytesMut::new();
-            h.encode(&mut buf);
+            let buf = encode_nsh(&h);
             for cut in 0..buf.len() {
                 match NezhaHeader::decode(&buf[..cut]) {
                     Err(CodecError::Truncated { .. }) => {}

@@ -19,9 +19,9 @@
 //! direction, TCP FSM, decap state — must match bit for bit.
 
 use nezha::types::{
-    Direction, FiveTuple, Ipv4Addr, Packet, ServerId, SessionState, TcpFlags, VnicId, VpcId,
+    Direction, FiveTuple, Ipv4Addr, NezhaHeader, NezhaPayloadKind, Packet, ServerId, SessionState,
+    TcpFlags, VnicId, VpcId,
 };
-use nezha::vswitch::pipeline::{finalize_with_state, process_pkt, update_state};
 use nezha::vswitch::stage::lookup::pair_lookup;
 use nezha::vswitch::tables::acl::{AclRule, PortRange};
 use nezha::vswitch::vnic::{Vnic, VnicProfile};
@@ -165,7 +165,7 @@ proptest! {
             let pkt = make_packet(tuple, s, i as u64);
             let pair = *mono_pair
                 .get_or_insert_with(|| pair_lookup(&vnic, &pkt.tuple, pkt.dir));
-            let action = process_pkt(pair.for_direction(pkt.dir), &mut mono_state, &pkt);
+            let action = mono_state.process_pkt(pair.for_direction(pkt.dir), &pkt);
             mono_actions.push(action);
         }
 
@@ -179,18 +179,16 @@ proptest! {
             match pkt.dir {
                 Direction::Tx => {
                     // BE half: packet-derived state transitions, then the
-                    // state snapshot travels in the NSH header.
-                    update_state(None, &mut be_state, &pkt);
-                    let carried = SessionState {
-                        first_dir: be_state.first_dir,
-                        decap: be_state.decap,
-                        ..SessionState::default()
-                    };
+                    // state snapshot travels in the NSH header — the
+                    // datapath's own carry, both ways.
+                    be_state.update(None, &pkt);
+                    let mut nsh = NezhaHeader::bare(NezhaPayloadKind::TxCarry, pkt.vnic, pkt.vpc);
+                    nsh.carry_state(&be_state);
                     // FE half: look up (or hit the cached) pre-actions and
                     // finalize with the carried state.
                     let pair = *fe_cached
                         .get_or_insert_with(|| pair_lookup(&vnic, &pkt.tuple, pkt.dir));
-                    split_actions.push(finalize_with_state(&pair.tx, &carried, &pkt));
+                    split_actions.push(nsh.carried_state().finalize(&pair.tx, &pkt));
                 }
                 Direction::Rx => {
                     // FE half: pre-actions piggybacked (plus the overlay
@@ -199,7 +197,7 @@ proptest! {
                         .get_or_insert_with(|| pair_lookup(&vnic, &pkt.tuple, pkt.dir));
                     // BE half: the packet arrives with its decap info
                     // restored from the header; full transition + final.
-                    split_actions.push(process_pkt(&pair.rx, &mut be_state, &pkt));
+                    split_actions.push(be_state.process_pkt(&pair.rx, &pkt));
                 }
             }
         }
