@@ -134,7 +134,8 @@ pub struct Cluster {
     pub(crate) vms: DenseMap<VnicId, VmModel>,
     /// Connection states by id. Ids are handed out sequentially from 1
     /// and never reused; records are freed a chunk at a time once every
-    /// connection in the chunk is terminal.
+    /// connection in the chunk is terminal. Also the queue of unstarted
+    /// connections registered in start order ([`Cluster::add_conn`]).
     pub(crate) conns: ConnTable,
     /// In-flight packets parked between schedule and arrival — each
     /// with the instant its network journey began — addressed by the
@@ -495,6 +496,14 @@ impl Cluster {
     /// Registers a connection and schedules its start. Peer addresses are
     /// mapped automatically. Returns the connection id.
     ///
+    /// A future start reserves its engine sequence number now and, when
+    /// it is no earlier than the last one chained, waits in the
+    /// connection table's start chain instead of the event queue (see
+    /// [`Engine::reserve_seq`]): delivery order is unchanged, and an
+    /// unstarted connection costs no queue entry. An [`Engine::clear`]
+    /// drops the chain's queued head, and with it every start chained
+    /// behind it, registered before or after.
+    ///
     /// Errors with [`NezhaError::UnknownVnic`] when `spec.vnic` was never
     /// [added](Cluster::add_vnic).
     pub fn add_conn(&mut self, spec: ConnSpec) -> NezhaResult<u64> {
@@ -506,9 +515,27 @@ impl Cluster {
         };
         self.map_peer(spec.vnic, peer_addr, spec.peer_server)?;
         let id = self.conns.push(spec);
-        self.engine
-            .schedule_at(spec.start, Event::StartConn { conn: id });
+        let start = Event::StartConn { conn: id };
+        if spec.start <= self.engine.now() {
+            // Due now: the `immediate` lane may be its place.
+            self.engine.schedule_at(spec.start, start);
+        } else {
+            let seq = self.engine.reserve_seq();
+            if self.conns.chain_start(id, spec.start, seq) {
+                self.engine.schedule_reserved(spec.start, seq, start);
+            }
+        }
         Ok(id)
+    }
+
+    /// Connection `id` starts: queues the start chain's next `StartConn`
+    /// when `id` headed it, then injects the first step.
+    pub(crate) fn start_conn(&mut self, id: u64, now: SimTime) {
+        if let Some((next, at, seq)) = self.conns.start_next(id) {
+            self.engine
+                .schedule_reserved(at, seq, Event::StartConn { conn: next });
+        }
+        self.inject_step(id, 0, now);
     }
 
     /// The state of connection `id` (ids start at 1; 0, probe traces and

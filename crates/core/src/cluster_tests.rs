@@ -768,6 +768,88 @@ fn post_settle_registration_conserves_events_and_packets() {
     assert_eq!(injected as u64, stats.pkts.ok + stats.pkts.dropped);
 }
 
+/// Starts chained behind one queued `StartConn` and starts queued
+/// directly keep the order queueing every start at registration gives:
+/// by due instant, then by id (registration order). Mixed in: ties with
+/// the chain's tail, decreasing starts, a start at the instant being
+/// drained, starts in the past (clamped to the clock), appends while the
+/// chain runs, and a new chain after the first has drained. Every
+/// connection starts exactly once and completes.
+#[test]
+fn conn_starts_keep_registration_order_through_the_chain_and_its_fallbacks() {
+    let mut c = small_cluster(false);
+    let idle_pending = c.engine.pending();
+    let ms = SimDuration::from_millis(1);
+    // (due instant, id) of every registration, and the starts popped.
+    let mut want: Vec<(SimTime, u64)> = Vec::new();
+    let mut got: Vec<(SimTime, u64)> = Vec::new();
+    let mut n = 0u16;
+    let mut register = |c: &mut Cluster, want: &mut Vec<(SimTime, u64)>, at: SimTime| {
+        let id = c.add_conn(inbound_spec(n, at)).unwrap();
+        n += 1;
+        want.push((at.max(c.now()), id));
+        id
+    };
+    let drive = |c: &mut Cluster, got: &mut Vec<(SimTime, u64)>, to: SimTime| {
+        while let Some(s) = c.engine.pop_until(to) {
+            if let Event::StartConn { conn } = s.event {
+                got.push((s.at, conn));
+            }
+            c.handle(s.event, s.at);
+        }
+    };
+
+    // At t = 0: a start at the clock itself, a rising chain with ties,
+    // and behind every fourth a decreasing start tying an earlier link.
+    let t0 = SimTime(0);
+    register(&mut c, &mut want, t0);
+    for i in 1..=16u64 {
+        register(&mut c, &mut want, t0 + ms.times(i / 2 * 2));
+        if i % 4 == 0 {
+            register(&mut c, &mut want, t0 + ms.times(10 - i / 2));
+        }
+    }
+    assert_eq!(c.engine.pending(), idle_pending + want.len());
+    drive(&mut c, &mut got, t0 + ms.times(6));
+
+    // Mid-chain: a start at the instant being drained, appended while
+    // the instant drains, then past, present, tail-tying, later and
+    // earlier-than-the-tail starts.
+    let head = loop {
+        let s = c.engine.pop().expect("the chain's 8 ms start is queued");
+        match s.event {
+            Event::StartConn { conn } if s.at >= t0 + ms.times(8) => {
+                got.push((s.at, conn));
+                break s;
+            }
+            Event::StartConn { conn } => got.push((s.at, conn)),
+            _ => {}
+        }
+        c.handle(s.event, s.at);
+    };
+    register(&mut c, &mut want, head.at);
+    c.handle(head.event, head.at);
+    let now = c.now();
+    register(&mut c, &mut want, SimTime(now.0 - ms.nanos()));
+    register(&mut c, &mut want, now);
+    register(&mut c, &mut want, t0 + ms.times(16));
+    register(&mut c, &mut want, t0 + ms.times(20));
+    register(&mut c, &mut want, t0 + ms.times(12));
+    drive(&mut c, &mut got, t0 + ms.times(40));
+
+    // The chain has drained: a fresh one.
+    for i in [50, 45, 50, 60] {
+        register(&mut c, &mut want, t0 + ms.times(i));
+    }
+    drive(&mut c, &mut got, t0 + SimDuration::from_secs(5));
+
+    want.sort_unstable();
+    assert_eq!(got, want);
+    let stats = c.stats();
+    assert_eq!(stats.completed, want.len() as u64);
+    assert_eq!(c.engine.pending(), idle_pending);
+}
+
 /// Resident connection records, and the `InFlight` ones among them.
 fn conn_records(c: &Cluster) -> (usize, usize) {
     let live = c

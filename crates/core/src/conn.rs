@@ -150,6 +150,11 @@ pub struct ConnState {
     pub retries: u16,
     /// Terminal status.
     pub status: ConnStatus,
+    /// For a connection whose start waits behind another in
+    /// [`ConnTable`]'s start chain, the engine sequence number reserved
+    /// for its `StartConn` minus the previous chained one's; 0 for every
+    /// other connection. Fits the record's padding.
+    pub(crate) start_seq_delta: u32,
 }
 
 // One registered connection per cache line: the table is the largest
@@ -169,8 +174,9 @@ pub enum ConnStatus {
     Failed,
 }
 
-/// Connections per [`ConnTable`] chunk: 256 KiB of [`ConnState`]s.
-pub(crate) const CHUNK: usize = 4096;
+/// Connections per [`ConnTable`] chunk: 64 B short of 256 KiB of
+/// [`ConnState`]s, so a chunk and its allocator header fit 64 pages.
+pub(crate) const CHUNK: usize = 4095;
 
 /// The registered connections, by id.
 ///
@@ -183,6 +189,14 @@ pub(crate) const CHUNK: usize = 4096;
 /// handler ever needs a freed record: `get` of a freed id is `None`,
 /// the same no-op every handler performs for a non-`InFlight`
 /// connection.
+///
+/// The table is also the start queue of connections registered in
+/// non-decreasing `start` order: the *start chain*. Each chained
+/// connection holds an engine sequence number reserved at registration
+/// (as a delta, [`ConnState::start_seq_delta`]), and only the lowest
+/// unstarted one has its `StartConn` queued. Its handler files the next
+/// one under its reserved `(start, seq)` key, so delivery order is what
+/// queueing every start at registration gives.
 #[derive(Debug, Default)]
 pub(crate) struct ConnTable {
     /// `None` once the chunk is freed.
@@ -191,6 +205,11 @@ pub(crate) struct ConnTable {
     open: Vec<u16>,
     /// Connections ever registered: the last id handed out.
     len: u64,
+    /// The chained connection whose `StartConn` is queued: `(id, seq)`.
+    /// `None` once the chain has drained.
+    chain_head: Option<(u64, u64)>,
+    /// The last chained connection: `(id, start, seq)`.
+    chain_tail: (u64, SimTime, u64),
 }
 
 /// `(chunk, index)` of connection `id`; `None` for id 0.
@@ -207,6 +226,7 @@ impl ConnTable {
             pos: 0,
             retries: 0,
             status: ConnStatus::InFlight,
+            start_seq_delta: 0,
         };
         match self.chunks.last_mut() {
             // A freed chunk was full, so only a resident tail has room.
@@ -258,6 +278,43 @@ impl ConnTable {
             self.chunks[c] = None;
         }
         true
+    }
+
+    /// Chains the start of the just-registered connection `id`, due at
+    /// `start`, whose `StartConn` holds the reserved engine sequence
+    /// number `seq`. Returns whether that event must be queued now: for
+    /// a chain head (nothing else is queued), or when `id` cannot wait
+    /// behind the tail (an earlier start, or a sequence gap too wide to
+    /// record).
+    pub(crate) fn chain_start(&mut self, id: u64, start: SimTime, seq: u64) -> bool {
+        let (_, tail_start, tail_seq) = self.chain_tail;
+        let delta = u32::try_from(seq - tail_seq).ok();
+        match (self.chain_head, delta) {
+            (None, _) => self.chain_head = Some((id, seq)),
+            (Some(_), Some(delta)) if start >= tail_start => {
+                if let Some(conn) = self.get_mut(id) {
+                    conn.start_seq_delta = delta;
+                }
+            }
+            _ => return true,
+        }
+        self.chain_tail = (id, start, seq);
+        self.chain_head == Some((id, seq))
+    }
+
+    /// Connection `id` starts. When it is the chain head, advances the
+    /// head and returns the new one's `(id, start, seq)`: the `StartConn`
+    /// to queue next.
+    pub(crate) fn start_next(&mut self, id: u64) -> Option<(u64, SimTime, u64)> {
+        let (head, seq) = self.chain_head.filter(|&(head, _)| head == id)?;
+        // Unchained ids in between (their chunks possibly freed) are
+        // skipped: each id is scanned at most once per chain.
+        let next = (head + 1..=self.chain_tail.0).find_map(|next| {
+            let conn = self.get(next).filter(|c| c.start_seq_delta != 0)?;
+            Some((next, conn.spec.start, seq + u64::from(conn.start_seq_delta)))
+        });
+        self.chain_head = next.map(|(next, _, seq)| (next, seq));
+        next
     }
 
     /// The resident records, in id order.

@@ -126,7 +126,7 @@ impl Cluster {
                 let (pkt, sent_at) = self.pkt_slab.take(pkt);
                 self.handle_arrive(server, pkt, sent_at, now);
             }
-            Event::StartConn { conn } => self.inject_step(conn, 0, now),
+            Event::StartConn { conn } => self.start_conn(conn, now),
             Event::AdvanceConn { conn, from_step } => self.advance_conn(conn, from_step, now),
             Event::RetryStep { conn, step } => self.retry_step(conn, step, now),
             Event::ControllerTick => self.controller_tick(now),

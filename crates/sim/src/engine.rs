@@ -13,6 +13,16 @@
 //! bucket per `RUNG` fine widths, for everything past the fine rung's
 //! end). An entry moves coarse → fine → run at most once each: the
 //! two-rung ladder queue of Tang, Goh & Thng (ACM TOMACS 2005).
+//!
+//! Reserved sequence numbers: [`Engine::reserve_seq`] takes the next
+//! `seq` (counted in `engine.scheduled` and in [`Engine::pending`], as a
+//! schedule would be) without queueing anything, and
+//! [`Engine::schedule_reserved`] later files the event under that
+//! original `(at, seq)` key. It pops exactly where a `schedule_at(at, _)`
+//! made at reservation time would have, provided the caller files it no
+//! later than its due instant and reserved it before that instant began
+//! draining (`at > now()` at reservation). A caller holding many
+//! reservations pays one queue entry only for those it has filed.
 
 use crate::metrics::{CounterHandle, MetricsRegistry};
 use crate::time::{SimDuration, SimTime};
@@ -125,6 +135,9 @@ pub struct Engine<E> {
     /// so steady-state scheduling never touches the allocator (capacity
     /// is invisible to behavior; only contents are). At most [`RUNG`].
     spare: Vec<Vec<Entry<E>>>,
+    /// Sequence numbers reserved and not yet filed: pending events that
+    /// have no entry yet.
+    reserved: usize,
     processed: u64,
     telemetry: Option<EngineTelemetry>,
 }
@@ -174,6 +187,7 @@ impl<E> Engine<E> {
             immediate: VecDeque::new(),
             draining_at: None,
             spare: Vec::new(),
+            reserved: 0,
             processed: 0,
             telemetry: None,
         }
@@ -219,9 +233,9 @@ impl<E> Engine<E> {
         self.processed
     }
 
-    /// Number of events still pending.
+    /// Number of events still pending, reserved ones included.
     pub fn pending(&self) -> usize {
-        self.run.len() + self.staged_len + self.immediate.len()
+        self.run.len() + self.staged_len + self.immediate.len() + self.reserved
     }
 
     /// The run/ladder boundary: keys due strictly before this live in
@@ -305,20 +319,55 @@ impl<E> Engine<E> {
     /// clamped to `now` — the simulator never travels backwards.
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
         let at = at.max(self.now);
-        let seq = self.seq;
-        self.seq += 1;
-        if let Some(tel) = &self.telemetry {
-            tel.registry.inc(tel.scheduled);
-        }
+        let seq = self.next_seq();
         if self.draining_at == Some(at) {
             // `at == now`: see `immediate`.
             self.immediate.push_back(event);
             return;
         }
-        let entry = Entry { at, seq, event };
+        self.file(Entry { at, seq, event });
+    }
+
+    /// Takes the next sequence number, counted as scheduled and as
+    /// pending, for an event to be filed later with
+    /// [`Engine::schedule_reserved`] (module docs: the contract).
+    pub fn reserve_seq(&mut self) -> u64 {
+        self.reserved += 1;
+        self.next_seq()
+    }
+
+    /// Files `event` under the key `(at, seq)` taken by
+    /// [`Engine::reserve_seq`], no later than `at` itself. Never the
+    /// `immediate` lane: the reservation predates the instant's draining,
+    /// so at the draining instant the entry belongs in the run, ahead of
+    /// every immediate.
+    pub fn schedule_reserved(&mut self, at: SimTime, seq: u64, event: E) {
+        debug_assert!(at >= self.now && seq < self.seq, "stale reservation");
+        // Saturating: a reservation taken before a `clear` is filed as a
+        // fresh event.
+        self.reserved = self.reserved.saturating_sub(1);
+        self.file(Entry { at, seq, event });
+    }
+
+    /// The next sequence number, counted in `engine.scheduled`.
+    #[inline]
+    fn next_seq(&mut self) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        if let Some(tel) = &self.telemetry {
+            tel.registry.inc(tel.scheduled);
+        }
+        seq
+    }
+
+    /// Puts `entry` (due at or after `now`) in the run or on a rung.
+    #[inline]
+    fn file(&mut self, entry: Entry<E>) {
+        let at = entry.at;
         if at.0 < self.horizon_ns() {
             // Below the horizon: merge into the (descending-sorted) run.
-            let pos = self.run.partition_point(|e| e.key() > (at, seq));
+            let key = entry.key();
+            let pos = self.run.partition_point(|e| e.key() > key);
             self.run.insert(pos, entry);
             return;
         }
@@ -424,7 +473,8 @@ impl<E> Engine<E> {
         );
     }
 
-    /// Due time of the next pending event, if any.
+    /// Due time of the next filed event, if any (a reservation not yet
+    /// filed has no due time).
     pub fn peek_time(&self) -> Option<SimTime> {
         let earliest = |b: &Vec<Entry<E>>| b.iter().map(|e| e.at).min();
         self.resident_due()
@@ -432,8 +482,10 @@ impl<E> Engine<E> {
             .or_else(|| self.far.iter().find_map(earliest))
     }
 
-    /// Drops all pending events (used when tearing down a scenario).
+    /// Drops all pending events, reservations included (used when tearing
+    /// down a scenario).
     pub fn clear(&mut self) {
+        self.reserved = 0;
         self.run.clear();
         self.buckets.clear();
         self.far.clear();
@@ -588,11 +640,27 @@ mod tests {
     }
 
     #[test]
+    fn a_reserved_event_keeps_its_place_at_the_draining_instant() {
+        let mut eng = Engine::new();
+        eng.schedule_at(SimTime(10), "first");
+        let seq = eng.reserve_seq();
+        assert_eq!(eng.pending(), 2);
+        assert_eq!(eng.pop().unwrap().event, "first");
+        // Scheduled while instant 10 drains: after the reservation.
+        eng.schedule_at(SimTime(10), "immediate");
+        eng.schedule_reserved(SimTime(10), seq, "reserved");
+        let order: Vec<_> = std::iter::from_fn(|| eng.pop()).map(|s| s.event).collect();
+        assert_eq!(order, ["reserved", "immediate"]);
+        assert_eq!((eng.pending(), eng.processed()), (0, 3));
+    }
+
+    #[test]
     fn clear_empties_queue() {
         let mut eng = Engine::new();
         eng.schedule_at(SimTime(1), ());
         eng.schedule_at(SimTime(2), ());
-        assert_eq!(eng.pending(), 2);
+        eng.reserve_seq();
+        assert_eq!(eng.pending(), 3);
         eng.clear();
         assert_eq!(eng.pending(), 0);
         assert!(eng.pop().is_none());

@@ -2,13 +2,14 @@
 //! conservation laws, utilization-window behaviour, and topology metrics.
 
 use nezha_sim::engine::Engine;
+use nezha_sim::metrics::MetricsRegistry;
 use nezha_sim::resources::{CpuServer, MemoryPool, UtilizationWindow};
 use nezha_sim::time::{SimDuration, SimTime};
 use nezha_sim::topology::{Topology, TopologyConfig};
 use nezha_types::ServerId;
 use proptest::prelude::*;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// The reference the engine is compared against: a binary heap ordered by
 /// `(at, seq)` and the two documented pop flavours, nothing else.
@@ -171,6 +172,119 @@ fn check_against_model(
     Ok(())
 }
 
+/// Schedules `setup` up front — each entry either queued or only
+/// reserved — then replays `ops` (pops, bounded pops, new schedules and
+/// early filings of a reservation) on `eng` and on a model that queued
+/// everything up front. A reservation still unfiled when it is the
+/// model's next event is filed right then: at the instant being drained
+/// when an equal-time entry popped before it, below the horizon when its
+/// bucket is already promoted. An early filing of a far-future key
+/// lands on the coarse rung.
+fn check_reservations_against_model(
+    mut eng: Engine<u32>,
+    scale: u64,
+    setup: &[(u64, u64, bool)],
+    ops: &[(u32, u64, u64)],
+) -> Result<(), TestCaseError> {
+    let reg = MetricsRegistry::new();
+    eng.attach_metrics(&reg);
+    let mut model = ModelQueue::default();
+    // Unfiled reservations by seq: (at, event).
+    let mut unfiled: BTreeMap<u64, (u64, u32)> = BTreeMap::new();
+    let mut next_ev = 0u32;
+    for &(kind, raw, reserve) in setup {
+        let at = offset(kind, raw, scale);
+        if reserve {
+            let seq = eng.reserve_seq();
+            prop_assert_eq!(seq, model.seq);
+            unfiled.insert(seq, (at, next_ev));
+        } else {
+            eng.schedule_at(SimTime(at), next_ev);
+        }
+        model.schedule_at(at, next_ev);
+        next_ev += 1;
+    }
+    // Files the model's next event if it is an unfiled reservation due
+    // by `deadline`: the latest the contract allows.
+    let file_due = |eng: &mut Engine<u32>,
+                    model: &ModelQueue,
+                    unfiled: &mut BTreeMap<u64, (u64, u32)>,
+                    deadline: u64| {
+        if let Some(Reverse((at, seq, _))) = model.heap.peek() {
+            if *at <= deadline {
+                if let Some((at, ev)) = unfiled.remove(seq) {
+                    eng.schedule_reserved(SimTime(at), *seq, ev);
+                }
+            }
+        }
+    };
+    for (step, &(op, a, b)) in ops.iter().enumerate() {
+        match op {
+            0..=3 => {
+                file_due(&mut eng, &model, &mut unfiled, u64::MAX);
+                let got = eng.pop().map(|s| (s.at.0, s.event));
+                prop_assert_eq!(got, model.pop(), "step {step}: pop");
+            }
+            4 => {
+                let t = model.now + offset(a, b, scale);
+                file_due(&mut eng, &model, &mut unfiled, t);
+                let got = eng.pop_until(SimTime(t)).map(|s| (s.at.0, s.event));
+                prop_assert_eq!(got, model.pop_until(t), "step {step}: pop_until({t})");
+            }
+            // A new schedule, often at the instant being drained (the
+            // `immediate` lane every earlier reservation must precede).
+            5 | 6 => {
+                let at = if b % 2 == 0 {
+                    model.now
+                } else {
+                    model.now + offset(a, b, scale)
+                };
+                eng.schedule_at(SimTime(at), next_ev);
+                model.schedule_at(at, next_ev);
+                next_ev += 1;
+            }
+            // An early filing of any outstanding reservation.
+            _ => {
+                let nth = usize::try_from(a).unwrap_or(0) % unfiled.len().max(1);
+                if let Some(&seq) = unfiled.keys().nth(nth) {
+                    if let Some((at, ev)) = unfiled.remove(&seq) {
+                        eng.schedule_reserved(SimTime(at), seq, ev);
+                    }
+                }
+            }
+        }
+        prop_assert_eq!(eng.now().0, model.now, "step {step} (op {op}): now");
+        prop_assert_eq!(
+            eng.pending(),
+            model.heap.len(),
+            "step {step} (op {op}): pending"
+        );
+        prop_assert_eq!(
+            eng.processed(),
+            model.processed,
+            "step {step} (op {op}): processed"
+        );
+        let snap = reg.snapshot();
+        prop_assert_eq!(
+            snap.counter("engine.scheduled"),
+            model.seq,
+            "step {step}: scheduled"
+        );
+        prop_assert_eq!(snap.counter("engine.processed"), model.processed);
+    }
+    loop {
+        file_due(&mut eng, &model, &mut unfiled, u64::MAX);
+        let want = model.pop();
+        prop_assert_eq!(eng.pop().map(|s| (s.at.0, s.event)), want);
+        if want.is_none() {
+            break;
+        }
+    }
+    prop_assert!(unfiled.is_empty());
+    prop_assert_eq!(eng.pending(), 0);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
@@ -189,6 +303,21 @@ proptest! {
         check_against_model(Engine::with_bucket_width(epoch), 1, &ops)?;
         check_against_model(Engine::with_bucket_width(epoch), 1_000_000, &ops)?;
         check_against_model(Engine::with_bucket_width(epoch), 100_000_000, &ops)?;
+    }
+
+    /// Reserving a random subset of the schedules and filing each later,
+    /// anywhere up to its own pop, delivers what scheduling everything
+    /// up front delivers, with the same pending, processed and scheduled
+    /// counts at every step — at the datapath's 20 µs buckets (600 ms
+    /// offsets cross the coarse rung) and at an epoch-wide width.
+    #[test]
+    fn engine_reserved_events_pop_where_they_were_reserved(
+        setup in prop::collection::vec((0u64..5, any::<u64>(), any::<bool>()), 1..120),
+        ops in prop::collection::vec((0u32..9, any::<u64>(), any::<u64>()), 1..250),
+    ) {
+        let epoch = SimDuration::from_secs(1800);
+        check_reservations_against_model(Engine::new(), 1, &setup, &ops)?;
+        check_reservations_against_model(Engine::with_bucket_width(epoch), 1_000_000, &setup, &ops)?;
     }
 
     /// Pops are globally ordered by (time, schedule sequence), regardless

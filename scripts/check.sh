@@ -23,11 +23,14 @@
 #            split's exact-sum and stage-order properties, the
 #            process_local outcome table), the `nezha-sim` dense
 #            tests (every per-packet table rests on `DenseMap`'s slot
-#            encoding) and engine tests (the unit tests and the proptest
-#            against a `BinaryHeap` model: every event goes through the
-#            two-rung ladder), the `nezha-core` connection tests (the
-#            chunked connection table's unit tests and the cluster runs
-#            that check it frees every finished chunk), the reduced chaos
+#            encoding) and engine tests (the unit tests and the two
+#            proptests against a `BinaryHeap` model: every event goes
+#            through the two-rung ladder, and a reserved sequence number
+#            filed late pops where it was reserved), the `nezha-core`
+#            connection tests (the chunked connection table's unit tests,
+#            the cluster runs that check it frees every finished chunk,
+#            and `conn_starts_keep_registration_order_through_the_chain_and_its_fallbacks`:
+#            the start chain against queue-every-start order), the reduced chaos
 #            smoke scenario
 #            so the fault-injection path is never shipped unexercised,
 #            plus the profiler smoke run
@@ -69,7 +72,7 @@ if [ "$fast" -eq 1 ]; then
     cargo test -q -p nezha-sim dense
     echo "==> cargo test -q -p nezha-sim engine   (--fast: the event ladder vs its BinaryHeap model)"
     cargo test -q -p nezha-sim engine
-    echo "==> cargo test -q -p nezha-core conn   (--fast: the connection table frees finished chunks)"
+    echo "==> cargo test -q -p nezha-core conn   (--fast: the connection table frees finished chunks and keeps start order)"
     cargo test -q -p nezha-core conn
     echo "==> cargo test -q --test chaos smoke_   (--fast: reduced chaos scenario)"
     cargo test -q --test chaos smoke_

@@ -1,6 +1,7 @@
 //! The hot path's allocation budget, measured: heap allocations per
-//! engine event on a TCP_CRR run, and exactly zero on the two per-packet
-//! primitives that run does not cross (the NSH codec, `DenseMap::get`).
+//! engine event on a TCP_CRR run, heap bytes per registered connection,
+//! and exactly zero on the two per-packet primitives that run does not
+//! cross (the NSH codec, `DenseMap::get`).
 //!
 //! One `#[test]` on purpose: the counter is process-wide, and a second
 //! test running on another thread would be counted too.
@@ -34,16 +35,19 @@ const HOME: ServerId = ServerId(0);
 const SERVICE: Ipv4Addr = Ipv4Addr::new(10, 7, 0, 1);
 const PORT: u16 = 9000;
 
-/// Allocation calls made while `f` runs.
-fn allocs_during(f: impl FnOnce()) -> u64 {
-    let before = alloc::counts().0;
+/// `(allocation calls, bytes requested)` while `f` runs.
+fn allocs_during(f: impl FnOnce()) -> (u64, u64) {
+    let (calls, bytes) = alloc::counts();
     f();
-    alloc::counts().0 - before
+    let (calls_after, bytes_after) = alloc::counts();
+    (calls_after - calls, bytes_after - bytes)
 }
 
 /// `examples/quickstart.rs`'s cluster under 20k conn/s TCP_CRR for two
-/// simulated seconds: allocations and engine events over the second one.
-fn allocs_and_events(offload: bool) -> (u64, u64) {
+/// simulated seconds: heap bytes requested per connection while the
+/// specs are registered, then allocations and engine events over the
+/// second simulated second.
+fn registration_allocs_and_events(offload: bool) -> (f64, u64, u64) {
     let cfg = ClusterConfig::builder()
         .cores(1)
         .auto_offload(false)
@@ -71,25 +75,40 @@ fn allocs_and_events(offload: bool) -> (u64, u64) {
         20_000.0,
         SimDuration::from_secs(2),
     );
-    for spec in wl.generate(start, &mut SimRng::new(7)) {
-        cluster.add_conn(spec).unwrap();
-    }
+    let specs = wl.generate(start, &mut SimRng::new(7));
+    let conns = specs.len();
+    assert!(conns > 35_000, "only {conns} connections");
+    let (_, registered) = allocs_during(|| {
+        for spec in specs {
+            cluster.add_conn(spec).unwrap();
+        }
+    });
     cluster.run_until(start + SimDuration::from_secs(1));
     let events = cluster.engine.processed();
-    let allocs = allocs_during(|| cluster.run_until(start + SimDuration::from_secs(2)));
+    let (allocs, _) = allocs_during(|| cluster.run_until(start + SimDuration::from_secs(2)));
     let events = cluster.engine.processed() - events;
     assert!(events > 100_000, "only {events} events in the window");
-    (allocs, events)
+    (registered as f64 / conns as f64, allocs, events)
 }
 
 #[test]
 fn hot_path_stays_inside_its_allocation_budget() {
-    // Measured at this seed: 106 allocations / 301 203 events = 0.0004
+    // Measured at this seed: 73 allocations / 301 203 events = 0.0002
     // local, 95 / 441 763 = 0.0002 offloaded (0.124 and 0.111 when every
-    // 20 µs ladder bucket allocated its own `Vec`). Request counts are a
+    // 20 µs ladder bucket allocated its own `Vec`; 106 local when every
+    // unstarted connection had a queue entry). Request counts are a
     // function of the seed, not of the host.
+    //
+    // Registration: 65.3 B per connection, local and offloaded — the
+    // 64-byte `ConnState` in whole-page chunks. 146.5 and 144.8 when
+    // every unstarted connection also held a 32-byte queue entry, with
+    // the coarse rung's bucket doublings on top.
     for offload in [false, true] {
-        let (allocs, events) = allocs_and_events(offload);
+        let (registered, allocs, events) = registration_allocs_and_events(offload);
+        assert!(
+            registered <= 72.0,
+            "registering allocated {registered:.1} B per connection (offload={offload}), budget 72"
+        );
         assert!(
             allocs as f64 <= 0.01 * events as f64,
             "{allocs} allocations / {events} events = {:.4} per event (offload={offload}), budget 0.01",
@@ -115,7 +134,7 @@ fn hot_path_stays_inside_its_allocation_budget() {
         ..NezhaHeader::bare(NezhaPayloadKind::RxCarry, VNIC, VpcId(7))
     };
     let mut buf = [0u8; NezhaHeader::MAX_WIRE_LEN];
-    let codec = allocs_during(|| {
+    let (codec, _) = allocs_during(|| {
         for _ in 0..10_000 {
             let n = black_box(&header).encode_into(&mut buf);
             let view = NshView::parse(black_box(&buf[..n])).unwrap();
@@ -129,7 +148,7 @@ fn hot_path_stays_inside_its_allocation_budget() {
     for k in 0..10_000u64 {
         map.insert(k, k);
     }
-    let probes = allocs_during(|| {
+    let (probes, _) = allocs_during(|| {
         for k in 0..10_000u64 {
             black_box(map.get(black_box(&k)));
             black_box(map.get(black_box(&(k + 10_000))));
