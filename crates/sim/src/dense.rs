@@ -3,11 +3,13 @@
 //!
 //! Two structures, both fully deterministic:
 //!
-//! * [`DenseMap`] — a hash-indexed map whose entries live in one dense,
-//!   insertion-ordered `Vec`. Lookups probe a private open-addressing
-//!   table keyed by a **fixed** multiply-xor hash (no per-process
-//!   randomization, unlike `std::collections::HashMap`); iteration walks
-//!   the dense vector, never the hash table.
+//! * [`DenseMap`] — a hash-indexed map whose entries live in dense,
+//!   insertion-ordered storage split into pages of [`PAGE`] entries:
+//!   past the first page, growth appends a page and moves no entry.
+//!   Lookups probe a private open-addressing table keyed by a **fixed**
+//!   multiply-xor hash (no per-process randomization, unlike
+//!   `std::collections::HashMap`); iteration walks the pages in order,
+//!   never the hash table.
 //! * [`Interner`] — values deduplicated through a `DenseMap` into `u32`
 //!   ids, so big per-packet tables store 4 bytes instead of the value.
 //!
@@ -121,21 +123,190 @@ fn home_and_tag(hash: u64, mask: u32) -> (usize, u32) {
     ((hash as u32 & mask) as usize, (hash >> 33) as u32 & !mask)
 }
 
+const PAGE_BITS: u32 = 12;
+
+/// Entries per page of a [`DenseMap`]'s storage. Past the first page,
+/// which grows like a `Vec`, storage grows a whole page at a time and
+/// never moves an entry: a doubling `Vec` would copy the table at every
+/// step, and glibc serves those copies below its mmap threshold from the
+/// brk heap, where the old copy stays resident. A page of 72-byte session
+/// entries is 288 KiB, of 20-byte session keys 80 KiB.
+pub const PAGE: usize = 1 << PAGE_BITS;
+
+/// `(page, offset)` of dense position `i`.
+#[inline]
+fn split(i: usize) -> (usize, usize) {
+    (i >> PAGE_BITS, i & (PAGE - 1))
+}
+
+/// One page of entries: keys and values in parallel `Vec`s of at most
+/// [`PAGE`] each. A probe opens only the key it returns, so the split is
+/// about bytes, not compare stride: one `Vec<(K, V)>` pads a session
+/// entry 100 -> 104 B (+3.4 MB `peak_rss_mb` on `crr_offloaded`) and
+/// measured -3 % / +3 % `run_wall_s` on `fastpath_wide` /
+/// `synflood_offloaded`.
+#[derive(Clone, Debug)]
+struct Page<K, V> {
+    keys: Vec<K>,
+    values: Vec<V>,
+}
+
+/// A [`DenseMap`]'s entries in dense order: entry `i` is at offset
+/// `i % PAGE` of page `i / PAGE`. Every page before the last entry's is
+/// full; pages after it are empty spares (at most one once
+/// [`Pages::truncate`] or [`Pages::swap_remove`] has run).
+#[derive(Clone, Debug)]
+struct Pages<K, V> {
+    /// Page 0, held inline and grown like a `Vec`: a map that never
+    /// outgrows it (every per-packet map but the session tables and the
+    /// FE flow caches) allocates what a pair of `Vec`s would, and reaches
+    /// an entry without first loading a page from a list.
+    first: Page<K, V>,
+    /// Page `p >= 1` is `rest[p - 1]`.
+    rest: Vec<Page<K, V>>,
+    len: usize,
+}
+
+impl<K, V> Pages<K, V> {
+    #[inline]
+    fn page(&self, p: usize) -> &Page<K, V> {
+        match p.checked_sub(1) {
+            None => &self.first,
+            Some(r) => &self.rest[r],
+        }
+    }
+
+    #[inline]
+    fn page_mut(&mut self, p: usize) -> &mut Page<K, V> {
+        match p.checked_sub(1) {
+            None => &mut self.first,
+            Some(r) => &mut self.rest[r],
+        }
+    }
+
+    #[inline]
+    fn key(&self, i: usize) -> &K {
+        let (p, o) = split(i);
+        &self.page(p).keys[o]
+    }
+
+    #[inline]
+    fn value(&self, i: usize) -> &V {
+        let (p, o) = split(i);
+        &self.page(p).values[o]
+    }
+
+    #[inline]
+    fn value_mut(&mut self, i: usize) -> &mut V {
+        let (p, o) = split(i);
+        &mut self.page_mut(p).values[o]
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Page<K, V>> {
+        std::iter::once(&self.first).chain(&self.rest)
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = &mut Page<K, V>> {
+        std::iter::once(&mut self.first).chain(&mut self.rest)
+    }
+
+    /// Appends an entry at position `len`, returning its value.
+    fn push(&mut self, key: K, value: V) -> &mut V {
+        let (p, o) = split(self.len);
+        if p > self.rest.len() {
+            // Every page after the inline first is allocated whole.
+            self.rest.push(Page {
+                keys: Vec::with_capacity(PAGE),
+                values: Vec::with_capacity(PAGE),
+            });
+        }
+        self.len += 1;
+        let page = self.page_mut(p);
+        page.keys.push(key);
+        page.values.push(value);
+        &mut page.values[o]
+    }
+
+    /// Swaps entries `a <= b`.
+    fn swap(&mut self, a: usize, b: usize) {
+        let ((pa, oa), (pb, ob)) = (split(a), split(b));
+        if pa == pb {
+            let page = self.page_mut(pa);
+            page.keys.swap(oa, ob);
+            page.values.swap(oa, ob);
+            return;
+        }
+        let (front, back) = self.rest.split_at_mut(pb - 1);
+        let first = match pa.checked_sub(1) {
+            None => &mut self.first,
+            Some(r) => &mut front[r],
+        };
+        let last = &mut back[0];
+        std::mem::swap(&mut first.keys[oa], &mut last.keys[ob]);
+        std::mem::swap(&mut first.values[oa], &mut last.values[ob]);
+    }
+
+    /// Removes entry `i`, moving the last entry into its place
+    /// (`Vec::swap_remove` semantics). A page it empties stays as the
+    /// spare; a spare after that one is freed.
+    fn swap_remove(&mut self, i: usize) -> V {
+        self.len -= 1;
+        let (p, o) = split(self.len);
+        let page = self.page_mut(p);
+        // `o` is the page's last offset: both calls pop.
+        let key = page.keys.swap_remove(o);
+        let value = page.values.swap_remove(o);
+        if o == 0 {
+            self.rest.truncate(p);
+        }
+        if i == self.len {
+            return value;
+        }
+        let (p, o) = split(i);
+        let page = self.page_mut(p);
+        page.keys[o] = key;
+        std::mem::replace(&mut page.values[o], value)
+    }
+
+    /// Keeps the first `len` entries, freeing every page past them but
+    /// one empty spare, so inserting and removing across a page boundary
+    /// does not allocate each time.
+    fn truncate(&mut self, len: usize) {
+        self.rest.truncate(len.div_ceil(PAGE));
+        for (p, page) in self.iter_mut().enumerate() {
+            let keep = len.saturating_sub(p << PAGE_BITS).min(PAGE);
+            page.keys.truncate(keep);
+            page.values.truncate(keep);
+        }
+        self.len = len;
+    }
+
+    /// Drops every entry, keeping every page.
+    fn clear(&mut self) {
+        for page in self.iter_mut() {
+            page.keys.clear();
+            page.values.clear();
+        }
+        self.len = 0;
+    }
+
+    fn keys(&self) -> impl Iterator<Item = &K> {
+        self.iter().flat_map(|page| &page.keys)
+    }
+}
+
 /// A hash-indexed map with dense, insertion-ordered storage.
 ///
 /// * `get`/`insert`/`remove` are O(1) expected via open addressing;
 /// * `iter` walks entries in deterministic (insertion, with removal
 ///   backfill) order — never the hash table;
+/// * once the map holds [`PAGE`] entries, growing it moves none of them
+///   in memory (only `remove` and `retain` move entries, as their order
+///   contract says);
 /// * at most `2^30` entries (the index doubles up to `2^31` slots).
 #[derive(Clone, Debug)]
 pub struct DenseMap<K, V> {
-    /// Dense keys, parallel to `values`. A probe opens only the key it
-    /// returns, so the split is about bytes, not compare stride: one
-    /// `Vec<(K, V)>` pads a session entry 100 -> 104 B (+3.4 MB
-    /// `peak_rss_mb` on `crr_offloaded`) and measured -3 % / +3 %
-    /// `run_wall_s` on `fastpath_wide` / `synflood_offloaded`.
-    keys: Vec<K>,
-    values: Vec<V>,
+    entries: Pages<K, V>,
     index: Vec<u32>,
     tombstones: usize,
 }
@@ -156,8 +327,14 @@ impl<K: Hash + Eq, V> std::ops::Index<&K> for DenseMap<K, V> {
 impl<K, V> Default for DenseMap<K, V> {
     fn default() -> Self {
         DenseMap {
-            keys: Vec::new(),
-            values: Vec::new(),
+            entries: Pages {
+                first: Page {
+                    keys: Vec::new(),
+                    values: Vec::new(),
+                },
+                rest: Vec::new(),
+                len: 0,
+            },
             index: Vec::new(),
             tombstones: 0,
         }
@@ -170,26 +347,14 @@ impl<K: Hash + Eq, V> DenseMap<K, V> {
         DenseMap::default()
     }
 
-    /// An empty map with room for `cap` entries before any rehash.
-    pub fn with_capacity(cap: usize) -> Self {
-        let mut m = DenseMap {
-            keys: Vec::with_capacity(cap),
-            values: Vec::with_capacity(cap),
-            index: Vec::new(),
-            tombstones: 0,
-        };
-        m.rebuild_index((cap * 2).next_power_of_two().max(8));
-        m
-    }
-
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.entries.len
     }
 
     /// True when no entries exist.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.entries.len == 0
     }
 
     #[inline]
@@ -209,7 +374,7 @@ impl<K: Hash + Eq, V> DenseMap<K, V> {
             let word = self.index[slot];
             if word & !mask == tag {
                 let pos = (word & mask) as usize;
-                if self.keys[pos] == *key {
+                if self.entries.key(pos) == key {
                     return Ok((slot, pos));
                 }
             } else if word == EMPTY {
@@ -222,13 +387,13 @@ impl<K: Hash + Eq, V> DenseMap<K, V> {
     }
 
     fn rebuild_index(&mut self, size: usize) {
-        debug_assert!(size.is_power_of_two() && size > self.keys.len());
+        debug_assert!(size.is_power_of_two() && size > self.len());
         assert!(size <= MAX_SLOTS, "DenseMap full");
         self.index.clear();
         self.index.resize(size, EMPTY);
         self.tombstones = 0;
         let mask = self.mask();
-        for (i, k) in self.keys.iter().enumerate() {
+        for (i, k) in self.entries.keys().enumerate() {
             let (mut slot, tag) = home_and_tag(fx_hash(k), mask);
             while self.index[slot] != EMPTY {
                 slot = (slot + 1) & mask as usize;
@@ -241,8 +406,8 @@ impl<K: Hash + Eq, V> DenseMap<K, V> {
     fn maybe_grow(&mut self) {
         if self.index.is_empty() {
             self.rebuild_index(8);
-        } else if (self.keys.len() + self.tombstones) * 8 >= self.index.len() * 7 {
-            let target = (self.keys.len() * 2).next_power_of_two().max(8);
+        } else if (self.len() + self.tombstones) * 8 >= self.index.len() * 7 {
+            let target = (self.len() * 2).next_power_of_two().max(8);
             self.rebuild_index(target.max(self.index.len()));
         }
     }
@@ -250,13 +415,13 @@ impl<K: Hash + Eq, V> DenseMap<K, V> {
     /// Looks up a key.
     #[inline]
     pub fn get(&self, key: &K) -> Option<&V> {
-        self.index_of(key).map(|i| &self.values[i])
+        self.index_of(key).map(|i| self.entries.value(i))
     }
 
     /// Mutable lookup.
     #[inline]
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        self.index_of(key).map(|i| &mut self.values[i])
+        self.index_of(key).map(|i| self.entries.value_mut(i))
     }
 
     /// The dense-storage position of `key`'s entry, for callers that
@@ -265,7 +430,7 @@ impl<K: Hash + Eq, V> DenseMap<K, V> {
     /// it valid; `remove`, `retain` and `clear` do not.
     #[inline]
     pub fn index_of(&self, key: &K) -> Option<usize> {
-        if self.keys.is_empty() {
+        if self.is_empty() {
             return None;
         }
         self.probe(key).ok().map(|(_, pos)| pos)
@@ -274,19 +439,19 @@ impl<K: Hash + Eq, V> DenseMap<K, V> {
     /// The value at dense position `i` (from [`DenseMap::index_of`]).
     #[inline]
     pub fn value_at(&self, i: usize) -> &V {
-        &self.values[i]
+        self.entries.value(i)
     }
 
     /// Mutable access to the value at dense position `i`.
     #[inline]
     pub fn value_at_mut(&mut self, i: usize) -> &mut V {
-        &mut self.values[i]
+        self.entries.value_mut(i)
     }
 
     /// True when `key` is present.
     #[inline]
     pub fn contains_key(&self, key: &K) -> bool {
-        !self.keys.is_empty() && self.probe(key).is_ok()
+        !self.is_empty() && self.probe(key).is_ok()
     }
 
     /// Inserts, returning the previous value for `key` if any.
@@ -301,7 +466,7 @@ impl<K: Hash + Eq, V> DenseMap<K, V> {
         self.maybe_grow();
         match self.probe(&key) {
             Ok((_, pos)) => {
-                let v = &mut self.values[pos];
+                let v = self.entries.value_mut(pos);
                 let old = std::mem::replace(v, value);
                 (v, Some(old))
             }
@@ -309,11 +474,8 @@ impl<K: Hash + Eq, V> DenseMap<K, V> {
                 if self.index[free] == TOMBSTONE {
                     self.tombstones -= 1;
                 }
-                let i = self.keys.len();
-                self.index[free] = tag | i as u32;
-                self.keys.push(key);
-                self.values.push(value);
-                (&mut self.values[i], None)
+                self.index[free] = tag | self.len() as u32;
+                (self.entries.push(key, value), None)
             }
         }
     }
@@ -323,21 +485,20 @@ impl<K: Hash + Eq, V> DenseMap<K, V> {
     /// a removal is therefore not insertion order, but it remains a pure
     /// function of the call sequence — deterministic across runs.
     pub fn remove(&mut self, key: &K) -> Option<V> {
-        if self.keys.is_empty() {
+        if self.is_empty() {
             return None;
         }
         let (slot, dense) = self.probe(key).ok()?;
         self.index[slot] = TOMBSTONE;
         self.tombstones += 1;
-        self.keys.swap_remove(dense);
-        let v = self.values.swap_remove(dense);
-        if dense < self.keys.len() {
+        let v = self.entries.swap_remove(dense);
+        if dense < self.len() {
             // The former last entry moved into `dense`; walk its probe
             // chain for the slot still holding its old dense position
             // (whole-word compare: its tag rides along unchanged).
             let mask = self.mask();
-            let (mut slot, tag) = home_and_tag(fx_hash(&self.keys[dense]), mask);
-            let moved_old = tag | self.keys.len() as u32;
+            let (mut slot, tag) = home_and_tag(fx_hash(self.entries.key(dense)), mask);
+            let moved_old = tag | self.len() as u32;
             while self.index[slot] != moved_old {
                 slot = (slot + 1) & mask as usize;
             }
@@ -348,28 +509,29 @@ impl<K: Hash + Eq, V> DenseMap<K, V> {
 
     /// Keeps only entries for which `f` returns true, preserving the
     /// relative order of survivors; the index is rebuilt afterwards,
-    /// unless nothing was removed.
+    /// unless nothing was removed. Pages left empty are freed, bar one.
     pub fn retain(&mut self, mut f: impl FnMut(&K, &mut V) -> bool) {
         let mut w = 0;
-        for r in 0..self.keys.len() {
-            if f(&self.keys[r], &mut self.values[r]) {
-                self.keys.swap(w, r);
-                self.values.swap(w, r);
+        for r in 0..self.len() {
+            let (p, o) = split(r);
+            let page = self.entries.page_mut(p);
+            if f(&page.keys[o], &mut page.values[o]) {
+                if w < r {
+                    self.entries.swap(w, r);
+                }
                 w += 1;
             }
         }
-        if w == self.keys.len() {
+        if w == self.len() {
             return;
         }
-        self.keys.truncate(w);
-        self.values.truncate(w);
+        self.entries.truncate(w);
         self.rebuild_index(self.index.len());
     }
 
     /// Drops all entries, keeping allocations.
     pub fn clear(&mut self) {
-        self.keys.clear();
-        self.values.clear();
+        self.entries.clear();
         for s in &mut self.index {
             *s = EMPTY;
         }
@@ -379,27 +541,31 @@ impl<K: Hash + Eq, V> DenseMap<K, V> {
     /// Iterates `(key, value)` in dense-storage order (deterministic;
     /// not key-sorted — see the module docs).
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.keys.iter().zip(self.values.iter())
+        self.entries
+            .iter()
+            .flat_map(|page| page.keys.iter().zip(&page.values))
     }
 
     /// Mutable iteration in dense-storage order.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (&K, &mut V)> {
-        self.keys.iter().zip(self.values.iter_mut())
+        self.entries
+            .iter_mut()
+            .flat_map(|page| page.keys.iter().zip(&mut page.values))
     }
 
     /// Iterates values in dense-storage order.
     pub fn values(&self) -> impl Iterator<Item = &V> {
-        self.values.iter()
+        self.entries.iter().flat_map(|page| &page.values)
     }
 
     /// Mutable value iteration in dense-storage order.
     pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
-        self.values.iter_mut()
+        self.entries.iter_mut().flat_map(|page| &mut page.values)
     }
 
     /// Iterates keys in dense-storage order.
     pub fn keys(&self) -> impl Iterator<Item = &K> {
-        self.keys.iter()
+        self.entries.keys()
     }
 }
 
@@ -607,6 +773,45 @@ mod tests {
         let mut idle: DenseMap<u32, u32> = DenseMap::new();
         idle.retain(|_, _| true);
         assert_eq!(idle.index.capacity(), 0, "never-used map grew an index");
+    }
+
+    #[test]
+    fn dense_retain_and_removal_leave_at_most_one_empty_page() {
+        let pages = |m: &DenseMap<u64, u64>| 1 + m.entries.rest.len();
+        let empty_pages =
+            |m: &DenseMap<u64, u64>| m.entries.iter().filter(|page| page.keys.is_empty()).count();
+        let n = 3 * PAGE as u64 + 17;
+        let mut m = DenseMap::new();
+        for k in 0..n {
+            m.insert(k, k);
+        }
+        assert_eq!(pages(&m), 4);
+        assert_eq!(empty_pages(&m), 0);
+        m.retain(|k, _| k % 1000 == 0);
+        assert_eq!(m.len(), 13);
+        assert_eq!(pages(&m), 2, "emptied pages stayed resident");
+        assert_eq!(empty_pages(&m), 1);
+        assert_eq!(m.get(&12_000), Some(&12_000));
+
+        // At a page boundary the spare takes the churn: an insert and a
+        // remove across it neither allocate a page nor free one.
+        let fill = n..n + PAGE as u64 - 13;
+        for k in fill.clone() {
+            m.insert(k, k);
+        }
+        assert_eq!(m.len(), PAGE);
+        for _ in 0..3 {
+            m.insert(u64::MAX, 0);
+            assert_eq!((pages(&m), empty_pages(&m)), (2, 0));
+            m.remove(&u64::MAX);
+            assert_eq!((pages(&m), empty_pages(&m)), (2, 1));
+        }
+        for k in (0..n).chain(fill) {
+            m.remove(&k);
+        }
+        assert!(m.is_empty());
+        assert_eq!(pages(&m), 1);
+        assert_eq!(empty_pages(&m), 1);
     }
 
     #[test]

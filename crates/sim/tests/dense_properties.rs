@@ -1,7 +1,7 @@
 //! Property tests of the interned dense-index structures that replaced
 //! per-packet `BTreeMap` lookups on the datapath.
 //!
-//! Three contracts are pinned here:
+//! Four contracts are pinned here:
 //!
 //! * **Round-trip** — after any insert/remove/retain sequence, a
 //!   [`DenseMap`] agrees with a `BTreeMap` model on length, membership,
@@ -14,12 +14,16 @@
 //! * **D3 iteration order** — determinism requires ordered *iteration*,
 //!   not ordered *lookup*: iteration order must be a pure function of
 //!   the call sequence (insertion order with `swap_remove` backfill),
-//!   regression-checked against an explicit model on three fixed seeds.
+//!   regression-checked against an explicit model on three fixed seeds,
+//!   and by a property past three storage pages (inserts, removals,
+//!   `retain`s that free whole pages or cut into one, `clear`).
+//! * **Entries stay put** — growth appends a page; an entry's address
+//!   does not change while the map grows.
 
-use nezha_sim::dense::{fx_hash, DenseMap, Interner};
+use nezha_sim::dense::{fx_hash, DenseMap, Interner, PAGE};
 use proptest::prelude::*;
 use std::cell::Cell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
 
 /// The `u64` whose `fx_hash` is `target`: the hasher's one-word mix and
@@ -210,6 +214,188 @@ fn iteration_order_follows_swap_remove_discipline() {
         }
         assert!(!order.is_empty(), "seed {seed:#x} ended empty — weak test");
     }
+}
+
+/// Keys of the page-crossing property: three full pages and part of a
+/// fourth.
+const KEYS: u64 = 3 * PAGE as u64 + 17;
+
+/// The documented iteration order, kept by hand: keys in dense order,
+/// each key's position in it, and `Vec::swap_remove` on removal.
+#[derive(Default)]
+struct OrderModel {
+    order: Vec<u64>,
+    pos: BTreeMap<u64, usize>,
+}
+
+impl OrderModel {
+    fn push(&mut self, k: u64) {
+        self.pos.insert(k, self.order.len());
+        self.order.push(k);
+    }
+
+    fn swap_remove(&mut self, k: u64) {
+        let i = self.pos.remove(&k).unwrap();
+        self.order.swap_remove(i);
+        if let Some(&moved) = self.order.get(i) {
+            self.pos.insert(moved, i);
+        }
+    }
+
+    fn retain(&mut self, keep: &BTreeSet<u64>) {
+        self.order.retain(|k| keep.contains(k));
+        self.pos = self
+            .order
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| (k, i))
+            .collect();
+    }
+}
+
+/// Inserts `count` consecutive keys from `start` (wrapping at `KEYS`)
+/// into the map and both models.
+fn insert_run(
+    dense: &mut DenseMap<u64, u64>,
+    model: &mut BTreeMap<u64, u64>,
+    order: &mut OrderModel,
+    (start, count): (u64, u64),
+    val: u64,
+) -> Result<(), TestCaseError> {
+    for k in (start..start + count).map(|k| k % KEYS) {
+        prop_assert_eq!(dense.insert(k, val), model.insert(k, val), "insert {}", k);
+        if !order.pos.contains_key(&k) {
+            order.push(k);
+        }
+    }
+    Ok(())
+}
+
+/// Removes `k`, present or not, from the map and both models.
+fn remove_key(
+    dense: &mut DenseMap<u64, u64>,
+    model: &mut BTreeMap<u64, u64>,
+    order: &mut OrderModel,
+    k: u64,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(dense.remove(&k), model.remove(&k), "remove {}", k);
+    if order.pos.contains_key(&k) {
+        order.swap_remove(k);
+    }
+    Ok(())
+}
+
+/// One page-crossing case: a fill of `first` keys, then `ops`, each
+/// `(kind, arg)` drawing its keys from an LCG seeded with `seed`.
+fn check_across_pages(seed: u64, first: u64, ops: &[(u8, u32)]) -> Result<(), TestCaseError> {
+    let mut state = seed;
+    let mut dense: DenseMap<u64, u64> = DenseMap::new();
+    let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+    let mut order = OrderModel::default();
+    insert_run(&mut dense, &mut model, &mut order, (0, first), 0)?;
+    for (step, &(kind, arg)) in ops.iter().enumerate() {
+        let (arg, len) = (arg as usize, dense.len());
+        let retained = match kind {
+            // A run of consecutive keys (new and present).
+            0..=3 => {
+                let start = lcg(&mut state) % KEYS;
+                let count = arg as u64 % (2 * PAGE as u64) + 1;
+                insert_run(
+                    &mut dense,
+                    &mut model,
+                    &mut order,
+                    (start, count),
+                    step as u64,
+                )?;
+                None
+            }
+            // Scattered removals, some of absent keys.
+            4 | 5 => {
+                for _ in 0..arg % 64 + 1 {
+                    let k = lcg(&mut state) % KEYS;
+                    remove_key(&mut dense, &mut model, &mut order, k)?;
+                }
+                None
+            }
+            // A run of consecutive keys removed: drains across pages.
+            6 => {
+                let start = lcg(&mut state) % KEYS;
+                for k in (start..start + (arg % PAGE) as u64).map(|k| k % KEYS) {
+                    remove_key(&mut dense, &mut model, &mut order, k)?;
+                }
+                None
+            }
+            // Keep a page-aligned prefix: the last page, and maybe
+            // more, emptied whole.
+            7 => Some(order.order[..arg % len.div_ceil(PAGE).max(1) * PAGE].to_vec()),
+            // Keep any prefix: usually cuts into a page.
+            8 => Some(order.order[..arg % (len + 1)].to_vec()),
+            // Drop one residue class: survivors compact across pages.
+            9 | 10 => Some(
+                order
+                    .order
+                    .iter()
+                    .copied()
+                    .filter(|k| !(k + arg as u64).is_multiple_of(5))
+                    .collect(),
+            ),
+            _ => {
+                dense.clear();
+                model.clear();
+                order = OrderModel::default();
+                None
+            }
+        };
+        if let Some(keep) = retained {
+            let keep: BTreeSet<u64> = keep.into_iter().collect();
+            dense.retain(|k, _| keep.contains(k));
+            model.retain(|k, _| keep.contains(k));
+            order.retain(&keep);
+        }
+        let got: Vec<(u64, u64)> = dense.iter().map(|(k, v)| (*k, *v)).collect();
+        let want: Vec<(u64, u64)> = order.order.iter().map(|k| (*k, model[k])).collect();
+        prop_assert!(got == want, "step {} (kind {}) diverged", step, kind);
+    }
+    for k in 0..KEYS + 8 {
+        prop_assert_eq!(dense.get(&k), model.get(&k), "lookup diverged at key {}", k);
+        prop_assert_eq!(dense.contains_key(&k), model.contains_key(&k));
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// BTreeMap agreement and D3 order past three storage pages: each
+    /// case fills 2·PAGE + 1 up to `KEYS` keys, then mixes insert runs,
+    /// removals, `retain`s and an occasional `clear`.
+    #[test]
+    fn dense_order_and_contents_hold_across_pages(
+        seed in any::<u64>(),
+        first in (2 * PAGE as u64 + 1)..=KEYS,
+        ops in prop::collection::vec((0u8..12, any::<u32>()), 1..24),
+    ) {
+        check_across_pages(seed, first, &ops)?;
+    }
+}
+
+/// Growth appends a page: an entry's address holds while the map grows
+/// from one full page past two.
+#[test]
+fn dense_entries_stay_put_while_the_map_grows() {
+    let mut map: DenseMap<u64, u64> = DenseMap::new();
+    for k in 0..=PAGE as u64 {
+        map.insert(k, k);
+    }
+    let (first, second): (*const u64, *const u64) = (map.value_at(0), map.value_at(PAGE));
+    for k in PAGE as u64 + 1..KEYS {
+        map.insert(k, k);
+    }
+    assert!(std::ptr::eq(first, map.value_at(0)), "entry 0 moved");
+    assert!(
+        std::ptr::eq(second, map.value_at(PAGE)),
+        "entry {PAGE} moved"
+    );
 }
 
 thread_local!(

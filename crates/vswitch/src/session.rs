@@ -36,13 +36,11 @@ pub struct SessionEntry {
     flow: u32,
     /// The locally-kept session state (single copy).
     pub state: SessionState,
-    /// Creation time.
-    pub created: SimTime,
     /// Last packet time, for aging.
     pub last_seen: SimTime,
 }
 
-const _: () = assert!(std::mem::size_of::<SessionEntry>() <= 80);
+const _: () = assert!(std::mem::size_of::<SessionEntry>() <= 72);
 
 impl SessionEntry {
     /// True while the entry holds cached flows (and is charged
@@ -236,7 +234,6 @@ impl SessionTable {
             vnic,
             flow: pre_actions.map_or(NO_FLOW, |pair| self.pairs.intern(pair)),
             state,
-            created: now,
             last_seen: now,
         };
         let (stored, previous) = self.entries.insert_entry(key, entry);

@@ -23,7 +23,10 @@
 #            split's exact-sum and stage-order properties, the
 #            process_local outcome table), the `nezha-sim` dense
 #            tests (every per-packet table rests on `DenseMap`'s slot
-#            encoding) and engine tests (the unit tests and the two
+#            encoding and its paged storage: the BTreeMap and
+#            iteration-order models run across page boundaries, past
+#            three pages, and entries keep their address as the map
+#            grows) and engine tests (the unit tests and the two
 #            proptests against a `BinaryHeap` model: every event goes
 #            through the two-rung ladder, and a reserved sequence number
 #            filed late pops where it was reserved), the `nezha-core`
@@ -68,7 +71,7 @@ if [ "$fast" -eq 1 ]; then
     cargo test -q -p nezha-types
     echo "==> cargo test -q -p nezha-vswitch   (--fast: rule lookup vs its reference + cost-split properties)"
     cargo test -q -p nezha-vswitch
-    echo "==> cargo test -q -p nezha-sim dense   (--fast: DenseMap slot encoding vs its BTreeMap model)"
+    echo "==> cargo test -q -p nezha-sim dense   (--fast: DenseMap slot encoding and pages vs its BTreeMap and order models)"
     cargo test -q -p nezha-sim dense
     echo "==> cargo test -q -p nezha-sim engine   (--fast: the event ladder vs its BinaryHeap model)"
     cargo test -q -p nezha-sim engine

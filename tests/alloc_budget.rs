@@ -1,7 +1,8 @@
 //! The hot path's allocation budget, measured: heap allocations per
 //! engine event on a TCP_CRR run, heap bytes per registered connection,
-//! and exactly zero on the two per-packet primitives that run does not
-//! cross (the NSH codec, `DenseMap::get`).
+//! heap bytes per entry while a session table grows, and exactly zero on
+//! the two per-packet primitives that run does not cross (the NSH codec,
+//! `DenseMap::get`).
 //!
 //! One `#[test]` on purpose: the counter is process-wide, and a second
 //! test running on another thread would be counted too.
@@ -11,13 +12,15 @@ use std::hint::black_box;
 use nezha::core::cluster::{Cluster, ClusterConfig};
 use nezha::core::vm::VmConfig;
 use nezha::sim::dense::DenseMap;
+use nezha::sim::resources::MemoryPool;
 use nezha::sim::rng::SimRng;
 use nezha::sim::time::{SimDuration, SimTime};
 use nezha::types::{
-    Decision, Direction, Ipv4Addr, NezhaHeader, NezhaPayloadKind, NshView, PreAction,
-    PreActionPair, ServerId, VnicId, VpcId,
+    Decision, Direction, FiveTuple, Ipv4Addr, NezhaHeader, NezhaPayloadKind, NshView, PreAction,
+    PreActionPair, ServerId, SessionKey, VnicId, VpcId,
 };
 use nezha::vswitch::vnic::{Vnic, VnicProfile};
+use nezha::vswitch::{SessionTable, VSwitchConfig};
 use nezha::workloads::cps::CpsWorkload;
 
 #[expect(
@@ -91,13 +94,34 @@ fn registration_allocs_and_events(offload: bool) -> (f64, u64, u64) {
     (registered as f64 / conns as f64, allocs, events)
 }
 
+/// Heap bytes requested per entry while a session table — a
+/// `DenseMap<SessionKey, SessionEntry>` — grows to `n` entries.
+fn session_table_growth_bytes(n: u32) -> f64 {
+    let mut table = SessionTable::new();
+    let mut pool = MemoryPool::new(u64::MAX);
+    let m = VSwitchConfig::default().memory;
+    let (_, bytes) = allocs_during(|| {
+        for i in 0..n {
+            let tuple = FiveTuple::tcp(Ipv4Addr::from(i), 1024, SERVICE, PORT);
+            let key = SessionKey::of(VpcId(1), tuple);
+            let dir = Direction::Rx;
+            table
+                .establish(key, VNIC, dir, None, SimTime::ZERO, &mut pool, &m)
+                .unwrap();
+        }
+    });
+    assert_eq!(table.len(), n as usize);
+    bytes as f64 / f64::from(n)
+}
+
 #[test]
 fn hot_path_stays_inside_its_allocation_budget() {
-    // Measured at this seed: 73 allocations / 301 203 events = 0.0002
-    // local, 95 / 441 763 = 0.0002 offloaded (0.124 and 0.111 when every
+    // Measured at this seed: 79 allocations / 301 203 events = 0.0003
+    // local, 103 / 441 763 = 0.0002 offloaded (0.124 and 0.111 when every
     // 20 µs ladder bucket allocated its own `Vec`; 106 local when every
-    // unstarted connection had a queue entry). Request counts are a
-    // function of the seed, not of the host.
+    // unstarted connection had a queue entry; 73 and 95 when session
+    // tables grew by doubling, with fewer and larger requests). Request
+    // counts are a function of the seed, not of the host.
     //
     // Registration: 65.3 B per connection, local and offloaded — the
     // 64-byte `ConnState` in whole-page chunks. 146.5 and 144.8 when
@@ -115,6 +139,16 @@ fn hot_path_stays_inside_its_allocation_budget() {
             allocs as f64 / events as f64
         );
     }
+
+    // Growth: 92 B of key + entry, in storage pages allocated once, with
+    // the 4-byte index slots' doublings on top. Measured: 108.2 B per
+    // entry; 363.5 when keys and (80-byte) entries each sat in one
+    // doubling `Vec`, whose every step requested a fresh copy.
+    let grown = session_table_growth_bytes(300_000);
+    assert!(
+        grown <= 120.0,
+        "growing a session table allocated {grown:.1} B per entry, budget 120"
+    );
 
     let pa = PreAction {
         verdict: Decision::Accept,
