@@ -102,7 +102,7 @@ fn scheduled_retries_back_off_exponentially_with_bounded_jitter() {
         // Isolate the one RetryStep this loss schedules.
         c.engine.clear();
         if let Some(conn) = c.conn_mut(id) {
-            conn.retries = k as u16;
+            conn.retries = k as u8;
         }
         let before = c.engine.now();
         c.lose_packet(id << 4, before);
@@ -117,6 +117,35 @@ fn scheduled_retries_back_off_exponentially_with_bounded_jitter() {
         assert!(
             delay >= lo && delay <= hi,
             "retry {k}: delay {delay:?} outside [{lo:?}, {hi:?}]"
+        );
+    }
+}
+
+/// A connection on a blackholed path fails after `max_retries` retries,
+/// and a `max_retries` beyond what its counter holds still ends it: the
+/// full counter counts as exhausted, after 255 retries.
+#[test]
+fn retries_exhaust_on_a_blackholed_path_whatever_max_retries_says() {
+    for (max_retries, attempts) in [(5, 6), (u32::MAX, 256)] {
+        let cfg = ClusterConfig::builder()
+            .topology(small_topology())
+            .auto(false)
+            .max_retries(max_retries)
+            .build();
+        let mut c = with_service_vnic(cfg, VmConfig::with_vcpus(64));
+        let spec = inbound_spec(1, SimTime(0));
+        c.blackhole_link(spec.peer_server, HOME);
+        let id = c.add_conn(spec).unwrap();
+        c.run_until(SimTime(0) + SimDuration::from_secs(1_000));
+        let stats = c.stats();
+        assert_eq!(
+            (stats.failed, stats.pkts.dropped),
+            (1, attempts),
+            "max_retries {max_retries}"
+        );
+        assert_eq!(
+            c.conn(id).map(|conn| conn.status),
+            Some(crate::conn::ConnStatus::Failed)
         );
     }
 }

@@ -45,7 +45,9 @@ pub struct ClusterConfig {
     /// Upper bound on the backed-off retry delay (the exponential growth
     /// saturates here).
     pub retry_cap: SimDuration,
-    /// Retries before a connection is declared failed.
+    /// Retries before a connection is declared failed. A connection's
+    /// retry counter holds 255, and a full counter counts as exhausted,
+    /// so any larger value acts as 255.
     pub max_retries: u32,
     /// RNG seed (full determinism).
     pub seed: u64,
@@ -130,7 +132,8 @@ impl ClusterConfigBuilder {
         retry_timeout: SimDuration => retry_timeout,
         /// Cap on the exponentially backed-off retry delay.
         retry_cap: SimDuration => retry_cap,
-        /// Retries before a connection is declared failed.
+        /// Retries before a connection is declared failed; values above
+        /// 255 act as 255 ([`ClusterConfig::max_retries`]).
         max_retries: u32 => max_retries,
         /// RNG seed (full determinism).
         seed: u64 => seed,

@@ -8,12 +8,13 @@
 //! saturation, losses and retries) shapes the achieved CPS exactly as it
 //! does on a real testbed.
 
+use nezha_sim::dense::Interner;
 use nezha_sim::time::SimTime;
-use nezha_types::{Direction, FiveTuple, ServerId, TcpFlags, VnicId, VpcId};
+use nezha_types::{Direction, FiveTuple, IpProtocol, Ipv4Addr, ServerId, TcpFlags, VnicId, VpcId};
 use serde::{Deserialize, Serialize};
 
 /// Who initiates the connection, relative to the vNIC's VM.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
 pub enum ConnKind {
     /// A remote client connects to the VM (the high-CPS middlebox /
     /// server pattern that overloads SmartNICs, §2.2.1).
@@ -99,7 +100,7 @@ impl ConnKind {
 }
 
 /// A connection to be driven through the cluster.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct ConnSpec {
     /// The vNIC under test.
     pub vnic: VnicId,
@@ -138,28 +139,52 @@ impl ConnSpec {
     }
 }
 
-/// Runtime state of one in-flight connection.
-#[derive(Clone, Debug)]
+/// The fields of a [`ConnSpec`] that connections share: a run draws
+/// them from a handful of distinct values, so [`ConnTable`] interns each
+/// distinct combination once and a [`ConnState`] keeps its `u32` id.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+struct ConnClass {
+    vnic: VnicId,
+    vpc: VpcId,
+    peer_server: ServerId,
+    kind: ConnKind,
+    payload: u32,
+    overlay_encap_src: Option<Ipv4Addr>,
+}
+
+/// Runtime state of one registered connection: what differs per
+/// connection. The connection table keeps the rest of its [`ConnSpec`],
+/// the fields connections share, once per distinct value.
+#[derive(Clone, Copy, Debug)]
 pub struct ConnState {
-    /// The immutable spec.
-    pub spec: ConnSpec,
+    // The spec's 5-tuple, flattened so its padding is not paid per record.
+    src_ip: Ipv4Addr,
+    dst_ip: Ipv4Addr,
+    src_port: u16,
+    dst_port: u16,
+    protocol: IpProtocol,
+    /// When the first packet is injected (the spec's `start`).
+    pub start: SimTime,
     /// Next step index to inject (0-based). `script.len()` = completed.
     /// Scripts are at most 7 steps; the trace id packs this in 4 bits.
     pub pos: u8,
-    /// Retries used on the current step (saturating).
-    pub retries: u16,
+    /// Retries used on the current step. A connection whose counter is
+    /// full has exhausted its retries, whatever `max_retries` says.
+    pub retries: u8,
     /// Terminal status.
     pub status: ConnStatus,
     /// For a connection whose start waits behind another in
     /// [`ConnTable`]'s start chain, the engine sequence number reserved
     /// for its `StartConn` minus the previous chained one's; 0 for every
-    /// other connection. Fits the record's padding.
+    /// other connection.
     pub(crate) start_seq_delta: u32,
+    /// Its [`ConnClass`], interned in the [`ConnTable`].
+    class: u32,
 }
 
-// One registered connection per cache line: the table is the largest
+// Two registered connections per cache line: the table is the largest
 // per-connection structure a CPS run keeps.
-const _: () = assert!(std::mem::size_of::<ConnState>() <= 64);
+const _: () = assert!(std::mem::size_of::<ConnState>() <= 32);
 
 /// Terminal status of a connection.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -176,7 +201,9 @@ pub enum ConnStatus {
 
 /// Connections per [`ConnTable`] chunk: 64 B short of 256 KiB of
 /// [`ConnState`]s, so a chunk and its allocator header fit 64 pages.
-pub(crate) const CHUNK: usize = 4095;
+pub(crate) const CHUNK: usize = 8190;
+
+const _: () = assert!(CHUNK * std::mem::size_of::<ConnState>() == 256 * 1024 - 64);
 
 /// The registered connections, by id.
 ///
@@ -197,10 +224,16 @@ pub(crate) const CHUNK: usize = 4095;
 /// unstarted one has its `StartConn` queued. Its handler files the next
 /// one under its reserved `(start, seq)` key, so delivery order is what
 /// queueing every start at registration gives.
+///
+/// A record keeps only what differs per connection; the fields
+/// connections share are interned once per distinct [`ConnClass`], which
+/// is never freed (a run has a handful).
 #[derive(Debug, Default)]
 pub(crate) struct ConnTable {
     /// `None` once the chunk is freed.
     chunks: Vec<Option<Vec<ConnState>>>,
+    /// The registered connections' distinct classes.
+    classes: Interner<ConnClass>,
     /// Per chunk: connections still `InFlight`.
     open: Vec<u16>,
     /// Connections ever registered: the last id handed out.
@@ -221,12 +254,33 @@ fn slot(id: u64) -> Option<(usize, usize)> {
 impl ConnTable {
     /// Registers an `InFlight` connection; returns its id.
     pub(crate) fn push(&mut self, spec: ConnSpec) -> u64 {
+        let FiveTuple {
+            src_ip,
+            dst_ip,
+            src_port,
+            dst_port,
+            protocol,
+        } = spec.tuple;
+        let class = self.classes.intern(ConnClass {
+            vnic: spec.vnic,
+            vpc: spec.vpc,
+            peer_server: spec.peer_server,
+            kind: spec.kind,
+            payload: spec.payload,
+            overlay_encap_src: spec.overlay_encap_src,
+        });
         let conn = ConnState {
-            spec,
+            src_ip,
+            dst_ip,
+            src_port,
+            dst_port,
+            protocol,
+            start: spec.start,
             pos: 0,
             retries: 0,
             status: ConnStatus::InFlight,
             start_seq_delta: 0,
+            class,
         };
         match self.chunks.last_mut() {
             // A freed chunk was full, so only a resident tail has room.
@@ -256,6 +310,27 @@ impl ConnTable {
     pub(crate) fn get_mut(&mut self, id: u64) -> Option<&mut ConnState> {
         let (c, i) = slot(id)?;
         self.chunks.get_mut(c)?.as_mut()?.get_mut(i)
+    }
+
+    /// The full spec of `conn`, a record of this table.
+    pub(crate) fn spec(&self, conn: &ConnState) -> ConnSpec {
+        let class = self.classes.resolve(conn.class);
+        ConnSpec {
+            vnic: class.vnic,
+            vpc: class.vpc,
+            tuple: FiveTuple {
+                src_ip: conn.src_ip,
+                dst_ip: conn.dst_ip,
+                src_port: conn.src_port,
+                dst_port: conn.dst_port,
+                protocol: conn.protocol,
+            },
+            peer_server: class.peer_server,
+            kind: class.kind,
+            start: conn.start,
+            payload: class.payload,
+            overlay_encap_src: class.overlay_encap_src,
+        }
     }
 
     /// The one transition out of `InFlight`: sets `status` on connection
@@ -311,7 +386,7 @@ impl ConnTable {
         // skipped: each id is scanned at most once per chain.
         let next = (head + 1..=self.chain_tail.0).find_map(|next| {
             let conn = self.get(next).filter(|c| c.start_seq_delta != 0)?;
-            Some((next, conn.spec.start, seq + u64::from(conn.start_seq_delta)))
+            Some((next, conn.start, seq + u64::from(conn.start_seq_delta)))
         });
         self.chain_head = next.map(|(next, _, seq)| (next, seq));
         next
@@ -327,7 +402,7 @@ impl ConnTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nezha_types::Ipv4Addr;
+    use proptest::prelude::*;
 
     fn spec(kind: ConnKind) -> ConnSpec {
         ConnSpec {
@@ -482,5 +557,119 @@ mod tests {
         assert!(t.get(CHUNK_IDS).is_some());
         assert!(t.finish(CHUNK_IDS, ConnStatus::Completed));
         assert!(t.get(CHUNK_IDS).is_none());
+    }
+
+    const KINDS: [ConnKind; 4] = [
+        ConnKind::Inbound,
+        ConnKind::Outbound,
+        ConnKind::PersistentInbound,
+        ConnKind::SynOnly,
+    ];
+
+    /// Any spec: the shared fields drawn from a few values, so classes
+    /// repeat, and the per-connection ones from their whole range.
+    fn any_spec() -> impl Strategy<Value = ConnSpec> {
+        use prop::sample::select;
+        let protocols = vec![IpProtocol::Tcp, IpProtocol::Udp, IpProtocol::Icmp];
+        let own = (
+            any::<u32>(),
+            any::<u32>(),
+            any::<u16>(),
+            any::<u16>(),
+            select(protocols),
+            any::<u64>(),
+        );
+        let class = (
+            0..3u32,
+            0..2u32,
+            0..4u32,
+            select(KINDS.to_vec()),
+            select(vec![0, 128, u32::MAX]),
+            prop::option::of(0..3u32),
+        );
+        (own, class).prop_map(
+            |((src, dst, src_port, dst_port, protocol, start), class)| ConnSpec {
+                vnic: VnicId(class.0),
+                vpc: VpcId(class.1),
+                tuple: FiveTuple {
+                    src_ip: Ipv4Addr(src),
+                    dst_ip: Ipv4Addr(dst),
+                    src_port,
+                    dst_port,
+                    protocol,
+                },
+                peer_server: ServerId(class.2),
+                kind: class.3,
+                start: SimTime(start),
+                payload: class.4,
+                overlay_encap_src: class.5.map(Ipv4Addr),
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// `spec(get(push(s))) == s`: on registration, and after the
+        /// chunks around the id are freed. The specs straddle the first
+        /// chunk boundary, behind `lead` fillers; then the fillers and
+        /// the specs flagged `done` finish, and a second chunk of
+        /// fillers is registered and finished. A spec's id reads `None`
+        /// only once its chunk is freed, which needs it finished.
+        #[test]
+        fn conn_specs_round_trip_while_chunks_are_freed(
+            lead in 0..40usize,
+            specs in prop::collection::vec((any_spec(), any::<bool>()), 1..40),
+        ) {
+            let mut t = ConnTable::default();
+            let fillers: Vec<u64> = (lead..CHUNK).map(|_| t.push(spec(ConnKind::Inbound))).collect();
+            let mut ids = Vec::new();
+            for &(s, done) in &specs {
+                let id = t.push(s);
+                prop_assert_eq!(t.get(id).map(|c| t.spec(c)), Some(s));
+                ids.push((id, s, done));
+            }
+            for id in fillers {
+                t.finish(id, ConnStatus::Completed);
+            }
+            for &(id, _, done) in &ids {
+                if done {
+                    t.finish(id, ConnStatus::Denied);
+                }
+            }
+            let more: Vec<u64> = (0..CHUNK).map(|_| t.push(spec(ConnKind::Outbound))).collect();
+            for id in more {
+                t.finish(id, ConnStatus::Failed);
+            }
+            for (id, s, done) in ids {
+                match t.get(id) {
+                    Some(c) => prop_assert_eq!(t.spec(c), s),
+                    None => prop_assert!(done, "live id {} was freed", id),
+                }
+            }
+        }
+    }
+
+    /// A table whose every connection has its own class still round-trips
+    /// every spec, across chunks.
+    #[test]
+    fn conn_specs_round_trip_with_every_class_distinct() {
+        let mut t = ConnTable::default();
+        let specs: Vec<ConnSpec> = (0..2 * CHUNK as u32 + 3)
+            .map(|n| ConnSpec {
+                vnic: VnicId(n),
+                payload: n / 2,
+                overlay_encap_src: (n % 3 == 0).then_some(Ipv4Addr(n)),
+                start: SimTime(u64::from(n)),
+                ..spec(KINDS[n as usize % 4])
+            })
+            .collect();
+        for (id, s) in (1..).zip(&specs) {
+            assert_eq!(t.push(*s), id);
+        }
+        assert_eq!(t.classes.len(), specs.len());
+        for (id, s) in (1..).zip(&specs) {
+            assert_eq!(t.get(id).map(|c| t.spec(c)), Some(*s));
+        }
     }
 }

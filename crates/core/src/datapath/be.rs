@@ -14,7 +14,7 @@ use nezha_sim::trace::TraceEventKind;
 use nezha_types::{
     Direction, NezhaHeader, NezhaPayloadKind, Packet, SessionKey, SessionState, VnicId,
 };
-use nezha_vswitch::VSwitch;
+use nezha_vswitch::{SessionEntry, VSwitch};
 
 /// Does this vNIC currently steer TX traffic through FEs?
 pub(crate) fn nezha_active_for_tx(cl: &Cluster, vnic: VnicId) -> bool {
@@ -80,17 +80,26 @@ pub(crate) fn degrade_to_local(ctx: &mut HandlerCtx<'_>, vnic: VnicId) -> bool {
     true
 }
 
-/// Creates the BE's state-only session for `pkt`'s flow. When state
-/// memory is exhausted the flow is still processed — against scratch
-/// state, so its stateful guarantees degrade — and the overflow counted.
-fn establish_state(vs: &mut VSwitch, key: SessionKey, pkt: &Packet, now: SimTime) {
-    let memory = vs.config().memory;
-    let established =
-        vs.sessions
-            .establish(key, pkt.vnic, pkt.dir, None, now, &mut vs.mem, &memory);
-    if established.is_err() {
-        vs.note_session_overflow();
-    }
+/// The BE's session for `pkt`'s flow: the entry in `slot`, the one probe
+/// of the packet (taken before the charge, which does not touch the
+/// table), else a new state-only one. `None` when state memory is
+/// exhausted: the caller counts the overflow and processes the flow
+/// against scratch state, so its stateful guarantees degrade.
+fn session_state<'v>(
+    vs: &'v mut VSwitch,
+    slot: Option<usize>,
+    key: SessionKey,
+    pkt: &Packet,
+    now: SimTime,
+) -> Option<&'v mut SessionEntry> {
+    let Some(slot) = slot else {
+        let memory = vs.config().memory;
+        return vs
+            .sessions
+            .establish(key, pkt.vnic, pkt.dir, None, now, &mut vs.mem, &memory)
+            .ok();
+    };
+    Some(vs.sessions.at_mut(slot))
 }
 
 /// TX packet from the local VM at its home (BE) vSwitch.
@@ -105,11 +114,10 @@ pub(crate) fn be_handle_tx(ctx: &mut HandlerCtx<'_>, pkt: Packet, sent_at: SimTi
     let key = SessionKey::of(pkt.vpc, pkt.tuple);
     let vs = &mut ctx.cl.switches[server.0 as usize];
     let costs = vs.config().costs;
-    let is_first = vs.sessions.get(&key).is_none();
-    let cycles = if is_first {
-        costs.be_first_packet
-    } else {
-        costs.be_per_packet
+    let slot = vs.sessions.slot(&key);
+    let cycles = match slot {
+        None => costs.be_first_packet,
+        Some(_) => costs.be_per_packet,
     };
     let Some(charge) = ctx.charge(&pkt, cycles) else {
         return;
@@ -119,16 +127,17 @@ pub(crate) fn be_handle_tx(ctx: &mut HandlerCtx<'_>, pkt: Packet, sent_at: SimTi
     ctx.note_local_cycles(cycles);
     // State handling: create (state-only) or update, locally.
     let vs = &mut ctx.cl.switches[server.0 as usize];
-    if is_first {
-        establish_state(vs, key, &pkt, now);
-    }
     let mut nsh = NezhaHeader::bare(NezhaPayloadKind::TxCarry, pkt.vnic, pkt.vpc);
-    if let Some(entry) = vs.sessions.get_mut(&key) {
-        entry.state.update(None, &pkt);
-        entry.last_seen = now;
-        nsh.carry_state(&entry.state);
-    } else {
-        nsh.carry_state(&SessionState::first_packet(Direction::Tx));
+    match session_state(vs, slot, key, &pkt, now) {
+        Some(entry) => {
+            entry.state.update(None, &pkt);
+            entry.last_seen = now;
+            nsh.carry_state(&entry.state);
+        }
+        None => {
+            vs.note_session_overflow();
+            nsh.carry_state(&SessionState::first_packet(Direction::Tx));
+        }
     }
     // Select the FE by flow hash and ship the packet with its state.
     // `nezha_active_for_tx` above implies the meta exists; degrade to a
@@ -177,11 +186,10 @@ pub(crate) fn be_handle_rx_carry(
     let key = SessionKey::of(pkt.vpc, pkt.tuple);
     let vs = &mut ctx.cl.switches[server.0 as usize];
     let costs = vs.config().costs;
-    let is_first = vs.sessions.get(&key).is_none();
-    let cycles = if is_first {
-        costs.be_first_packet
-    } else {
-        costs.be_per_packet
+    let slot = vs.sessions.slot(&key);
+    let cycles = match slot {
+        None => costs.be_first_packet,
+        Some(_) => costs.be_per_packet,
     };
     let Some(charge) = ctx.charge(&pkt, cycles) else {
         return;
@@ -195,23 +203,24 @@ pub(crate) fn be_handle_rx_carry(
     }
     ctx.note_local_cycles(cycles);
 
-    let vs = &mut ctx.cl.switches[server.0 as usize];
-    if is_first {
-        establish_state(vs, key, &pkt, now);
-    }
     // Restore the info the FE carried for state initialization.
     let mut inner = pkt.strip_nezha();
     inner.overlay_encap_src = nsh.decap_addr;
-    let action = if let Some(entry) = vs.sessions.get_mut(&key) {
-        entry.last_seen = now;
-        // Adopt rule-table-involved state piggybacked in the header
-        // without verification (§3.2.2 RX workflow).
-        if let Some(p) = nsh.stats_policy {
-            entry.state.stats.policy = p;
+    let vs = &mut ctx.cl.switches[server.0 as usize];
+    let action = match session_state(vs, slot, key, &pkt, now) {
+        Some(entry) => {
+            entry.last_seen = now;
+            // Adopt rule-table-involved state piggybacked in the header
+            // without verification (§3.2.2 RX workflow).
+            if let Some(p) = nsh.stats_policy {
+                entry.state.stats.policy = p;
+            }
+            entry.state.process_pkt(&pair.rx, &inner)
         }
-        entry.state.process_pkt(&pair.rx, &inner)
-    } else {
-        SessionState::default().process_pkt(&pair.rx, &inner)
+        None => {
+            vs.note_session_overflow();
+            SessionState::default().process_pkt(&pair.rx, &inner)
+        }
     };
     if action.verdict == nezha_types::Decision::Drop {
         return ctx.deny(pkt.trace);

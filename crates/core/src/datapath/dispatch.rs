@@ -225,9 +225,10 @@ pub(crate) fn forward_to_peer(
     let from = ctx.server;
     // Resolve where the peer lives: the action's next hop when the
     // tables knew it, else the conn spec (gateway egress).
+    let conns = &ctx.cl.conns;
     let peer = action
         .next_hop
-        .or_else(|| ctx.cl.conn(pkt.trace >> 4).map(|c| c.spec.peer_server));
+        .or_else(|| conns.get(pkt.trace >> 4).map(|c| conns.spec(c).peer_server));
     let Some(peer) = peer else {
         // No destination (pure probe toward gateway): terminal here.
         ctx.complete(pkt.trace, sent_at, done);

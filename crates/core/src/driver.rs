@@ -7,7 +7,7 @@
 //! callbacks the datapath handlers fire through `HandlerCtx`.
 
 use crate::cluster::Cluster;
-use crate::conn::ConnStatus;
+use crate::conn::{ConnSpec, ConnStatus};
 use crate::datapath::dispatch::{flow_hash, Event};
 use crate::telemetry::{Ctr, Hist, Series};
 use nezha_sim::time::{SimDuration, SimTime};
@@ -29,14 +29,22 @@ pub fn retry_backoff(base: SimDuration, cap: SimDuration, retries: u32) -> SimDu
 }
 
 impl Cluster {
+    /// Injects step `step_idx` of connection `conn_id`, unless the
+    /// connection has moved past it or is terminal.
     pub(crate) fn inject_step(&mut self, conn_id: u64, step_idx: u8, now: SimTime) {
-        let Some(conn) = self.conn(conn_id) else {
+        let Some(conn) = self.conns.get(conn_id) else {
             return;
         };
         if conn.status != ConnStatus::InFlight || conn.pos != step_idx {
             return;
         }
-        let spec = conn.spec;
+        let spec = self.conns.spec(conn);
+        self.send_step(conn_id, &spec, step_idx, now);
+    }
+
+    /// Injects step `step_idx` of `spec`, the connection `conn_id` whose
+    /// next step the caller has checked it is.
+    fn send_step(&mut self, conn_id: u64, spec: &ConnSpec, step_idx: u8, now: SimTime) {
         let script = spec.kind.script();
         let step = script[usize::from(step_idx)];
         let tuple = spec.step_tuple(step.dir);
@@ -94,12 +102,12 @@ impl Cluster {
         }
         conn.pos += 1;
         conn.retries = 0;
+        let conn = *conn;
+        let spec = self.conns.spec(&conn);
         self.tel.inc(Ctr::PktOk);
-        if usize::from(conn.pos) < conn.spec.kind.script().len() {
-            let next = conn.pos;
-            return self.inject_step(conn_id, next, now);
+        if usize::from(conn.pos) < spec.kind.script().len() {
+            return self.send_step(conn_id, &spec, conn.pos, now);
         }
-        let spec = conn.spec;
         self.conns.finish(conn_id, ConnStatus::Completed);
         self.tel.inc(Ctr::Completed);
         self.tel
@@ -117,13 +125,16 @@ impl Cluster {
         if conn.status != ConnStatus::InFlight || conn.pos != step {
             return;
         }
-        conn.retries = conn.retries.saturating_add(1);
-        if u32::from(conn.retries) > self.cfg.max_retries {
+        // A full counter cannot count this retry: exhausted too.
+        if conn.retries == u8::MAX || u32::from(conn.retries) >= self.cfg.max_retries {
             self.conns.finish(conn_id, ConnStatus::Failed);
             self.tel.inc(Ctr::Failed);
             return;
         }
-        self.inject_step(conn_id, step, now);
+        conn.retries += 1;
+        let conn = *conn;
+        let spec = self.conns.spec(&conn);
+        self.send_step(conn_id, &spec, step, now);
     }
 
     /// Records a lost conn/probe packet and schedules the retry with

@@ -31,7 +31,8 @@
 #            through the two-rung ladder, and a reserved sequence number
 #            filed late pops where it was reserved), the `nezha-core`
 #            connection tests (the chunked connection table's unit tests,
-#            the cluster runs that check it frees every finished chunk,
+#            the property that a record rebuilds the spec it was
+#            registered with, the cluster runs that check it frees every finished chunk,
 #            and `conn_starts_keep_registration_order_through_the_chain_and_its_fallbacks`:
 #            the start chain against queue-every-start order), the reduced chaos
 #            smoke scenario

@@ -123,15 +123,17 @@ fn hot_path_stays_inside_its_allocation_budget() {
     // tables grew by doubling, with fewer and larger requests). Request
     // counts are a function of the seed, not of the host.
     //
-    // Registration: 65.3 B per connection, local and offloaded — the
-    // 64-byte `ConnState` in whole-page chunks. 146.5 and 144.8 when
-    // every unstarted connection also held a 32-byte queue entry, with
-    // the coarse rung's bucket doublings on top.
+    // Registration: 32.7 B per connection, local and offloaded — the
+    // 32-byte `ConnState` in whole-page chunks, plus the few interned
+    // classes its connections share. 65.3 with the whole spec in a
+    // 64-byte record; 146.5 and 144.8 when every unstarted connection
+    // also held a 32-byte queue entry, with the coarse rung's bucket
+    // doublings on top.
     for offload in [false, true] {
         let (registered, allocs, events) = registration_allocs_and_events(offload);
         assert!(
-            registered <= 72.0,
-            "registering allocated {registered:.1} B per connection (offload={offload}), budget 72"
+            registered <= 40.0,
+            "registering allocated {registered:.1} B per connection (offload={offload}), budget 40"
         );
         assert!(
             allocs as f64 <= 0.01 * events as f64,
