@@ -96,12 +96,21 @@ impl Default for ControllerConfig {
 #[derive(Debug, Default)]
 pub struct ControllerState {
     /// Cycles charged for *local* (BE or traditional) work per server
-    /// since the last tick.
-    local_cycles: BTreeMap<ServerId, f64>,
+    /// since the last tick, indexed by `ServerId`.
+    local_cycles: Vec<f64>,
     /// Cycles charged for *remote* (FE) work per server since last tick.
-    remote_cycles: BTreeMap<ServerId, f64>,
+    remote_cycles: Vec<f64>,
     /// Last scale-out instant per vNIC (cooldown enforcement).
     last_scale_out: BTreeMap<VnicId, SimTime>,
+}
+
+/// Adds `cycles` to server `s`'s tally, growing the tally to reach it.
+fn note(tally: &mut Vec<f64>, s: ServerId, cycles: u64) {
+    let i = s.0 as usize;
+    if i >= tally.len() {
+        tally.resize(i + 1, 0.0);
+    }
+    tally[i] += cycles as f64;
 }
 
 impl ControllerState {
@@ -111,23 +120,24 @@ impl ControllerState {
     }
 
     pub(crate) fn note_local_cycles(&mut self, s: ServerId, cycles: u64) {
-        *self.local_cycles.entry(s).or_insert(0.0) += cycles as f64;
+        note(&mut self.local_cycles, s, cycles);
     }
 
     pub(crate) fn note_remote_cycles(&mut self, s: ServerId, cycles: u64) {
-        *self.remote_cycles.entry(s).or_insert(0.0) += cycles as f64;
+        note(&mut self.remote_cycles, s, cycles);
     }
 
     fn split(&self, s: ServerId) -> (f64, f64) {
+        let i = s.0 as usize;
         (
-            self.local_cycles.get(&s).copied().unwrap_or(0.0),
-            self.remote_cycles.get(&s).copied().unwrap_or(0.0),
+            self.local_cycles.get(i).copied().unwrap_or(0.0),
+            self.remote_cycles.get(i).copied().unwrap_or(0.0),
         )
     }
 
     fn reset(&mut self) {
-        self.local_cycles.clear();
-        self.remote_cycles.clear();
+        self.local_cycles.fill(0.0);
+        self.remote_cycles.fill(0.0);
     }
 }
 

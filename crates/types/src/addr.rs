@@ -38,14 +38,15 @@ impl Ipv4Addr {
         Ipv4Addr(u32::from_be_bytes(o))
     }
 
-    /// Applies a prefix mask of the given length (`0..=32`).
+    /// Applies a prefix mask of the given length. Total over `u8`: a
+    /// length of 32 or more keeps the exact address.
     ///
     /// Used by longest-prefix-match route tables and by ACL prefix rules.
     pub const fn masked(self, prefix_len: u8) -> Ipv4Addr {
-        if prefix_len == 0 {
-            Ipv4Addr(0)
-        } else {
-            Ipv4Addr(self.0 & (u32::MAX << (32 - prefix_len as u32)))
+        match prefix_len {
+            0 => Ipv4Addr(0),
+            1..=31 => Ipv4Addr(self.0 & (u32::MAX << (32 - prefix_len as u32))),
+            _ => self,
         }
     }
 
@@ -183,6 +184,12 @@ mod tests {
         assert_eq!(a.masked(16), Ipv4Addr::new(192, 168, 0, 0));
         assert_eq!(a.masked(0), Ipv4Addr::UNSPECIFIED);
         assert_eq!(a.masked(32), a);
+        // Past 32 the mask stays the exact address, never a wrapped shift
+        // that would keep only the top bit.
+        assert_eq!(a.masked(33), a);
+        assert_eq!(a.masked(255), a);
+        assert!(!Ipv4Addr::new(192, 0, 0, 0).in_prefix(a, 33));
+        assert!(a.in_prefix(a, 255));
     }
 
     #[test]

@@ -4,7 +4,10 @@
 //! examples on the default synthetic vNIC. They live beside the code
 //! because they read and build `Vnic::tables` directly, which is private
 //! to this crate. A change to the walk is made in `rule_lookup` and in
-//! `reference_lookup`, by hand, twice — that is the point.
+//! `reference_lookup`, by hand, twice — that is the point. The reference
+//! does not call the ACL's or the route table's lookup, which are
+//! indexes: it scans their rules for the first match and the longest
+//! matching prefix.
 
 use super::{pair_lookup, rule_lookup};
 use crate::tables::acl::{AclTable, AclVerdict, PortRange};
@@ -13,8 +16,9 @@ use crate::tables::nat::NatRule;
 use crate::tables::pbr::PbrRule;
 use crate::tables::policy::PolicyRule;
 use crate::tables::qos::QosRule;
-use crate::tables::route::RouteTarget;
+use crate::tables::route::{RouteTable, RouteTarget};
 use crate::vnic::{Vnic, VnicProfile, VnicTables};
+use nezha_sim::rng::SimRng;
 use nezha_types::{Decision, Direction, FiveTuple, Ipv4Addr, PreAction, ServerId, VnicId, VpcId};
 use proptest::prelude::*;
 
@@ -69,9 +73,29 @@ fn arb_dir() -> impl Strategy<Value = Direction> {
 // restated as straight-line code over direct table reads.
 // ---------------------------------------------------------------------
 
+/// The first rule in priority order that matches, else the default.
+fn reference_acl(acl: &AclTable, tuple: &FiveTuple, dir: Direction) -> AclVerdict {
+    acl.rules()
+        .iter()
+        .find(|r| r.matches(tuple, dir))
+        .map_or(acl.default_verdict(dir), |r| AclVerdict {
+            decision: r.decision,
+            stateful: r.stateful,
+        })
+}
+
+/// The target of the longest prefix covering `dst`.
+fn reference_route(route: &RouteTable, dst: Ipv4Addr) -> Option<RouteTarget> {
+    route
+        .routes()
+        .filter(|&(prefix, len, _)| dst.in_prefix(prefix, len))
+        .max_by_key(|&(_, len, _)| len)
+        .map(|(_, _, target)| target)
+}
+
 fn reference_lookup(vnic: &Vnic, tuple: &FiveTuple, dir: Direction) -> PreAction {
     let t = &vnic.tables;
-    let acl = t.acl.lookup(tuple, dir);
+    let acl = reference_acl(&t.acl, tuple, dir);
     let qos_class = t.qos.classify(tuple.dst_port);
     let stats_policy = match dir {
         Direction::Tx => t.policy.lookup(tuple.dst_ip, tuple.dst_port),
@@ -83,7 +107,7 @@ fn reference_lookup(vnic: &Vnic, tuple: &FiveTuple, dir: Direction) -> PreAction
                 // PBR steers straight to a server, bypassing the routes.
                 (true, t.vnic_server.select(via, tuple.stable_hash()))
             } else {
-                match t.route.lookup(tuple.dst_ip) {
+                match reference_route(&t.route, tuple.dst_ip) {
                     Some(RouteTarget::Overlay(hint)) => {
                         let h = tuple.stable_hash();
                         let hop = t
@@ -307,6 +331,91 @@ proptest! {
             pair_lookup(&vnic, &tuple.reversed(), Direction::Rx)
         );
     }
+}
+
+// ---------------------------------------------------------------------
+// The four profile presets, at full size.
+// ---------------------------------------------------------------------
+
+/// An address inside `prefix/len`, its host bits taken from `raw`.
+fn inside((prefix, len): (Ipv4Addr, u8), raw: u32) -> Ipv4Addr {
+    let net = Ipv4Addr(u32::MAX).masked(len).0;
+    Ipv4Addr(prefix.0 & net | raw & !net)
+}
+
+/// The default, load-balancer, NAT-gateway and transit-router vNICs,
+/// each with an inbound service port opened: a priority-0 insert in
+/// front of every synthesized rule, which rebuilds the ACL index.
+fn preset_vnics() -> Vec<Vnic> {
+    [
+        VnicProfile::default(),
+        VnicProfile::load_balancer(),
+        VnicProfile::nat_gateway(),
+        VnicProfile::transit_router(),
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(i, p)| {
+        let addr = Ipv4Addr::new(10, 7 + i as u8, 0, 1);
+        let mut vnic = Vnic::new(VnicId(i as u32), VpcId(1), addr, p, ServerId(0));
+        vnic.allow_inbound_port(9000);
+        vnic
+    })
+    .collect()
+}
+
+/// `rule_lookup` equals the scanning reference on the presets, with
+/// tuples drawn inside their synthesized prefixes: a random ACL rule's
+/// source and destination (or a random route's destination), and half
+/// the time a destination port inside the rule's range. Random tuples
+/// would almost never reach a rule. The presets are built once, so the
+/// cases come from a seeded generator rather than `proptest!`.
+#[test]
+fn rule_lookup_matches_the_reference_on_the_preset_profiles() {
+    let mut rng = SimRng::new(31);
+    let mut synthesized_hits = 0;
+    for vnic in preset_vnics() {
+        let rules = vnic.tables.acl.rules();
+        let routes: Vec<(Ipv4Addr, u8, RouteTarget)> = vnic.tables.route.routes().collect();
+        for _ in 0..2_000 {
+            let bits = |rng: &mut SimRng| rng.range(0, 1 << 32) as u32;
+            let r = &rules[rng.index(rules.len())];
+            let src = if rng.chance(0.5) {
+                inside((vnic.addr, 16), bits(&mut rng))
+            } else {
+                inside(r.src, bits(&mut rng))
+            };
+            let dst = if rng.chance(0.5) {
+                let (prefix, len, _) = routes[rng.index(routes.len())];
+                inside((prefix, len), bits(&mut rng))
+            } else {
+                inside(r.dst, bits(&mut rng))
+            };
+            let dst_port = if rng.chance(0.5) {
+                rng.range(u64::from(r.dst_ports.lo), u64::from(r.dst_ports.hi) + 1) as u16
+            } else {
+                bits(&mut rng) as u16
+            };
+            let tuple = FiveTuple::tcp(src, bits(&mut rng) as u16, dst, dst_port);
+            for dir in [Direction::Tx, Direction::Rx] {
+                // Past the inbound-port rule at position 0.
+                synthesized_hits +=
+                    usize::from(rules.iter().skip(1).any(|r| r.matches(&tuple, dir)));
+                assert_eq!(
+                    rule_lookup(&vnic, &tuple, dir),
+                    reference_lookup(&vnic, &tuple, dir),
+                    "{:?} {tuple:?} {dir:?}",
+                    vnic.id
+                );
+            }
+        }
+    }
+    // Three presets have synthesized ACL rules; a fair share of their
+    // cases must reach one.
+    assert!(
+        synthesized_hits > 1_000,
+        "{synthesized_hits} cases hit a synthesized rule"
+    );
 }
 
 // ---------------------------------------------------------------------

@@ -5,7 +5,15 @@
 //! first hit wins. A rule may be **stateful**: its verdict is preliminary
 //! and the final decision combines it with the session's first-packet
 //! direction (§5.1). A default verdict applies when nothing matches.
+//!
+//! The lookup is a tuple-space search rather than a scan: rules are
+//! grouped by their `(source length, destination length)` pair, and each
+//! group hashes the masked `(source, destination)` prefix pair to the
+//! rules carrying exactly those prefixes. One hash probe per group finds
+//! every rule whose prefixes can match; only those run the full
+//! [`AclRule::matches`] (direction, ports, protocol).
 
+use nezha_sim::dense::DenseMap;
 use nezha_types::{Decision, Direction, FiveTuple, IpProtocol, Ipv4Addr};
 use serde::{Deserialize, Serialize};
 
@@ -96,12 +104,27 @@ pub struct AclVerdict {
     pub stateful: bool,
 }
 
+/// Rules that share one `(src_len, dst_len)` pair.
+#[derive(Clone, Debug)]
+struct Group {
+    src_len: u8,
+    dst_len: u8,
+    /// Position of the group's first rule in priority order; the table
+    /// keeps its groups sorted by it.
+    first: u32,
+    /// Masked `(src, dst)` → positions of the group's rules with exactly
+    /// those prefixes, ascending.
+    buckets: DenseMap<(u32, u32), Vec<u32>>,
+}
+
 /// The ACL table: rules in priority order plus a default verdict.
 ///
 /// `Default` is [`AclTable::allow_all`] — the permissive stateless table.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct AclTable {
     rules: Vec<AclRule>,
+    /// The lookup index over `rules`, built at insert time.
+    groups: Vec<Group>,
     /// Default verdict for egress traffic when no rule matches.
     default_tx: AclVerdict,
     /// Default verdict for ingress traffic when no rule matches. Cloud
@@ -122,6 +145,7 @@ impl AclTable {
     pub fn new(default_tx: AclVerdict, default_rx: AclVerdict) -> Self {
         AclTable {
             rules: Vec::new(),
+            groups: Vec::new(),
             default_tx,
             default_rx,
         }
@@ -154,9 +178,50 @@ impl AclTable {
     }
 
     /// Inserts a rule, keeping priority order (stable for equal priority).
+    /// An append indexes the one new rule; an insert before the last rule
+    /// shifts every later position, so it rebuilds the index.
     pub fn insert(&mut self, rule: AclRule) {
         let pos = self.rules.partition_point(|r| r.priority <= rule.priority);
         self.rules.insert(pos, rule);
+        if pos + 1 == self.rules.len() {
+            self.index(pos);
+        } else {
+            self.groups.clear();
+            for i in 0..self.rules.len() {
+                self.index(i);
+            }
+        }
+    }
+
+    /// Files the rule at `pos`, which must be after every indexed rule.
+    fn index(&mut self, pos: usize) {
+        let r = &self.rules[pos];
+        let lens = (r.src.1, r.dst.1);
+        let key = (r.src.0.masked(lens.0).0, r.dst.0.masked(lens.1).0);
+        let pos = pos as u32;
+        let g = match self
+            .groups
+            .iter()
+            .position(|g| (g.src_len, g.dst_len) == lens)
+        {
+            Some(g) => g,
+            None => {
+                self.groups.push(Group {
+                    src_len: lens.0,
+                    dst_len: lens.1,
+                    first: pos,
+                    buckets: DenseMap::new(),
+                });
+                self.groups.len() - 1
+            }
+        };
+        let buckets = &mut self.groups[g].buckets;
+        match buckets.get_mut(&key) {
+            Some(bucket) => bucket.push(pos),
+            None => {
+                buckets.insert(key, vec![pos]);
+            }
+        }
     }
 
     /// Number of rules.
@@ -172,22 +237,57 @@ impl AclTable {
     /// Clears all rules.
     pub fn clear(&mut self) {
         self.rules.clear();
+        self.groups.clear();
+    }
+
+    /// The rules in lookup order: by priority, then insertion.
+    #[cfg(test)]
+    pub(crate) fn rules(&self) -> &[AclRule] {
+        &self.rules
+    }
+
+    /// The verdict for a packet of direction `dir` that no rule matches.
+    pub(crate) fn default_verdict(&self, dir: Direction) -> AclVerdict {
+        match dir {
+            Direction::Tx => self.default_tx,
+            Direction::Rx => self.default_rx,
+        }
     }
 
     /// First-hit lookup in priority order; falls back to the direction's
     /// default.
+    ///
+    /// Visits the groups in order of their first rule and each group's
+    /// one bucket the tuple hashes to, stopping at the first position
+    /// past the best match so far: the result is the first matching rule
+    /// of a full scan, without the scan.
     pub fn lookup(&self, t: &FiveTuple, dir: Direction) -> AclVerdict {
-        for r in &self.rules {
-            if r.matches(t, dir) {
-                return AclVerdict {
-                    decision: r.decision,
-                    stateful: r.stateful,
-                };
+        let mut best = self.rules.len();
+        for g in &self.groups {
+            if g.first as usize >= best {
+                break;
+            }
+            let key = (t.src_ip.masked(g.src_len).0, t.dst_ip.masked(g.dst_len).0);
+            let Some(bucket) = g.buckets.get(&key) else {
+                continue;
+            };
+            for &p in bucket {
+                let p = p as usize;
+                if p >= best {
+                    break;
+                }
+                if self.rules[p].matches(t, dir) {
+                    best = p;
+                    break;
+                }
             }
         }
-        match dir {
-            Direction::Tx => self.default_tx,
-            Direction::Rx => self.default_rx,
+        match self.rules.get(best) {
+            Some(r) => AclVerdict {
+                decision: r.decision,
+                stateful: r.stateful,
+            },
+            None => self.default_verdict(dir),
         }
     }
 
@@ -329,5 +429,135 @@ mod tests {
             Direction::Tx,
         );
         assert_eq!(v.decision, Decision::Accept);
+    }
+
+    /// The testbed's shape: 100 appended `/24` rules, then a priority-0
+    /// inbound-port rule inserted at the front, which rebuilds the index.
+    #[test]
+    fn front_insert_rebuilds_the_index() {
+        let mut acl = table(Decision::Drop, Decision::Drop, false);
+        for i in 0..100u32 {
+            acl.insert(AclRule {
+                dst: (Ipv4Addr(0x0a07_0000 + (i << 8)), 24),
+                dst_ports: PortRange::only(i as u16),
+                ..AclRule::catch_all(i + 1, Decision::Accept, false)
+            });
+        }
+        assert_eq!(acl.groups.len(), 1);
+        let to = |host: u32, port| {
+            t(
+                Ipv4Addr::new(1, 1, 1, 1),
+                1,
+                Ipv4Addr(0x0a07_0000 + host),
+                port,
+            )
+        };
+        assert_eq!(
+            acl.lookup(&to(0x0305, 3), Direction::Tx).decision,
+            Decision::Accept
+        );
+        assert_eq!(
+            acl.lookup(&to(0x0305, 4), Direction::Tx).decision,
+            Decision::Drop
+        );
+        acl.insert(AclRule {
+            direction: Some(Direction::Rx),
+            dst_ports: PortRange::only(4),
+            ..AclRule::catch_all(0, Decision::Accept, false)
+        });
+        // The catch-all group now comes first.
+        assert_eq!(
+            acl.groups
+                .iter()
+                .map(|g| (g.src_len, g.dst_len, g.first))
+                .collect::<Vec<_>>(),
+            vec![(0, 0, 0), (0, 24, 1)]
+        );
+        assert_eq!(
+            acl.lookup(&to(0x0305, 4), Direction::Rx).decision,
+            Decision::Accept
+        );
+        assert_eq!(
+            acl.lookup(&to(0x0305, 4), Direction::Tx).decision,
+            Decision::Drop
+        );
+        assert_eq!(
+            acl.lookup(&to(0x0305, 3), Direction::Rx).decision,
+            Decision::Accept
+        );
+        acl.clear();
+        assert!(acl.groups.is_empty());
+        assert_eq!(
+            acl.lookup(&to(0x0305, 3), Direction::Rx).decision,
+            Decision::Drop
+        );
+    }
+
+    /// A better-placed rule in a later-indexed bucket of an earlier group
+    /// still wins over an earlier group's later rule.
+    #[test]
+    fn best_position_wins_across_groups() {
+        let mut acl = table(Decision::Drop, Decision::Drop, false);
+        let ten = (Ipv4Addr::new(10, 0, 0, 0), 8);
+        acl.insert(AclRule {
+            dst: ten,
+            dst_ports: PortRange::only(80),
+            ..AclRule::catch_all(1, Decision::Drop, true)
+        });
+        acl.insert(AclRule {
+            src: ten,
+            ..AclRule::catch_all(2, Decision::Accept, false)
+        });
+        acl.insert(AclRule {
+            dst: ten,
+            ..AclRule::catch_all(3, Decision::Drop, false)
+        });
+        let tuple = |dp| {
+            t(
+                Ipv4Addr::new(10, 1, 1, 1),
+                1,
+                Ipv4Addr::new(10, 2, 2, 2),
+                dp,
+            )
+        };
+        assert_eq!(
+            acl.lookup(&tuple(80), Direction::Tx),
+            AclVerdict {
+                decision: Decision::Drop,
+                stateful: true
+            }
+        );
+        assert_eq!(
+            acl.lookup(&tuple(81), Direction::Tx).decision,
+            Decision::Accept
+        );
+    }
+
+    #[test]
+    fn prefix_lengths_past_32_match_the_exact_address() {
+        let mut acl = table(Decision::Drop, Decision::Drop, false);
+        let host = Ipv4Addr::new(10, 0, 0, 7);
+        for len in [33, 255] {
+            acl.insert(AclRule {
+                dst: (host, len),
+                ..AclRule::catch_all(1, Decision::Accept, false)
+            });
+        }
+        let to = |dst| t(Ipv4Addr::new(1, 1, 1, 1), 1, dst, 80);
+        assert_eq!(
+            acl.lookup(&to(host), Direction::Tx).decision,
+            Decision::Accept
+        );
+        // Not a match on the top address bit alone.
+        assert_eq!(
+            acl.lookup(&to(Ipv4Addr::new(10, 0, 0, 8)), Direction::Tx)
+                .decision,
+            Decision::Drop
+        );
+        assert_eq!(
+            acl.lookup(&to(Ipv4Addr::new(0, 0, 0, 1)), Direction::Tx)
+                .decision,
+            Decision::Drop
+        );
     }
 }

@@ -1,13 +1,14 @@
 //! VXLAN routing: longest-prefix match over overlay destinations.
 //!
 //! The route table answers "is this overlay destination reachable in the
-//! tenant's VPC, and through what overlay endpoint". Entries are grouped
-//! by prefix length and probed from most- to least-specific — a simple,
-//! allocation-light LPM adequate for the table sizes the model uses.
+//! tenant's VPC, and through what overlay endpoint". Every route sits in
+//! one hash map keyed by `(prefix length, masked address)`; a lookup
+//! probes the lengths present, longest first, so it costs one hash probe
+//! per distinct length and allocates nothing.
 
+use nezha_sim::dense::DenseMap;
 use nezha_types::Ipv4Addr;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Outcome of a route lookup.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -20,13 +21,12 @@ pub enum RouteTarget {
 }
 
 /// The LPM route table.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct RouteTable {
-    /// Prefix-length → (masked address → target). Probed longest-first.
-    by_len: BTreeMap<u8, BTreeMap<u32, RouteTarget>>,
-    /// Sorted (desc) list of present prefix lengths, kept in sync.
-    lens: Vec<u8>,
-    entries: usize,
+    /// `(len, masked address)` → target.
+    routes: DenseMap<(u8, u32), RouteTarget>,
+    /// Bit `len` set when some route has that prefix length (`0..=32`).
+    lens: u64,
 }
 
 impl RouteTable {
@@ -35,47 +35,48 @@ impl RouteTable {
         RouteTable::default()
     }
 
-    /// Inserts or replaces a route for `prefix/len`.
+    /// Inserts or replaces a route for `prefix/len`. A length past 32 is
+    /// a host route, the same as `/32`.
     pub fn insert(&mut self, prefix: Ipv4Addr, len: u8, target: RouteTarget) {
-        assert!(len <= 32);
-        let masked = prefix.masked(len).0;
-        let bucket = self.by_len.entry(len).or_default();
-        if bucket.insert(masked, target).is_none() {
-            self.entries += 1;
-        }
-        if !self.lens.contains(&len) {
-            self.lens.push(len);
-            self.lens.sort_unstable_by(|a, b| b.cmp(a));
-        }
+        let len = len.min(32);
+        self.routes.insert((len, prefix.masked(len).0), target);
+        self.lens |= 1u64 << len;
     }
 
     /// Longest-prefix-match lookup; `None` when no route covers `dst`.
     pub fn lookup(&self, dst: Ipv4Addr) -> Option<RouteTarget> {
-        for &len in &self.lens {
-            if let Some(t) = self
-                .by_len
-                .get(&len)
-                .and_then(|b| b.get(&dst.masked(len).0))
-            {
+        let mut lens = self.lens;
+        while lens != 0 {
+            let len = 63 - lens.leading_zeros() as u8;
+            if let Some(t) = self.routes.get(&(len, dst.masked(len).0)) {
                 return Some(*t);
             }
+            lens ^= 1u64 << len;
         }
         None
     }
 
+    /// Every route as `(masked prefix, len, target)`, in insertion order.
+    #[cfg(test)]
+    pub(crate) fn routes(&self) -> impl Iterator<Item = (Ipv4Addr, u8, RouteTarget)> + '_ {
+        self.routes
+            .iter()
+            .map(|(&(len, prefix), &t)| (Ipv4Addr(prefix), len, t))
+    }
+
     /// Number of routes.
     pub fn len(&self) -> usize {
-        self.entries
+        self.routes.len()
     }
 
     /// True when the table holds no routes.
     pub fn is_empty(&self) -> bool {
-        self.entries == 0
+        self.routes.is_empty()
     }
 
     /// Memory footprint under the given per-entry cost.
     pub fn memory_bytes(&self, per_entry: u64) -> u64 {
-        self.entries as u64 * per_entry
+        self.routes.len() as u64 * per_entry
     }
 }
 
@@ -145,6 +146,29 @@ mod tests {
             rt.lookup(Ipv4Addr::new(10, 0, 0, 7)),
             Some(RouteTarget::Overlay(Ipv4Addr::new(3, 3, 3, 3)))
         );
+        assert_eq!(
+            rt.lookup(Ipv4Addr::new(10, 0, 0, 8)),
+            Some(RouteTarget::Blackhole)
+        );
+    }
+
+    #[test]
+    fn lengths_past_32_are_host_routes() {
+        let host = Ipv4Addr::new(10, 0, 0, 7);
+        let hint = |d| RouteTarget::Overlay(Ipv4Addr::new(d, d, d, d));
+        let mut rt = RouteTable::new();
+        rt.insert(host, 33, hint(1));
+        assert_eq!(rt.lookup(host), Some(hint(1)));
+        // Not a match on the top address bit alone.
+        assert_eq!(rt.lookup(Ipv4Addr::new(10, 0, 0, 8)), None);
+        // /32, /33 and /255 name one route: each replaces the last.
+        rt.insert(host, 32, hint(2));
+        assert_eq!(rt.lookup(host), Some(hint(2)));
+        rt.insert(host, 255, hint(3));
+        assert_eq!(rt.lookup(host), Some(hint(3)));
+        assert_eq!(rt.len(), 1);
+        rt.insert(Ipv4Addr::new(10, 0, 0, 0), 24, RouteTarget::Blackhole);
+        assert_eq!(rt.lookup(host), Some(hint(3)));
         assert_eq!(
             rt.lookup(Ipv4Addr::new(10, 0, 0, 8)),
             Some(RouteTarget::Blackhole)

@@ -4,45 +4,81 @@
 use nezha_sim::resources::MemoryPool;
 use nezha_sim::time::SimTime;
 use nezha_types::{
-    Decision, Direction, FiveTuple, Ipv4Addr, PreActionPair, ServerId, SessionKey, VnicId, VpcId,
+    Decision, Direction, FiveTuple, IpProtocol, Ipv4Addr, PreActionPair, ServerId, SessionKey,
+    VnicId, VpcId,
 };
 use nezha_vswitch::config::VSwitchConfig;
 use nezha_vswitch::session::SessionTable;
-use nezha_vswitch::tables::acl::{AclRule, AclTable, PortRange};
+use nezha_vswitch::tables::acl::{AclRule, AclTable, AclVerdict, PortRange};
 use nezha_vswitch::tables::route::{RouteTable, RouteTarget};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
+fn arb_ports() -> impl Strategy<Value = PortRange> {
+    prop::option::of((any::<u16>(), any::<u16>())).prop_map(|r| match r {
+        Some((a, b)) => PortRange {
+            lo: a.min(b),
+            hi: a.max(b),
+        },
+        None => PortRange::ANY,
+    })
+}
+
+fn arb_dir() -> impl Strategy<Value = Direction> {
+    prop::sample::select(vec![Direction::Tx, Direction::Rx])
+}
+
+/// A prefix of length 0–40, drawn two times in three from small pools
+/// of addresses and lengths, so that rules share groups and buckets.
+fn arb_prefix() -> impl Strategy<Value = (Ipv4Addr, u8)> {
+    ((0u8..3, any::<u32>()), (0u8..6, 0u8..=40)).prop_map(|((a, raw), (l, len))| {
+        let addr = match a {
+            0 => Ipv4Addr::new(10, 1, 2, 3),
+            1 => Ipv4Addr::new(10, 1, 9, 9),
+            _ => Ipv4Addr(raw),
+        };
+        let len = match l {
+            0 => 0,
+            1 => 16,
+            2 => 24,
+            3 => 33,
+            _ => len,
+        };
+        (addr, len)
+    })
+}
+
+/// Priorities from a small range, so inserts land in front of, among and
+/// after the rules already present.
 fn arb_rule() -> impl Strategy<Value = AclRule> {
     (
-        0u32..50,
-        any::<u32>(),
-        0u8..=32,
-        any::<u32>(),
-        0u8..=32,
-        any::<u16>(),
-        any::<u16>(),
+        0u32..8,
+        prop::option::of(arb_dir()),
+        arb_prefix(),
+        arb_prefix(),
+        arb_ports(),
+        arb_ports(),
+        prop::option::of(prop::sample::select(vec![IpProtocol::Tcp, IpProtocol::Udp])),
         prop::bool::ANY,
         prop::bool::ANY,
     )
         .prop_map(
-            |(prio, src, sl, dst, dl, plo, phi, accept, stateful)| AclRule {
-                priority: prio,
-                direction: None,
-                src: (Ipv4Addr(src), sl),
-                dst: (Ipv4Addr(dst), dl),
-                src_ports: PortRange::ANY,
-                dst_ports: PortRange {
-                    lo: plo.min(phi),
-                    hi: plo.max(phi),
-                },
-                protocol: None,
-                decision: if accept {
-                    Decision::Accept
-                } else {
-                    Decision::Drop
-                },
-                stateful,
+            |(priority, direction, src, dst, src_ports, dst_ports, protocol, accept, stateful)| {
+                AclRule {
+                    priority,
+                    direction,
+                    src,
+                    dst,
+                    src_ports,
+                    dst_ports,
+                    protocol,
+                    decision: if accept {
+                        Decision::Accept
+                    } else {
+                        Decision::Drop
+                    },
+                    stateful,
+                }
             },
         )
 }
@@ -52,51 +88,166 @@ fn arb_tuple() -> impl Strategy<Value = FiveTuple> {
         .prop_map(|(s, d, sp, dp)| FiveTuple::tcp(Ipv4Addr(s), sp, Ipv4Addr(d), dp))
 }
 
+/// An address inside `prefix/len`, its host bits taken from `raw`.
+fn inside((prefix, len): (Ipv4Addr, u8), raw: u32) -> Ipv4Addr {
+    let net = Ipv4Addr(u32::MAX).masked(len).0;
+    Ipv4Addr(prefix.0 & net | raw & !net)
+}
+
+/// A port of `range` when `pick`, else `raw`.
+fn port_in(range: PortRange, raw: u16, pick: bool) -> u16 {
+    if pick {
+        range.lo + (u32::from(raw) % (u32::from(range.hi - range.lo) + 1)) as u16
+    } else {
+        raw
+    }
+}
+
+/// A probe aimed at one rule: inside its prefixes, and per coin inside
+/// its port ranges and of its protocol. `None` picks no rule (a fully
+/// random tuple).
+#[derive(Clone, Copy, Debug)]
+struct Probe {
+    rule: Option<usize>,
+    addrs: (u32, u32),
+    ports: (u16, u16),
+    in_ports: (bool, bool),
+    udp: bool,
+    dir: Direction,
+}
+
+fn arb_probe() -> impl Strategy<Value = Probe> {
+    (
+        prop::option::of(any::<usize>()),
+        (any::<u32>(), any::<u32>()),
+        (any::<u16>(), any::<u16>()),
+        (prop::bool::ANY, prop::bool::ANY),
+        prop::bool::ANY,
+        arb_dir(),
+    )
+        .prop_map(|(rule, addrs, ports, in_ports, udp, dir)| Probe {
+            rule,
+            addrs,
+            ports,
+            in_ports,
+            udp,
+            dir,
+        })
+}
+
+impl Probe {
+    fn tuple(&self, rules: &[AclRule]) -> FiveTuple {
+        let (s, d) = self.addrs;
+        let (sp, dp) = self.ports;
+        let (src, dst, sp, dp, udp) = match self.rule.filter(|_| !rules.is_empty()) {
+            Some(i) => {
+                let r = &rules[i % rules.len()];
+                (
+                    inside(r.src, s),
+                    inside(r.dst, d),
+                    port_in(r.src_ports, sp, self.in_ports.0),
+                    port_in(r.dst_ports, dp, self.in_ports.1),
+                    r.protocol.map_or(self.udp, |p| p == IpProtocol::Udp),
+                )
+            }
+            None => (Ipv4Addr(s), Ipv4Addr(d), sp, dp, self.udp),
+        };
+        if udp {
+            FiveTuple::udp(src, sp, dst, dp)
+        } else {
+            FiveTuple::tcp(src, sp, dst, dp)
+        }
+    }
+}
+
+/// First match by (priority, insertion index) over `rules`, a scan that
+/// shares nothing with the table's index; else the security group's
+/// default.
+fn reference_acl(rules: &[AclRule], t: &FiveTuple, dir: Direction) -> AclVerdict {
+    let mut indexed: Vec<(usize, &AclRule)> = rules.iter().enumerate().collect();
+    indexed.sort_by_key(|(i, r)| (r.priority, *i));
+    indexed.iter().find(|(_, r)| r.matches(t, dir)).map_or(
+        AclVerdict {
+            decision: match dir {
+                Direction::Tx => Decision::Accept,
+                Direction::Rx => Decision::Drop,
+            },
+            stateful: true,
+        },
+        |(_, r)| AclVerdict {
+            decision: r.decision,
+            stateful: r.stateful,
+        },
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
-    /// The ACL's first-hit-by-priority lookup equals a naive reference:
-    /// sort by (priority, insertion index), take the first match.
+    /// The ACL's indexed lookup equals a scan for the first hit by
+    /// (priority, insertion index), after every insert (appends and
+    /// inserts in front of present rules alike), on a clone, after
+    /// `clear`, and after reinserting the rules in reverse order (so a
+    /// position left over from before `clear` would name another rule).
+    /// Probes are aimed inside the rules' prefixes, so most of them reach
+    /// some rule.
     #[test]
     fn acl_matches_reference(
         rules in prop::collection::vec(arb_rule(), 0..20),
-        tuple in arb_tuple(),
+        probes in prop::collection::vec(arb_probe(), 16),
     ) {
-        let mut acl = AclTable::allow_all();
-        for r in &rules {
+        let check = |acl: &AclTable, live: &[AclRule]| -> Result<(), TestCaseError> {
+            for p in &probes {
+                let t = p.tuple(&rules);
+                prop_assert_eq!(acl.lookup(&t, p.dir), reference_acl(live, &t, p.dir));
+            }
+            Ok(())
+        };
+        let mut acl = AclTable::security_group();
+        for (n, r) in rules.iter().enumerate() {
+            acl.insert(*r);
+            check(&acl, &rules[..=n])?;
+        }
+        let copy = acl.clone();
+        acl.clear();
+        prop_assert!(acl.is_empty());
+        check(&acl, &[])?;
+        check(&copy, &rules)?;
+        let reversed: Vec<AclRule> = rules.iter().rev().copied().collect();
+        for r in &reversed {
             acl.insert(*r);
         }
-        let got = acl.lookup(&tuple, Direction::Tx);
-
-        let mut indexed: Vec<(usize, &AclRule)> = rules.iter().enumerate().collect();
-        indexed.sort_by_key(|(i, r)| (r.priority, *i));
-        let want = indexed
-            .iter()
-            .find(|(_, r)| r.matches(&tuple, Direction::Tx))
-            .map(|(_, r)| (r.decision, r.stateful))
-            .unwrap_or((Decision::Accept, false));
-        prop_assert_eq!((got.decision, got.stateful), want);
+        check(&acl, &reversed)?;
     }
 
-    /// LPM equals a naive longest-prefix scan.
+    /// LPM equals a naive longest-prefix scan; a length past 32 is a host
+    /// route.
     #[test]
     fn route_lpm_matches_reference(
-        routes in prop::collection::vec((any::<u32>(), 0u8..=32, any::<u32>()), 0..24),
+        routes in prop::collection::vec((any::<u32>(), 0u8..=40, any::<u32>()), 0..24),
         dst in any::<u32>(),
+        aim in prop::option::of(any::<usize>()),
     ) {
         let mut rt = RouteTable::new();
         for (p, l, hint) in &routes {
             rt.insert(Ipv4Addr(*p), *l, RouteTarget::Overlay(Ipv4Addr(*hint)));
         }
-        let got = rt.lookup(Ipv4Addr(dst));
+        // Three times in four, aim inside one of the routes.
+        let dst = match aim.filter(|_| !routes.is_empty()) {
+            Some(i) => {
+                let (p, l, _) = routes[i % routes.len()];
+                inside((Ipv4Addr(p), l), dst)
+            }
+            None => Ipv4Addr(dst),
+        };
+        let got = rt.lookup(dst);
 
         // Reference: longest prefix wins; later inserts replace equals.
         let mut best: Option<(u8, Ipv4Addr)> = None;
         for (p, l, hint) in &routes {
-            if Ipv4Addr(dst).in_prefix(Ipv4Addr(*p), *l)
-                && best.is_none_or(|(bl, _)| *l >= bl)
-            {
-                best = Some((*l, Ipv4Addr(*hint)));
+            let l = (*l).min(32);
+            if dst.in_prefix(Ipv4Addr(*p), l) && best.is_none_or(|(bl, _)| l >= bl) {
+                best = Some((l, Ipv4Addr(*hint)));
             }
         }
         prop_assert_eq!(got, best.map(|(_, h)| RouteTarget::Overlay(h)));

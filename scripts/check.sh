@@ -19,7 +19,9 @@
 #            the `nezha-types` tests (the session-state transitions and
 #            `process_pkt`, the BE->FE state carry through the wire, the
 #            one NSH encoder and its parser), the vswitch crate's tests
-#            (the rule lookup vs its reference and case table, the cost
+#            (the rule lookup vs its reference and case table, the
+#            indexed ACL classifier and hashed LPM checked against a
+#            scan of their rules, the cost
 #            split's exact-sum and stage-order properties, the
 #            process_local outcome table), the `nezha-sim` dense
 #            tests (every per-packet table rests on `DenseMap`'s slot
@@ -70,7 +72,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 if [ "$fast" -eq 1 ]; then
     echo "==> cargo test -q -p nezha-types   (--fast: state transitions, the TX carry, the NSH codec)"
     cargo test -q -p nezha-types
-    echo "==> cargo test -q -p nezha-vswitch   (--fast: rule lookup vs its reference + cost-split properties)"
+    echo "==> cargo test -q -p nezha-vswitch   (--fast: rule lookup vs its reference, indexed tables vs a scan, cost-split properties)"
     cargo test -q -p nezha-vswitch
     echo "==> cargo test -q -p nezha-sim dense   (--fast: DenseMap slot encoding and pages vs its BTreeMap and order models)"
     cargo test -q -p nezha-sim dense

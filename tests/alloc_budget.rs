@@ -1,8 +1,9 @@
 //! The hot path's allocation budget, measured: heap allocations per
 //! engine event on a TCP_CRR run, heap bytes per registered connection,
 //! heap bytes per entry while a session table grows, and exactly zero on
-//! the two per-packet primitives that run does not cross (the NSH codec,
-//! `DenseMap::get`).
+//! the per-packet primitives that run does not cross (the NSH codec,
+//! `DenseMap::get`) and on the rule lookup (`pair_lookup`, whose ACL and
+//! route indexes are built at insert time, never on a probe).
 //!
 //! One `#[test]` on purpose: the counter is process-wide, and a second
 //! test running on another thread would be counted too.
@@ -19,9 +20,11 @@ use nezha::types::{
     Decision, Direction, FiveTuple, Ipv4Addr, NezhaHeader, NezhaPayloadKind, NshView, PreAction,
     PreActionPair, ServerId, SessionKey, VnicId, VpcId,
 };
+use nezha::vswitch::stage::lookup::pair_lookup;
 use nezha::vswitch::vnic::{Vnic, VnicProfile};
 use nezha::vswitch::{SessionTable, VSwitchConfig};
 use nezha::workloads::cps::CpsWorkload;
+use nezha::workloads::syn_flood::SynFlood;
 
 #[expect(
     clippy::disallowed_types,
@@ -191,4 +194,42 @@ fn hot_path_stays_inside_its_allocation_budget() {
         }
     });
     assert_eq!(probes, 0, "DenseMap::get allocated");
+
+    // The slow path's rule lookup over the testbed vNIC (the priority-0
+    // inbound-port rule rebuilt the ACL index), on 5 000 SYN-flood and
+    // ~5 000 TCP_CRR first packets.
+    let mut vnic = Vnic::new(VNIC, VpcId(1), SERVICE, VnicProfile::default(), HOME);
+    vnic.allow_inbound_port(PORT);
+    let half = SimDuration::from_millis(500);
+    let flood = SynFlood {
+        vnic: VNIC,
+        vpc: VpcId(1),
+        service_addr: SERVICE,
+        service_port: PORT,
+        attacker_server: ServerId(9),
+        rate: 10_000.0,
+        duration: half,
+    };
+    let crr = CpsWorkload::tcp_crr(
+        VNIC,
+        VpcId(1),
+        SERVICE,
+        PORT,
+        vec![ServerId(24)],
+        10_000.0,
+        half,
+    );
+    let tuples: Vec<FiveTuple> = flood
+        .generate(SimTime::ZERO)
+        .into_iter()
+        .chain(crr.generate(SimTime::ZERO, &mut SimRng::new(7)))
+        .map(|spec| spec.tuple)
+        .collect();
+    assert!(tuples.len() > 9_500, "only {} tuples", tuples.len());
+    let (lookups, _) = allocs_during(|| {
+        for t in &tuples {
+            black_box(pair_lookup(black_box(&vnic), black_box(t), Direction::Rx));
+        }
+    });
+    assert_eq!(lookups, 0, "pair_lookup allocated");
 }
