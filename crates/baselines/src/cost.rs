@@ -7,10 +7,8 @@
 //! "less than 5% of the existing vSwitch code", so its entire cost is a
 //! modest software effort and a gray release.
 
-use serde::{Deserialize, Serialize};
-
 /// Time to scale the system into a new region / cluster.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ScaleOutTime {
     /// Fastest case, in days.
     pub min_days: u32,
@@ -19,7 +17,7 @@ pub struct ScaleOutTime {
 }
 
 /// One system's deployment cost (one Table 5 column).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct DeploymentCost {
     /// Display name.
     pub name: &'static str,

@@ -5,10 +5,8 @@
 //! memory it cannot host stateful NFs at cloud scale — the Table 2 row
 //! that motivates Nezha's stateful support.
 
-use serde::{Deserialize, Serialize};
-
 /// A Sailfish-like stateless gateway.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct SailfishGateway {
     /// On-chip exact-match entries available for (stateless) tables.
     pub onchip_entries: u64,

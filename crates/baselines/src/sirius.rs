@@ -13,10 +13,8 @@
 //!
 //! And one cost Nezha does not have at all: the pool is **new hardware**.
 
-use serde::{Deserialize, Serialize};
-
 /// A Sirius-like DPU pool.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SiriusPool {
     /// Number of DPU cards (must be even: primary/secondary pairs).
     pub cards: usize,

@@ -7,10 +7,9 @@
 //! Sirius — **new components in the system** (the DRAM servers).
 
 use nezha_sim::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// A Tea-like state-external switch.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct TeaSwitch {
     /// On-chip state entries that fit in SRAM.
     pub onchip_sessions: u64,

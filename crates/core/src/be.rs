@@ -7,11 +7,10 @@
 
 use nezha_sim::time::SimTime;
 use nezha_types::{ServerId, SessionKey};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Phase of a vNIC's offload lifecycle (§4.2).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum OffloadPhase {
     /// Not offloaded; traditional local processing.
     Local,

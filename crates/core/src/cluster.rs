@@ -220,12 +220,6 @@ impl Cluster {
         self.blackholes.insert((b, a));
     }
 
-    /// Restores a blackholed path.
-    pub fn heal_link(&mut self, a: ServerId, b: ServerId) {
-        self.blackholes.remove(&(a, b));
-        self.blackholes.remove(&(b, a));
-    }
-
     /// True when the directed path `from -> to` is blackholed.
     pub fn link_blackholed(&self, from: ServerId, to: ServerId) -> bool {
         self.blackholes.contains(&(from, to))
@@ -616,11 +610,6 @@ impl Cluster {
             self.engine
                 .schedule_at(ev.at, Event::Fault(Box::new(ev.kind)));
         }
-    }
-
-    /// Read access to the live fault conditions.
-    pub fn fault_state(&self) -> &FaultState {
-        &self.faults
     }
 
     /// Runs the cluster until simulated time `deadline`.

@@ -66,11 +66,6 @@ impl FrontEnd {
         self.vnic.table_memory(m)
     }
 
-    /// Bytes of cached flows on the host.
-    pub fn flow_memory(&self, m: &MemoryModel) -> u64 {
-        self.flows.len() as u64 * m.flow_entry
-    }
-
     /// Number of cached flows.
     pub fn cached_flows(&self) -> usize {
         self.flows.len()

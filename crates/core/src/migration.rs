@@ -11,10 +11,9 @@
 //! 1 ms" (§7.2) and independent of VM size.
 
 use nezha_sim::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the migration cost model.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct MigrationModel {
     /// Copy bandwidth available for migration, bytes/second.
     pub copy_bw: f64,
@@ -48,7 +47,7 @@ impl Default for MigrationModel {
 }
 
 /// Predicted cost of one migration.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MigrationCost {
     /// Wall-clock time from start to cut-over.
     pub completion: SimDuration,

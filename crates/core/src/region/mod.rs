@@ -59,13 +59,12 @@ use nezha_sim::rng::SimRng;
 use nezha_sim::shard::ShardSpec;
 use nezha_sim::stats::Samples;
 use nezha_sim::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use shard::RegionShard;
 use stream::Stream;
 use window::EpochWindows;
 
 /// Which capability a demand spike stresses (Fig. 3's hotspot causes).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SpikeKind {
     /// New connections per second (CPU on the slow path).
     Cps,
@@ -76,7 +75,7 @@ pub enum SpikeKind {
 }
 
 /// Region model parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct RegionConfig {
     /// Number of servers (paper: O(10K)).
     pub servers: usize,

@@ -13,10 +13,8 @@
 //! a flash crowd fires, where a fault wave lands) from its own global
 //! stream, so these knobs never touch per-shard RNG state.
 
-use serde::{Deserialize, Serialize};
-
 /// The shape of one region run.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Scenario {
     /// Simulated days to run.
     pub days: usize,

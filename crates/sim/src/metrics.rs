@@ -243,14 +243,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Current value of a gauge.
-    pub fn gauge_value(&self, h: GaugeHandle) -> f64 {
-        match &self.inner.borrow().slots[h.0] {
-            Metric::Gauge(g) => *g,
-            m => unreachable!("gauge handle pointing at a {}", m.kind()),
-        }
-    }
-
     /// Records one histogram observation.
     pub fn observe(&self, h: HistogramHandle, v: f64) {
         match &mut self.inner.borrow_mut().slots[h.0] {

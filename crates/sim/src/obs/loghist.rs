@@ -304,16 +304,6 @@ impl LogHistogram {
             max: self.max(),
         }
     }
-
-    /// Iterates `(bucket_index, count)` over non-empty buckets in
-    /// ascending bucket order (ascending value order).
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c != 0)
-            .map(|(i, &c)| (i, c))
-    }
 }
 
 /// `2^e` for integer `e`, built from the IEEE-754 exponent field so no

@@ -127,11 +127,6 @@ impl BenchReport {
         &self.percentiles
     }
 
-    /// The echoed configuration, in insertion order.
-    pub fn config_entries(&self) -> &[(String, String)] {
-        &self.config
-    }
-
     /// The report as JSON — what same-seed runs must reproduce
     /// byte-for-byte and what golden fixtures pin.
     pub fn deterministic_json(&self) -> String {

@@ -16,7 +16,6 @@
 //! (latency explosion beyond ~90% load) without any per-experiment tuning.
 
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Outcome of offering work to a [`CpuServer`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -217,7 +216,7 @@ impl std::fmt::Display for OutOfMemory {
 impl std::error::Error for OutOfMemory {}
 
 /// A byte-accounted memory pool with a hard capacity.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MemoryPool {
     capacity: u64,
     used: u64,

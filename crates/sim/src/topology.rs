@@ -15,10 +15,9 @@
 
 use crate::time::SimDuration;
 use nezha_types::ServerId;
-use serde::{Deserialize, Serialize};
 
 /// Shape and speed parameters of the fabric.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct TopologyConfig {
     /// Servers under each ToR switch.
     pub servers_per_rack: u32,
@@ -45,7 +44,7 @@ impl Default for TopologyConfig {
 }
 
 /// The instantiated fabric.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Topology {
     cfg: TopologyConfig,
 }

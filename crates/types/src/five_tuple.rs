@@ -1,11 +1,10 @@
 //! The classic connection 5-tuple and IP protocol numbers.
 
 use crate::addr::Ipv4Addr;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// IP protocol numbers the vSwitch data plane understands.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 #[repr(u8)]
 pub enum IpProtocol {
     /// ICMP (protocol 1). Used by the health monitor's ping polling.
@@ -49,7 +48,7 @@ impl fmt::Display for IpProtocol {
 /// Nezha's load balancer places flows on FEs with `Hash(5-tuple) % #FEs`
 /// (paper §3.2.3). The tuple is *directional*: the reverse direction of a
 /// session is [`FiveTuple::reversed`].
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FiveTuple {
     /// Source IPv4 address.
     pub src_ip: Ipv4Addr,

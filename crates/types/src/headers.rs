@@ -1,6 +1,6 @@
 //! Wire-format packet headers: Ethernet II, IPv4, TCP, UDP, VXLAN.
 //!
-//! Encoders write network byte order into a [`bytes::BufMut`]; decoders
+//! Encoders append network byte order to a `Vec<u8>`; decoders
 //! parse from a byte slice and are strict (smoltcp-style): short buffers,
 //! bad versions, and bad checksums are all errors, never silently ignored.
 //!
@@ -10,8 +10,6 @@
 use crate::error::{CodecError, CodecResult};
 use crate::five_tuple::{FiveTuple, IpProtocol};
 use crate::{Ipv4Addr, MacAddr};
-use bytes::BufMut;
-use serde::{Deserialize, Serialize};
 
 /// EtherType for IPv4.
 pub const ETHERTYPE_IPV4: u16 = 0x0800;
@@ -37,7 +35,7 @@ pub fn internet_checksum(data: &[u8]) -> u16 {
 }
 
 /// Ethernet II frame header (14 bytes, no 802.1Q tags).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct EthernetHeader {
     /// Destination MAC.
     pub dst: MacAddr,
@@ -61,10 +59,10 @@ impl EthernetHeader {
     }
 
     /// Serializes the header.
-    pub fn encode<B: BufMut>(&self, buf: &mut B) {
-        buf.put_slice(&self.dst.0);
-        buf.put_slice(&self.src.0);
-        buf.put_u16(self.ethertype);
+    pub fn encode(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&self.dst.0);
+        buf.extend_from_slice(&self.src.0);
+        buf.extend_from_slice(&self.ethertype.to_be_bytes());
     }
 
     /// Parses the header, returning it and the bytes consumed.
@@ -93,7 +91,7 @@ impl EthernetHeader {
 }
 
 /// IPv4 header (20 bytes; options unsupported).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Ipv4Header {
     /// Differentiated services byte (QoS class selectors).
     pub dscp_ecn: u8,
@@ -131,7 +129,7 @@ impl Ipv4Header {
     }
 
     /// Serializes the header, computing the header checksum.
-    pub fn encode<B: BufMut>(&self, buf: &mut B) {
+    pub fn encode(&self, buf: &mut Vec<u8>) {
         let mut raw = [0u8; Self::WIRE_LEN];
         raw[0] = 0x45; // version 4, IHL 5
         raw[1] = self.dscp_ecn;
@@ -145,7 +143,7 @@ impl Ipv4Header {
         raw[16..20].copy_from_slice(&self.dst.octets());
         let csum = internet_checksum(&raw);
         raw[10..12].copy_from_slice(&csum.to_be_bytes());
-        buf.put_slice(&raw);
+        buf.extend_from_slice(&raw);
     }
 
     /// Parses and validates the header (version, IHL, checksum, protocol).
@@ -224,7 +222,7 @@ macro_rules! bitflags_lite {
         }
     ) => {
         $(#[$meta])*
-        #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize, Default)]
+        #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
         pub struct $name(pub $ty);
 
         impl $name {
@@ -269,7 +267,7 @@ bitflags_lite! {
 
 /// TCP header (20 bytes; options elided — MSS etc. are not consulted by the
 /// vSwitch, only by endpoints which the simulator models abstractly).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct TcpHeader {
     /// Source port.
     pub src_port: u16,
@@ -292,7 +290,7 @@ impl TcpHeader {
     /// Serializes the header. The transport checksum is computed over the
     /// header with a zero payload pseudo-contribution; the simulator treats
     /// payloads as opaque length so this is sufficient for validation.
-    pub fn encode<B: BufMut>(&self, buf: &mut B, src_ip: Ipv4Addr, dst_ip: Ipv4Addr) {
+    pub fn encode(&self, buf: &mut Vec<u8>, src_ip: Ipv4Addr, dst_ip: Ipv4Addr) {
         let mut raw = [0u8; Self::WIRE_LEN];
         raw[0..2].copy_from_slice(&self.src_port.to_be_bytes());
         raw[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
@@ -303,7 +301,7 @@ impl TcpHeader {
         raw[14..16].copy_from_slice(&self.window.to_be_bytes());
         let csum = Self::checksum(&raw, src_ip, dst_ip);
         raw[16..18].copy_from_slice(&csum.to_be_bytes());
-        buf.put_slice(&raw);
+        buf.extend_from_slice(&raw);
     }
 
     fn checksum(raw: &[u8; Self::WIRE_LEN], src_ip: Ipv4Addr, dst_ip: Ipv4Addr) -> u16 {
@@ -362,7 +360,7 @@ impl TcpHeader {
 }
 
 /// UDP header (8 bytes).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct UdpHeader {
     /// Source port.
     pub src_port: u16,
@@ -386,11 +384,11 @@ impl UdpHeader {
     }
 
     /// Serializes the header (checksum 0 = disabled, legal for IPv4 UDP).
-    pub fn encode<B: BufMut>(&self, buf: &mut B) {
-        buf.put_u16(self.src_port);
-        buf.put_u16(self.dst_port);
-        buf.put_u16(self.length);
-        buf.put_u16(0);
+    pub fn encode(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&self.src_port.to_be_bytes());
+        buf.extend_from_slice(&self.dst_port.to_be_bytes());
+        buf.extend_from_slice(&self.length.to_be_bytes());
+        buf.extend_from_slice(&0u16.to_be_bytes());
     }
 
     /// Parses the header and validates its length field.
@@ -424,7 +422,7 @@ impl UdpHeader {
 /// VXLAN header (8 bytes, RFC 7348). The overlay encapsulation used between
 /// vSwitches: outer IP/UDP addresses name *servers*, the VNI names the
 /// tenant VPC.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct VxlanHeader {
     /// 24-bit VXLAN network identifier. We map VNI = VPC id.
     pub vni: u32,
@@ -435,11 +433,11 @@ impl VxlanHeader {
     pub const WIRE_LEN: usize = 8;
 
     /// Serializes the header.
-    pub fn encode<B: BufMut>(&self, buf: &mut B) {
-        buf.put_u8(0x08); // flags: I bit set (VNI valid)
-        buf.put_u8(0);
-        buf.put_u16(0);
-        buf.put_u32(self.vni << 8);
+    pub fn encode(&self, buf: &mut Vec<u8>) {
+        buf.push(0x08); // flags: I bit set (VNI valid)
+        buf.push(0);
+        buf.extend_from_slice(&0u16.to_be_bytes());
+        buf.extend_from_slice(&(self.vni << 8).to_be_bytes());
     }
 
     /// Parses and validates the header (I bit must be set).
@@ -489,7 +487,6 @@ pub fn five_tuple_of(ip: &Ipv4Header, l4: &[u8]) -> CodecResult<FiveTuple> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::BytesMut;
 
     #[test]
     fn checksum_known_vector() {
@@ -510,7 +507,7 @@ mod tests {
     #[test]
     fn ethernet_round_trip() {
         let h = EthernetHeader::ipv4(MacAddr::from_id(1), MacAddr::from_id(2));
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         h.encode(&mut buf);
         assert_eq!(buf.len(), EthernetHeader::WIRE_LEN);
         let (d, n) = EthernetHeader::decode(&buf).unwrap();
@@ -537,7 +534,7 @@ mod tests {
             IpProtocol::Tcp,
             100,
         );
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         h.encode(&mut buf);
         let (d, n) = Ipv4Header::decode(&buf).unwrap();
         assert_eq!(n, Ipv4Header::WIRE_LEN);
@@ -552,9 +549,8 @@ mod tests {
             IpProtocol::Udp,
             0,
         );
-        let mut buf = BytesMut::new();
-        h.encode(&mut buf);
-        let mut raw = buf.to_vec();
+        let mut raw = Vec::new();
+        h.encode(&mut raw);
         raw[12] ^= 0xff; // flip a source-address byte
         assert!(matches!(
             Ipv4Header::decode(&raw),
@@ -565,9 +561,8 @@ mod tests {
     #[test]
     fn ipv4_rejects_bad_version_and_options() {
         let h = Ipv4Header::new(Ipv4Addr(1), Ipv4Addr(2), IpProtocol::Tcp, 0);
-        let mut buf = BytesMut::new();
-        h.encode(&mut buf);
-        let mut raw = buf.to_vec();
+        let mut raw = Vec::new();
+        h.encode(&mut raw);
         raw[0] = 0x65; // version 6
         assert!(matches!(
             Ipv4Header::decode(&raw),
@@ -595,7 +590,7 @@ mod tests {
             flags: TcpFlags::SYN | TcpFlags::ACK,
             window: 65535,
         };
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         h.encode(&mut buf, src, dst);
         let (d, _) = TcpHeader::decode(&buf, src, dst).unwrap();
         assert_eq!(d, h);
@@ -618,18 +613,17 @@ mod tests {
     #[test]
     fn udp_round_trip_and_bad_length() {
         let h = UdpHeader::new(1000, 2000, 32);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         h.encode(&mut buf);
-        buf.put_slice(&[0u8; 32]);
+        buf.extend_from_slice(&[0u8; 32]);
         let (d, n) = UdpHeader::decode(&buf).unwrap();
         assert_eq!(d, h);
         assert_eq!(n, UdpHeader::WIRE_LEN);
         // Claimed length beyond the buffer is rejected.
-        let mut raw = buf.to_vec();
-        raw[4] = 0xff;
-        raw[5] = 0xff;
+        buf[4] = 0xff;
+        buf[5] = 0xff;
         assert!(matches!(
-            UdpHeader::decode(&raw),
+            UdpHeader::decode(&buf),
             Err(CodecError::BadLength { what: "udp", .. })
         ));
     }
@@ -637,7 +631,7 @@ mod tests {
     #[test]
     fn vxlan_round_trip() {
         let h = VxlanHeader { vni: 0x00ab_cdef };
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         h.encode(&mut buf);
         let (d, n) = VxlanHeader::decode(&buf).unwrap();
         assert_eq!(d.vni, 0x00ab_cdef);
@@ -667,13 +661,13 @@ mod tests {
             flags: TcpFlags::SYN,
             window: 0,
         };
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         t.encode(&mut buf, src, dst);
         let ft = five_tuple_of(&ip, &buf).unwrap();
         assert_eq!((ft.src_port, ft.dst_port), (5, 6));
 
         let ip = Ipv4Header::new(src, dst, IpProtocol::Udp, UdpHeader::WIRE_LEN);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         UdpHeader::new(7, 8, 0).encode(&mut buf);
         let ft = five_tuple_of(&ip, &buf).unwrap();
         assert_eq!((ft.src_port, ft.dst_port), (7, 8));

@@ -1,7 +1,7 @@
 //! # nezha-types
 //!
 //! Foundation types for the Nezha distributed vSwitch load-sharing system:
-//! addresses and identifiers, 5-tuples and flow/session keys, wire-format
+//! addresses and identifiers, 5-tuples and session keys, wire-format
 //! packet headers (Ethernet / IPv4 / TCP / UDP / VXLAN) with encode/decode
 //! and checksum support, packet processing actions and pre-actions, the TCP
 //! connection-tracking finite state machine, the session state with the
@@ -42,7 +42,7 @@ pub use action::{Action, Decision, PreAction, PreActionPair};
 pub use addr::{Ipv4Addr, MacAddr, ServerId, VnicId, VpcId};
 pub use error::{CodecError, CodecResult, NezhaError, NezhaResult};
 pub use five_tuple::{FiveTuple, IpProtocol};
-pub use flow::{Direction, FlowKey, SessionKey};
+pub use flow::{Direction, SessionKey};
 pub use headers::{EthernetHeader, Ipv4Header, TcpFlags, TcpHeader, UdpHeader, VxlanHeader};
 pub use nsh::{NezhaHeader, NezhaPayloadKind, NshView};
 pub use packet::{Packet, PacketKind};

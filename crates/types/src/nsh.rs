@@ -38,7 +38,6 @@ use crate::addr::{Ipv4Addr, ServerId, VnicId, VpcId};
 use crate::error::{CodecError, CodecResult};
 use crate::flow::Direction;
 use crate::state::{SessionState, StatefulDecapState};
-use serde::{Deserialize, Serialize};
 
 /// Magic bytes "NZ" identifying a Nezha service header.
 pub const NEZHA_MAGIC: u16 = 0x4e5a;
@@ -46,7 +45,7 @@ pub const NEZHA_MAGIC: u16 = 0x4e5a;
 pub const NEZHA_VERSION: u8 = 1;
 
 /// What role this Nezha-encapsulated packet plays.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 #[repr(u8)]
 pub enum NezhaPayloadKind {
     /// Egress data packet BE→FE, carrying local state outward.
@@ -82,7 +81,7 @@ const F_HAS_STATS_POLICY: u8 = 0x08;
 const F_HAS_PRE_ACTIONS: u8 = 0x10;
 
 /// The decoded Nezha service header.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct NezhaHeader {
     /// Packet role.
     pub kind: NezhaPayloadKind,

@@ -10,16 +10,14 @@
 use crate::addr::{Ipv4Addr, ServerId, VnicId, VpcId};
 use crate::error::{CodecError, CodecResult};
 use crate::five_tuple::{FiveTuple, IpProtocol};
-use crate::flow::{Direction, FlowKey};
+use crate::flow::Direction;
 use crate::headers::{
     EthernetHeader, Ipv4Header, TcpFlags, TcpHeader, UdpHeader, VxlanHeader, VXLAN_UDP_PORT,
 };
 use crate::nsh::{NezhaHeader, NezhaPayloadKind};
-use bytes::BytesMut;
-use serde::{Deserialize, Serialize};
 
 /// High-level classification of a simulated packet.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum PacketKind {
     /// A tenant overlay data packet.
     Data,
@@ -28,7 +26,7 @@ pub enum PacketKind {
 }
 
 /// A packet in flight in the simulator.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Packet {
     /// Monotonic trace id assigned by the generator, for loss accounting.
     pub trace: u64,
@@ -115,11 +113,6 @@ impl Packet {
         }
     }
 
-    /// The directional cached-flow key for this packet.
-    pub fn flow_key(&self) -> FlowKey {
-        FlowKey::new(self.vpc, self.tuple)
-    }
-
     /// True for health probe/reply packets.
     pub fn is_health(&self) -> bool {
         matches!(
@@ -180,8 +173,8 @@ impl Packet {
     /// VXLAN | [NSH] | inner Eth | inner IPv4 | inner L4 | payload-len
     /// zeros`. Off-fabric (local hop) packets serialize just the inner
     /// frame (with optional NSH prefix — used in unit tests only).
-    pub fn encode_wire(&self) -> BytesMut {
-        let mut buf = BytesMut::with_capacity(self.wire_len());
+    pub fn encode_wire(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(self.wire_len());
         if let (Some(src), Some(dst)) = (self.outer_src, self.outer_dst) {
             let outer_eth = EthernetHeader::ipv4(
                 crate::MacAddr::from_id(src.0),
@@ -222,7 +215,7 @@ impl Packet {
         EthernetHeader::WIRE_LEN + Ipv4Header::WIRE_LEN + l4 + self.payload_len as usize
     }
 
-    fn encode_inner(&self, buf: &mut BytesMut) {
+    fn encode_inner(&self, buf: &mut Vec<u8>) {
         let eth = EthernetHeader::ipv4(
             crate::MacAddr::from_id(self.vnic.0),
             crate::MacAddr::from_id(self.vnic.0 ^ 0xffff),

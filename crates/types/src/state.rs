@@ -22,13 +22,12 @@ use crate::five_tuple::IpProtocol;
 use crate::flow::Direction;
 use crate::packet::Packet;
 use crate::tcp_fsm::{TcpEvent, TcpState};
-use serde::{Deserialize, Serialize};
 
 /// State recorded by stateful decapsulation (paper §5.2): the overlay
 /// source (the load balancer's address) seen when the RX packet was
 /// decapsulated, so TX responses can be re-encapsulated toward the LB
 /// rather than leaking directly to the client.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct StatefulDecapState {
     /// The recorded overlay source address (LB VIP endpoint).
     pub overlay_src: Ipv4Addr,
@@ -36,7 +35,7 @@ pub struct StatefulDecapState {
 
 /// Flow-level statistics, recorded only when a statistics policy applies
 /// (making this the canonical *rule-table-involved* state of §3.2.2).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct StatsState {
     /// Active statistics policy id (0 = none).
     pub policy: u8,
@@ -71,7 +70,7 @@ impl StatsState {
 /// The fixed allocation slab is [`SessionState::SLAB_BYTES`] = 64 B (paper
 /// §7.1); [`SessionState::used_bytes`] reports the bytes a variable-length
 /// encoding would need, which Fig. 15 shows averages 5–8 B in production.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct SessionState {
     /// Direction of the session's first packet — the stateful-ACL state.
     pub first_dir: Option<Direction>,

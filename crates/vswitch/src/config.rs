@@ -7,7 +7,6 @@
 //! Table A1 lookup-throughput sensitivities to packet size and #ACL rules.
 
 use nezha_sim::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// CPU cycle costs of the packet-processing stages.
 ///
@@ -18,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// ops/s on the card while end-to-end CPS is only O(100K) — the first
 /// packet of a connection pays both, several times over, across the
 /// handshake.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct CostModel {
     /// Fixed parse/classify cost paid by *every* packet.
     pub parse: u64,
@@ -98,7 +97,7 @@ impl CostModel {
 }
 
 /// Memory footprints of the vSwitch data structures.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct MemoryModel {
     /// Bidirectional cached-flow record: two 5-tuples + VPC id +
     /// pre-actions ("O(100B) in total", §2.2.2).
@@ -144,7 +143,7 @@ impl Default for MemoryModel {
 }
 
 /// Complete configuration of one vSwitch instance.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct VSwitchConfig {
     /// CPU cores available to virtual networking ("only a few CPU cores to
     /// virtual networks", §2.2.2; the card has 8 total — testbed §6.1).

@@ -49,7 +49,9 @@ impl SessionEntry {
         self.flow != NO_FLOW
     }
 
-    fn memory_bytes(&self, m: &MemoryModel) -> u64 {
+    /// Model bytes the entry is charged: its state slab, plus
+    /// `flow_entry` while it holds cached flows.
+    pub(crate) fn memory_bytes(&self, m: &MemoryModel) -> u64 {
         m.state_slab
             + if self.has_cached_flows() {
                 m.flow_entry

@@ -15,10 +15,9 @@
 
 use nezha_sim::dense::DenseMap;
 use nezha_types::{Decision, Direction, FiveTuple, IpProtocol, Ipv4Addr};
-use serde::{Deserialize, Serialize};
 
 /// An inclusive port range. `PortRange::ANY` matches every port.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct PortRange {
     /// Lowest matching port.
     pub lo: u16,
@@ -45,7 +44,7 @@ impl PortRange {
 }
 
 /// One ACL rule.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct AclRule {
     /// Priority; lower value = matched first.
     pub priority: u32,
@@ -96,7 +95,7 @@ impl AclRule {
 }
 
 /// Result of an ACL lookup.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct AclVerdict {
     /// The matched (or default) decision.
     pub decision: Decision,

@@ -10,10 +10,9 @@
 
 use super::acl::PortRange;
 use nezha_types::Ipv4Addr;
-use serde::{Deserialize, Serialize};
 
 /// One mirroring rule.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct MirrorRule {
     /// Matched destination prefix.
     pub dst_prefix: (Ipv4Addr, u8),
@@ -24,7 +23,7 @@ pub struct MirrorRule {
 }
 
 /// The mirror table (first match wins).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct MirrorTable {
     rules: Vec<MirrorRule>,
 }

@@ -7,10 +7,9 @@
 //! rule table; per-connection port state stays in the session table.
 
 use nezha_types::Ipv4Addr;
-use serde::{Deserialize, Serialize};
 
 /// One source-NAT rule: a private prefix rewritten to a public address.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct NatRule {
     /// Matched private source prefix.
     pub src_prefix: (Ipv4Addr, u8),
@@ -20,7 +19,7 @@ pub struct NatRule {
 
 /// The NAT rule table (first match wins, most-specific-first by insertion
 /// discipline of the controller).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct NatTable {
     rules: Vec<NatRule>,
 }

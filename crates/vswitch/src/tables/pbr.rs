@@ -8,10 +8,9 @@
 //! replicates to FEs verbatim.
 
 use nezha_types::Ipv4Addr;
-use serde::{Deserialize, Serialize};
 
 /// One policy route.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct PbrRule {
     /// Matched *source* prefix.
     pub src_prefix: (Ipv4Addr, u8),
@@ -20,7 +19,7 @@ pub struct PbrRule {
 }
 
 /// The policy-based routing table: longest source prefix wins.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct PbrTable {
     rules: Vec<PbrRule>,
 }

@@ -9,10 +9,9 @@
 
 use super::acl::PortRange;
 use nezha_types::Ipv4Addr;
-use serde::{Deserialize, Serialize};
 
 /// One statistics-policy rule.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct PolicyRule {
     /// Matched destination prefix.
     pub dst_prefix: (Ipv4Addr, u8),
@@ -24,7 +23,7 @@ pub struct PolicyRule {
 }
 
 /// The statistics-policy table.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct PolicyTable {
     rules: Vec<PolicyRule>,
 }

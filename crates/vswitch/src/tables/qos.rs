@@ -11,10 +11,9 @@
 use super::acl::PortRange;
 use nezha_sim::resources::TokenBucket;
 use nezha_sim::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// One QoS classification rule.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct QosRule {
     /// Destination-port range selecting the class.
     pub dst_ports: PortRange,
@@ -23,7 +22,7 @@ pub struct QosRule {
 }
 
 /// Per-class rate limit.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ClassLimit {
     /// Class the limit applies to.
     pub class: u8,

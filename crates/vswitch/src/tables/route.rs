@@ -8,10 +8,9 @@
 
 use nezha_sim::dense::DenseMap;
 use nezha_types::Ipv4Addr;
-use serde::{Deserialize, Serialize};
 
 /// Outcome of a route lookup.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RouteTarget {
     /// Deliver within the VPC overlay toward this gateway/endpoint hint
     /// (the vNIC→server map resolves the physical server).

@@ -16,10 +16,9 @@ use crate::tables::qos::{QosRule, QosTable};
 use crate::tables::route::{RouteTable, RouteTarget};
 use crate::tables::vnic_server::VnicServerMap;
 use nezha_types::{Decision, Ipv4Addr, ServerId, VnicId, VpcId};
-use serde::{Deserialize, Serialize};
 
 /// Size/feature class of a vNIC, used to build synthetic rule tables.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct VnicProfile {
     /// Number of ACL rules.
     pub acl_rules: usize,

@@ -21,13 +21,12 @@ use nezha_sim::telemetry::Telemetry;
 use nezha_sim::time::SimTime;
 use nezha_sim::trace::{DropReason, TraceEventKind};
 use nezha_types::{Action, Decision, Packet, SessionKey, SessionState, VnicId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 pub use crate::telemetry::VSwitchCounters;
 
 /// Which processing path a packet took.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum PathTaken {
     /// Exact-match hit on the cached flow.
     Fast,
@@ -274,19 +273,11 @@ impl VSwitch {
             .vnics
             .get(&id)
             .map_or(0, |v| v.table_memory(&self.cfg.memory));
-        let m = &self.cfg.memory;
         let sessions: u64 = self
             .sessions
             .iter()
             .filter(|(_, e)| e.vnic == id)
-            .map(|(_, e)| {
-                m.state_slab
-                    + if e.has_cached_flows() {
-                        m.flow_entry
-                    } else {
-                        0
-                    }
-            })
+            .map(|(_, e)| e.memory_bytes(&self.cfg.memory))
             .sum();
         tables + sessions
     }

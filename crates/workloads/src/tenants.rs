@@ -11,10 +11,9 @@
 
 use nezha_sim::rng::SimRng;
 use nezha_sim::stats::Samples;
-use serde::{Deserialize, Serialize};
 
 /// One tenant VM's sampled demand.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct TenantSample {
     /// New connections per second the VM generates.
     pub cps: f64,
@@ -29,7 +28,7 @@ pub struct TenantSample {
 }
 
 /// Parameters of the tenant population.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct TenantPopulation {
     /// Median CPS demand per VM.
     pub cps_median: f64,
@@ -107,7 +106,7 @@ impl TenantPopulation {
 
 /// Table 1's normalized usage distribution: `[P50, P90, P99, P999, P9999]`
 /// as fractions of the P9999 value.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct UsageShares {
     /// CPS shares.
     pub cps: [f64; 5],

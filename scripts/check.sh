@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# The full local gate, in the order CI would run it: formatting, clippy
+# The full local gate, in the order CI would run it: formatting, the
+# file-size and unused-dependency guards, clippy
 # with warnings as errors (the determinism and panic-safety rules are
 # `clippy.toml` + the crate-level denies, DESIGN.md §9), rustdoc with
 # warnings as errors, then the whole workspace's test suite (`cargo test
@@ -62,6 +63,23 @@ cargo fmt --check
 
 echo "==> scripts/file_size_guard.sh"
 ./scripts/file_size_guard.sh
+
+# A dependency a crate declares must be named (`-` read as `_`) somewhere
+# under that crate's src/, tests/ or examples/.
+echo "==> unused-dependency guard"
+unused=0
+for manifest in Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml; do
+    dir=$(dirname "$manifest")
+    deps=$(awk '/^\[/ { in_deps = /^\[(dev-|build-)?dependencies\]$/; next }
+        in_deps && /^[A-Za-z0-9_-]+ *[.=]/ { sub(/ *[.=].*/, ""); print }' "$manifest")
+    for dep in $deps; do
+        if ! grep -rqsw -- "${dep//-/_}" "$dir/src" "$dir/tests" "$dir/examples"; then
+            echo "unused dependency: $dep in $manifest" >&2
+            unused=1
+        fi
+    done
+done
+[ "$unused" -eq 0 ]
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -13,7 +13,7 @@
 //! models (see `DESIGN.md` for the substitution argument). This facade
 //! crate re-exports the workspace:
 //!
-//! * [`types`] — wire formats, flow keys, actions, the Nezha service
+//! * [`types`] — wire formats, session keys, actions, the Nezha service
 //!   header;
 //! * [`sim`] — the event engine, resource models, topology, statistics;
 //! * [`vswitch`] — the SmartNIC vSwitch: rule tables, session table,
