@@ -460,28 +460,13 @@ impl Cluster {
         if let Some(master) = self.master_vnics.get_mut(&vnic) {
             master.tables_mut().vnic_server.set(addr, server);
         }
-        let home_vs = &mut self.switches[home.0 as usize];
-        if let Some(home_vnic) = home_vs.vnic_mut(vnic) {
-            home_vnic.tables_mut().vnic_server.set(addr, server);
-            if home_vs.sync_vnic_memory(vnic).is_err() {
-                // The learned-mapping cache is full: drop the entry (the
-                // gateway remains authoritative; traffic to this peer
-                // resolves via the gateway/default path instead).
-                if let Some(home_vnic) = home_vs.vnic_mut(vnic) {
-                    home_vnic.tables_mut().vnic_server.remove(addr);
-                }
-                let _ = home_vs.sync_vnic_memory(vnic);
-            }
-        }
+        // Each held copy charges its own host for a new address.
+        self.switches[home.0 as usize].learn_peer(vnic, addr, server);
         let m = self.cfg.vswitch.memory;
         for ((fe_server, v), fe) in self.fes.iter_mut() {
             if *v == vnic {
-                fe.vnic.tables_mut().vnic_server.set(addr, server);
                 let pool = &mut self.switches[fe_server.0 as usize].mem;
-                if fe.sync_table_memory(pool, &m).is_err() {
-                    fe.vnic.tables_mut().vnic_server.remove(addr);
-                    let _ = fe.sync_table_memory(pool, &m);
-                }
+                fe.vnic.learn_peer(addr, server, pool, &m);
             }
         }
         Ok(())
@@ -623,6 +608,10 @@ impl Cluster {
     /// handled (a boundary event belongs to the window it opens), and all
     /// windows up to `deadline` are flushed once the events due by then
     /// are drained.
+    ///
+    /// Debug builds then check the memory ledger (`ledger_drift` is
+    /// empty), so every test that runs a cluster checks it; release
+    /// builds skip the check.
     pub fn run_until(&mut self, deadline: SimTime) {
         while let Some(s) = self.engine.pop_until(deadline) {
             if self.tel.windows.is_some() {
@@ -633,6 +622,29 @@ impl Cluster {
         if self.tel.windows.is_some() {
             self.close_windows_to(deadline);
         }
+        debug_assert_eq!(self.ledger_drift(), [], "(server, pool used, bytes held)");
+    }
+
+    /// Servers whose memory pool disagrees with what its owners hold, as
+    /// `(server, used, held)`. A server's pool is charged by its
+    /// vSwitch (hosted vNICs' tables and session entries), by each FE it
+    /// hosts ([`FrontEnd::memory_bytes`]) and by the BE metadata of each
+    /// offloaded vNIC homed there; nothing else may draw on it.
+    pub(crate) fn ledger_drift(&self) -> Vec<(ServerId, u64, u64)> {
+        let m = &self.cfg.vswitch.memory;
+        let mut held: Vec<u64> = self.switches.iter().map(VSwitch::held_bytes).collect();
+        for ((server, _), fe) in self.fes.iter() {
+            held[server.0 as usize] += fe.memory_bytes(m);
+        }
+        for vnic in self.be_meta.keys() {
+            held[self.vnic_home[vnic].0 as usize] += m.be_metadata;
+        }
+        self.switches
+            .iter()
+            .zip(held)
+            .filter(|(vs, held)| vs.mem.used() != *held)
+            .map(|(vs, held)| (vs.id, vs.mem.used(), held))
+            .collect()
     }
 
     /// Applies one scripted fault transition: cluster-level side effects

@@ -528,6 +528,145 @@ fn live_migration_via_be_location_update() {
     for s in c.fe_servers(VNIC) {
         assert_eq!(c.fes.get(&(s, VNIC)).unwrap().be_location, new_home);
     }
+    // The BE metadata moved with the BE ...
+    let be_bytes = c.cfg.vswitch.memory.be_metadata;
+    assert_eq!(c.switch(new_home).unwrap().mem.used(), be_bytes);
+    assert_eq!(c.ledger_drift(), []);
+    // ... so falling back frees it where it now is.
+    c.trigger_fallback(VNIC, c.now()).unwrap();
+    c.run_until(c.now() + SimDuration::from_secs(3));
+    assert!(c.backend(VNIC).is_none());
+    assert!(c.switch(new_home).unwrap().vnic(VNIC).is_some());
+    assert_eq!(c.ledger_drift(), []);
+}
+
+/// A second `FeConfigured` for an FE that is already configured changes
+/// nothing: no second table charge, and the FE keeps its cached flows.
+#[test]
+fn repeated_fe_configured_is_a_no_op() {
+    let mut c = small_cluster(false);
+    c.trigger_offload(VNIC, SimTime(0)).unwrap();
+    c.run_until(SimTime(0) + SimDuration::from_secs(3));
+    run_conns(&mut c, 50, SimDuration::from_millis(1));
+    let fe = c.fe_servers(VNIC)[0];
+    let used = c.switch(fe).unwrap().mem.used();
+    let flows = c.fe_cached_flows(fe, VNIC).unwrap();
+    assert!(flows > 0);
+    for _ in 0..2 {
+        let op = ConfigOp::FeConfigured { vnic: VNIC, fe };
+        c.engine
+            .schedule_in(SimDuration::from_millis(1), Event::config(op));
+    }
+    c.run_until(c.now() + SimDuration::from_millis(10));
+    assert_eq!(c.switch(fe).unwrap().mem.used(), used);
+    assert_eq!(c.fe_cached_flows(fe, VNIC), Some(flows));
+    assert_eq!(c.ledger_drift(), []);
+}
+
+/// Walks one vNIC through every lifecycle edge with traffic running, half
+/// of it from peers no table has learned yet, and checks after each edge
+/// that every server's pool holds exactly what its owners derive:
+/// offload, final stage, scale-out, scale-in, FE crash, failover, BE
+/// relocation, fallback, fallback final, re-offload, and a `map_peer`
+/// that finds one FE host full.
+#[test]
+fn lifecycle_walk_keeps_the_memory_ledger() {
+    use nezha_vswitch::config::VSwitchConfig;
+    // 32 MiB pools: a filler vNIC can fill an FE host cheaply.
+    let cfg = ClusterConfig::builder()
+        .topology(small_topology())
+        .vswitch(VSwitchConfig::builder().table_memory(32 << 20).build())
+        .auto(false)
+        .build();
+    let mut c = with_service_vnic(cfg, VmConfig::with_vcpus(64));
+    let mut n = 0u16;
+    let mut edge = |c: &mut Cluster, name: &str, run: SimDuration| {
+        for _ in 0..40 {
+            let mut spec = inbound_spec(
+                n,
+                c.now() + SimDuration::from_micros(500 * n as u64 % 20_000),
+            );
+            if n.is_multiple_of(2) {
+                spec.tuple.src_ip =
+                    Ipv4Addr::new(10, 7, 100 + (n / 250) as u8, (n % 250) as u8 + 1);
+            }
+            c.add_conn(spec).unwrap();
+            n += 1;
+        }
+        c.run_until(c.now() + run);
+        assert_eq!(c.ledger_drift(), [], "after {name}");
+    };
+    let ms = SimDuration::from_millis;
+
+    c.trigger_offload(VNIC, c.now()).unwrap();
+    edge(&mut c, "offload", ms(300));
+    edge(&mut c, "final stage", ms(3_000));
+    assert_eq!(c.backend(VNIC).unwrap().phase, OffloadPhase::Offloaded);
+
+    assert_eq!(c.scale_out(VNIC, 2, c.now()), 2);
+    edge(&mut c, "scale-out", ms(3_000));
+    assert_eq!(c.fe_count(VNIC), 6);
+    c.scale_in_server(c.fe_servers(VNIC)[0], c.now());
+    edge(&mut c, "scale-in", ms(500));
+    assert_eq!(c.fe_count(VNIC), 5);
+
+    let victim = c.fe_servers(VNIC)[0];
+    c.crash_at(victim, c.now());
+    edge(&mut c, "FE crash", ms(100));
+    edge(&mut c, "failover", ms(3_000));
+    assert!(c.stats().failover_events >= 1);
+    assert!(!c.fe_servers(VNIC).contains(&victim));
+
+    let fes = c.fe_servers(VNIC);
+    let new_home = (1..16)
+        .map(ServerId)
+        .find(|s| *s != victim && !fes.contains(s))
+        .unwrap();
+    let op = ConfigOp::BeLocationUpdate {
+        vnic: VNIC,
+        new_home,
+    };
+    c.engine.schedule_in(ms(1), Event::config(op));
+    edge(&mut c, "BE relocation", ms(10));
+    assert_eq!(c.home_of(VNIC), Some(new_home));
+
+    c.trigger_fallback(VNIC, c.now()).unwrap();
+    edge(&mut c, "fallback", ms(50));
+    edge(&mut c, "fallback final", ms(3_000));
+    assert!(c.backend(VNIC).is_none());
+
+    c.trigger_offload(VNIC, c.now()).unwrap();
+    edge(&mut c, "re-offload", ms(3_000));
+    assert_eq!(c.backend(VNIC).unwrap().phase, OffloadPhase::Offloaded);
+
+    // Fill one FE host to within one mapping entry with a second vNIC.
+    let m = c.cfg.vswitch.memory;
+    let fes = c.fe_servers(VNIC);
+    let (full, other) = (fes[0], fes[1]);
+    let filler = |entries: usize| {
+        let profile = VnicProfile {
+            vnic_server_entries: entries,
+            ..VnicProfile::default()
+        };
+        Vnic::new(
+            VnicId(2),
+            VpcId(2),
+            Ipv4Addr::new(10, 9, 0, 1),
+            profile,
+            full,
+        )
+    };
+    let room = c.switch(full).unwrap().mem.available() - filler(0).table_memory(&m);
+    let filler = filler((room / m.vnic_server_entry) as usize);
+    c.add_vnic(filler, full, VmConfig::with_vcpus(4)).unwrap();
+    assert!(c.switch(full).unwrap().mem.available() < m.vnic_server_entry);
+    let tables = |c: &Cluster, fe: ServerId| c.fes.get(&(fe, VNIC)).unwrap().vnic.table_memory(&m);
+    let before = (tables(&c, full), tables(&c, other));
+    c.map_peer(VNIC, Ipv4Addr::new(10, 7, 222, 1), ServerId(9))
+        .unwrap();
+    assert_eq!(tables(&c, full), before.0, "a full host does not learn");
+    assert_eq!(tables(&c, other), before.1 + m.vnic_server_entry);
+    edge(&mut c, "map_peer OOM on a full FE host", ms(10));
 }
 
 /// Regression for the silent-membership assumption the refactor removed:
@@ -544,9 +683,9 @@ fn rx_at_server_removed_from_fe_pool_is_a_counted_misroute() {
     assert!(!fes.is_empty());
     let removed = fes[0];
     // Tear the FE down out from under the data plane (what a scale-in
-    // config push does), then aim an RX packet straight at it the way a
-    // stale gateway mapping would.
-    c.fes.remove(&(removed, VNIC));
+    // does), then aim an RX packet straight at it the way a stale gateway
+    // mapping would.
+    c.remove_fe(VNIC, removed, c.now());
     let before = c.stats().misroutes;
     let tuple = FiveTuple::tcp(
         Ipv4Addr::new(10, 7, 1, 77),

@@ -426,7 +426,6 @@ impl Cluster {
                 .schedule_in(delay, Event::config(ConfigOp::FeConfigured { vnic, fe }));
         }
         // Gateway learns the wider set after the pushes.
-        let _ = fe_list;
         self.engine.schedule_in(
             cfg.config_push_median.times(2) + cfg.gateway_update_delay,
             Event::config(ConfigOp::GatewaySyncFes { vnic }),
@@ -580,7 +579,8 @@ impl Cluster {
     pub(crate) fn apply_config(&mut self, op: ConfigOp, now: SimTime) {
         match op {
             ConfigOp::FeConfigured { vnic, fe } => {
-                if !self.is_alive(fe) {
+                // A repeated push for a configured FE changes nothing.
+                if !self.is_alive(fe) || self.fes.contains_key(&(fe, vnic)) {
                     return;
                 }
                 let Some(meta) = self.be_meta.get_mut(&vnic) else {
@@ -592,8 +592,7 @@ impl Cluster {
                 let Some(master) = self.master_vnics.get(&vnic) else {
                     return;
                 };
-                let m = self.cfg.vswitch.memory;
-                let bytes = master.table_memory(&m);
+                let bytes = master.table_memory(&self.cfg.vswitch.memory);
                 if self.switches[fe.0 as usize].mem.alloc(bytes).is_err() {
                     // The candidate filled up while configuring; drop it.
                     if let Some(meta) = self.be_meta.get_mut(&vnic) {
@@ -602,9 +601,8 @@ impl Cluster {
                     return;
                 }
                 let home = self.vnic_home[&vnic];
-                let mut frontend = FrontEnd::new(master.clone(), home);
-                frontend.charged_table_bytes = bytes;
-                self.fes.insert((fe, vnic), frontend);
+                self.fes
+                    .insert((fe, vnic), FrontEnd::new(master.clone(), home));
                 let Some(meta) = self.be_meta.get_mut(&vnic) else {
                     return; // meta presence checked above
                 };
@@ -699,6 +697,19 @@ impl Cluster {
                 // A home outside the topology has no vSwitch to move to.
                 if new_home.0 as usize >= self.switches.len() {
                     return;
+                }
+                // The BE metadata moves with the BE; a new home without
+                // room for it ignores the update.
+                let old_home = self.vnic_home.get(&vnic).copied();
+                if let Some(old) =
+                    old_home.filter(|&h| h != new_home && self.be_meta.contains_key(&vnic))
+                {
+                    let be_bytes = self.cfg.vswitch.memory.be_metadata;
+                    let new_pool = &mut self.switches[new_home.0 as usize].mem;
+                    if new_pool.alloc(be_bytes).is_err() {
+                        return;
+                    }
+                    self.switches[old.0 as usize].mem.free(be_bytes);
                 }
                 for ((_, v), fe) in self.fes.iter_mut() {
                     if *v == vnic {

@@ -41,9 +41,6 @@ pub struct FrontEnd {
     /// Flows that could not be cached because the host's table memory was
     /// exhausted (processing still succeeds, uncached).
     cache_skips: u64,
-    /// Bytes charged on the host pool for the rule tables (kept exact
-    /// across table mutations, mirroring `VSwitch::sync_vnic_memory`).
-    pub(crate) charged_table_bytes: u64,
 }
 
 impl FrontEnd {
@@ -57,13 +54,7 @@ impl FrontEnd {
             hits: 0,
             misses: 0,
             cache_skips: 0,
-            charged_table_bytes: 0,
         }
-    }
-
-    /// Rule-table memory this FE occupies on its host.
-    pub fn table_memory(&self, m: &MemoryModel) -> u64 {
-        self.vnic.table_memory(m)
     }
 
     /// Number of cached flows.
@@ -119,26 +110,17 @@ impl FrontEnd {
         n
     }
 
-    /// Re-reconciles the table-memory charge after the tables changed.
-    pub(crate) fn sync_table_memory(
-        &mut self,
-        pool: &mut MemoryPool,
-        m: &MemoryModel,
-    ) -> Result<(), nezha_sim::resources::OutOfMemory> {
-        let new = self.table_memory(m);
-        if new > self.charged_table_bytes {
-            pool.alloc(new - self.charged_table_bytes)?;
-        } else {
-            pool.free(self.charged_table_bytes - new);
-        }
-        self.charged_table_bytes = new;
-        Ok(())
+    /// Model bytes this FE holds on its host's pool: its rule tables
+    /// (charged when configured, grown by [`Vnic::learn_peer`]) plus one
+    /// `flow_entry` per cached flow.
+    pub(crate) fn memory_bytes(&self, m: &MemoryModel) -> u64 {
+        self.vnic.table_memory(m) + self.flows.len() as u64 * m.flow_entry
     }
 
     /// Releases **all** memory this FE holds on `pool` (tables + flows);
     /// called when the FE is removed (scale-in, failover cleanup).
     pub fn release(self, pool: &mut MemoryPool, m: &MemoryModel) {
-        pool.free(self.charged_table_bytes + self.flows.len() as u64 * m.flow_entry);
+        pool.free(self.memory_bytes(m));
     }
 }
 
@@ -218,7 +200,7 @@ mod tests {
         assert_eq!(f.pairs.len(), 1);
         // A table update changes what the lookup yields ...
         let peer = tuple(1).dst_ip;
-        f.vnic.tables_mut().vnic_server.set(peer, ServerId(5));
+        f.vnic.learn_peer(peer, ServerId(5), &mut pool, &m);
         f.invalidate_flows(&mut pool, &m);
         assert!(f.pairs.is_empty());
         // ... and only the new generation's value is interned afterwards.
@@ -240,12 +222,14 @@ mod tests {
         assert_eq!(f.invalidate_flows(&mut pool, &m), 10);
         assert_eq!(pool.used(), 0);
 
-        // Simulate the host charging table memory, then releasing the FE.
-        pool.alloc(f.table_memory(&m)).unwrap();
-        f.charged_table_bytes = f.table_memory(&m);
+        // Simulate the host charging table memory and a learned peer,
+        // then releasing the FE.
+        pool.alloc(f.vnic.table_memory(&m)).unwrap();
+        let peer = Ipv4Addr::new(10, 9, 0, 1);
+        f.vnic.learn_peer(peer, ServerId(3), &mut pool, &m);
         f.lookup_or_insert(&tuple(0), Direction::Tx, &mut pool, &m);
-        let f2 = f;
-        f2.release(&mut pool, &m);
+        assert_eq!(pool.used(), f.memory_bytes(&m));
+        f.release(&mut pool, &m);
         assert_eq!(pool.used(), 0);
     }
 }

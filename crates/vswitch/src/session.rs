@@ -144,13 +144,23 @@ impl SessionTable {
             .then(|| self.pairs.resolve(entry.flow))
     }
 
-    /// Caches `pair` on the entry in `slot`. The caller has charged the
-    /// pool `flow_entry` bytes for it (an entry re-caching after
-    /// [`SessionTable::invalidate_flows`]).
-    pub fn cache_flows(&mut self, slot: usize, pair: PreActionPair) {
+    /// Caches `pair` on the entry in `slot` (an entry re-caching after
+    /// [`SessionTable::invalidate_flows`]) when `pool` has room for its
+    /// `flow_entry` bytes. Returns whether it cached.
+    pub fn cache_flows(
+        &mut self,
+        slot: usize,
+        pair: PreActionPair,
+        pool: &mut MemoryPool,
+        m: &MemoryModel,
+    ) -> bool {
         let e = self.entries.value_at_mut(slot);
         debug_assert!(!e.has_cached_flows(), "flow entry charged twice");
+        if pool.alloc(m.flow_entry).is_err() {
+            return false;
+        }
         e.flow = self.pairs.intern(pair);
+        true
     }
 
     /// Removes one session, releasing its memory.

@@ -15,6 +15,7 @@ use crate::tables::policy::{PolicyRule, PolicyTable};
 use crate::tables::qos::{QosRule, QosTable};
 use crate::tables::route::{RouteTable, RouteTarget};
 use crate::tables::vnic_server::VnicServerMap;
+use nezha_sim::resources::MemoryPool;
 use nezha_types::{Decision, Ipv4Addr, ServerId, VnicId, VpcId};
 
 /// Size/feature class of a vNIC, used to build synthetic rule tables.
@@ -285,7 +286,8 @@ pub struct Vnic {
     pub profile: VnicProfile,
     /// The rule tables (present when this node holds them; a Nezha BE in
     /// the final stage has dropped them). Read only by the rule lookup in
-    /// [`crate::stage::lookup`]; written through [`Vnic::tables_mut`].
+    /// [`crate::stage::lookup`]; written through [`Vnic::tables_mut`]
+    /// while uncharged, through [`Vnic::learn_peer`] once held.
     pub(crate) tables: VnicTables,
 }
 
@@ -313,11 +315,29 @@ impl Vnic {
         self.tables.memory_bytes(m)
     }
 
-    /// The control plane's write door to the rule tables (rule pushes,
-    /// learned vNIC-server mappings). Callers holding the vNIC inside a
-    /// switch follow up with `VSwitch::sync_vnic_memory`.
+    /// The write door to the rule tables of a vNIC no pool is charged
+    /// for: the controller's master copy, or a vNIC being built before
+    /// `VSwitch::add_vnic`. A vNIC held by a switch or an FE changes only
+    /// through [`Vnic::learn_peer`], which charges what it adds.
     pub fn tables_mut(&mut self) -> &mut VnicTables {
         &mut self.tables
+    }
+
+    /// Points the mapping of `addr` at `server` (a learned vNIC-server
+    /// entry), charging `pool` `vnic_server_entry` bytes for a new
+    /// address. When the charge does not fit, the entry is not learned:
+    /// the gateway stays authoritative for that peer.
+    pub fn learn_peer(
+        &mut self,
+        addr: Ipv4Addr,
+        server: ServerId,
+        pool: &mut MemoryPool,
+        m: &MemoryModel,
+    ) {
+        let map = &mut self.tables.vnic_server;
+        if !map.lookup(addr).is_empty() || pool.alloc(m.vnic_server_entry).is_ok() {
+            map.set(addr, server);
+        }
     }
 
     /// Opens an inbound service port: inserts a top-priority stateless

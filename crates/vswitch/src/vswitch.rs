@@ -20,7 +20,7 @@ use nezha_sim::resources::{CpuOutcome, CpuServer, MemoryPool, OutOfMemory};
 use nezha_sim::telemetry::Telemetry;
 use nezha_sim::time::SimTime;
 use nezha_sim::trace::{DropReason, TraceEventKind};
-use nezha_types::{Action, Decision, Packet, SessionKey, SessionState, VnicId};
+use nezha_types::{Action, Decision, Ipv4Addr, Packet, ServerId, SessionKey, SessionState, VnicId};
 use std::collections::BTreeMap;
 
 pub use crate::telemetry::VSwitchCounters;
@@ -82,7 +82,7 @@ pub struct ProcessResult {
 #[derive(Debug)]
 pub struct VSwitch {
     /// The hosting server's id.
-    pub id: nezha_types::ServerId,
+    pub id: ServerId,
     /// Software version of this vSwitch. Nezha turns version skew into a
     /// feature (§7.2): vNICs needing a new capability offload to upgraded
     /// FEs; vNICs bitten by a release bug offload to older, known-good
@@ -101,10 +101,6 @@ pub struct VSwitch {
     /// Cycles charged per vNIC (for the controller's offload-candidate
     /// ranking, §4.2.1), measured over the CPU's utilization window.
     vnic_cycles: BTreeMap<VnicId, f64>,
-    /// Exact bytes charged to the pool per vNIC's tables. Table contents
-    /// can change after installation (learned vNIC-server entries, rule
-    /// pushes); frees must match what was actually charged.
-    vnic_charged: DenseMap<VnicId, u64>,
     /// Gray-failure knob: every cycle charge is scaled by this factor
     /// (1.0 when healthy). A degraded SmartNIC burns more cycles for the
     /// same work — the "slow but not dead" member of Appendix C.
@@ -114,14 +110,14 @@ pub struct VSwitch {
 impl VSwitch {
     /// Builds a standalone vSwitch on server `id` with the given
     /// configuration and a private [`Telemetry`] handle.
-    pub fn new(id: nezha_types::ServerId, cfg: VSwitchConfig) -> Self {
+    pub fn new(id: ServerId, cfg: VSwitchConfig) -> Self {
         Self::with_telemetry(id, cfg, &Telemetry::new())
     }
 
     /// Builds a vSwitch reporting into the shared `tel`: its
     /// `vswitch.*{server=N}` counters, trace events and span trees land
     /// beside every other component constructed with the same handle.
-    pub fn with_telemetry(id: nezha_types::ServerId, cfg: VSwitchConfig, tel: &Telemetry) -> Self {
+    pub fn with_telemetry(id: ServerId, cfg: VSwitchConfig, tel: &Telemetry) -> Self {
         VSwitch {
             id,
             version: 1,
@@ -131,7 +127,6 @@ impl VSwitch {
             sessions: SessionTable::new(),
             tel: SwitchTelemetry::register(tel, id),
             vnic_cycles: BTreeMap::new(),
-            vnic_charged: DenseMap::new(),
             cycle_multiplier: 1.0,
             cfg,
         }
@@ -156,46 +151,29 @@ impl VSwitch {
     /// Installs a vNIC, charging its rule-table memory. Fails when the
     /// SmartNIC cannot fit the tables — the #vNICs bottleneck of §2.2.2.
     pub fn add_vnic(&mut self, vnic: Vnic) -> Result<(), OutOfMemory> {
-        let bytes = vnic.table_memory(&self.cfg.memory);
-        self.mem.alloc(bytes)?;
-        self.vnic_charged.insert(vnic.id, bytes);
+        self.mem.alloc(vnic.table_memory(&self.cfg.memory))?;
         self.vnics.insert(vnic.id, vnic);
         Ok(())
     }
 
-    /// Removes a vNIC, releasing exactly the bytes charged for its tables.
-    /// Returns the vNIC.
+    /// Removes a vNIC, freeing what its tables hold. Returns the vNIC.
     pub fn remove_vnic(&mut self, id: VnicId) -> Option<Vnic> {
         let vnic = self.vnics.remove(&id)?;
-        self.mem.free(self.vnic_charged.remove(&id).unwrap_or(0));
+        self.mem.free(vnic.table_memory(&self.cfg.memory));
         Some(vnic)
     }
 
-    /// Re-reconciles a vNIC's memory charge after its tables changed
-    /// (config pushes, learned mappings). Fails when growth does not fit.
-    pub fn sync_vnic_memory(&mut self, id: VnicId) -> Result<(), OutOfMemory> {
-        let Some(vnic) = self.vnics.get(&id) else {
-            return Ok(());
-        };
-        let new = vnic.table_memory(&self.cfg.memory);
-        let old = self.vnic_charged.get(&id).copied().unwrap_or(0);
-        if new > old {
-            self.mem.alloc(new - old)?;
-        } else {
-            self.mem.free(old - new);
+    /// [`Vnic::learn_peer`] on the hosted vNIC `id`, charged to this
+    /// switch's pool (a no-op for a vNIC not hosted here).
+    pub fn learn_peer(&mut self, id: VnicId, addr: Ipv4Addr, server: ServerId) {
+        if let Some(vnic) = self.vnics.get_mut(&id) {
+            vnic.learn_peer(addr, server, &mut self.mem, &self.cfg.memory);
         }
-        self.vnic_charged.insert(id, new);
-        Ok(())
     }
 
     /// Looks up a hosted vNIC.
     pub fn vnic(&self, id: VnicId) -> Option<&Vnic> {
         self.vnics.get(&id)
-    }
-
-    /// Mutable vNIC access (controller rule pushes).
-    pub fn vnic_mut(&mut self, id: VnicId) -> Option<&mut Vnic> {
-        self.vnics.get_mut(&id)
     }
 
     /// Ids of all hosted vNICs, in stable (id) order — iteration order
@@ -280,6 +258,20 @@ impl VSwitch {
             .map(|(_, e)| e.memory_bytes(&self.cfg.memory))
             .sum();
         tables + sessions
+    }
+
+    /// Model bytes this switch's own owners hold on its pool: every hosted
+    /// vNIC's tables plus every session entry. The FEs and BE metadata it
+    /// hosts for a cluster are charged to the same pool but owned there.
+    pub fn held_bytes(&self) -> u64 {
+        let m = &self.cfg.memory;
+        let tables: u64 = self.vnics.values().map(|v| v.table_memory(m)).sum();
+        tables
+            + self
+                .sessions
+                .iter()
+                .map(|(_, e)| e.memory_bytes(m))
+                .sum::<u64>()
     }
 
     /// Sweeps expired sessions (call periodically, e.g. every second).
@@ -398,9 +390,7 @@ impl VSwitch {
                     // The entry lost its cached flows to a rule update:
                     // re-cache the fresh lookup if memory allows.
                     Some(s) => {
-                        if self.mem.alloc(memory.flow_entry).is_ok() {
-                            self.sessions.cache_flows(s, pair);
-                        }
+                        self.sessions.cache_flows(s, pair, &mut self.mem, memory);
                         Some(self.sessions.at_mut(s))
                     }
                 };

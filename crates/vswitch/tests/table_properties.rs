@@ -364,9 +364,12 @@ proptest! {
                 // path does after a rule update.
                 2 => {
                     if let (Some(e), Some(slot)) = (model.get_mut(&n), table.slot(&key(n))) {
-                        if e.pair.is_none() && pool.alloc(m.flow_entry).is_ok() {
-                            table.cache_flows(slot, pair(hop));
-                            e.pair = Some(pair(hop));
+                        if e.pair.is_none() {
+                            let fits = pool.available() >= m.flow_entry;
+                            prop_assert_eq!(table.cache_flows(slot, pair(hop), &mut pool, m), fits);
+                            if fits {
+                                e.pair = Some(pair(hop));
+                            }
                         }
                     }
                 }

@@ -37,7 +37,10 @@
 #            the property that a record rebuilds the spec it was
 #            registered with, the cluster runs that check it frees every finished chunk,
 #            and `conn_starts_keep_registration_order_through_the_chain_and_its_fallbacks`:
-#            the start chain against queue-every-start order), the reduced chaos
+#            the start chain against queue-every-start order), the `nezha-core`
+#            memory-ledger walk (after every lifecycle edge, from offload
+#            to a peer mapping that finds an FE host full, each server's
+#            pool equals what its owners hold), the reduced chaos
 #            smoke scenario
 #            so the fault-injection path is never shipped unexercised,
 #            plus the profiler smoke run
@@ -98,6 +101,8 @@ if [ "$fast" -eq 1 ]; then
     cargo test -q -p nezha-sim engine
     echo "==> cargo test -q -p nezha-core conn   (--fast: the connection table frees finished chunks and keeps start order)"
     cargo test -q -p nezha-core conn
+    echo "==> cargo test -q -p nezha-core ledger   (--fast: every server's pool equals what its owners hold, across the lifecycle)"
+    cargo test -q -p nezha-core ledger
     echo "==> cargo test -q --test chaos smoke_   (--fast: reduced chaos scenario)"
     cargo test -q --test chaos smoke_
     echo "==> experiments profile   (--fast: profiler smoke, artifacts to target/profile-smoke)"

@@ -18,6 +18,12 @@ const SERVICE: Ipv4Addr = Ipv4Addr::new(10, 7, 0, 1);
 const PORT: u16 = 9000;
 
 fn cluster() -> Cluster {
+    cluster_with(|_| {})
+}
+
+/// The test cluster with its one vNIC adjusted by `setup` before it is
+/// installed (and its tables charged).
+fn cluster_with(setup: impl FnOnce(&mut Vnic)) -> Cluster {
     let cfg = ClusterConfig::builder()
         .topology(TopologyConfig {
             servers_per_rack: 12,
@@ -30,6 +36,7 @@ fn cluster() -> Cluster {
     let mut c = Cluster::new(cfg);
     let mut vnic = Vnic::new(VNIC, VpcId(1), SERVICE, VnicProfile::default(), HOME);
     vnic.allow_inbound_port(PORT);
+    setup(&mut vnic);
     c.add_vnic(vnic, HOME, VmConfig::with_vcpus(64)).unwrap();
     c
 }
@@ -333,11 +340,9 @@ fn mirrored_prefixes_generate_copies_under_offload() {
     assert_eq!(c.stats().completed, 20);
     assert_eq!(c.stats().mirror_copies, 0);
 
-    // The default profile has no mirror rules; install one on the master
-    // copy via a fresh offload cycle with a mirroring vNIC instead.
-    let mut c = cluster();
-    {
-        let vnic = c.switch_mut(HOME).unwrap().vnic_mut(VNIC).unwrap();
+    // The default profile has no mirror rules: build a fresh cluster
+    // whose vNIC carries one before it is installed.
+    let mut c = cluster_with(|vnic| {
         vnic.tables_mut()
             .mirror
             .insert(nezha::vswitch::tables::mirror::MirrorRule {
@@ -345,7 +350,7 @@ fn mirrored_prefixes_generate_copies_under_offload() {
                 dst_ports: nezha::vswitch::tables::acl::PortRange::ANY,
                 collector: Ipv4Addr::new(10, 7, 240, 1),
             });
-    }
+    });
     // Local mode first: the vSwitch counts the copies.
     for i in 0..10u32 {
         let mut s = spec(
