@@ -21,16 +21,18 @@ use nezha_core::conn::{ConnKind, ConnSpec};
 use nezha_sim::time::{SimDuration, SimTime};
 use nezha_types::{FiveTuple, Ipv4Addr, ServerId, SessionState, VpcId};
 
-/// Runs all ablations.
-pub fn run() {
+/// Runs all ablations. Each cluster run's registry dump is attached as
+/// the artifact `<ablation>_<arm>.metrics.json`.
+pub fn run() -> BenchReport {
     banner(
         "Ablations",
         "Design-choice studies (beyond the paper's figures)",
     );
-    lb_granularity();
-    notify_suppression();
-    dual_running();
-    variable_state();
+    let report = BenchReport::new("ablations");
+    let report = lb_granularity(report);
+    let report = notify_suppression(report);
+    let report = dual_running(report);
+    variable_state(report)
 }
 
 fn drive(c: &mut Cluster, conns: u32) {
@@ -80,7 +82,7 @@ fn offloaded(f: impl FnOnce(&mut nezha_core::ClusterConfig)) -> Cluster {
     c
 }
 
-fn lb_granularity() {
+fn lb_granularity(mut report: BenchReport) -> BenchReport {
     println!();
     println!("  (1) flow-level vs packet-level FE load balancing (§3.2.3)");
     let widths = [16usize, 12, 14, 14];
@@ -101,22 +103,31 @@ fn lb_granularity() {
             cached += c.fe_cached_flows(fe, harness::VNIC).unwrap();
         }
         let snap = c.metrics().snapshot();
+        let completed = snap.counter("conn.completed");
         row(
             &[
                 name.to_string(),
-                snap.counter("conn.completed").to_string(),
+                completed.to_string(),
                 lookups.to_string(),
                 cached.to_string(),
             ],
             &widths,
         );
-        emit_snapshot(&format!("ablation_lb_{name}"), &snap);
+        for (metric, v, unit) in [
+            ("completed", completed, "conns"),
+            ("fe_lookups", lookups, "lookups"),
+            ("cached_flows", cached as u64, "flows"),
+        ] {
+            report = report.metric(format!("{metric}{{lb={name}}}"), v as f64, unit);
+        }
+        report = report.artifact(format!("lb_{name}.metrics.json"), snap.to_json());
     }
     println!("  -> packet-level spreads each session over every FE: ~4x the rule");
     println!("     lookups and ~4x the cached-flow memory for identical goodput");
+    report
 }
 
-fn notify_suppression() {
+fn notify_suppression(mut report: BenchReport) -> BenchReport {
     println!();
     println!("  (2) notify-packet suppression (§3.2.2)");
     let widths = [22usize, 12, 12];
@@ -149,21 +160,29 @@ fn notify_suppression() {
         }
         c.run_until(c.now() + SimDuration::from_secs(4));
         let snap = c.metrics().snapshot();
+        let (notifies, completed) = (snap.counter("nsh.notifies"), snap.counter("conn.completed"));
         row(
             &[
                 name.to_string(),
-                snap.counter("nsh.notifies").to_string(),
-                snap.counter("conn.completed").to_string(),
+                notifies.to_string(),
+                completed.to_string(),
             ],
             &widths,
         );
-        emit_snapshot(&format!("ablation_notify_{id}"), &snap);
+        for (metric, v, unit) in [
+            ("notifies", notifies, "packets"),
+            ("completed", completed, "conns"),
+        ] {
+            report = report.metric(format!("{metric}{{notify={id}}}"), v as f64, unit);
+        }
+        report = report.artifact(format!("notify_{id}.metrics.json"), snap.to_json());
     }
     println!("  -> suppressing no-change notifies removes one BE interrupt per new");
     println!("     flow with no loss of state fidelity");
+    report
 }
 
-fn dual_running() {
+fn dual_running(mut report: BenchReport) -> BenchReport {
     println!();
     println!("  (3) the dual-running stage (§4.2.1)");
     let widths = [22usize, 14, 12, 12];
@@ -202,22 +221,35 @@ fn dual_running() {
         c.trigger_offload(harness::VNIC, c.now()).unwrap();
         c.run_until(t0 + SimDuration::from_secs(6));
         let snap = c.metrics().snapshot();
+        let (bounces, completed, failed) = (
+            snap.counter("pkt.stale_bounces"),
+            snap.counter("conn.completed"),
+            snap.counter("conn.failed"),
+        );
         row(
             &[
                 name.to_string(),
-                snap.counter("pkt.stale_bounces").to_string(),
-                snap.counter("conn.completed").to_string(),
-                snap.counter("conn.failed").to_string(),
+                bounces.to_string(),
+                completed.to_string(),
+                failed.to_string(),
             ],
             &widths,
         );
-        emit_snapshot(&format!("ablation_dual_{id}"), &snap);
+        for (metric, v, unit) in [
+            ("stale_bounces", bounces, "packets"),
+            ("completed", completed, "conns"),
+            ("failed", failed, "conns"),
+        ] {
+            report = report.metric(format!("{metric}{{dual={id}}}"), v as f64, unit);
+        }
+        report = report.artifact(format!("dual_{id}.metrics.json"), snap.to_json());
     }
     println!("  -> without the dual-running stage, every in-flight packet that");
     println!("     still targets the BE takes an extra bounce through an FE");
+    report
 }
 
-fn variable_state() {
+fn variable_state(report: BenchReport) -> BenchReport {
     println!();
     println!("  (4) variable-length states (§7.1)");
     // Census a realistic state mix, then project the capacity uplift a
@@ -253,4 +285,7 @@ fn variable_state() {
         64.0 / mean
     );
     println!("  the same memory (paper: \"the improvement could be up to 8X\")");
+    report
+        .metric("state_census_mean_bytes", mean, "B")
+        .metric("state_uplift", 64.0 / mean, "x")
 }

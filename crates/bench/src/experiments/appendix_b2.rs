@@ -10,7 +10,7 @@ use crate::output::*;
 use nezha_core::region::{Region, RegionConfig};
 
 /// Runs the experiment.
-pub fn run() {
+pub fn run() -> BenchReport {
     banner(
         "Appendix B.2",
         "Offload events vs. FEs provisioned over 30 days",
@@ -21,8 +21,6 @@ pub fn run() {
         seed: 0xb2,
         ..RegionConfig::default()
     });
-    let reg = nezha_sim::metrics::MetricsRegistry::new();
-    region.attach_metrics(&reg);
     let report = region.run_days(30, true);
     let per_offload = report.total_fes_provisioned as f64 / report.offload_events.max(1) as f64;
     let scaled_frac = report.scale_out_events as f64 / report.offload_events.max(1) as f64;
@@ -58,5 +56,22 @@ pub fn run() {
         row(&[name.to_string(), v, p], &[28, 12, 12]);
     }
     assert!(scaled_frac < 0.10, "scale-out ratio {scaled_frac} too high");
-    emit_snapshot("appendix_b2", &reg.snapshot());
+    BenchReport::new("appendix_b2")
+        .metric(
+            "region.offload_events",
+            report.offload_events as f64,
+            "events",
+        )
+        .metric(
+            "region.fes_provisioned",
+            report.total_fes_provisioned as f64,
+            "fes",
+        )
+        .metric(
+            "region.scale_out_events",
+            report.scale_out_events as f64,
+            "events",
+        )
+        .metric("fes_per_offload", per_offload, "fes")
+        .metric("scaled_out_share", scaled_frac, "fraction")
 }

@@ -7,16 +7,15 @@
 //! failover count, and crash-to-failover detection latency are compared
 //! against the paper's ~2 s recovery envelope.
 
-use crate::experiments::harness::{self, Harness, TestbedOpts};
-use crate::experiments::Experiment;
+use crate::experiments::harness::{self, TestbedOpts};
 use crate::output::*;
 use nezha_core::cluster::Cluster;
 use nezha_sim::fault::{FaultPlan, GilbertElliott};
-use nezha_sim::report::BenchReport;
 use nezha_sim::time::{SimDuration, SimTime};
 use nezha_workloads::cps::CpsWorkload;
 
 struct Outcome {
+    offered: u64,
     surge_len: f64,
     peak_loss: f64,
     failovers: u64,
@@ -27,7 +26,8 @@ struct Outcome {
 
 /// One fault-class scenario: fresh testbed, 14 s of steady traffic,
 /// the plan built by `mk_plan(cluster, fault_at)` applied at t = 6 s.
-fn scenario(id: &str, mk_plan: impl Fn(&Cluster, SimTime) -> FaultPlan) -> Outcome {
+/// Returns the outcome and the cluster's registry dump.
+fn scenario(id: &str, mk_plan: impl Fn(&Cluster, SimTime) -> FaultPlan) -> (Outcome, String) {
     let mut cluster = harness::testbed(TestbedOpts::scaled());
     harness::offload_and_settle(&mut cluster);
     let cap = harness::local_capacity(&cluster);
@@ -72,6 +72,7 @@ fn scenario(id: &str, mk_plan: impl Fn(&Cluster, SimTime) -> FaultPlan) -> Outco
     };
     let det = snap.histogram("fault.detection_latency");
     let outcome = Outcome {
+        offered: total,
         surge_len,
         peak_loss: series.iter().map(|(_, v)| *v).fold(0.0, f64::max),
         failovers: snap.counter("ctrl.failover_events"),
@@ -91,26 +92,13 @@ fn scenario(id: &str, mk_plan: impl Fn(&Cluster, SimTime) -> FaultPlan) -> Outco
         "  {}",
         sparkline(&series.iter().map(|(_, v)| *v).collect::<Vec<_>>())
     );
-    emit_snapshot(&format!("chaos_{id}"), &snap);
-    outcome
-}
-
-/// The registry entry: scripted-fault recovery sweep.
-pub struct Chaos;
-
-impl Experiment for Chaos {
-    fn name(&self) -> &'static str {
-        "chaos"
-    }
-
-    fn run(&mut self, _harness: &mut Harness) -> BenchReport {
-        run_report()
-    }
+    (outcome, snap.to_json())
 }
 
 /// Runs every fault scenario, printing the recovery table and returning
-/// the per-fault outcomes as a typed report.
-pub fn run_report() -> BenchReport {
+/// the per-fault outcomes as a typed report, with each scenario's
+/// registry dump as the artifact `<fault>.metrics.json`.
+pub fn run() -> BenchReport {
     banner(
         "Chaos",
         "Recovery under scripted fault classes (Fig. 14, App. C)",
@@ -159,6 +147,15 @@ pub fn run_report() -> BenchReport {
         plan
     });
 
+    let runs = [
+        ("crash", crash),
+        ("gray_slow", gray),
+        ("bursty_loss", bursty),
+        ("partition", partition),
+        ("ctrl_outage", outage),
+        ("collapse", collapse),
+    ];
+
     println!();
     let widths = [14usize, 10, 10, 10, 12, 10];
     header(
@@ -172,17 +169,10 @@ pub fn run_report() -> BenchReport {
         ],
         &widths,
     );
-    for (name, o) in [
-        ("crash", &crash),
-        ("gray_slow", &gray),
-        ("bursty_loss", &bursty),
-        ("partition", &partition),
-        ("ctrl_outage", &outage),
-        ("collapse", &collapse),
-    ] {
+    for (name, (o, _)) in &runs {
         row(
             &[
-                name.into(),
+                name.to_string(),
                 format!("{:.1}s", o.surge_len),
                 pct(o.peak_loss),
                 o.failovers.to_string(),
@@ -198,6 +188,7 @@ pub fn run_report() -> BenchReport {
     println!("  outage stretches detection by its length; total collapse");
     println!("  degrades to local processing instead of dropping the VM.");
 
+    let [crash, gray, _, _, outage, _] = runs.each_ref().map(|(_, (o, _))| o);
     assert!(crash.failovers >= 1, "crash must fail over");
     assert_eq!(gray.failovers, 0, "gray-slow must not fail over");
     assert!(
@@ -206,20 +197,18 @@ pub fn run_report() -> BenchReport {
     );
 
     let mut report = BenchReport::new("chaos").config("testbed", "scaled");
-    for (name, o) in [
-        ("crash", &crash),
-        ("gray_slow", &gray),
-        ("bursty_loss", &bursty),
-        ("partition", &partition),
-        ("ctrl_outage", &outage),
-        ("collapse", &collapse),
-    ] {
+    for (name, (o, dump)) in runs {
         report = report
+            .metric(format!("{name}.offered"), o.offered as f64, "conns")
             .metric(format!("{name}.completed"), o.completed as f64, "conns")
             .metric(format!("{name}.failovers"), o.failovers as f64, "events")
             .metric(format!("{name}.surge_len"), o.surge_len, "s")
             .metric(format!("{name}.peak_loss"), o.peak_loss, "fraction")
             .metric(format!("{name}.degraded"), o.degraded as f64, "events");
+        if let Some(d) = o.detection {
+            report = report.metric(format!("{name}.detection"), d, "s");
+        }
+        report = report.artifact(format!("{name}.metrics.json"), dump);
     }
     report
 }

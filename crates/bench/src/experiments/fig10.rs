@@ -14,11 +14,11 @@ use crate::output::*;
 const VCPUS: [u32; 5] = [8, 16, 32, 48, 64];
 
 /// Runs the experiment.
-pub fn run() {
+pub fn run() -> BenchReport {
     banner("Fig. 10", "CPS vs #vCPU cores in the VM");
     let widths = [8usize, 12, 12, 12];
     header(&["vCPUs", "with Nezha", "w/o Nezha", "kernel cap"], &widths);
-    let reg = nezha_sim::metrics::MetricsRegistry::new();
+    let mut report = BenchReport::new("fig10");
     for &v in &VCPUS {
         let opts = TestbedOpts {
             vcpus: v,
@@ -49,10 +49,10 @@ pub fn run() {
             1_000.0,
             1.5 * kernel_cap,
         );
-        let vcpus = [("vcpus", v.to_string())];
-        reg.set(reg.gauge("fig10.cps_with_nezha", &vcpus), with);
-        reg.set(reg.gauge("fig10.cps_without_nezha", &vcpus), without);
-        reg.set(reg.gauge("fig10.kernel_cap", &vcpus), kernel_cap);
+        report = report
+            .metric(format!("cps_with_nezha{{vcpus={v}}}"), with, "conn/s")
+            .metric(format!("cps_without_nezha{{vcpus={v}}}"), without, "conn/s")
+            .metric(format!("kernel_cap{{vcpus={v}}}"), kernel_cap, "conn/s");
         row(
             &[v.to_string(), eng(with), eng(without), eng(kernel_cap)],
             &widths,
@@ -61,5 +61,5 @@ pub fn run() {
     println!();
     println!("  paper: with Nezha CPS grows sub-linearly with vCPUs (kernel locks);");
     println!("         without Nezha it stays pinned at the vSwitch's capacity");
-    emit_snapshot("fig10", &reg.snapshot());
+    report
 }

@@ -17,7 +17,7 @@ use nezha_sim::time::{SimDuration, SimTime};
 use nezha_types::{FiveTuple, Ipv4Addr};
 
 /// Runs the experiment.
-pub fn run() {
+pub fn run() -> BenchReport {
     banner(
         "Fig. 11",
         "CPU utilization during offloading/scaling (automatic)",
@@ -67,6 +67,7 @@ pub fn run() {
     let mut be_series = Vec::new();
     let mut fe_series = Vec::new();
     let mut last_events = (0u64, 0u64);
+    let mut report = BenchReport::new("fig11");
     for step in 1..=32 {
         let sample_at = SimTime(step * 500_000_000);
         cluster.run_until(sample_at);
@@ -99,6 +100,11 @@ pub fn run() {
         };
         last_events = events;
         if step % 2 == 0 || !note.is_empty() {
+            let t = format!("{{t={:.1}}}", sample_at.as_secs_f64());
+            report = report
+                .metric(format!("be_cpu{t}"), be, "fraction")
+                .metric(format!("fe_avg_cpu{t}"), fe_avg, "fraction")
+                .metric(format!("fes{t}"), fes.len() as f64, "fes");
             row(
                 &[
                     format!("{:.1}", sample_at.as_secs_f64()),
@@ -115,11 +121,16 @@ pub fn run() {
     println!("  BE CPU : {}", sparkline(&be_series));
     println!("  FE avg : {}", sparkline(&fe_series));
     let snap = cluster.metrics().snapshot();
-    println!(
-        "  offloads: {}, scale-outs: {} (paper: offload at 70% -> BE drops to ~10%;",
+    let (offloads, scale_outs) = (
         snap.counter("ctrl.offload_events"),
-        snap.counter("ctrl.scale_out_events")
+        snap.counter("ctrl.scale_out_events"),
+    );
+    println!(
+        "  offloads: {offloads}, scale-outs: {scale_outs} (paper: offload at 70% -> BE drops to ~10%;"
     );
     println!("  FE scale-out at 40% -> per-FE load halves, 4 -> 8 FEs)");
-    emit_snapshot("fig11", &snap);
+    report
+        .metric("offload_events", offloads as f64, "events")
+        .metric("scale_out_events", scale_outs as f64, "events")
+        .artifact("metrics.json", snap.to_json())
 }

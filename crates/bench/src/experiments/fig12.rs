@@ -12,14 +12,14 @@ use nezha_sim::time::SimDuration;
 const LOADS: [f64; 8] = [0.2, 0.4, 0.6, 0.7, 0.8, 0.9, 0.95, 1.05];
 
 /// Runs the experiment.
-pub fn run() {
+pub fn run() -> BenchReport {
     banner("Fig. 12", "End-to-end latency with/without Nezha");
     let widths = [12usize, 14, 14];
     header(&["load (x cap)", "w/o Nezha", "with Nezha"], &widths);
 
     let mut without_series = Vec::new();
     let mut with_series = Vec::new();
-    let reg = nezha_sim::metrics::MetricsRegistry::new();
+    let mut report = BenchReport::new("fig12");
     for &f in &LOADS {
         // Without Nezha.
         let mut base = harness::testbed(TestbedOpts::scaled());
@@ -37,9 +37,9 @@ pub fn run() {
 
         without_series.push(lat_wo);
         with_series.push(lat_w);
-        let load = [("load", format!("{f:.2}"))];
-        reg.set(reg.gauge("fig12.latency_without_nezha", &load), lat_wo);
-        reg.set(reg.gauge("fig12.latency_with_nezha", &load), lat_w);
+        report = report
+            .metric(format!("latency_without_nezha{{load={f:.2}}}"), lat_wo, "s")
+            .metric(format!("latency_with_nezha{{load={f:.2}}}"), lat_w, "s");
         row(
             &[
                 format!("{f:.2}"),
@@ -54,7 +54,7 @@ pub fn run() {
     println!("  with Nezha: {}", sparkline(&with_series));
     println!("  paper: identical below 70%; ~10us extra hop around 80%; without");
     println!("  Nezha latency deteriorates rapidly beyond ~90% load");
-    emit_snapshot("fig12", &reg.snapshot());
+    report
 }
 
 /// Applies `rate` CPS of background load, then probes latency mid-run.

@@ -9,12 +9,12 @@ use crate::output::*;
 use nezha_core::region::{Region, RegionConfig};
 
 /// Runs the experiment.
-pub fn run() {
+pub fn run() -> BenchReport {
     banner(
         "Fig. 13",
         "Daily overload occurrence before/after Nezha (two regions)",
     );
-    let reg = nezha_sim::metrics::MetricsRegistry::new();
+    let mut report = BenchReport::new("fig13");
     for (region_name, seed) in [("region A", 131u64), ("region B", 132u64)] {
         let cfg = RegionConfig {
             servers: 10_000,
@@ -33,15 +33,21 @@ pub fn run() {
             &["cause", "before/day", "after/day", "mitigated"],
             &[18, 12, 12, 10],
         );
-        for (name, b, a) in [
-            ("CPS", b_cps, a_cps),
-            ("#concurrent flows", b_flows, a_flows),
-            ("#vNICs", b_vnics, a_vnics),
+        for (name, key, b, a) in [
+            ("CPS", "cps", b_cps, a_cps),
+            ("#concurrent flows", "flows", b_flows, a_flows),
+            ("#vNICs", "vnics", b_vnics, a_vnics),
         ] {
+            let labels = format!("{{cause={key},region={region_name}}}");
+            for (metric, n) in [("before_per_day", b), ("after_per_day", a)] {
+                report = report.metric(format!("{metric}{labels}"), n as f64 / 30.0, "overloads");
+            }
             let mitigated = if b == 0 {
                 "-".to_string()
             } else {
-                pct(1.0 - a as f64 / b as f64)
+                let share = 1.0 - a as f64 / b as f64;
+                report = report.metric(format!("mitigated_share{labels}"), share, "fraction");
+                pct(share)
             };
             row(
                 &[
@@ -60,16 +66,24 @@ pub fn run() {
             pct(total_mitigated)
         );
         assert_eq!(a_vnics, 0, "vNIC overloads must be fully prevented");
-        let labels = [("region", region_name.to_string())];
-        reg.add(
-            reg.counter("fig13.overloads_before", &labels),
-            b_cps + b_flows + b_vnics,
-        );
-        reg.add(
-            reg.counter("fig13.overloads_after", &labels),
-            a_cps + a_flows + a_vnics,
-        );
-        reg.set(reg.gauge("fig13.mitigated_share", &labels), total_mitigated);
+        let labels = format!("{{region={region_name}}}");
+        let (before, after) = (b_cps + b_flows + b_vnics, a_cps + a_flows + a_vnics);
+        report = report
+            .metric(
+                format!("overloads_before{labels}"),
+                before as f64,
+                "overloads",
+            )
+            .metric(
+                format!("overloads_after{labels}"),
+                after as f64,
+                "overloads",
+            )
+            .metric(
+                format!("mitigated_share{labels}"),
+                total_mitigated,
+                "fraction",
+            );
     }
-    emit_snapshot("fig13", &reg.snapshot());
+    report
 }

@@ -11,7 +11,7 @@ use nezha_sim::time::{SimDuration, SimTime};
 use nezha_workloads::cps::CpsWorkload;
 
 /// Runs the experiment.
-pub fn run() {
+pub fn run() -> BenchReport {
     banner("Fig. 14", "Impact of an FE crash on packet loss rate");
     let mut cluster = harness::testbed(TestbedOpts::scaled());
     harness::offload_and_settle(&mut cluster);
@@ -82,26 +82,31 @@ pub fn run() {
         &["peak loss rate".into(), pct(peak), "~1/#FEs".into()],
         &widths,
     );
+    let failovers = snap.counter("ctrl.failover_events");
     row(
         &[
             "failovers completed".into(),
-            snap.counter("ctrl.failover_events").to_string(),
+            failovers.to_string(),
             "1".into(),
         ],
         &widths,
     );
     let after = SimTime(((t0 + 4.0) * 1e9) as u64);
+    let loss_after =
+        snap.series("pkt.loss").at(after) / snap.series("pkt.total").at(after).max(1.0);
     row(
         &[
             "loss rate 4s after crash".into(),
-            pct(snap.series("pkt.loss").at(after) / snap.series("pkt.total").at(after).max(1.0)),
+            pct(loss_after),
             "~0".into(),
         ],
         &widths,
     );
-    assert!(
-        snap.counter("ctrl.failover_events") >= 1,
-        "failover must trigger"
-    );
-    emit_snapshot("fig14", &snap);
+    assert!(failovers >= 1, "failover must trigger");
+    BenchReport::new("fig14")
+        .metric("surge_len", surge_len, "s")
+        .metric("peak_loss", peak, "fraction")
+        .metric("failovers", failovers as f64, "events")
+        .metric("loss_4s_after_crash", loss_after, "fraction")
+        .artifact("metrics.json", snap.to_json())
 }

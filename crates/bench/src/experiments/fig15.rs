@@ -27,7 +27,7 @@ struct ServiceClass {
 }
 
 /// Runs the experiment.
-pub fn run() {
+pub fn run() -> BenchReport {
     banner("Fig. 15", "Average state size per service (vs 64B slab)");
     let classes = [
         ServiceClass {
@@ -58,8 +58,7 @@ pub fn run() {
     );
 
     let mut overall = Samples::new();
-    let reg = nezha_sim::metrics::MetricsRegistry::new();
-    let state_bytes = reg.histogram("fig15.state_bytes", &[]);
+    let mut report = BenchReport::new("fig15");
     for (ci, class) in classes.iter().enumerate() {
         let mut cluster = harness::testbed(harness::TestbedOpts::scaled());
         let vnic_id = VnicId(10 + ci as u32);
@@ -110,25 +109,33 @@ pub fn run() {
             if e.vnic == vnic_id {
                 sizes.record(e.state.used_bytes() as f64);
                 overall.record(e.state.used_bytes() as f64);
-                reg.observe(state_bytes, e.state.used_bytes() as f64);
             }
         }
+        let waste = 1.0 - sizes.mean() / SessionState::SLAB_BYTES as f64;
+        let service = format!("{{service={}}}", class.name);
+        report = report
+            .metric(format!("sessions{service}"), sizes.len() as f64, "sessions")
+            .metric(format!("avg_state_bytes{service}"), sizes.mean(), "B")
+            .metric(format!("slab_waste{service}"), waste, "fraction");
         row(
             &[
                 class.name.to_string(),
                 sizes.len().to_string(),
                 format!("{:.2}", sizes.mean()),
-                pct(1.0 - sizes.mean() / SessionState::SLAB_BYTES as f64),
+                pct(waste),
             ],
             &widths,
         );
     }
+    let lift = SessionState::SLAB_BYTES as f64 / overall.mean();
     println!();
     println!(
         "  overall mean {:.2} B of a {} B slab -> variable-length states could lift #flows {:.1}x (paper: up to 8x, avg 5-8B)",
         overall.mean(),
         SessionState::SLAB_BYTES,
-        SessionState::SLAB_BYTES as f64 / overall.mean()
+        lift
     );
-    emit_snapshot("fig15", &reg.snapshot());
+    report
+        .summary("state_bytes", &overall, "B")
+        .metric("flows_lift", lift, "x")
 }

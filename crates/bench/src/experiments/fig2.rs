@@ -13,7 +13,7 @@ use nezha_vswitch::config::VSwitchConfig;
 use nezha_workloads::tenants::TenantPopulation;
 
 /// Runs the experiment.
-pub fn run() {
+pub fn run() -> BenchReport {
     banner("Fig. 2", "CPU usage of high-CPS VMs and their vSwitches");
     let mut rng = SimRng::new(2);
     let pop = TenantPopulation::default();
@@ -35,18 +35,24 @@ pub fn run() {
         vs_cpu.raw().iter().filter(|&&u| u > 0.95).count() as f64 / vs_cpu.len().max(1) as f64;
 
     println!("  high-CPS VMs (demand > vSwitch capacity): {}", hot.len());
+    let mut report = BenchReport::new("fig2")
+        .metric("high_cps_vms", hot.len() as f64, "vms")
+        .metric("vswitch_over95_share", vs_over95, "fraction")
+        .metric("vm_under60_share", under60, "fraction");
     header(&["series", "P10", "P50", "P90", "mean"], &[22, 8, 8, 8, 8]);
     for (name, s) in [("VM CPU", &mut vm_cpu), ("vSwitch CPU", &mut vs_cpu)] {
-        row(
-            &[
-                name.to_string(),
-                pct(s.percentile(10.0)),
-                pct(s.percentile(50.0)),
-                pct(s.percentile(90.0)),
-                pct(s.mean()),
-            ],
-            &[22, 8, 8, 8, 8],
-        );
+        let cells = [
+            ("p10", s.percentile(10.0)),
+            ("p50", s.percentile(50.0)),
+            ("p90", s.percentile(90.0)),
+            ("mean", s.mean()),
+        ];
+        let mut line = vec![name.to_string()];
+        for (field, v) in cells {
+            report = report.metric(format!("cpu_{field}{{series={name}}}"), v, "fraction");
+            line.push(pct(v));
+        }
+        row(&line, &[22, 8, 8, 8, 8]);
     }
     println!();
     println!(
@@ -54,10 +60,5 @@ pub fn run() {
         pct(vs_over95)
     );
     println!("  VMs below 60% own CPU   : {} (paper: ~90%)", pct(under60));
-
-    let reg = nezha_sim::metrics::MetricsRegistry::new();
-    reg.add(reg.counter("fig2.high_cps_vms", &[]), hot.len() as u64);
-    reg.set(reg.gauge("fig2.vswitch_over95_share", &[]), vs_over95);
-    reg.set(reg.gauge("fig2.vm_under60_share", &[]), under60);
-    emit_snapshot("fig2", &reg.snapshot());
+    report
 }

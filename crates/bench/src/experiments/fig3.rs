@@ -8,7 +8,7 @@ use crate::output::*;
 use nezha_core::region::{Region, RegionConfig};
 
 /// Runs the experiment.
-pub fn run() {
+pub fn run() -> BenchReport {
     banner("Fig. 3", "Hotspot distribution in a region (pre-Nezha)");
     let mut region = Region::new(RegionConfig {
         servers: 10_000,
@@ -16,18 +16,23 @@ pub fn run() {
         seed: 3,
         ..RegionConfig::default()
     });
-    let reg = nezha_sim::metrics::MetricsRegistry::new();
-    region.attach_metrics(&reg);
-    let report = region.run_days(20, false);
-    let (cps, flows, vnics) = report.totals();
+    let (cps, flows, vnics) = region.run_days(20, false).totals();
     let total = (cps + flows + vnics) as f64;
+    let mut report = BenchReport::new("fig3");
 
     header(&["cause", "overloads", "share", "paper"], &[18, 10, 8, 8]);
-    for (name, n, paper) in [
-        ("CPS", cps, "61%"),
-        ("#concurrent flows", flows, "30%"),
-        ("#vNICs", vnics, "9%"),
+    for (name, key, n, paper) in [
+        ("CPS", "cps", cps, "61%"),
+        ("#concurrent flows", "flows", flows, "30%"),
+        ("#vNICs", "vnics", vnics, "9%"),
     ] {
+        report = report
+            .metric(format!("region.overload.{key}"), n as f64, "overloads")
+            .metric(
+                format!("overload_share{{cause={key}}}"),
+                n as f64 / total,
+                "fraction",
+            );
         row(
             &[
                 name.to_string(),
@@ -38,5 +43,5 @@ pub fn run() {
             &[18, 10, 8, 8],
         );
     }
-    emit_snapshot("fig3", &reg.snapshot());
+    report
 }

@@ -19,7 +19,7 @@ use nezha_vswitch::vnic::{Vnic, VnicProfile};
 const FE_COUNTS: [usize; 5] = [1, 2, 4, 6, 8];
 
 /// Runs the experiment.
-pub fn run() {
+pub fn run() -> BenchReport {
     banner("Fig. 9", "Performance gain under different #FEs");
 
     // Baseline: the local-only CPS capability, found by bisection the
@@ -42,8 +42,9 @@ pub fn run() {
         &["#FEs", "CPS", "CPS gain", "#flows gain", "#vNICs gain"],
         &widths,
     );
-    let reg = nezha_sim::metrics::MetricsRegistry::new();
-    reg.set(reg.gauge("fig9.baseline_cps", &[]), base);
+    let mut report = BenchReport::new("fig9")
+        .metric("nominal_cps", nominal, "conn/s")
+        .metric("baseline_cps", base, "conn/s");
     for &k in &FE_COUNTS {
         let cps = harness::find_capacity(
             || {
@@ -60,11 +61,11 @@ pub fn run() {
         );
         let cfg = harness::testbed(TestbedOpts::scaled()).cfg.vswitch;
         let (flows_gain, vnic_gain) = memory_gains(&cfg, k);
-        let fes = [("fes", k.to_string())];
-        reg.set(reg.gauge("fig9.cps", &fes), cps);
-        reg.set(reg.gauge("fig9.cps_gain", &fes), cps / base);
-        reg.set(reg.gauge("fig9.flows_gain", &fes), flows_gain);
-        reg.set(reg.gauge("fig9.vnic_gain", &fes), vnic_gain);
+        report = report
+            .metric(format!("cps{{fes={k}}}"), cps, "conn/s")
+            .metric(format!("cps_gain{{fes={k}}}"), cps / base, "x")
+            .metric(format!("flows_gain{{fes={k}}}"), flows_gain, "x")
+            .metric(format!("vnic_gain{{fes={k}}}"), vnic_gain, "x");
         row(
             &[
                 k.to_string(),
@@ -79,7 +80,7 @@ pub fn run() {
     println!();
     println!("  paper: CPS plateaus at ~3.3x and #flows at ~3.8x beyond 4 FEs;");
     println!("         #vNICs grows with #FEs toward the 1000x BE-metadata ceiling");
-    emit_snapshot("fig9", &reg.snapshot());
+    report
 }
 
 /// #flows and #vNICs gains at pool size `k`, from the byte models.

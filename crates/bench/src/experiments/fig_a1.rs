@@ -9,11 +9,11 @@ use crate::output::*;
 use nezha_core::migration::MigrationModel;
 
 /// Runs the experiment.
-pub fn run() {
+pub fn run() -> BenchReport {
     banner("Fig. A1", "VM migration downtime vs. vCPUs and memory");
     let m = MigrationModel::default();
     let widths = [10usize, 10, 12, 14, 12];
-    let reg = nezha_sim::metrics::MetricsRegistry::new();
+    let mut report = BenchReport::new("fig_a1");
 
     header(
         &["vCPUs", "mem(GB)", "tables(MB)", "completion", "downtime"],
@@ -28,15 +28,13 @@ pub fn run() {
         (128, 1024.0, 200),
     ] {
         let c = m.migrate(mem_gb, vcpus, tables_mb << 20);
-        let labels = [("mem_gb", format!("{mem_gb:.0}"))];
-        reg.set(
-            reg.gauge("fig_a1.migration_completion_secs", &labels),
-            c.completion.as_secs_f64(),
-        );
-        reg.set(
-            reg.gauge("fig_a1.migration_downtime_secs", &labels),
-            c.downtime.as_secs_f64(),
-        );
+        for (metric, d) in [
+            ("migration_completion_secs", c.completion),
+            ("migration_downtime_secs", c.downtime),
+        ] {
+            let key = format!("{metric}{{mem_gb={mem_gb:.0}}}");
+            report = report.metric(key, d.as_secs_f64(), "s");
+        }
         row(
             &[
                 vcpus.to_string(),
@@ -56,9 +54,11 @@ pub fn run() {
         r.downtime.as_millis_f64()
     );
     println!("  paper: 1024 GB VM migration takes tens of minutes; Nezha redirect < 1 ms");
-    reg.set(
-        reg.gauge("fig_a1.nezha_redirect_downtime_secs", &[]),
-        r.downtime.as_secs_f64(),
-    );
-    emit_snapshot("fig_a1", &reg.snapshot());
+    for (metric, d) in [
+        ("nezha_redirect_completion_secs", r.completion),
+        ("nezha_redirect_downtime_secs", r.downtime),
+    ] {
+        report = report.metric(metric, d.as_secs_f64(), "s");
+    }
+    report
 }

@@ -18,39 +18,6 @@ use nezha_types::{Ipv4Addr, ServerId, VnicId, VpcId};
 use nezha_vswitch::vnic::{Vnic, VnicProfile};
 use nezha_workloads::cps::CpsWorkload;
 
-/// Shared per-dispatch context handed to every [`crate::experiments::Experiment`].
-///
-/// Holds the testbed options an experiment should build clusters from
-/// (CLI configuration mutates these before `run`), so experiments share
-/// one way of constructing the §6.1 testbed instead of each hard-wiring
-/// its own.
-#[derive(Clone, Copy, Debug)]
-pub struct Harness {
-    /// Options for [`Harness::testbed`]; defaults to the quarter-scale
-    /// testbed most experiments use.
-    pub opts: TestbedOpts,
-}
-
-impl Default for Harness {
-    fn default() -> Self {
-        Harness::new()
-    }
-}
-
-impl Harness {
-    /// A harness with the scaled-testbed defaults.
-    pub fn new() -> Self {
-        Harness {
-            opts: TestbedOpts::scaled(),
-        }
-    }
-
-    /// Builds the standard testbed from the current options.
-    pub fn testbed(&self) -> Cluster {
-        testbed(self.opts)
-    }
-}
-
 /// The vNIC under test in every packet-level experiment.
 pub const VNIC: VnicId = VnicId(1);
 /// Its home server.
@@ -93,68 +60,15 @@ impl Default for TestbedOpts {
 }
 
 impl TestbedOpts {
-    /// Starts a fluent [`TestbedOptsBuilder`] from the defaults.
-    pub fn builder() -> TestbedOptsBuilder {
-        TestbedOptsBuilder::default()
-    }
-
     /// The quarter-scale testbed: 1-core vSwitches + a VM with a quarter
     /// of the kernel capacity. All capacity *ratios* match the full-scale
     /// testbed.
     pub fn scaled() -> Self {
-        TestbedOpts::builder()
-            .cores(1)
-            .per_core_cps(13_425.0)
-            .build()
-    }
-}
-
-/// Fluent builder for [`TestbedOpts`], starting from the defaults.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct TestbedOptsBuilder {
-    opts: TestbedOpts,
-}
-
-impl TestbedOptsBuilder {
-    /// vSwitch cores (1 = scaled-down testbed).
-    pub fn cores(mut self, cores: u32) -> Self {
-        self.opts.cores = cores;
-        self
-    }
-
-    /// VM vCPUs.
-    pub fn vcpus(mut self, vcpus: u32) -> Self {
-        self.opts.vcpus = vcpus;
-        self
-    }
-
-    /// VM per-core CPS.
-    pub fn per_core_cps(mut self, cps: f64) -> Self {
-        self.opts.per_core_cps = cps;
-        self
-    }
-
-    /// Enables automatic offload/scaling.
-    pub fn auto(mut self, auto: bool) -> Self {
-        self.opts.auto = auto;
-        self
-    }
-
-    /// Initial FE count for manual offloads.
-    pub fn initial_fes(mut self, fes: usize) -> Self {
-        self.opts.initial_fes = fes;
-        self
-    }
-
-    /// RNG seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.opts.seed = seed;
-        self
-    }
-
-    /// Finishes the builder.
-    pub fn build(self) -> TestbedOpts {
-        self.opts
+        TestbedOpts {
+            cores: 1,
+            per_core_cps: 13_425.0,
+            ..TestbedOpts::default()
+        }
     }
 }
 

@@ -1,18 +1,9 @@
-//! One module per paper table/figure, plus the shared testbed harness —
-//! all dispatched through one [`Experiment`] registry.
+//! One module per paper table/figure, plus the shared testbed harness.
 //!
-//! Every experiment implements [`Experiment`]: a registry key
-//! ([`Experiment::name`], the CLI subcommand), an argument hook
-//! ([`Experiment::configure`]), and a typed [`Experiment::run`] that
-//! receives the shared [`Harness`] and returns a [`BenchReport`]. The
-//! CLI and future experiments all enter through [`dispatch_with`];
-//! there is no per-experiment wiring left.
-//!
-//! The paper-figure modules keep their original `run()` free functions
-//! (plain-text tables plus legacy snapshot lines — those byte-exact
-//! outputs are pinned by golden tests) and are adapted into the registry
-//! by `Legacy`; `chaos`, `profile` and `watch` implement the trait
-//! natively and return fully-populated reports.
+//! Every experiment is a [`Run`] in [`EXPERIMENTS`]: it
+//! prints its tables and returns every number it printed as a typed
+//! report metric (plus any text artifacts, such as a flamegraph or a
+//! registry dump), which the CLI hands to [`crate::output::emit_report`].
 
 pub mod ablations;
 pub mod appendix_b2;
@@ -37,172 +28,60 @@ pub mod table5;
 pub mod table_a1;
 pub mod watch;
 
-pub use harness::Harness;
 use nezha_sim::report::BenchReport;
 
-/// One runnable experiment behind the registry.
-///
-/// `name()` is the stable CLI id; `configure()` receives any `--flag`
-/// arguments that followed the id on the command line; `run()` does the
-/// work and returns the typed report, which the dispatcher hands to
-/// [`crate::output::emit_report`].
-pub trait Experiment {
-    /// The registry key / CLI subcommand (e.g. `"fig9"`).
-    fn name(&self) -> &'static str;
+/// An experiment: prints its tables, returns its report.
+pub type Run = fn() -> BenchReport;
 
-    /// Applies CLI arguments. The default accepts none.
-    fn configure(&mut self, args: &[String]) -> Result<(), String> {
-        if args.is_empty() {
-            Ok(())
-        } else {
-            Err(format!(
-                "{}: unexpected arguments {args:?}",
-                Experiment::name(self)
-            ))
-        }
-    }
-
-    /// Runs the experiment.
-    fn run(&mut self, harness: &mut Harness) -> BenchReport;
-}
-
-/// Adapter for the paper-figure modules that still expose a bare
-/// `run()`: prints exactly what it always printed, returns an id-only
-/// report.
-struct Legacy {
-    name: &'static str,
-    run: fn(),
-}
-
-impl Experiment for Legacy {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn run(&mut self, _harness: &mut Harness) -> BenchReport {
-        (self.run)();
-        BenchReport::new(self.name)
-    }
-}
-
-fn legacy(name: &'static str, run: fn()) -> Box<dyn Experiment> {
-    Box::new(Legacy { name, run })
-}
-
-/// Builds the full registry, in paper order (the order `all` runs).
-pub fn registry() -> Vec<Box<dyn Experiment>> {
-    vec![
-        legacy("fig2", fig2::run),
-        legacy("fig3", fig3::run),
-        legacy("fig4", fig4::run),
-        legacy("table1", table1::run),
-        legacy("fig9", fig9::run),
-        legacy("fig10", fig10::run),
-        legacy("fig11", fig11::run),
-        legacy("fig12", fig12::run),
-        legacy("table3", table3::run),
-        legacy("table4", table4::run),
-        legacy("fig13", fig13::run),
-        legacy("fig14", fig14::run),
-        legacy("fig15", fig15::run),
-        legacy("table5", table5::run),
-        legacy("table_a1", table_a1::run),
-        legacy("fig_a1", fig_a1::run),
-        legacy("appendix_b2", appendix_b2::run),
-        legacy("ablations", ablations::run),
-        Box::new(chaos::Chaos),
-        Box::new(profile::Profile),
-        Box::new(watch::Watch::default()),
-    ]
-}
-
-/// Ids of all experiments, in paper order. Kept in sync with
-/// [`registry`] by a unit test.
-pub const ALL: &[&str] = &[
-    "fig2",
-    "fig3",
-    "fig4",
-    "table1",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "table3",
-    "table4",
-    "fig13",
-    "fig14",
-    "fig15",
-    "table5",
-    "table_a1",
-    "fig_a1",
-    "appendix_b2",
-    "ablations",
-    "chaos",
-    "profile",
-    "watch",
+/// Every experiment by CLI id, in paper order (the order `all` runs).
+/// Each returns a report whose id is its CLI id.
+pub const EXPERIMENTS: &[(&str, Run)] = &[
+    ("fig2", fig2::run),
+    ("fig3", fig3::run),
+    ("fig4", fig4::run),
+    ("table1", table1::run),
+    ("fig9", fig9::run),
+    ("fig10", fig10::run),
+    ("fig11", fig11::run),
+    ("fig12", fig12::run),
+    ("table3", table3::run),
+    ("table4", table4::run),
+    ("fig13", fig13::run),
+    ("fig14", fig14::run),
+    ("fig15", fig15::run),
+    ("table5", table5::run),
+    ("table_a1", table_a1::run),
+    ("fig_a1", fig_a1::run),
+    ("appendix_b2", appendix_b2::run),
+    ("ablations", ablations::run),
+    ("chaos", chaos::run),
+    ("profile", profile::run),
+    ("watch", watch::run),
+    ("watch_region", watch::run_region),
 ];
-
-/// Outcome of a dispatch attempt.
-pub enum DispatchOutcome {
-    /// The experiment ran; its report was emitted.
-    Ran(BenchReport),
-    /// No experiment has this id.
-    UnknownId,
-    /// The id matched but its arguments did not parse.
-    BadArgs(String),
-}
-
-/// Dispatches one experiment by id, passing `args` to its `configure`.
-pub fn dispatch_with(id: &str, args: &[String]) -> DispatchOutcome {
-    let Some(mut exp) = registry().into_iter().find(|e| e.name() == id) else {
-        return DispatchOutcome::UnknownId;
-    };
-    if let Err(e) = exp.configure(args) {
-        return DispatchOutcome::BadArgs(e);
-    }
-    let mut harness = Harness::new();
-    let report = exp.run(&mut harness);
-    crate::output::emit_report(&report);
-    DispatchOutcome::Ran(report)
-}
-
-/// Dispatches one experiment by id with no arguments. Returns false for
-/// unknown ids.
-pub fn dispatch(id: &str) -> bool {
-    match dispatch_with(id, &[]) {
-        DispatchOutcome::Ran(_) => true,
-        DispatchOutcome::UnknownId => false,
-        DispatchOutcome::BadArgs(e) => {
-            eprintln!("{e}");
-            false
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn registry_matches_all_ids_in_order() {
-        let names: Vec<&str> = registry().iter().map(|e| e.name()).collect();
-        assert_eq!(names, ALL);
+    fn ids_are_unique() {
+        let mut ids: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), EXPERIMENTS.len());
     }
 
+    /// The quick experiments return their numbers, under their own id,
+    /// and same-seed runs return the same report.
     #[test]
-    fn unknown_id_is_reported() {
-        assert!(matches!(
-            dispatch_with("nope", &[]),
-            DispatchOutcome::UnknownId
-        ));
-    }
-
-    #[test]
-    fn default_configure_rejects_arguments() {
-        let args = vec!["--bogus".to_string()];
-        assert!(matches!(
-            dispatch_with("fig2", &args),
-            DispatchOutcome::BadArgs(_)
-        ));
+    fn quick_reports_carry_metrics_and_replay_identically() {
+        for id in ["table3", "table5", "fig15", "fig_a1"] {
+            let run = EXPERIMENTS.iter().find(|(i, _)| *i == id).unwrap().1;
+            let a = run();
+            assert_eq!(a.id, id);
+            assert!(!a.metrics().is_empty(), "{id} returned no metrics");
+            assert_eq!(a.deterministic_json(), run().deterministic_json(), "{id}");
+        }
     }
 }

@@ -5,14 +5,12 @@
 //! profiler enabled, prints the per-stage cycle-share table, reconciles
 //! the attribution against the CPU model's charged total (must agree
 //! within 0.1%), shows one packet's BE → FE → BE causal chain, and
-//! exports the flamegraph / Chrome-trace artifacts (`NEZHA_PROFILE_DIR`).
+//! attaches the flamegraph / Chrome-trace artifacts to its report.
 
-use crate::experiments::harness::{self, Harness, TestbedOpts};
-use crate::experiments::Experiment;
+use crate::experiments::harness::{self, TestbedOpts};
 use crate::output::*;
 use nezha_core::conn::{ConnKind, ConnSpec};
 use nezha_sim::profile::Profiler;
-use nezha_sim::report::BenchReport;
 use nezha_sim::time::SimDuration;
 use nezha_types::{FiveTuple, Ipv4Addr};
 
@@ -26,10 +24,10 @@ const RATE: f64 = 2_000.0;
 
 /// Builds the offloaded scaled testbed, runs one TCP_CRR measurement
 /// with the profiler on, and returns the profiler plus the cycles the
-/// CPU model charged while it was enabled. Deterministic: same `opts`
-/// produce byte-identical flamegraph / Chrome-trace artifacts.
-pub fn run_profiled(opts: TestbedOpts) -> (Profiler, f64) {
-    let mut cluster = harness::testbed(opts);
+/// CPU model charged while it was enabled. Deterministic: every run
+/// produces byte-identical flamegraph / Chrome-trace artifacts.
+fn run_profiled() -> (Profiler, f64) {
+    let mut cluster = harness::testbed(TestbedOpts::scaled());
     // Notify on every FE miss so the BE → FE → notify → BE causal chain
     // shows up in the span trees (the default testbed's stats policies
     // are all zero, which would never trigger the §3.2.2 notify).
@@ -70,24 +68,12 @@ pub fn run_profiled(opts: TestbedOpts) -> (Profiler, f64) {
     (cluster.profiler().clone(), charged)
 }
 
-/// The registry entry: cycle attribution with causal span tracing.
-pub struct Profile;
-
-impl Experiment for Profile {
-    fn name(&self) -> &'static str {
-        "profile"
-    }
-
-    fn run(&mut self, harness: &mut Harness) -> BenchReport {
-        run_report(harness.opts)
-    }
-}
-
 /// Runs the experiment, printing the tables and returning the typed
-/// report (per-stage cycles and the reconciliation outcome).
-pub fn run_report(opts: TestbedOpts) -> BenchReport {
+/// report (per-stage cycles, the reconciliation outcome, and the
+/// `folded` flamegraph and `trace.json` Chrome-trace artifacts).
+pub fn run() -> BenchReport {
     banner("profile", "Cycle attribution and causal BE↔FE span tracing");
-    let (prof, charged) = run_profiled(opts);
+    let (prof, charged) = run_profiled();
     let attributed = prof.total_cycles() as f64;
 
     println!(
@@ -103,15 +89,26 @@ pub fn run_report(opts: TestbedOpts) -> BenchReport {
     let mut totals = prof.stage_totals();
     totals.retain(|(_, t)| t.cycles > 0 || t.packets > 0);
     totals.sort_by(|a, b| b.1.cycles.cmp(&a.1.cycles).then(a.0.cmp(&b.0)));
-    let reg = nezha_sim::metrics::MetricsRegistry::new();
+    let mut report = BenchReport::new("profile")
+        .config("testbed", "scaled")
+        .config("offered_cps", RATE)
+        .metric("span_records", prof.spans().len() as f64, "spans")
+        .metric("spans_evicted", prof.evicted() as f64, "spans");
     for (name, t) in &totals {
-        let labels = [("stage", name.clone())];
-        reg.set(reg.gauge("profile.stage_cycles", &labels), t.cycles as f64);
+        let share = t.cycles as f64 / attributed.max(1.0);
+        for (field, v, unit) in [
+            ("cycles", t.cycles as f64, "cycles"),
+            ("share", share, "fraction"),
+            ("bytes", t.bytes as f64, "bytes"),
+            ("packets", t.packets as f64, "packets"),
+        ] {
+            report = report.metric(format!("stage_{field}{{stage={name}}}"), v, unit);
+        }
         row(
             &[
                 name.clone(),
                 eng(t.cycles as f64),
-                pct(t.cycles as f64 / attributed.max(1.0)),
+                pct(share),
                 eng(t.bytes as f64),
                 eng(t.packets as f64),
             ],
@@ -134,8 +131,6 @@ pub fn run_report(opts: TestbedOpts) -> BenchReport {
         "profiler attribution drifted {:.4}% from the charged total",
         drift * 100.0
     );
-    reg.set(reg.gauge("profile.charged_cycles", &[]), charged);
-    reg.set(reg.gauge("profile.attributed_cycles", &[]), attributed);
 
     // One packet's causal chain across servers, read from the (unbounded)
     // path table: the notify's ancestry reaches back through the FE visit
@@ -150,17 +145,14 @@ pub fn run_report(opts: TestbedOpts) -> BenchReport {
         println!("  causal chain (one TX miss): {chain}");
     }
     println!();
-    println!("  artifacts: set NEZHA_PROFILE_DIR to export profile.folded");
+    println!("  artifacts: set NEZHA_REPORT_DIR to export profile.folded");
     println!("  (inferno/flamegraph.pl input) and profile.trace.json");
     println!("  (chrome://tracing / Perfetto)");
 
-    emit_profile("profile", &prof);
-    BenchReport::new("profile")
-        .config("testbed", "scaled")
-        .config("offered_cps", RATE)
+    report
         .metric("charged_cycles", charged, "cycles")
         .metric("attributed_cycles", attributed, "cycles")
         .metric("reconciliation_drift", drift, "fraction")
-        .metric("span_records", prof.spans().len() as f64, "spans")
-        .with_snapshot(reg.snapshot())
+        .artifact("folded", fg)
+        .artifact("trace.json", prof.chrome_trace())
 }

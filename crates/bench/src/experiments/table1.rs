@@ -10,7 +10,7 @@ use nezha_sim::rng::SimRng;
 use nezha_workloads::tenants::TenantPopulation;
 
 /// Runs the experiment.
-pub fn run() {
+pub fn run() -> BenchReport {
     banner("Table 1", "Normalized usage distribution across VMs");
     let mut rng = SimRng::new(1);
     let shares = TenantPopulation::default().usage_shares(200_000, &mut rng);
@@ -19,19 +19,17 @@ pub fn run() {
         &["capability", "P50", "P90", "P99", "P999", "P9999"],
         &[18, 8, 8, 8, 8, 8],
     );
-    let reg = nezha_sim::metrics::MetricsRegistry::new();
+    let mut report = BenchReport::new("table1");
     for (name, s) in [
         ("CPS", shares.cps),
         ("#concurrent flows", shares.flows),
         ("#vNICs", shares.vnics),
     ] {
         for (p, v) in ["p50", "p90", "p99", "p999", "p9999"].iter().zip(s) {
-            reg.set(
-                reg.gauge(
-                    "table1.usage_share",
-                    &[("capability", name.to_string()), ("pct", p.to_string())],
-                ),
+            report = report.metric(
+                format!("usage_share{{capability={name},pct={p}}}"),
                 v,
+                "fraction",
             );
         }
         row(
@@ -48,5 +46,5 @@ pub fn run() {
     }
     println!();
     println!("  paper (CPS row): 0.53%  1.41%  6.41%  18.38%  100%");
-    emit_snapshot("table1", &reg.snapshot());
+    report
 }

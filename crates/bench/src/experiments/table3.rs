@@ -11,7 +11,7 @@ use nezha_core::vm::VmConfig;
 use nezha_vswitch::config::VSwitchConfig;
 
 /// Runs the experiment.
-pub fn run() {
+pub fn run() -> BenchReport {
     banner("Table 3", "Performance gain with three middleboxes");
     let host = VSwitchConfig::middlebox_host();
     // Middlebox datapath VMs sustain ~1.3M CPS once the vSwitch is out of
@@ -36,12 +36,15 @@ pub fn run() {
         &[14, 11, 10, 9, 8, 8, 18],
     );
     let paper = [("4X", "5.04X"), ("4.4X", "50.4X"), ("3X", "15.3X")];
-    let reg = nezha_sim::metrics::MetricsRegistry::new();
+    let mut report = BenchReport::new("table3");
     for (r, p) in rows.iter().zip(paper) {
-        let mb = [("middlebox", r.name.to_string())];
-        reg.set(reg.gauge("table3.cps_gain", &mb), r.cps_gain);
-        reg.set(reg.gauge("table3.vnic_gain", &mb), r.vnic_gain);
-        reg.set(reg.gauge("table3.flows_gain", &mb), r.flows_gain);
+        let mb = format!("{{middlebox={}}}", r.name);
+        report = report
+            .metric(format!("cps_before{mb}"), r.cps_before, "conn/s")
+            .metric(format!("cps_after{mb}"), r.cps_after, "conn/s")
+            .metric(format!("cps_gain{mb}"), r.cps_gain, "x")
+            .metric(format!("vnic_gain{mb}"), r.vnic_gain, "x")
+            .metric(format!("flows_gain{mb}"), r.flows_gain, "x");
         row(
             &[
                 r.name.to_string(),
@@ -60,5 +63,9 @@ pub fn run() {
         "  LB #flows after: {} (paper: \"roughly 30M flows\")",
         eng(rows[0].flows_after)
     );
-    emit_snapshot("table3", &reg.snapshot());
+    report.metric(
+        format!("flows_after{{middlebox={}}}", rows[0].name),
+        rows[0].flows_after,
+        "flows",
+    )
 }

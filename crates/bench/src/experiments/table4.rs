@@ -14,22 +14,19 @@ use nezha_sim::stats::Samples;
 use nezha_sim::time::SimDuration;
 
 /// Runs the experiment.
-pub fn run() {
+pub fn run() -> BenchReport {
     banner("Table 4", "Completion time for activating offloading");
     // A month of offload events (paper: one cluster, one month).
     let mut region = Region::new(RegionConfig {
         seed: 44,
         ..RegionConfig::default()
     });
-    let reg = nezha_sim::metrics::MetricsRegistry::new();
-    let model_hist = reg.histogram("table4.completion_model_secs", &[]);
-    let measured_hist = reg.histogram("table4.completion_measured_secs", &[]);
     let mut s = Samples::new();
     for _ in 0..30_000 {
-        let d = region.sample_completion();
-        s.record_duration(d);
-        reg.observe_duration(model_hist, d);
+        s.record_duration(region.sample_completion());
     }
+    // Summarized before the table's percentile queries sort the samples.
+    let report = BenchReport::new("table4").summary("completion_model_secs", &s, "s");
     let ms = |v: f64| format!("{:.0}", v * 1e3);
     header(
         &["source", "avg(ms)", "P90", "P99", "P999"],
@@ -76,9 +73,9 @@ pub fn run() {
             .raw()
         {
             measured.record(*v);
-            reg.observe(measured_hist, *v);
         }
     }
+    let report = report.summary("completion_measured_secs", &measured, "s");
     let (m_mean, _, m90, _, _, _) = measured.summary();
     println!();
     println!(
@@ -87,5 +84,5 @@ pub fn run() {
         ms(m_mean),
         ms(m90)
     );
-    emit_snapshot("table4", &reg.snapshot());
+    report
 }

@@ -7,7 +7,7 @@ use crate::output::*;
 use nezha_baselines::cost::{nezha_effort_ratio, DeploymentCost};
 
 /// Runs the experiment.
-pub fn run() {
+pub fn run() -> BenchReport {
     banner("Table 5", "Deployment costs of Sailfish / Nezha");
     let systems = [DeploymentCost::sailfish(), DeploymentCost::nezha()];
     header(&["", "Sailfish", "Nezha"], &[30, 16, 16]);
@@ -48,14 +48,20 @@ pub fn run() {
         "  Nezha / Sailfish total effort: {} (paper: \"only 10% of the development effort\")",
         pct(nezha_effort_ratio())
     );
-    let reg = nezha_sim::metrics::MetricsRegistry::new();
-    reg.set(reg.gauge("table5.effort_ratio", &[]), nezha_effort_ratio());
+    let mut report =
+        BenchReport::new("table5").metric("effort_ratio", nezha_effort_ratio(), "fraction");
     for c in &systems {
-        let sys = [("system", c.name.to_string())];
-        reg.add(
-            reg.counter("table5.total_pm", &sys),
-            (c.hardware_pm + c.software_pm + c.iteration_pm) as u64,
-        );
+        let total = c.hardware_pm + c.software_pm + c.iteration_pm;
+        for (name, v, unit) in [
+            ("hardware_pm", c.hardware_pm, "person-months"),
+            ("software_pm", c.software_pm, "person-months"),
+            ("iteration_pm", c.iteration_pm, "person-months"),
+            ("total_pm", total, "person-months"),
+            ("scale_out_min_days", c.scale_out.min_days, "days"),
+            ("scale_out_max_days", c.scale_out.max_days, "days"),
+        ] {
+            report = report.metric(format!("{name}{{system={}}}", c.name), v as f64, unit);
+        }
     }
-    emit_snapshot("table5", &reg.snapshot());
+    report
 }

@@ -24,23 +24,16 @@ const SIZES: [usize; 4] = [64, 128, 256, 512];
 const RULES: [usize; 6] = [0, 1, 8, 64, 100, 1000];
 
 /// Runs the experiment.
-pub fn run() {
+pub fn run() -> BenchReport {
     banner("Table A1", "Rule-table lookup throughput (Mpps)");
     let cfg = VSwitchConfig::default();
 
     println!("  (a) simulated card: capacity / lookup cycles");
-    let reg = nezha_sim::metrics::MetricsRegistry::new();
-    print_grid(|bytes, rules| {
-        let mpps = cfg.capacity_hz() / cfg.costs.lookup_cycles(bytes, rules, 0) as f64 / 1e6;
-        reg.set(
-            reg.gauge(
-                "table_a1.model_mpps",
-                &[("bytes", bytes.to_string()), ("rules", rules.to_string())],
-            ),
-            mpps,
-        );
-        mpps
-    });
+    let report = print_grid(
+        BenchReport::new("table_a1"),
+        "model_mpps",
+        |bytes, rules| cfg.capacity_hz() / cfg.costs.lookup_cycles(bytes, rules, 0) as f64 / 1e6,
+    );
 
     println!();
     println!("  (b) this repository's Rust lookup code (single thread)");
@@ -61,7 +54,7 @@ pub fn run() {
             )
         })
         .collect();
-    print_grid(|bytes, rules| {
+    let report = print_grid(report, "code_mpps", |bytes, rules| {
         let idx = RULES.iter().position(|&r| r == rules).unwrap();
         let vnic = &vnics[idx];
         // Parsing cost scales with packet size in the real pipeline; here
@@ -94,17 +87,25 @@ pub fn run() {
     });
     println!();
     println!("  paper (64B row): 6.612  6.609  6.333  5.973  5.966  5.422 Mpps");
-    emit_snapshot("table_a1", &reg.snapshot());
+    report
 }
 
-fn print_grid(f: impl Fn(usize, usize) -> f64) {
+/// Prints one Mpps grid and records each cell as `name{bytes=..,rules=..}`.
+fn print_grid(mut report: BenchReport, name: &str, f: impl Fn(usize, usize) -> f64) -> BenchReport {
     let widths = [10usize, 8, 8, 8, 8, 8, 8];
     header(&["pkt size", "0", "1", "8", "64", "100", "1000"], &widths);
     for &bytes in &SIZES {
         let mut cells = vec![format!("{bytes}B")];
         for &rules in &RULES {
-            cells.push(format!("{:.3}", f(bytes, rules)));
+            let mpps = f(bytes, rules);
+            report = report.metric(
+                format!("{name}{{bytes={bytes},rules={rules}}}"),
+                mpps,
+                "Mpps",
+            );
+            cells.push(format!("{mpps:.3}"));
         }
         row(&cells, &widths);
     }
+    report
 }

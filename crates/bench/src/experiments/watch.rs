@@ -1,32 +1,30 @@
 //! `watch` — the live observability view: windowed rollups, SLO
 //! watchdog events, and Prometheus/JSONL exports.
 //!
-//! Two configs:
+//! Two experiments:
 //!
-//! * `chaos` (default) — the packet-level testbed under the chaos crash
+//! * `watch` — the packet-level testbed under the chaos crash
 //!   scenario (steady TCP_CRR load, an FE crash at t = 6 s, restart at
 //!   t = 11 s) with 1-second windows. The run is stepped window by
 //!   window, printing one live table row per closed window, and the SLO
 //!   watchdog must catch the crash: the run asserts at least one breach
 //!   event, so `scripts/check.sh --fast` uses this as the observability
 //!   smoke.
-//! * `region` — the fluid region simulator through a production day,
-//!   one window per epoch, with the region SLO rule set.
+//! * `watch_region` — the fluid region simulator through a production
+//!   day, one window per epoch, with the region SLO rule set.
 //!
-//! `--jsonl=PATH` writes the full window stream (one JSON object per
-//! line) and `PATH.slo` with the SLO event log; `--prom=PATH` writes
-//! the final metrics snapshot in Prometheus text format. All three
-//! artifacts are deterministic: same seed ⇒ byte-identical files, for
-//! any shard count.
+//! Both attach three artifacts to their report: `windows.jsonl` (the
+//! full window stream, one JSON object per line), `slo.jsonl` (the SLO
+//! event log) and `prom` (the final metrics snapshot in Prometheus text
+//! format). All three are deterministic: same seed ⇒ byte-identical
+//! files, for any shard count.
 
-use crate::experiments::harness::{self, Harness, TestbedOpts};
-use crate::experiments::Experiment;
+use crate::experiments::harness::{self, TestbedOpts};
 use crate::output::*;
 use nezha_core::region::{Region, RegionConfig, Scenario};
 use nezha_sim::fault::FaultPlan;
-use nezha_sim::metrics::MetricsRegistry;
+use nezha_sim::metrics::{MetricsRegistry, MetricsSnapshot};
 use nezha_sim::obs::{prometheus_text, SloRule, WindowRecord, WindowedRollup};
-use nezha_sim::report::BenchReport;
 use nezha_sim::time::SimDuration;
 use nezha_workloads::cps::CpsWorkload;
 
@@ -34,57 +32,6 @@ use nezha_workloads::cps::CpsWorkload;
 const CHAOS_WINDOW: SimDuration = SimDuration::from_secs(1);
 /// Simulated seconds the chaos config runs (load + drain).
 const CHAOS_RUN_SECS: u64 = 18;
-
-/// The registry entry.
-pub struct Watch {
-    config: String,
-    jsonl: Option<String>,
-    prom: Option<String>,
-}
-
-impl Default for Watch {
-    fn default() -> Self {
-        Watch {
-            config: "chaos".into(),
-            jsonl: None,
-            prom: None,
-        }
-    }
-}
-
-impl Experiment for Watch {
-    fn name(&self) -> &'static str {
-        "watch"
-    }
-
-    fn configure(&mut self, args: &[String]) -> Result<(), String> {
-        for a in args {
-            if let Some(cfg) = a.strip_prefix("--config=") {
-                match cfg {
-                    "chaos" | "region" => self.config = cfg.to_string(),
-                    other => return Err(format!("watch: unknown --config={other}")),
-                }
-            } else if let Some(path) = a.strip_prefix("--jsonl=") {
-                self.jsonl = Some(path.to_string());
-            } else if let Some(path) = a.strip_prefix("--prom=") {
-                self.prom = Some(path.to_string());
-            } else {
-                return Err(format!(
-                    "watch: unknown argument {a} (expected \
-                     --config=chaos|region, --jsonl=PATH, --prom=PATH)"
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    fn run(&mut self, _harness: &mut Harness) -> BenchReport {
-        match self.config.as_str() {
-            "region" => watch_region(self),
-            _ => watch_chaos(self),
-        }
-    }
-}
 
 /// The SLO rule set the chaos watch runs (all window-delta based).
 fn chaos_rules() -> Vec<SloRule> {
@@ -140,7 +87,7 @@ fn window_row(rec: &WindowRecord, rollup: &WindowedRollup, widths: &[usize]) {
 }
 
 /// The chaos watch: stepped live run, asserting the watchdog fires.
-fn watch_chaos(opts: &Watch) -> BenchReport {
+pub fn run() -> BenchReport {
     banner(
         "watch",
         "Live windowed rollups under the chaos crash scenario",
@@ -215,21 +162,19 @@ fn watch_chaos(opts: &Watch) -> BenchReport {
         .filter(|e| e.edge == nezha_sim::obs::SloEdge::Breach)
         .count();
 
-    let report = BenchReport::new("watch.chaos")
+    let report = BenchReport::new("watch")
         .config("window_secs", CHAOS_WINDOW.as_secs_f64())
         .config("seed", cluster.cfg.seed)
         .metric("conns_offered", conns as f64, "conns")
         .metric("windows_closed", rollup.closed() as f64, "windows")
         .metric("slo_events", events.len() as f64, "events")
         .metric("slo_breaches", breaches as f64, "events");
-    write_artifacts(opts, rollup, &cluster.metrics().snapshot());
-    report
+    with_artifacts(report, rollup, &cluster.metrics().snapshot())
 }
 
 /// The region watch: one production day, one window per epoch.
-fn watch_region(opts: &Watch) -> BenchReport {
+pub fn run_region() -> BenchReport {
     banner("watch", "Windowed rollups over a region production day");
-    let reg = MetricsRegistry::new();
     let mut region = Region::new(RegionConfig {
         servers: 2_000,
         shards: 4,
@@ -237,9 +182,11 @@ fn watch_region(opts: &Watch) -> BenchReport {
         spike_prob: 0.01,
         ..RegionConfig::default()
     });
-    region.attach_metrics(&reg);
     region.enable_windows(48, region_rules());
-    let _ = region.run_scenario(&Scenario::production_day(), true);
+    let reg = MetricsRegistry::new();
+    region
+        .run_scenario(&Scenario::production_day(), true)
+        .record_into(&reg);
 
     let rollup = region.windows().expect("windows enabled");
     let widths = [6usize, 10, 10, 10, 10, 7];
@@ -284,41 +231,23 @@ fn watch_region(opts: &Watch) -> BenchReport {
         println!("    {}", e.json_line());
     }
 
-    let report = BenchReport::new("watch.region")
+    let report = BenchReport::new("watch_region")
         .config("servers", 2_000)
         .config("shards", 4)
         .metric("windows_closed", rollup.closed() as f64, "windows")
         .metric("slo_events", events.len() as f64, "events");
-    write_artifacts(opts, rollup, &reg.snapshot());
-    report
+    with_artifacts(report, rollup, &reg.snapshot())
 }
 
-/// Writes the requested export artifacts: `--jsonl=PATH` (window stream,
-/// plus `PATH.slo` with the event log) and `--prom=PATH` (final snapshot
-/// in Prometheus text format). Write errors warn, never abort.
-fn write_artifacts(
-    opts: &Watch,
+/// Attaches the window stream, the SLO event log and the Prometheus
+/// rendering of `snap`.
+fn with_artifacts(
+    report: BenchReport,
     rollup: &WindowedRollup,
-    snap: &nezha_sim::metrics::MetricsSnapshot,
-) {
-    if let Some(path) = &opts.jsonl {
-        match std::fs::write(path, rollup.jsonl()) {
-            Ok(()) => println!("  wrote {path} ({} windows)", rollup.closed()),
-            Err(e) => eprintln!("warning: cannot write {path}: {e}"),
-        }
-        let slo_path = format!("{path}.slo");
-        match std::fs::write(&slo_path, rollup.watchdog().events_jsonl()) {
-            Ok(()) => println!(
-                "  wrote {slo_path} ({} events)",
-                rollup.watchdog().events().len()
-            ),
-            Err(e) => eprintln!("warning: cannot write {slo_path}: {e}"),
-        }
-    }
-    if let Some(path) = &opts.prom {
-        match std::fs::write(path, prometheus_text(snap)) {
-            Ok(()) => println!("  wrote {path}"),
-            Err(e) => eprintln!("warning: cannot write {path}: {e}"),
-        }
-    }
+    snap: &MetricsSnapshot,
+) -> BenchReport {
+    report
+        .artifact("windows.jsonl", rollup.jsonl())
+        .artifact("slo.jsonl", rollup.watchdog().events_jsonl())
+        .artifact("prom", prometheus_text(snap))
 }

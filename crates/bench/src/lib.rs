@@ -2,12 +2,19 @@
 //!
 //! The experiment harness: one module per table and figure of the paper's
 //! evaluation, each regenerating its result from the models in this
-//! workspace. The `experiments` binary dispatches to them:
+//! workspace. Each is one `fn() -> BenchReport` in
+//! [`experiments::EXPERIMENTS`]: it prints its tables and returns the
+//! same numbers as typed report metrics, plus any text artifacts. The
+//! `experiments` binary runs them by id:
 //!
 //! ```text
 //! cargo run -p nezha-bench --release --bin experiments -- fig9
 //! cargo run -p nezha-bench --release --bin experiments -- all
+//! NEZHA_REPORT_DIR=reports cargo run -p nezha-bench --release --bin experiments -- table3
 //! ```
+//!
+//! The last form also writes `reports/table3.json` (see
+//! [`output::write_report`]).
 //!
 //! Absolute numbers come from a simulator, not the authors' testbed; the
 //! *shapes* — who wins, by what factor, where the knees sit — are the

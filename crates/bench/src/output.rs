@@ -1,95 +1,37 @@
 //! Plain-text table/series output helpers shared by every experiment,
-//! plus the machine-readable JSON snapshot exporter.
+//! plus the one exit for their typed reports.
 //!
-//! Every experiment finishes by handing its [`MetricsSnapshot`] to
-//! [`emit_snapshot`], which renders one JSON line per snapshot (see
-//! EXPERIMENTS.md for the format). By default the line goes nowhere —
-//! the human-readable tables stay the primary output — but:
-//!
-//! * `NEZHA_SNAPSHOT_DIR=<dir>` writes `<dir>/<id>.json`;
-//! * `NEZHA_BENCH_JSON=1` prints the line to stdout.
+//! Every experiment returns a [`BenchReport`]; the human-readable tables
+//! on stdout stay the primary output. [`emit_report`] writes the report
+//! and its artifacts to `NEZHA_REPORT_DIR` when that is set.
 
-use nezha_sim::metrics::MetricsSnapshot;
-use nezha_sim::report::BenchReport;
-use std::io::Write;
+pub use nezha_sim::report::BenchReport;
+use std::path::Path;
 
-/// Exports one experiment's typed [`BenchReport`] — the single exit
-/// point the dispatcher funnels every experiment through.
-///
-/// * When the report carries a metrics snapshot, the legacy one-line
-///   snapshot export runs unchanged (same bytes, same
-///   `NEZHA_SNAPSHOT_DIR` / `NEZHA_BENCH_JSON` switches) — golden
-///   fixtures that pin those lines stay valid.
-/// * `NEZHA_REPORT_DIR=<dir>` additionally writes the typed report as
-///   `<dir>/<id>.report.json` (schema-versioned).
-///
-/// Write errors are reported on stderr, never fatal.
+/// Exports one experiment's report: when `NEZHA_REPORT_DIR=<dir>` is
+/// set, [`write_report`] writes it there. Write errors are reported on
+/// stderr, never fatal.
 pub fn emit_report(report: &BenchReport) {
-    if let Some(snap) = &report.snapshot {
-        emit_snapshot(&report.id, snap);
-    }
-    if let Ok(dir) = std::env::var("NEZHA_REPORT_DIR") {
-        if !dir.is_empty() {
-            let path = std::path::Path::new(&dir).join(format!("{}.report.json", report.id));
-            if let Err(e) = std::fs::write(&path, report.deterministic_json()) {
-                eprintln!("warning: cannot write report {}: {e}", path.display());
-            }
-        }
-    }
-}
-
-/// Renders one snapshot as the canonical JSON line:
-/// `{"id": "<id>", "metrics": { ... }}`. Deterministic — the metric map
-/// is sorted by key and floats print via Rust's shortest-round-trip
-/// formatting, so same-seed runs emit byte-identical lines.
-pub fn snapshot_line(id: &str, snap: &MetricsSnapshot) -> String {
-    format!("{{\"id\": {:?}, \"metrics\": {}}}", id, snap.to_json())
-}
-
-/// Exports one experiment's metrics snapshot (see the module docs for
-/// the `NEZHA_SNAPSHOT_DIR` / `NEZHA_BENCH_JSON` switches). Errors
-/// writing the file are reported on stderr, never fatal.
-pub fn emit_snapshot(id: &str, snap: &MetricsSnapshot) {
-    let line = snapshot_line(id, snap);
-    if let Ok(dir) = std::env::var("NEZHA_SNAPSHOT_DIR") {
-        if !dir.is_empty() {
-            let path = std::path::Path::new(&dir).join(format!("{id}.json"));
-            let write = std::fs::File::create(&path).and_then(|mut f| writeln!(f, "{line}"));
-            if let Err(e) = write {
-                eprintln!("warning: cannot write snapshot {}: {e}", path.display());
-            }
-        }
-    }
-    if std::env::var("NEZHA_BENCH_JSON").is_ok_and(|v| v == "1") {
-        println!("{line}");
-    }
-}
-
-/// Exports the profiler's two artifacts when `NEZHA_PROFILE_DIR=<dir>`
-/// is set: `<dir>/<id>.folded` (collapsed-stack flamegraph input, one
-/// `frame;frame;... cycles` line per call path) and `<dir>/<id>.trace.json`
-/// (Chrome `trace_event` JSON for `chrome://tracing` / Perfetto). Both
-/// render SimTime only, so same-seed runs write byte-identical files.
-/// Write errors are reported on stderr, never fatal.
-pub fn emit_profile(id: &str, prof: &nezha_sim::profile::Profiler) {
-    let Ok(dir) = std::env::var("NEZHA_PROFILE_DIR") else {
+    let Some(dir) = std::env::var_os("NEZHA_REPORT_DIR").filter(|d| !d.is_empty()) else {
         return;
     };
-    if dir.is_empty() {
-        return;
+    if let Err(e) = write_report(Path::new(&dir), report) {
+        eprintln!("warning: cannot write report {}: {e}", report.id);
     }
-    for (name, content) in [
-        (format!("{id}.folded"), prof.flamegraph()),
-        (format!("{id}.trace.json"), prof.chrome_trace()),
-    ] {
-        let path = std::path::Path::new(&dir).join(name);
-        if let Err(e) = std::fs::write(&path, content) {
-            eprintln!(
-                "warning: cannot write profile artifact {}: {e}",
-                path.display()
-            );
-        }
+}
+
+/// Writes `<dir>/<id>.json` (the report's deterministic JSON) and each
+/// artifact as `<dir>/<id>.<name>`, creating `dir` if needed.
+pub fn write_report(dir: &Path, report: &BenchReport) -> std::io::Result<()> {
+    std::fs::create_dir_all(dir)?;
+    std::fs::write(
+        dir.join(format!("{}.json", report.id)),
+        report.deterministic_json(),
+    )?;
+    for (name, text) in report.artifacts() {
+        std::fs::write(dir.join(format!("{}.{name}", report.id)), text)?;
     }
+    Ok(())
 }
 
 /// Prints an experiment banner.
@@ -175,15 +117,24 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_line_is_deterministic_json() {
-        let reg = nezha_sim::metrics::MetricsRegistry::new();
-        let h = reg.counter("pkt.ok", &[]);
-        reg.add(h, 3);
-        let a = snapshot_line("figX", &reg.snapshot());
-        let b = snapshot_line("figX", &reg.snapshot());
-        assert_eq!(a, b);
-        assert!(a.starts_with("{\"id\": \"figX\", \"metrics\": {"));
-        assert!(a.contains("\"pkt.ok\""));
+    fn write_report_writes_the_json_and_every_artifact() {
+        let dir = std::env::temp_dir().join(format!("nezha-report-{}", std::process::id()));
+        let report = BenchReport::new("figX")
+            .metric("gain", 3.5, "x")
+            .artifact("metrics.json", "{}\n")
+            .artifact("trace.json", "[]");
+        write_report(&dir, &report).unwrap();
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["figX.json", "figX.metrics.json", "figX.trace.json"]);
+        let read = |name: &str| std::fs::read_to_string(dir.join(name)).unwrap();
+        assert_eq!(read("figX.json"), report.deterministic_json());
+        assert_eq!(read("figX.metrics.json"), "{}\n");
+        assert_eq!(read("figX.trace.json"), "[]");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub use generator::{Lifecycle, Tenant, TenantModel};
 pub use scenario::Scenario;
 
 use barrier::{Barrier, GrantOutcome, Migration, OffloadRequest, ShardInbox};
-use nezha_sim::metrics::{CounterHandle, HistogramHandle, MetricsRegistry};
+use nezha_sim::metrics::MetricsRegistry;
 use nezha_sim::obs::{LogHistogram, SloRule, WindowedRollup};
 use nezha_sim::report::BenchReport;
 use nezha_sim::rng::SimRng;
@@ -264,49 +264,39 @@ impl RegionReport {
             .metric("mem_util_mean", self.mem_utils.mean(), "fraction")
             .metric("completion_mean", completion_mean, "seconds")
     }
-}
 
-/// Pre-registered handles mirroring [`RegionReport`] into an attached
-/// [`MetricsRegistry`] (all under the `region.` prefix).
-#[derive(Clone, Debug)]
-struct RegionTelemetry {
-    registry: MetricsRegistry,
-    overload_cps: CounterHandle,
-    overload_flows: CounterHandle,
-    overload_vnics: CounterHandle,
-    offload_events: CounterHandle,
-    offload_denied: CounterHandle,
-    scale_out_events: CounterHandle,
-    fes_provisioned: CounterHandle,
-    tenant_births: CounterHandle,
-    tenant_deaths: CounterHandle,
-    migrations: CounterHandle,
-    flash_crowds: CounterHandle,
-    fault_crashes: CounterHandle,
-    cpu_util: HistogramHandle,
-    mem_util: HistogramHandle,
-    completion_secs: HistogramHandle,
-}
-
-impl RegionTelemetry {
-    fn register(registry: &MetricsRegistry) -> Self {
-        RegionTelemetry {
-            registry: registry.clone(),
-            overload_cps: registry.counter("region.overload.cps", &[]),
-            overload_flows: registry.counter("region.overload.flows", &[]),
-            overload_vnics: registry.counter("region.overload.vnics", &[]),
-            offload_events: registry.counter("region.offload_events", &[]),
-            offload_denied: registry.counter("region.offload_denied", &[]),
-            scale_out_events: registry.counter("region.scale_out_events", &[]),
-            fes_provisioned: registry.counter("region.fes_provisioned", &[]),
-            tenant_births: registry.counter("region.tenant_births", &[]),
-            tenant_deaths: registry.counter("region.tenant_deaths", &[]),
-            migrations: registry.counter("region.migrations", &[]),
-            flash_crowds: registry.counter("region.flash_crowds", &[]),
-            fault_crashes: registry.counter("region.fault_crashes", &[]),
-            cpu_util: registry.histogram("region.cpu_util", &[]),
-            mem_util: registry.histogram("region.mem_util", &[]),
-            completion_secs: registry.histogram("region.offload_completion_secs", &[]),
+    /// Records the run into `registry` under `region.*` keys: one
+    /// counter per total and one histogram each for the utilization and
+    /// completion-time samples, observed in report order (record before
+    /// a percentile query sorts them). Counters add, so recording several
+    /// runs into one registry sums them.
+    pub fn record_into(&self, registry: &MetricsRegistry) {
+        let (cps, flows, vnics) = self.totals();
+        for (key, n) in [
+            ("region.overload.cps", cps),
+            ("region.overload.flows", flows),
+            ("region.overload.vnics", vnics),
+            ("region.offload_events", self.offload_events),
+            ("region.offload_denied", self.offload_denied),
+            ("region.scale_out_events", self.scale_out_events),
+            ("region.fes_provisioned", self.total_fes_provisioned),
+            ("region.tenant_births", self.tenant_births),
+            ("region.tenant_deaths", self.tenant_deaths),
+            ("region.migrations", self.migrations),
+            ("region.flash_crowds", self.flash_crowds),
+            ("region.fault_crashes", self.fault_crashes),
+        ] {
+            registry.add(registry.counter(key, &[]), n);
+        }
+        for (key, samples) in [
+            ("region.cpu_util", &self.cpu_utils),
+            ("region.mem_util", &self.mem_utils),
+            ("region.offload_completion_secs", &self.completion_times),
+        ] {
+            let h = registry.histogram(key, &[]);
+            for &v in samples.raw() {
+                registry.observe(h, v);
+            }
         }
     }
 }
@@ -336,7 +326,6 @@ pub struct Region {
     /// by the sharded run itself (servers sample completions from their
     /// own streams).
     completion_rng: SimRng,
-    tel: Option<RegionTelemetry>,
     /// Per-epoch windowed rollup + SLO watchdog; `None` until
     /// [`Region::enable_windows`]. One window per epoch, folded once at
     /// the barrier ([`window`]) — the JSONL stream and SLO event log are
@@ -358,7 +347,6 @@ impl Region {
             spec,
             shards,
             completion_rng: Stream::Completion.rng(cfg.seed),
-            tel: None,
             windows: None,
         }
     }
@@ -378,14 +366,6 @@ impl Region {
     /// window indices keep counting up from the rollup's `closed()`.
     pub fn windows(&self) -> Option<&WindowedRollup> {
         self.windows.as_ref().map(|w| &w.rollup)
-    }
-
-    /// Attaches a [`MetricsRegistry`]: subsequent runs mirror the
-    /// [`RegionReport`] quantities into `region.*` counters and
-    /// histograms there. Optional — an unattached region pays no
-    /// telemetry cost.
-    pub fn attach_metrics(&mut self, registry: &MetricsRegistry) {
-        self.tel = Some(RegionTelemetry::register(registry));
     }
 
     /// Samples one offload activation completion time (Table 4) from the
@@ -460,9 +440,6 @@ impl Region {
                 barrier.plan_epoch(epoch, t_epoch, sc, servers, epochs_per_day, epoch_ns);
             if plan.flash.is_some() {
                 report.flash_crowds += 1;
-                if let Some(tel) = &self.tel {
-                    tel.registry.inc(tel.flash_crowds);
-                }
             }
             if let Some(wave) = plan.wave.take() {
                 let spec = self.spec;
@@ -493,10 +470,6 @@ impl Region {
                 for &(cpu, mem) in sh.utils() {
                     report.cpu_utils.record(cpu);
                     report.mem_utils.record(mem);
-                    if let Some(tel) = &self.tel {
-                        tel.registry.observe(tel.cpu_util, cpu);
-                        tel.registry.observe(tel.mem_util, mem);
-                    }
                     if let Some(w) = &mut self.windows {
                         w.record_util(cpu, mem);
                     }
@@ -510,16 +483,6 @@ impl Region {
                 report.scale_out_events += out.scale_outs;
                 report.total_fes_provisioned += out.scale_outs;
                 barrier.charge_scale_outs(out.scale_outs);
-                if let Some(tel) = &self.tel {
-                    tel.registry.add(tel.overload_cps, out.overloads[0]);
-                    tel.registry.add(tel.overload_flows, out.overloads[1]);
-                    tel.registry.add(tel.overload_vnics, out.overloads[2]);
-                    tel.registry.add(tel.tenant_births, out.births);
-                    tel.registry.add(tel.tenant_deaths, out.deaths);
-                    tel.registry.add(tel.fault_crashes, out.crashes);
-                    tel.registry.add(tel.scale_out_events, out.scale_outs);
-                    tel.registry.add(tel.fes_provisioned, out.scale_outs);
-                }
                 if let Some(w) = &mut self.windows {
                     w.add_effects(out.window_effects());
                 }
@@ -539,9 +502,6 @@ impl Region {
             for m in Barrier::merge_migrations(migrations) {
                 report.migrations += 1;
                 win_migrations += 1;
-                if let Some(tel) = &self.tel {
-                    tel.registry.inc(tel.migrations);
-                }
                 inboxes[self.spec.owner(m.1) as usize].arrivals.push(m);
             }
 
@@ -560,7 +520,7 @@ impl Region {
         report
     }
 
-    /// Records a barrier grant outcome into the report/telemetry and
+    /// Records a barrier grant outcome into the report and
     /// routes each decision to its server's owning shard inbox.
     fn record_grants(
         &self,
@@ -572,21 +532,12 @@ impl Region {
             report.offload_events += 1;
             report.total_fes_provisioned += self.cfg.initial_fes as u64;
             report.completion_times.record(secs);
-            if let Some(tel) = &self.tel {
-                tel.registry.inc(tel.offload_events);
-                tel.registry
-                    .add(tel.fes_provisioned, self.cfg.initial_fes as u64);
-                tel.registry.observe(tel.completion_secs, secs);
-            }
             inboxes[self.spec.owner(server) as usize]
                 .grants
                 .push(server);
         }
         for &server in &outcome.denied {
             report.offload_denied += 1;
-            if let Some(tel) = &self.tel {
-                tel.registry.inc(tel.offload_denied);
-            }
             inboxes[self.spec.owner(server) as usize]
                 .denials
                 .push(server);

@@ -65,7 +65,7 @@ impl Scenario {
 
     /// One full production day with every stressor on: a strong diurnal
     /// wave, flash crowds, correlated fault waves, and tenant
-    /// churn/migration. `experiments watch --config=region` runs it.
+    /// churn/migration. `experiments watch_region` runs it.
     pub fn production_day() -> Self {
         Scenario {
             days: 1,

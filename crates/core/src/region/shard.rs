@@ -303,6 +303,10 @@ impl RegionShard {
     }
 
     /// Runs one epoch over the owned partition.
+    // Out of line, so the per-server loop (the region's hot path) is
+    // compiled on its own: inlined, its code moved with every edit to
+    // the barrier loop in `Region::run_scenario`.
+    #[inline(never)]
     #[expect(
         clippy::too_many_arguments,
         reason = "the barrier's per-epoch plan and inbox plus the run's config, scenario and tenant model are separate `Region` fields, borrowed apart so the shard loop can hold `&mut` to the shard"

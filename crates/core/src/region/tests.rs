@@ -132,15 +132,15 @@ fn table3_gains_match_paper_shape() {
 }
 
 #[test]
-fn attached_registry_mirrors_the_report() {
-    let reg = MetricsRegistry::new();
+fn recorded_registry_mirrors_the_report() {
     let mut r = Region::new(RegionConfig {
         servers: 500,
         spike_prob: 0.05,
         ..small_cfg()
     });
-    r.attach_metrics(&reg);
     let report = r.run_days(3, true);
+    let reg = MetricsRegistry::new();
+    report.record_into(&reg);
     let snap = reg.snapshot();
     let (cps, flows, vnics) = report.totals();
     assert_eq!(snap.counter("region.overload.cps"), cps);
@@ -239,7 +239,7 @@ fn shard_count_is_unobservable() {
 }
 
 /// The SLO rule set the region experiments ship with (also used by
-/// `experiments watch --config=region`).
+/// `experiments watch_region`).
 fn region_rules() -> Vec<SloRule> {
     vec![
         SloRule::p99_above("cpu_p99_hot", "region.util.cpu", 0.60),

@@ -1,19 +1,21 @@
 //! Typed, schema-versioned experiment reports.
 //!
 //! Every experiment ends by producing a [`BenchReport`]: a named bundle
-//! of config echoes, [`Sample`]s and latency-percentile blocks, every
-//! one a pure function of the seed (event counts, simulated durations,
-//! completion totals). Two same-seed runs must produce byte-identical
-//! reports; golden fixtures pin the rendering. Nothing here is measured
-//! on the host clock — wall time and RSS are `benchmark/`'s business.
+//! of config echoes, [`Sample`]s, latency-percentile blocks and named
+//! text artifacts, every one a pure function of the seed (event counts,
+//! simulated durations, completion totals). Two same-seed runs must
+//! produce byte-identical reports; golden fixtures pin the rendering.
+//! Nothing here is measured on the host clock — wall time and RSS are
+//! `benchmark/`'s business.
 //!
 //! The JSON rendering is deterministic given the report contents: fields
 //! print in insertion order, floats use shortest-round-trip formatting,
 //! and the schema carries an explicit version so downstream tooling can
 //! refuse reports it does not understand.
 
-use crate::metrics::{json_f64, json_str, MetricsSnapshot};
+use crate::metrics::{json_f64, json_str};
 use crate::obs::{HistSummary, LogHistogram, REL_ERROR_BOUND};
+use crate::stats::Samples;
 use std::fmt::Write as _;
 
 /// Version of the JSON layout emitted by [`BenchReport::deterministic_json`].
@@ -53,7 +55,7 @@ impl Sample {
     }
 }
 
-/// A typed experiment report: id + config echo + samples.
+/// A typed experiment report: id + config echo + samples + artifacts.
 ///
 /// Built fluently:
 ///
@@ -73,9 +75,7 @@ pub struct BenchReport {
     config: Vec<(String, String)>,
     deterministic: Vec<Sample>,
     percentiles: Vec<(String, HistSummary)>,
-    /// Optional raw metrics snapshot attached by experiments that also
-    /// export the legacy one-line snapshot format.
-    pub snapshot: Option<MetricsSnapshot>,
+    artifacts: Vec<(String, String)>,
 }
 
 impl BenchReport {
@@ -99,6 +99,28 @@ impl BenchReport {
         self
     }
 
+    /// Adds the exact summary of `samples` as `<name>.count`, `.mean`,
+    /// `.p50`, `.p90`, `.p99`, `.p999`, `.p9999` and `.max` — the fields a
+    /// registry histogram exports. The mean sums in recording order, so
+    /// pass samples no percentile query has sorted yet.
+    pub fn summary(mut self, name: &str, samples: &Samples, unit: &str) -> Self {
+        let mut s = samples.clone();
+        let (mean, p50, p90, p99, p999, p9999) = s.summary();
+        self = self.metric(format!("{name}.count"), s.len() as f64, "count");
+        for (field, v) in [
+            ("mean", mean),
+            ("p50", p50),
+            ("p90", p90),
+            ("p99", p99),
+            ("p999", p999),
+            ("p9999", p9999),
+            ("max", s.max()),
+        ] {
+            self = self.metric(format!("{name}.{field}"), v, unit);
+        }
+        self
+    }
+
     /// Adds a named latency-percentile block sourced from a
     /// [`LogHistogram`] (quantiles carry the histogram's documented
     /// relative-error bound).
@@ -107,10 +129,10 @@ impl BenchReport {
         self
     }
 
-    /// Attaches the experiment's metrics snapshot (for the legacy
-    /// one-line snapshot export alongside the typed report).
-    pub fn with_snapshot(mut self, snap: MetricsSnapshot) -> Self {
-        self.snapshot = Some(snap);
+    /// Attaches a named text artifact (a flamegraph, a window stream, a
+    /// registry dump …) that is exported next to the report.
+    pub fn artifact(mut self, name: impl Into<String>, text: impl Into<String>) -> Self {
+        self.artifacts.push((name.into(), text.into()));
         self
     }
 
@@ -122,13 +144,24 @@ impl BenchReport {
             .map(|s| s.value)
     }
 
+    /// The samples, in insertion order.
+    pub fn metrics(&self) -> &[Sample] {
+        &self.deterministic
+    }
+
     /// The percentile blocks, in insertion order.
     pub fn percentile_sections(&self) -> &[(String, HistSummary)] {
         &self.percentiles
     }
 
+    /// The attached artifacts as `(name, text)`, in insertion order.
+    pub fn artifacts(&self) -> &[(String, String)] {
+        &self.artifacts
+    }
+
     /// The report as JSON — what same-seed runs must reproduce
-    /// byte-for-byte and what golden fixtures pin.
+    /// byte-for-byte and what golden fixtures pin. Artifacts are not
+    /// part of it.
     pub fn deterministic_json(&self) -> String {
         let mut out = String::new();
         let _ = write!(
@@ -211,6 +244,30 @@ mod tests {
         assert!(sample_report()
             .deterministic_json()
             .starts_with("{\n  \"schema_version\": 2,"));
+    }
+
+    #[test]
+    fn summary_exports_the_exact_fields() {
+        let mut s = Samples::new();
+        for v in [3.0, 1.0, 2.0, 4.0] {
+            s.record(v);
+        }
+        let r = BenchReport::new("x").summary("lat", &s, "s");
+        assert_eq!(r.get("lat.count"), Some(4.0));
+        assert_eq!(r.get("lat.mean"), Some(2.5));
+        assert_eq!(r.get("lat.p50"), Some(2.0));
+        assert_eq!(r.get("lat.max"), Some(4.0));
+        assert_eq!(s.raw(), &[3.0, 1.0, 2.0, 4.0], "the input stays unsorted");
+    }
+
+    #[test]
+    fn artifacts_stay_out_of_the_json() {
+        let r = sample_report().artifact("trace.json", "{}");
+        assert_eq!(
+            r.artifacts(),
+            &[("trace.json".to_string(), "{}".to_string())]
+        );
+        assert_eq!(r.deterministic_json(), sample_report().deterministic_json());
     }
 
     #[test]

@@ -105,13 +105,12 @@ if [ "$fast" -eq 1 ]; then
     cargo test -q -p nezha-core ledger
     echo "==> cargo test -q --test chaos smoke_   (--fast: reduced chaos scenario)"
     cargo test -q --test chaos smoke_
-    echo "==> experiments profile   (--fast: profiler smoke, artifacts to target/profile-smoke)"
-    mkdir -p target/profile-smoke
-    NEZHA_PROFILE_DIR=target/profile-smoke cargo run -q --release -p nezha-bench --bin experiments -- profile
+    echo "==> experiments profile   (--fast: profiler smoke, report and artifacts to target/reports)"
+    NEZHA_REPORT_DIR=target/reports cargo run -q --release -p nezha-bench --bin experiments -- profile
     echo "==> cargo test -q --test shard_equivalence   (--fast: 1/2/4/8-shard goldens)"
     cargo test -q --test shard_equivalence
     echo "==> experiments watch   (--fast: observability smoke, self-asserts >=1 SLO event)"
-    cargo run -q --release -p nezha-bench --bin experiments -- watch
+    NEZHA_REPORT_DIR=target/reports cargo run -q --release -p nezha-bench --bin experiments -- watch
     echo "All checks passed (--fast: full test suite skipped)."
 else
     echo "==> cargo test --workspace -q"

@@ -105,10 +105,10 @@ fn report_repr(report: &mut RegionReport, metrics_json: &str, bench_json: &str) 
 }
 
 fn run_once(seed: u64, shards: u32, nezha: bool) -> String {
-    let reg = MetricsRegistry::new();
     let mut region = Region::new(scenario_cfg(seed, shards));
-    region.attach_metrics(&reg);
     let mut report = region.run_scenario(&Scenario::production_day(), nezha);
+    let reg = MetricsRegistry::new();
+    report.record_into(&reg);
     let metrics_json = reg.snapshot().to_json();
     let bench_json = report
         .bench_report("shard_equivalence")
@@ -185,8 +185,8 @@ fn shard_counts_are_byte_identical_with_nezha() {
     }
 }
 
-/// The region watch's SLO rule set (mirrors `experiments watch
-/// --config=region`), so the golden fixture pins the event log the live
+/// The region watch's SLO rule set (mirrors `experiments
+/// watch_region`), so the golden fixture pins the event log the live
 /// view would show.
 fn window_rules() -> Vec<SloRule> {
     vec![
