@@ -39,16 +39,9 @@ pub fn run() -> BenchReport {
             1_000.0,
             1.5 * kernel_cap,
         );
-        // Without Nezha: local-only capability.
-        let without = harness::find_capacity(
-            || {
-                let mut c = harness::testbed(opts);
-                c.nezha_enabled = false;
-                c
-            },
-            1_000.0,
-            1.5 * kernel_cap,
-        );
+        // Without Nezha: local-only capability (the testbed never offloads
+        // on its own).
+        let without = harness::find_capacity(|| harness::testbed(opts), 1_000.0, 1.5 * kernel_cap);
         report = report
             .metric(format!("cps_with_nezha{{vcpus={v}}}"), with, "conn/s")
             .metric(format!("cps_without_nezha{{vcpus={v}}}"), without, "conn/s")

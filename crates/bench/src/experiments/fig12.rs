@@ -21,9 +21,8 @@ pub fn run() -> BenchReport {
     let mut with_series = Vec::new();
     let mut report = BenchReport::new("fig12");
     for &f in &LOADS {
-        // Without Nezha.
+        // Without Nezha: the testbed never offloads on its own.
         let mut base = harness::testbed(TestbedOpts::scaled());
-        base.nezha_enabled = false;
         let cap = harness::local_capacity(&base);
         let lat_wo = latency_under_load(&mut base, f * cap);
 

@@ -6,12 +6,11 @@
 //! regardless of VM size (§7.2).
 
 use crate::output::*;
-use nezha_core::migration::MigrationModel;
+use nezha_core::migration;
 
 /// Runs the experiment.
 pub fn run() -> BenchReport {
     banner("Fig. A1", "VM migration downtime vs. vCPUs and memory");
-    let m = MigrationModel::default();
     let widths = [10usize, 10, 12, 14, 12];
     let mut report = BenchReport::new("fig_a1");
 
@@ -27,7 +26,7 @@ pub fn run() -> BenchReport {
         (128, 512.0, 128),
         (128, 1024.0, 200),
     ] {
-        let c = m.migrate(mem_gb, vcpus, tables_mb << 20);
+        let c = migration::migrate(mem_gb, vcpus, tables_mb << 20);
         for (metric, d) in [
             ("migration_completion_secs", c.completion),
             ("migration_downtime_secs", c.downtime),
@@ -46,7 +45,7 @@ pub fn run() -> BenchReport {
             &widths,
         );
     }
-    let r = m.nezha_redirect();
+    let r = migration::nezha_redirect();
     println!();
     println!(
         "  Nezha BE-location redirect: completion {:.2} ms, downtime {:.2} ms — size-independent",

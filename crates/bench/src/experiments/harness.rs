@@ -79,7 +79,6 @@ pub fn testbed(opts: TestbedOpts) -> Cluster {
             servers_per_rack: 16,
             racks_per_pod: 2,
             pods: 1,
-            ..TopologyConfig::default()
         })
         .cores(opts.cores)
         .controller(ControllerConfig {
@@ -87,7 +86,6 @@ pub fn testbed(opts: TestbedOpts) -> Cluster {
             auto_scale: opts.auto,
             initial_fes: opts.initial_fes,
             min_fes: opts.initial_fes.min(4),
-            ..ControllerConfig::default()
         })
         .seed(opts.seed)
         .build();
@@ -101,7 +99,6 @@ pub fn testbed(opts: TestbedOpts) -> Cluster {
             VmConfig {
                 vcpus: opts.vcpus,
                 per_core_cps: opts.per_core_cps,
-                ..VmConfig::default()
             },
         )
         .unwrap();

@@ -19,7 +19,6 @@ pub fn run() -> BenchReport {
     let vm = VmConfig {
         vcpus: 64,
         per_core_cps: 90_000.0,
-        ..VmConfig::default()
     };
     let rows = middlebox::gains(&host, &vm);
 

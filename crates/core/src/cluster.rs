@@ -16,7 +16,7 @@
 
 use crate::be::BackendMeta;
 use crate::conn::{ConnKind, ConnSpec, ConnState, ConnTable};
-use crate::controller::ControllerState;
+use crate::controller::{ControllerState, PING_PERIOD, REPORT_PERIOD};
 use crate::fe::FrontEnd;
 use crate::gateway::Gateway;
 use crate::monitor::MonitorState;
@@ -29,7 +29,7 @@ use nezha_sim::metrics::MetricsRegistry;
 use nezha_sim::profile::Profiler;
 use nezha_sim::rng::SimRng;
 use nezha_sim::telemetry::Telemetry;
-use nezha_sim::time::SimTime;
+use nezha_sim::time::{SimDuration, SimTime};
 use nezha_sim::topology::Topology;
 use nezha_sim::trace::PacketTrace;
 use nezha_types::{Ipv4Addr, NezhaError, NezhaResult, Packet, ServerId, SessionKey, VnicId};
@@ -38,10 +38,14 @@ use nezha_vswitch::vswitch::VSwitch;
 
 pub use crate::config::{ClusterConfig, ClusterConfigBuilder, ConfigOp, LbMode};
 pub use crate::datapath::dispatch::Event;
-pub use crate::driver::retry_backoff;
+pub use crate::driver::{retry_backoff, RETRY_CAP, RETRY_TIMEOUT};
 pub use crate::telemetry::ClusterStats;
 
 use crate::driver::{PROBE_BIT, SILENT_BIT};
+
+/// Period of the session-aging sweep: every live vSwitch expires its
+/// idle sessions once per period.
+pub const AGING_PERIOD: SimDuration = SimDuration::from_secs(1);
 
 /// A `u32`-addressed arena with a LIFO free list: where packets park
 /// between schedule and arrival, so a queued event carries a 4-byte id
@@ -158,9 +162,6 @@ pub struct Cluster {
     /// Live scripted fault conditions (chaos injection). Sampled from its
     /// own forked RNG stream so fault outcomes replay seed-for-seed.
     pub(crate) faults: FaultState,
-    /// Global switch: when false the cluster behaves as the pre-Nezha
-    /// baseline (no offloading ever triggers).
-    pub nezha_enabled: bool,
 }
 
 impl Cluster {
@@ -175,15 +176,15 @@ impl Cluster {
             .collect();
         let mut engine = Engine::new();
         engine.attach_metrics(&tel.shared.registry);
-        engine.schedule_in(cfg.controller.report_period, Event::ControllerTick);
-        engine.schedule_in(cfg.controller.ping_period, Event::MonitorTick);
-        engine.schedule_in(cfg.aging_period, Event::AgingTick);
+        engine.schedule_in(REPORT_PERIOD, Event::ControllerTick);
+        engine.schedule_in(PING_PERIOD, Event::MonitorTick);
+        engine.schedule_in(AGING_PERIOD, Event::AgingTick);
         Cluster {
             topo,
             engine,
             switches,
             alive: vec![true; n],
-            gateway: Gateway::new(cfg.learning_interval),
+            gateway: Gateway::new(),
             fes: DenseMap::new(),
             be_meta: DenseMap::new(),
             vnic_home: DenseMap::new(),
@@ -207,7 +208,6 @@ impl Cluster {
             faults: FaultState::new(SimRng::new(
                 cfg.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0xFA17,
             )),
-            nezha_enabled: true,
             cfg,
         }
     }
@@ -427,10 +427,14 @@ impl Cluster {
     /// Installs a vNIC (with VM) on its home server and registers it at
     /// the gateway.
     ///
-    /// Errors when `home` is outside the topology or its vSwitch cannot
-    /// fit the vNIC's tables; the cluster is left unchanged.
+    /// Errors when the cluster already has a vNIC with this id, `home` is
+    /// outside the topology, or its vSwitch cannot fit the vNIC's
+    /// tables; the cluster is left unchanged.
     pub fn add_vnic(&mut self, vnic: Vnic, home: ServerId, vm: VmConfig) -> NezhaResult<()> {
         let id = vnic.id;
+        if self.vnic_home.contains_key(&id) {
+            return Err(NezhaError::DuplicateVnic(id));
+        }
         let addr = vnic.addr;
         self.switches
             .get_mut(home.0 as usize)

@@ -2,7 +2,10 @@
 //! `cluster.rs` so the construction/accessor module stays small).
 
 use crate::be::OffloadPhase;
-use crate::cluster::{retry_backoff, Cluster, ClusterConfig, ConfigOp, Event, Slab};
+use crate::cluster::{
+    retry_backoff, Cluster, ClusterConfig, ConfigOp, Event, Slab, AGING_PERIOD, RETRY_CAP,
+    RETRY_TIMEOUT,
+};
 use crate::vm::VmConfig;
 use nezha_sim::fault::FaultPlan;
 use nezha_sim::time::{SimDuration, SimTime};
@@ -21,7 +24,6 @@ fn small_topology() -> TopologyConfig {
         servers_per_rack: 8,
         racks_per_pod: 2,
         pods: 1,
-        ..TopologyConfig::default()
     }
 }
 
@@ -96,8 +98,7 @@ fn scheduled_retries_back_off_exponentially_with_bounded_jitter() {
     // scheduled RetryStep delays grow like base·2^k (±25%), capped.
     let mut c = small_cluster(false);
     let id = c.add_conn(inbound_spec(1, SimTime(0))).unwrap();
-    let base = c.cfg.retry_timeout;
-    let cap = c.cfg.retry_cap;
+    let (base, cap) = (RETRY_TIMEOUT, RETRY_CAP);
     for k in 0..=c.cfg.max_retries {
         // Isolate the one RetryStep this loss schedules.
         c.engine.clear();
@@ -563,6 +564,29 @@ fn repeated_fe_configured_is_a_no_op() {
     assert_eq!(c.ledger_drift(), []);
 }
 
+/// A second `add_vnic` for an id the cluster has is rejected and leaves
+/// the cluster unchanged: its home keeps one charge for the tables, and
+/// the next run passes the memory-ledger check.
+#[test]
+fn duplicate_add_vnic_is_rejected_without_a_second_charge() {
+    let mut c = small_cluster(false);
+    let used = c.switch(HOME).unwrap().mem.used();
+    let again = Vnic::new(
+        VNIC,
+        VpcId(1),
+        Ipv4Addr::new(10, 7, 0, 1),
+        VnicProfile::default(),
+        HOME,
+    );
+    assert_eq!(
+        c.add_vnic(again, HOME, VmConfig::with_vcpus(64)),
+        Err(NezhaError::DuplicateVnic(VNIC))
+    );
+    assert_eq!(c.switch(HOME).unwrap().mem.used(), used);
+    assert_eq!(c.ledger_drift(), []);
+    c.run_until(SimTime(0) + SimDuration::from_millis(10));
+}
+
 /// Walks one vNIC through every lifecycle edge with traffic running, half
 /// of it from peers no table has learned yet, and checks after each edge
 /// that every server's pool holds exactly what its owners derive:
@@ -575,7 +599,10 @@ fn lifecycle_walk_keeps_the_memory_ledger() {
     // 32 MiB pools: a filler vNIC can fill an FE host cheaply.
     let cfg = ClusterConfig::builder()
         .topology(small_topology())
-        .vswitch(VSwitchConfig::builder().table_memory(32 << 20).build())
+        .vswitch(VSwitchConfig {
+            table_memory: 32 << 20,
+            ..VSwitchConfig::default()
+        })
         .auto(false)
         .build();
     let mut c = with_service_vnic(cfg, VmConfig::with_vcpus(64));
@@ -603,10 +630,10 @@ fn lifecycle_walk_keeps_the_memory_ledger() {
     edge(&mut c, "final stage", ms(3_000));
     assert_eq!(c.backend(VNIC).unwrap().phase, OffloadPhase::Offloaded);
 
-    assert_eq!(c.scale_out(VNIC, 2, c.now()), 2);
+    assert_eq!(c.scale_out(VNIC, 2), 2);
     edge(&mut c, "scale-out", ms(3_000));
     assert_eq!(c.fe_count(VNIC), 6);
-    c.scale_in_server(c.fe_servers(VNIC)[0], c.now());
+    c.scale_in_server(c.fe_servers(VNIC)[0]);
     edge(&mut c, "scale-in", ms(500));
     assert_eq!(c.fe_count(VNIC), 5);
 
@@ -685,7 +712,7 @@ fn rx_at_server_removed_from_fe_pool_is_a_counted_misroute() {
     // Tear the FE down out from under the data plane (what a scale-in
     // does), then aim an RX packet straight at it the way a stale gateway
     // mapping would.
-    c.remove_fe(VNIC, removed, c.now());
+    c.remove_fe(VNIC, removed);
     let before = c.stats().misroutes;
     let tuple = FiveTuple::tcp(
         Ipv4Addr::new(10, 7, 1, 77),
@@ -726,12 +753,11 @@ fn be_session_overflow_is_counted() {
     };
     let cfg = ClusterConfig::builder()
         .topology(small_topology())
-        .vswitch(
-            VSwitchConfig::builder()
-                .table_memory(8 * 1024)
-                .memory(memory)
-                .build(),
-        )
+        .vswitch(VSwitchConfig {
+            table_memory: 8 * 1024,
+            memory,
+            ..VSwitchConfig::default()
+        })
         .auto(false)
         .build();
     let mut c = Cluster::new(cfg);
@@ -878,7 +904,6 @@ fn scaled_testbed() -> Cluster {
             servers_per_rack: 16,
             racks_per_pod: 2,
             pods: 1,
-            ..TopologyConfig::default()
         })
         .cores(1)
         .auto(false)
@@ -1040,7 +1065,7 @@ fn conn_table_stays_bounded_by_live_connections() {
     use crate::conn::CHUNK;
     let mut c = small_cluster(false);
     const CONNS: u16 = 5 * CHUNK as u16 + 100;
-    let horizon = c.cfg.aging_period.times(10);
+    let horizon = AGING_PERIOD.times(10);
     let step = SimDuration::from_millis(100);
     let steps = horizon.nanos() / step.nanos();
     let per_step = u64::from(CONNS).div_ceil(steps);

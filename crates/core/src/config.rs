@@ -6,7 +6,6 @@
 //! `nezha_core::cluster::ClusterConfig` imports keep working.
 
 use crate::controller::ControllerConfig;
-use nezha_sim::time::SimDuration;
 use nezha_sim::topology::TopologyConfig;
 use nezha_types::{Ipv4Addr, ServerId, VnicId};
 use nezha_vswitch::config::VSwitchConfig;
@@ -30,21 +29,8 @@ pub struct ClusterConfig {
     pub topology: TopologyConfig,
     /// Per-server vSwitch configuration.
     pub vswitch: VSwitchConfig,
-    /// Controller thresholds and delays.
+    /// Controller FE counts and automation switches.
     pub controller: ControllerConfig,
-    /// vSwitch gateway-learning interval (200 ms in production, §4.2.1).
-    pub learning_interval: SimDuration,
-    /// Session aging sweep period.
-    pub aging_period: SimDuration,
-    /// *Base* retransmission timeout for lost connection packets. Retry
-    /// `k` waits `retry_timeout · 2^k` — capped at
-    /// [`retry_cap`](ClusterConfig::retry_cap) — with ±25% jitter drawn
-    /// from the seeded sim RNG, so a cluster-wide fault does not
-    /// re-synchronize every retransmission into one thundering herd.
-    pub retry_timeout: SimDuration,
-    /// Upper bound on the backed-off retry delay (the exponential growth
-    /// saturates here).
-    pub retry_cap: SimDuration,
     /// Retries before a connection is declared failed. A connection's
     /// retry counter holds 255, and a full counter counts as exhausted,
     /// so any larger value acts as 255.
@@ -69,10 +55,6 @@ impl Default for ClusterConfig {
             topology: TopologyConfig::default(),
             vswitch: VSwitchConfig::default(),
             controller: ControllerConfig::default(),
-            learning_interval: SimDuration::from_millis(200),
-            aging_period: SimDuration::from_secs(1),
-            retry_timeout: SimDuration::from_millis(500),
-            retry_cap: SimDuration::from_secs(2),
             max_retries: 5,
             seed: 0x4e5a_2025,
             lb_mode: LbMode::FlowLevel,
@@ -119,30 +101,15 @@ impl ClusterConfigBuilder {
         topology: TopologyConfig => topology,
         /// Per-server vSwitch configuration.
         vswitch: VSwitchConfig => vswitch,
-        /// Controller thresholds and delays.
+        /// Controller FE counts and automation switches.
         controller: ControllerConfig => controller,
-        /// vSwitch gateway-learning interval.
-        learning_interval: SimDuration => learning_interval,
-        /// Session aging sweep period.
-        aging_period: SimDuration => aging_period,
-        /// Base retransmission timeout for lost connection packets; retry
-        /// `k` waits `timeout · 2^k` (capped at
-        /// [`retry_cap`](ClusterConfigBuilder::retry_cap)) with ±25%
-        /// seeded jitter.
-        retry_timeout: SimDuration => retry_timeout,
-        /// Cap on the exponentially backed-off retry delay.
-        retry_cap: SimDuration => retry_cap,
         /// Retries before a connection is declared failed; values above
         /// 255 act as 255 ([`ClusterConfig::max_retries`]).
         max_retries: u32 => max_retries,
         /// RNG seed (full determinism).
         seed: u64 => seed,
-        /// FE selection granularity (Nezha uses flow-level).
-        lb_mode: LbMode => lb_mode,
         /// Ablation: notify on every FE cache miss.
         notify_always: bool => notify_always,
-        /// Ablation: skip the dual-running stage.
-        skip_dual_running: bool => skip_dual_running,
         /// Convenience: vSwitch core count (the most-tuned knob in tests).
         cores: u32 => vswitch.cores,
         /// Convenience: automatic offload only (leaves auto-scaling as-is).

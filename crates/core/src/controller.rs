@@ -8,9 +8,11 @@
 //! * utilization > **40%**:
 //!   * dominated by *remote* (FE) load → **scale out** more FEs;
 //!   * dominated by *local* load while hosting FEs → **scale in**: remove
-//!     every FE on this vSwitch to prioritize local traffic (§4.3);
-//! * an offloaded vNIC whose remote usage is low, where the BE could
-//!   absorb the load locally → **fallback** (§4.2.2).
+//!     every FE on this vSwitch to prioritize local traffic (§4.3).
+//!
+//! Fallback to local processing (§4.2.2) is the manual
+//! [`Cluster::trigger_fallback`] workflow; the automatic trigger that
+//! would pick low-usage vNICs is not modelled.
 //!
 //! Every configuration change takes effect with a modeled propagation
 //! delay (log-normal push latency per FE, a gateway update, then the
@@ -20,73 +22,70 @@
 use crate::be::{BackendMeta, OffloadPhase};
 use crate::cluster::{Cluster, ConfigOp, Event};
 use crate::fe::FrontEnd;
+use crate::gateway::LEARNING_INTERVAL;
 use crate::telemetry::{Ctr, Hist};
+use nezha_sim::rng::SimRng;
 use nezha_sim::time::{SimDuration, SimTime};
 use nezha_types::{NezhaError, NezhaResult, ServerId, VnicId};
 use std::collections::BTreeMap;
 
-/// Controller thresholds and delays.
+/// Utilization report / decision period.
+pub const REPORT_PERIOD: SimDuration = SimDuration::from_millis(500);
+/// Offload trigger threshold (70% in Fig. 8). The region simulator
+/// offloads at the same level.
+pub const OFFLOAD_THRESHOLD: f64 = 0.70;
+/// Scale-out/-in trigger threshold (40% in Fig. 8); also the ceiling on
+/// an FE candidate's utilization.
+pub const SCALE_THRESHOLD: f64 = 0.40;
+/// Offload vNICs until projected utilization falls below this.
+pub const SAFE_LEVEL: f64 = 0.40;
+/// FEs per offload (4 in production, Appendix B.2): the default of
+/// [`ControllerConfig::initial_fes`] and the region simulator's grant.
+pub const INITIAL_FES: usize = 4;
+/// FEs added per scale-out (production doubles 4 → 8, Fig. 11).
+pub const SCALE_OUT_STEP: usize = 4;
+/// Minimum spacing between scale-outs of one vNIC's pool: utilization
+/// windows keep reading hot for up to their length after a widening
+/// takes effect, so reacting faster than this double-fires.
+pub const SCALE_OUT_COOLDOWN: SimDuration = SimDuration::from_secs(2);
+/// Median of the per-FE config push latency (log-normal).
+pub const CONFIG_PUSH_MEDIAN: SimDuration = SimDuration::from_millis(430);
+/// Log-normal sigma of the push latency.
+pub const CONFIG_PUSH_SIGMA: f64 = 0.50;
+/// Delay for a gateway table update to apply.
+pub const GATEWAY_UPDATE_DELAY: SimDuration = SimDuration::from_millis(100);
+/// Health-monitor ping period (§4.4).
+pub const PING_PERIOD: SimDuration = SimDuration::from_millis(500);
+/// Missed pings before a vSwitch is declared crashed.
+pub const PING_MISSES: u32 = 3;
+
+/// One FE config push's latency, drawn from `rng` — the draw both the
+/// packet-level controller and the region simulator make per FE.
+pub(crate) fn config_push_latency(rng: &mut SimRng) -> SimDuration {
+    rng.lognormal_duration(CONFIG_PUSH_MEDIAN, CONFIG_PUSH_SIGMA)
+}
+
+/// The controller settings a testbed varies; every other number of the
+/// controller is one of this module's constants.
 #[derive(Clone, Copy, Debug)]
 pub struct ControllerConfig {
-    /// Utilization report / decision period.
-    pub report_period: SimDuration,
-    /// Offload trigger threshold (70% in Fig. 8).
-    pub offload_threshold: f64,
-    /// Scale-out/-in trigger threshold (40% in Fig. 8).
-    pub scale_threshold: f64,
-    /// Offload vNICs until projected utilization falls below this.
-    pub safe_level: f64,
-    /// Initial FE count (4 in production, Appendix B.2).
+    /// FEs per offload (default [`INITIAL_FES`]).
     pub initial_fes: usize,
     /// Minimum FE count maintained by failover (§4.4).
     pub min_fes: usize,
-    /// FEs added per scale-out (production doubles 4 → 8, Fig. 11).
-    pub scale_out_step: usize,
-    /// Minimum spacing between scale-outs of one vNIC's pool: utilization
-    /// windows keep reading hot for up to their length after a widening
-    /// takes effect, so reacting faster than this double-fires.
-    pub scale_out_cooldown: SimDuration,
-    /// Median of the per-FE config push latency.
-    pub config_push_median: SimDuration,
-    /// Log-normal sigma of the push latency.
-    pub config_push_sigma: f64,
-    /// Delay for a gateway table update to apply.
-    pub gateway_update_delay: SimDuration,
-    /// Health-monitor ping period (§4.4).
-    pub ping_period: SimDuration,
-    /// Missed pings before a vSwitch is declared crashed.
-    pub ping_misses: u32,
     /// Enable automatic offloading on threshold crossings.
     pub auto_offload: bool,
     /// Enable automatic FE scaling.
     pub auto_scale: bool,
-    /// Enable automatic fallback.
-    pub auto_fallback: bool,
-    /// Remote-usage level (relative to BE capacity) below which fallback
-    /// is considered.
-    pub fallback_low_water: f64,
 }
 
 impl Default for ControllerConfig {
     fn default() -> Self {
         ControllerConfig {
-            report_period: SimDuration::from_millis(500),
-            offload_threshold: 0.70,
-            scale_threshold: 0.40,
-            safe_level: 0.40,
-            initial_fes: 4,
+            initial_fes: INITIAL_FES,
             min_fes: 4,
-            scale_out_step: 4,
-            scale_out_cooldown: SimDuration::from_secs(2),
-            config_push_median: SimDuration::from_millis(430),
-            config_push_sigma: 0.50,
-            gateway_update_delay: SimDuration::from_millis(100),
-            ping_period: SimDuration::from_millis(500),
-            ping_misses: 3,
             auto_offload: true,
             auto_scale: true,
-            auto_fallback: false,
-            fallback_low_water: 0.05,
         }
     }
 }
@@ -141,16 +140,11 @@ impl ControllerState {
 }
 
 impl Cluster {
-    /// One controller decision round (runs every
-    /// [`ControllerConfig::report_period`]).
+    /// One controller decision round (runs every [`REPORT_PERIOD`]).
     pub(crate) fn controller_tick(&mut self, now: SimTime) {
         let cfg = self.cfg.controller;
         self.engine
-            .schedule_in(cfg.report_period, Event::ControllerTick);
-        if !self.nezha_enabled {
-            self.controller.reset();
-            return;
-        }
+            .schedule_in(REPORT_PERIOD, Event::ControllerTick);
         // Scripted controller outage: reports are lost and no decision is
         // made until the controller recovers (the data plane keeps
         // forwarding on its last-pushed configuration — §4.4's argument
@@ -181,13 +175,13 @@ impl Cluster {
                 reg.set(g.remote_cycles, remote);
             }
 
-            if util > cfg.offload_threshold && cfg.auto_offload && local >= remote {
+            if util > OFFLOAD_THRESHOLD && cfg.auto_offload && local >= remote {
                 self.offload_overloaded(server, cpu, mem, now);
-            } else if util > cfg.scale_threshold && cfg.auto_scale {
+            } else if util > SCALE_THRESHOLD && cfg.auto_scale {
                 if remote > local {
                     to_scale_out.push(server);
                 } else if remote > 0.0 {
-                    self.scale_in_server(server, now);
+                    self.scale_in_server(server);
                 }
             }
         }
@@ -197,13 +191,10 @@ impl Cluster {
         for server in to_scale_out {
             if let Some(vnic) = self.hottest_fe_vnic(server) {
                 if !scaled.contains(&vnic) {
-                    self.scale_out(vnic, cfg.scale_out_step, now);
+                    self.scale_out(vnic, SCALE_OUT_STEP);
                     scaled.push(vnic);
                 }
             }
-        }
-        if cfg.auto_fallback {
-            self.consider_fallbacks(now);
         }
         self.controller.reset();
     }
@@ -211,7 +202,6 @@ impl Cluster {
     /// Offloads this vSwitch's local vNICs, heaviest first, until the
     /// projected utilization is below the safe level (§4.2.1).
     fn offload_overloaded(&mut self, server: ServerId, cpu: f64, mem: f64, now: SimTime) {
-        let cfg = self.cfg.controller;
         let by_cpu = cpu >= mem;
         let vs = &self.switches[server.0 as usize];
         // Rank candidates by the triggering resource.
@@ -234,7 +224,7 @@ impl Cluster {
         let total: f64 = candidates.iter().map(|c| c.1).sum();
         let mut util = cpu.max(mem);
         for (vnic, weight) in candidates {
-            if util <= cfg.safe_level {
+            if util <= SAFE_LEVEL {
                 break;
             }
             if self.trigger_offload(vnic, now).is_ok() {
@@ -271,8 +261,8 @@ impl Cluster {
             .vnic_home
             .get(&vnic)
             .ok_or(NezhaError::UnknownVnic(vnic))?;
-        let cfg = self.cfg.controller;
-        let fes = self.select_idle_vswitches_versioned(home, cfg.initial_fes, &[], version);
+        let want = self.cfg.controller.initial_fes;
+        let fes = self.select_idle_vswitches_versioned(home, want, &[], version);
         if fes.is_empty() {
             return Err(NezhaError::NoIdleVswitches);
         }
@@ -290,9 +280,7 @@ impl Cluster {
         let mut worst = SimDuration::ZERO;
         for fe in fes {
             meta.add_fe(fe);
-            let delay = self
-                .rng
-                .lognormal_duration(cfg.config_push_median, cfg.config_push_sigma);
+            let delay = config_push_latency(&mut self.rng);
             worst = worst.max(delay);
             self.engine
                 .schedule_in(delay, Event::config(ConfigOp::FeConfigured { vnic, fe }));
@@ -301,7 +289,7 @@ impl Cluster {
 
         // Gateway update follows the slowest FE config plus its own push;
         // at apply time it reflects whichever FEs actually configured.
-        let gw_at = now + worst + cfg.gateway_update_delay;
+        let gw_at = now + worst + GATEWAY_UPDATE_DELAY;
         self.engine
             .schedule_at(gw_at, Event::config(ConfigOp::GatewaySyncFes { vnic }));
         if self.cfg.skip_dual_running {
@@ -312,7 +300,7 @@ impl Cluster {
         }
         // Activation check once every sender has learned the new mapping.
         self.engine.schedule_at(
-            gw_at + self.gateway.learning_interval(),
+            gw_at + LEARNING_INTERVAL,
             Event::config(ConfigOp::CheckActivation { vnic }),
         );
         Ok(())
@@ -353,7 +341,7 @@ impl Cluster {
                 .filter(|s| !exclude.contains(s))
                 .filter(|s| version.is_none_or(|v| self.switches[s.0 as usize].version == v))
                 .map(|s| (s, self.switches[s.0 as usize].cpu_utilization(now)))
-                .filter(|(_, u)| *u < self.cfg.controller.scale_threshold)
+                .filter(|(_, u)| *u < SCALE_THRESHOLD)
                 .collect();
             if cands.len() >= want {
                 cands.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0 .0.cmp(&b.0 .0)));
@@ -368,8 +356,8 @@ impl Cluster {
     /// A no-op while a previous scale-out's pushes are still in flight —
     /// the pool must see the effect of one widening before deciding on
     /// another.
-    pub fn scale_out(&mut self, vnic: VnicId, n: usize, now: SimTime) -> usize {
-        self.scale_out_excluding(vnic, n, &[], now)
+    pub fn scale_out(&mut self, vnic: VnicId, n: usize) -> usize {
+        self.scale_out_excluding(vnic, n, &[])
     }
 
     /// Like [`Cluster::scale_out`] but never placing FEs on `avoid` —
@@ -380,7 +368,6 @@ impl Cluster {
         vnic: VnicId,
         n: usize,
         avoid: &[ServerId],
-        _now: SimTime,
     ) -> usize {
         let Some(meta) = self.be_meta.get(&vnic) else {
             return 0;
@@ -390,7 +377,7 @@ impl Cluster {
         }
         let now = self.engine.now();
         if let Some(&last) = self.controller.last_scale_out.get(&vnic) {
-            if now.since(last) < self.cfg.controller.scale_out_cooldown {
+            if now.since(last) < SCALE_OUT_COOLDOWN {
                 return 0;
             }
         }
@@ -399,7 +386,6 @@ impl Cluster {
         let existing_count = existing.len();
         let mut unavailable = existing.clone();
         unavailable.extend_from_slice(avoid);
-        let cfg = self.cfg.controller;
         let new_fes = self.select_idle_vswitches(home, n, &unavailable);
         if new_fes.is_empty() {
             return 0;
@@ -419,15 +405,13 @@ impl Cluster {
         }
         let fe_list = meta.fe_list.clone();
         for fe in fe_list.iter().skip(existing_count).copied() {
-            let delay = self
-                .rng
-                .lognormal_duration(cfg.config_push_median, cfg.config_push_sigma);
+            let delay = config_push_latency(&mut self.rng);
             self.engine
                 .schedule_in(delay, Event::config(ConfigOp::FeConfigured { vnic, fe }));
         }
         // Gateway learns the wider set after the pushes.
         self.engine.schedule_in(
-            cfg.config_push_median.times(2) + cfg.gateway_update_delay,
+            CONFIG_PUSH_MEDIAN.times(2) + GATEWAY_UPDATE_DELAY,
             Event::config(ConfigOp::GatewaySyncFes { vnic }),
         );
         added
@@ -448,7 +432,7 @@ impl Cluster {
 
     /// Scale-in: remove every FE on `server` to prioritize its local vNIC
     /// traffic (§4.3). May trigger compensating scale-out elsewhere.
-    pub fn scale_in_server(&mut self, server: ServerId, now: SimTime) {
+    pub fn scale_in_server(&mut self, server: ServerId) {
         let mut victims: Vec<VnicId> = self
             .fes
             .keys()
@@ -461,19 +445,19 @@ impl Cluster {
         }
         self.tel.inc(Ctr::ScaleInEvents);
         for vnic in victims {
-            self.remove_fe(vnic, server, now);
+            self.remove_fe(vnic, server);
             // Keep the pool at the minimum (§4.4 logic shared with
             // failover): add a replacement if we dropped below — but not
             // on the server we just prioritized for local traffic.
             let cur = self.be_meta.get(&vnic).map_or(0, |m| m.fe_list.len());
             if cur < self.cfg.controller.min_fes {
-                self.scale_out_excluding(vnic, self.cfg.controller.min_fes - cur, &[server], now);
+                self.scale_out_excluding(vnic, self.cfg.controller.min_fes - cur, &[server]);
             }
         }
     }
 
     /// Removes one FE of one vNIC: config, gateway, memory.
-    pub(crate) fn remove_fe(&mut self, vnic: VnicId, fe_server: ServerId, now: SimTime) {
+    pub(crate) fn remove_fe(&mut self, vnic: VnicId, fe_server: ServerId) {
         let Some(meta) = self.be_meta.get_mut(&vnic) else {
             return;
         };
@@ -498,10 +482,9 @@ impl Cluster {
             remaining
         };
         self.engine.schedule_in(
-            self.cfg.controller.gateway_update_delay,
+            GATEWAY_UPDATE_DELAY,
             Event::config(ConfigOp::GatewayUpdate { addr, servers }),
         );
-        let _ = now;
     }
 
     /// Starts a fallback to local processing (§4.2.2).
@@ -530,8 +513,7 @@ impl Cluster {
         self.tel.inc(Ctr::FallbackEvents);
         // Gateway points back at the BE; once learned, tear the FEs down.
         let addr = self.vnic_addr[&vnic];
-        let cfg = self.cfg.controller;
-        let gw_at = now + cfg.gateway_update_delay;
+        let gw_at = now + GATEWAY_UPDATE_DELAY;
         self.engine.schedule_at(
             gw_at,
             Event::config(ConfigOp::GatewayUpdate {
@@ -540,39 +522,10 @@ impl Cluster {
             }),
         );
         self.engine.schedule_at(
-            gw_at + self.gateway.learning_interval() + SimDuration::from_millis(50),
+            gw_at + LEARNING_INTERVAL + SimDuration::from_millis(50),
             Event::config(ConfigOp::FallbackFinal { vnic }),
         );
         Ok(())
-    }
-
-    /// Periodic fallback consideration: offloaded vNICs whose remote usage
-    /// is low fall back when the BE can absorb the load (§4.2.2).
-    fn consider_fallbacks(&mut self, now: SimTime) {
-        let cfg = self.cfg.controller;
-        let candidates: Vec<VnicId> = self
-            .be_meta
-            .iter()
-            .filter(|(_, m)| m.phase == OffloadPhase::Offloaded)
-            .map(|(v, _)| *v)
-            .collect();
-        // Remote usage is judged from this tick's cycle counters (reset
-        // every tick), normalized to utilization over the report period —
-        // a lifetime counter would saturate the threshold permanently.
-        let window_cycles = self.cfg.vswitch.capacity_hz() * cfg.report_period.as_secs_f64();
-        for vnic in candidates {
-            let home = self.vnic_home[&vnic];
-            let fe_usage: f64 = self
-                .fe_servers(vnic)
-                .iter()
-                .map(|s| self.controller.split(*s).1)
-                .sum::<f64>()
-                / window_cycles;
-            let be_util = self.switches[home.0 as usize].cpu_utilization(now);
-            if fe_usage < cfg.fallback_low_water && be_util + fe_usage < cfg.safe_level {
-                let _ = self.trigger_fallback(vnic, now);
-            }
-        }
     }
 
     /// Applies a delayed configuration operation.
@@ -612,7 +565,7 @@ impl Cluster {
                 // receives RX traffic.
                 if meta.all_ready() {
                     self.engine.schedule_in(
-                        self.cfg.controller.gateway_update_delay,
+                        GATEWAY_UPDATE_DELAY,
                         Event::config(ConfigOp::GatewaySyncFes { vnic }),
                     );
                 }
@@ -651,7 +604,7 @@ impl Cluster {
                         .observe_duration(Hist::OffloadCompletion, completion);
                     // Enter the final stage after learning-interval + RTT.
                     self.engine.schedule_in(
-                        self.gateway.learning_interval() + SimDuration::from_millis(2),
+                        LEARNING_INTERVAL + SimDuration::from_millis(2),
                         Event::config(ConfigOp::BeFinalStage { vnic }),
                     );
                 }

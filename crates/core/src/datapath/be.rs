@@ -5,8 +5,10 @@
 use crate::be::OffloadPhase;
 use crate::cluster::Cluster;
 use crate::config::ConfigOp;
+use crate::controller::GATEWAY_UPDATE_DELAY;
 use crate::datapath::ctx::HandlerCtx;
 use crate::datapath::dispatch::{flow_hash, process_locally, Event};
+use crate::gateway::LEARNING_INTERVAL;
 use crate::telemetry::Ctr;
 use nezha_sim::profile::Stage;
 use nezha_sim::time::{SimDuration, SimTime};
@@ -62,8 +64,7 @@ pub(crate) fn degrade_to_local(ctx: &mut HandlerCtx<'_>, vnic: VnicId) -> bool {
     ctx.cl.tel.inc(Ctr::DegradedEvents);
     let cl = &mut *ctx.cl;
     let addr = cl.vnic_addr[&vnic];
-    let cfg = cl.cfg.controller;
-    let gw_at = now + cfg.gateway_update_delay;
+    let gw_at = now + GATEWAY_UPDATE_DELAY;
     cl.engine.schedule_at(
         gw_at,
         Event::config(ConfigOp::GatewayUpdate {
@@ -74,7 +75,7 @@ pub(crate) fn degrade_to_local(ctx: &mut HandlerCtx<'_>, vnic: VnicId) -> bool {
         }),
     );
     cl.engine.schedule_at(
-        gw_at + cl.gateway.learning_interval() + SimDuration::from_millis(50),
+        gw_at + LEARNING_INTERVAL + SimDuration::from_millis(50),
         Event::config(ConfigOp::FallbackFinal { vnic }),
     );
     true

@@ -5,7 +5,7 @@
 //! paths (`process_locally` / `forward_to_peer` / `deliver_to_vm`) both
 //! roles funnel into.
 
-use crate::cluster::Cluster;
+use crate::cluster::{Cluster, AGING_PERIOD};
 use crate::config::{ConfigOp, LbMode};
 use crate::datapath::be;
 use crate::datapath::ctx::HandlerCtx;
@@ -137,8 +137,7 @@ impl Cluster {
                         self.switches[i].expire_sessions(now);
                     }
                 }
-                self.engine
-                    .schedule_in(self.cfg.aging_period, Event::AgingTick);
+                self.engine.schedule_in(AGING_PERIOD, Event::AgingTick);
             }
             Event::Config(op) => self.apply_config(*op, now),
             Event::Crash { server } => {

@@ -20,6 +20,15 @@ pub(crate) const PROBE_BIT: u64 = 1 << 63;
 /// recorded in the latency samples (bulk/background streams).
 pub(crate) const SILENT_BIT: u64 = 1 << 62;
 
+/// *Base* retransmission timeout for lost connection packets. Retry `k`
+/// waits `RETRY_TIMEOUT · 2^k`, capped at [`RETRY_CAP`], with ±25% jitter
+/// drawn from the seeded sim RNG, so a cluster-wide fault does not
+/// re-synchronize every retransmission into one thundering herd.
+pub const RETRY_TIMEOUT: SimDuration = SimDuration::from_millis(500);
+/// Upper bound on the backed-off retry delay (the exponential growth
+/// saturates here).
+pub const RETRY_CAP: SimDuration = SimDuration::from_secs(2);
+
 /// The (un-jittered) delay before retry number `retries + 1`:
 /// `base · 2^retries`, saturating at `cap`. The caller applies ±25%
 /// jitter from the seeded sim RNG on top.
@@ -138,8 +147,8 @@ impl Cluster {
     }
 
     /// Records a lost conn/probe packet and schedules the retry with
-    /// exponential backoff (base `retry_timeout`, doubling per retry up
-    /// to `retry_cap`) plus ±25% seeded jitter.
+    /// exponential backoff (base [`RETRY_TIMEOUT`], doubling per retry up
+    /// to [`RETRY_CAP`]) plus ±25% seeded jitter.
     pub(crate) fn lose_packet(&mut self, trace: u64, now: SimTime) {
         self.tel.series_add(Series::Loss, now, 1.0);
         self.tel.inc(Ctr::PktDropped);
@@ -152,7 +161,7 @@ impl Cluster {
         let conn = trace >> 4;
         let step = (trace & 0xf) as u8;
         let retries = self.conn(conn).map_or(0, |c| u32::from(c.retries));
-        let base = retry_backoff(self.cfg.retry_timeout, self.cfg.retry_cap, retries);
+        let base = retry_backoff(RETRY_TIMEOUT, RETRY_CAP, retries);
         let jitter = 0.75 + 0.5 * self.rng.f64();
         let delay = SimDuration::from_secs_f64(base.as_secs_f64() * jitter);
         self.engine

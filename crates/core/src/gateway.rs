@@ -1,7 +1,7 @@
 //! The gateway's vNIC→server table, with learning-delay semantics.
 //!
 //! The authoritative table lives at the gateway; vSwitches learn entries
-//! on demand with a learning interval of 200 ms (§4.2.1). During an
+//! on demand with a [`LEARNING_INTERVAL`] of 200 ms (§4.2.1). During an
 //! offload (or fallback, or failover), an entry changes from one server
 //! set to another — but each *sender* keeps using the stale value until
 //! its own learning refresh fires. We model this with versioned entries:
@@ -18,6 +18,11 @@ use nezha_sim::dense::DenseMap;
 use nezha_sim::time::{SimDuration, SimTime};
 use nezha_types::{Ipv4Addr, ServerId};
 
+/// How long a sender keeps using a stale entry after a change: the
+/// vSwitches' gateway-learning interval (200 ms in production, §4.2.1).
+/// The region simulator's offload completion adds the same interval.
+pub const LEARNING_INTERVAL: SimDuration = SimDuration::from_millis(200);
+
 /// One versioned gateway entry.
 #[derive(Clone, Debug)]
 struct VersionedEntry {
@@ -27,7 +32,7 @@ struct VersionedEntry {
 }
 
 /// The gateway table.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Gateway {
     /// Dense-hashed: `select` probes this (and `pins`) once per RX
     /// packet; neither map is ever iterated order-visibly (`unpin_*`
@@ -37,18 +42,12 @@ pub struct Gateway {
     /// steer a pinned elephant flow to its dedicated FE while the general
     /// entry spreads everything else (§7.5).
     pins: DenseMap<(Ipv4Addr, u64), ServerId>,
-    learning_interval: SimDuration,
 }
 
 impl Gateway {
-    /// Creates a gateway with the given vSwitch learning interval
-    /// (the paper's production value is 200 ms).
-    pub fn new(learning_interval: SimDuration) -> Self {
-        Gateway {
-            entries: DenseMap::new(),
-            pins: DenseMap::new(),
-            learning_interval,
-        }
+    /// Creates an empty gateway.
+    pub fn new() -> Self {
+        Gateway::default()
     }
 
     /// Installs an exact-flow override steering `flow_hash` of `addr` to
@@ -74,13 +73,8 @@ impl Gateway {
         self.pins.retain(|(a, _), _| *a != addr);
     }
 
-    /// The configured learning interval.
-    pub fn learning_interval(&self) -> SimDuration {
-        self.learning_interval
-    }
-
     /// Installs or replaces the mapping for `addr`, effective for each
-    /// sender within one learning interval of `now`.
+    /// sender within one [`LEARNING_INTERVAL`] of `now`.
     pub fn update(&mut self, addr: Ipv4Addr, servers: Vec<ServerId>, now: SimTime) {
         assert!(
             !servers.is_empty(),
@@ -101,10 +95,10 @@ impl Gateway {
         );
     }
 
-    /// Deterministic per-sender learning jitter in `[0, learning_interval)`.
-    fn jitter(&self, sender: ServerId) -> SimDuration {
+    /// Deterministic per-sender learning jitter in `[0, LEARNING_INTERVAL)`.
+    fn jitter(sender: ServerId) -> SimDuration {
         let h = (sender.0 as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 11;
-        SimDuration(h % self.learning_interval.nanos().max(1))
+        SimDuration(h % LEARNING_INTERVAL.nanos())
     }
 
     /// Resolves `addr` as seen by `sender` at `now`: stale senders still
@@ -112,7 +106,7 @@ impl Gateway {
     /// selects one by flow hash.
     pub fn resolve(&self, addr: Ipv4Addr, sender: ServerId, now: SimTime) -> Option<&[ServerId]> {
         let e = self.entries.get(&addr)?;
-        let learned_at = e.switch_at + self.jitter(sender);
+        let learned_at = e.switch_at + Gateway::jitter(sender);
         if now < learned_at {
             Some(&e.previous)
         } else {
@@ -145,11 +139,11 @@ impl Gateway {
     }
 
     /// The instant by which *every* sender has learned the latest mapping
-    /// for `addr`: `switch_at + learning_interval`.
+    /// for `addr`: `switch_at + LEARNING_INTERVAL`.
     pub fn fully_learned_at(&self, addr: Ipv4Addr) -> Option<SimTime> {
         self.entries
             .get(&addr)
-            .map(|e| e.switch_at + self.learning_interval)
+            .map(|e| e.switch_at + LEARNING_INTERVAL)
     }
 
     /// Number of mapped addresses.
@@ -168,7 +162,7 @@ mod tests {
     use super::*;
 
     fn gw() -> Gateway {
-        Gateway::new(SimDuration::from_millis(200))
+        Gateway::new()
     }
 
     #[test]
@@ -208,7 +202,7 @@ mod tests {
         let _ = saw_fresh; // jitter may or may not include ~0 for these ids
 
         // One full learning interval later, everyone sees the new value.
-        let t2 = t1 + g.learning_interval();
+        let t2 = t1 + LEARNING_INTERVAL;
         for s in 0..64 {
             assert_eq!(g.select(addr, ServerId(s), 0, t2), Some(ServerId(2)));
         }
@@ -224,7 +218,7 @@ mod tests {
             vec![ServerId(1), ServerId(2), ServerId(3)],
             SimTime(0),
         );
-        let t = SimTime(0) + g.learning_interval();
+        let t = SimTime(0) + LEARNING_INTERVAL;
         let picks: Vec<_> = (0u64..6)
             .map(|h| g.select(addr, ServerId(0), h, t).unwrap())
             .collect();
@@ -265,7 +259,7 @@ mod tests {
         let mut g = gw();
         let addr = Ipv4Addr::new(10, 0, 0, 1);
         g.update(addr, vec![ServerId(1), ServerId(2)], SimTime(0));
-        let t = SimTime(0) + g.learning_interval();
+        let t = SimTime(0) + LEARNING_INTERVAL;
         let h = 12345u64;
         let unpinned = g.select(addr, ServerId(0), h, t).unwrap();
         let target = ServerId(if unpinned == ServerId(1) { 2 } else { 1 });

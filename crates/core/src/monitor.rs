@@ -3,7 +3,7 @@
 //! A centralized module ping-polls every vSwitch hosting FEs (via a
 //! flow-direct rule to the vSwitch's VF in the real system — here the
 //! probe outcome is the `alive` flag observed at tick time, which models
-//! an un-answered ping). After `ping_misses` consecutive silent periods
+//! an un-answered ping). After [`PING_MISSES`] consecutive silent periods
 //! the vSwitch is declared crashed and every FE it hosted is removed via
 //! the scale-in logic, keeping the pool at the ≥4-FE floor by adding
 //! replacements.
@@ -15,6 +15,7 @@
 //! inspection.
 
 use crate::cluster::{Cluster, Event};
+use crate::controller::{PING_MISSES, PING_PERIOD};
 use crate::telemetry::{Ctr, Hist};
 use nezha_sim::time::SimTime;
 use nezha_types::{ServerId, VnicId};
@@ -42,11 +43,9 @@ impl MonitorState {
 }
 
 impl Cluster {
-    /// One ping-polling round (runs every [`ControllerConfig::ping_period`]
-    /// (crate::controller::ControllerConfig::ping_period)).
+    /// One ping-polling round (runs every [`PING_PERIOD`]).
     pub(crate) fn monitor_tick(&mut self, now: SimTime) {
-        let cfg = self.cfg.controller;
-        self.engine.schedule_in(cfg.ping_period, Event::MonitorTick);
+        self.engine.schedule_in(PING_PERIOD, Event::MonitorTick);
         // A controller outage silences the health monitor with it: ticks
         // keep rescheduling but no observation or removal happens, so
         // detection latency grows by the outage length.
@@ -78,7 +77,7 @@ impl Cluster {
                 // swallowed by a suspension window must still be failed
                 // over once the suspension lifts. (Duplicate failovers are
                 // harmless — the first removal empties the victim list.)
-                if *m >= cfg.ping_misses {
+                if *m >= PING_MISSES {
                     newly_dead.push(s);
                 }
             }
@@ -127,11 +126,12 @@ impl Cluster {
                 // *this* BE's pool only.
                 let miss = self.monitor.mutual_missed.entry((be, fe)).or_insert(0);
                 *miss += 1;
-                if *miss >= cfg.ping_misses {
-                    self.remove_fe(vnic, fe, now);
+                if *miss >= PING_MISSES {
+                    self.remove_fe(vnic, fe);
                     let cur = self.be_meta.get(&vnic).map_or(0, |m| m.fe_list.len());
-                    if cur < cfg.min_fes {
-                        self.scale_out_excluding(vnic, cfg.min_fes - cur, &[fe], now);
+                    let floor = self.cfg.controller.min_fes;
+                    if cur < floor {
+                        self.scale_out_excluding(vnic, floor - cur, &[fe]);
                     }
                     self.tel.inc(Ctr::FailoverEvents);
                 }
@@ -163,14 +163,14 @@ impl Cluster {
         }
         self.tel.inc(Ctr::FailoverEvents);
         for vnic in victims {
-            self.remove_fe(vnic, dead, now);
+            self.remove_fe(vnic, dead);
             let cur = self.be_meta.get(&vnic).map_or(0, |m| m.fe_list.len());
             let floor = self.cfg.controller.min_fes;
             // "If one of the 4 FEs crashes, we will delete the faulty FE
             // and add a new one. If there are more than 4 … only delete"
             // (§4.4).
             if cur < floor {
-                self.scale_out(vnic, floor - cur, now);
+                self.scale_out(vnic, floor - cur);
             }
         }
     }

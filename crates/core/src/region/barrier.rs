@@ -23,6 +23,7 @@
 use super::scenario::Scenario;
 use super::stream::Stream;
 use super::RegionConfig;
+use crate::controller::INITIAL_FES;
 use nezha_sim::fault::FaultPlan;
 use nezha_sim::rng::SimRng;
 use nezha_sim::shard::merge_effects;
@@ -128,14 +129,11 @@ impl Barrier {
     }
 
     /// Merges per-shard offload requests and grants them in global
-    /// server order against the FE pool cap. `initial_fes` FEs are
+    /// server order against the FE pool cap. [`INITIAL_FES`] FEs are
     /// charged per grant; scale-outs charge one more via
     /// [`Barrier::charge_scale_outs`].
-    pub fn resolve_requests(
-        &mut self,
-        per_shard: Vec<(u32, Vec<OffloadRequest>)>,
-        initial_fes: u64,
-    ) -> GrantOutcome {
+    pub fn resolve_requests(&mut self, per_shard: Vec<(u32, Vec<OffloadRequest>)>) -> GrantOutcome {
+        let initial_fes = INITIAL_FES as u64;
         let merged = merge_effects(
             per_shard
                 .into_iter()
@@ -222,10 +220,7 @@ mod tests {
             ..cfg()
         });
         // Shards reported out of order, requests out of order within.
-        let out = b.resolve_requests(
-            vec![(1, vec![(70, 0.5), (50, 0.4)]), (0, vec![(3, 0.3)])],
-            4,
-        );
+        let out = b.resolve_requests(vec![(1, vec![(70, 0.5), (50, 0.4)]), (0, vec![(3, 0.3)])]);
         // Granted in global server order until the cap: 3 and 50 fit
         // (8 FEs), 70 would need 12 > 10.
         assert_eq!(out.granted, vec![(3, 0.3), (50, 0.4)]);

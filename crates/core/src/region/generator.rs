@@ -5,8 +5,9 @@
 //! Meili) comes from the *tail*: a few tenants orders of magnitude
 //! hotter than the median. Materializing millions of tenant structs
 //! would dominate memory for no benefit, so [`TenantModel`] stores only
-//! the distribution parameters — O(1) state regardless of population
-//! size — and derives every tenant on demand as a pure function of
+//! the seed and the population size — O(1) state regardless of
+//! population size — and derives every tenant on demand from this
+//! module's calibration constants as a pure function of
 //! `Stream::Tenant.rng_at(seed, id)`.
 //!
 //! Purity is also what makes the population shard-count invariant: any
@@ -18,16 +19,21 @@ use super::scenario::Scenario;
 use super::stream::Stream;
 use super::RegionConfig;
 
+/// Bounded-Pareto tail index of per-tenant demand weight (~1 ⇒ the top
+/// 1% of tenants holds most of the demand).
+pub const TENANT_ALPHA: f64 = 1.05;
+/// Bounds of the per-tenant demand weight.
+pub const TENANT_WEIGHT: (f64, f64) = (1.0, 20_000.0);
+/// CPU demand per unit of tenant weight (fraction of capacity).
+pub const TENANT_CPU_SCALE: f64 = 4.0e-5;
+/// Memory demand per unit of tenant weight (fraction of capacity).
+pub const TENANT_MEM_SCALE: f64 = 1.5e-5;
+
 /// O(1)-state generator for the tenant population.
 #[derive(Clone, Copy, Debug)]
 pub struct TenantModel {
     seed: u64,
     count: u64,
-    alpha: f64,
-    weight_lo: f64,
-    weight_hi: f64,
-    cpu_scale: f64,
-    mem_scale: f64,
 }
 
 /// One derived tenant: its demand contribution plus the uniform draws
@@ -67,11 +73,6 @@ impl TenantModel {
         TenantModel {
             seed: cfg.seed,
             count: cfg.tenants,
-            alpha: cfg.tenant_alpha,
-            weight_lo: cfg.tenant_weight.0,
-            weight_hi: cfg.tenant_weight.1,
-            cpu_scale: cfg.tenant_cpu_scale,
-            mem_scale: cfg.tenant_mem_scale,
         }
     }
 
@@ -84,12 +85,13 @@ impl TenantModel {
     /// always return bit-identical tenants.
     pub fn tenant(&self, id: u64) -> Tenant {
         let mut rng = Stream::Tenant.rng_at(self.seed, id);
-        let cpu_w = rng.bounded_pareto(self.alpha, self.weight_lo, self.weight_hi);
-        let mem_w = rng.bounded_pareto(self.alpha, self.weight_lo, self.weight_hi);
+        let (lo, hi) = TENANT_WEIGHT;
+        let cpu_w = rng.bounded_pareto(TENANT_ALPHA, lo, hi);
+        let mem_w = rng.bounded_pareto(TENANT_ALPHA, lo, hi);
         Tenant {
             id,
-            cpu: cpu_w * self.cpu_scale,
-            mem: mem_w * self.mem_scale,
+            cpu: cpu_w * TENANT_CPU_SCALE,
+            mem: mem_w * TENANT_MEM_SCALE,
             churn_u: rng.f64(),
             life_frac: rng.f64(),
             migrate_u: rng.f64(),

@@ -20,7 +20,8 @@
 //!   (Fig. 13's residual >99.9%-mitigated overloads);
 //! * offload/scale events follow the controller thresholds of Fig. 8 and
 //!   sample the same completion-time model as the packet-level
-//!   controller (Table 4);
+//!   controller (Table 4) — both read the constants of
+//!   [`crate::controller`];
 //! * [`middlebox`] computes Table 3's per-middlebox gains analytically
 //!   from the calibrated capacity models.
 //!
@@ -37,8 +38,9 @@
 //! `tests/shard_equivalence.rs`: **the same seed produces byte-identical
 //! results for any shard count**.
 //!
-//! Every distributional parameter lives in [`RegionConfig`], documented
-//! against the paper quantity it was calibrated to.
+//! Every distributional parameter is a constant next to the code that
+//! draws from it (`shard`, [`generator`]), documented against the paper
+//! quantity it was calibrated to.
 
 mod barrier;
 pub mod generator;
@@ -51,6 +53,8 @@ mod window;
 pub use generator::{Lifecycle, Tenant, TenantModel};
 pub use scenario::Scenario;
 
+use crate::controller::{config_push_latency, GATEWAY_UPDATE_DELAY, INITIAL_FES};
+use crate::gateway::LEARNING_INTERVAL;
 use barrier::{Barrier, GrantOutcome, Migration, OffloadRequest, ShardInbox};
 use nezha_sim::metrics::MetricsRegistry;
 use nezha_sim::obs::{LogHistogram, SloRule, WindowedRollup};
@@ -74,7 +78,11 @@ pub enum SpikeKind {
     Vnics,
 }
 
-/// Region model parameters.
+/// The region settings a scenario varies. The calibrated distributions
+/// are constants of [`generator`] (tenant demand) and `shard` (server
+/// baselines, spikes, scale-out pressure); the offload thresholds and
+/// timings are the packet-level controller's ([`crate::controller`],
+/// [`crate::gateway::LEARNING_INTERVAL`]).
 #[derive(Clone, Copy, Debug)]
 pub struct RegionConfig {
     /// Number of servers (paper: O(10K)).
@@ -91,61 +99,11 @@ pub struct RegionConfig {
     /// per-tenant). Zero disables the tenant layer, reproducing the
     /// pure baseline-demand model.
     pub tenants: u64,
-    /// Bounded-Pareto tail index of per-tenant demand weight (~1 ⇒ the
-    /// top 1% of tenants holds most of the demand).
-    pub tenant_alpha: f64,
-    /// Bounds of the per-tenant demand weight.
-    pub tenant_weight: (f64, f64),
-    /// CPU demand per unit of tenant weight (fraction of capacity).
-    pub tenant_cpu_scale: f64,
-    /// Memory demand per unit of tenant weight (fraction of capacity).
-    pub tenant_mem_scale: f64,
     /// Region-wide FE pool capacity; offload grants beyond it are
     /// denied. `u64::MAX` models an effectively unconstrained pool.
     pub fe_pool_cap: u64,
-    /// Median of the per-server baseline CPU demand (fraction of
-    /// capacity). Calibrated with `cpu_sigma` to Fig. 4a: avg ≈ 5%,
-    /// P90 ≈ 15%, P99 ≈ 41%, P999 ≈ 68%, P9999 ≈ 90%.
-    pub cpu_median: f64,
-    /// Log-normal sigma of the CPU baseline.
-    pub cpu_sigma: f64,
-    /// Median of the per-server baseline memory demand. Calibrated with
-    /// `mem_sigma` to Fig. 4b: avg ≈ 1.5%, P999 ≈ 93%, P9999 ≈ 96%.
-    pub mem_median: f64,
-    /// Log-normal sigma of the memory baseline.
-    pub mem_sigma: f64,
-    /// Fraction of servers hosting memory-heavy middlebox-style vNICs
-    /// (the fat tail of Fig. 4b).
-    pub mem_heavy_frac: f64,
     /// Per-server, per-epoch probability of a demand spike.
     pub spike_prob: f64,
-    /// Bounded-Pareto tail index of spike magnitude.
-    pub spike_alpha: f64,
-    /// Spike magnitude bounds (multiplier on baseline).
-    pub spike_mult: (f64, f64),
-    /// Median spike rise time; a spike faster than the offload
-    /// activation still causes a (brief) overload under Nezha.
-    pub spike_rise_median: SimDuration,
-    /// Log-normal sigma of the rise time.
-    pub spike_rise_sigma: f64,
-    /// Relative frequency of CPS / flows / vNIC spikes. Calibrated to
-    /// Fig. 3's observed hotspot shares (≈61% / 30% / 9%, Appendix A.1).
-    pub spike_weights: (f64, f64, f64),
-    /// Offload trigger threshold (Fig. 8: 70%).
-    pub offload_threshold: f64,
-    /// Median of one FE config push (same model as the packet cluster).
-    pub push_median: SimDuration,
-    /// Log-normal sigma of the push.
-    pub push_sigma: f64,
-    /// Gateway update delay.
-    pub gateway_delay: SimDuration,
-    /// vSwitch learning interval.
-    pub learning_interval: SimDuration,
-    /// Initial FE count (Appendix B.2: 4).
-    pub initial_fes: usize,
-    /// Per offloaded-vNIC, per-day probability that demand growth forces
-    /// a scale-out (calibrated to Appendix B.2's ≈2.6% of pools).
-    pub scale_out_daily_prob: f64,
 }
 
 impl Default for RegionConfig {
@@ -156,29 +114,8 @@ impl Default for RegionConfig {
             seed: 0x4e5a,
             epoch: SimDuration::from_secs(3600),
             tenants: 0,
-            tenant_alpha: 1.05,
-            tenant_weight: (1.0, 20_000.0),
-            tenant_cpu_scale: 4.0e-5,
-            tenant_mem_scale: 1.5e-5,
             fe_pool_cap: u64::MAX,
-            cpu_median: 0.028,
-            cpu_sigma: 1.15,
-            mem_median: 0.008,
-            mem_sigma: 1.05,
-            mem_heavy_frac: 0.0035,
             spike_prob: 0.002,
-            spike_alpha: 1.1,
-            spike_mult: (1.5, 40.0),
-            spike_rise_median: SimDuration::from_secs(60),
-            spike_rise_sigma: 1.2,
-            spike_weights: (0.61, 0.30, 0.09),
-            offload_threshold: 0.70,
-            push_median: SimDuration::from_millis(430),
-            push_sigma: 0.50,
-            gateway_delay: SimDuration::from_millis(100),
-            learning_interval: SimDuration::from_millis(200),
-            initial_fes: 4,
-            scale_out_daily_prob: 0.0009,
         }
     }
 }
@@ -303,17 +240,17 @@ impl RegionReport {
 
 /// Samples one offload activation completion time from `rng`: the
 /// slowest of the initial FE config pushes, plus the gateway update,
-/// plus the learning interval — identical in form to the packet-level
-/// controller, hence Table 4's distribution.
-pub(crate) fn completion_from(rng: &mut SimRng, cfg: &RegionConfig) -> SimDuration {
+/// plus the learning interval — the packet-level controller's model and
+/// constants, hence Table 4's distribution.
+pub(crate) fn completion_from(rng: &mut SimRng) -> SimDuration {
     let mut worst = SimDuration::ZERO;
-    for _ in 0..cfg.initial_fes {
-        let d = rng.lognormal_duration(cfg.push_median, cfg.push_sigma);
+    for _ in 0..INITIAL_FES {
+        let d = config_push_latency(rng);
         if d > worst {
             worst = d;
         }
     }
-    worst + cfg.gateway_delay + cfg.learning_interval
+    worst + GATEWAY_UPDATE_DELAY + LEARNING_INTERVAL
 }
 
 /// The fluid region simulator, executed as deterministic shards.
@@ -371,7 +308,7 @@ impl Region {
     /// Samples one offload activation completion time (Table 4) from the
     /// region's standalone completion stream.
     pub fn sample_completion(&mut self) -> SimDuration {
-        completion_from(&mut self.completion_rng, &self.cfg)
+        completion_from(&mut self.completion_rng)
     }
 
     /// Deferred events currently pending across all shard queues. The
@@ -422,9 +359,9 @@ impl Region {
             let per_shard: Vec<(u32, Vec<OffloadRequest>)> = self
                 .shards
                 .iter_mut()
-                .map(|sh| (sh.id(), sh.initial_requests(&cfg)))
+                .map(|sh| (sh.id(), sh.initial_requests()))
                 .collect();
-            let outcome = barrier.resolve_requests(per_shard, cfg.initial_fes as u64);
+            let outcome = barrier.resolve_requests(per_shard);
             self.record_grants(&outcome, &mut report, &mut inboxes);
             // These land in epoch 0's inboxes, so they are accounted to
             // this run's first window.
@@ -493,7 +430,7 @@ impl Region {
             // Barrier: resolve this epoch's offload requests in global
             // server order against the FE pool; route migrations to the
             // owners of their destination servers. Both apply next epoch.
-            let outcome = barrier.resolve_requests(requests, cfg.initial_fes as u64);
+            let outcome = barrier.resolve_requests(requests);
             self.record_grants(&outcome, &mut report, &mut inboxes);
             if let Some(w) = &mut self.windows {
                 w.note_grants(&outcome);
@@ -530,7 +467,7 @@ impl Region {
     ) {
         for &(server, secs) in &outcome.granted {
             report.offload_events += 1;
-            report.total_fes_provisioned += self.cfg.initial_fes as u64;
+            report.total_fes_provisioned += INITIAL_FES as u64;
             report.completion_times.record(secs);
             inboxes[self.spec.owner(server) as usize]
                 .grants

@@ -27,12 +27,43 @@ use super::generator::{Lifecycle, TenantModel};
 use super::scenario::Scenario;
 use super::stream::Stream;
 use super::{completion_from, RegionConfig, SpikeKind};
+use crate::controller::OFFLOAD_THRESHOLD;
 use nezha_sim::engine::Engine;
 use nezha_sim::fault::{FaultKind, FaultPlan, FaultState};
 use nezha_sim::rng::SimRng;
 use nezha_sim::shard::ShardSpec;
-use nezha_sim::time::SimTime;
+use nezha_sim::time::{SimDuration, SimTime};
 use nezha_types::ServerId;
+
+/// Median of the per-server baseline CPU demand (fraction of capacity).
+/// Calibrated with [`CPU_SIGMA`] to Fig. 4a: avg ≈ 5%, P90 ≈ 15%,
+/// P99 ≈ 41%, P999 ≈ 68%, P9999 ≈ 90%.
+const CPU_MEDIAN: f64 = 0.028;
+/// Log-normal sigma of the CPU baseline.
+const CPU_SIGMA: f64 = 1.15;
+/// Median of the per-server baseline memory demand. Calibrated with
+/// [`MEM_SIGMA`] to Fig. 4b: avg ≈ 1.5%, P999 ≈ 93%, P9999 ≈ 96%.
+const MEM_MEDIAN: f64 = 0.008;
+/// Log-normal sigma of the memory baseline.
+const MEM_SIGMA: f64 = 1.05;
+/// Fraction of servers hosting memory-heavy middlebox-style vNICs (the
+/// fat tail of Fig. 4b).
+const MEM_HEAVY_FRAC: f64 = 0.0035;
+/// Bounded-Pareto tail index of spike magnitude.
+const SPIKE_ALPHA: f64 = 1.1;
+/// Spike magnitude bounds (multiplier on baseline).
+const SPIKE_MULT: (f64, f64) = (1.5, 40.0);
+/// Median spike rise time; a spike faster than the offload activation
+/// still causes a (brief) overload under Nezha.
+const SPIKE_RISE_MEDIAN: SimDuration = SimDuration::from_secs(60);
+/// Log-normal sigma of the rise time.
+const SPIKE_RISE_SIGMA: f64 = 1.2;
+/// Relative frequency of CPS / flows / vNIC spikes. Calibrated to
+/// Fig. 3's observed hotspot shares (≈61% / 30% / 9%, Appendix A.1).
+const SPIKE_WEIGHTS: (f64, f64, f64) = (0.61, 0.30, 0.09);
+/// Per offloaded-vNIC, per-day probability that demand growth forces a
+/// scale-out (calibrated to Appendix B.2's ≈2.6% of pools).
+const SCALE_OUT_DAILY_PROB: f64 = 0.0009;
 
 /// A deferred intra-shard event on the shard's bucket-ladder queue.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -147,12 +178,12 @@ impl RegionShard {
         let servers: Vec<ShardServer> = range
             .map(|g| {
                 let mut rng = Stream::Server.rng_at(cfg.seed, g);
-                let base_cpu = (cfg.cpu_median * (cfg.cpu_sigma * rng.normal()).exp()).min(0.98);
-                let heavy = rng.chance(cfg.mem_heavy_frac);
+                let base_cpu = (CPU_MEDIAN * (CPU_SIGMA * rng.normal()).exp()).min(0.98);
+                let heavy = rng.chance(MEM_HEAVY_FRAC);
                 let base_mem = if heavy {
                     0.3 + 0.66 * rng.f64()
                 } else {
-                    (cfg.mem_median * (cfg.mem_sigma * rng.normal()).exp()).min(0.96)
+                    (MEM_MEDIAN * (MEM_SIGMA * rng.normal()).exp()).min(0.96)
                 };
                 ShardServer {
                     rng,
@@ -289,13 +320,13 @@ impl RegionShard {
     /// Pre-run proactive offload scan (Nezha rollout): every owned
     /// server already above the threshold emits a request, in ascending
     /// server order.
-    pub fn initial_requests(&mut self, cfg: &RegionConfig) -> Vec<OffloadRequest> {
+    pub fn initial_requests(&mut self) -> Vec<OffloadRequest> {
         let mut reqs = Vec::new();
         for (local, srv) in self.servers.iter_mut().enumerate() {
             let demand = (srv.base_cpu + srv.tenant_cpu).max(srv.base_mem + srv.tenant_mem);
-            if demand > cfg.offload_threshold && !srv.offloaded && !srv.requested {
+            if demand > OFFLOAD_THRESHOLD && !srv.offloaded && !srv.requested {
                 srv.requested = true;
-                let c = completion_from(&mut srv.rng, cfg);
+                let c = completion_from(&mut srv.rng);
                 reqs.push((self.first + local as u64, c.as_secs_f64()));
             }
         }
@@ -391,7 +422,7 @@ impl RegionShard {
         }
 
         // 4. Per-server epoch step, ascending server order.
-        let scale_p = cfg.scale_out_daily_prob / epochs_per_day as f64;
+        let scale_p = SCALE_OUT_DAILY_PROB / epochs_per_day as f64;
         for local in 0..self.servers.len() {
             let g = self.first + local as u64;
             let srv = &mut self.servers[local];
@@ -417,19 +448,19 @@ impl RegionShard {
             self.utils.push((cpu, mem));
 
             // Threshold-triggered proactive offload request.
-            if nezha && !srv.offloaded && !srv.requested && cpu.max(mem) > cfg.offload_threshold {
+            if nezha && !srv.offloaded && !srv.requested && cpu.max(mem) > OFFLOAD_THRESHOLD {
                 srv.requested = true;
-                let c = completion_from(&mut srv.rng, cfg);
+                let c = completion_from(&mut srv.rng);
                 out.requests.push((g, c.as_secs_f64()));
             }
 
             // Random demand spikes; the diurnal wave modulates arrival
             // pressure.
             if srv.rng.chance(cfg.spike_prob * plan.diurnal) {
-                let kind = spike_kind(&mut srv.rng, cfg);
-                let mult =
-                    srv.rng
-                        .bounded_pareto(cfg.spike_alpha, cfg.spike_mult.0, cfg.spike_mult.1);
+                let kind = spike_kind(&mut srv.rng);
+                let mult = srv
+                    .rng
+                    .bounded_pareto(SPIKE_ALPHA, SPIKE_MULT.0, SPIKE_MULT.1);
                 // A surge adds demand on top of the baseline: a tenant's
                 // traffic jumps by an absolute amount (a flash crowd does
                 // not scale with how idle the switch was).
@@ -439,8 +470,7 @@ impl RegionShard {
                     _ => base_mem + surge,
                 };
                 if demand > 1.0 {
-                    if let Some(cause) = spike_outcome(srv, kind, nezha, cfg, &mut out.requests, g)
-                    {
+                    if let Some(cause) = spike_outcome(srv, kind, nezha, &mut out.requests, g) {
                         out.overloads[cause] += 1;
                     }
                 }
@@ -451,7 +481,7 @@ impl RegionShard {
             if let Some((lo, hi)) = plan.flash {
                 if (lo..hi).contains(&g) && base_cpu + sc.flash_surge > 1.0 {
                     if let Some(cause) =
-                        spike_outcome(srv, SpikeKind::Cps, nezha, cfg, &mut out.requests, g)
+                        spike_outcome(srv, SpikeKind::Cps, nezha, &mut out.requests, g)
                     {
                         out.overloads[cause] += 1;
                     }
@@ -468,8 +498,8 @@ impl RegionShard {
 }
 
 /// Draws which capability a spike stresses (Fig. 3 shares).
-fn spike_kind(rng: &mut SimRng, cfg: &RegionConfig) -> SpikeKind {
-    let (a, b, c) = cfg.spike_weights;
+fn spike_kind(rng: &mut SimRng) -> SpikeKind {
+    let (a, b, c) = SPIKE_WEIGHTS;
     let x = rng.f64() * (a + b + c);
     if x < a {
         SpikeKind::Cps
@@ -490,7 +520,6 @@ fn spike_outcome(
     srv: &mut ShardServer,
     kind: SpikeKind,
     nezha: bool,
-    cfg: &RegionConfig,
     requests: &mut Vec<OffloadRequest>,
     server: u64,
 ) -> Option<usize> {
@@ -513,10 +542,10 @@ fn spike_outcome(
     }
     // Offload races the spike's rise: only spikes faster than the
     // activation window overload.
-    let completion = completion_from(&mut srv.rng, cfg);
+    let completion = completion_from(&mut srv.rng);
     let rise = srv
         .rng
-        .lognormal_duration(cfg.spike_rise_median, cfg.spike_rise_sigma);
+        .lognormal_duration(SPIKE_RISE_MEDIAN, SPIKE_RISE_SIGMA);
     srv.requested = true;
     requests.push((server, completion.as_secs_f64()));
     (rise < completion).then_some(cause)

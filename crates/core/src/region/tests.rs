@@ -94,8 +94,6 @@ fn table3_gains_match_paper_shape() {
     let vm = VmConfig {
         vcpus: 64,
         per_core_cps: 90_000.0,
-        contention: 0.055,
-        ..Default::default()
     };
     let rows = middlebox::gains(&host, &vm);
     let lb = &rows[0];

@@ -9,12 +9,22 @@
 //!
 //! Effective capacity: `cps(n) = per_core_cps × n / (1 + contention × (n − 1))`
 //! — Amdahl-flavored saturation. With the testbed defaults
-//! (`per_core_cps = 30 K`, `contention = 0.055`), a 64-core VM saturates
-//! near 430 K CPS ≈ 3.3× the default vSwitch's O(130 K) capacity, which is
-//! exactly where Fig. 9's CPS curve plateaus.
+//! (`per_core_cps = 53.7 K`, [`KERNEL_CONTENTION`] `= 0.055`), a 64-core
+//! VM saturates near 770 K CPS ≈ 3.3× the default vSwitch's ~233 K
+//! nominal capacity, which is exactly where Fig. 9's CPS curve plateaus.
 
 use nezha_sim::resources::{CpuOutcome, CpuServer};
 use nezha_sim::time::{SimDuration, SimTime};
+
+/// Kernel contention factor (locks, listen-queue serialization).
+pub const KERNEL_CONTENTION: f64 = 0.055;
+/// Kernel work per connection, expressed in abstract cycles; combined
+/// with the effective capacity this sets the service rate.
+pub const CYCLES_PER_CONN: u64 = 1_000_000;
+/// Packets a connection's kernel work is spread over (a connection is
+/// several packets; spreading the charge keeps the packet-level
+/// simulation smooth).
+pub const PACKETS_PER_CONN: u32 = 7;
 
 /// Configuration of a VM's kernel capacity.
 #[derive(Clone, Copy, Debug)]
@@ -23,15 +33,6 @@ pub struct VmConfig {
     pub vcpus: u32,
     /// Connections per second a single uncontended core can handle.
     pub per_core_cps: f64,
-    /// Kernel contention factor (locks, listen-queue serialization).
-    pub contention: f64,
-    /// Kernel work per connection, expressed in abstract cycles; combined
-    /// with the effective capacity this sets the service rate.
-    pub cycles_per_conn: u64,
-    /// Fraction of a connection's kernel work charged per packet (a
-    /// connection is several packets; spreading the charge keeps the
-    /// packet-level simulation smooth).
-    pub packets_per_conn: u32,
 }
 
 impl Default for VmConfig {
@@ -39,9 +40,6 @@ impl Default for VmConfig {
         VmConfig {
             vcpus: 64,
             per_core_cps: 53_700.0,
-            contention: 0.055,
-            cycles_per_conn: 1_000_000,
-            packets_per_conn: 7,
         }
     }
 }
@@ -58,7 +56,7 @@ impl VmConfig {
     /// The kernel's saturating CPS capacity for this configuration.
     pub fn kernel_cps_capacity(&self) -> f64 {
         let n = self.vcpus as f64;
-        self.per_core_cps * n / (1.0 + self.contention * (n - 1.0))
+        self.per_core_cps * n / (1.0 + KERNEL_CONTENTION * (n - 1.0))
     }
 }
 
@@ -76,7 +74,7 @@ impl VmModel {
     pub fn new(cfg: VmConfig) -> Self {
         // Size the kernel server so that exactly `kernel_cps_capacity`
         // connections/second saturate it.
-        let hz = (cfg.kernel_cps_capacity() * cfg.cycles_per_conn as f64) as u64;
+        let hz = (cfg.kernel_cps_capacity() * CYCLES_PER_CONN as f64) as u64;
         VmModel {
             cfg,
             kernel: CpuServer::new(1, hz.max(1), SimDuration::from_millis(5)),
@@ -94,7 +92,7 @@ impl VmModel {
     /// Returns when the kernel is done with it, or `None` if the kernel
     /// queue overflowed (listen-queue drop).
     pub fn deliver_packet(&mut self, now: SimTime) -> Option<SimTime> {
-        let cycles = self.cfg.cycles_per_conn / self.cfg.packets_per_conn as u64;
+        let cycles = CYCLES_PER_CONN / PACKETS_PER_CONN as u64;
         match self.kernel.offer(now, cycles) {
             CpuOutcome::Done { done_at } => Some(done_at),
             CpuOutcome::Dropped => {
@@ -156,7 +154,7 @@ mod tests {
         let cap = cfg.kernel_cps_capacity();
         let mut vm = VmModel::new(cfg);
         // Offer 2x capacity worth of per-packet work for 100 ms.
-        let pkt_rate = 2.0 * cap * cfg.packets_per_conn as f64;
+        let pkt_rate = 2.0 * cap * PACKETS_PER_CONN as f64;
         let dt = SimDuration::from_secs_f64(1.0 / pkt_rate);
         let mut t = SimTime(0);
         let mut delivered = 0u64;
@@ -180,7 +178,7 @@ mod tests {
         let cfg = VmConfig::with_vcpus(8);
         let cap = cfg.kernel_cps_capacity();
         let mut vm = VmModel::new(cfg);
-        let pkt_rate = 0.5 * cap * cfg.packets_per_conn as f64;
+        let pkt_rate = 0.5 * cap * PACKETS_PER_CONN as f64;
         let dt = SimDuration::from_secs_f64(1.0 / pkt_rate);
         let mut t = SimTime(0);
         for _ in 0..1000 {

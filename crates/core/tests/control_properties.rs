@@ -3,7 +3,7 @@
 
 use nezha_core::bdf::{BdfAllocator, VnicAttachment};
 use nezha_core::be::BackendMeta;
-use nezha_core::gateway::Gateway;
+use nezha_core::gateway::{Gateway, LEARNING_INTERVAL};
 use nezha_core::region::{Region, RegionConfig};
 use nezha_sim::time::{SimDuration, SimTime};
 use nezha_types::{FiveTuple, Ipv4Addr, ServerId, SessionKey, VpcId};
@@ -20,8 +20,7 @@ proptest! {
         updates in prop::collection::vec((prop::collection::vec(0u32..32, 1..5), 0u64..5_000), 1..8),
         senders in prop::collection::vec(0u32..64, 1..10),
     ) {
-        let li = SimDuration::from_millis(200);
-        let mut g = Gateway::new(li);
+        let mut g = Gateway::new();
         let addr = Ipv4Addr::new(10, 0, 0, 1);
         let mut t = SimTime(0);
         let mut last_servers = Vec::new();
@@ -44,7 +43,7 @@ proptest! {
             }
         }
         // One interval later: everyone sees the final mapping.
-        let settled = t + li;
+        let settled = t + LEARNING_INTERVAL;
         for &s in &senders {
             let pick = g.select(addr, ServerId(s), 7, settled).unwrap();
             prop_assert!(last_servers.contains(&pick));

@@ -324,11 +324,6 @@ impl Profiler {
         }
     }
 
-    /// Stops recording (collected data remains).
-    pub fn disable(&self) {
-        self.inner.borrow_mut().enabled = false;
-    }
-
     /// True when spans are being recorded. Instrumentation sites check
     /// this before doing any per-span work.
     pub fn is_enabled(&self) -> bool {
@@ -574,7 +569,7 @@ mod tests {
     }
 
     #[test]
-    fn disabled_profiler_records_nothing() {
+    fn profiler_records_nothing_until_enabled() {
         let p = Profiler::new();
         assert_eq!(p.record(span(Stage::Parse, None, 100)), None);
         assert_eq!(p.recorded(), 0);

@@ -7,8 +7,8 @@
 //! Appendix B.1) — so the topology must answer *which servers share a ToR*
 //! and *how far apart two servers are*.
 //!
-//! Latency model: each switch traversal costs a fixed per-hop latency;
-//! serialization adds `bytes × 8 / bandwidth`. Hop counts: same server 0,
+//! Latency model: each switch traversal costs [`PER_HOP`]; serialization
+//! adds `bytes × 8 / bandwidth` at [`LINK_GBPS`]. Hop counts: same server 0,
 //! same rack 2 (up to ToR, down), same pod 4, cross-pod 6. Modern fabrics
 //! are provisioned with headroom (paper §6.4), so links themselves are not
 //! a queueing bottleneck in our model — the vSwitch CPU is.
@@ -16,7 +16,12 @@
 use crate::time::SimDuration;
 use nezha_types::ServerId;
 
-/// Shape and speed parameters of the fabric.
+/// Link bandwidth in gigabits per second (100 Gbps+ in the paper).
+pub const LINK_GBPS: f64 = 100.0;
+/// Latency of one switch traversal.
+pub const PER_HOP: SimDuration = SimDuration::from_micros(5);
+
+/// Shape parameters of the fabric.
 #[derive(Clone, Copy, Debug)]
 pub struct TopologyConfig {
     /// Servers under each ToR switch.
@@ -25,10 +30,6 @@ pub struct TopologyConfig {
     pub racks_per_pod: u32,
     /// Number of pods.
     pub pods: u32,
-    /// Link bandwidth in gigabits per second (100 Gbps+ in the paper).
-    pub link_gbps: f64,
-    /// Latency of one switch traversal.
-    pub per_hop: SimDuration,
 }
 
 impl Default for TopologyConfig {
@@ -37,8 +38,6 @@ impl Default for TopologyConfig {
             servers_per_rack: 32,
             racks_per_pod: 8,
             pods: 4,
-            link_gbps: 100.0,
-            per_hop: SimDuration::from_micros(5),
         }
     }
 }
@@ -53,7 +52,6 @@ impl Topology {
     /// Builds a fabric from its configuration.
     pub fn new(cfg: TopologyConfig) -> Self {
         assert!(cfg.servers_per_rack > 0 && cfg.racks_per_pod > 0 && cfg.pods > 0);
-        assert!(cfg.link_gbps > 0.0);
         Topology { cfg }
     }
 
@@ -98,12 +96,12 @@ impl Topology {
     /// One-way latency for `bytes` between two servers: propagation
     /// (per-hop × hops) plus serialization at the configured link rate.
     pub fn latency(&self, a: ServerId, b: ServerId, bytes: usize) -> SimDuration {
-        let ser = SimDuration::from_secs_f64(bytes as f64 * 8.0 / (self.cfg.link_gbps * 1e9));
+        let ser = SimDuration::from_secs_f64(bytes as f64 * 8.0 / (LINK_GBPS * 1e9));
         if a == b {
             // Loopback through the local vSwitch: serialization only.
             return ser;
         }
-        SimDuration(self.cfg.per_hop.nanos() * self.hops(a, b) as u64) + ser
+        SimDuration(PER_HOP.nanos() * self.hops(a, b) as u64) + ser
     }
 
     /// All servers sharing `s`'s rack, excluding `s` itself. The candidate
@@ -147,8 +145,6 @@ mod tests {
             servers_per_rack: 4,
             racks_per_pod: 2,
             pods: 3,
-            link_gbps: 100.0,
-            per_hop: SimDuration::from_micros(5),
         })
     }
 

@@ -297,7 +297,7 @@ mod tests {
     }
 
     #[test]
-    fn disabled_trace_records_nothing() {
+    fn trace_records_nothing_until_enabled() {
         let t = PacketTrace::default();
         assert!(!t.is_enabled());
         t.record(ev(1, 1, 1, TraceEventKind::Enqueue));

@@ -421,7 +421,6 @@ proptest! {
             servers_per_rack: 8,
             racks_per_pod: 4,
             pods: 8,
-            ..TopologyConfig::default()
         });
         let (a, b) = (ServerId(a), ServerId(b));
         prop_assert_eq!(topo.hops(a, b), topo.hops(b, a));

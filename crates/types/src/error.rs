@@ -22,6 +22,8 @@ pub type NezhaResult<T> = Result<T, NezhaError>;
 pub enum NezhaError {
     /// The vNIC id is not installed in the cluster.
     UnknownVnic(VnicId),
+    /// The vNIC id is already installed in the cluster.
+    DuplicateVnic(VnicId),
     /// The server id is outside the topology (or the slot is empty).
     UnknownServer(ServerId),
     /// The vNIC is already offloaded; offloading twice is invalid.
@@ -50,6 +52,7 @@ impl fmt::Display for NezhaError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             NezhaError::UnknownVnic(v) => write!(f, "unknown vNIC {}", v.0),
+            NezhaError::DuplicateVnic(v) => write!(f, "vNIC {} is already installed", v.0),
             NezhaError::UnknownServer(s) => write!(f, "unknown server {}", s.0),
             NezhaError::AlreadyOffloaded(v) => write!(f, "vNIC {} is already offloaded", v.0),
             NezhaError::NotOffloaded(v) => write!(f, "vNIC {} is not offloaded", v.0),

@@ -153,10 +153,6 @@ pub struct VSwitchConfig {
     /// Memory available for networking tables, in bytes ("hundreds of MB
     /// to a few GB for the session table" out of 10 GB, §2.2.2).
     pub table_memory: u64,
-    /// Deepest CPU backlog (as drain time) before packets drop.
-    pub max_backlog: SimDuration,
-    /// Idle timeout for established sessions ("an average of 8s", §2.2.2).
-    pub session_aging: SimDuration,
     /// Short aging for embryonic (SYN-state) sessions (§7.3).
     pub syn_aging: SimDuration,
     /// Cycle costs.
@@ -171,8 +167,6 @@ impl Default for VSwitchConfig {
             cores: 4,
             core_hz: 2_000_000_000,
             table_memory: 1024 * 1024 * 1024, // 1 GB for tables
-            max_backlog: SimDuration::from_millis(2),
-            session_aging: SimDuration::from_secs(8),
             syn_aging: SimDuration::from_secs(1),
             costs: CostModel::default(),
             memory: MemoryModel::default(),
@@ -180,84 +174,7 @@ impl Default for VSwitchConfig {
     }
 }
 
-/// Fluent builder for [`VSwitchConfig`], starting from the defaults.
-///
-/// ```
-/// use nezha_vswitch::config::VSwitchConfig;
-/// use nezha_sim::time::SimDuration;
-///
-/// let cfg = VSwitchConfig::builder()
-///     .cores(1)
-///     .max_backlog(SimDuration::from_millis(4))
-///     .build();
-/// assert_eq!(cfg.cores, 1);
-/// ```
-#[derive(Clone, Copy, Debug, Default)]
-pub struct VSwitchConfigBuilder {
-    cfg: VSwitchConfig,
-}
-
-impl VSwitchConfigBuilder {
-    /// CPU cores available to virtual networking.
-    pub fn cores(mut self, cores: u32) -> Self {
-        self.cfg.cores = cores;
-        self
-    }
-
-    /// Clock of each core in Hz.
-    pub fn core_hz(mut self, hz: u64) -> Self {
-        self.cfg.core_hz = hz;
-        self
-    }
-
-    /// Memory available for networking tables, in bytes.
-    pub fn table_memory(mut self, bytes: u64) -> Self {
-        self.cfg.table_memory = bytes;
-        self
-    }
-
-    /// Deepest CPU backlog (as drain time) before packets drop.
-    pub fn max_backlog(mut self, backlog: SimDuration) -> Self {
-        self.cfg.max_backlog = backlog;
-        self
-    }
-
-    /// Idle timeout for established sessions.
-    pub fn session_aging(mut self, aging: SimDuration) -> Self {
-        self.cfg.session_aging = aging;
-        self
-    }
-
-    /// Short aging for embryonic (SYN-state) sessions.
-    pub fn syn_aging(mut self, aging: SimDuration) -> Self {
-        self.cfg.syn_aging = aging;
-        self
-    }
-
-    /// Cycle costs.
-    pub fn costs(mut self, costs: CostModel) -> Self {
-        self.cfg.costs = costs;
-        self
-    }
-
-    /// Memory footprints.
-    pub fn memory(mut self, memory: MemoryModel) -> Self {
-        self.cfg.memory = memory;
-        self
-    }
-
-    /// Finishes the builder.
-    pub fn build(self) -> VSwitchConfig {
-        self.cfg
-    }
-}
-
 impl VSwitchConfig {
-    /// Starts a fluent [`VSwitchConfigBuilder`] from the defaults.
-    pub fn builder() -> VSwitchConfigBuilder {
-        VSwitchConfigBuilder::default()
-    }
-
     /// Total CPU capacity in cycles per second.
     pub fn capacity_hz(&self) -> f64 {
         self.cores as f64 * self.core_hz as f64

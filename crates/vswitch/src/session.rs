@@ -9,15 +9,19 @@
 //! memory is exactly where the paper's #concurrent-flows gain comes from
 //! (§6.2.1).
 //!
-//! Aging (§2.2.2, §7.3): established sessions expire after ~8 s idle;
-//! embryonic (SYN-state) sessions get a much shorter timeout so a SYN
-//! flood cannot pin BE memory; closed sessions are reclaimed on sweep.
+//! Aging (§2.2.2, §7.3): established sessions expire after
+//! [`SESSION_AGING`] idle; embryonic (SYN-state) sessions get a much
+//! shorter timeout (`VSwitchConfig::syn_aging`) so a SYN flood cannot pin
+//! BE memory; closed sessions are reclaimed on sweep.
 
 use crate::config::{MemoryModel, VSwitchConfig};
 use nezha_sim::dense::{DenseMap, Interner};
 use nezha_sim::resources::{MemoryPool, OutOfMemory};
-use nezha_sim::time::SimTime;
+use nezha_sim::time::{SimDuration, SimTime};
 use nezha_types::{Direction, PreActionPair, SessionKey, SessionState, TcpState};
+
+/// Idle timeout for established sessions ("an average of 8s", §2.2.2).
+pub const SESSION_AGING: SimDuration = SimDuration::from_secs(8);
 
 /// [`SessionEntry::flow`] of an entry with no cached flows.
 const NO_FLOW: u32 = u32::MAX;
@@ -200,11 +204,11 @@ impl SessionTable {
             let idle = now.since(e.last_seen);
             let timeout = if e.state.tcp.is_closed() {
                 // Closed sessions reclaim on the next sweep.
-                nezha_sim::time::SimDuration::ZERO
+                SimDuration::ZERO
             } else if e.state.tcp.is_embryonic() {
                 cfg.syn_aging
             } else {
-                cfg.session_aging
+                SESSION_AGING
             };
             let keep = idle <= timeout;
             if !keep {
@@ -415,7 +419,7 @@ mod tests {
             .unwrap();
         e.state.tcp = TcpState::SynSent;
 
-        // After 2 s (> syn_aging 1 s, < session_aging 8 s): SYN expires.
+        // After 2 s (> syn_aging 1 s, < SESSION_AGING 8 s): SYN expires.
         let n = t.expire(SimTime(2_000_000_000), &cfg, &mut pool);
         assert_eq!(n, 1);
         assert!(t.get(&key(1)).is_some());

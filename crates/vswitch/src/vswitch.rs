@@ -18,12 +18,15 @@ use nezha_sim::dense::DenseMap;
 use nezha_sim::profile::Stage;
 use nezha_sim::resources::{CpuOutcome, CpuServer, MemoryPool, OutOfMemory};
 use nezha_sim::telemetry::Telemetry;
-use nezha_sim::time::SimTime;
+use nezha_sim::time::{SimDuration, SimTime};
 use nezha_sim::trace::{DropReason, TraceEventKind};
 use nezha_types::{Action, Decision, Ipv4Addr, Packet, ServerId, SessionKey, SessionState, VnicId};
 use std::collections::BTreeMap;
 
 pub use crate::telemetry::VSwitchCounters;
+
+/// Deepest CPU backlog (as drain time) before packets drop.
+pub const MAX_BACKLOG: SimDuration = SimDuration::from_millis(2);
 
 /// Which processing path a packet took.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -121,7 +124,7 @@ impl VSwitch {
         VSwitch {
             id,
             version: 1,
-            cpu: CpuServer::new(cfg.cores, cfg.core_hz, cfg.max_backlog),
+            cpu: CpuServer::new(cfg.cores, cfg.core_hz, MAX_BACKLOG),
             mem: MemoryPool::new(cfg.table_memory),
             vnics: DenseMap::new(),
             sessions: SessionTable::new(),
@@ -150,9 +153,12 @@ impl VSwitch {
 
     /// Installs a vNIC, charging its rule-table memory. Fails when the
     /// SmartNIC cannot fit the tables — the #vNICs bottleneck of §2.2.2.
+    /// A vNIC with the same id is replaced and its charge freed.
     pub fn add_vnic(&mut self, vnic: Vnic) -> Result<(), OutOfMemory> {
         self.mem.alloc(vnic.table_memory(&self.cfg.memory))?;
-        self.vnics.insert(vnic.id, vnic);
+        if let Some(old) = self.vnics.insert(vnic.id, vnic) {
+            self.mem.free(old.table_memory(&self.cfg.memory));
+        }
         Ok(())
     }
 

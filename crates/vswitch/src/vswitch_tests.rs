@@ -122,9 +122,10 @@ fn cpu_overload_reports_no_path() {
 #[test]
 fn vnic_table_memory_enforced() {
     // 10 MB: fits one default vNIC.
-    let cfg = VSwitchConfig::builder()
-        .table_memory(10 * 1024 * 1024)
-        .build();
+    let cfg = VSwitchConfig {
+        table_memory: 10 * 1024 * 1024,
+        ..VSwitchConfig::default()
+    };
     let mut vs = VSwitch::new(ServerId(0), cfg);
     let v1 = Vnic::new(
         VnicId(1),
@@ -150,6 +151,10 @@ fn remove_vnic_releases_memory() {
     let (mut vs, id) = vswitch_with_vnic();
     let used = vs.mem.used();
     assert!(used > 0);
+    // Re-adding a hosted vNIC replaces it and frees the old copy's charge.
+    let again = vs.vnic(id).unwrap().clone();
+    vs.add_vnic(again).unwrap();
+    assert_eq!(vs.mem.used(), used);
     let v = vs.remove_vnic(id).unwrap();
     assert_eq!(vs.mem.used(), 0);
     assert_eq!(v.id, id);
@@ -185,9 +190,10 @@ fn cycle_attribution_ranks_heavy_vnics() {
 #[test]
 fn session_overflow_processes_uncached() {
     // Just enough memory for the vNIC tables + one session.
-    let cfg = VSwitchConfig::builder()
-        .table_memory(8 * 1024 * 1024)
-        .build();
+    let cfg = VSwitchConfig {
+        table_memory: 8 * 1024 * 1024,
+        ..VSwitchConfig::default()
+    };
     let mut vs = VSwitch::new(ServerId(0), cfg);
     let vnic = Vnic::new(
         VnicId(1),
@@ -527,9 +533,10 @@ fn process_local_outcome_table() {
         let defaults = VSwitchConfig::default();
         let table_bytes = vnic.table_memory(&defaults.memory);
         let slow_cycles = vnic.slow_path_cycles(&defaults.costs, c.pkt.wire_len());
-        let cfg = VSwitchConfig::builder()
-            .table_memory(table_bytes + c.session_room)
-            .build();
+        let cfg = VSwitchConfig {
+            table_memory: table_bytes + c.session_room,
+            ..defaults
+        };
         let tel = Telemetry::new();
         let trace = &tel.trace;
         let mut vs = VSwitch::with_telemetry(ServerId(0), cfg, &tel);

@@ -8,7 +8,7 @@ use nezha_types::{
     VnicId, VpcId,
 };
 use nezha_vswitch::config::VSwitchConfig;
-use nezha_vswitch::session::SessionTable;
+use nezha_vswitch::session::{SessionTable, SESSION_AGING};
 use nezha_vswitch::tables::acl::{AclRule, AclTable, AclVerdict, PortRange};
 use nezha_vswitch::tables::route::{RouteTable, RouteTarget};
 use proptest::prelude::*;
@@ -386,7 +386,7 @@ proptest! {
                     // established-session timeout applies to all of them.
                     now = SimTime(now.0 + u64::from(hop) * 3_000_000_000);
                     let before = model.len();
-                    model.retain(|_, e| now.since(e.last_seen) <= cfg.session_aging);
+                    model.retain(|_, e| now.since(e.last_seen) <= SESSION_AGING);
                     let want = before - model.len();
                     prop_assert_eq!(table.expire(now, &cfg, &mut pool), want);
                     expired += want as u64;

@@ -114,7 +114,10 @@ mod tests {
     fn vswitch_memory_caps_provisioning_without_nezha() {
         // The #vNICs bottleneck of §2.2.2, reproduced: a memory-squeezed
         // vSwitch accepts only a fraction of a serverless burst.
-        let cfg = VSwitchConfig::builder().table_memory(64 << 20).build();
+        let cfg = VSwitchConfig {
+            table_memory: 64 << 20,
+            ..VSwitchConfig::default()
+        };
         let mut vs = VSwitch::new(ServerId(0), cfg);
         let mut accepted = 0;
         for (_, v) in burst(100).generate(SimTime(0)) {

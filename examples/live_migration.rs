@@ -10,7 +10,7 @@
 //! Run with: `cargo run --release --example live_migration`
 
 use nezha::core::cluster::{Cluster, ClusterConfig, ConfigOp, Event};
-use nezha::core::migration::MigrationModel;
+use nezha::core::migration;
 use nezha::core::vm::VmConfig;
 use nezha::sim::time::{SimDuration, SimTime};
 use nezha::types::{Ipv4Addr, ServerId, VnicId, VpcId};
@@ -19,16 +19,15 @@ use nezha::vswitch::vnic::{Vnic, VnicProfile};
 fn main() {
     // The cost model side (Fig. A1).
     println!("traditional live migration (model):");
-    let m = MigrationModel::default();
     for (vcpus, mem_gb) in [(8u32, 16.0), (64, 256.0), (128, 1024.0)] {
-        let c = m.migrate(mem_gb, vcpus, 64 << 20);
+        let c = migration::migrate(mem_gb, vcpus, 64 << 20);
         println!(
             "  {vcpus:>3} vCPU / {mem_gb:>5.0} GB: completion {:>7.1}s, downtime {:>5.2}s",
             c.completion.as_secs_f64(),
             c.downtime.as_secs_f64()
         );
     }
-    let r = m.nezha_redirect();
+    let r = migration::nezha_redirect();
     println!(
         "  Nezha redirect:            completion {:>7.4}s — independent of VM size\n",
         r.completion.as_secs_f64()

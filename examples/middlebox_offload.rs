@@ -80,7 +80,6 @@ fn main() {
     let vm = VmConfig {
         vcpus: 64,
         per_core_cps: 90_000.0,
-        ..VmConfig::default()
     };
     for row in middlebox::gains(&host, &vm) {
         println!(

@@ -11,9 +11,11 @@
 #
 # Not part of the gate, because they need a second checkout at the
 # parent commit: `scripts/digests.sh` (the five payload digests, to diff
-# between parent and change) and `scripts/pairs.sh` (alternating
-# parent/change benchmark pairs with medians, quartiles and the win
-# count — what a performance claim is measured with).
+# between parent and change), `scripts/experiments_diff.sh` (every
+# experiment id run in both checkouts, stdout and report files compared
+# byte for byte) and `scripts/pairs.sh` (alternating parent/change
+# benchmark pairs with medians, quartiles and the win count — what a
+# performance claim is measured with).
 #
 # Usage: scripts/check.sh [--fast]
 #   --fast   skip the full test suite (quick pre-commit run); still runs

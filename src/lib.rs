@@ -69,8 +69,8 @@ pub use nezha_workloads as workloads;
 pub mod prelude {
     //! The most commonly used names, importable in one line.
     //!
-    //! Covers building a cluster ([`Cluster`], [`ClusterConfig`],
-    //! [`VSwitchConfig`], their builders), populating it ([`Vnic`],
+    //! Covers building a cluster ([`Cluster`], [`ClusterConfig`] and its
+    //! builder, [`VSwitchConfig`]), populating it ([`Vnic`],
     //! [`VnicProfile`], [`VmConfig`], the workload generators), driving it
     //! ([`SimTime`], [`SimDuration`], [`ConnSpec`]), and reading it back
     //! ([`MetricsRegistry`], [`PacketTrace`], [`Profiler`], [`NezhaError`]).
@@ -91,7 +91,7 @@ pub mod prelude {
     pub use nezha_types::{
         FiveTuple, Ipv4Addr, NezhaError, NezhaResult, ServerId, SessionKey, VnicId, VpcId,
     };
-    pub use nezha_vswitch::config::{VSwitchConfig, VSwitchConfigBuilder};
+    pub use nezha_vswitch::config::VSwitchConfig;
     pub use nezha_vswitch::vnic::{Vnic, VnicProfile};
     pub use nezha_vswitch::vswitch::VSwitch;
     pub use nezha_workloads::cps::CpsWorkload;

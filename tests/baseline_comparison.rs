@@ -77,7 +77,6 @@ fn nezha_gains_exceed_what_local_upgrades_buy() {
     let vm = VmConfig {
         vcpus: 64,
         per_core_cps: 90_000.0,
-        ..VmConfig::default()
     };
     let rows = middlebox::gains(&VSwitchConfig::middlebox_host(), &vm);
     let lb = rows.iter().find(|r| r.name == "Load-balancer").unwrap();

@@ -28,7 +28,6 @@ fn chaos_cluster(seed: u64, notify_always: bool) -> Cluster {
             servers_per_rack: 12,
             racks_per_pod: 2,
             pods: 1,
-            ..TopologyConfig::default()
         })
         .auto(false)
         .notify_always(notify_always)

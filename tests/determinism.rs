@@ -17,7 +17,6 @@ fn run_scenario(seed: u64) -> (u64, u64, u64, f64, Vec<ServerId>, u64) {
             servers_per_rack: 12,
             racks_per_pod: 2,
             pods: 1,
-            ..TopologyConfig::default()
         })
         .auto(false)
         .seed(seed)
@@ -90,7 +89,6 @@ fn run_telemetry_scenario(seed: u64) -> (String, Vec<TraceEvent>) {
             servers_per_rack: 12,
             racks_per_pod: 2,
             pods: 1,
-            ..TopologyConfig::default()
         })
         .auto(false)
         .seed(seed)
@@ -222,7 +220,6 @@ fn run_chaos_telemetry_scenario(seed: u64) -> String {
             servers_per_rack: 12,
             racks_per_pod: 2,
             pods: 1,
-            ..TopologyConfig::default()
         })
         .auto(false)
         .seed(seed)
@@ -304,7 +301,6 @@ fn run_profile_scenario(seed: u64) -> (String, String) {
             servers_per_rack: 12,
             racks_per_pod: 2,
             pods: 1,
-            ..TopologyConfig::default()
         })
         .auto(false)
         .notify_always(true)

@@ -20,7 +20,6 @@ fn cluster() -> Cluster {
             servers_per_rack: 12,
             racks_per_pod: 2,
             pods: 1,
-            ..TopologyConfig::default()
         })
         .auto(false)
         .build();

@@ -18,7 +18,6 @@ fn cluster() -> Cluster {
             servers_per_rack: 12,
             racks_per_pod: 2,
             pods: 1,
-            ..TopologyConfig::default()
         })
         .auto(false)
         .build();
@@ -188,7 +187,6 @@ fn controller_offloads_only_the_heavy_tenant() {
             servers_per_rack: 12,
             racks_per_pod: 2,
             pods: 1,
-            ..TopologyConfig::default()
         })
         .cores(1)
         .auto_offload(true)

@@ -29,7 +29,6 @@ fn cluster_with(setup: impl FnOnce(&mut Vnic)) -> Cluster {
             servers_per_rack: 12,
             racks_per_pod: 2,
             pods: 1,
-            ..TopologyConfig::default()
         })
         .auto(false)
         .build();
@@ -91,7 +90,7 @@ fn full_lifecycle_keeps_every_connection() {
     // 3. Manual scale-out 4 -> 8; continuing flows keep completing even
     //    though the wider pool re-hashes them onto new FEs (a cache miss
     //    is just one extra rule lookup, §3.2.3).
-    let added = c.scale_out(VNIC, 4, c.now());
+    let added = c.scale_out(VNIC, 4);
     assert_eq!(added, 4);
     drive(&mut c, 200);
     assert_eq!(c.fe_count(VNIC), 8);

@@ -24,7 +24,6 @@ fn profiled_cluster(seed: u64, span_capacity: usize) -> (Cluster, f64) {
             servers_per_rack: 12,
             racks_per_pod: 2,
             pods: 1,
-            ..TopologyConfig::default()
         })
         .auto(false)
         .notify_always(true)
@@ -172,7 +171,7 @@ fn rx_chain_crosses_from_fe_to_be() {
 }
 
 #[test]
-fn disabled_profiler_records_nothing() {
+fn profiler_records_nothing_until_enabled() {
     let cfg = ClusterConfig::builder().auto(false).seed(7).build();
     let mut c = Cluster::new(cfg);
     let mut vnic = Vnic::new(

@@ -120,7 +120,6 @@ fn base_config(seed: u64) -> ClusterConfig {
             servers_per_rack: 12,
             racks_per_pod: 2,
             pods: 1,
-            ..TopologyConfig::default()
         })
         .auto(false)
         .seed(seed)
@@ -215,7 +214,6 @@ fn run_profile(seed: u64) -> String {
             servers_per_rack: 12,
             racks_per_pod: 2,
             pods: 1,
-            ..TopologyConfig::default()
         })
         .auto(false)
         .notify_always(true)
@@ -280,7 +278,6 @@ fn run_multi_vnic(seed: u64) -> String {
             servers_per_rack: 16,
             racks_per_pod: 2,
             pods: 4,
-            ..TopologyConfig::default()
         })
         .cores(1)
         .controller(ControllerConfig {
@@ -301,7 +298,6 @@ fn run_multi_vnic(seed: u64) -> String {
         let vm = VmConfig {
             vcpus: 64,
             per_core_cps: 13_425.0,
-            ..VmConfig::default()
         };
         c.add_vnic(vnic, home, vm).unwrap();
     }

@@ -22,7 +22,6 @@ fn cluster(auto_scale: bool) -> Cluster {
             servers_per_rack: 12,
             racks_per_pod: 2,
             pods: 1,
-            ..TopologyConfig::default()
         })
         .auto_offload(false)
         .auto_scale(auto_scale)
@@ -88,8 +87,7 @@ fn scale_in_prioritizes_local_traffic() {
     // hosts; the pool compensates elsewhere.
     let mut c = cluster(false);
     let victim_fe = c.fe_servers(VNIC)[0];
-    let now = c.now();
-    c.scale_in_server(victim_fe, now);
+    c.scale_in_server(victim_fe);
     c.run_until(c.now() + SimDuration::from_secs(2));
     let fes = c.fe_servers(VNIC);
     assert!(!fes.contains(&victim_fe), "evicted FE must be gone");
@@ -138,11 +136,13 @@ fn offloading_multiplies_live_session_capacity() {
             servers_per_rack: 12,
             racks_per_pod: 2,
             pods: 1,
-            ..TopologyConfig::default()
         })
         .auto(false)
         // Tables (~6.2MB) + ~1.2MB for sessions.
-        .vswitch(VSwitchConfig::builder().table_memory(7_400_000).build())
+        .vswitch(VSwitchConfig {
+            table_memory: 7_400_000,
+            ..VSwitchConfig::default()
+        })
         .build();
 
     let persistent = |count| PersistentFlows {

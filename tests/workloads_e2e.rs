@@ -7,6 +7,7 @@ use nezha::core::vm::VmConfig;
 use nezha::sim::time::{SimDuration, SimTime};
 use nezha::sim::topology::TopologyConfig;
 use nezha::types::{Ipv4Addr, ServerId, VnicId, VpcId};
+use nezha::vswitch::session::SESSION_AGING;
 use nezha::vswitch::vnic::{Vnic, VnicProfile};
 use nezha::workloads::flows::PersistentFlows;
 use nezha::workloads::syn_flood::SynFlood;
@@ -21,7 +22,6 @@ fn cluster_with(f: impl FnOnce(&mut ClusterConfig)) -> Cluster {
             servers_per_rack: 12,
             racks_per_pod: 2,
             pods: 1,
-            ..TopologyConfig::default()
         })
         .auto(false)
         .build();
@@ -72,7 +72,7 @@ fn syn_flood_without_short_aging_would_blow_the_table() {
     // Counterfactual: set SYN aging equal to the 8s established timeout
     // and the same flood pins ~8x the entries.
     let mut c = cluster_with(|cfg| {
-        cfg.vswitch.syn_aging = cfg.vswitch.session_aging;
+        cfg.vswitch.syn_aging = SESSION_AGING;
     });
     c.trigger_offload(VNIC, SimTime::ZERO).unwrap();
     c.run_until(SimTime::ZERO + SimDuration::from_secs(3));
