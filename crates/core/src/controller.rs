@@ -54,6 +54,10 @@ pub const CONFIG_PUSH_MEDIAN: SimDuration = SimDuration::from_millis(430);
 pub const CONFIG_PUSH_SIGMA: f64 = 0.50;
 /// Delay for a gateway table update to apply.
 pub const GATEWAY_UPDATE_DELAY: SimDuration = SimDuration::from_millis(100);
+/// Slack past the learning interval before a falling-back vNIC's FEs are
+/// torn down, so packets a sender launched under the old mapping still
+/// find an FE.
+pub const FALLBACK_FINAL_MARGIN: SimDuration = SimDuration::from_millis(50);
 /// Health-monitor ping period (§4.4).
 pub const PING_PERIOD: SimDuration = SimDuration::from_millis(500);
 /// Missed pings before a vSwitch is declared crashed.
@@ -491,38 +495,54 @@ impl Cluster {
     pub fn trigger_fallback(&mut self, vnic: VnicId, now: SimTime) -> NezhaResult<()> {
         let meta = self
             .be_meta
-            .get_mut(&vnic)
+            .get(&vnic)
             .ok_or(NezhaError::NotOffloaded(vnic))?;
         if meta.phase != OffloadPhase::Offloaded {
             return Err(NezhaError::OffloadInProgress(vnic));
         }
-        let home = self.vnic_home[&vnic];
-        // Re-arm the BE with the master tables first (dual-running again).
+        self.begin_fallback(vnic, now)?;
+        self.tel.inc(Ctr::FallbackEvents);
+        Ok(())
+    }
+
+    /// The fallback both the management plane ([`Cluster::trigger_fallback`])
+    /// and the data plane's graceful degradation start: re-arm the home
+    /// with the master tables unless it still holds them (dual-running
+    /// again), enter `FallbackDual`, point the gateway back at the BE,
+    /// and tear the FEs down once every sender has learned that. Changes
+    /// nothing on error.
+    pub(crate) fn begin_fallback(&mut self, vnic: VnicId, now: SimTime) -> NezhaResult<()> {
+        let home = *self
+            .vnic_home
+            .get(&vnic)
+            .ok_or(NezhaError::UnknownVnic(vnic))?;
         let master = self
             .master_vnics
             .get(&vnic)
-            .ok_or(NezhaError::UnknownVnic(vnic))?
-            .clone();
-        self.switches[home.0 as usize]
-            .add_vnic(master)
-            .map_err(|_| NezhaError::InsufficientMemory { what: "BE tables" })?;
-        let Some(meta) = self.be_meta.get_mut(&vnic) else {
-            return Err(NezhaError::NotOffloaded(vnic));
-        };
+            .ok_or(NezhaError::UnknownVnic(vnic))?;
+        let meta = self
+            .be_meta
+            .get_mut(&vnic)
+            .ok_or(NezhaError::NotOffloaded(vnic))?;
+        let vs = &mut self.switches[home.0 as usize];
+        if vs.vnic(vnic).is_none() {
+            vs.add_vnic(master.clone())
+                .map_err(|_| NezhaError::InsufficientMemory { what: "BE tables" })?;
+        }
         meta.phase = OffloadPhase::FallbackDual;
-        self.tel.inc(Ctr::FallbackEvents);
-        // Gateway points back at the BE; once learned, tear the FEs down.
         let addr = self.vnic_addr[&vnic];
         let gw_at = now + GATEWAY_UPDATE_DELAY;
         self.engine.schedule_at(
             gw_at,
             Event::config(ConfigOp::GatewayUpdate {
                 addr,
+                // Allocates: fallback is a rare control-plane event, not
+                // per-packet work.
                 servers: vec![home],
             }),
         );
         self.engine.schedule_at(
-            gw_at + LEARNING_INTERVAL + SimDuration::from_millis(50),
+            gw_at + LEARNING_INTERVAL + FALLBACK_FINAL_MARGIN,
             Event::config(ConfigOp::FallbackFinal { vnic }),
         );
         Ok(())

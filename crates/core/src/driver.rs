@@ -2,13 +2,13 @@
 //! exponential backoff, terminal accounting (complete / deny / lose),
 //! and standalone probe packets.
 //!
-//! This is the layer *around* the datapath: it turns [`ConnSpec`]
-//! scripts into `Event::Arrive` packets and consumes the terminal
-//! callbacks the datapath handlers fire through `HandlerCtx`.
+//! This is the layer *around* the BE/FE handlers: it turns [`ConnSpec`]
+//! scripts into `Event::Arrive` packets, and the handlers call its
+//! terminal accounting (`lose_packet`, `deny_conn`, `complete_step`).
 
 use crate::cluster::Cluster;
 use crate::conn::{ConnSpec, ConnStatus};
-use crate::datapath::dispatch::{flow_hash, Event};
+use crate::dispatch::{flow_hash, Event};
 use crate::telemetry::{Ctr, Hist, Series};
 use nezha_sim::time::{SimDuration, SimTime};
 use nezha_types::{Direction, Packet, ServerId};

@@ -56,11 +56,6 @@ impl Gateway {
         self.pins.insert((addr, flow_hash), server);
     }
 
-    /// Removes an exact-flow override.
-    pub fn unpin(&mut self, addr: Ipv4Addr, flow_hash: u64) {
-        self.pins.remove(&(addr, flow_hash));
-    }
-
     /// Removes every override of `addr` that steers to `server` — called
     /// when that server stops being one of the vNIC's FEs (failover,
     /// scale-in), so a dead pin cannot blackhole its flow.
@@ -138,14 +133,6 @@ impl Gateway {
         self.entries.get(&addr).map(|e| e.current.as_slice())
     }
 
-    /// The instant by which *every* sender has learned the latest mapping
-    /// for `addr`: `switch_at + LEARNING_INTERVAL`.
-    pub fn fully_learned_at(&self, addr: Ipv4Addr) -> Option<SimTime> {
-        self.entries
-            .get(&addr)
-            .map(|e| e.switch_at + LEARNING_INTERVAL)
-    }
-
     /// Number of mapped addresses.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -206,7 +193,10 @@ mod tests {
         for s in 0..64 {
             assert_eq!(g.select(addr, ServerId(s), 0, t2), Some(ServerId(2)));
         }
-        assert_eq!(g.fully_learned_at(addr), Some(t2));
+        // The bound holds for every sender, not only the ones sampled.
+        for s in 0..4096 {
+            assert_eq!(g.resolve(addr, ServerId(s), t2), Some(&[ServerId(2)][..]));
+        }
     }
 
     #[test]
@@ -267,7 +257,11 @@ mod tests {
         assert_eq!(g.select(addr, ServerId(0), h, t), Some(target));
         // Other hashes unaffected.
         assert!(g.select(addr, ServerId(0), h + 1, t).is_some());
-        g.unpin(addr, h);
+        // Unpinning another server leaves the override; unpinning its
+        // target removes it.
+        g.unpin_server(addr, unpinned);
+        assert_eq!(g.select(addr, ServerId(0), h, t), Some(target));
+        g.unpin_server(addr, target);
         assert_eq!(g.select(addr, ServerId(0), h, t), Some(unpinned));
     }
 

@@ -22,16 +22,15 @@
 //! * [`gateway`] — the versioned vNIC→server table with the 200 ms
 //!   learning interval that forces Nezha's dual-running stage;
 //! * [`fe`] / [`be`] — the frontend (rules + cached flows, stateless) and
-//!   backend (state only) roles;
+//!   backend (state only) roles, each with its per-packet handlers;
 //! * [`vm`] — the VM kernel model whose saturation produces Fig. 10;
 //! * [`conn`] — TCP_CRR-style connection scripts driven through the fabric;
 //! * [`cluster`] — the event-driven world tying everything together:
-//!   construction and accessors live here, while the per-packet BE/FE
-//!   handlers live in the private `datapath` module (`dispatch` demux,
-//!   `be`/`fe` handlers, and the `HandlerCtx` cross-cutting layer),
-//!   configuration in [`config`], instrument registration in
-//!   [`telemetry`], and connection-script driving in the private
-//!   `driver` module;
+//!   construction and accessors live here, the event match and the NSH
+//!   demux that hands each packet to its [`be`] or [`fe`] handler in the
+//!   private `dispatch` module, configuration in [`config`], instrument
+//!   registration in [`telemetry`], and connection-script driving in the
+//!   private `driver` module;
 //! * [`controller`] — offload/fallback/scale-out/scale-in per Fig. 8;
 //! * [`monitor`] — ping-polling crash detection and ≤2 s failover;
 //! * [`migration`] — the VM live-migration cost model (Fig. A1);
@@ -58,7 +57,7 @@ mod cluster_tests;
 pub mod config;
 pub mod conn;
 pub mod controller;
-mod datapath;
+mod dispatch;
 mod driver;
 pub mod fe;
 pub mod gateway;

@@ -42,7 +42,10 @@
 #            the start chain against queue-every-start order), the `nezha-core`
 #            memory-ledger walk (after every lifecycle edge, from offload
 #            to a peer mapping that finds an FE host full, each server's
-#            pool equals what its owners hold), the reduced chaos
+#            pool equals what its owners hold), the datapath goldens
+#            (`refactor_equivalence`: stats, metrics hash and flamegraph
+#            of four scenario families on three seeds each, the gate for
+#            any BE/FE handler refactor), the reduced chaos
 #            smoke scenario
 #            so the fault-injection path is never shipped unexercised,
 #            plus the profiler smoke run
@@ -105,6 +108,8 @@ if [ "$fast" -eq 1 ]; then
     cargo test -q -p nezha-core conn
     echo "==> cargo test -q -p nezha-core ledger   (--fast: every server's pool equals what its owners hold, across the lifecycle)"
     cargo test -q -p nezha-core ledger
+    echo "==> cargo test -q --test refactor_equivalence   (--fast: the datapath goldens)"
+    cargo test -q --test refactor_equivalence
     echo "==> cargo test -q --test chaos smoke_   (--fast: reduced chaos scenario)"
     cargo test -q --test chaos smoke_
     echo "==> experiments profile   (--fast: profiler smoke, report and artifacts to target/reports)"
