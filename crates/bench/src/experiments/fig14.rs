@@ -7,6 +7,7 @@
 
 use crate::experiments::harness::{self, TestbedOpts};
 use crate::output::*;
+use nezha_sim::fault::FaultPlan;
 use nezha_sim::time::{SimDuration, SimTime};
 use nezha_workloads::cps::CpsWorkload;
 
@@ -33,14 +34,14 @@ pub fn run() -> BenchReport {
         cluster.add_conn(s).unwrap();
     }
     let victim = cluster.fe_servers(harness::VNIC)[0];
-    let crash_at = start + SimDuration::from_secs(6);
-    cluster.crash_at(victim, crash_at);
+    let crash = start + SimDuration::from_secs(6);
+    cluster.apply_fault_plan(FaultPlan::new().crash(crash, victim));
     cluster.run_until(start + SimDuration::from_secs(16));
 
     // Loss rate per 100 ms bin around the crash.
     let snap = cluster.metrics().snapshot();
     let ratios = snap.series("pkt.loss").ratio(snap.series("pkt.total"));
-    let t0 = crash_at.as_secs_f64();
+    let t0 = crash.as_secs_f64();
     let series: Vec<(f64, f64)> = ratios
         .into_iter()
         .filter(|(t, _)| (*t >= t0 - 1.0) && (*t <= t0 + 5.0))

@@ -5,6 +5,7 @@
 
 use nezha::core::cluster::{Cluster, ClusterConfig};
 use nezha::core::vm::VmConfig;
+use nezha::sim::fault::FaultPlan;
 use nezha::sim::time::{SimDuration, SimTime};
 use nezha::types::{Ipv4Addr, ServerId, VnicId, VpcId};
 use nezha::vswitch::vnic::{Vnic, VnicProfile};
@@ -46,11 +47,11 @@ fn main() {
         cluster.add_conn(s).unwrap();
     }
     let victim = fes[0];
-    let crash_at = start + SimDuration::from_secs(6);
-    cluster.crash_at(victim, crash_at);
+    let crash = start + SimDuration::from_secs(6);
+    cluster.apply_fault_plan(FaultPlan::new().crash(crash, victim));
     println!(
         "scheduling crash of FE {victim} at t={:.1}s",
-        crash_at.as_secs_f64()
+        crash.as_secs_f64()
     );
 
     // Sample the pool every second; report the packets lost during each

@@ -5,6 +5,7 @@
 use nezha::core::cluster::{Cluster, ClusterConfig};
 use nezha::core::conn::{ConnKind, ConnSpec};
 use nezha::core::vm::VmConfig;
+use nezha::sim::fault::FaultPlan;
 use nezha::sim::time::{SimDuration, SimTime};
 use nezha::sim::topology::TopologyConfig;
 use nezha::sim::trace::TraceEvent;
@@ -54,7 +55,7 @@ fn run_scenario(seed: u64) -> (u64, u64, u64, f64, Vec<ServerId>, u64) {
     }
     // Inject a crash mid-run for the failure paths too.
     let victim = c.fe_servers(VnicId(1))[0];
-    c.crash_at(victim, c.now() + SimDuration::from_millis(150));
+    c.apply_fault_plan(FaultPlan::new().crash(c.now() + SimDuration::from_millis(150), victim));
     c.run_until(c.now() + SimDuration::from_secs(8));
 
     let mut fes = c.fe_servers(VnicId(1));
@@ -214,7 +215,7 @@ fn snapshots_are_seed_identical_and_seed_sensitive() {
 /// Covers the whole `nezha_sim::fault` engine — scheduling, the derived
 /// fault RNG stream, link-state machines, and recovery metrics.
 fn run_chaos_telemetry_scenario(seed: u64) -> String {
-    use nezha::sim::fault::{FaultPlan, GilbertElliott};
+    use nezha::sim::fault::GilbertElliott;
     let cfg = ClusterConfig::builder()
         .topology(TopologyConfig {
             servers_per_rack: 12,

@@ -5,6 +5,7 @@
 use nezha::core::cluster::{Cluster, ClusterConfig};
 use nezha::core::conn::{ConnKind, ConnSpec};
 use nezha::core::vm::VmConfig;
+use nezha::sim::fault::FaultPlan;
 use nezha::sim::time::{SimDuration, SimTime};
 use nezha::sim::topology::TopologyConfig;
 use nezha::types::{FiveTuple, Ipv4Addr, ServerId, VnicId, VpcId};
@@ -58,9 +59,9 @@ fn steady_traffic(c: &mut Cluster, count: u32, spacing: SimDuration) {
 fn detection_and_failover_complete_within_2_5s() {
     let mut c = cluster();
     let victim = c.fe_servers(VNIC)[0];
-    let crash_at = c.now() + SimDuration::from_secs(1);
-    c.crash_at(victim, crash_at);
-    c.run_until(crash_at + SimDuration::from_millis(2_500));
+    let crash = c.now() + SimDuration::from_secs(1);
+    c.apply_fault_plan(FaultPlan::new().crash(crash, victim));
+    c.run_until(crash + SimDuration::from_millis(2_500));
     // Paper §4.4 / Fig. 14: detection + failover within ~2 s.
     assert_eq!(c.stats().failover_events, 1, "failover must have completed");
     let fes = c.fe_servers(VNIC);
@@ -76,12 +77,18 @@ fn traffic_recovers_after_crash_via_retransmission() {
     let mut c = cluster();
     steady_traffic(&mut c, 3_000, SimDuration::from_millis(2)); // 6s of traffic
     let victim = c.fe_servers(VNIC)[0];
-    c.crash_at(victim, c.now() + SimDuration::from_secs(2));
+    c.apply_fault_plan(FaultPlan::new().crash(c.now() + SimDuration::from_secs(2), victim));
     c.run_until(c.now() + SimDuration::from_secs(12));
     let total = c.stats().completed + c.stats().failed + c.stats().denied;
     assert_eq!(total, 3_000);
     // Losses happened (the surge) ...
-    assert!(c.stats().pkts.dropped > 0);
+    let dropped = c.stats().pkts.dropped;
+    assert!(dropped > 0);
+    // ... the fault plane saw the crash, and every one of them happened
+    // while it was active.
+    let snap = c.metrics().snapshot();
+    assert_eq!(snap.counter("fault.events"), 1);
+    assert_eq!(snap.counter("fault.inflight_loss"), dropped);
     // ... but retransmission + failover saved nearly everything.
     assert!(
         c.stats().completed >= 2_980,
@@ -96,14 +103,14 @@ fn multiple_sequential_crashes_keep_the_pool_alive() {
     steady_traffic(&mut c, 4_000, SimDuration::from_millis(3)); // 12s
                                                                 // Crash two different FEs, 4 seconds apart.
     let f1 = c.fe_servers(VNIC)[0];
-    c.crash_at(f1, c.now() + SimDuration::from_secs(2));
+    c.apply_fault_plan(FaultPlan::new().crash(c.now() + SimDuration::from_secs(2), f1));
     c.run_until(c.now() + SimDuration::from_secs(5));
     let f2 = *c
         .fe_servers(VNIC)
         .iter()
         .find(|s| **s != f1)
         .expect("pool refilled");
-    c.crash_at(f2, c.now());
+    c.apply_fault_plan(FaultPlan::new().crash(c.now(), f2));
     c.run_until(c.now() + SimDuration::from_secs(9));
 
     assert_eq!(c.stats().failover_events, 2);
@@ -128,7 +135,7 @@ fn widespread_apparent_failure_suspends_auto_removal() {
     // Kill 3 of 4 simultaneously (in the model this stands in for a
     // monitor bug reporting them all unreachable).
     for &fe in &fes[..3] {
-        c.crash_at(fe, c.now() + SimDuration::from_millis(100));
+        c.apply_fault_plan(FaultPlan::new().crash(c.now() + SimDuration::from_millis(100), fe));
     }
     c.run_until(c.now() + SimDuration::from_secs(5));
     assert!(c.stats().monitor_suspensions >= 1, "monitor must suspend");
@@ -147,7 +154,7 @@ fn crash_of_a_nonmember_server_changes_nothing() {
     let fes_before = c.fe_servers(VNIC);
     let outsider = ServerId(11);
     assert!(!fes_before.contains(&outsider));
-    c.crash_at(outsider, c.now() + SimDuration::from_millis(100));
+    c.apply_fault_plan(FaultPlan::new().crash(c.now() + SimDuration::from_millis(100), outsider));
     c.run_until(c.now() + SimDuration::from_secs(4));
     assert_eq!(c.stats().failover_events, 0);
     let mut a = c.fe_servers(VNIC);

@@ -1,6 +1,6 @@
 //! Refactor-equivalence harness: pins the observable behavior of the
-//! datapath against fixtures generated **before** the `cluster.rs` →
-//! `datapath/` decomposition. Four scenario families (testbed, chaos,
+//! datapath against fixtures generated **before** the `cluster.rs`
+//! decomposition. Four scenario families (testbed, chaos,
 //! profile, multi_vnic) run on three seeds each; for every run the full
 //! [`ClusterStats`] view, the FNV-1a hash of the metrics snapshot JSON,
 //! and (for the profile scenario) the complete flamegraph text must be
@@ -17,6 +17,7 @@ use nezha::core::cluster::{Cluster, ClusterConfig, ClusterStats};
 use nezha::core::conn::{ConnKind, ConnSpec};
 use nezha::core::controller::ControllerConfig;
 use nezha::core::vm::VmConfig;
+use nezha::sim::fault::FaultPlan;
 use nezha::sim::rng::SimRng;
 use nezha::sim::time::{SimDuration, SimTime};
 use nezha::sim::topology::TopologyConfig;
@@ -171,7 +172,7 @@ fn run_testbed(seed: u64) -> String {
     c.enable_trace(8192);
     inbound_conns(&mut c, 300);
     let victim = c.fe_servers(VnicId(1))[0];
-    c.crash_at(victim, c.now() + SimDuration::from_millis(150));
+    c.apply_fault_plan(FaultPlan::new().crash(c.now() + SimDuration::from_millis(150), victim));
     c.run_until(c.now() + SimDuration::from_secs(8));
     let mut out = stats_repr(&mut c.stats());
     push_metrics_hash(&mut out, &c);
@@ -182,7 +183,7 @@ fn run_testbed(seed: u64) -> String {
 /// The chaos scenario from `tests/determinism.rs`: scripted crash,
 /// bursty Gilbert–Elliott link loss on the BE↔FE path, restart, heal.
 fn run_chaos(seed: u64) -> String {
-    use nezha::sim::fault::{FaultPlan, GilbertElliott};
+    use nezha::sim::fault::GilbertElliott;
     let mut c = offloaded_cluster(base_config(seed));
     inbound_conns(&mut c, 300);
     let fes = c.fe_servers(VnicId(1));

@@ -5,6 +5,7 @@
 use nezha::core::cluster::{Cluster, ClusterConfig};
 use nezha::core::conn::{ConnKind, ConnSpec};
 use nezha::core::vm::VmConfig;
+use nezha::sim::fault::FaultPlan;
 use nezha::sim::time::{SimDuration, SimTime};
 use nezha::sim::topology::TopologyConfig;
 use nezha::types::{FiveTuple, Ipv4Addr, ServerId, SessionKey, VnicId, VpcId};
@@ -201,7 +202,7 @@ fn pinned_flow_survives_its_dedicated_fe_crashing() {
     c.pin_flow(VNIC, key, dedicated).unwrap();
 
     // Crash the dedicated FE and let failover finish.
-    c.crash_at(dedicated, c.now() + SimDuration::from_millis(100));
+    c.apply_fault_plan(FaultPlan::new().crash(c.now() + SimDuration::from_millis(100), dedicated));
     c.run_until(c.now() + SimDuration::from_secs(4));
     assert!(!c.fe_servers(VNIC).contains(&dedicated));
 
