@@ -38,6 +38,11 @@
 //! `tests/shard_equivalence.rs`: **the same seed produces byte-identical
 //! results for any shard count**.
 //!
+//! The writes nothing in the loop reads back — the report's utilization
+//! samples and the observation windows — are applied on one consumer
+//! thread, in the order the loop makes them (`window`); everything
+//! else runs on the calling thread.
+//!
 //! Every distributional parameter is a constant next to the code that
 //! draws from it (`shard`, [`generator`]), documented against the paper
 //! quantity it was calibrated to.
@@ -65,7 +70,7 @@ use nezha_sim::stats::Samples;
 use nezha_sim::time::{SimDuration, SimTime};
 use shard::RegionShard;
 use stream::Stream;
-use window::EpochWindows;
+use window::{EpochWindows, Fold, Sink};
 
 /// Which capability a demand spike stresses (Fig. 3's hotspot causes).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -264,9 +269,9 @@ pub struct Region {
     /// own streams).
     completion_rng: SimRng,
     /// Per-epoch windowed rollup + SLO watchdog; `None` until
-    /// [`Region::enable_windows`]. One window per epoch, folded once at
-    /// the barrier ([`window`]) — the JSONL stream and SLO event log are
-    /// byte-identical for any shard count.
+    /// [`Region::enable_windows`]. One window per epoch, folded on the
+    /// sink's thread in barrier order ([`window`]) — the JSONL stream
+    /// and SLO event log are byte-identical for any shard count.
     windows: Option<EpochWindows>,
 }
 
@@ -292,8 +297,8 @@ impl Region {
     /// one window (counter deltas, utilization and completion-time
     /// histograms), retained in a ring of `retain` records, with `rules`
     /// evaluated at every close. Shards contribute counts, the
-    /// histograms are recorded at the barrier, so the window stream is
-    /// part of the shard-count-invariance contract.
+    /// histograms are recorded in ascending `(shard, server)` order, so
+    /// the window stream is part of the shard-count-invariance contract.
     pub fn enable_windows(&mut self, retain: usize, rules: Vec<SloRule>) {
         self.windows = Some(EpochWindows::new(retain, rules));
     }
@@ -337,11 +342,9 @@ impl Region {
         let total_epochs = sc.days as u64 * epochs_per_day;
         let model = TenantModel::from_config(&cfg);
         let servers = cfg.servers as u64;
-        let mut report = RegionReport::default();
         // Every server reports one sample per epoch, crashed or not.
         let samples = total_epochs as usize * cfg.servers;
-        report.cpu_utils.reserve(samples);
-        report.mem_utils.reserve(samples);
+        let sink = Sink::new(samples, self.windows.take());
         let mut barrier = Barrier::new(&cfg);
         let mut inboxes: Vec<ShardInbox> = vec![ShardInbox::default(); self.shards.len()];
 
@@ -349,111 +352,108 @@ impl Region {
             sh.begin_run(&cfg, sc, &model, total_epochs, epoch_ns);
         }
 
-        if let Some(w) = &mut self.windows {
-            w.begin_run();
-        }
-
-        // Nezha proactively offloads every server already above the
-        // threshold at rollout; grants land in epoch 0's inboxes.
-        if nezha {
-            let per_shard: Vec<(u32, Vec<OffloadRequest>)> = self
-                .shards
-                .iter_mut()
-                .map(|sh| (sh.id(), sh.initial_requests()))
-                .collect();
-            let outcome = barrier.resolve_requests(per_shard);
-            self.record_grants(&outcome, &mut report, &mut inboxes);
-            // These land in epoch 0's inboxes, so they are accounted to
-            // this run's first window.
-            if let Some(w) = &mut self.windows {
-                w.note_grants(&outcome);
+        // Everything below runs here except the writes nothing reads
+        // back — the utilization samples and the windows — which go to
+        // the sink's thread in the order they are made (`window`).
+        let (mut report, sink) = sink.run(self.shards.len(), |tx| {
+            let mut report = RegionReport::default();
+            // Nezha proactively offloads every server already above the
+            // threshold at rollout; grants land in epoch 0's inboxes, so
+            // they are accounted to this run's first window.
+            if nezha {
+                let per_shard: Vec<(u32, Vec<OffloadRequest>)> = self
+                    .shards
+                    .iter_mut()
+                    .map(|sh| (sh.id(), sh.initial_requests()))
+                    .collect();
+                let outcome = barrier.resolve_requests(per_shard);
+                self.record_grants(&outcome, &mut report, &mut inboxes);
+                tx.send(Fold::Grants(outcome));
             }
-        }
 
-        let (mut day_cps, mut day_flows, mut day_vnics) = (0u64, 0u64, 0u64);
-        for epoch in 0..total_epochs {
-            let t_epoch = SimTime(epoch * epoch_ns);
-            let mut plan =
-                barrier.plan_epoch(epoch, t_epoch, sc, servers, epochs_per_day, epoch_ns);
-            if plan.flash.is_some() {
-                report.flash_crowds += 1;
-            }
-            if let Some(wave) = plan.wave.take() {
-                let spec = self.spec;
-                let subs =
-                    wave.split_by_server(spec.shards(), |sid| spec.owner(u64::from(sid.raw())));
-                for (sh, sub) in self.shards.iter_mut().zip(subs) {
-                    sh.apply_fault_plan(sub);
+            let (mut day_cps, mut day_flows, mut day_vnics) = (0u64, 0u64, 0u64);
+            for epoch in 0..total_epochs {
+                let t_epoch = SimTime(epoch * epoch_ns);
+                let mut plan =
+                    barrier.plan_epoch(epoch, t_epoch, sc, servers, epochs_per_day, epoch_ns);
+                if plan.flash.is_some() {
+                    report.flash_crowds += 1;
                 }
-            }
-
-            // Run every shard, folding outputs in ascending shard order
-            // (float accumulation order must be partition-independent).
-            let mut requests: Vec<(u32, Vec<OffloadRequest>)> =
-                Vec::with_capacity(self.shards.len());
-            let mut migrations: Vec<(u32, Vec<Migration>)> = Vec::with_capacity(self.shards.len());
-            for sh in &mut self.shards {
-                let inbox = std::mem::take(&mut inboxes[sh.id() as usize]);
-                let mut out = sh.run_epoch(
-                    t_epoch,
-                    &plan,
-                    &inbox,
-                    &cfg,
-                    sc,
-                    &model,
-                    nezha,
-                    epochs_per_day,
-                );
-                for &(cpu, mem) in sh.utils() {
-                    report.cpu_utils.record(cpu);
-                    report.mem_utils.record(mem);
-                    if let Some(w) = &mut self.windows {
-                        w.record_util(cpu, mem);
+                if let Some(wave) = plan.wave.take() {
+                    let spec = self.spec;
+                    let subs =
+                        wave.split_by_server(spec.shards(), |sid| spec.owner(u64::from(sid.raw())));
+                    for (sh, sub) in self.shards.iter_mut().zip(subs) {
+                        sh.apply_fault_plan(sub);
                     }
                 }
-                day_cps += out.overloads[0];
-                day_flows += out.overloads[1];
-                day_vnics += out.overloads[2];
-                report.tenant_births += out.births;
-                report.tenant_deaths += out.deaths;
-                report.fault_crashes += out.crashes;
-                report.scale_out_events += out.scale_outs;
-                report.total_fes_provisioned += out.scale_outs;
-                barrier.charge_scale_outs(out.scale_outs);
-                if let Some(w) = &mut self.windows {
-                    w.add_effects(out.window_effects());
+
+                // Run every shard, folding outputs in ascending shard
+                // order (float accumulation order must be
+                // partition-independent).
+                let mut requests: Vec<(u32, Vec<OffloadRequest>)> =
+                    Vec::with_capacity(self.shards.len());
+                let mut migrations: Vec<(u32, Vec<Migration>)> =
+                    Vec::with_capacity(self.shards.len());
+                for sh in &mut self.shards {
+                    let inbox = std::mem::take(&mut inboxes[sh.id() as usize]);
+                    let mut out = sh.run_epoch(
+                        t_epoch,
+                        &plan,
+                        &inbox,
+                        &cfg,
+                        sc,
+                        &model,
+                        nezha,
+                        epochs_per_day,
+                    );
+                    tx.send(Fold::Utils(sh.swap_utils(tx.spare())));
+                    day_cps += out.overloads[0];
+                    day_flows += out.overloads[1];
+                    day_vnics += out.overloads[2];
+                    report.tenant_births += out.births;
+                    report.tenant_deaths += out.deaths;
+                    report.fault_crashes += out.crashes;
+                    report.scale_out_events += out.scale_outs;
+                    report.total_fes_provisioned += out.scale_outs;
+                    barrier.charge_scale_outs(out.scale_outs);
+                    tx.send(Fold::Effects(out.window_effects()));
+                    requests.push((sh.id(), std::mem::take(&mut out.requests)));
+                    migrations.push((sh.id(), std::mem::take(&mut out.migrations)));
                 }
-                requests.push((sh.id(), std::mem::take(&mut out.requests)));
-                migrations.push((sh.id(), std::mem::take(&mut out.migrations)));
-            }
 
-            // Barrier: resolve this epoch's offload requests in global
-            // server order against the FE pool; route migrations to the
-            // owners of their destination servers. Both apply next epoch.
-            let outcome = barrier.resolve_requests(requests);
-            self.record_grants(&outcome, &mut report, &mut inboxes);
-            if let Some(w) = &mut self.windows {
-                w.note_grants(&outcome);
-            }
-            let mut win_migrations = 0u64;
-            for m in Barrier::merge_migrations(migrations) {
-                report.migrations += 1;
-                win_migrations += 1;
-                inboxes[self.spec.owner(m.1) as usize].arrivals.push(m);
-            }
+                // Barrier: resolve this epoch's offload requests in global
+                // server order against the FE pool; route migrations to
+                // the owners of their destination servers. Both apply
+                // next epoch.
+                let outcome = barrier.resolve_requests(requests);
+                self.record_grants(&outcome, &mut report, &mut inboxes);
+                tx.send(Fold::Grants(outcome));
+                let mut win_migrations = 0u64;
+                for m in Barrier::merge_migrations(migrations) {
+                    report.migrations += 1;
+                    win_migrations += 1;
+                    inboxes[self.spec.owner(m.1) as usize].arrivals.push(m);
+                }
+                tx.send(Fold::Close {
+                    start: t_epoch,
+                    end: SimTime((epoch + 1) * epoch_ns),
+                    migrations: win_migrations,
+                    flash: plan.flash.is_some(),
+                });
 
-            if let Some(w) = &mut self.windows {
-                let end = SimTime((epoch + 1) * epoch_ns);
-                w.close(t_epoch, end, win_migrations, plan.flash.is_some());
+                if (epoch + 1) % epochs_per_day == 0 {
+                    report.daily_cps.push(day_cps);
+                    report.daily_flows.push(day_flows);
+                    report.daily_vnics.push(day_vnics);
+                    (day_cps, day_flows, day_vnics) = (0, 0, 0);
+                }
             }
-
-            if (epoch + 1) % epochs_per_day == 0 {
-                report.daily_cps.push(day_cps);
-                report.daily_flows.push(day_flows);
-                report.daily_vnics.push(day_vnics);
-                (day_cps, day_flows, day_vnics) = (0, 0, 0);
-            }
-        }
+            report
+        });
+        report.cpu_utils = sink.cpu;
+        report.mem_utils = sink.mem;
+        self.windows = sink.windows;
         report
     }
 

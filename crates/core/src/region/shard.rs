@@ -93,9 +93,9 @@ impl QueueEvent {
 }
 
 /// Everything one shard reports from one epoch besides the utilization
-/// samples (those stay in the shard's reused buffer,
-/// [`RegionShard::utils`]). Consumed by the barrier in ascending shard
-/// order.
+/// samples (those are handed over in a buffer,
+/// [`RegionShard::swap_utils`]). Consumed by the barrier in ascending
+/// shard order.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct EpochOutput {
     /// Offload requests (server, completion secs), ascending server order.
@@ -121,7 +121,7 @@ impl EpochOutput {
     /// observability plane: counter deltas, nothing else. Counts with
     /// the same key add at the barrier, so the window record is the same
     /// for any shard count; the window's histograms are the region's own
-    /// (it sees every sample once, in [`RegionShard::utils`]).
+    /// (it sees every sample once, via [`RegionShard::swap_utils`]).
     pub(crate) fn window_effects(&self) -> [(&'static str, u64); 10] {
         [
             ("region.overload.cps", self.overloads[0]),
@@ -165,7 +165,8 @@ pub(crate) struct RegionShard {
     /// Drain buffer reused across epochs.
     drained: Vec<QueueEvent>,
     /// `(cpu, mem)` utilization per owned server from the last epoch,
-    /// ascending server order; reused across epochs.
+    /// ascending server order; swapped for an emptied buffer when the
+    /// region hands it to its sink.
     utils: Vec<(f64, f64)>,
 }
 
@@ -213,10 +214,11 @@ impl RegionShard {
         self.id
     }
 
-    /// The last epoch's `(cpu, mem)` utilization per owned server, in
-    /// ascending server order (empty before the first epoch).
-    pub fn utils(&self) -> &[(f64, f64)] {
-        &self.utils
+    /// Hands over the last epoch's `(cpu, mem)` utilization per owned
+    /// server, in ascending server order, and keeps the empty `spare`
+    /// buffer for the next epoch's.
+    pub fn swap_utils(&mut self, spare: Vec<(f64, f64)>) -> Vec<(f64, f64)> {
+        std::mem::replace(&mut self.utils, spare)
     }
 
     /// Events still pending on the shard queue (tenant lifecycle +
@@ -355,6 +357,7 @@ impl RegionShard {
     ) -> EpochOutput {
         let mut out = EpochOutput::default();
         self.utils.clear();
+        self.utils.reserve(self.servers.len());
 
         // 1. Barrier responses from last epoch (disjoint server sets).
         for &g in &inbox.grants {

@@ -385,6 +385,33 @@ fn a_second_run_continues_the_window_stream() {
 }
 
 #[test]
+fn a_zero_day_run_leaves_only_its_rollout_grants_and_the_next_run_drops_them() {
+    let mut r = Region::new(stress_cfg());
+    r.enable_windows(24, region_rules());
+    // No epoch runs, but the rollout still resolves its grants and the
+    // sink still hands the windows back.
+    let empty = r.run_scenario(&Scenario::quiet(0), true);
+    assert_eq!(empty.cpu_utils.len(), 0);
+    assert_eq!(empty.mem_utils.len(), 0);
+    assert!(
+        empty.offload_events > 0,
+        "no rollout grants to leave behind"
+    );
+    assert_eq!(r.windows().unwrap().closed(), 0);
+
+    // Those grants sat in the open window; the next run starts it over,
+    // so its windows count only its own grants.
+    let day = r.run_scenario(&Scenario::quiet(1), true);
+    let w = r.windows().unwrap();
+    assert_eq!(w.closed(), 24);
+    let granted: u64 = w
+        .windows()
+        .map(|rec| rec.counter("region.offload_granted"))
+        .sum();
+    assert_eq!(granted, day.offload_events);
+}
+
+#[test]
 fn production_day_exercises_every_stressor() {
     let mut r = Region::new(stress_cfg());
     let report = r.run_scenario(&Scenario::production_day(), true);

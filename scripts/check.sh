@@ -40,6 +40,13 @@
 #            registered with, the cluster runs that check it frees every finished chunk,
 #            and `conn_starts_keep_registration_order_through_the_chain_and_its_fallbacks`:
 #            the start chain against queue-every-start order), the `nezha-core`
+#            region tests (the paper-shape calibrations, the window stream
+#            against the report, a second run continuing it and a zero-day
+#            run whose rollout grants the next run drops: the region's
+#            samples and windows are applied on a second thread, and these
+#            pin what that thread writes), the region and cluster
+#            same-seed replays (`tests/determinism.rs`: thread timing
+#            must never reach output), the `nezha-core`
 #            memory-ledger walk (after every lifecycle edge, from offload
 #            to a peer mapping that finds an FE host full, each server's
 #            pool equals what its owners hold), the datapath goldens
@@ -106,6 +113,10 @@ if [ "$fast" -eq 1 ]; then
     cargo test -q -p nezha-sim engine
     echo "==> cargo test -q -p nezha-core conn   (--fast: the connection table frees finished chunks and keeps start order)"
     cargo test -q -p nezha-core conn
+    echo "==> cargo test -q -p nezha-core region   (--fast: window stream, second run, zero-day run)"
+    cargo test -q -p nezha-core region
+    echo "==> cargo test -q --test determinism   (--fast: same-seed region and cluster runs replay bit for bit)"
+    cargo test -q --test determinism
     echo "==> cargo test -q -p nezha-core ledger   (--fast: every server's pool equals what its owners hold, across the lifecycle)"
     cargo test -q -p nezha-core ledger
     echo "==> cargo test -q --test refactor_equivalence   (--fast: the datapath goldens)"

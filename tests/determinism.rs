@@ -390,3 +390,65 @@ fn different_seeds_differ_somewhere() {
         "seeds 1 and 2 produced byte-identical runs"
     );
 }
+
+/// Everything a region run produces: every counter and daily row, the
+/// raw bits of each sample set, the window stream and the SLO event
+/// count. The region applies its samples and windows on a second thread,
+/// so this is also the check that thread timing never reaches output.
+fn run_region_scenario(seed: u64) -> (Vec<u64>, Vec<String>, usize) {
+    use nezha::core::region::{Region, RegionConfig, Scenario};
+    use nezha::sim::obs::SloRule;
+    let mut region = Region::new(RegionConfig {
+        servers: 1_200,
+        shards: 4,
+        seed,
+        epoch: SimDuration::from_secs(3600),
+        tenants: 60_000,
+        spike_prob: 0.01,
+        ..RegionConfig::default()
+    });
+    region.enable_windows(
+        24,
+        vec![
+            SloRule::p99_above("cpu_p99_hot", "region.util.cpu", 0.60),
+            SloRule::counter_above("flash_crowd", "region.flash_crowds", 0),
+        ],
+    );
+    let r = region.run_scenario(&Scenario::production_day(), true);
+    let mut bits = vec![
+        r.offload_events,
+        r.offload_denied,
+        r.total_fes_provisioned,
+        r.scale_out_events,
+        r.tenant_births,
+        r.tenant_deaths,
+        r.migrations,
+        r.flash_crowds,
+        r.fault_crashes,
+    ];
+    for daily in [&r.daily_cps, &r.daily_flows, &r.daily_vnics] {
+        bits.extend(daily.iter().copied());
+    }
+    for samples in [&r.cpu_utils, &r.mem_utils, &r.completion_times] {
+        bits.push(samples.len() as u64);
+        bits.extend(samples.raw().iter().map(|v| v.to_bits()));
+    }
+    let w = region.windows().unwrap();
+    (bits, w.jsonl_lines().to_vec(), w.watchdog().events().len())
+}
+
+#[test]
+fn region_runs_replay_identically() {
+    let a = run_region_scenario(42);
+    let b = run_region_scenario(42);
+    assert_eq!(a.0, b.0, "report counters or sample bits diverged");
+    assert_eq!(a.1, b.1, "window stream diverged");
+    assert_eq!(a.2, b.2, "SLO event count diverged");
+    // The run did real work: one window per hour, samples for every
+    // server-epoch, and a production day trips the rules.
+    assert_eq!(a.1.len(), 24);
+    assert!(a.2 > 0, "no SLO event");
+
+    let c = run_region_scenario(43);
+    assert_ne!(a.0, c.0, "seeds 42 and 43 produced byte-identical reports");
+}
