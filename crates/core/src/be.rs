@@ -211,7 +211,7 @@ impl Cluster {
     fn degrade_if_collapsed(&mut self, vnic: VnicId, now: SimTime) -> bool {
         let collapsed = self.be_meta.get(&vnic).is_some_and(|m| {
             m.phase == OffloadPhase::Offloaded
-                && !m.ready_fes().iter().any(|fe| self.alive[fe.0 as usize])
+                && m.ready_fes().iter().all(|fe| self.faults.is_crashed(*fe))
         });
         if !collapsed || self.begin_fallback(vnic, now).is_err() {
             return false;

@@ -119,7 +119,6 @@ pub struct Cluster {
     /// Event engine.
     pub engine: Engine<Event>,
     pub(crate) switches: Vec<VSwitch>,
-    pub(crate) alive: Vec<bool>,
     /// The gateway's versioned vNIC-server table.
     pub gateway: Gateway,
     /// FE instances keyed by `(host, vnic)`. Dense-hashed: each FE visit
@@ -157,12 +156,10 @@ pub struct Cluster {
     /// Monitor bookkeeping.
     pub(crate) monitor: MonitorState,
     pub(crate) rng: SimRng,
-    /// Blackholed directed server pairs (fabric faults between otherwise
-    /// healthy servers — the Appendix C.1 scenario the centralized
-    /// monitor cannot see).
-    blackholes: std::collections::BTreeSet<(ServerId, ServerId)>,
-    /// Live scripted fault conditions (chaos injection). Sampled from its
-    /// own forked RNG stream so fault outcomes replay seed-for-seed.
+    /// Live scripted fault conditions (chaos injection), the one record
+    /// of which servers are crashed and which paths are cut. Sampled
+    /// from its own forked RNG stream so fault outcomes replay
+    /// seed-for-seed.
     pub(crate) faults: FaultState,
 }
 
@@ -185,7 +182,6 @@ impl Cluster {
             topo,
             engine,
             switches,
-            alive: vec![true; n],
             gateway: Gateway::new(),
             fes: DenseMap::new(),
             be_meta: DenseMap::new(),
@@ -203,7 +199,6 @@ impl Cluster {
             // (refactor_equivalence, the benchmark's payload digests);
             // migrate when re-baselining.
             rng: SimRng::new(cfg.seed),
-            blackholes: std::collections::BTreeSet::new(),
             // An independent stream derived from the seed (not forked from
             // `rng`, so enabling faults never perturbs baseline draws).
             // The mix is pinned by the same goldens.
@@ -212,19 +207,6 @@ impl Cluster {
             )),
             cfg,
         }
-    }
-
-    /// Blackholes the fabric path between two servers in both directions
-    /// (a link/switch fault the servers themselves survive). The BE↔FE
-    /// mutual ping (Appendix C.1) is the only detector for this.
-    pub fn blackhole_link(&mut self, a: ServerId, b: ServerId) {
-        self.blackholes.insert((a, b));
-        self.blackholes.insert((b, a));
-    }
-
-    /// True when the directed path `from -> to` is blackholed.
-    pub fn link_blackholed(&self, from: ServerId, to: ServerId) -> bool {
-        self.blackholes.contains(&(from, to))
     }
 
     /// Current simulated time.
@@ -349,10 +331,9 @@ impl Cluster {
             .ok_or(NezhaError::UnknownServer(s))
     }
 
-    /// Whether a server is alive (`false` for a server outside the
-    /// topology).
+    /// Whether a server is alive: in the topology and not crashed.
     pub fn is_alive(&self, s: ServerId) -> bool {
-        self.alive.get(s.0 as usize).copied().unwrap_or(false)
+        (s.0 as usize) < self.switches.len() && !self.faults.is_crashed(s)
     }
 
     /// The BE metadata of an offloaded vNIC, if any.
@@ -648,22 +629,17 @@ impl Cluster {
     }
 
     /// Applies one scripted fault transition: cluster-level side effects
-    /// first (liveness flags, vSwitch cycle multipliers), then the
-    /// recorded condition set the per-packet queries are answered from.
+    /// first (the monitor's crash clock, vSwitch cycle multipliers), then
+    /// the recorded condition set liveness and the per-packet queries are
+    /// answered from.
     pub(crate) fn handle_fault(&mut self, kind: FaultKind, now: SimTime) {
         self.tel.inc(Ctr::FaultEvents);
         match &kind {
-            FaultKind::Crash { server } => {
-                // A server outside the topology has nothing to crash.
-                if let Some(alive) = self.alive.get_mut(server.0 as usize) {
-                    *alive = false;
-                    self.monitor.crash_pending.insert(*server, now);
-                }
+            // A server outside the topology has nothing to crash.
+            FaultKind::Crash { server } if (server.0 as usize) < self.switches.len() => {
+                self.monitor.crash_pending.insert(*server, now);
             }
             FaultKind::Restart { server } => {
-                if let Some(alive) = self.alive.get_mut(server.0 as usize) {
-                    *alive = true;
-                }
                 self.monitor.crash_pending.remove(server);
             }
             FaultKind::GraySlow { server, multiplier } => {

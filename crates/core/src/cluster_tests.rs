@@ -122,11 +122,12 @@ fn scheduled_retries_back_off_exponentially_with_bounded_jitter() {
     }
 }
 
-/// A connection on a blackholed path fails after `max_retries` retries,
+/// A connection on a partitioned path fails after `max_retries` retries,
 /// and a `max_retries` beyond what its counter holds still ends it: the
-/// full counter counts as exhausted, after 255 retries.
+/// full counter counts as exhausted, after 255 retries. Every attempt is
+/// a fault drop, counted once.
 #[test]
-fn retries_exhaust_on_a_blackholed_path_whatever_max_retries_says() {
+fn retries_exhaust_on_a_partitioned_path_whatever_max_retries_says() {
     for (max_retries, attempts) in [(5, 6), (u32::MAX, 256)] {
         let cfg = ClusterConfig::builder()
             .topology(small_topology())
@@ -135,12 +136,24 @@ fn retries_exhaust_on_a_blackholed_path_whatever_max_retries_says() {
             .build();
         let mut c = with_service_vnic(cfg, VmConfig::with_vcpus(64));
         let spec = inbound_spec(1, SimTime(0));
-        c.blackhole_link(spec.peer_server, HOME);
+        c.apply_fault_plan(FaultPlan::new().partition(
+            SimTime(0),
+            vec![spec.peer_server],
+            vec![HOME],
+        ));
         let id = c.add_conn(spec).unwrap();
         c.run_until(SimTime(0) + SimDuration::from_secs(1_000));
         let stats = c.stats();
         assert_eq!(
             (stats.failed, stats.pkts.dropped),
+            (1, attempts),
+            "max_retries {max_retries}"
+        );
+        assert_eq!(
+            (
+                stats.fault_events,
+                c.metrics().snapshot().counter("fault.link_drops")
+            ),
             (1, attempts),
             "max_retries {max_retries}"
         );

@@ -160,10 +160,10 @@ impl Cluster {
         let n = self.switches.len();
         let mut to_scale_out: Vec<ServerId> = Vec::new();
         for i in 0..n {
-            if !self.alive[i] {
+            let server = ServerId(i as u32);
+            if self.faults.is_crashed(server) {
                 continue;
             }
-            let server = ServerId(i as u32);
             let cpu = self.switches[i].cpu_utilization(now);
             let mem = self.switches[i].mem_utilization();
             let util = cpu.max(mem);
@@ -341,7 +341,7 @@ impl Cluster {
         for scope in scopes {
             let mut cands: Vec<(ServerId, f64)> = scope
                 .into_iter()
-                .filter(|s| self.alive[s.0 as usize])
+                .filter(|s| !self.faults.is_crashed(*s))
                 .filter(|s| !exclude.contains(s))
                 .filter(|s| version.is_none_or(|v| self.switches[s.0 as usize].version == v))
                 .map(|s| (s, self.switches[s.0 as usize].cpu_utilization(now)))

@@ -160,7 +160,7 @@ impl Cluster {
             Event::MonitorTick => self.monitor_tick(now),
             Event::AgingTick => {
                 for i in 0..self.switches.len() {
-                    if self.alive[i] {
+                    if !self.faults.is_crashed(ServerId(i as u32)) {
                         self.switches[i].expire_sessions(now);
                     }
                 }
@@ -192,7 +192,7 @@ impl Cluster {
                 NezhaPayloadKind::Notify => self.be_handle_notify(server, now, nsh, pkt),
                 NezhaPayloadKind::HealthProbe | NezhaPayloadKind::HealthReply => {
                     // Health traffic is handled inline by the monitor tick
-                    // (replies are modeled as observation of `alive`).
+                    // (replies are modeled as observation of liveness).
                 }
             }
             return;
@@ -210,19 +210,15 @@ impl Cluster {
         }
     }
 
-    /// The arrival gate: dead server, blackholed link, scripted link
-    /// fault. Returns `false` — after recording the drop and scheduling
-    /// the retry — when the packet must be discarded.
+    /// The arrival gate: crashed server, scripted link fault. Returns
+    /// `false` — after recording the drop and scheduling the retry — when
+    /// the packet must be discarded.
     fn gate(&mut self, server: ServerId, now: SimTime, pkt: &Packet) -> bool {
-        if !self.alive[server.0 as usize] {
+        if self.faults.is_crashed(server) {
             self.drop_pkt(server, now, pkt, DropReason::PeerDown);
             return false;
         }
         if let (Some(src), Some(dst)) = (pkt.outer_src, pkt.outer_dst) {
-            if self.link_blackholed(src, dst) {
-                self.drop_pkt(server, now, pkt, DropReason::PeerDown);
-                return false;
-            }
             // Scripted link faults: partitions drop deterministically,
             // (bursty) loss models sample the seeded fault RNG.
             if self.faults.should_drop(src, dst) {

@@ -2,11 +2,11 @@
 //!
 //! A centralized module ping-polls every vSwitch hosting FEs (via a
 //! flow-direct rule to the vSwitch's VF in the real system — here the
-//! probe outcome is the `alive` flag observed at tick time, which models
-//! an un-answered ping). After [`PING_MISSES`] consecutive silent periods
-//! the vSwitch is declared crashed and every FE it hosted is removed via
-//! the scale-in logic, keeping the pool at the ≥4-FE floor by adding
-//! replacements.
+//! probe outcome is the server's crash state in the fault record at tick
+//! time, which models an un-answered ping). After [`PING_MISSES`]
+//! consecutive silent periods the vSwitch is declared crashed and every
+//! FE it hosted is removed via the scale-in logic, keeping the pool at
+//! the ≥4-FE floor by adding replacements.
 //!
 //! Appendix C's production lesson is implemented too: when a majority of
 //! monitored FE hosts appear dead *simultaneously*, the monitor suspends
@@ -67,7 +67,7 @@ impl Cluster {
         let mut newly_dead: Vec<ServerId> = Vec::new();
         let mut apparently_dead = 0usize;
         for &s in &targets {
-            if self.alive[s.0 as usize] {
+            if !self.faults.is_crashed(s) {
                 self.monitor.missed.insert(s, 0);
             } else {
                 let m = self.monitor.missed.entry(s).or_insert(0);
@@ -114,13 +114,12 @@ impl Cluster {
             .collect();
         pairs.sort_unstable_by_key(|(v, _, fe)| (v.0, fe.0));
         for (vnic, be, fe) in pairs {
-            let reachable = self.alive[be.0 as usize]
-                && self.alive[fe.0 as usize]
-                && !self.link_blackholed(be, fe)
-                && !self.faults.partitioned(be, fe);
+            let fe_up = !self.faults.is_crashed(fe);
+            let reachable =
+                fe_up && !self.faults.is_crashed(be) && !self.faults.partitioned(be, fe);
             if reachable {
                 self.monitor.mutual_missed.insert((be, fe), 0);
-            } else if self.alive[fe.0 as usize] {
+            } else if fe_up {
                 // The FE answers the central monitor but not this BE: a
                 // link fault. After the miss threshold, remove the FE from
                 // *this* BE's pool only.

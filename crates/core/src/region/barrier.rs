@@ -24,11 +24,8 @@ use super::scenario::Scenario;
 use super::stream::Stream;
 use super::RegionConfig;
 use crate::controller::INITIAL_FES;
-use nezha_sim::fault::FaultPlan;
 use nezha_sim::rng::SimRng;
 use nezha_sim::shard::merge_effects;
-use nezha_sim::time::SimTime;
-use nezha_types::ServerId;
 
 /// An offload request: (global server id, pre-sampled activation
 /// completion in seconds). The server id is the merge key.
@@ -57,8 +54,10 @@ pub(crate) struct EpochPlan {
     pub diurnal: f64,
     /// Contiguous server range hit by a flash crowd, if one fired.
     pub flash: Option<(u64, u64)>,
-    /// Correlated crash/restart wave, if one fired.
-    pub wave: Option<FaultPlan>,
+    /// Correlated crash/restart wave, if one fired: the contiguous server
+    /// range `(lo, hi)` crashes this epoch and restarts at the epoch in
+    /// the third field.
+    pub wave: Option<(u64, u64, u64)>,
 }
 
 /// Result of resolving one epoch's merged offload requests.
@@ -94,11 +93,9 @@ impl Barrier {
     pub fn plan_epoch(
         &mut self,
         epoch: u64,
-        t_epoch: SimTime,
         sc: &Scenario,
         servers: u64,
         epochs_per_day: u64,
-        epoch_ns: u64,
     ) -> EpochPlan {
         let diurnal = sc.diurnal(epoch, epochs_per_day);
         let flash = if sc.flash_prob > 0.0 && servers > 0 && self.rng.chance(sc.flash_prob) {
@@ -111,13 +108,7 @@ impl Barrier {
         let wave = if sc.fault_prob > 0.0 && servers > 0 && self.rng.chance(sc.fault_prob) {
             let span = sc.fault_span.clamp(1, servers);
             let lo = self.rng.range(0, servers - span + 1);
-            let restart_at = SimTime(t_epoch.0 + sc.fault_epochs.max(1) * epoch_ns);
-            let mut plan = FaultPlan::new();
-            for s in lo..lo + span {
-                let sid = ServerId(s as u32);
-                plan = plan.crash(t_epoch, sid).restart(restart_at, sid);
-            }
-            Some(plan)
+            Some((lo, lo + span, epoch.saturating_add(sc.fault_epochs.max(1))))
         } else {
             None
         };
@@ -200,8 +191,8 @@ mod tests {
             let mut b = Barrier::new(&cfg());
             (0..48)
                 .map(|e| {
-                    let p = b.plan_epoch(e, SimTime(e * 100), &sc, 10_000, 48, 100);
-                    (p.flash, p.wave.map(|w| w.len()))
+                    let p = b.plan_epoch(e, &sc, 10_000, 48);
+                    (p.flash, p.wave)
                 })
                 .collect::<Vec<_>>()
         };
@@ -242,7 +233,7 @@ mod tests {
         let sc = Scenario::quiet(1);
         let mut b = Barrier::new(&cfg());
         for e in 0..24 {
-            let p = b.plan_epoch(e, SimTime(e), &sc, 1_000, 24, 1);
+            let p = b.plan_epoch(e, &sc, 1_000, 24);
             assert_eq!(p.diurnal, 1.0);
             assert!(p.flash.is_none() && p.wave.is_none());
         }

@@ -30,7 +30,7 @@
 //! The region runs as `cfg.shards` independent per-partition event loops
 //! (`shard`): each shard owns a contiguous server range (and the
 //! tenants homed there), its own indexed RNG streams (`stream`), and
-//! its own bucket-ladder queue of deferred lifecycle/fault events.
+//! its own epoch calendar of deferred lifecycle/fault events.
 //! Cross-shard effects — offload grants against the region FE pool,
 //! tenant migrations, flash crowds, fault waves — are exchanged only at
 //! per-epoch `barrier` merges whose ordering is a pure function of
@@ -349,7 +349,7 @@ impl Region {
         let mut inboxes: Vec<ShardInbox> = vec![ShardInbox::default(); self.shards.len()];
 
         for sh in &mut self.shards {
-            sh.begin_run(&cfg, sc, &model, total_epochs, epoch_ns);
+            sh.begin_run(&cfg, sc, &model, total_epochs);
         }
 
         // Everything below runs here except the writes nothing reads
@@ -373,19 +373,9 @@ impl Region {
 
             let (mut day_cps, mut day_flows, mut day_vnics) = (0u64, 0u64, 0u64);
             for epoch in 0..total_epochs {
-                let t_epoch = SimTime(epoch * epoch_ns);
-                let mut plan =
-                    barrier.plan_epoch(epoch, t_epoch, sc, servers, epochs_per_day, epoch_ns);
+                let plan = barrier.plan_epoch(epoch, sc, servers, epochs_per_day);
                 if plan.flash.is_some() {
                     report.flash_crowds += 1;
-                }
-                if let Some(wave) = plan.wave.take() {
-                    let spec = self.spec;
-                    let subs =
-                        wave.split_by_server(spec.shards(), |sid| spec.owner(u64::from(sid.raw())));
-                    for (sh, sub) in self.shards.iter_mut().zip(subs) {
-                        sh.apply_fault_plan(sub);
-                    }
                 }
 
                 // Run every shard, folding outputs in ascending shard
@@ -398,7 +388,7 @@ impl Region {
                 for sh in &mut self.shards {
                     let inbox = std::mem::take(&mut inboxes[sh.id() as usize]);
                     let mut out = sh.run_epoch(
-                        t_epoch,
+                        epoch,
                         &plan,
                         &inbox,
                         &cfg,
@@ -436,7 +426,7 @@ impl Region {
                     inboxes[self.spec.owner(m.1) as usize].arrivals.push(m);
                 }
                 tx.send(Fold::Close {
-                    start: t_epoch,
+                    start: SimTime(epoch * epoch_ns),
                     end: SimTime((epoch + 1) * epoch_ns),
                     migrations: win_migrations,
                     flash: plan.flash.is_some(),
@@ -488,14 +478,13 @@ impl Region {
     /// running any epochs, so tests can inspect the queue footprint.
     fn prime_for_test(&mut self, sc: &Scenario) {
         let cfg = self.cfg;
-        let epoch_ns = cfg.epoch.nanos();
         let epochs_per_day = ((24 * 3600) as f64 / cfg.epoch.as_secs_f64())
             .round()
             .max(1.0) as u64;
         let total_epochs = sc.days as u64 * epochs_per_day;
         let model = TenantModel::from_config(&cfg);
         for sh in &mut self.shards {
-            sh.begin_run(&cfg, sc, &model, total_epochs, epoch_ns);
+            sh.begin_run(&cfg, sc, &model, total_epochs);
         }
     }
 }

@@ -1,5 +1,5 @@
 //! One region shard: a contiguous server partition with its own RNG
-//! streams, bucket-ladder event queue, and fault state.
+//! streams and its own epoch calendar of deferred events.
 //!
 //! The shard-count invariance contract, in full:
 //!
@@ -9,18 +9,19 @@
 //!   pure function of the global server id, so the draw sequence is
 //!   identical no matter which shard executes it.
 //! * **Canonical intra-epoch ordering.** Queue events due in an epoch
-//!   are drained, sorted by `(server, tenant, kind)`, then applied —
-//!   scheduling order (which *does* depend on partition layout) never
-//!   reaches simulation state.
+//!   are taken from its calendar slot, sorted by `(server, tenant, kind)`,
+//!   then applied — scheduling order (which *does* depend on partition
+//!   layout) never reaches simulation state.
 //! * **Ascending emission.** Per-epoch outputs (utilization samples,
 //!   requests, migrations) are emitted in ascending server order, so the
 //!   barrier's ascending-shard concatenation reproduces the global
 //!   ascending-server order for any shard count — which is what makes
 //!   floating-point accumulation (histogram sums are order-sensitive in
 //!   the last ulp) byte-identical.
-//! * **Shard-partitioned faults.** Fault waves arrive as
-//!   [`FaultPlan`] sub-plans (split by server owner), replay through the
-//!   shard's own [`FaultState`], and mirror into per-server crash flags.
+//! * **Shard-partitioned faults.** A fault wave arrives as one global
+//!   server range; each shard queues a crash now and a restart later for
+//!   the servers of the range it owns, and the drain sets their crash
+//!   flags.
 
 use super::barrier::{EpochPlan, Migration, OffloadRequest, ShardInbox};
 use super::generator::{Lifecycle, TenantModel};
@@ -28,12 +29,9 @@ use super::scenario::Scenario;
 use super::stream::Stream;
 use super::{completion_from, RegionConfig, SpikeKind};
 use crate::controller::OFFLOAD_THRESHOLD;
-use nezha_sim::engine::Engine;
-use nezha_sim::fault::{FaultKind, FaultPlan, FaultState};
 use nezha_sim::rng::SimRng;
 use nezha_sim::shard::ShardSpec;
-use nezha_sim::time::{SimDuration, SimTime};
-use nezha_types::ServerId;
+use nezha_sim::time::SimDuration;
 
 /// Median of the per-server baseline CPU demand (fraction of capacity).
 /// Calibrated with [`CPU_SIGMA`] to Fig. 4a: avg ≈ 5%, P90 ≈ 15%,
@@ -65,7 +63,7 @@ const SPIKE_WEIGHTS: (f64, f64, f64) = (0.61, 0.30, 0.09);
 /// scale-out (calibrated to Appendix B.2's ≈2.6% of pools).
 const SCALE_OUT_DAILY_PROB: f64 = 0.0009;
 
-/// A deferred intra-shard event on the shard's bucket-ladder queue.
+/// A deferred intra-shard event on the shard's epoch calendar.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum QueueEvent {
     /// A scripted crash (`crash: true`) or restart of one owned server.
@@ -79,9 +77,11 @@ pub(crate) enum QueueEvent {
 }
 
 impl QueueEvent {
-    /// Canonical application key: `(server, tenant, kind)`. Draining
+    /// Canonical application key: `(server, tenant, kind)`. Queueing
     /// order is a function of partition layout; applying in key order
-    /// makes epoch semantics layout-independent.
+    /// makes epoch semantics layout-independent. Keys are unique within
+    /// an epoch: a tenant has one lifecycle event, and with at most one
+    /// wave per epoch a server gets at most one crash and one restart.
     fn key(&self) -> (u64, u64, u8) {
         match *self {
             QueueEvent::Fault { server, crash } => (server, 0, u8::from(!crash)),
@@ -160,10 +160,10 @@ pub(crate) struct RegionShard {
     /// Global id of `servers[0]`.
     first: u64,
     servers: Vec<ShardServer>,
-    queue: Engine<QueueEvent>,
-    fault: FaultState,
-    /// Drain buffer reused across epochs.
-    drained: Vec<QueueEvent>,
+    /// The epoch calendar: `queue[e]` holds the events due in epoch `e`,
+    /// unordered. One slot per epoch of the run plus a last one for
+    /// everything due after it (restarts past the end stay pending).
+    queue: Vec<Vec<QueueEvent>>,
     /// `(cpu, mem)` utilization per owned server from the last epoch,
     /// ascending server order; swapped for an emptied buffer when the
     /// region hands it to its sink.
@@ -201,9 +201,7 @@ impl RegionShard {
         RegionShard {
             id,
             first,
-            queue: Engine::with_bucket_width(cfg.epoch),
-            fault: FaultState::new(Stream::ShardFault.rng_at(cfg.seed, u64::from(id))),
-            drained: Vec::new(),
+            queue: Vec::new(),
             utils: Vec::with_capacity(servers.len()),
             servers,
         }
@@ -224,7 +222,14 @@ impl RegionShard {
     /// Events still pending on the shard queue (tenant lifecycle +
     /// faults) — the resident footprint of the lazy tenant population.
     pub fn pending_events(&self) -> usize {
-        self.queue.pending()
+        self.queue.iter().map(Vec::len).sum()
+    }
+
+    /// Queues `ev` for `epoch`; an epoch past the run's end lands in the
+    /// calendar's last slot, which no epoch drains.
+    fn schedule(queue: &mut [Vec<QueueEvent>], epoch: u64, ev: QueueEvent) {
+        let last = queue.len() as u64 - 1;
+        queue[epoch.min(last) as usize].push(ev);
     }
 
     /// Resets run-scoped state and schedules the shard's tenant
@@ -238,10 +243,9 @@ impl RegionShard {
         sc: &Scenario,
         model: &TenantModel,
         total_epochs: u64,
-        epoch_ns: u64,
     ) {
-        self.queue = Engine::with_bucket_width(cfg.epoch);
-        self.fault = FaultState::new(Stream::ShardFault.rng_at(cfg.seed, u64::from(self.id)));
+        self.queue.clear();
+        self.queue.resize_with(total_epochs as usize + 1, Vec::new);
         let servers_total = cfg.servers as u64;
         for (local, srv) in self.servers.iter_mut().enumerate() {
             srv.tenant_cpu = 0.0;
@@ -264,8 +268,9 @@ impl RegionShard {
                     Lifecycle::DiesAt(e) => {
                         srv.tenant_cpu += tenant.cpu;
                         srv.tenant_mem += tenant.mem;
-                        self.queue.schedule_at(
-                            SimTime(e * epoch_ns),
+                        Self::schedule(
+                            &mut self.queue,
+                            e,
                             QueueEvent::TenantDeath {
                                 server: g,
                                 tenant: t,
@@ -273,8 +278,9 @@ impl RegionShard {
                         );
                     }
                     Lifecycle::BornAt(e) => {
-                        self.queue.schedule_at(
-                            SimTime(e * epoch_ns),
+                        Self::schedule(
+                            &mut self.queue,
+                            e,
                             QueueEvent::TenantBirth {
                                 server: g,
                                 tenant: t,
@@ -284,8 +290,9 @@ impl RegionShard {
                     Lifecycle::MigratesAt(e, to) => {
                         srv.tenant_cpu += tenant.cpu;
                         srv.tenant_mem += tenant.mem;
-                        self.queue.schedule_at(
-                            SimTime(e * epoch_ns),
+                        Self::schedule(
+                            &mut self.queue,
+                            e,
                             QueueEvent::MigrateOut {
                                 server: g,
                                 tenant: t,
@@ -296,26 +303,6 @@ impl RegionShard {
                 }
                 t += servers_total;
             }
-        }
-    }
-
-    /// Schedules a fault-wave sub-plan (produced by
-    /// [`FaultPlan::split_by_server`]) onto the shard queue. Only
-    /// crash/restart transitions are meaningful at the fluid level.
-    pub fn apply_fault_plan(&mut self, plan: FaultPlan) {
-        for ev in plan.into_events() {
-            let queued = match ev.kind {
-                FaultKind::Crash { server } => QueueEvent::Fault {
-                    server: u64::from(server.raw()),
-                    crash: true,
-                },
-                FaultKind::Restart { server } => QueueEvent::Fault {
-                    server: u64::from(server.raw()),
-                    crash: false,
-                },
-                _ => continue,
-            };
-            self.queue.schedule_at(ev.at, queued);
         }
     }
 
@@ -346,7 +333,7 @@ impl RegionShard {
     )]
     pub fn run_epoch(
         &mut self,
-        t_epoch: SimTime,
+        epoch: u64,
         plan: &EpochPlan,
         inbox: &ShardInbox,
         cfg: &RegionConfig,
@@ -375,25 +362,25 @@ impl RegionShard {
             srv.tenant_mem += mem;
         }
 
-        // 3. Drain queue events due this epoch and apply in canonical
-        // (server, tenant, kind) order — layout-independent.
-        self.drained.clear();
-        while let Some(s) = self.queue.pop_until(t_epoch) {
-            self.drained.push(s.event);
+        // 3. This epoch's fault wave: a crash now and a restart later for
+        // each owned server in its range.
+        if let Some((lo, hi, restart)) = plan.wave {
+            let end = self.first + self.servers.len() as u64;
+            for server in lo.max(self.first)..hi.min(end) {
+                for (at, crash) in [(epoch, true), (restart, false)] {
+                    Self::schedule(&mut self.queue, at, QueueEvent::Fault { server, crash });
+                }
+            }
         }
-        self.drained.sort_unstable_by_key(QueueEvent::key);
-        for ev in self.drained.drain(..) {
+
+        // 4. Take the events due this epoch and apply them in canonical
+        // (server, tenant, kind) order — layout-independent.
+        let mut due = std::mem::take(&mut self.queue[epoch as usize]);
+        due.sort_unstable_by_key(QueueEvent::key);
+        for ev in due {
             match ev {
                 QueueEvent::Fault { server, crash } => {
-                    let sid = ServerId(server as u32);
-                    let kind = if crash {
-                        FaultKind::Crash { server: sid }
-                    } else {
-                        FaultKind::Restart { server: sid }
-                    };
-                    self.fault.apply(&kind);
-                    let srv = &mut self.servers[(server - self.first) as usize];
-                    srv.crashed = self.fault.is_crashed(sid);
+                    self.servers[(server - self.first) as usize].crashed = crash;
                     if crash {
                         out.crashes += 1;
                     } else {
@@ -424,7 +411,7 @@ impl RegionShard {
             }
         }
 
-        // 4. Per-server epoch step, ascending server order.
+        // 5. Per-server epoch step, ascending server order.
         let scale_p = SCALE_OUT_DAILY_PROB / epochs_per_day as f64;
         for local in 0..self.servers.len() {
             let g = self.first + local as u64;

@@ -19,8 +19,6 @@ pub(crate) enum Stream {
     Tenant,
     /// Indexed by global server id: every draw that server makes.
     Server,
-    /// Indexed by shard id: the shard's `FaultState`.
-    ShardFault,
 }
 
 impl Stream {
@@ -32,7 +30,6 @@ impl Stream {
             Stream::Controller => "region.controller",
             Stream::Tenant => "region.tenant",
             Stream::Server => "region.server",
-            Stream::ShardFault => "region.shard.fault",
         }
     }
 

@@ -1,6 +1,6 @@
 //! Tests of the fluid region simulator: the paper-shape calibrations,
-//! shard-count invariance, the window stream, and the lifecycle queue's
-//! footprint.
+//! shard-count invariance, the window stream, fault waves, and the
+//! lifecycle queue's footprint.
 
 use super::*;
 use crate::vm::VmConfig;
@@ -492,4 +492,31 @@ fn pending_events_scale_with_churn_not_population() {
         pending < expected * 2,
         "pending {pending} scales with population?"
     );
+}
+
+#[test]
+fn fault_waves_crash_before_restart_and_late_restarts_stay_pending() {
+    // Every epoch crashes all 64 servers for two epochs: from epoch 2 on,
+    // a server's restart (from two epochs back) and its next crash fall
+    // in the same epoch, and the crash applies first. The last two
+    // waves' restarts fall past the run and stay queued.
+    let sc = Scenario {
+        fault_prob: 1.0,
+        fault_span: 64,
+        fault_epochs: 2,
+        ..Scenario::quiet(2)
+    };
+    for shards in [1, 3, 8] {
+        let mut r = Region::new(RegionConfig {
+            servers: 64,
+            shards,
+            ..small_cfg()
+        });
+        let report = r.run_scenario(&sc, false);
+        assert_eq!(report.fault_crashes, 8 * 64, "shards {shards}");
+        assert_eq!(r.pending_events(), 2 * 64, "shards {shards}");
+        let (down, up) = report.cpu_utils.raw().split_at(2 * 64);
+        assert!(down.iter().all(|&u| u == 0.0), "shards {shards}");
+        assert!(up.iter().all(|&u| u > 0.0), "shards {shards}");
+    }
 }

@@ -93,14 +93,14 @@ pub struct Engine<E> {
     /// and everything later takes the O(1) bucket push.
     run: Vec<Entry<E>>,
     /// The fine rung: `buckets[i]` holds entries due in
-    /// `[(bucket_base + i) * bucket_ns, (bucket_base + i + 1) * bucket_ns)`,
+    /// `[(bucket_base + i) * BUCKET_NS, (bucket_base + i + 1) * BUCKET_NS)`,
     /// unordered. It ends where the coarse rung starts, at bucket
     /// `far_base * RUNG`, and never spans more than [`RUNG`] buckets
     /// (`far_base * RUNG - bucket_base <= RUNG`). A slot opens empty and
     /// takes a `spare` when its first entry lands.
     buckets: VecDeque<Vec<Entry<E>>>,
     /// Absolute bucket index of `buckets[0]`. The run/ladder boundary
-    /// (`horizon`) is `bucket_base * bucket_ns`.
+    /// (`horizon`) is `bucket_base * BUCKET_NS`.
     bucket_base: u64,
     /// The coarse rung: `far[j]` holds entries in fine buckets
     /// `[(far_base + j) * RUNG, (far_base + j + 1) * RUNG)`, unordered.
@@ -110,14 +110,6 @@ pub struct Engine<E> {
     far: VecDeque<Vec<Entry<E>>>,
     /// Absolute coarse index of `far[0]`.
     far_base: u64,
-    /// Width of one fine bucket in nanoseconds ([`BUCKET_NS`] by
-    /// default). The coarse rung holds one bucket per `RUNG` widths of
-    /// pending horizon, so the width must match the timeline's
-    /// granularity: 20 µs for the packet datapath, epoch-scale for coarse
-    /// region timelines (via [`Engine::with_bucket_width`]) — a 20 µs
-    /// ladder spanning a simulated day would need ~4 million coarse
-    /// buckets.
-    bucket_ns: u64,
     /// Total entries across both rungs.
     staged_len: usize,
     /// Events scheduled *at* the instant being drained (`draining_at`).
@@ -142,7 +134,7 @@ pub struct Engine<E> {
     telemetry: Option<EngineTelemetry>,
 }
 
-/// Default width of one fine bucket: 20 µs of simulated time — a hair
+/// Width of one fine bucket: 20 µs of simulated time — a hair
 /// above the fabric's common-case one-way latency, so most packet
 /// arrivals land one or two buckets out (an O(1) push) instead of in the
 /// sorted run. Promotion happens only for buckets that start at or before
@@ -152,8 +144,8 @@ pub struct Engine<E> {
 const BUCKET_NS: u64 = 20_000;
 
 /// Fine buckets per coarse bucket, and the most the fine rung spans:
-/// 20.48 ms at the default width, 1 024 epochs for a region. A key an
-/// hour out opens ~176 K coarse slots, not 180 M fine ones.
+/// 20.48 ms. A key an hour out opens ~176 K coarse slots, not 180 M fine
+/// ones.
 const RUNG: u64 = 1024;
 
 /// Pre-registered handles the engine updates when metrics are attached.
@@ -171,8 +163,7 @@ impl<E> Default for Engine<E> {
 }
 
 impl<E> Engine<E> {
-    /// Creates an engine at time zero with an empty queue and the default
-    /// 20 µs bucket width (tuned for the packet datapath).
+    /// Creates an engine at time zero with an empty queue.
     pub fn new() -> Self {
         Engine {
             now: SimTime::ZERO,
@@ -182,7 +173,6 @@ impl<E> Engine<E> {
             bucket_base: 0,
             far: VecDeque::new(),
             far_base: 1,
-            bucket_ns: BUCKET_NS,
             staged_len: 0,
             immediate: VecDeque::new(),
             draining_at: None,
@@ -191,22 +181,6 @@ impl<E> Engine<E> {
             processed: 0,
             telemetry: None,
         }
-    }
-
-    /// Creates an engine whose ladder uses `width`-wide fine buckets
-    /// instead of the default 20 µs.
-    ///
-    /// The ladder's memory is one coarse bucket per `RUNG` widths of
-    /// pending horizon, so coarse timelines (the region simulator
-    /// schedules churn and fault events across whole simulated days at
-    /// epoch granularity) must use an epoch-scale width. Delivery
-    /// semantics are identical for every width — only promotion batching
-    /// changes.
-    pub fn with_bucket_width(width: SimDuration) -> Self {
-        let mut eng = Engine::new();
-        assert!(width.nanos() > 0, "bucket width must be positive");
-        eng.bucket_ns = width.nanos();
-        eng
     }
 
     /// Attaches a [`MetricsRegistry`]: from now on the engine keeps the
@@ -242,7 +216,7 @@ impl<E> Engine<E> {
     /// `run`.
     #[inline]
     fn horizon_ns(&self) -> u64 {
-        self.bucket_base.saturating_mul(self.bucket_ns)
+        self.bucket_base.saturating_mul(BUCKET_NS)
     }
 
     /// Ensures the earliest pending event due by `limit` (if any) is
@@ -265,7 +239,7 @@ impl<E> Engine<E> {
                 // The fine rung is dry: its next `RUNG` buckets are the
                 // coarse front bucket's.
                 let start = self.far_base * RUNG;
-                if start.saturating_mul(self.bucket_ns) > limit.0 {
+                if start.saturating_mul(BUCKET_NS) > limit.0 {
                     return;
                 }
                 let Some(coarse) = self.far.pop_front() else {
@@ -302,7 +276,7 @@ impl<E> Engine<E> {
     /// Files `e` — due at or past the horizon, before the coarse rung —
     /// in its fine bucket. A slot's first entry brings a spare `Vec`.
     fn push_fine(&mut self, e: Entry<E>) {
-        let idx = (e.at.0 / self.bucket_ns - self.bucket_base) as usize;
+        let idx = (e.at.0 / BUCKET_NS - self.bucket_base) as usize;
         if idx >= self.buckets.len() {
             self.buckets.resize_with(idx + 1, Vec::new);
         }
@@ -377,10 +351,10 @@ impl<E> Engine<E> {
             // `clear`) would open one coarse slot per 20.48 ms slept
             // through. Only ever forwards — run keys stay below the
             // horizon.
-            self.bucket_base = self.bucket_base.max(self.now.0 / self.bucket_ns);
+            self.bucket_base = self.bucket_base.max(self.now.0 / BUCKET_NS);
             self.far_base = self.bucket_base / RUNG + 1;
         }
-        let bucket = at.0 / self.bucket_ns;
+        let bucket = at.0 / BUCKET_NS;
         if bucket < self.far_base * RUNG {
             self.push_fine(entry);
         } else {
@@ -465,7 +439,7 @@ impl<E> Engine<E> {
     /// most `RUNG` buckets.
     #[inline]
     fn debug_assert_horizon(&self) {
-        let limit = self.now.0.saturating_add(self.bucket_ns);
+        let limit = self.now.0.saturating_add(BUCKET_NS);
         debug_assert!(self.horizon_ns() <= limit, "horizon ran past now");
         debug_assert!(
             (self.bucket_base..=self.bucket_base + RUNG).contains(&(self.far_base * RUNG)),
@@ -568,7 +542,7 @@ mod tests {
         eng.schedule_at(SimTime(500_000_000), 0u32);
         assert!(eng.pop_until(SimTime(1_000_000)).is_none());
         assert!(eng.run.is_empty());
-        assert!(eng.horizon_ns() <= 1_000_000 + eng.bucket_ns);
+        assert!(eng.horizon_ns() <= 1_000_000 + BUCKET_NS);
         // Everything registered after the idle peek takes the bucket path.
         for i in 0..10_000u64 {
             eng.schedule_at(SimTime(2_000_000 + i * 37), 1);
@@ -595,7 +569,7 @@ mod tests {
             }
             assert_eq!(eng.now(), deadline);
             assert!(eng.run.is_empty(), "slice {slice}: run={}", eng.run.len());
-            assert!(eng.horizon_ns() <= deadline.0 + eng.bucket_ns);
+            assert!(eng.horizon_ns() <= deadline.0 + BUCKET_NS);
             // A caller registering traffic between slices stays on the
             // ladder: nothing lands in the sorted run.
             eng.schedule_at(SimTime(deadline.0 + MS / 2), u64::MAX);
@@ -686,51 +660,6 @@ mod tests {
         let snap = reg.snapshot();
         assert_eq!(snap.counter("engine.scheduled"), 2);
         assert_eq!(snap.counter("engine.processed"), 2);
-    }
-
-    #[test]
-    fn wide_buckets_deliver_identically_and_stay_small() {
-        // Delivery order is width-independent: the same µs-scale schedule
-        // (small enough for the default 20 µs ladder to walk) drains
-        // identically through a wide-bucket engine.
-        let times: Vec<u64> = (0..50)
-            .map(|i| (i * 7 % 50) * 25_000 + (i % 3) * 17)
-            .collect();
-        let drain = |mut eng: Engine<usize>| -> Vec<(SimTime, usize)> {
-            for (ev, &t) in times.iter().enumerate() {
-                eng.schedule_at(SimTime(t), ev);
-            }
-            std::iter::from_fn(|| eng.pop())
-                .map(|s| (s.at, s.event))
-                .collect()
-        };
-        let wide = drain(Engine::with_bucket_width(SimDuration::from_millis(1)));
-        let narrow = drain(Engine::new());
-        assert_eq!(wide, narrow);
-
-        // Hour-scale schedule: epoch-wide buckets keep the ladder at ~50
-        // entries where the 20 µs default would need ~9 billion. Delivery
-        // is still strict (at, seq) order across the whole span.
-        let epoch = SimDuration::from_secs(3600);
-        let mut eng: Engine<usize> = Engine::with_bucket_width(epoch);
-        let hours: Vec<u64> = (0..50)
-            .map(|i| (i * 7 % 50) * epoch.nanos() + (i % 3) * 17)
-            .collect();
-        for (ev, &t) in hours.iter().enumerate() {
-            eng.schedule_at(SimTime(t), ev);
-        }
-        assert!(eng.buckets.len() <= 50, "buckets={}", eng.buckets.len());
-        let drained: Vec<(SimTime, usize)> = std::iter::from_fn(|| eng.pop())
-            .map(|s| (s.at, s.event))
-            .collect();
-        assert_eq!(drained.len(), hours.len());
-        let mut expected: Vec<(SimTime, usize)> = hours
-            .iter()
-            .enumerate()
-            .map(|(ev, &t)| (SimTime(t), ev))
-            .collect();
-        expected.sort();
-        assert_eq!(drained, expected);
     }
 
     #[test]

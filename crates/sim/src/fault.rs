@@ -103,7 +103,9 @@ pub enum FaultKind {
         b: ServerId,
     },
     /// Rack/pod partition: every path crossing from `left` to `right`
-    /// (or back) blackholes until [`FaultKind::HealPartition`].
+    /// (or back) blackholes until [`FaultKind::HealPartition`]. One
+    /// partition is active at a time: a new one replaces the last. A
+    /// single-link blackhole is the one-pair partition `[a]` / `[b]`.
     Partition {
         /// Servers on one side of the cut.
         left: Vec<ServerId>,
@@ -204,7 +206,8 @@ impl FaultPlan {
         self.add(at, FaultKind::LinkHeal { a, b })
     }
 
-    /// Schedules a partition between two server groups.
+    /// Schedules a partition between two server groups, replacing any
+    /// active one.
     pub fn partition(self, at: SimTime, left: Vec<ServerId>, right: Vec<ServerId>) -> Self {
         self.add(at, FaultKind::Partition { left, right })
     }
@@ -255,55 +258,6 @@ impl FaultPlan {
         self.events.sort_by_key(|e| e.at);
         self.events
     }
-
-    /// Splits the plan into one sub-plan per shard, for sharded event
-    /// loops that apply faults only to the partition they own.
-    ///
-    /// Events addressing one server route to `owner(server)`'s sub-plan;
-    /// link events route to both endpoints' owners (once, when the
-    /// endpoints share an owner); global conditions (partitions,
-    /// controller outages, notify drops) replicate into every sub-plan,
-    /// since each shard answers queries against its own [`FaultState`].
-    /// Insertion order within each sub-plan follows the original plan, so
-    /// `into_events` stays stable per shard.
-    pub fn split_by_server(self, shards: u32, owner: impl Fn(ServerId) -> u32) -> Vec<FaultPlan> {
-        let mut plans: Vec<FaultPlan> = (0..shards).map(|_| FaultPlan::new()).collect();
-        let route = |plans: &mut Vec<FaultPlan>, shard: u32, ev: &FaultEvent| {
-            if let Some(plan) = plans.get_mut(shard as usize) {
-                plan.events.push(ev.clone());
-            }
-        };
-        for ev in &self.events {
-            match &ev.kind {
-                FaultKind::Crash { server }
-                | FaultKind::Restart { server }
-                | FaultKind::GraySlow { server, .. }
-                | FaultKind::GrayRecover { server } => {
-                    route(&mut plans, owner(*server), ev);
-                }
-                FaultKind::LinkLoss { a, b, .. }
-                | FaultKind::BurstyLoss { a, b, .. }
-                | FaultKind::LinkHeal { a, b } => {
-                    let (oa, ob) = (owner(*a), owner(*b));
-                    route(&mut plans, oa, ev);
-                    if ob != oa {
-                        route(&mut plans, ob, ev);
-                    }
-                }
-                FaultKind::Partition { .. }
-                | FaultKind::HealPartition
-                | FaultKind::ControllerOutage
-                | FaultKind::ControllerRecover
-                | FaultKind::NotifyDrop { .. }
-                | FaultKind::NotifyDropStop => {
-                    for shard in 0..shards {
-                        route(&mut plans, shard, ev);
-                    }
-                }
-            }
-        }
-        plans
-    }
 }
 
 /// One active loss model on a directed link.
@@ -325,12 +279,11 @@ enum LinkState {
 pub struct FaultState {
     rng: SimRng,
     crashed: BTreeSet<ServerId>,
-    gray: BTreeMap<ServerId, f64>,
+    gray: BTreeSet<ServerId>,
     links: BTreeMap<(ServerId, ServerId), LinkState>,
     partition: Option<(BTreeSet<ServerId>, BTreeSet<ServerId>)>,
     controller_down: bool,
     notify_loss: Option<f64>,
-    applied: u64,
 }
 
 impl FaultState {
@@ -339,21 +292,19 @@ impl FaultState {
         FaultState {
             rng,
             crashed: BTreeSet::new(),
-            gray: BTreeMap::new(),
+            gray: BTreeSet::new(),
             links: BTreeMap::new(),
             partition: None,
             controller_down: false,
             notify_loss: None,
-            applied: 0,
         }
     }
 
     /// Applies one fault transition to the live condition set. The
-    /// embedding loop is responsible for its own side effects (marking
-    /// servers dead, scaling vSwitch cycle costs); this records the
-    /// conditions the per-packet queries below are answered from.
+    /// embedding loop is responsible for its own side effects (scaling
+    /// vSwitch cycle costs); this records the conditions the liveness
+    /// and per-packet queries below are answered from.
     pub fn apply(&mut self, kind: &FaultKind) {
-        self.applied += 1;
         match kind {
             FaultKind::Crash { server } => {
                 self.crashed.insert(*server);
@@ -361,8 +312,8 @@ impl FaultState {
             FaultKind::Restart { server } => {
                 self.crashed.remove(server);
             }
-            FaultKind::GraySlow { server, multiplier } => {
-                self.gray.insert(*server, *multiplier);
+            FaultKind::GraySlow { server, .. } => {
+                self.gray.insert(*server);
             }
             FaultKind::GrayRecover { server } => {
                 self.gray.remove(server);
@@ -409,11 +360,6 @@ impl FaultState {
         }
     }
 
-    /// Number of transitions applied so far.
-    pub fn applied(&self) -> u64 {
-        self.applied
-    }
-
     /// True when any scripted fault condition is currently active —
     /// used to attribute in-flight packet loss to faults.
     pub fn any_active(&self) -> bool {
@@ -428,11 +374,6 @@ impl FaultState {
     /// True when `server` is crash-scripted and not yet restarted.
     pub fn is_crashed(&self, server: ServerId) -> bool {
         self.crashed.contains(&server)
-    }
-
-    /// The gray-slow cycle multiplier for `server` (1 when healthy).
-    pub fn cpu_multiplier(&self, server: ServerId) -> f64 {
-        self.gray.get(&server).copied().unwrap_or(1.0)
     }
 
     /// True when the active partition separates `a` from `b`.
@@ -515,32 +456,6 @@ mod tests {
     }
 
     #[test]
-    fn split_by_server_routes_and_replicates() {
-        // Owner: even servers -> shard 0, odd -> shard 1.
-        let plan = FaultPlan::new()
-            .crash(t(1), ServerId(4))
-            .gray_slow(t(2), ServerId(3), 5.0)
-            .link_loss(t(3), ServerId(0), ServerId(1), 0.5)
-            .link_heal(t(4), ServerId(2), ServerId(6))
-            .controller_outage(t(5));
-        let plans = plan.split_by_server(2, |s| s.0 % 2);
-        assert_eq!(plans.len(), 2);
-        // Shard 0: crash(4), link_loss (endpoint 0), link_heal (both even,
-        // routed once), outage.
-        assert_eq!(plans[0].len(), 4);
-        // Shard 1: gray_slow(3), link_loss (endpoint 1), outage.
-        assert_eq!(plans[1].len(), 3);
-        assert!(plans[1]
-            .events()
-            .iter()
-            .any(|e| matches!(e.kind, FaultKind::ControllerOutage)));
-        // Union preserves every transition exactly once per owning shard:
-        // 4 + 3 = 5 originals + 2 replicas (link_loss fan-out + outage).
-        let union: usize = plans.iter().map(FaultPlan::len).sum();
-        assert_eq!(union, 7);
-    }
-
-    #[test]
     fn conditions_toggle_and_any_active_tracks_them() {
         let mut st = FaultState::new(SimRng::new(1));
         assert!(!st.any_active());
@@ -549,8 +464,6 @@ mod tests {
             multiplier: 8.0,
         });
         assert!(st.any_active());
-        assert_eq!(st.cpu_multiplier(ServerId(2)), 8.0);
-        assert_eq!(st.cpu_multiplier(ServerId(3)), 1.0);
         st.apply(&FaultKind::GrayRecover {
             server: ServerId(2),
         });
@@ -566,7 +479,7 @@ mod tests {
         assert!(st.should_drop(ServerId(0), ServerId(8)));
         st.apply(&FaultKind::HealPartition);
         assert!(!st.should_drop(ServerId(0), ServerId(8)));
-        assert_eq!(st.applied(), 4);
+        assert!(!st.any_active());
     }
 
     #[test]

@@ -64,13 +64,10 @@ fn offset(kind: u64, raw: u64, scale: u64) -> u64 {
     (raw % span) * scale
 }
 
-/// Replays `ops` on `eng` and on the model, comparing everything
+/// Replays `ops` on a fresh engine and on the model, comparing everything
 /// observable after every step.
-fn check_against_model(
-    mut eng: Engine<u32>,
-    scale: u64,
-    ops: &[(u32, u64, u64)],
-) -> Result<(), TestCaseError> {
+fn check_against_model(scale: u64, ops: &[(u32, u64, u64)]) -> Result<(), TestCaseError> {
+    let mut eng = Engine::new();
     let mut model = ModelQueue::default();
     let mut next_ev = 0u32;
     for (step, &(op, a, b)) in ops.iter().enumerate() {
@@ -174,19 +171,19 @@ fn check_against_model(
 
 /// Schedules `setup` up front — each entry either queued or only
 /// reserved — then replays `ops` (pops, bounded pops, new schedules and
-/// early filings of a reservation) on `eng` and on a model that queued
+/// early filings of a reservation) on a fresh engine and on a model that queued
 /// everything up front. A reservation still unfiled when it is the
 /// model's next event is filed right then: at the instant being drained
 /// when an equal-time entry popped before it, below the horizon when its
 /// bucket is already promoted. An early filing of a far-future key
 /// lands on the coarse rung.
 fn check_reservations_against_model(
-    mut eng: Engine<u32>,
     scale: u64,
     setup: &[(u64, u64, bool)],
     ops: &[(u32, u64, u64)],
 ) -> Result<(), TestCaseError> {
     let reg = MetricsRegistry::new();
+    let mut eng = Engine::new();
     eng.attach_metrics(&reg);
     let mut model = ModelQueue::default();
     // Unfiled reservations by seq: (at, event).
@@ -289,35 +286,29 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
     /// Any interleaving of schedules, pops and instant drains delivers
-    /// exactly what a `(at, seq)` binary heap delivers — with the packet
-    /// datapath's 20 µs buckets (600 ms offsets cross its 20.48 ms coarse
-    /// rung), with everything inside one epoch-wide bucket, with an
-    /// epoch-wide fine rung the offsets actually span (7 days against a
-    /// 21-day coarse rung), and with offsets that cross that coarse rung.
+    /// exactly what a `(at, seq)` binary heap delivers — at ns offsets
+    /// (600 ms ones cross the 20.48 ms coarse rung) and at offsets 100x
+    /// wider (up to 60 s, across thousands of coarse buckets).
     #[test]
     fn engine_matches_a_binary_heap_model(
         ops in prop::collection::vec((0u32..11, any::<u64>(), any::<u64>()), 1..250),
     ) {
-        let epoch = SimDuration::from_secs(1800);
-        check_against_model(Engine::new(), 1, &ops)?;
-        check_against_model(Engine::with_bucket_width(epoch), 1, &ops)?;
-        check_against_model(Engine::with_bucket_width(epoch), 1_000_000, &ops)?;
-        check_against_model(Engine::with_bucket_width(epoch), 100_000_000, &ops)?;
+        check_against_model(1, &ops)?;
+        check_against_model(100, &ops)?;
     }
 
     /// Reserving a random subset of the schedules and filing each later,
     /// anywhere up to its own pop, delivers what scheduling everything
     /// up front delivers, with the same pending, processed and scheduled
-    /// counts at every step — at the datapath's 20 µs buckets (600 ms
-    /// offsets cross the coarse rung) and at an epoch-wide width.
+    /// counts at every step — at ns offsets (600 ms ones cross the
+    /// coarse rung) and at offsets 100x wider.
     #[test]
     fn engine_reserved_events_pop_where_they_were_reserved(
         setup in prop::collection::vec((0u64..5, any::<u64>(), any::<bool>()), 1..120),
         ops in prop::collection::vec((0u32..9, any::<u64>(), any::<u64>()), 1..250),
     ) {
-        let epoch = SimDuration::from_secs(1800);
-        check_reservations_against_model(Engine::new(), 1, &setup, &ops)?;
-        check_reservations_against_model(Engine::with_bucket_width(epoch), 1_000_000, &setup, &ops)?;
+        check_reservations_against_model(1, &setup, &ops)?;
+        check_reservations_against_model(100, &setup, &ops)?;
     }
 
     /// Pops are globally ordered by (time, schedule sequence), regardless

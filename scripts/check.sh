@@ -34,8 +34,15 @@
 #            grows) and engine tests (the unit tests and the two
 #            proptests against a `BinaryHeap` model: every event goes
 #            through the two-rung ladder, and a reserved sequence number
-#            filed late pops where it was reserved), the `nezha-core`
-#            connection tests (the chunked connection table's unit tests,
+#            filed late pops where it was reserved), the `nezha-sim`
+#            fault tests (the fault plan's order and the `FaultState`
+#            conditions the cluster's liveness and arrival gate read),
+#            the failure-injection suite (`tests/failure_injection.rs`:
+#            crashes, failover and the pool floor through `FaultState`
+#            liveness), the mutual-ping partition test
+#            (`tests/workloads_e2e.rs`: a one-pair partition between a BE
+#            and a healthy FE is found by the BE<->FE ping alone), the
+#            `nezha-core` connection tests (the chunked connection table's unit tests,
 #            the property that a record rebuilds the spec it was
 #            registered with, the cluster runs that check it frees every finished chunk,
 #            and `conn_starts_keep_registration_order_through_the_chain_and_its_fallbacks`:
@@ -111,6 +118,12 @@ if [ "$fast" -eq 1 ]; then
     cargo test -q -p nezha-sim dense
     echo "==> cargo test -q -p nezha-sim engine   (--fast: the event ladder vs its BinaryHeap model)"
     cargo test -q -p nezha-sim engine
+    echo "==> cargo test -q -p nezha-sim fault   (--fast: the fault plan and the FaultState conditions liveness reads)"
+    cargo test -q -p nezha-sim fault
+    echo "==> cargo test -q --test failure_injection   (--fast: crashes, failover and the pool floor through FaultState liveness)"
+    cargo test -q --test failure_injection
+    echo "==> cargo test -q --test workloads_e2e be_fe_link_partition_is_detected_by_mutual_ping   (--fast: a one-pair partition found by the mutual ping)"
+    cargo test -q --test workloads_e2e be_fe_link_partition_is_detected_by_mutual_ping
     echo "==> cargo test -q -p nezha-core conn   (--fast: the connection table frees finished chunks and keeps start order)"
     cargo test -q -p nezha-core conn
     echo "==> cargo test -q -p nezha-core region   (--fast: window stream, second run, zero-day run)"

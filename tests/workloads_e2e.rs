@@ -1,9 +1,10 @@
 //! Workload-driven end-to-end scenarios: SYN floods vs. aging, persistent
-//! flows vs. session capacity, link blackholes vs. mutual pings, and the
+//! flows vs. session capacity, link partitions vs. mutual pings, and the
 //! packet-level LB ablation's cache behaviour.
 
 use nezha::core::cluster::{Cluster, ClusterConfig, LbMode};
 use nezha::core::vm::VmConfig;
+use nezha::sim::fault::FaultPlan;
 use nezha::sim::time::{SimDuration, SimTime};
 use nezha::sim::topology::TopologyConfig;
 use nezha::types::{Ipv4Addr, ServerId, VnicId, VpcId};
@@ -126,7 +127,7 @@ fn persistent_flows_live_exactly_until_idle_aging() {
 }
 
 #[test]
-fn be_fe_link_blackhole_is_detected_by_mutual_ping() {
+fn be_fe_link_partition_is_detected_by_mutual_ping() {
     let mut c = cluster_with(|_| {});
     c.trigger_offload(VNIC, SimTime::ZERO).unwrap();
     c.run_until(SimTime::ZERO + SimDuration::from_secs(3));
@@ -134,7 +135,7 @@ fn be_fe_link_blackhole_is_detected_by_mutual_ping() {
     let cut = fes[1];
     // The fabric between BE and this FE dies; the FE itself stays healthy
     // (the central monitor keeps seeing it — Appendix C.1).
-    c.blackhole_link(HOME, cut);
+    c.apply_fault_plan(FaultPlan::new().partition(c.now(), vec![HOME], vec![cut]));
     c.run_until(c.now() + SimDuration::from_secs(4));
     let fes_after = c.fe_servers(VNIC);
     assert!(
