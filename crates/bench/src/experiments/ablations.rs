@@ -274,7 +274,7 @@ fn variable_state(report: BenchReport) -> BenchReport {
             });
         }
         if stats {
-            s.stats.policy = 1;
+            s.stats_policy = 1;
         }
         mean += weight * s.used_bytes() as f64;
         n += weight;

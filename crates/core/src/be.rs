@@ -338,7 +338,7 @@ impl Cluster {
                 // Adopt rule-table-involved state piggybacked in the header
                 // without verification (§3.2.2 RX workflow).
                 if let Some(p) = nsh.stats_policy {
-                    entry.state.stats.policy = p;
+                    entry.state.stats_policy = p;
                 }
                 entry.state.process_pkt(&pair.rx, &inner)
             }
@@ -377,7 +377,7 @@ impl Cluster {
             .span_tree(Stage::BeNotify, &pkt, server, now, charge.done, &leaves);
         if let Some(entry) = vs.sessions.get_mut(&key) {
             if let Some(p) = nsh.stats_policy {
-                entry.state.stats.policy = p;
+                entry.state.stats_policy = p;
             }
         }
     }

@@ -10,7 +10,10 @@ use crate::vm::VmConfig;
 use nezha_sim::fault::FaultPlan;
 use nezha_sim::time::{SimDuration, SimTime};
 use nezha_sim::topology::TopologyConfig;
-use nezha_types::{FiveTuple, Ipv4Addr, NezhaError, ServerId, SessionKey, VnicId, VpcId};
+use nezha_types::{
+    Direction, FiveTuple, Ipv4Addr, NezhaError, ServerId, SessionKey, VnicId, VpcId,
+};
+use nezha_vswitch::stage::lookup::pair_lookup;
 use nezha_vswitch::vnic::{Vnic, VnicProfile};
 use nezha_vswitch::vswitch::VSwitch;
 
@@ -303,10 +306,19 @@ fn offloaded_traffic_spreads_across_fes() {
     }
     c.run_until(c.now() + SimDuration::from_secs(6));
     assert_eq!(c.stats().completed, 200);
+    // `map_peer` moves a registered peer in place on every FE (a second
+    // charge would show as ledger drift).
+    let peer = inbound_spec(0, SimTime(0)).tuple.src_ip;
+    c.map_peer(VNIC, peer, ServerId(11)).unwrap();
+    assert_eq!(c.ledger_drift(), []);
+    let to_peer = FiveTuple::tcp(Ipv4Addr::new(10, 7, 0, 1), 40_000, peer, 443);
     // Every FE served some flows (hash spreading, §3.2.3).
     for s in c.fe_servers(VNIC) {
-        let (hits, misses, _) = c.fes.get(&(s, VNIC)).unwrap().counters();
+        let fe = &c.fes[&(s, VNIC)];
+        let (hits, misses, _) = fe.counters();
         assert!(hits + misses > 0, "FE on {s} idle");
+        let hop = pair_lookup(&fe.vnic, &to_peer, Direction::Tx).tx.next_hop;
+        assert_eq!(hop, Some(ServerId(11)), "FE on {s} kept the old hop");
     }
     // Notifies were generated for stats-policy flows only on misses.
     assert!(c.stats().notifies <= c.stats().completed * 2);
@@ -741,7 +753,7 @@ fn rx_at_server_removed_from_fe_pool_is_a_counted_misroute() {
         64,
     );
     let mut nsh = NezhaHeader::bare(NezhaPayloadKind::TxCarry, VNIC, VpcId(1));
-    nsh.carry_state(&SessionState::first_packet(nezha_types::Direction::Tx));
+    nsh.carry_state(&SessionState::first_packet(Direction::Tx));
     let tx = Packet::tx_data(
         (1u64 << 63) | 7_778,
         VpcId(1),

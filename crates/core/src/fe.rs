@@ -23,7 +23,6 @@ use nezha_sim::time::SimTime;
 use nezha_sim::trace::{DropReason, TraceEventKind};
 use nezha_types::{
     Direction, FiveTuple, NezhaHeader, NezhaPayloadKind, Packet, PreActionPair, ServerId,
-    SessionKey,
 };
 use nezha_vswitch::config::MemoryModel;
 use nezha_vswitch::stage::costing;
@@ -40,7 +39,9 @@ pub struct FrontEnd {
     /// The BE's location, configured by the controller ("BE Location
     /// Config", Fig. 7).
     pub be_location: ServerId,
-    /// Cached flows regenerated on the fly by rule lookups (Fig. 7).
+    /// Cached flows regenerated on the fly by rule lookups (Fig. 7),
+    /// keyed by the session's canonical 5-tuple: an FE serves one vNIC,
+    /// so a VPC id in the key would be the same in every entry.
     /// Dense-hashed: the per-packet hit path is one O(1) probe, and the
     /// only iteration (invalidate-all) is aggregate, so lookup order is
     /// never behavior-visible. Entries store a 4-byte interned id rather
@@ -48,7 +49,7 @@ pub struct FrontEnd {
     /// collapse onto a few hundred distinct pre-action values, so the
     /// probe array stays a quarter the size and the resolve table is
     /// cache-resident.
-    flows: DenseMap<SessionKey, u32>,
+    flows: DenseMap<FiveTuple, u32>,
     /// Distinct pre-action values behind the flow entries' interned ids.
     pairs: Interner<PreActionPair>,
     hits: u64,
@@ -97,7 +98,7 @@ impl FrontEnd {
         pool: &mut MemoryPool,
         m: &MemoryModel,
     ) -> (PreActionPair, bool) {
-        let key = SessionKey::of(self.vnic.vpc, *tuple);
+        let key = tuple.canonical();
         if let Some(&id) = self.flows.get(&key) {
             self.hits += 1;
             return (*self.pairs.resolve(id), false);

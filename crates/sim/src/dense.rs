@@ -129,8 +129,8 @@ const PAGE_BITS: u32 = 12;
 /// which grows like a `Vec`, storage grows a whole page at a time and
 /// never moves an entry: a doubling `Vec` would copy the table at every
 /// step, and glibc serves those copies below its mmap threshold from the
-/// brk heap, where the old copy stays resident. A page of 72-byte session
-/// entries is 288 KiB, of 20-byte session keys 80 KiB.
+/// brk heap, where the old copy stays resident. A page of 64-byte session
+/// entries is 256 KiB, of 20-byte session keys 80 KiB.
 pub const PAGE: usize = 1 << PAGE_BITS;
 
 /// `(page, offset)` of dense position `i`.

@@ -149,7 +149,7 @@ impl NezhaHeader {
     pub fn carry_state(&mut self, state: &SessionState) {
         self.first_dir = state.first_dir;
         self.decap_addr = state.decap.map(|d| d.overlay_src);
-        self.stats_policy = (state.stats.policy != 0).then_some(state.stats.policy);
+        self.stats_policy = (state.stats_policy != 0).then_some(state.stats_policy);
     }
 
     /// Reads the TX carry back at the FE: the state [`carry_state`] wrote,
@@ -157,15 +157,14 @@ impl NezhaHeader {
     ///
     /// [`carry_state`]: NezhaHeader::carry_state
     pub fn carried_state(&self) -> SessionState {
-        let mut state = SessionState {
+        SessionState {
             first_dir: self.first_dir,
             decap: self
                 .decap_addr
                 .map(|overlay_src| StatefulDecapState { overlay_src }),
+            stats_policy: self.stats_policy.unwrap_or(0),
             ..SessionState::default()
-        };
-        state.stats.policy = self.stats_policy.unwrap_or(0);
-        state
+        }
     }
 
     /// Serializes the header into a caller-provided slice without any
@@ -657,8 +656,8 @@ mod tests {
                 decap: decap.map(|a| StatefulDecapState {
                     overlay_src: Ipv4Addr(a),
                 }),
+                stats_policy: policy,
                 stats: StatsState {
-                    policy,
                     tx_packets: counts.0,
                     rx_packets: counts.1,
                     tx_bytes: counts.2,
@@ -681,12 +680,12 @@ mod tests {
             let n = h.encode_into(&mut buf);
             prop_assert!(n <= NezhaHeader::MAX_WIRE_LEN);
             let parsed = NshView::parse(&buf[..n]).unwrap().to_owned();
-            let mut want = SessionState {
+            let want = SessionState {
                 first_dir: s.first_dir,
                 decap: s.decap,
+                stats_policy: s.stats_policy,
                 ..SessionState::default()
             };
-            want.stats.policy = s.stats.policy;
             prop_assert_eq!(parsed.carried_state(), want);
         }
     }

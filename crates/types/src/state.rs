@@ -33,12 +33,10 @@ pub struct StatefulDecapState {
     pub overlay_src: Ipv4Addr,
 }
 
-/// Flow-level statistics, recorded only when a statistics policy applies
-/// (making this the canonical *rule-table-involved* state of §3.2.2).
+/// Flow-level statistics counters, recorded only while a statistics
+/// policy ([`SessionState::stats_policy`]) applies.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct StatsState {
-    /// Active statistics policy id (0 = none).
-    pub policy: u8,
     /// Packets seen TX.
     pub tx_packets: u64,
     /// Packets seen RX.
@@ -78,7 +76,11 @@ pub struct SessionState {
     pub tcp: TcpState,
     /// Stateful-decap recorded address, when that NF applies.
     pub decap: Option<StatefulDecapState>,
-    /// Flow statistics, when a statistics policy applies.
+    /// Active statistics policy id (0 = none): the canonical
+    /// *rule-table-involved* state of §3.2.2. Kept here rather than in
+    /// [`StatsState`], whose `u64` alignment would pad it to 8 bytes.
+    pub stats_policy: u8,
+    /// Flow statistics, counted while `stats_policy` is non-zero.
     pub stats: StatsState,
 }
 
@@ -113,7 +115,7 @@ impl SessionState {
         if self.decap.is_some() {
             n += 4;
         }
-        if self.stats.policy != 0 {
+        if self.stats_policy != 0 {
             n += 1 + 32;
         }
         n
@@ -165,10 +167,10 @@ impl SessionState {
         // in force.
         if let Some(p) = pre {
             if p.stats_policy != 0 {
-                self.stats.policy = p.stats_policy;
+                self.stats_policy = p.stats_policy;
             }
         }
-        if self.stats.policy != 0 {
+        if self.stats_policy != 0 {
             self.stats.record(pkt.dir, pkt.wire_len() as u64);
         }
     }
@@ -224,7 +226,7 @@ mod tests {
     #[test]
     fn stats_state_is_the_heavy_case() {
         let mut s = SessionState::first_packet(Direction::Tx);
-        s.stats.policy = 2;
+        s.stats_policy = 2;
         s.stats.record(Direction::Tx, 1500);
         s.stats.record(Direction::Rx, 60);
         assert_eq!(s.stats.tx_packets, 1);
@@ -327,7 +329,7 @@ mod tests {
         let mut state = SessionState::default();
         let pkt = Packet::tx_data(1, VpcId(1), VnicId(1), tx_tuple(), TcpFlags::SYN, 100);
         state.process_pkt(&pre, &pkt);
-        assert_eq!(state.stats.policy, 3);
+        assert_eq!(state.stats_policy, 3);
         assert_eq!(state.stats.tx_packets, 1);
         assert!(state.stats.tx_bytes > 100);
     }
@@ -339,9 +341,9 @@ mod tests {
         let pkt = Packet::tx_data(1, VpcId(1), VnicId(1), tx_tuple(), TcpFlags::SYN, 0);
         let mut state = SessionState::default();
         state.update(None, &pkt);
-        assert_eq!((state.stats.policy, state.stats.tx_packets), (0, 0));
-        state.stats.policy = 4;
+        assert_eq!((state.stats_policy, state.stats.tx_packets), (0, 0));
+        state.stats_policy = 4;
         state.update(None, &pkt);
-        assert_eq!((state.stats.policy, state.stats.tx_packets), (4, 1));
+        assert_eq!((state.stats_policy, state.stats.tx_packets), (4, 1));
     }
 }

@@ -44,7 +44,7 @@ pub struct SessionEntry {
     pub last_seen: SimTime,
 }
 
-const _: () = assert!(std::mem::size_of::<SessionEntry>() <= 72);
+const _: () = assert!(std::mem::size_of::<SessionEntry>() <= 64);
 
 impl SessionEntry {
     /// True while the entry holds cached flows (and is charged

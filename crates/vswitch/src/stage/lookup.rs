@@ -35,16 +35,14 @@ pub fn rule_lookup(vnic: &Vnic, tuple: &FiveTuple, dir: Direction) -> PreAction 
     } else if let Some(via) = tables.pbr.lookup(tuple.src_ip) {
         // A source-address PBR hit steers straight to a server,
         // bypassing the route table.
-        let hop = tables.vnic_server.select(via, tuple.stable_hash());
-        (true, hop)
+        (true, tables.vnic_server.select(via))
     } else if let Some(RouteTarget::Overlay(hint)) = tables.route.lookup(tuple.dst_ip) {
         // The overlay hop maps to a server first by the flow's own
         // destination, then by the route's hint.
-        let flow_hash = tuple.stable_hash();
         let hop = tables
             .vnic_server
-            .select(tuple.dst_ip, flow_hash)
-            .or_else(|| tables.vnic_server.select(hint, flow_hash));
+            .select(tuple.dst_ip)
+            .or_else(|| tables.vnic_server.select(hint));
         (true, hop)
     } else {
         // Blackhole or no route.

@@ -105,15 +105,14 @@ fn reference_lookup(vnic: &Vnic, tuple: &FiveTuple, dir: Direction) -> PreAction
         Direction::Tx => {
             if let Some(via) = t.pbr.lookup(tuple.src_ip) {
                 // PBR steers straight to a server, bypassing the routes.
-                (true, t.vnic_server.select(via, tuple.stable_hash()))
+                (true, t.vnic_server.select(via))
             } else {
                 match reference_route(&t.route, tuple.dst_ip) {
                     Some(RouteTarget::Overlay(hint)) => {
-                        let h = tuple.stable_hash();
                         let hop = t
                             .vnic_server
-                            .select(tuple.dst_ip, h)
-                            .or_else(|| t.vnic_server.select(hint, h));
+                            .select(tuple.dst_ip)
+                            .or_else(|| t.vnic_server.select(hint));
                         (true, hop)
                     }
                     Some(RouteTarget::Blackhole) | None => (false, None),

@@ -151,7 +151,7 @@ pub struct VnicTables {
     pub mirror: MirrorTable,
     /// Policy-based routing.
     pub pbr: PbrTable,
-    /// Cached vNIC→server mappings.
+    /// Learned peers: overlay address → hosting server.
     pub vnic_server: VnicServerMap,
 }
 
@@ -323,9 +323,9 @@ impl Vnic {
         &mut self.tables
     }
 
-    /// Points the mapping of `addr` at `server` (a learned vNIC-server
-    /// entry), charging `pool` `vnic_server_entry` bytes for a new
-    /// address. When the charge does not fit, the entry is not learned:
+    /// Points the learned peer `addr` at `server`: a known address moves
+    /// in place, free; a new one is charged `vnic_server_entry` bytes on
+    /// `pool`. When that charge does not fit, the address is not learned:
     /// the gateway stays authoritative for that peer.
     pub fn learn_peer(
         &mut self,
@@ -335,7 +335,7 @@ impl Vnic {
         m: &MemoryModel,
     ) {
         let map = &mut self.tables.vnic_server;
-        if !map.lookup(addr).is_empty() || pool.alloc(m.vnic_server_entry).is_ok() {
+        if !map.update(addr, server) && pool.alloc(m.vnic_server_entry).is_ok() {
             map.set(addr, server);
         }
     }
@@ -384,16 +384,21 @@ mod tests {
         MemoryModel::default()
     }
 
-    #[test]
-    fn default_profile_memory_matches_paper_band() {
-        // §2.2.2: "most vNICs require 5.5-10MB of memory".
-        let v = Vnic::new(
+    /// An ordinary VM vNIC, 10.7.0.1, homed on server 0.
+    fn vm_vnic() -> Vnic {
+        Vnic::new(
             VnicId(1),
             VpcId(1),
             Ipv4Addr::new(10, 7, 0, 1),
             VnicProfile::default(),
             ServerId(0),
-        );
+        )
+    }
+
+    #[test]
+    fn default_profile_memory_matches_paper_band() {
+        // §2.2.2: "most vNICs require 5.5-10MB of memory".
+        let v = vm_vnic();
         let mb = v.table_memory(&mm()) as f64 / (1024.0 * 1024.0);
         assert!((5.5..=10.0).contains(&mb), "vNIC memory {mb} MB");
     }
@@ -447,13 +452,7 @@ mod tests {
 
     #[test]
     fn synthetic_traffic_is_routable() {
-        let v = Vnic::new(
-            VnicId(1),
-            VpcId(1),
-            Ipv4Addr::new(10, 7, 0, 1),
-            VnicProfile::default(),
-            ServerId(0),
-        );
+        let v = vm_vnic();
         // Any destination resolves via the default route.
         assert!(v
             .tables
@@ -461,16 +460,62 @@ mod tests {
             .lookup(Ipv4Addr::new(172, 16, 0, 1))
             .is_some());
         // Peer addresses resolve to servers.
-        assert!(!v
+        assert!(v
             .tables
             .vnic_server
-            .lookup(Ipv4Addr::new(10, 7, 0, 5))
-            .is_empty());
+            .select(Ipv4Addr::new(10, 7, 0, 5))
+            .is_some());
         // ACL with stateful default never panics on lookup.
         let _ = v.tables.acl.lookup(
             &FiveTuple::tcp(Ipv4Addr::new(1, 1, 1, 1), 1, Ipv4Addr::new(2, 2, 2, 2), 2),
             nezha_types::Direction::Tx,
         );
+    }
+
+    /// The next hop `v`'s TX rule lookup names for a flow to `peer`.
+    fn hop_to(v: &Vnic, peer: Ipv4Addr) -> Option<ServerId> {
+        let tuple = FiveTuple::tcp(v.addr, 40_000, peer, 443);
+        crate::stage::lookup::pair_lookup(v, &tuple, nezha_types::Direction::Tx)
+            .tx
+            .next_hop
+    }
+
+    const PEER: Ipv4Addr = Ipv4Addr::new(10, 7, 200, 9);
+
+    #[test]
+    fn learning_a_new_peer_charges_one_entry() {
+        let (m, mut v) = (mm(), vm_vnic());
+        let mut pool = MemoryPool::new(1 << 30);
+        let tables = v.table_memory(&m);
+        v.learn_peer(PEER, ServerId(5), &mut pool, &m);
+        v.learn_peer(PEER, ServerId(5), &mut pool, &m);
+        assert_eq!(hop_to(&v, PEER), Some(ServerId(5)));
+        assert_eq!(pool.used(), m.vnic_server_entry);
+        assert_eq!(v.table_memory(&m), tables + m.vnic_server_entry);
+    }
+
+    #[test]
+    fn relearning_a_peer_moves_it_in_place_even_on_a_full_pool() {
+        let (m, mut v) = (mm(), vm_vnic());
+        let mut pool = MemoryPool::new(m.vnic_server_entry);
+        v.learn_peer(PEER, ServerId(5), &mut pool, &m);
+        let tables = v.table_memory(&m);
+        v.learn_peer(PEER, ServerId(6), &mut pool, &m);
+        assert_eq!(hop_to(&v, PEER), Some(ServerId(6)));
+        assert_eq!((pool.used(), pool.available()), (m.vnic_server_entry, 0));
+        assert_eq!(v.table_memory(&m), tables);
+    }
+
+    #[test]
+    fn a_new_peer_that_does_not_fit_stays_unlearned_and_uncharged() {
+        let (m, mut v) = (mm(), vm_vnic());
+        let mut pool = MemoryPool::new(m.vnic_server_entry - 1);
+        let (tables, hint) = (v.table_memory(&m), hop_to(&v, PEER));
+        v.learn_peer(PEER, ServerId(5), &mut pool, &m);
+        // The lookup still resolves the route's hint, not the new server.
+        assert_eq!(hop_to(&v, PEER), hint);
+        assert_ne!(hint, Some(ServerId(5)));
+        assert_eq!((pool.used(), v.table_memory(&m)), (0, tables));
     }
 
     #[test]

@@ -56,7 +56,11 @@
 #            must never reach output), the `nezha-core`
 #            memory-ledger walk (after every lifecycle edge, from offload
 #            to a peer mapping that finds an FE host full, each server's
-#            pool equals what its owners hold), the datapath goldens
+#            pool equals what its owners hold), the byte budgets
+#            (`tests/alloc_budget.rs`: allocations per event, heap bytes
+#            per registered connection, per session entry and per
+#            learned peer, none on the codec, probe and rule lookup), the
+#            datapath goldens
 #            (`refactor_equivalence`: stats, metrics hash and flamegraph
 #            of four scenario families on three seeds each, the gate for
 #            any BE/FE handler refactor), the reduced chaos
@@ -132,6 +136,8 @@ if [ "$fast" -eq 1 ]; then
     cargo test -q --test determinism
     echo "==> cargo test -q -p nezha-core ledger   (--fast: every server's pool equals what its owners hold, across the lifecycle)"
     cargo test -q -p nezha-core ledger
+    echo "==> cargo test -q --test alloc_budget   (--fast: allocations per event, heap bytes per connection, session entry and learned peer)"
+    cargo test -q --test alloc_budget
     echo "==> cargo test -q --test refactor_equivalence   (--fast: the datapath goldens)"
     cargo test -q --test refactor_equivalence
     echo "==> cargo test -q --test chaos smoke_   (--fast: reduced chaos scenario)"

@@ -1,9 +1,10 @@
 //! The hot path's allocation budget, measured: heap allocations per
 //! engine event on a TCP_CRR run, heap bytes per registered connection,
-//! heap bytes per entry while a session table grows, and exactly zero on
-//! the per-packet primitives that run does not cross (the NSH codec,
-//! `DenseMap::get`) and on the rule lookup (`pair_lookup`, whose ACL and
-//! route indexes are built at insert time, never on a probe).
+//! heap bytes per entry while a session table or a vNIC's learned-peer
+//! table grows, and exactly zero on the per-packet primitives that run
+//! does not cross (the NSH codec, `DenseMap::get`) and on the rule lookup
+//! (`pair_lookup`, whose ACL and route indexes are built at insert time,
+//! never on a probe).
 //!
 //! One `#[test]` on purpose: the counter is process-wide, and a second
 //! test running on another thread would be counted too.
@@ -117,6 +118,24 @@ fn session_table_growth_bytes(n: u32) -> f64 {
     bytes as f64 / f64::from(n)
 }
 
+/// Heap bytes requested per address while one `Vnic` learns `n` peers it
+/// did not know (its learned-peer table grows past the profile's 2 000).
+fn learned_peer_growth_bytes(n: u32) -> f64 {
+    let mut vnic = Vnic::new(VNIC, VpcId(1), SERVICE, VnicProfile::default(), HOME);
+    let mut pool = MemoryPool::new(u64::MAX);
+    let m = VSwitchConfig::default().memory;
+    let known = vnic.table_memory(&m);
+    let (_, bytes) = allocs_during(|| {
+        for i in 0..n {
+            let peer = Ipv4Addr::from(0xac10_0000 + i);
+            vnic.learn_peer(peer, ServerId(i % 64), &mut pool, &m);
+        }
+    });
+    let learned = (vnic.table_memory(&m) - known) / m.vnic_server_entry;
+    assert_eq!(learned, u64::from(n));
+    bytes as f64 / f64::from(n)
+}
+
 #[test]
 fn hot_path_stays_inside_its_allocation_budget() {
     // Measured at this seed: 79 allocations / 301 203 events = 0.0003
@@ -145,14 +164,25 @@ fn hot_path_stays_inside_its_allocation_budget() {
         );
     }
 
-    // Growth: 92 B of key + entry, in storage pages allocated once, with
-    // the 4-byte index slots' doublings on top. Measured: 108.2 B per
-    // entry; 363.5 when keys and (80-byte) entries each sat in one
-    // doubling `Vec`, whose every step requested a fresh copy.
+    // Learned peers: 8 B of address + server id, in storage pages
+    // allocated once, with the 4-byte index slots' doublings on top.
+    // Measured: 22.0 B per address; 42.2 when each value was a 24-byte
+    // enum able to hold a list of servers.
+    let learned = learned_peer_growth_bytes(300_000);
+    assert!(
+        learned <= 32.0,
+        "learning peers allocated {learned:.1} B per address, budget 32"
+    );
+
+    // Growth: 84 B of key + 64-byte entry, in storage pages allocated
+    // once, with the index slots' doublings on top. Measured: 100.0 B per
+    // entry; 108.2 with a 72-byte entry, and 363.5 when keys and (80-byte)
+    // entries each sat in one doubling `Vec`, whose every step requested
+    // a fresh copy.
     let grown = session_table_growth_bytes(300_000);
     assert!(
-        grown <= 120.0,
-        "growing a session table allocated {grown:.1} B per entry, budget 120"
+        grown <= 104.0,
+        "growing a session table allocated {grown:.1} B per entry, budget 104"
     );
 
     let pa = PreAction {
