@@ -253,6 +253,10 @@ impl Cluster {
                 entry.state.update(None, &pkt);
                 entry.last_seen = now;
                 nsh.carry_state(&entry.state);
+                if entry.state.stats_policy != 0 {
+                    vs.sessions
+                        .record_stats(key, pkt.dir, pkt.wire_len() as u64);
+                }
             }
             None => {
                 vs.note_session_overflow();
@@ -340,7 +344,12 @@ impl Cluster {
                 if let Some(p) = nsh.stats_policy {
                     entry.state.stats_policy = p;
                 }
-                entry.state.process_pkt(&pair.rx, &inner)
+                let action = entry.state.process_pkt(&pair.rx, &inner);
+                if entry.state.stats_policy != 0 {
+                    vs.sessions
+                        .record_stats(key, inner.dir, inner.wire_len() as u64);
+                }
+                action
             }
             None => {
                 vs.note_session_overflow();

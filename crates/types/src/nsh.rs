@@ -462,7 +462,6 @@ fn decode_pre_action(data: &[u8]) -> PreAction {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::StatsState;
     use crate::tcp_fsm::TcpState;
     use proptest::prelude::*;
 
@@ -648,21 +647,14 @@ mod tests {
             tcp,
             prop::option::of(any::<u32>()),
             any::<u8>(),
-            (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
         )
-            .prop_map(|(tx, tcp, decap, policy, counts)| SessionState {
+            .prop_map(|(tx, tcp, decap, policy)| SessionState {
                 first_dir: tx.map(|tx| if tx { Direction::Tx } else { Direction::Rx }),
                 tcp,
                 decap: decap.map(|a| StatefulDecapState {
                     overlay_src: Ipv4Addr(a),
                 }),
                 stats_policy: policy,
-                stats: StatsState {
-                    tx_packets: counts.0,
-                    rx_packets: counts.1,
-                    tx_bytes: counts.2,
-                    rx_bytes: counts.3,
-                },
             })
     }
 

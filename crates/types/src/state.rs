@@ -34,7 +34,9 @@ pub struct StatefulDecapState {
 }
 
 /// Flow-level statistics counters, recorded only while a statistics
-/// policy ([`SessionState::stats_policy`]) applies.
+/// policy ([`SessionState::stats_policy`]) applies. The session table
+/// keeps them, not [`SessionState`], so only sessions under a policy pay
+/// for them (paper §7.1, Fig. 15).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct StatsState {
     /// Packets seen TX.
@@ -63,11 +65,13 @@ impl StatsState {
     }
 }
 
-/// The complete per-session state blob.
+/// The per-session state blob, less the flow-statistics counters
+/// ([`StatsState`]) that only a session under a statistics policy has.
 ///
 /// The fixed allocation slab is [`SessionState::SLAB_BYTES`] = 64 B (paper
-/// §7.1); [`SessionState::used_bytes`] reports the bytes a variable-length
-/// encoding would need, which Fig. 15 shows averages 5–8 B in production.
+/// §7.1), counters included; [`SessionState::used_bytes`] reports the
+/// bytes a variable-length encoding would need, which Fig. 15 shows
+/// averages 5–8 B in production.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct SessionState {
     /// Direction of the session's first packet — the stateful-ACL state.
@@ -77,12 +81,12 @@ pub struct SessionState {
     /// Stateful-decap recorded address, when that NF applies.
     pub decap: Option<StatefulDecapState>,
     /// Active statistics policy id (0 = none): the canonical
-    /// *rule-table-involved* state of §3.2.2. Kept here rather than in
-    /// [`StatsState`], whose `u64` alignment would pad it to 8 bytes.
+    /// *rule-table-involved* state of §3.2.2. The counters it switches on
+    /// ([`StatsState`]) are kept by the session table, not here.
     pub stats_policy: u8,
-    /// Flow statistics, counted while `stats_policy` is non-zero.
-    pub stats: StatsState,
 }
+
+const _: () = assert!(std::mem::size_of::<SessionState>() <= 12);
 
 impl SessionState {
     /// Fixed state slab size used by the production vSwitch (paper §7.1).
@@ -147,9 +151,11 @@ impl SessionState {
     /// state like the statistics policy is adopted). With `pre = None` it is
     /// the **BE-side TX half** under Nezha: the BE sees the packet before any
     /// rule lookup, so it can apply packet-derived transitions (first-packet
-    /// direction, TCP FSM, statistics under the already-known policy) but
-    /// cannot adopt rule-table-involved state — that arrives later via notify
-    /// packets (§3.2.2).
+    /// direction, TCP FSM) but cannot adopt rule-table-involved state — that
+    /// arrives later via notify packets (§3.2.2).
+    ///
+    /// Flow statistics are not counted here: the owner of the counters
+    /// records the packet when `stats_policy` is non-zero after the update.
     pub fn update(&mut self, pre: Option<&PreAction>, pkt: &Packet) {
         let first = *self.first_dir.get_or_insert(pkt.dir);
         if pkt.tuple.protocol == IpProtocol::Tcp {
@@ -163,15 +169,11 @@ impl SessionState {
             }
         }
         // Rule-table-involved state: adopt the statistics policy the
-        // pre-action dictates (§3.2.2), then record under whatever policy is
-        // in force.
+        // pre-action dictates (§3.2.2).
         if let Some(p) = pre {
             if p.stats_policy != 0 {
                 self.stats_policy = p.stats_policy;
             }
-        }
-        if self.stats_policy != 0 {
-            self.stats.record(pkt.dir, pkt.wire_len() as u64);
         }
     }
 
@@ -227,10 +229,11 @@ mod tests {
     fn stats_state_is_the_heavy_case() {
         let mut s = SessionState::first_packet(Direction::Tx);
         s.stats_policy = 2;
-        s.stats.record(Direction::Tx, 1500);
-        s.stats.record(Direction::Rx, 60);
-        assert_eq!(s.stats.tx_packets, 1);
-        assert_eq!(s.stats.rx_bytes, 60);
+        let mut stats = StatsState::default();
+        stats.record(Direction::Tx, 1500);
+        stats.record(Direction::Rx, 60);
+        assert_eq!(stats.tx_packets, 1);
+        assert_eq!(stats.rx_bytes, 60);
         assert_eq!(s.used_bytes(), 1 + 33);
         assert!(s.used_bytes() <= SessionState::SLAB_BYTES);
     }
@@ -321,7 +324,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_policy_from_preaction_becomes_state_and_records() {
+    fn stats_policy_from_preaction_becomes_state() {
         let pre = PreAction {
             stats_policy: 3,
             ..PreAction::accept(None)
@@ -330,20 +333,18 @@ mod tests {
         let pkt = Packet::tx_data(1, VpcId(1), VnicId(1), tx_tuple(), TcpFlags::SYN, 100);
         state.process_pkt(&pre, &pkt);
         assert_eq!(state.stats_policy, 3);
-        assert_eq!(state.stats.tx_packets, 1);
-        assert!(state.stats.tx_bytes > 100);
     }
 
     #[test]
     fn be_tx_half_keeps_the_policy_it_already_has() {
-        // `update(None, ..)` never adopts rule-table-involved state, but
-        // records under a policy the state already carries.
+        // `update(None, ..)` never adopts rule-table-involved state, and
+        // leaves a policy the state already carries in force.
         let pkt = Packet::tx_data(1, VpcId(1), VnicId(1), tx_tuple(), TcpFlags::SYN, 0);
         let mut state = SessionState::default();
         state.update(None, &pkt);
-        assert_eq!((state.stats_policy, state.stats.tx_packets), (0, 0));
+        assert_eq!(state.stats_policy, 0);
         state.stats_policy = 4;
         state.update(None, &pkt);
-        assert_eq!((state.stats_policy, state.stats.tx_packets), (4, 1));
+        assert_eq!(state.stats_policy, 4);
     }
 }

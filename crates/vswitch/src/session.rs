@@ -9,6 +9,11 @@
 //! memory is exactly where the paper's #concurrent-flows gain comes from
 //! (§6.2.1).
 //!
+//! Flow statistics (1 + 32 B, §7.1) exist only for a session under a
+//! statistics policy, so the table keeps them in a side map rather than
+//! in every entry: an entry is 32 bytes, and a session without a policy
+//! never touches the map.
+//!
 //! Aging (§2.2.2, §7.3): established sessions expire after
 //! [`SESSION_AGING`] idle; embryonic (SYN-state) sessions get a much
 //! shorter timeout (`VSwitchConfig::syn_aging`) so a SYN flood cannot pin
@@ -18,7 +23,7 @@ use crate::config::{MemoryModel, VSwitchConfig};
 use nezha_sim::dense::{DenseMap, Interner};
 use nezha_sim::resources::{MemoryPool, OutOfMemory};
 use nezha_sim::time::{SimDuration, SimTime};
-use nezha_types::{Direction, PreActionPair, SessionKey, SessionState, TcpState};
+use nezha_types::{Direction, PreActionPair, SessionKey, SessionState, StatsState, TcpState};
 
 /// Idle timeout for established sessions ("an average of 8s", §2.2.2).
 pub const SESSION_AGING: SimDuration = SimDuration::from_secs(8);
@@ -44,7 +49,7 @@ pub struct SessionEntry {
     pub last_seen: SimTime,
 }
 
-const _: () = assert!(std::mem::size_of::<SessionEntry>() <= 64);
+const _: () = assert!(std::mem::size_of::<SessionEntry>() <= 32);
 
 impl SessionEntry {
     /// True while the entry holds cached flows (and is charged
@@ -78,6 +83,9 @@ pub struct SessionTable {
     entries: DenseMap<SessionKey, SessionEntry>,
     /// Distinct pre-action values behind the entries' `flow` ids.
     pairs: Interner<PreActionPair>,
+    /// Flow statistics of the sessions under a statistics policy that
+    /// have counted a packet ([`SessionTable::record_stats`]).
+    stats: DenseMap<SessionKey, StatsState>,
     created_total: u64,
     expired_total: u64,
     rejected_total: u64,
@@ -167,10 +175,41 @@ impl SessionTable {
         true
     }
 
-    /// Removes one session, releasing its memory.
+    /// Counts one packet of `bytes` in direction `dir` in the flow
+    /// statistics of `key`'s session, when its entry is under a
+    /// statistics policy (`stats_policy != 0`): only those sessions'
+    /// counters are dropped by [`SessionTable::remove`] and
+    /// [`SessionTable::expire`]. Callers check the policy on the entry
+    /// they already hold first, so a packet of a flow without one costs
+    /// no probe here.
+    pub fn record_stats(&mut self, key: SessionKey, dir: Direction, bytes: u64) {
+        let entry = self.entries.get(&key);
+        if entry.is_none_or(|e| e.state.stats_policy == 0) {
+            return;
+        }
+        match self.stats.get_mut(&key) {
+            Some(s) => s.record(dir, bytes),
+            None => {
+                let mut s = StatsState::default();
+                s.record(dir, bytes);
+                self.stats.insert(key, s);
+            }
+        }
+    }
+
+    /// The flow statistics of `key`'s session: zero for a session that
+    /// has counted nothing (no policy, or none yet).
+    pub fn stats(&self, key: &SessionKey) -> StatsState {
+        self.stats.get(key).copied().unwrap_or_default()
+    }
+
+    /// Removes one session, releasing its memory and its counters.
     pub fn remove(&mut self, key: &SessionKey, pool: &mut MemoryPool, m: &MemoryModel) {
         if let Some(e) = self.entries.remove(key) {
             pool.free(e.memory_bytes(m));
+            if e.state.stats_policy != 0 {
+                self.stats.remove(key);
+            }
         }
     }
 
@@ -194,13 +233,14 @@ impl SessionTable {
         n
     }
 
-    /// Sweeps expired sessions at `now` under the aging policy of `cfg`.
-    /// Returns the number of entries reclaimed.
+    /// Sweeps expired sessions at `now` under the aging policy of `cfg`,
+    /// with their counters. Returns the number of entries reclaimed.
     pub fn expire(&mut self, now: SimTime, cfg: &VSwitchConfig, pool: &mut MemoryPool) -> usize {
         let m = &cfg.memory;
         let mut freed_bytes = 0;
         let before = self.entries.len();
-        self.entries.retain(|_, e| {
+        let stats = &mut self.stats;
+        self.entries.retain(|key, e| {
             let idle = now.since(e.last_seen);
             let timeout = if e.state.tcp.is_closed() {
                 // Closed sessions reclaim on the next sweep.
@@ -213,6 +253,9 @@ impl SessionTable {
             let keep = idle <= timeout;
             if !keep {
                 freed_bytes += e.memory_bytes(m);
+                if e.state.stats_policy != 0 {
+                    stats.remove(key);
+                }
             }
             keep
         });
@@ -265,259 +308,5 @@ impl SessionTable {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use nezha_sim::time::SimDuration;
-    use nezha_types::{FiveTuple, Ipv4Addr, VpcId};
-
-    fn key(n: u16) -> SessionKey {
-        SessionKey::of(
-            VpcId(1),
-            FiveTuple::tcp(
-                Ipv4Addr::new(10, 0, 0, 1),
-                1000 + n,
-                Ipv4Addr::new(10, 0, 0, 2),
-                80,
-            ),
-        )
-    }
-
-    fn setup() -> (SessionTable, MemoryPool, VSwitchConfig) {
-        (
-            SessionTable::new(),
-            MemoryPool::new(10_000),
-            VSwitchConfig::default(),
-        )
-    }
-
-    #[test]
-    fn establish_charges_full_entry() {
-        let (mut t, mut pool, cfg) = setup();
-        t.establish(
-            key(1),
-            nezha_types::VnicId(0),
-            Direction::Tx,
-            Some(PreActionPair::accept(None, None)),
-            SimTime(0),
-            &mut pool,
-            &cfg.memory,
-        )
-        .unwrap();
-        assert_eq!(pool.used(), 100 + 64);
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.counters().0, 1);
-    }
-
-    #[test]
-    fn stateless_be_entry_costs_only_slab() {
-        let (mut t, mut pool, cfg) = setup();
-        t.establish(
-            key(1),
-            nezha_types::VnicId(0),
-            Direction::Rx,
-            None,
-            SimTime(0),
-            &mut pool,
-            &cfg.memory,
-        )
-        .unwrap();
-        assert_eq!(pool.used(), 64);
-    }
-
-    #[test]
-    fn memory_exhaustion_rejects_new_sessions() {
-        let (mut t, _, cfg) = setup();
-        let mut pool = MemoryPool::new(200); // room for exactly one full entry
-        t.establish(
-            key(1),
-            nezha_types::VnicId(0),
-            Direction::Tx,
-            Some(PreActionPair::accept(None, None)),
-            SimTime(0),
-            &mut pool,
-            &cfg.memory,
-        )
-        .unwrap();
-        let err = t.establish(
-            key(2),
-            nezha_types::VnicId(0),
-            Direction::Tx,
-            Some(PreActionPair::accept(None, None)),
-            SimTime(0),
-            &mut pool,
-            &cfg.memory,
-        );
-        assert!(err.is_err());
-        assert_eq!(t.counters().2, 1);
-        assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn invalidate_flows_multiplies_capacity() {
-        // The §6.2.1 mechanism: dropping 100 B of flow entry per session
-        // leaves 64 B entries — the same pool then fits ~2.5x the sessions.
-        let (mut t, _, cfg) = setup();
-        let mut pool = MemoryPool::new(164 * 10);
-        for i in 0..10 {
-            t.establish(
-                key(i),
-                nezha_types::VnicId(0),
-                Direction::Tx,
-                Some(PreActionPair::accept(None, None)),
-                SimTime(0),
-                &mut pool,
-                &cfg.memory,
-            )
-            .unwrap();
-        }
-        assert_eq!(pool.available(), 0);
-        assert_eq!(t.invalidate_flows(&mut pool, &cfg.memory), 10);
-        assert_eq!(pool.available(), 1000);
-        // 1000 freed bytes now fit 15 more state-only sessions.
-        for i in 10..25 {
-            t.establish(
-                key(i),
-                nezha_types::VnicId(0),
-                Direction::Tx,
-                None,
-                SimTime(0),
-                &mut pool,
-                &cfg.memory,
-            )
-            .unwrap();
-        }
-        assert_eq!(t.len(), 25);
-    }
-
-    #[test]
-    fn aging_established_vs_embryonic() {
-        let (mut t, mut pool, cfg) = setup();
-        // Established session.
-        let e = t
-            .establish(
-                key(1),
-                nezha_types::VnicId(0),
-                Direction::Tx,
-                None,
-                SimTime(0),
-                &mut pool,
-                &cfg.memory,
-            )
-            .unwrap();
-        e.state.tcp = TcpState::Established;
-        // Embryonic session.
-        let e = t
-            .establish(
-                key(2),
-                nezha_types::VnicId(0),
-                Direction::Tx,
-                None,
-                SimTime(0),
-                &mut pool,
-                &cfg.memory,
-            )
-            .unwrap();
-        e.state.tcp = TcpState::SynSent;
-
-        // After 2 s (> syn_aging 1 s, < SESSION_AGING 8 s): SYN expires.
-        let n = t.expire(SimTime(2_000_000_000), &cfg, &mut pool);
-        assert_eq!(n, 1);
-        assert!(t.get(&key(1)).is_some());
-        assert!(t.get(&key(2)).is_none());
-
-        // After 10 s idle the established one goes too.
-        let n = t.expire(SimTime(10_000_000_000), &cfg, &mut pool);
-        assert_eq!(n, 1);
-        assert!(t.is_empty());
-        assert_eq!(pool.used(), 0);
-        assert_eq!(t.counters().1, 2);
-    }
-
-    #[test]
-    fn touch_resets_aging_clock() {
-        let (mut t, mut pool, cfg) = setup();
-        let e = t
-            .establish(
-                key(1),
-                nezha_types::VnicId(0),
-                Direction::Tx,
-                None,
-                SimTime(0),
-                &mut pool,
-                &cfg.memory,
-            )
-            .unwrap();
-        e.state.tcp = TcpState::Established;
-        t.touch(&key(1), SimTime(7_000_000_000));
-        // 8 s after creation but only 1 s after the touch: still alive.
-        assert_eq!(t.expire(SimTime(8_000_000_000), &cfg, &mut pool), 0);
-        assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn closed_sessions_reclaim_on_sweep() {
-        let (mut t, mut pool, cfg) = setup();
-        let e = t
-            .establish(
-                key(1),
-                nezha_types::VnicId(0),
-                Direction::Tx,
-                None,
-                SimTime(0),
-                &mut pool,
-                &cfg.memory,
-            )
-            .unwrap();
-        e.state.tcp = TcpState::Closed;
-        assert_eq!(
-            t.expire(SimTime(0) + SimDuration::from_millis(1), &cfg, &mut pool),
-            1
-        );
-        assert!(t.is_empty());
-    }
-
-    #[test]
-    fn invalidate_flows_keeps_state() {
-        let (mut t, mut pool, cfg) = setup();
-        t.establish(
-            key(1),
-            nezha_types::VnicId(0),
-            Direction::Tx,
-            Some(PreActionPair::accept(None, None)),
-            SimTime(0),
-            &mut pool,
-            &cfg.memory,
-        )
-        .unwrap();
-        assert_eq!(t.invalidate_flows(&mut pool, &cfg.memory), 1);
-        let e = t.get(&key(1)).unwrap();
-        assert!(!e.has_cached_flows());
-        assert!(t.pre_actions(e).is_none());
-        // No entry holds an id: the interned values went with the flows.
-        assert!(t.pairs.is_empty());
-        assert_eq!(e.state.first_dir, Some(Direction::Tx));
-        assert_eq!(pool.used(), 64);
-        // Idempotent.
-        assert_eq!(t.invalidate_flows(&mut pool, &cfg.memory), 0);
-    }
-
-    #[test]
-    fn remove_releases_memory() {
-        let (mut t, mut pool, cfg) = setup();
-        t.establish(
-            key(1),
-            nezha_types::VnicId(0),
-            Direction::Tx,
-            Some(PreActionPair::accept(None, None)),
-            SimTime(0),
-            &mut pool,
-            &cfg.memory,
-        )
-        .unwrap();
-        t.remove(&key(1), &mut pool, &cfg.memory);
-        assert_eq!(pool.used(), 0);
-        // Removing a missing key is a no-op.
-        t.remove(&key(1), &mut pool, &cfg.memory);
-        assert_eq!(pool.used(), 0);
-    }
-}
+#[path = "session_tests.rs"]
+mod tests;

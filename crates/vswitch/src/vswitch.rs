@@ -406,7 +406,11 @@ impl VSwitch {
         let action = match entry {
             Some(e) => {
                 e.last_seen = now;
-                e.state.process_pkt(&pre, pkt)
+                let action = e.state.process_pkt(&pre, pkt);
+                if e.state.stats_policy != 0 {
+                    self.sessions.record_stats(key, pkt.dir, bytes as u64);
+                }
+                action
             }
             // Session memory exhausted: process against ephemeral state
             // (stateful guarantees degrade exactly as they would on a

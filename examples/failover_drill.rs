@@ -61,7 +61,8 @@ fn main() {
         let t = start + SimDuration::from_secs(step);
         cluster.run_until(t);
         let fes = cluster.fe_servers(VNIC);
-        let lost_total = cluster.stats().pkts.dropped;
+        let stats = cluster.stats();
+        let lost_total = stats.pkts.dropped;
         let lost = lost_total - last_lost;
         last_lost = lost_total;
         println!(
@@ -69,7 +70,7 @@ fn main() {
             t.as_secs_f64(),
             fes,
             lost,
-            if cluster.stats().failover_events > 0 && lost == 0 && step >= 8 {
+            if stats.failover_events > 0 && lost == 0 && step >= 8 {
                 "  (failed over, recovered)"
             } else {
                 ""
@@ -77,17 +78,18 @@ fn main() {
         );
     }
 
-    let total = cluster.stats().completed + cluster.stats().failed;
+    let stats = cluster.stats();
+    let total = stats.completed + stats.failed;
     println!();
     println!(
         "connections: {} completed, {} failed ({:.3}% of {total})",
-        cluster.stats().completed,
-        cluster.stats().failed,
-        cluster.stats().failed as f64 / total as f64 * 100.0
+        stats.completed,
+        stats.failed,
+        stats.failed as f64 / total as f64 * 100.0
     );
     println!(
         "failovers: {}; pool restored to {} FEs without the victim",
-        cluster.stats().failover_events,
+        stats.failover_events,
         cluster.fe_count(VNIC)
     );
     assert!(!cluster.fe_servers(VNIC).contains(&victim));

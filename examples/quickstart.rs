@@ -72,10 +72,11 @@ fn drive(cluster: &mut Cluster, rate: f64) -> (f64, f64) {
         cluster.add_conn(spec).unwrap();
     }
     cluster.run_until(start + duration + SimDuration::from_secs(1));
-    let total = cluster.stats().completed + cluster.stats().failed + cluster.stats().denied;
+    let stats = cluster.stats();
+    let total = stats.completed + stats.failed + stats.denied;
     (
-        cluster.stats().completed as f64 / duration.as_secs_f64(),
-        1.0 - cluster.stats().completed as f64 / total.max(1) as f64,
+        stats.completed as f64 / duration.as_secs_f64(),
+        1.0 - stats.completed as f64 / total.max(1) as f64,
     )
 }
 

@@ -26,7 +26,15 @@
 #            indexed ACL classifier and hashed LPM checked against a
 #            scan of their rules, the cost
 #            split's exact-sum and stage-order properties, the
-#            process_local outcome table), the `nezha-sim` dense
+#            process_local outcome table, and the session table's
+#            flow-statistics side map: counters written only under a
+#            policy, counting from the packet after a notify, leaving
+#            with their session on remove and expire, none left once
+#            every session expired), the cluster's pinned flow-statistics
+#            counters (`tests/offload_lifecycle.rs`
+#            `statistics_policy_counts_on_the_local_and_offloaded_paths`:
+#            traffic to a logged prefix, on the local path and offloaded),
+#            the `nezha-sim` dense
 #            tests (every per-packet table rests on `DenseMap`'s slot
 #            encoding and its paged storage: the BTreeMap and
 #            iteration-order models run across page boundaries, past
@@ -116,8 +124,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 if [ "$fast" -eq 1 ]; then
     echo "==> cargo test -q -p nezha-types   (--fast: state transitions, the TX carry, the NSH codec)"
     cargo test -q -p nezha-types
-    echo "==> cargo test -q -p nezha-vswitch   (--fast: rule lookup vs its reference, indexed tables vs a scan, cost-split properties)"
+    echo "==> cargo test -q -p nezha-vswitch   (--fast: rule lookup vs its reference, indexed tables vs a scan, cost-split properties, session statistics)"
     cargo test -q -p nezha-vswitch
+    echo "==> cargo test -q --test offload_lifecycle statistics_policy   (--fast: pinned flow-statistics counters, local and offloaded)"
+    cargo test -q --test offload_lifecycle statistics_policy
     echo "==> cargo test -q -p nezha-sim dense   (--fast: DenseMap slot encoding and pages vs its BTreeMap and order models)"
     cargo test -q -p nezha-sim dense
     echo "==> cargo test -q -p nezha-sim engine   (--fast: the event ladder vs its BinaryHeap model)"
@@ -154,7 +164,7 @@ else
     cargo test --workspace -q
     echo "==> cargo test -q --test chaos   (fault-injection suite)"
     cargo test -q --test chaos
-    # benchmark/ compiles against a specific public API (ROADMAP item 2):
+    # benchmark/ compiles against a specific public API (ROADMAP item 1(c)):
     # API drift must fail here, not in the acceptance run.
     echo "==> cargo test --offline -q --manifest-path benchmark/Cargo.toml   (the yardstick still builds and passes)"
     cargo test --offline -q --manifest-path benchmark/Cargo.toml

@@ -174,15 +174,16 @@ fn hot_path_stays_inside_its_allocation_budget() {
         "learning peers allocated {learned:.1} B per address, budget 32"
     );
 
-    // Growth: 84 B of key + 64-byte entry, in storage pages allocated
-    // once, with the index slots' doublings on top. Measured: 100.0 B per
-    // entry; 108.2 with a 72-byte entry, and 363.5 when keys and (80-byte)
-    // entries each sat in one doubling `Vec`, whose every step requested
-    // a fresh copy.
+    // Growth: 52 B of 20-byte key + 32-byte entry, in storage pages
+    // allocated once, with the index slots' doublings on top. Measured:
+    // 67.3 B per entry; 100.0 with a 64-byte entry that carried its own
+    // flow-statistics counters, 108.2 with a 72-byte entry, and 363.5 when
+    // keys and (80-byte) entries each sat in one doubling `Vec`, whose
+    // every step requested a fresh copy.
     let grown = session_table_growth_bytes(300_000);
     assert!(
-        grown <= 104.0,
-        "growing a session table allocated {grown:.1} B per entry, budget 104"
+        grown <= 72.0,
+        "growing a session table allocated {grown:.1} B per entry, budget 72"
     );
 
     let pa = PreAction {

@@ -367,3 +367,58 @@ fn mirrored_prefixes_generate_copies_under_offload() {
     let mirrored = c.switch(HOME).unwrap().counters().mirrored + c.stats().mirror_copies;
     assert!(mirrored >= 30, "copies {mirrored}");
 }
+
+/// Flow statistics summed over the live sessions at `server`:
+/// `[tx_packets, rx_packets, tx_bytes, rx_bytes]`.
+fn stats_totals(c: &Cluster, server: ServerId) -> [u64; 4] {
+    let sessions = &c.switch(server).unwrap().sessions;
+    let mut sum = [0; 4];
+    for (key, _) in sessions.iter() {
+        let s = sessions.stats(key);
+        let counts = [s.tx_packets, s.rx_packets, s.tx_bytes, s.rx_bytes];
+        for (t, v) in sum.iter_mut().zip(counts) {
+            *t += v;
+        }
+    }
+    sum
+}
+
+#[test]
+fn statistics_policy_counts_on_the_local_and_offloaded_paths() {
+    // Ten outbound connections toward a logged prefix (the synthetic
+    // policy tables cover the upper half of the /16) and ten toward an
+    // unlogged one. Only the first ten count, at the home vSwitch — the
+    // one copy of the state, locally and as the BE. Offloaded, the BE's
+    // TX half cannot adopt the policy: each SYN leaves uncounted and the
+    // FE's notify brings the policy for the next packet (§3.2.2).
+    for (offload, want) in [
+        (false, [40, 30, 4_160, 5_120]),
+        (true, [30, 30, 3_620, 5_120]),
+    ] {
+        let mut c = cluster();
+        if offload {
+            c.trigger_offload(VNIC, SimTime::ZERO).unwrap();
+        }
+        c.run_until(SimTime::ZERO + SimDuration::from_millis(3_100));
+        for i in 0..20u32 {
+            let mut s = spec(
+                2000 + i,
+                c.now() + SimDuration::from_millis(i as u64),
+                ConnKind::Outbound,
+            );
+            let third = if i < 10 { 128 } else { 3 };
+            s.tuple = FiveTuple::tcp(
+                SERVICE,
+                44_000 + i as u16,
+                Ipv4Addr::new(10, 7, third, 9),
+                443,
+            );
+            c.add_conn(s).unwrap();
+        }
+        // Every connection completes before the next aging sweep reclaims
+        // its closed session.
+        c.run_until(SimTime::ZERO + SimDuration::from_millis(3_600));
+        assert_eq!(c.stats().completed, 20, "offload={offload}");
+        assert_eq!(stats_totals(&c, HOME), want, "offload={offload}");
+    }
+}
