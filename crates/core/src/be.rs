@@ -18,7 +18,6 @@ use nezha_types::{
     Direction, NezhaHeader, NezhaPayloadKind, Packet, ServerId, SessionKey, SessionState, VnicId,
 };
 use nezha_vswitch::{SessionEntry, VSwitch};
-use std::collections::BTreeMap;
 
 /// Phase of a vNIC's offload lifecycle (§4.2).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -51,12 +50,6 @@ pub struct BackendMeta {
     /// When all traffic started flowing through FEs (completion instant,
     /// the Table 4 quantity).
     pub activated_at: Option<SimTime>,
-    /// Elephant flows pinned to a dedicated FE (§7.5).
-    pinned: BTreeMap<SessionKey, ServerId>,
-    /// FEs dedicated to pinned elephants: excluded from the general hash
-    /// ring so the elephant "nearly monopolizes the resources of a single
-    /// SmartNIC" while other tenant traffic is isolated from it (§7.5).
-    dedicated: Vec<ServerId>,
 }
 
 impl BackendMeta {
@@ -68,8 +61,6 @@ impl BackendMeta {
             ready: Vec::new(),
             triggered_at: now,
             activated_at: None,
-            pinned: BTreeMap::new(),
-            dedicated: Vec::new(),
         }
     }
 
@@ -93,8 +84,6 @@ impl BackendMeta {
         let had = self.fe_list.contains(&fe);
         self.fe_list.retain(|&s| s != fe);
         self.ready.retain(|&s| s != fe);
-        self.pinned.retain(|_, &mut s| s != fe);
-        self.dedicated.retain(|&s| s != fe);
         had
     }
 
@@ -108,61 +97,13 @@ impl BackendMeta {
         !self.fe_list.is_empty() && self.ready.len() == self.fe_list.len()
     }
 
-    /// Selects the FE for a flow: a pinned assignment wins (elephant
-    /// isolation, §7.5), otherwise `Hash(5-tuple) mod #ready` over the
-    /// non-dedicated members (§3.2.3).
-    pub fn select_fe(&self, key: &SessionKey, flow_hash: u64) -> Option<ServerId> {
-        if let Some(&fe) = self.pinned.get(key) {
-            if self.ready.contains(&fe) {
-                return Some(fe);
-            }
+    /// Selects the FE for a flow: `Hash(5-tuple) mod #ready` over the
+    /// ready members, in the order they became ready (§3.2.3).
+    pub fn select_fe(&self, flow_hash: u64) -> Option<ServerId> {
+        if self.ready.is_empty() {
+            return None;
         }
-        // General traffic avoids dedicated FEs (unless nothing else is
-        // ready — availability beats isolation). Counted + nth rather
-        // than collected: selection runs per flow on the TX path.
-        let general = self
-            .ready
-            .iter()
-            .filter(|s| !self.dedicated.contains(s))
-            .count();
-        if general > 0 {
-            let want = (flow_hash % general as u64) as usize;
-            self.ready
-                .iter()
-                .filter(|s| !self.dedicated.contains(s))
-                .nth(want)
-                .copied()
-        } else if self.ready.is_empty() {
-            None
-        } else {
-            Some(self.ready[(flow_hash % self.ready.len() as u64) as usize])
-        }
-    }
-
-    /// Pins an elephant flow's session to a dedicated FE (§7.5). The FE
-    /// leaves the general hash ring: the elephant gets the whole card,
-    /// and other tenants' flows stop sharing it.
-    pub fn pin_flow(&mut self, key: SessionKey, fe: ServerId) {
-        self.pinned.insert(key, fe);
-        if !self.dedicated.contains(&fe) {
-            self.dedicated.push(fe);
-        }
-    }
-
-    /// The ready FEs serving general (non-pinned) traffic: dedicated FEs
-    /// are excluded while at least one general member remains.
-    pub fn general_fes(&self) -> Vec<ServerId> {
-        let general: Vec<ServerId> = self
-            .ready
-            .iter()
-            .copied()
-            .filter(|s| !self.dedicated.contains(s))
-            .collect();
-        if general.is_empty() {
-            self.ready.clone()
-        } else {
-            general
-        }
+        Some(self.ready[(flow_hash % self.ready.len() as u64) as usize])
     }
 }
 
@@ -270,7 +211,7 @@ impl Cluster {
             return self.lose_packet(pkt.trace, now);
         };
         let h = self.select_hash(&pkt.tuple, pkt.trace);
-        let Some(fe) = meta.select_fe(&key, h) else {
+        let Some(fe) = meta.select_fe(h) else {
             return self.lose_packet(pkt.trace, now);
         };
         let mut out = pkt.with_nezha(nsh);
@@ -405,10 +346,9 @@ impl Cluster {
         if self.degrade_if_collapsed(pkt.vnic, now) {
             return self.process_locally(server, now, pkt, sent_at);
         }
-        let key = SessionKey::of(pkt.vpc, pkt.tuple);
         let fe = match self.be_meta.get(&pkt.vnic) {
             Some(meta) if meta.phase == OffloadPhase::Offloaded => {
-                meta.select_fe(&key, flow_hash(&pkt.tuple))
+                meta.select_fe(flow_hash(&pkt.tuple))
             }
             // Local / dual-running: the BE still has rules and flows.
             _ => return self.process_locally(server, now, pkt, sent_at),
@@ -441,14 +381,6 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nezha_types::{FiveTuple, Ipv4Addr, VpcId};
-
-    fn key(p: u16) -> SessionKey {
-        SessionKey::of(
-            VpcId(1),
-            FiveTuple::tcp(Ipv4Addr::new(1, 1, 1, 1), p, Ipv4Addr::new(2, 2, 2, 2), 80),
-        )
-    }
 
     #[test]
     fn lifecycle_ready_tracking() {
@@ -459,7 +391,7 @@ mod tests {
         be.add_fe(ServerId(2)); // idempotent
         assert_eq!(be.fe_list.len(), 2);
         assert!(!be.all_ready());
-        assert_eq!(be.select_fe(&key(1), 0), None, "nothing ready yet");
+        assert_eq!(be.select_fe(0), None, "nothing ready yet");
         be.mark_ready(ServerId(1));
         be.mark_ready(ServerId(1)); // idempotent
         assert_eq!(be.ready_fes(), &[ServerId(1)]);
@@ -482,9 +414,9 @@ mod tests {
             be.add_fe(ServerId(s));
             be.mark_ready(ServerId(s));
         }
-        assert_eq!(be.select_fe(&key(1), 5), Some(ServerId(2)));
-        assert_eq!(be.select_fe(&key(1), 5), Some(ServerId(2)));
-        assert_eq!(be.select_fe(&key(1), 7), Some(ServerId(4)));
+        assert_eq!(be.select_fe(5), Some(ServerId(2)));
+        assert_eq!(be.select_fe(5), Some(ServerId(2)));
+        assert_eq!(be.select_fe(7), Some(ServerId(4)));
     }
 
     #[test]
@@ -494,40 +426,20 @@ mod tests {
             be.add_fe(ServerId(s));
             be.mark_ready(ServerId(s));
         }
-        be.pin_flow(key(9), ServerId(3));
         assert!(be.remove_fe(ServerId(3)));
         assert!(!be.remove_fe(ServerId(3)));
         assert_eq!(be.fe_list.len(), 3);
         assert_eq!(be.ready_fes().len(), 3);
-        // Pins to a removed FE are dropped: re-added, it is one more
-        // general member, and the pinned flow hashes like any other.
+        // Re-added, it becomes ready last and takes the last hash slot.
         be.add_fe(ServerId(3));
         be.mark_ready(ServerId(3));
+        assert_eq!(
+            be.ready_fes(),
+            &[ServerId(1), ServerId(2), ServerId(4), ServerId(3)]
+        );
         for h in 0..8 {
             let hashed = be.ready_fes()[(h % 4) as usize];
-            assert_eq!(be.select_fe(&key(9), h), Some(hashed));
-        }
-    }
-
-    #[test]
-    fn pinned_elephant_overrides_hash() {
-        let mut be = BackendMeta::new(SimTime(0));
-        for s in [1, 2, 3, 4] {
-            be.add_fe(ServerId(s));
-            be.mark_ready(ServerId(s));
-        }
-        let k = key(5);
-        let default_pick = be.select_fe(&k, 0).unwrap();
-        let dedicated = ServerId(if default_pick == ServerId(4) { 1 } else { 4 });
-        be.pin_flow(k, dedicated);
-        assert_eq!(be.select_fe(&k, 0), Some(dedicated));
-        // Other flows hash over the remaining (non-dedicated) FEs.
-        for h in 0..32 {
-            let pick = be.select_fe(&key(6), h).unwrap();
-            assert_ne!(
-                pick, dedicated,
-                "general traffic must avoid the dedicated FE"
-            );
+            assert_eq!(be.select_fe(h), Some(hashed));
         }
     }
 }

@@ -34,7 +34,7 @@ use nezha_sim::telemetry::Telemetry;
 use nezha_sim::time::{SimDuration, SimTime};
 use nezha_sim::topology::Topology;
 use nezha_sim::trace::PacketTrace;
-use nezha_types::{Ipv4Addr, NezhaError, NezhaResult, Packet, ServerId, SessionKey, VnicId};
+use nezha_types::{Ipv4Addr, NezhaError, NezhaResult, Packet, ServerId, VnicId};
 use nezha_vswitch::vnic::Vnic;
 use nezha_vswitch::vswitch::VSwitch;
 
@@ -361,29 +361,6 @@ impl Cluster {
         self.fes.get(&(fe, vnic)).map(|f| f.cached_flows())
     }
 
-    /// Pins an elephant flow's session to a dedicated FE (§7.5): the BE's
-    /// TX selection, the gateway's RX selection, and the general hash
-    /// ring are all updated — the dedicated FE serves (nearly) only the
-    /// elephant from now on.
-    pub fn pin_flow(&mut self, vnic: VnicId, key: SessionKey, fe: ServerId) -> NezhaResult<()> {
-        let meta = self
-            .be_meta
-            .get_mut(&vnic)
-            .ok_or(NezhaError::NotOffloaded(vnic))?;
-        if !meta.fe_list.contains(&fe) {
-            return Err(NezhaError::NotAnFe { vnic, fe });
-        }
-        meta.pin_flow(key, fe);
-        let general = meta.general_fes();
-        let addr = self.vnic_addr[&vnic];
-        let now = self.engine.now();
-        self.gateway.pin(addr, key.canonical.stable_hash(), fe);
-        if !general.is_empty() {
-            self.gateway.update(addr, general, now);
-        }
-        Ok(())
-    }
-
     /// The BE location configured on one FE (None when that FE does not
     /// exist).
     pub fn fe_be_location(&self, fe: ServerId, vnic: VnicId) -> Option<ServerId> {
@@ -533,7 +510,7 @@ impl Cluster {
 
     /// Injects a bulk/background RX packet: takes the full data-plane
     /// path (and loads every resource on it) but is excluded from the
-    /// probe-latency samples. Used for elephant-flow streams (§7.5).
+    /// probe-latency samples. Used for bulk background streams.
     pub fn inject_bulk_rx(
         &mut self,
         vnic: VnicId,

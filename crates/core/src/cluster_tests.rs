@@ -200,9 +200,8 @@ fn control_plane_errors_are_typed() {
         }),
         Err(NezhaError::UnknownVnic(ghost))
     );
-    let key = SessionKey::of(VpcId(1), inbound_spec(1, SimTime(0)).tuple);
     assert_eq!(
-        c.pin_flow(ghost, key, ServerId(1)),
+        c.trigger_fallback(ghost, SimTime(0)),
         Err(NezhaError::NotOffloaded(ghost))
     );
     assert_eq!(
@@ -218,17 +217,6 @@ fn control_plane_errors_are_typed() {
     assert_eq!(
         c.trigger_fallback(VNIC, c.now()),
         Err(NezhaError::OffloadInProgress(VNIC))
-    );
-    c.run_until(SimTime(0) + SimDuration::from_secs(3));
-    // Pinning to a server that hosts no FE for the vNIC is refused.
-    let not_fe = ServerId(15);
-    assert!(!c.fe_servers(VNIC).contains(&not_fe));
-    assert_eq!(
-        c.pin_flow(VNIC, key, not_fe),
-        Err(NezhaError::NotAnFe {
-            vnic: VNIC,
-            fe: not_fe
-        })
     );
 }
 

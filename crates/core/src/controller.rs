@@ -245,19 +245,6 @@ impl Cluster {
     /// Errors if the vNIC is unknown, already offloaded, or no candidate
     /// FEs exist.
     pub fn trigger_offload(&mut self, vnic: VnicId, now: SimTime) -> NezhaResult<()> {
-        self.trigger_offload_to_version(vnic, now, None)
-    }
-
-    /// Offloads `vnic` to FEs running an exact vSwitch version — the §7.2
-    /// capability: steer a vNIC onto upgraded vSwitches to get a new
-    /// feature early, or onto older known-good ones to dodge a release
-    /// bug, without touching the VM.
-    pub fn trigger_offload_to_version(
-        &mut self,
-        vnic: VnicId,
-        now: SimTime,
-        version: Option<u32>,
-    ) -> NezhaResult<()> {
         if self.be_meta.contains_key(&vnic) {
             return Err(NezhaError::AlreadyOffloaded(vnic));
         }
@@ -266,7 +253,7 @@ impl Cluster {
             .get(&vnic)
             .ok_or(NezhaError::UnknownVnic(vnic))?;
         let want = self.cfg.controller.initial_fes;
-        let fes = self.select_idle_vswitches_versioned(home, want, &[], version);
+        let fes = self.select_idle_vswitches(home, want, &[]);
         if fes.is_empty() {
             return Err(NezhaError::NoIdleVswitches);
         }
@@ -321,17 +308,6 @@ impl Cluster {
         want: usize,
         exclude: &[ServerId],
     ) -> Vec<ServerId> {
-        self.select_idle_vswitches_versioned(home, want, exclude, None)
-    }
-
-    /// FE selection with an optional exact-version requirement (§7.2).
-    pub(crate) fn select_idle_vswitches_versioned(
-        &mut self,
-        home: ServerId,
-        want: usize,
-        exclude: &[ServerId],
-        version: Option<u32>,
-    ) -> Vec<ServerId> {
         let now = self.engine.now();
         let scopes = [
             self.topo.rack_peers(home),
@@ -343,7 +319,6 @@ impl Cluster {
                 .into_iter()
                 .filter(|s| !self.faults.is_crashed(*s))
                 .filter(|s| !exclude.contains(s))
-                .filter(|s| version.is_none_or(|v| self.switches[s.0 as usize].version == v))
                 .map(|s| (s, self.switches[s.0 as usize].cpu_utilization(now)))
                 .filter(|(_, u)| *u < SCALE_THRESHOLD)
                 .collect();
@@ -476,8 +451,6 @@ impl Cluster {
             let m = self.cfg.vswitch.memory;
             fe.release(&mut self.switches[fe_server.0 as usize].mem, &m);
         }
-        // Elephant pins steering to this FE would blackhole their flows.
-        self.gateway.unpin_server(self.vnic_addr[&vnic], fe_server);
         // Point the gateway at the survivors (or back at the BE if none).
         let addr = self.vnic_addr[&vnic];
         let servers = if remaining.is_empty() {
@@ -662,7 +635,6 @@ impl Cluster {
                 self.switches[home.0 as usize]
                     .mem
                     .free(self.cfg.vswitch.memory.be_metadata);
-                self.gateway.unpin_addr(self.vnic_addr[&vnic]);
                 self.be_meta.remove(&vnic);
             }
             ConfigOp::BeLocationUpdate { vnic, new_home } => {

@@ -34,38 +34,15 @@ struct VersionedEntry {
 /// The gateway table.
 #[derive(Clone, Debug, Default)]
 pub struct Gateway {
-    /// Dense-hashed: `select` probes this (and `pins`) once per RX
-    /// packet; neither map is ever iterated order-visibly (`unpin_*`
-    /// retains are pure filters).
+    /// Dense-hashed: `select` probes this once per RX packet; it is
+    /// never iterated.
     entries: DenseMap<Ipv4Addr, VersionedEntry>,
-    /// Exact-flow overrides: `(vNIC address, flow hash) → server`. Used to
-    /// steer a pinned elephant flow to its dedicated FE while the general
-    /// entry spreads everything else (§7.5).
-    pins: DenseMap<(Ipv4Addr, u64), ServerId>,
 }
 
 impl Gateway {
     /// Creates an empty gateway.
     pub fn new() -> Self {
         Gateway::default()
-    }
-
-    /// Installs an exact-flow override steering `flow_hash` of `addr` to
-    /// one server (elephant pinning, §7.5).
-    pub fn pin(&mut self, addr: Ipv4Addr, flow_hash: u64, server: ServerId) {
-        self.pins.insert((addr, flow_hash), server);
-    }
-
-    /// Removes every override of `addr` that steers to `server` — called
-    /// when that server stops being one of the vNIC's FEs (failover,
-    /// scale-in), so a dead pin cannot blackhole its flow.
-    pub fn unpin_server(&mut self, addr: Ipv4Addr, server: ServerId) {
-        self.pins.retain(|(a, _), s| *a != addr || *s != server);
-    }
-
-    /// Removes every override of `addr` (fallback: no FEs remain).
-    pub fn unpin_addr(&mut self, addr: Ipv4Addr) {
-        self.pins.retain(|(a, _), _| *a != addr);
     }
 
     /// Installs or replaces the mapping for `addr`, effective for each
@@ -117,9 +94,6 @@ impl Gateway {
         flow_hash: u64,
         now: SimTime,
     ) -> Option<ServerId> {
-        if let Some(&s) = self.pins.get(&(addr, flow_hash)) {
-            return Some(s);
-        }
         let servers = self.resolve(addr, sender, now)?;
         if servers.is_empty() {
             None
@@ -242,27 +216,6 @@ mod tests {
         g.update(addr, vec![ServerId(1)], SimTime(0));
         g.update(addr, vec![ServerId(2)], SimTime(1));
         assert_eq!(g.current(addr), Some(&[ServerId(2)][..]));
-    }
-
-    #[test]
-    fn flow_pins_override_the_hash() {
-        let mut g = gw();
-        let addr = Ipv4Addr::new(10, 0, 0, 1);
-        g.update(addr, vec![ServerId(1), ServerId(2)], SimTime(0));
-        let t = SimTime(0) + LEARNING_INTERVAL;
-        let h = 12345u64;
-        let unpinned = g.select(addr, ServerId(0), h, t).unwrap();
-        let target = ServerId(if unpinned == ServerId(1) { 2 } else { 1 });
-        g.pin(addr, h, target);
-        assert_eq!(g.select(addr, ServerId(0), h, t), Some(target));
-        // Other hashes unaffected.
-        assert!(g.select(addr, ServerId(0), h + 1, t).is_some());
-        // Unpinning another server leaves the override; unpinning its
-        // target removes it.
-        g.unpin_server(addr, unpinned);
-        assert_eq!(g.select(addr, ServerId(0), h, t), Some(target));
-        g.unpin_server(addr, target);
-        assert_eq!(g.select(addr, ServerId(0), h, t), Some(unpinned));
     }
 
     #[test]

@@ -34,8 +34,13 @@
 //! * [`controller`] — offload/fallback/scale-out/scale-in per Fig. 8;
 //! * [`monitor`] — ping-polling crash detection and ≤2 s failover;
 //! * [`migration`] — the VM live-migration cost model (Fig. A1);
-//! * [`bdf`] — BDF-number management for massive-vNIC VMs (§7.4);
 //! * [`region`] — the fluid region simulator.
+//!
+//! Not modelled, because no experiment, scorecard row or benchmark
+//! workload would read them: §7.2's version steering (offloading a vNIC
+//! onto FEs of one vSwitch release), §7.4's BDF / child-vNIC numbering
+//! for massive-vNIC VMs, and §7.5's elephant pinning to a dedicated FE.
+//! Every flow of an offloaded vNIC goes to `Hash(5-tuple) mod #ready FEs`.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -49,7 +54,6 @@
     clippy::allow_attributes_without_reason
 )]
 
-pub mod bdf;
 pub mod be;
 pub mod cluster;
 #[cfg(test)]

@@ -75,18 +75,10 @@ pub enum FaultKind {
         /// The recovering server.
         server: ServerId,
     },
-    /// Uniform random loss on the fabric path between two servers, both
-    /// directions.
-    LinkLoss {
-        /// One endpoint.
-        a: ServerId,
-        /// The other endpoint.
-        b: ServerId,
-        /// Per-packet loss probability in `[0, 1]`.
-        loss: f64,
-    },
-    /// Bursty loss on the path between two servers (both directions),
-    /// driven by an independent Gilbert–Elliott channel per direction.
+    /// Loss on the path between two servers (both directions), driven by
+    /// an independent Gilbert–Elliott channel per direction. A channel
+    /// that never enters its bad state (`p_enter = 0`) is uniform loss
+    /// at `loss_good`.
     BurstyLoss {
         /// One endpoint.
         a: ServerId,
@@ -191,11 +183,6 @@ impl FaultPlan {
         self.add(at, FaultKind::GrayRecover { server })
     }
 
-    /// Schedules uniform random loss on one path.
-    pub fn link_loss(self, at: SimTime, a: ServerId, b: ServerId, loss: f64) -> Self {
-        self.add(at, FaultKind::LinkLoss { a, b, loss })
-    }
-
     /// Schedules Gilbert–Elliott bursty loss on one path.
     pub fn bursty_loss(self, at: SimTime, a: ServerId, b: ServerId, model: GilbertElliott) -> Self {
         self.add(at, FaultKind::BurstyLoss { a, b, model })
@@ -260,13 +247,12 @@ impl FaultPlan {
     }
 }
 
-/// One active loss model on a directed link.
+/// The Gilbert–Elliott channel on one directed link, with its current
+/// state.
 #[derive(Clone, Copy, Debug)]
-enum LinkState {
-    /// Uniform i.i.d. loss.
-    Uniform { loss: f64 },
-    /// Gilbert–Elliott channel with its current state.
-    Bursty { model: GilbertElliott, bad: bool },
+struct LinkState {
+    model: GilbertElliott,
+    bad: bool,
 }
 
 /// The live fault conditions, updated by [`FaultState::apply`] and
@@ -318,14 +304,8 @@ impl FaultState {
             FaultKind::GrayRecover { server } => {
                 self.gray.remove(server);
             }
-            FaultKind::LinkLoss { a, b, loss } => {
-                self.links
-                    .insert((*a, *b), LinkState::Uniform { loss: *loss });
-                self.links
-                    .insert((*b, *a), LinkState::Uniform { loss: *loss });
-            }
             FaultKind::BurstyLoss { a, b, model } => {
-                let fresh = LinkState::Bursty {
+                let fresh = LinkState {
                     model: *model,
                     bad: false,
                 };
@@ -394,33 +374,22 @@ impl FaultState {
     }
 
     /// Per-packet drop decision for the directed hop `from → to`:
-    /// partitions drop deterministically; loss models sample from the
-    /// fault RNG (advancing the Gilbert–Elliott channel first).
+    /// partitions drop deterministically; a lossy link advances its
+    /// Gilbert–Elliott channel, then samples the state's loss, both from
+    /// the fault RNG.
     pub fn should_drop(&mut self, from: ServerId, to: ServerId) -> bool {
         if self.partitioned(from, to) {
             return true;
         }
-        let Some(state) = self.links.get_mut(&(from, to)) else {
+        let Some(link) = self.links.get_mut(&(from, to)) else {
             return false;
         };
-        match state {
-            LinkState::Uniform { loss } => {
-                let p = *loss;
-                self.rng.chance(p)
-            }
-            LinkState::Bursty { model, bad } => {
-                let flip = if *bad { model.p_exit } else { model.p_enter };
-                let m = *model;
-                let b = *bad;
-                let flipped = self.rng.chance(flip);
-                let now_bad = if flipped { !b } else { b };
-                let p = if now_bad { m.loss_bad } else { m.loss_good };
-                if let Some(LinkState::Bursty { bad, .. }) = self.links.get_mut(&(from, to)) {
-                    *bad = now_bad;
-                }
-                self.rng.chance(p)
-            }
+        let m = link.model;
+        if self.rng.chance(if link.bad { m.p_exit } else { m.p_enter }) {
+            link.bad = !link.bad;
         }
+        self.rng
+            .chance(if link.bad { m.loss_bad } else { m.loss_good })
     }
 
     /// Per-notify drop decision (samples the fault RNG only while a
@@ -482,24 +451,49 @@ mod tests {
         assert!(!st.any_active());
     }
 
-    #[test]
-    fn uniform_loss_hits_roughly_its_probability() {
-        let mut st = FaultState::new(SimRng::new(7));
-        st.apply(&FaultKind::LinkLoss {
+    /// A channel that never enters its bad state is uniform loss at
+    /// `loss_good`: the link-loss model has no second form.
+    fn never_bad(loss_good: f64) -> FaultKind {
+        FaultKind::BurstyLoss {
             a: ServerId(0),
             b: ServerId(1),
-            loss: 0.3,
+            model: GilbertElliott {
+                p_enter: 0.0,
+                p_exit: 1.0,
+                loss_good,
+                loss_bad: 0.0,
+            },
+        }
+    }
+
+    #[test]
+    fn degenerate_channel_drops_both_ways_until_healed() {
+        let mut st = FaultState::new(SimRng::new(7));
+        st.apply(&never_bad(1.0));
+        assert!(st.any_active());
+        assert!((0..200).all(|_| st.should_drop(ServerId(0), ServerId(1))));
+        assert!((0..200).all(|_| st.should_drop(ServerId(1), ServerId(0))));
+        // Unrelated links are clean.
+        assert!((0..200).all(|_| !st.should_drop(ServerId(0), ServerId(2))));
+        st.apply(&FaultKind::LinkHeal {
+            a: ServerId(1),
+            b: ServerId(0),
         });
+        assert!(!st.any_active());
+        assert!((0..200).all(|_| !st.should_drop(ServerId(0), ServerId(1))));
+        assert!((0..200).all(|_| !st.should_drop(ServerId(1), ServerId(0))));
+    }
+
+    #[test]
+    fn degenerate_channel_hits_roughly_its_probability() {
+        let mut st = FaultState::new(SimRng::new(7));
+        st.apply(&never_bad(0.3));
         let n = 20_000;
         let drops = (0..n)
             .filter(|_| st.should_drop(ServerId(0), ServerId(1)))
             .count();
         let rate = drops as f64 / n as f64;
         assert!((rate - 0.3).abs() < 0.02, "rate={rate}");
-        // The reverse direction is lossy too.
-        assert!((0..200).any(|_| st.should_drop(ServerId(1), ServerId(0))));
-        // Unrelated links are clean.
-        assert!((0..200).all(|_| !st.should_drop(ServerId(0), ServerId(2))));
     }
 
     #[test]

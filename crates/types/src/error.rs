@@ -34,13 +34,6 @@ pub enum NezhaError {
     OffloadInProgress(VnicId),
     /// No idle vSwitch satisfies the FE selection constraints.
     NoIdleVswitches,
-    /// The target server does not host an FE for this vNIC.
-    NotAnFe {
-        /// vNIC whose FE set was consulted.
-        vnic: VnicId,
-        /// Server that is not in that FE set.
-        fe: ServerId,
-    },
     /// A table/metadata allocation did not fit in vSwitch memory.
     InsufficientMemory {
         /// What was being allocated.
@@ -60,9 +53,6 @@ impl fmt::Display for NezhaError {
                 write!(f, "vNIC {}'s offload has not reached its final stage", v.0)
             }
             NezhaError::NoIdleVswitches => write!(f, "no idle vSwitches available"),
-            NezhaError::NotAnFe { vnic, fe } => {
-                write!(f, "server {} is not an FE of vNIC {}", fe.0, vnic.0)
-            }
             NezhaError::InsufficientMemory { what } => {
                 write!(f, "{what} does not fit in vSwitch memory")
             }
@@ -194,12 +184,10 @@ mod tests {
             NezhaError::AlreadyOffloaded(VnicId(3)).to_string(),
             "vNIC 3 is already offloaded"
         );
-        let e = NezhaError::NotAnFe {
-            vnic: VnicId(1),
-            fe: ServerId(9),
-        };
-        assert!(e.to_string().contains("server 9"));
-        assert!(e.to_string().contains("vNIC 1"));
+        assert_eq!(
+            NezhaError::UnknownServer(ServerId(9)).to_string(),
+            "unknown server 9"
+        );
         let e = NezhaError::InsufficientMemory {
             what: "BE metadata",
         };

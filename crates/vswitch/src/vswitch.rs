@@ -86,11 +86,6 @@ pub struct ProcessResult {
 pub struct VSwitch {
     /// The hosting server's id.
     pub id: ServerId,
-    /// Software version of this vSwitch. Nezha turns version skew into a
-    /// feature (§7.2): vNICs needing a new capability offload to upgraded
-    /// FEs; vNICs bitten by a release bug offload to older, known-good
-    /// ones.
-    pub version: u32,
     pub(crate) cfg: VSwitchConfig,
     cpu: CpuServer,
     /// Table memory pool (rule tables + session table share it, §2.2.2).
@@ -123,7 +118,6 @@ impl VSwitch {
     pub fn with_telemetry(id: ServerId, cfg: VSwitchConfig, tel: &Telemetry) -> Self {
         VSwitch {
             id,
-            version: 1,
             cpu: CpuServer::new(cfg.cores, cfg.core_hz, MAX_BACKLOG),
             mem: MemoryPool::new(cfg.table_memory),
             vnics: DenseMap::new(),

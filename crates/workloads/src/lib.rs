@@ -10,8 +10,6 @@
 //! * [`provisioning`] — vNIC-creation bursts (the container/serverless
 //!   pattern behind the #vNICs bottleneck);
 //! * [`syn_flood`] — the SYN flood of §7.3;
-//! * [`elephant`] — elephant-flow packet streams for the §7.5
-//!   load-imbalance study;
 //! * [`tenants`] — heavy-tailed tenant populations reproducing the
 //!   production skew of Fig. 2, Fig. 4, and Table 1.
 //!
@@ -31,14 +29,12 @@
 )]
 
 pub mod cps;
-pub mod elephant;
 pub mod flows;
 pub mod provisioning;
 pub mod syn_flood;
 pub mod tenants;
 
 pub use cps::CpsWorkload;
-pub use elephant::ElephantFlow;
 pub use flows::PersistentFlows;
 pub use provisioning::VnicProvisioning;
 pub use syn_flood::SynFlood;

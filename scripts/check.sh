@@ -15,7 +15,9 @@
 # experiment id run in both checkouts, stdout and report files compared
 # byte for byte) and `scripts/pairs.sh` (alternating parent/change
 # benchmark pairs with medians, quartiles and the win count — what a
-# performance claim is measured with).
+# performance claim is measured with). Also outside it, because it counts
+# and asserts nothing: `scripts/loc.sh` (lines of Rust per crate, all and
+# non-blank non-comment outside inline test modules).
 #
 # Usage: scripts/check.sh [--fast]
 #   --fast   skip the full test suite (quick pre-commit run); still runs
@@ -47,7 +49,12 @@
 #            conditions the cluster's liveness and arrival gate read),
 #            the failure-injection suite (`tests/failure_injection.rs`:
 #            crashes, failover and the pool floor through `FaultState`
-#            liveness), the mutual-ping partition test
+#            liveness), the FE-selection suites (`tests/scaling_and_lb.rs`:
+#            hash spreading, scale-out and scale-in over the one rule
+#            `ready[hash mod #ready]`; and `nezha-core`'s
+#            `control_properties`: gateway convergence and the
+#            `BackendMeta` invariants, selection included), the mutual-ping
+#            partition test
 #            (`tests/workloads_e2e.rs`: a one-pair partition between a BE
 #            and a healthy FE is found by the BE<->FE ping alone), the
 #            `nezha-core` connection tests (the chunked connection table's unit tests,
@@ -136,6 +143,10 @@ if [ "$fast" -eq 1 ]; then
     cargo test -q -p nezha-sim fault
     echo "==> cargo test -q --test failure_injection   (--fast: crashes, failover and the pool floor through FaultState liveness)"
     cargo test -q --test failure_injection
+    echo "==> cargo test -q --test scaling_and_lb   (--fast: hash spreading and scaling over the one FE-selection rule)"
+    cargo test -q --test scaling_and_lb
+    echo "==> cargo test -q -p nezha-core --test control_properties   (--fast: gateway convergence, BackendMeta invariants and selection)"
+    cargo test -q -p nezha-core --test control_properties
     echo "==> cargo test -q --test workloads_e2e be_fe_link_partition_is_detected_by_mutual_ping   (--fast: a one-pair partition found by the mutual ping)"
     cargo test -q --test workloads_e2e be_fe_link_partition_is_detected_by_mutual_ping
     echo "==> cargo test -q -p nezha-core conn   (--fast: the connection table frees finished chunks and keeps start order)"

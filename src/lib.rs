@@ -20,8 +20,8 @@
 //!   slow/fast path, stateful NFs;
 //! * [`core`] — Nezha itself: BE/FE split, controller, offload/fallback,
 //!   scaling, failover, and the region-scale fluid simulator;
-//! * [`workloads`] — TCP_CRR, persistent flows, SYN floods, elephants,
-//!   tenant populations;
+//! * [`workloads`] — TCP_CRR, persistent flows, SYN floods, vNIC
+//!   provisioning bursts, tenant populations;
 //! * [`baselines`] — Sirius-like, Tea-like, Sailfish-like comparators and
 //!   the deployment-cost model.
 //!
@@ -95,7 +95,6 @@ pub mod prelude {
     pub use nezha_vswitch::vnic::{Vnic, VnicProfile};
     pub use nezha_vswitch::vswitch::VSwitch;
     pub use nezha_workloads::cps::CpsWorkload;
-    pub use nezha_workloads::elephant::ElephantFlow;
     pub use nezha_workloads::flows::PersistentFlows;
     pub use nezha_workloads::syn_flood::SynFlood;
 }

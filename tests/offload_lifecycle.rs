@@ -266,57 +266,6 @@ fn notify_packets_only_on_policy_bearing_misses() {
 }
 
 #[test]
-fn feature_release_by_offloading_to_upgraded_vswitches() {
-    // §7.2: instead of upgrading every vSwitch in the region, upgrade a
-    // few and offload the vNICs that need the new feature onto them.
-    let mut c = cluster();
-    for s in [5u32, 6, 7, 8, 9] {
-        c.switch_mut(ServerId(s)).unwrap().version = 2;
-    }
-    c.trigger_offload_to_version(VNIC, c.now(), Some(2))
-        .unwrap();
-    c.run_until(c.now() + SimDuration::from_secs(3));
-    let fes = c.fe_servers(VNIC);
-    assert_eq!(fes.len(), 4);
-    for fe in &fes {
-        assert_eq!(c.switch(*fe).unwrap().version, 2, "FE {fe} not upgraded");
-    }
-    // Traffic flows through the upgraded pool.
-    let t = c.now();
-    for i in 0..50 {
-        c.add_conn(spec(
-            i,
-            t + SimDuration::from_millis(i as u64),
-            ConnKind::Inbound,
-        ))
-        .unwrap();
-    }
-    c.run_until(t + SimDuration::from_secs(3));
-    assert_eq!(c.stats().completed, 50);
-}
-
-#[test]
-fn bug_dodging_by_offloading_to_older_vswitches() {
-    // §7.2 "cost-effective fault recovery": a buggy new release on most
-    // switches; pin the vNIC's processing to the old version.
-    let mut c = cluster();
-    for s in 1..24u32 {
-        c.switch_mut(ServerId(s)).unwrap().version = 3; // buggy rollout
-    }
-    for s in [10u32, 11, 12, 13] {
-        c.switch_mut(ServerId(s)).unwrap().version = 1; // held back
-    }
-    c.trigger_offload_to_version(VNIC, c.now(), Some(1))
-        .unwrap();
-    c.run_until(c.now() + SimDuration::from_secs(3));
-    let fes = c.fe_servers(VNIC);
-    assert_eq!(fes.len(), 4);
-    for fe in &fes {
-        assert_eq!(c.switch(*fe).unwrap().version, 1);
-    }
-}
-
-#[test]
 fn mirrored_prefixes_generate_copies_under_offload() {
     // Traffic mirroring (an advanced table, §2.2.2) survives the split:
     // outbound flows toward a mirrored prefix generate exactly one copy

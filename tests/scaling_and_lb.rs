@@ -1,14 +1,13 @@
 //! Load-balancing and elastic-scaling behaviour: hash spreading across
-//! FEs, scale-in prioritizing local traffic, elephant isolation, and the
-//! session-table pressure relief that offloading buys.
+//! FEs, scale-in prioritizing local traffic, and the session-table
+//! pressure relief that offloading buys.
 
 use nezha::core::cluster::{Cluster, ClusterConfig};
 use nezha::core::conn::{ConnKind, ConnSpec};
 use nezha::core::vm::VmConfig;
-use nezha::sim::fault::FaultPlan;
 use nezha::sim::time::{SimDuration, SimTime};
 use nezha::sim::topology::TopologyConfig;
-use nezha::types::{FiveTuple, Ipv4Addr, ServerId, SessionKey, VnicId, VpcId};
+use nezha::types::{FiveTuple, Ipv4Addr, ServerId, VnicId, VpcId};
 use nezha::vswitch::config::VSwitchConfig;
 use nezha::vswitch::vnic::{Vnic, VnicProfile};
 use nezha::workloads::flows::PersistentFlows;
@@ -104,31 +103,6 @@ fn scale_in_prioritizes_local_traffic() {
 }
 
 #[test]
-fn elephant_pinning_isolates_the_flow() {
-    let mut c = cluster(false);
-    let elephant = FiveTuple::tcp(Ipv4Addr::new(198, 19, 0, 1), 40_000, SERVICE, 9000);
-    let key = SessionKey::of(VpcId(1), elephant);
-    let fes = c.fe_servers(VNIC);
-    let dedicated = fes[0];
-    c.pin_flow(VNIC, key, dedicated).unwrap();
-    // The pinned flow must always select its dedicated FE regardless of
-    // what the hash says.
-    let meta = c.backend(VNIC).unwrap();
-    for h in 0..64u64 {
-        assert_eq!(meta.select_fe(&key, h), Some(dedicated));
-    }
-    // Other flows still spread.
-    let other = SessionKey::of(
-        VpcId(1),
-        FiveTuple::tcp(Ipv4Addr::new(10, 7, 2, 9), 5555, SERVICE, 9000),
-    );
-    let picks: std::collections::BTreeSet<_> = (0..64u64)
-        .filter_map(|h| meta.select_fe(&other, h))
-        .collect();
-    assert!(picks.len() > 1);
-}
-
-#[test]
 fn offloading_multiplies_live_session_capacity() {
     // Squeeze the session budget and show that dropping the 100B cached
     // flows (keeping 64B states) lets strictly more sessions coexist.
@@ -187,41 +161,5 @@ fn offloading_multiplies_live_session_capacity() {
     assert!(
         off_live as f64 > 1.5 * local_live as f64,
         "offloading should lift live sessions well past local: {off_live} vs {local_live}"
-    );
-}
-
-#[test]
-fn pinned_flow_survives_its_dedicated_fe_crashing() {
-    // Review regression: a gateway pin to a removed FE must be cleaned up
-    // so the elephant's flow re-enters the general hash ring instead of
-    // being blackholed forever.
-    let mut c = cluster(false);
-    let elephant = FiveTuple::tcp(Ipv4Addr::new(198, 19, 0, 2), 41_000, SERVICE, 9000);
-    let key = SessionKey::of(VpcId(1), elephant);
-    let dedicated = c.fe_servers(VNIC)[0];
-    c.pin_flow(VNIC, key, dedicated).unwrap();
-
-    // Crash the dedicated FE and let failover finish.
-    c.apply_fault_plan(FaultPlan::new().crash(c.now() + SimDuration::from_millis(100), dedicated));
-    c.run_until(c.now() + SimDuration::from_secs(4));
-    assert!(!c.fe_servers(VNIC).contains(&dedicated));
-
-    // The previously pinned flow must still complete (via the ring).
-    c.add_conn(nezha::core::conn::ConnSpec {
-        vnic: VNIC,
-        vpc: VpcId(1),
-        tuple: elephant,
-        peer_server: ServerId(20),
-        kind: nezha::core::conn::ConnKind::Inbound,
-        start: c.now(),
-        payload: 100,
-        overlay_encap_src: None,
-    })
-    .unwrap();
-    c.run_until(c.now() + SimDuration::from_secs(4));
-    assert_eq!(
-        c.stats().completed,
-        1,
-        "pinned flow blackholed after FE loss"
     );
 }
