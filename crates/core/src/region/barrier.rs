@@ -80,7 +80,7 @@ pub(crate) struct Barrier {
 
 impl Barrier {
     /// Fresh barrier for one run, with an empty FE pool.
-    pub fn new(cfg: &RegionConfig) -> Self {
+    pub(super) fn new(cfg: &RegionConfig) -> Self {
         Barrier {
             rng: Stream::Controller.rng(cfg.seed),
             fe_pool_used: 0,
@@ -90,7 +90,7 @@ impl Barrier {
 
     /// Draws the global plan for `epoch`. The draw sequence depends only
     /// on the scenario and the epoch sequence — never on shard activity.
-    pub fn plan_epoch(
+    pub(super) fn plan_epoch(
         &mut self,
         epoch: u64,
         sc: &Scenario,
@@ -123,7 +123,10 @@ impl Barrier {
     /// server order against the FE pool cap. [`INITIAL_FES`] FEs are
     /// charged per grant; scale-outs charge one more via
     /// [`Barrier::charge_scale_outs`].
-    pub fn resolve_requests(&mut self, per_shard: Vec<(u32, Vec<OffloadRequest>)>) -> GrantOutcome {
+    pub(super) fn resolve_requests(
+        &mut self,
+        per_shard: Vec<(u32, Vec<OffloadRequest>)>,
+    ) -> GrantOutcome {
         let initial_fes = INITIAL_FES as u64;
         let merged = merge_effects(
             per_shard
@@ -152,13 +155,13 @@ impl Barrier {
 
     /// Accounts scale-out FEs against the pool (never denied — a
     /// scale-out grows an existing offload, §B.2).
-    pub fn charge_scale_outs(&mut self, n: u64) {
+    pub(super) fn charge_scale_outs(&mut self, n: u64) {
         self.fe_pool_used = self.fe_pool_used.saturating_add(n);
     }
 
     /// Merges per-shard outbound migrations into the canonical global
     /// order (shard id, then tenant id).
-    pub fn merge_migrations(per_shard: Vec<(u32, Vec<Migration>)>) -> Vec<Migration> {
+    pub(super) fn merge_migrations(per_shard: Vec<(u32, Vec<Migration>)>) -> Vec<Migration> {
         merge_effects(
             per_shard
                 .into_iter()

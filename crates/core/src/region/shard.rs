@@ -173,7 +173,7 @@ pub(crate) struct RegionShard {
 impl RegionShard {
     /// Builds shard `id` of the partition, deriving every owned server's
     /// stream and heavy-tailed baseline from the global server id.
-    pub fn new(id: u32, spec: &ShardSpec, cfg: &RegionConfig) -> Self {
+    pub(super) fn new(id: u32, spec: &ShardSpec, cfg: &RegionConfig) -> Self {
         let range = spec.range(id);
         let first = range.start;
         let servers: Vec<ShardServer> = range
@@ -208,20 +208,20 @@ impl RegionShard {
     }
 
     /// Shard id.
-    pub fn id(&self) -> u32 {
+    pub(super) fn id(&self) -> u32 {
         self.id
     }
 
     /// Hands over the last epoch's `(cpu, mem)` utilization per owned
     /// server, in ascending server order, and keeps the empty `spare`
     /// buffer for the next epoch's.
-    pub fn swap_utils(&mut self, spare: Vec<(f64, f64)>) -> Vec<(f64, f64)> {
+    pub(super) fn swap_utils(&mut self, spare: Vec<(f64, f64)>) -> Vec<(f64, f64)> {
         std::mem::replace(&mut self.utils, spare)
     }
 
     /// Events still pending on the shard queue (tenant lifecycle +
     /// faults) — the resident footprint of the lazy tenant population.
-    pub fn pending_events(&self) -> usize {
+    pub(super) fn pending_events(&self) -> usize {
         self.queue.iter().map(Vec::len).sum()
     }
 
@@ -237,7 +237,7 @@ impl RegionShard {
     /// congruent to the server modulo the server count) are derived
     /// lazily, their steady demand accumulated in ascending tenant
     /// order, and only churning/migrating tenants ever touch the queue.
-    pub fn begin_run(
+    pub(super) fn begin_run(
         &mut self,
         cfg: &RegionConfig,
         sc: &Scenario,
@@ -309,7 +309,7 @@ impl RegionShard {
     /// Pre-run proactive offload scan (Nezha rollout): every owned
     /// server already above the threshold emits a request, in ascending
     /// server order.
-    pub fn initial_requests(&mut self) -> Vec<OffloadRequest> {
+    pub(super) fn initial_requests(&mut self) -> Vec<OffloadRequest> {
         let mut reqs = Vec::new();
         for (local, srv) in self.servers.iter_mut().enumerate() {
             let demand = (srv.base_cpu + srv.tenant_cpu).max(srv.base_mem + srv.tenant_mem);
@@ -331,7 +331,7 @@ impl RegionShard {
         clippy::too_many_arguments,
         reason = "the barrier's per-epoch plan and inbox plus the run's config, scenario and tenant model are separate `Region` fields, borrowed apart so the shard loop can hold `&mut` to the shard"
     )]
-    pub fn run_epoch(
+    pub(super) fn run_epoch(
         &mut self,
         epoch: u64,
         plan: &EpochPlan,

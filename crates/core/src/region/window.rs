@@ -74,13 +74,13 @@ impl SinkTx {
     /// Queues one write. A closed channel means the sink panicked; the
     /// join in [`Sink::run`] re-raises that panic, so nothing is lost by
     /// dropping the message here.
-    pub fn send(&self, fold: Fold) {
+    pub(super) fn send(&self, fold: Fold) {
         let _ = self.tx.send(fold);
     }
 
     /// An empty buffer for a shard's next epoch of samples: one the sink
     /// has emptied, or a new one while the first epochs are in flight.
-    pub fn spare(&self) -> Vec<(f64, f64)> {
+    pub(super) fn spare(&self) -> Vec<(f64, f64)> {
         self.spares.try_recv().unwrap_or_default()
     }
 }
@@ -88,7 +88,7 @@ impl SinkTx {
 impl Sink {
     /// A sink for one run of `samples` server-epochs: the sample sets
     /// reserved once, the windows (if any) with an empty open window.
-    pub fn new(samples: usize, mut windows: Option<EpochWindows>) -> Self {
+    pub(super) fn new(samples: usize, mut windows: Option<EpochWindows>) -> Self {
         let (mut cpu, mut mem) = (Samples::new(), Samples::new());
         cpu.reserve(samples);
         mem.reserve(samples);
@@ -103,7 +103,7 @@ impl Sink {
     /// and the sink once the consumer has applied the last message.
     /// `shards` sizes the channel ([`BACKLOG_EPOCHS`] epochs' messages).
     /// A panic on the consumer is re-raised here.
-    pub fn run<R>(mut self, shards: usize, body: impl FnOnce(&SinkTx) -> R) -> (R, Sink) {
+    pub(super) fn run<R>(mut self, shards: usize, body: impl FnOnce(&SinkTx) -> R) -> (R, Sink) {
         let backlog = BACKLOG_EPOCHS * (2 * shards + 2);
         let (tx, rx) = sync_channel(backlog);
         let (spare_tx, spares) = sync_channel(backlog);
@@ -177,7 +177,7 @@ pub(crate) struct EpochWindows {
 }
 
 impl EpochWindows {
-    pub fn new(retain: usize, rules: Vec<SloRule>) -> Self {
+    pub(super) fn new(retain: usize, rules: Vec<SloRule>) -> Self {
         EpochWindows {
             rollup: WindowedRollup::new(retain, rules),
             cpu: LogHistogram::new(),

@@ -50,6 +50,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 #![deny(
     clippy::unwrap_used,

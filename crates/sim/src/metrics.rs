@@ -154,11 +154,6 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// True when both handles refer to the same underlying store.
-    pub fn same_store(&self, other: &MetricsRegistry) -> bool {
-        Rc::ptr_eq(&self.inner, &other.inner)
-    }
-
     /// Registers (or looks up) a counter. Idempotent for an identical
     /// name+labels; panics if the key exists with a different metric kind.
     pub fn counter(&self, name: &str, labels: &[(&str, String)]) -> CounterHandle {
@@ -269,19 +264,6 @@ impl MetricsRegistry {
     pub fn observe_log(&self, h: LogHistogramHandle, v: f64) {
         match &mut self.inner.borrow_mut().slots[h.0] {
             Metric::LogHist(lh) => lh.record(v),
-            m => unreachable!("loghist handle pointing at a {}", m.kind()),
-        }
-    }
-
-    /// Records a duration observation in seconds.
-    pub fn observe_log_duration(&self, h: LogHistogramHandle, d: SimDuration) {
-        self.observe_log(h, d.as_secs_f64());
-    }
-
-    /// A clone of a log histogram's current state.
-    pub fn log_histogram_value(&self, h: LogHistogramHandle) -> LogHistogram {
-        match &self.inner.borrow().slots[h.0] {
-            Metric::LogHist(lh) => lh.clone(),
             m => unreachable!("loghist handle pointing at a {}", m.kind()),
         }
     }
@@ -571,11 +553,6 @@ impl MetricsDiff {
         self.counters.get(key).copied().unwrap_or(0)
     }
 
-    /// The gauge move `(before, after)` at `key`, when it changed.
-    pub fn gauge_change(&self, key: &str) -> Option<(f64, f64)> {
-        self.gauges.get(key).copied()
-    }
-
     /// Iterates changed counters `(key, delta)` in sorted key order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(k, v)| (k.as_str(), *v))
@@ -657,7 +634,6 @@ mod tests {
     fn clones_share_the_store() {
         let reg = MetricsRegistry::new();
         let other = reg.clone();
-        assert!(reg.same_store(&other));
         let h = other.counter("shared", &[]);
         other.add(h, 7);
         assert_eq!(reg.snapshot().counter("shared"), 7);
@@ -687,12 +663,9 @@ mod tests {
     fn log_histogram_registers_and_snapshots() {
         let reg = MetricsRegistry::new();
         let h = reg.log_histogram("lat.stream", &[]);
-        for v in [0.5, 1.0, 2.0, 4.0] {
+        for v in [0.5, 1.0, 2.0, 4.0, 1.5] {
             reg.observe_log(h, v);
         }
-        reg.observe_log_duration(h, SimDuration::from_millis(1500));
-        let lh = reg.log_histogram_value(h);
-        assert_eq!(lh.count(), 5);
         let snap = reg.snapshot();
         assert_eq!(snap.log_histogram("lat.stream").count(), 5);
         let json = snap.to_json();
@@ -763,7 +736,7 @@ mod tests {
         assert_eq!(diff.counter("pkt.total"), 32);
         assert_eq!(diff.counter("steady"), 0, "unchanged counters are absent");
         assert_eq!(diff.counter("late.arrival"), 1, "new counters diff vs 0");
-        assert_eq!(diff.gauge_change("util"), Some((0.5, 0.75)));
+        assert_eq!(diff.gauges().collect::<Vec<_>>(), [("util", (0.5, 0.75))]);
         assert_eq!(diff.counters().count(), 2);
         assert!(!diff.is_empty());
         let none = reg.snapshot().diff(&reg.snapshot());

@@ -452,19 +452,6 @@ impl Profiler {
             .collect()
     }
 
-    /// Spans recorded for one packet trace id, oldest first. The full
-    /// causal tree can reach across trace ids (e.g. notify packets carry
-    /// trace 0); follow `parent` links via [`Profiler::span`] for those.
-    pub fn packet_spans(&self, trace: u64) -> Vec<SpanRecord> {
-        self.inner
-            .borrow()
-            .spans
-            .iter()
-            .filter(|s| s.trace == trace)
-            .copied()
-            .collect()
-    }
-
     /// The stage-name stack of a span, outermost first (e.g.
     /// `["be_tx", "nsh_encap"]`), derived from its interned path.
     pub fn stack(&self, id: SpanId) -> Vec<String> {
@@ -669,7 +656,7 @@ mod tests {
     }
 
     #[test]
-    fn children_and_packet_queries_follow_links() {
+    fn children_follow_parent_links() {
         let p = Profiler::new();
         p.enable(16);
         let r = p.record(span(Stage::FeTxCarry, None, 0)).unwrap();
@@ -677,8 +664,6 @@ mod tests {
         let kids = p.children(r);
         assert_eq!(kids.len(), 1);
         assert_eq!(kids[0].id, c);
-        assert_eq!(p.packet_spans(7).len(), 2);
-        assert_eq!(p.packet_spans(8).len(), 0);
     }
 
     #[test]

@@ -149,11 +149,6 @@ impl BenchReport {
         &self.deterministic
     }
 
-    /// The percentile blocks, in insertion order.
-    pub fn percentile_sections(&self) -> &[(String, HistSummary)] {
-        &self.percentiles
-    }
-
     /// The attached artifacts as `(name, text)`, in insertion order.
     pub fn artifacts(&self) -> &[(String, String)] {
         &self.artifacts
@@ -279,7 +274,6 @@ mod tests {
             h.record(v);
         }
         let r = sample_report().percentiles("conn_latency", &h);
-        assert_eq!(r.percentile_sections().len(), 1);
         let d = r.deterministic_json();
         assert!(d.contains("\"percentiles\": {"));
         assert!(d.contains("\"conn_latency\": {\"count\": 4,"));

@@ -194,18 +194,6 @@ impl TimeSeries {
     }
 }
 
-/// Builds a CDF `(value, cumulative_fraction)` from raw observations — the
-/// presentation format of the paper's Fig. 4.
-pub fn cdf(samples: &Samples) -> Vec<(f64, f64)> {
-    let mut v = samples.raw().to_vec();
-    v.sort_by(f64::total_cmp);
-    let n = v.len();
-    v.into_iter()
-        .enumerate()
-        .map(|(i, x)| (x, (i + 1) as f64 / n as f64))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,16 +306,5 @@ mod tests {
         total.add(SimTime(1_000_000_000), 4.0);
         let r = drops.ratio(&total);
         assert_eq!(r, vec![(0.0, 0.1), (1.0, 0.0)]);
-    }
-
-    #[test]
-    fn cdf_shape() {
-        let mut s = Samples::new();
-        for v in [3.0, 1.0, 2.0] {
-            s.record(v);
-        }
-        let c = cdf(&s);
-        assert_eq!(c[0], (1.0, 1.0 / 3.0));
-        assert_eq!(c[2], (3.0, 1.0));
     }
 }

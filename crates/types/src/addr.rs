@@ -79,9 +79,6 @@ impl From<u32> for Ipv4Addr {
 pub struct MacAddr(pub [u8; 6]);
 
 impl MacAddr {
-    /// The broadcast address `ff:ff:ff:ff:ff:ff`.
-    pub const BROADCAST: MacAddr = MacAddr([0xff; 6]);
-
     /// Derives a locally-administered unicast MAC from a 32-bit id.
     ///
     /// The simulator allocates MACs for servers and gateways this way so

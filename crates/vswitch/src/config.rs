@@ -278,6 +278,9 @@ mod tests {
         let m = MemoryModel::default();
         // §2.2.2: session entry "O(100B)" + 64 B state slab.
         assert_eq!(m.flow_entry + m.state_slab, 164);
+        // So a 1 GiB session table holds 5-8 M flows.
+        let flows = (1u64 << 30) / (m.flow_entry + m.state_slab);
+        assert!((5_000_000..8_000_000).contains(&flows), "flows {flows}");
         // §6.2.1: rule table at least 2 MB; BE data 2 KB ⇒ 1000x #vNIC gain.
         assert_eq!(m.vnic_base / m.be_metadata, 1024);
         // §2.2.2: O(100K) vNIC-server entries consume >200 MB (decimal).

@@ -405,6 +405,16 @@ mod tests {
 
     #[test]
     fn middlebox_profiles_are_order_100mb() {
+        let host = crate::config::VSwitchConfig::middlebox_host();
+        let vnic = |p| {
+            Vnic::new(
+                VnicId(2),
+                VpcId(1),
+                Ipv4Addr::new(10, 8, 0, 1),
+                p,
+                ServerId(0),
+            )
+        };
         // §6.3.1: "the rule table sizes of LB, NAT and TR are generally
         // O(100MB)".
         for p in [
@@ -412,16 +422,25 @@ mod tests {
             VnicProfile::nat_gateway(),
             VnicProfile::transit_router(),
         ] {
-            let v = Vnic::new(
-                VnicId(2),
-                VpcId(1),
-                Ipv4Addr::new(10, 8, 0, 1),
-                p,
-                ServerId(0),
-            );
-            let mb = v.table_memory(&mm()) as f64 / (1024.0 * 1024.0);
+            let mb = vnic(p).table_memory(&mm()) as f64 / (1024.0 * 1024.0);
             assert!((50.0..=400.0).contains(&mb), "middlebox memory {mb} MB");
         }
+        // §6.3.1: the more complex the lookup, the lower the local CPS —
+        // NAT < LB < TR < plain.
+        let cps = |p| host.capacity_hz() / vnic(p).crr_cycles(&host.costs, 64) as f64;
+        let plain = cps(VnicProfile::default());
+        let lb = cps(VnicProfile::load_balancer());
+        let nat = cps(VnicProfile::nat_gateway());
+        let tr = cps(VnicProfile::transit_router());
+        assert!(
+            nat < lb && lb < tr && tr < plain,
+            "nat={nat} lb={lb} tr={tr} plain={plain}"
+        );
+        // §2.2.2: beside a 1 GiB session table, "#vNICs ... drastically
+        // reduced to just a few".
+        let lb_tables = vnic(VnicProfile::load_balancer()).table_memory(&host.memory);
+        let fit = (host.table_memory - (1 << 30)) / lb_tables;
+        assert!(fit < 30, "fit {fit} LB vNICs");
     }
 
     #[test]

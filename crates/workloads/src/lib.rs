@@ -7,8 +7,6 @@
 //!   deterministic tuple allocation;
 //! * [`flows`] — persistent-connection generators that bloat session
 //!   tables (the L4-LB pattern of §2.2.2);
-//! * [`provisioning`] — vNIC-creation bursts (the container/serverless
-//!   pattern behind the #vNICs bottleneck);
 //! * [`syn_flood`] — the SYN flood of §7.3;
 //! * [`tenants`] — heavy-tailed tenant populations reproducing the
 //!   production skew of Fig. 2, Fig. 4, and Table 1.
@@ -18,6 +16,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 #![deny(
     clippy::unwrap_used,
@@ -30,12 +29,10 @@
 
 pub mod cps;
 pub mod flows;
-pub mod provisioning;
 pub mod syn_flood;
 pub mod tenants;
 
 pub use cps::CpsWorkload;
 pub use flows::PersistentFlows;
-pub use provisioning::VnicProvisioning;
 pub use syn_flood::SynFlood;
 pub use tenants::{TenantPopulation, TenantSample};

@@ -20,10 +20,8 @@
 //!   slow/fast path, stateful NFs;
 //! * [`core`] — Nezha itself: BE/FE split, controller, offload/fallback,
 //!   scaling, failover, and the region-scale fluid simulator;
-//! * [`workloads`] — TCP_CRR, persistent flows, SYN floods, vNIC
-//!   provisioning bursts, tenant populations;
-//! * [`baselines`] — Sirius-like, Tea-like, Sailfish-like comparators and
-//!   the deployment-cost model.
+//! * [`workloads`] — TCP_CRR, persistent flows, SYN floods, tenant
+//!   populations.
 //!
 //! ## Quickstart
 //!
@@ -59,7 +57,6 @@
 
 #![warn(missing_docs)]
 
-pub use nezha_baselines as baselines;
 pub use nezha_core as core;
 pub use nezha_sim as sim;
 pub use nezha_types as types;
