@@ -20,7 +20,9 @@ use nezha_types::ServerId;
 /// Since the telemetry redesign this is an owned *view* assembled on
 /// demand from the cluster's [`nezha_sim::metrics::MetricsRegistry`] by
 /// `Cluster::stats`; field names are unchanged so `c.stats.X` call sites
-/// only became `c.stats().X`. Experiments should prefer reading the registry snapshot
+/// only became `c.stats().X`. Its sample sets share the registry's buffers
+/// (`Samples::share`), so assembling it copies no sample; the series are
+/// cloned. Experiments should prefer reading the registry snapshot
 /// directly (`c.metrics().snapshot()`).
 #[derive(Clone, Debug)]
 pub struct ClusterStats {

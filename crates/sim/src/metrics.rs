@@ -90,7 +90,7 @@ pub(crate) enum WindowView<'a> {
     Gauge(f64),
     /// The exact histogram's raw sample vector; the rollup diffs by
     /// length, so it relies on the registry never sorting in place
-    /// (reads always go through clones).
+    /// (reads go through shared clones, which sort their own copy).
     SampleTail(&'a [f64]),
     LogHist(&'a LogHistogram),
 }
@@ -251,10 +251,13 @@ impl MetricsRegistry {
         self.observe(h, d.as_secs_f64());
     }
 
-    /// A clone of a histogram's sample set.
+    /// A histogram's sample set, sharing the registry's buffer (no copy,
+    /// see [`Samples::share`]): the registry's next `observe` copies it
+    /// only while the returned set is still alive, and a percentile query
+    /// sorts the returned set's own copy, never the registry's order.
     pub fn histogram_samples(&self, h: HistogramHandle) -> Samples {
-        match &self.inner.borrow().slots[h.0] {
-            Metric::Histogram(s) => s.clone(),
+        match &mut self.inner.borrow_mut().slots[h.0] {
+            Metric::Histogram(s) => s.share(),
             m => unreachable!("histogram handle pointing at a {}", m.kind()),
         }
     }
@@ -286,16 +289,18 @@ impl MetricsRegistry {
 
     /// A deterministic point-in-time copy of every metric, keyed by
     /// canonical name; the only sanctioned way to *read* telemetry in bulk.
+    /// Histograms share the registry's sample buffers instead of copying
+    /// them (see [`MetricsRegistry::histogram_samples`]).
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.inner.borrow();
-        let entries = inner
-            .index
+        let mut inner = self.inner.borrow_mut();
+        let Inner { slots, index, .. } = &mut *inner;
+        let entries = index
             .iter()
             .map(|(key, &slot)| {
-                let value = match &inner.slots[slot] {
+                let value = match &mut slots[slot] {
                     Metric::Counter(v) => MetricValue::Counter(*v),
                     Metric::Gauge(g) => MetricValue::Gauge(*g),
-                    Metric::Histogram(s) => MetricValue::Histogram(s.clone()),
+                    Metric::Histogram(s) => MetricValue::Histogram(s.share()),
                     Metric::Series(s) => MetricValue::Series(s.clone()),
                     Metric::LogHist(h) => MetricValue::LogHist(h.clone()),
                 };
@@ -404,7 +409,9 @@ impl MetricsSnapshot {
         })
     }
 
-    /// The histogram at `key` (cloned so percentile queries can sort).
+    /// The histogram at `key`. A reference-count clone of the snapshot's
+    /// shared set: a percentile query sorts its own copy, leaving the
+    /// snapshot and the registry as they were.
     pub fn histogram(&self, key: &str) -> Samples {
         self.expect(key, "histogram", |m| match m {
             MetricValue::Histogram(s) => Some(s.clone()),
@@ -657,6 +664,120 @@ mod tests {
             assert_eq!(got.percentile(p), reference.percentile(p));
         }
         assert_eq!(got.raw(), reference.raw());
+    }
+
+    fn registry_side(reg: &MetricsRegistry, h: HistogramHandle) -> (usize, *const f64) {
+        match &reg.inner.borrow().slots[h.0] {
+            Metric::Histogram(s) => (s.holders(), s.raw().as_ptr()),
+            m => unreachable!("histogram handle pointing at a {}", m.kind()),
+        }
+    }
+
+    fn window_tail(reg: &MetricsRegistry) -> Vec<f64> {
+        let mut tail = Vec::new();
+        reg.for_each_window(|_, view| {
+            if let WindowView::SampleTail(raw) = view {
+                tail = raw.to_vec();
+            }
+        });
+        tail
+    }
+
+    #[test]
+    fn a_percentile_on_a_snapshot_leaves_the_registry_order() {
+        let reg = MetricsRegistry::new();
+        let h = reg.histogram("lat", &[]);
+        let values = [0.9, 0.1, 0.5, 0.3];
+        for v in values {
+            reg.observe(h, v);
+        }
+        let snap = reg.snapshot();
+        let mut lat = snap.histogram("lat");
+        assert_eq!(lat.percentile(50.0), 0.3);
+        let mut again = reg.histogram_samples(h);
+        assert_eq!(again.percentile(100.0), 0.9);
+        assert_eq!(
+            window_tail(&reg),
+            values,
+            "the windows read recording order"
+        );
+        assert_eq!(snap.histogram("lat").raw(), values);
+    }
+
+    #[test]
+    fn recording_past_a_held_snapshot_matches_a_fresh_registry() {
+        let reg = MetricsRegistry::new();
+        let fresh = MetricsRegistry::new();
+        let h = reg.histogram("lat", &[]);
+        let f = fresh.histogram("lat", &[]);
+        let mut x = 0.37;
+        let mut feed = |n: usize| {
+            for _ in 0..n {
+                x = (x * 7.13 + 0.011) % 1.0;
+                reg.observe(h, x);
+                fresh.observe(f, x);
+            }
+        };
+        feed(300);
+        let first = reg.snapshot();
+        let first_lat = first.histogram("lat");
+        feed(200);
+        let second = reg.snapshot();
+        let mut ours = second.histogram("lat");
+        let mut theirs = fresh.snapshot().histogram("lat");
+        let theirs_raw = theirs.raw().to_vec();
+        assert_eq!(ours.len(), 500);
+        assert_eq!(ours.raw(), theirs.raw());
+        assert_eq!(ours.mean().to_bits(), theirs.mean().to_bits());
+        let (a, b) = (ours.summary(), theirs.summary());
+        for (got, want) in [
+            (a.0, b.0),
+            (a.1, b.1),
+            (a.2, b.2),
+            (a.3, b.3),
+            (a.4, b.4),
+            (a.5, b.5),
+        ] {
+            assert_eq!(got.to_bits(), want.to_bits());
+        }
+        // A mean after the sort sums in sorted order, on both sides.
+        assert_eq!(ours.mean().to_bits(), theirs.mean().to_bits());
+        assert_eq!(first_lat.len(), 300, "the held snapshot kept its values");
+        assert_eq!(first_lat.raw(), &theirs_raw[..300]);
+        assert_eq!(second.to_json(), fresh.snapshot().to_json());
+    }
+
+    #[test]
+    fn a_snapshot_dropped_before_the_next_observe_costs_no_copy() {
+        let reg = MetricsRegistry::new();
+        let h = reg.histogram("lat", &[]);
+        for v in [1.0, 2.0, 3.0] {
+            reg.observe(h, v);
+        }
+        let snap = reg.snapshot();
+        let (holders, buffer) = registry_side(&reg, h);
+        assert_eq!(holders, 2);
+        assert_eq!(
+            snap.histogram("lat").raw().as_ptr(),
+            buffer,
+            "read in place"
+        );
+        assert_eq!(reg.histogram_samples(h).raw().as_ptr(), buffer);
+        drop(snap);
+        assert_eq!(registry_side(&reg, h).0, 1);
+        // Three observations left the buffer room for a fourth (a `Vec`
+        // of `f64` grows to 4 first), so an observe that moved the buffer
+        // back instead of copying it keeps its address.
+        reg.observe(h, 4.0);
+        assert_eq!(
+            registry_side(&reg, h),
+            (1, buffer),
+            "owned again, not copied"
+        );
+        let held = reg.histogram_samples(h);
+        reg.observe(h, 5.0);
+        assert_eq!(held.raw(), [1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(reg.histogram_samples(h).raw(), [1.0, 2.0, 3.0, 4.0, 5.0]);
     }
 
     #[test]

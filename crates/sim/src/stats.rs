@@ -7,12 +7,91 @@
 //! utilization curves, Fig. 14's loss-rate trace).
 
 use crate::time::{SimDuration, SimTime};
+use buf::Buf;
 
 /// An exact sample set with percentile queries.
+///
+/// Copy-on-write: [`Samples::share`] hands out a clone that shares the
+/// buffer, and cloning a shared set only bumps a reference count. A write
+/// (`record`, `reserve`, the sort behind `percentile`) takes the buffer
+/// back, copying it only while another clone still holds it, so every
+/// clone keeps exactly the values and order it was made with.
 #[derive(Clone, Debug, Default)]
 pub struct Samples {
-    values: Vec<f64>,
+    buf: Buf,
     sorted: bool,
+}
+
+#[expect(
+    clippy::disallowed_types,
+    reason = "immutable sharing only: the copy-on-write sample buffer"
+)]
+mod buf {
+    use std::sync::Arc;
+
+    /// A sample buffer, either owned or shared read-only between clones.
+    #[derive(Clone, Debug)]
+    pub(super) enum Buf {
+        Own(Vec<f64>),
+        Shared(Arc<Vec<f64>>),
+    }
+
+    impl Default for Buf {
+        fn default() -> Self {
+            Buf::Own(Vec::new())
+        }
+    }
+
+    impl Buf {
+        pub(super) fn as_slice(&self) -> &[f64] {
+            match self {
+                Buf::Own(v) => v,
+                Buf::Shared(v) => v,
+            }
+        }
+
+        /// The buffer, owned; a shared one is thawed first.
+        #[inline]
+        pub(super) fn to_mut(&mut self) -> &mut Vec<f64> {
+            match self {
+                Buf::Own(v) => v,
+                Buf::Shared(_) => self.thaw(),
+            }
+        }
+
+        /// Takes the buffer back: moved out of the `Arc` when this is its
+        /// last holder, copied while another clone still reads it.
+        #[cold]
+        #[inline(never)]
+        fn thaw(&mut self) -> &mut Vec<f64> {
+            let values = match std::mem::take(self) {
+                Buf::Own(v) => v,
+                Buf::Shared(v) => Arc::unwrap_or_clone(v),
+            };
+            *self = Buf::Own(values);
+            match self {
+                Buf::Own(v) => v,
+                Buf::Shared(_) => unreachable!("thaw leaves the buffer owned"),
+            }
+        }
+
+        /// Moves an owned buffer into an `Arc` (no copy) and returns a
+        /// reference-count clone.
+        pub(super) fn share(&mut self) -> Buf {
+            if let Buf::Own(v) = self {
+                *self = Buf::Shared(Arc::new(std::mem::take(v)));
+            }
+            self.clone()
+        }
+
+        #[cfg(test)]
+        pub(super) fn holders(&self) -> usize {
+            match self {
+                Buf::Own(_) => 1,
+                Buf::Shared(v) => Arc::strong_count(v),
+            }
+        }
+    }
 }
 
 impl Samples {
@@ -21,16 +100,30 @@ impl Samples {
         Samples::default()
     }
 
+    /// A clone that shares this set's buffer instead of copying it; both
+    /// sides read the same values until one of them writes.
+    pub fn share(&mut self) -> Samples {
+        Samples {
+            buf: self.buf.share(),
+            sorted: self.sorted,
+        }
+    }
+
     /// Makes room for `additional` more observations, so that a caller
     /// who knows the final count pays for one allocation instead of a
     /// doubling series. Observations are untouched.
     pub fn reserve(&mut self, additional: usize) {
-        self.values.reserve(additional);
+        self.buf.to_mut().reserve(additional);
     }
 
-    /// Records one observation.
+    /// Records one observation: one branch and a `Vec::push` while the
+    /// buffer is owned.
+    #[inline]
     pub fn record(&mut self, v: f64) {
-        self.values.push(v);
+        match &mut self.buf {
+            Buf::Own(values) => values.push(v),
+            Buf::Shared(_) => self.buf.to_mut().push(v),
+        }
         self.sorted = false;
     }
 
@@ -41,27 +134,30 @@ impl Samples {
 
     /// Number of observations.
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.buf.as_slice().len()
     }
 
     /// True when no observations were recorded.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.buf.as_slice().is_empty()
     }
 
-    /// Arithmetic mean, or 0 for an empty set.
+    /// Arithmetic mean, or 0 for an empty set. Sums in the buffer's
+    /// current order: recording order, or sorted order once a
+    /// `percentile` query sorted this set.
     pub fn mean(&self) -> f64 {
-        if self.values.is_empty() {
+        let values = self.buf.as_slice();
+        if values.is_empty() {
             return 0.0;
         }
-        self.values.iter().sum::<f64>() / self.values.len() as f64
+        values.iter().sum::<f64>() / values.len() as f64
     }
 
     /// Largest observation, or 0 for an empty set. The fold seeds from
     /// the first element (not `0.0`) so an all-negative sample set
     /// reports its true maximum instead of a phantom zero.
     pub fn max(&self) -> f64 {
-        let mut it = self.values.iter().copied();
+        let mut it = self.buf.as_slice().iter().copied();
         match it.next() {
             Some(first) => it.fold(first, f64::max),
             None => 0.0,
@@ -70,7 +166,7 @@ impl Samples {
 
     fn ensure_sorted(&mut self) {
         if !self.sorted {
-            self.values.sort_by(f64::total_cmp);
+            self.buf.to_mut().sort_by(f64::total_cmp);
             self.sorted = true;
         }
     }
@@ -78,13 +174,14 @@ impl Samples {
     /// The `p`-th percentile (`p` in `[0, 100]`) by nearest-rank, or 0 for
     /// an empty set. `percentile(99.99)` is the paper's "P9999".
     pub fn percentile(&mut self, p: f64) -> f64 {
-        if self.values.is_empty() {
+        if self.is_empty() {
             return 0.0;
         }
         self.ensure_sorted();
-        let n = self.values.len();
+        let values = self.buf.as_slice();
+        let n = values.len();
         let rank = ((p / 100.0) * n as f64).ceil() as usize;
-        self.values[rank.clamp(1, n) - 1]
+        values[rank.clamp(1, n) - 1]
     }
 
     /// Convenience: `(mean, p50, p90, p99, p999, p9999)` — the tuple the
@@ -100,10 +197,17 @@ impl Samples {
         )
     }
 
-    /// Read-only view of the raw observations (unsorted order not
-    /// guaranteed after percentile queries).
+    /// Read-only view of the raw observations: recording order until a
+    /// `percentile` query sorts this set. A query on a clone sorts the
+    /// clone's own copy, never this set's order.
     pub fn raw(&self) -> &[f64] {
-        &self.values
+        self.buf.as_slice()
+    }
+
+    /// How many sets hold this set's buffer (1 when it is owned).
+    #[cfg(test)]
+    pub(crate) fn holders(&self) -> usize {
+        self.buf.holders()
     }
 }
 
@@ -263,6 +367,75 @@ mod tests {
         assert_eq!(s.len(), 3);
         assert_eq!(s.raw(), before);
         assert_eq!(s.percentile(50.0), 2.0, "still sorts on demand");
+    }
+
+    #[test]
+    fn recording_into_either_side_of_a_share_leaves_the_other_unchanged() {
+        let mut a = Samples::new();
+        for v in [3.0, 1.0, 2.0] {
+            a.record(v);
+        }
+        let mut b = a.share();
+        assert_eq!(a.raw().as_ptr(), b.raw().as_ptr(), "sharing copies nothing");
+        assert_eq!(a.holders(), 2);
+        a.record(4.0);
+        assert_eq!(a.raw(), [3.0, 1.0, 2.0, 4.0]);
+        assert_eq!(b.raw(), [3.0, 1.0, 2.0]);
+        assert_eq!(b.holders(), 1);
+
+        let mut c = b.share();
+        c.record(5.0);
+        b.record(6.0);
+        assert_eq!(b.raw(), [3.0, 1.0, 2.0, 6.0]);
+        assert_eq!(c.raw(), [3.0, 1.0, 2.0, 5.0]);
+        assert_eq!(a.raw(), [3.0, 1.0, 2.0, 4.0]);
+    }
+
+    #[test]
+    fn a_query_on_a_shared_clone_sorts_only_the_clone() {
+        let values = [5.0, 0.1, 0.7, 3.0, 0.2];
+        let mut plain = Samples::new();
+        let mut owner = Samples::new();
+        for v in values {
+            plain.record(v);
+            owner.record(v);
+        }
+        let mut reader = owner.share();
+        assert_eq!(reader.percentile(50.0), plain.percentile(50.0));
+        assert_eq!(owner.raw(), values, "the owner keeps recording order");
+        assert_eq!(reader.raw(), plain.raw(), "the reader sorted its own copy");
+        assert_eq!(
+            reader.mean().to_bits(),
+            plain.mean().to_bits(),
+            "a mean after a sort still sums in sorted order"
+        );
+        // A clone of a sorted shared set starts sorted, as a copy would.
+        let mut again = reader.share();
+        assert_eq!(again.percentile(100.0), 5.0);
+        assert_eq!(again.raw().as_ptr(), reader.raw().as_ptr());
+    }
+
+    #[test]
+    fn the_last_holder_takes_the_buffer_back_without_a_copy() {
+        let mut s = Samples::new();
+        s.reserve(16);
+        for v in [2.0, 1.0] {
+            s.record(v);
+        }
+        let before = s.raw().as_ptr();
+        let reader = s.share();
+        drop(reader);
+        assert_eq!(s.holders(), 1);
+        s.record(3.0);
+        assert_eq!(s.raw().as_ptr(), before, "recorded in place");
+        assert_eq!(s.raw(), [2.0, 1.0, 3.0]);
+        assert_eq!(s.holders(), 1);
+        s.share().reserve(4);
+        assert_eq!(
+            s.raw().as_ptr(),
+            before,
+            "a reserve on a clone copies the clone"
+        );
     }
 
     #[test]

@@ -45,6 +45,11 @@
 #            proptests against a `BinaryHeap` model: every event goes
 #            through the two-rung ladder, and a reserved sequence number
 #            filed late pops where it was reserved), the `nezha-sim`
+#            `stats` and `metrics` unit tests (the copy-on-write sample
+#            sets: a share copies nothing, a write into either side
+#            leaves the other as it was, a query on a snapshot never
+#            sorts the registry's recording order, and recording past a
+#            held snapshot matches a fresh registry bit for bit), the `nezha-sim`
 #            fault tests (the fault plan's order and the `FaultState`
 #            conditions the cluster's liveness and arrival gate read),
 #            the failure-injection suite (`tests/failure_injection.rs`:
@@ -139,6 +144,8 @@ if [ "$fast" -eq 1 ]; then
     cargo test -q -p nezha-sim dense
     echo "==> cargo test -q -p nezha-sim engine   (--fast: the event ladder vs its BinaryHeap model)"
     cargo test -q -p nezha-sim engine
+    echo "==> cargo test -q -p nezha-sim --lib -- stats:: metrics::   (--fast: copy-on-write sample sets and the registry reads that share them)"
+    cargo test -q -p nezha-sim --lib -- stats:: metrics::
     echo "==> cargo test -q -p nezha-sim fault   (--fast: the fault plan and the FaultState conditions liveness reads)"
     cargo test -q -p nezha-sim fault
     echo "==> cargo test -q --test failure_injection   (--fast: crashes, failover and the pool floor through FaultState liveness)"

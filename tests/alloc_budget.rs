@@ -4,7 +4,9 @@
 //! table grows, and exactly zero on the per-packet primitives that run
 //! does not cross (the NSH codec, `DenseMap::get`) and on the rule lookup
 //! (`pair_lookup`, whose ACL and route indexes are built at insert time,
-//! never on a probe).
+//! never on a probe). Reading telemetry copies no sample set:
+//! `Cluster::stats()`, `MetricsRegistry::snapshot()` and
+//! `histogram_samples()` share the registry's buffers.
 //!
 //! One `#[test]` on purpose: the counter is process-wide, and a second
 //! test running on another thread would be counted too.
@@ -14,6 +16,7 @@ use std::hint::black_box;
 use nezha::core::cluster::{Cluster, ClusterConfig};
 use nezha::core::vm::VmConfig;
 use nezha::sim::dense::DenseMap;
+use nezha::sim::metrics::MetricsRegistry;
 use nezha::sim::resources::MemoryPool;
 use nezha::sim::rng::SimRng;
 use nezha::sim::time::{SimDuration, SimTime};
@@ -53,8 +56,9 @@ fn allocs_during(f: impl FnOnce()) -> (u64, u64) {
 /// `examples/quickstart.rs`'s cluster under 20k conn/s TCP_CRR for two
 /// simulated seconds: heap bytes requested per connection while the
 /// specs are registered, then allocations and engine events over the
-/// second simulated second.
-fn registration_allocs_and_events(offload: bool) -> (f64, u64, u64) {
+/// second simulated second, then heap bytes requested by one
+/// `Cluster::stats()` after the run.
+fn registration_allocs_and_events(offload: bool) -> (f64, u64, u64, u64) {
     let cfg = ClusterConfig::builder()
         .cores(1)
         .auto_offload(false)
@@ -95,7 +99,27 @@ fn registration_allocs_and_events(offload: bool) -> (f64, u64, u64) {
     let (allocs, _) = allocs_during(|| cluster.run_until(start + SimDuration::from_secs(2)));
     let events = cluster.engine.processed() - events;
     assert!(events > 100_000, "only {events} events in the window");
-    (registered as f64 / conns as f64, allocs, events)
+    let mut latencies = 0;
+    let (_, read) = allocs_during(|| latencies = cluster.stats().conn_latency.len());
+    assert!(latencies > 35_000, "only {latencies} connection latencies");
+    (registered as f64 / conns as f64, allocs, events, read)
+}
+
+/// Heap bytes requested by `snapshot()` and by `histogram_samples()` on a
+/// registry holding one histogram of `n` samples.
+fn registry_read_bytes(n: u32) -> (u64, u64) {
+    let reg = MetricsRegistry::new();
+    let h = reg.histogram("latency.conn", &[]);
+    for i in 0..n {
+        reg.observe(h, f64::from(i % 1_000) * 1e-6);
+    }
+    let (_, snapshot) = allocs_during(|| {
+        assert_eq!(reg.snapshot().histogram("latency.conn").len(), n as usize);
+    });
+    let (_, samples) = allocs_during(|| {
+        assert_eq!(reg.histogram_samples(h).len(), n as usize);
+    });
+    (snapshot, samples)
 }
 
 /// Heap bytes requested per entry while a session table — a
@@ -138,8 +162,8 @@ fn learned_peer_growth_bytes(n: u32) -> f64 {
 
 #[test]
 fn hot_path_stays_inside_its_allocation_budget() {
-    // Measured at this seed: 79 allocations / 301 203 events = 0.0003
-    // local, 103 / 441 763 = 0.0002 offloaded (0.124 and 0.111 when every
+    // Measured at this seed: 78 allocations / 301 203 events = 0.0003
+    // local, 100 / 441 763 = 0.0002 offloaded (0.124 and 0.111 when every
     // 20 µs ladder bucket allocated its own `Vec`; 106 local when every
     // unstarted connection had a queue entry; 73 and 95 when session
     // tables grew by doubling, with fewer and larger requests). Request
@@ -151,8 +175,13 @@ fn hot_path_stays_inside_its_allocation_budget() {
     // 64-byte record; 146.5 and 144.8 when every unstarted connection
     // also held a 32-byte queue entry, with the coarse rung's bucket
     // doublings on top.
+    //
+    // Reads: one `Cluster::stats()` after the run requests 640 B local
+    // and 1 360 B offloaded, its three time series and the shared headers
+    // of its three sample sets; 321 824 and 322 552 B when every read
+    // copied every sample set. Budget 4 KiB.
     for offload in [false, true] {
-        let (registered, allocs, events) = registration_allocs_and_events(offload);
+        let (registered, allocs, events, read) = registration_allocs_and_events(offload);
         assert!(
             registered <= 40.0,
             "registering allocated {registered:.1} B per connection (offload={offload}), budget 40"
@@ -162,7 +191,26 @@ fn hot_path_stays_inside_its_allocation_budget() {
             "{allocs} allocations / {events} events = {:.4} per event (offload={offload}), budget 0.01",
             allocs as f64 / events as f64
         );
+        assert!(
+            read < 4_096,
+            "Cluster::stats() requested {read} B (offload={offload}), budget 4 KiB"
+        );
     }
+
+    // A bare registry holding one 1 000 000-sample histogram: `snapshot()`
+    // requests 1 028 B (one B-tree node, the key and the buffer's
+    // shared header) and `histogram_samples()` after it 0 (the buffer is
+    // shared already), against at least 8 000 000 B each, one copy of
+    // the samples, when reads copied the set. Budget 4 KiB each.
+    let (snapshot, samples) = registry_read_bytes(1_000_000);
+    assert!(
+        snapshot < 4_096,
+        "snapshot() requested {snapshot} B on a 1M-sample histogram, budget 4 KiB"
+    );
+    assert!(
+        samples < 4_096,
+        "histogram_samples() requested {samples} B on a 1M-sample histogram, budget 4 KiB"
+    );
 
     // Learned peers: 8 B of address + server id, in storage pages
     // allocated once, with the 4-byte index slots' doublings on top.
