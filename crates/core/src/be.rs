@@ -133,8 +133,9 @@ fn session_state<'v>(
 /// consumption, notify absorption, and direct-RX bouncing, plus the
 /// graceful-degradation fallback (§3.2.1/§3.2.2, Appendix C.2).
 impl Cluster {
-    /// Does this vNIC currently steer TX traffic through FEs?
-    fn nezha_active_for_tx(&self, vnic: VnicId) -> bool {
+    /// Does this vNIC currently steer TX traffic through FEs? A gateway
+    /// sync steers its RX traffic by the same test.
+    pub(crate) fn nezha_active_for_tx(&self, vnic: VnicId) -> bool {
         self.be_meta.get(&vnic).is_some_and(|m| {
             matches!(m.phase, OffloadPhase::OffloadDual | OffloadPhase::Offloaded)
                 && !m.ready_fes().is_empty()

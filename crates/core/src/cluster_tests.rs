@@ -17,6 +17,8 @@ use nezha_vswitch::stage::lookup::pair_lookup;
 use nezha_vswitch::vnic::{Vnic, VnicProfile};
 use nezha_vswitch::vswitch::VSwitch;
 
+mod lifecycle;
+
 const HOME: ServerId = ServerId(0);
 const VNIC: VnicId = VnicId(1);
 const SVC_PORT: u16 = 9000;
@@ -36,6 +38,13 @@ fn small_cluster(auto: bool) -> Cluster {
         .auto(auto)
         .build();
     with_service_vnic(cfg, VmConfig::with_vcpus(64))
+}
+
+/// `c` with `VNIC` offloaded at 0 and run 3 s, so its phase is `Offloaded`.
+fn offloaded(mut c: Cluster) -> Cluster {
+    c.trigger_offload(VNIC, SimTime(0)).unwrap();
+    c.run_until(SimTime(0) + SimDuration::from_secs(3));
+    c
 }
 
 /// A cluster with the one test vNIC (service port open) homed on `HOME`.
@@ -69,6 +78,18 @@ fn inbound_spec(n: u16, at: SimTime) -> crate::conn::ConnSpec {
         payload: 128,
         overlay_encap_src: None,
     }
+}
+
+/// Offers inbound connections `from..from + 50`, one per millisecond from
+/// now, runs 10 s, and returns how many of them completed.
+fn offer_50(c: &mut Cluster, from: u16) -> u64 {
+    let done = c.stats().completed;
+    for i in 0..50 {
+        let at = c.now() + SimDuration::from_millis(i as u64);
+        c.add_conn(inbound_spec(from + i, at)).unwrap();
+    }
+    c.run_until(c.now() + SimDuration::from_secs(10));
+    c.stats().completed - done
 }
 
 fn run_conns(cluster: &mut Cluster, n: u16, spacing: SimDuration) -> SimTime {
@@ -282,9 +303,7 @@ fn manual_offload_reaches_final_stage_without_loss() {
 
 #[test]
 fn offloaded_traffic_spreads_across_fes() {
-    let mut c = small_cluster(false);
-    c.trigger_offload(VNIC, SimTime(0)).unwrap();
-    c.run_until(SimTime(0) + SimDuration::from_secs(3));
+    let mut c = offloaded(small_cluster(false));
     for i in 0..200 {
         c.add_conn(inbound_spec(
             i,
@@ -314,9 +333,7 @@ fn offloaded_traffic_spreads_across_fes() {
 
 #[test]
 fn fe_crash_fails_over_within_seconds() {
-    let mut c = small_cluster(false);
-    c.trigger_offload(VNIC, SimTime(0)).unwrap();
-    c.run_until(SimTime(0) + SimDuration::from_secs(3));
+    let mut c = offloaded(small_cluster(false));
     let victim = c.fe_servers(VNIC)[0];
     c.apply_fault_plan(FaultPlan::new().crash(c.now() + SimDuration::from_secs(1), victim));
     // Continuous traffic across the crash.
@@ -347,9 +364,7 @@ fn fe_crash_fails_over_within_seconds() {
 
 #[test]
 fn fallback_returns_to_local_processing() {
-    let mut c = small_cluster(false);
-    c.trigger_offload(VNIC, SimTime(0)).unwrap();
-    c.run_until(SimTime(0) + SimDuration::from_secs(3));
+    let mut c = offloaded(small_cluster(false));
     assert_eq!(c.backend(VNIC).unwrap().phase, OffloadPhase::Offloaded);
     c.trigger_fallback(VNIC, c.now()).unwrap();
     c.run_until(c.now() + SimDuration::from_secs(3));
@@ -521,9 +536,7 @@ fn stateful_decap_survives_the_split() {
 
 #[test]
 fn live_migration_via_be_location_update() {
-    let mut c = small_cluster(false);
-    c.trigger_offload(VNIC, SimTime(0)).unwrap();
-    c.run_until(SimTime(0) + SimDuration::from_secs(3));
+    let mut c = offloaded(small_cluster(false));
     // Migrate the VM/BE to server 7 (not an FE; the initial pool is
     // the four lowest-utilization rack peers).
     let new_home = ServerId(7);
@@ -531,7 +544,7 @@ fn live_migration_via_be_location_update() {
     // Move state to the new home (migration copies it with the VM).
     c.engine.schedule_in(
         SimDuration::from_micros(800),
-        Event::config(ConfigOp::BeLocationUpdate {
+        Event::Config(ConfigOp::BeLocationUpdate {
             vnic: VNIC,
             new_home,
         }),
@@ -555,25 +568,30 @@ fn live_migration_via_be_location_update() {
 
 /// A second `FeConfigured` for an FE that is already configured changes
 /// nothing: no second table charge, and the FE keeps its cached flows.
+/// A `GatewaySync` delivered twice at one instant leaves the entry as it
+/// was, and new connections still complete.
 #[test]
 fn repeated_fe_configured_is_a_no_op() {
-    let mut c = small_cluster(false);
-    c.trigger_offload(VNIC, SimTime(0)).unwrap();
-    c.run_until(SimTime(0) + SimDuration::from_secs(3));
+    let mut c = offloaded(small_cluster(false));
     run_conns(&mut c, 50, SimDuration::from_millis(1));
     let fe = c.fe_servers(VNIC)[0];
     let used = c.switch(fe).unwrap().mem.used();
     let flows = c.fe_cached_flows(fe, VNIC).unwrap();
     assert!(flows > 0);
-    for _ in 0..2 {
-        let op = ConfigOp::FeConfigured { vnic: VNIC, fe };
+    let addr = Ipv4Addr::new(10, 7, 0, 1);
+    let entry = c.gateway.current(addr).unwrap().to_vec();
+    let configured = ConfigOp::FeConfigured { vnic: VNIC, fe };
+    let sync = ConfigOp::GatewaySync { vnic: VNIC };
+    for op in [configured, configured, sync, sync] {
         c.engine
-            .schedule_in(SimDuration::from_millis(1), Event::config(op));
+            .schedule_in(SimDuration::from_millis(1), Event::Config(op));
     }
     c.run_until(c.now() + SimDuration::from_millis(10));
     assert_eq!(c.switch(fe).unwrap().mem.used(), used);
     assert_eq!(c.fe_cached_flows(fe, VNIC), Some(flows));
     assert_eq!(c.ledger_drift(), []);
+    assert_eq!(c.gateway.current(addr), Some(&entry[..]));
+    assert_eq!(offer_50(&mut c, 50), 50);
 }
 
 /// A second `add_vnic` for an id the cluster has is rejected and leaves
@@ -599,115 +617,6 @@ fn duplicate_add_vnic_is_rejected_without_a_second_charge() {
     c.run_until(SimTime(0) + SimDuration::from_millis(10));
 }
 
-/// Walks one vNIC through every lifecycle edge with traffic running, half
-/// of it from peers no table has learned yet, and checks after each edge
-/// that every server's pool holds exactly what its owners derive:
-/// offload, final stage, scale-out, scale-in, FE crash, failover, BE
-/// relocation, fallback, fallback final, re-offload, and a `map_peer`
-/// that finds one FE host full.
-#[test]
-fn lifecycle_walk_keeps_the_memory_ledger() {
-    use nezha_vswitch::config::VSwitchConfig;
-    // 32 MiB pools: a filler vNIC can fill an FE host cheaply.
-    let cfg = ClusterConfig::builder()
-        .topology(small_topology())
-        .vswitch(VSwitchConfig {
-            table_memory: 32 << 20,
-            ..VSwitchConfig::default()
-        })
-        .auto(false)
-        .build();
-    let mut c = with_service_vnic(cfg, VmConfig::with_vcpus(64));
-    let mut n = 0u16;
-    let mut edge = |c: &mut Cluster, name: &str, run: SimDuration| {
-        for _ in 0..40 {
-            let mut spec = inbound_spec(
-                n,
-                c.now() + SimDuration::from_micros(500 * n as u64 % 20_000),
-            );
-            if n.is_multiple_of(2) {
-                spec.tuple.src_ip =
-                    Ipv4Addr::new(10, 7, 100 + (n / 250) as u8, (n % 250) as u8 + 1);
-            }
-            c.add_conn(spec).unwrap();
-            n += 1;
-        }
-        c.run_until(c.now() + run);
-        assert_eq!(c.ledger_drift(), [], "after {name}");
-    };
-    let ms = SimDuration::from_millis;
-
-    c.trigger_offload(VNIC, c.now()).unwrap();
-    edge(&mut c, "offload", ms(300));
-    edge(&mut c, "final stage", ms(3_000));
-    assert_eq!(c.backend(VNIC).unwrap().phase, OffloadPhase::Offloaded);
-
-    assert_eq!(c.scale_out(VNIC, 2), 2);
-    edge(&mut c, "scale-out", ms(3_000));
-    assert_eq!(c.fe_count(VNIC), 6);
-    c.scale_in_server(c.fe_servers(VNIC)[0]);
-    edge(&mut c, "scale-in", ms(500));
-    assert_eq!(c.fe_count(VNIC), 5);
-
-    let victim = c.fe_servers(VNIC)[0];
-    c.apply_fault_plan(FaultPlan::new().crash(c.now(), victim));
-    edge(&mut c, "FE crash", ms(100));
-    edge(&mut c, "failover", ms(3_000));
-    assert!(c.stats().failover_events >= 1);
-    assert!(!c.fe_servers(VNIC).contains(&victim));
-
-    let fes = c.fe_servers(VNIC);
-    let new_home = (1..16)
-        .map(ServerId)
-        .find(|s| *s != victim && !fes.contains(s))
-        .unwrap();
-    let op = ConfigOp::BeLocationUpdate {
-        vnic: VNIC,
-        new_home,
-    };
-    c.engine.schedule_in(ms(1), Event::config(op));
-    edge(&mut c, "BE relocation", ms(10));
-    assert_eq!(c.home_of(VNIC), Some(new_home));
-
-    c.trigger_fallback(VNIC, c.now()).unwrap();
-    edge(&mut c, "fallback", ms(50));
-    edge(&mut c, "fallback final", ms(3_000));
-    assert!(c.backend(VNIC).is_none());
-
-    c.trigger_offload(VNIC, c.now()).unwrap();
-    edge(&mut c, "re-offload", ms(3_000));
-    assert_eq!(c.backend(VNIC).unwrap().phase, OffloadPhase::Offloaded);
-
-    // Fill one FE host to within one mapping entry with a second vNIC.
-    let m = c.cfg.vswitch.memory;
-    let fes = c.fe_servers(VNIC);
-    let (full, other) = (fes[0], fes[1]);
-    let filler = |entries: usize| {
-        let profile = VnicProfile {
-            vnic_server_entries: entries,
-            ..VnicProfile::default()
-        };
-        Vnic::new(
-            VnicId(2),
-            VpcId(2),
-            Ipv4Addr::new(10, 9, 0, 1),
-            profile,
-            full,
-        )
-    };
-    let room = c.switch(full).unwrap().mem.available() - filler(0).table_memory(&m);
-    let filler = filler((room / m.vnic_server_entry) as usize);
-    c.add_vnic(filler, full, VmConfig::with_vcpus(4)).unwrap();
-    assert!(c.switch(full).unwrap().mem.available() < m.vnic_server_entry);
-    let tables = |c: &Cluster, fe: ServerId| c.fes.get(&(fe, VNIC)).unwrap().vnic.table_memory(&m);
-    let before = (tables(&c, full), tables(&c, other));
-    c.map_peer(VNIC, Ipv4Addr::new(10, 7, 222, 1), ServerId(9))
-        .unwrap();
-    assert_eq!(tables(&c, full), before.0, "a full host does not learn");
-    assert_eq!(tables(&c, other), before.1 + m.vnic_server_entry);
-    edge(&mut c, "map_peer OOM on a full FE host", ms(10));
-}
-
 /// A packet landing on a server that is neither the vNIC's home nor a
 /// configured FE (the pool scaled in / the FE was torn down while packets
 /// were in flight) must be counted as a misroute — never processed
@@ -716,9 +625,7 @@ fn lifecycle_walk_keeps_the_memory_ledger() {
 #[test]
 fn rx_at_server_removed_from_fe_pool_is_a_counted_misroute() {
     use nezha_types::{NezhaHeader, NezhaPayloadKind, Packet, SessionState, TcpFlags};
-    let mut c = small_cluster(false);
-    c.trigger_offload(VNIC, SimTime(0)).unwrap();
-    c.run_until(SimTime(0) + SimDuration::from_secs(3));
+    let mut c = offloaded(small_cluster(false));
     let fes = c.fe_servers(VNIC);
     assert!(!fes.is_empty());
     let removed = fes[0];
@@ -849,17 +756,17 @@ fn crash_of_unknown_server_is_ignored() {
     assert!((0..16).all(|s| c.is_alive(ServerId(s))));
 }
 
-/// Server ids inside a control-plane op are input: one naming a server
-/// outside the topology is ignored, not indexed with.
+/// Ids inside a control-plane op are input: one naming a server outside
+/// the topology, or a vNIC the cluster does not have, is ignored, not
+/// indexed with.
 #[test]
 fn config_ops_naming_an_unknown_server_are_ignored() {
     let mut c = small_cluster(false);
     let ghost = ServerId(9_999);
     let addr = Ipv4Addr::new(10, 7, 0, 1);
     for op in [
-        ConfigOp::GatewayUpdate {
-            addr,
-            servers: vec![ghost],
+        ConfigOp::GatewaySync {
+            vnic: VnicId(9_999),
         },
         ConfigOp::FeConfigured {
             vnic: VNIC,
@@ -871,7 +778,7 @@ fn config_ops_naming_an_unknown_server_are_ignored() {
         },
     ] {
         c.engine
-            .schedule_in(SimDuration::from_millis(5), Event::config(op));
+            .schedule_in(SimDuration::from_millis(5), Event::Config(op));
     }
     run_conns(&mut c, 50, SimDuration::from_millis(1));
     assert_eq!(c.stats().completed, 50);
@@ -879,12 +786,12 @@ fn config_ops_naming_an_unknown_server_are_ignored() {
     assert_eq!(c.gateway.current(addr), Some(&[HOME][..]));
 }
 
-/// The rare control payloads ride boxed behind the 16-byte `Event`; they
-/// must still fire at their instant in `(at, seq)` order *between* the
-/// packet events scheduled around them. Four probe packets arrive at the
-/// home switch at one instant, interleaved with a crash, a restart and a
-/// BE relocation at that same instant: each packet's fate tells which
-/// control events had fired before it.
+/// Control payloads ride inside the 16-byte `Event` (a fault boxed, a
+/// config op inline); they must still fire at their instant in `(at,
+/// seq)` order *between* the packet events scheduled around them. Four
+/// probe packets arrive at the home switch at one instant, interleaved
+/// with a crash, a restart and a BE relocation at that same instant: each
+/// packet's fate tells which control events had fired before it.
 #[test]
 fn boxed_control_events_fire_in_seq_order_between_packets() {
     let mut c = small_cluster(false);
@@ -909,7 +816,7 @@ fn boxed_control_events_fire_in_seq_order_between_packets() {
     let new_home = ServerId(7);
     c.engine.schedule_at(
         at,
-        Event::config(ConfigOp::BeLocationUpdate {
+        Event::Config(ConfigOp::BeLocationUpdate {
             vnic: VNIC,
             new_home,
         }),

@@ -7,7 +7,7 @@
 
 use crate::controller::ControllerConfig;
 use nezha_sim::topology::TopologyConfig;
-use nezha_types::{Ipv4Addr, ServerId, VnicId};
+use nezha_types::{ServerId, VnicId};
 use nezha_vswitch::config::VSwitchConfig;
 
 /// FE load-balancing granularity (ablation of §3.2.3's design choice).
@@ -140,8 +140,11 @@ impl ClusterConfig {
 }
 
 /// Delayed configuration operations (the controller's pushes take effect
-/// asynchronously, which is what creates the dual-running stage).
-#[derive(Clone, Debug)]
+/// asynchronously, which is what creates the dual-running stage). Each
+/// names only ids: whatever else it acts on is read from the cluster's
+/// state when it lands, so an op that lands late acts on the lifecycle as
+/// it is then, not as it was when the op was scheduled.
+#[derive(Clone, Copy, Debug)]
 pub enum ConfigOp {
     /// An FE finished installing the vNIC's rule tables.
     FeConfigured {
@@ -150,18 +153,11 @@ pub enum ConfigOp {
         /// The FE's server.
         fe: ServerId,
     },
-    /// The gateway's vNIC-server entry is replaced (learning then begins).
-    GatewayUpdate {
-        /// The vNIC's overlay address.
-        addr: Ipv4Addr,
-        /// New hosting set.
-        servers: Vec<ServerId>,
-    },
-    /// Re-derive the gateway entry for an offloaded vNIC from the FEs
-    /// that are actually ready at apply time (a config push may have
-    /// failed on a full candidate in the meantime).
-    GatewaySyncFes {
-        /// The offloaded vNIC.
+    /// The gateway's entry for the vNIC's address is set to where its
+    /// lifecycle says traffic belongs (learning then begins): its live,
+    /// ready FEs while offloading or offloaded, else its home if alive.
+    GatewaySync {
+        /// The vNIC whose entry is synced.
         vnic: VnicId,
     },
     /// All senders have learned the FE mapping: offload is *active*.

@@ -15,9 +15,17 @@
 //! would pick low-usage vNICs is not modelled.
 //!
 //! Every configuration change takes effect with a modeled propagation
-//! delay (log-normal push latency per FE, a gateway update, then the
+//! delay (log-normal push latency per FE, a gateway sync, then the
 //! 200 ms learning interval), which yields Table 4's completion-time
 //! distribution and the dual-running stage for free.
+//!
+//! A delayed [`ConfigOp`] names only ids and works out its effect from
+//! the lifecycle state when it lands. A gateway sync points the vNIC's
+//! entry at its live, ready FEs while the vNIC is offloading or
+//! offloaded, and at its home otherwise, so a sync scheduled before a
+//! fallback cannot point the gateway back at FEs being torn down. Every
+//! FE removal (scale-in, failover, the BE↔FE mutual ping) goes through
+//! `replace_fe`, which refills the pool to its floor.
 
 use crate::be::{BackendMeta, OffloadPhase};
 use crate::cluster::{Cluster, ConfigOp, Event};
@@ -274,25 +282,25 @@ impl Cluster {
             let delay = config_push_latency(&mut self.rng);
             worst = worst.max(delay);
             self.engine
-                .schedule_in(delay, Event::config(ConfigOp::FeConfigured { vnic, fe }));
+                .schedule_in(delay, Event::Config(ConfigOp::FeConfigured { vnic, fe }));
         }
         self.be_meta.insert(vnic, meta);
 
-        // Gateway update follows the slowest FE config plus its own push;
+        // Gateway sync follows the slowest FE config plus its own push;
         // at apply time it reflects whichever FEs actually configured.
         let gw_at = now + worst + GATEWAY_UPDATE_DELAY;
         self.engine
-            .schedule_at(gw_at, Event::config(ConfigOp::GatewaySyncFes { vnic }));
+            .schedule_at(gw_at, Event::Config(ConfigOp::GatewaySync { vnic }));
         if self.cfg.skip_dual_running {
             // Ablation: tear the BE's tables down the moment the FEs are
             // up — before a single peer has learned the new mapping.
             self.engine
-                .schedule_at(now + worst, Event::config(ConfigOp::BeFinalStage { vnic }));
+                .schedule_at(now + worst, Event::Config(ConfigOp::BeFinalStage { vnic }));
         }
         // Activation check once every sender has learned the new mapping.
         self.engine.schedule_at(
             gw_at + LEARNING_INTERVAL,
-            Event::config(ConfigOp::CheckActivation { vnic }),
+            Event::Config(ConfigOp::CheckActivation { vnic }),
         );
         Ok(())
     }
@@ -332,68 +340,55 @@ impl Cluster {
 
     /// Adds `n` more FEs for an offloaded vNIC (scale-out, §4.3).
     ///
-    /// A no-op while a previous scale-out's pushes are still in flight —
-    /// the pool must see the effect of one widening before deciding on
-    /// another.
+    /// A no-op while a previous scale-out's pushes are still in flight or
+    /// within [`SCALE_OUT_COOLDOWN`] of it — the pool must see the effect
+    /// of one widening before deciding on another.
     pub fn scale_out(&mut self, vnic: VnicId, n: usize) -> usize {
-        self.scale_out_excluding(vnic, n, &[])
-    }
-
-    /// Like [`Cluster::scale_out`] but never placing FEs on `avoid` —
-    /// used by scale-in so the compensating widening does not land right
-    /// back on the vSwitch that just shed its remote load.
-    pub(crate) fn scale_out_excluding(
-        &mut self,
-        vnic: VnicId,
-        n: usize,
-        avoid: &[ServerId],
-    ) -> usize {
         let Some(meta) = self.be_meta.get(&vnic) else {
             return 0;
         };
-        if !meta.all_ready() {
+        let now = self.engine.now();
+        let cooling = (self.controller.last_scale_out.get(&vnic))
+            .is_some_and(|&last| now.since(last) < SCALE_OUT_COOLDOWN);
+        if !meta.all_ready() || cooling {
             return 0;
         }
-        let now = self.engine.now();
-        if let Some(&last) = self.controller.last_scale_out.get(&vnic) {
-            if now.since(last) < SCALE_OUT_COOLDOWN {
-                return 0;
-            }
-        }
-        let home = self.vnic_home[&vnic];
-        let existing = meta.fe_list.clone();
-        let existing_count = existing.len();
-        let mut unavailable = existing.clone();
-        unavailable.extend_from_slice(avoid);
-        let new_fes = self.select_idle_vswitches(home, n, &unavailable);
+        self.add_fes(vnic, n, None)
+    }
+
+    /// Adds up to `n` FEs to an offloaded vNIC's pool, never on `avoid`,
+    /// and pushes their config; the gateway is synced after the pushes.
+    /// Returns how many were added.
+    fn add_fes(&mut self, vnic: VnicId, n: usize, avoid: Option<ServerId>) -> usize {
+        let Some(meta) = self.be_meta.get(&vnic) else {
+            return 0;
+        };
+        let mut unavailable = meta.fe_list.clone();
+        unavailable.extend(avoid);
+        let new_fes = self.select_idle_vswitches(self.vnic_home[&vnic], n, &unavailable);
         if new_fes.is_empty() {
             return 0;
         }
         self.tel.inc(Ctr::ScaleOutEvents);
-        self.controller.last_scale_out.insert(vnic, now);
+        self.controller
+            .last_scale_out
+            .insert(vnic, self.engine.now());
         // Every added FE re-hashes a slice of the flow space onto a cold
         // cache — counted as churn for the recovery metrics.
         self.tel.add(Ctr::RehashChurn, new_fes.len() as u64);
-        let Some(meta) = self.be_meta.get_mut(&vnic) else {
-            return 0; // meta existence checked at fn entry
-        };
-        let mut added = 0;
-        for fe in new_fes {
-            meta.add_fe(fe);
-            added += 1;
+        if let Some(meta) = self.be_meta.get_mut(&vnic) {
+            new_fes.iter().for_each(|&fe| meta.add_fe(fe));
         }
-        let fe_list = meta.fe_list.clone();
-        for fe in fe_list.iter().skip(existing_count).copied() {
+        for &fe in &new_fes {
             let delay = config_push_latency(&mut self.rng);
             self.engine
-                .schedule_in(delay, Event::config(ConfigOp::FeConfigured { vnic, fe }));
+                .schedule_in(delay, Event::Config(ConfigOp::FeConfigured { vnic, fe }));
         }
-        // Gateway learns the wider set after the pushes.
         self.engine.schedule_in(
             CONFIG_PUSH_MEDIAN.times(2) + GATEWAY_UPDATE_DELAY,
-            Event::config(ConfigOp::GatewaySyncFes { vnic }),
+            Event::Config(ConfigOp::GatewaySync { vnic }),
         );
-        added
+        new_fes.len()
     }
 
     /// The vNIC with the largest FE (remote) usage on `server` — the
@@ -410,8 +405,17 @@ impl Cluster {
     }
 
     /// Scale-in: remove every FE on `server` to prioritize its local vNIC
-    /// traffic (§4.3). May trigger compensating scale-out elsewhere.
+    /// traffic (§4.3), replacing each elsewhere where the pool drops below
+    /// its floor.
     pub fn scale_in_server(&mut self, server: ServerId) {
+        if self.replace_fes_on(server) {
+            self.tel.inc(Ctr::ScaleInEvents);
+        }
+    }
+
+    /// [`Cluster::replace_fe`] for every FE on `server`, in vNIC id order.
+    /// False when `server` hosts none.
+    pub(crate) fn replace_fes_on(&mut self, server: ServerId) -> bool {
         let mut victims: Vec<VnicId> = self
             .fes
             .keys()
@@ -419,23 +423,29 @@ impl Cluster {
             .map(|(_, v)| *v)
             .collect();
         victims.sort_unstable_by_key(|v| v.0);
-        if victims.is_empty() {
-            return;
+        for &vnic in &victims {
+            self.replace_fe(vnic, server);
         }
-        self.tel.inc(Ctr::ScaleInEvents);
-        for vnic in victims {
-            self.remove_fe(vnic, server);
-            // Keep the pool at the minimum (§4.4 logic shared with
-            // failover): add a replacement if we dropped below — but not
-            // on the server we just prioritized for local traffic.
-            let cur = self.be_meta.get(&vnic).map_or(0, |m| m.fe_list.len());
-            if cur < self.cfg.controller.min_fes {
-                self.scale_out_excluding(vnic, self.cfg.controller.min_fes - cur, &[server]);
-            }
+        !victims.is_empty()
+    }
+
+    /// Removes `vnic`'s FE on `server`, then refills the pool to
+    /// [`ControllerConfig::min_fes`], never on `server` — the one path by
+    /// which scale-in, failover and the BE↔FE mutual ping shed an FE.
+    /// "If one of the 4 FEs crashes, we will delete the faulty FE and add
+    /// a new one. If there are more than 4 … only delete" (§4.4). The
+    /// refill is not a widening, so [`Cluster::scale_out`]'s in-flight
+    /// and cooldown guards do not hold it back.
+    pub(crate) fn replace_fe(&mut self, vnic: VnicId, server: ServerId) {
+        self.remove_fe(vnic, server);
+        let cur = self.be_meta.get(&vnic).map_or(0, |m| m.fe_list.len());
+        let floor = self.cfg.controller.min_fes;
+        if cur < floor {
+            self.add_fes(vnic, floor - cur, Some(server));
         }
     }
 
-    /// Removes one FE of one vNIC: config, gateway, memory.
+    /// Removes one FE of one vNIC: config and memory, then a gateway sync.
     pub(crate) fn remove_fe(&mut self, vnic: VnicId, fe_server: ServerId) {
         let Some(meta) = self.be_meta.get_mut(&vnic) else {
             return;
@@ -446,21 +456,13 @@ impl Cluster {
         // A removal re-hashes the departed FE's flow slice onto the
         // survivors (churn, mirrored by the add side in scale-out).
         self.tel.inc(Ctr::RehashChurn);
-        let remaining: Vec<ServerId> = meta.ready_fes().to_vec();
         if let Some(fe) = self.fes.remove(&(fe_server, vnic)) {
             let m = self.cfg.vswitch.memory;
             fe.release(&mut self.switches[fe_server.0 as usize].mem, &m);
         }
-        // Point the gateway at the survivors (or back at the BE if none).
-        let addr = self.vnic_addr[&vnic];
-        let servers = if remaining.is_empty() {
-            vec![self.vnic_home[&vnic]]
-        } else {
-            remaining
-        };
         self.engine.schedule_in(
             GATEWAY_UPDATE_DELAY,
-            Event::config(ConfigOp::GatewayUpdate { addr, servers }),
+            Event::Config(ConfigOp::GatewaySync { vnic }),
         );
     }
 
@@ -481,9 +483,9 @@ impl Cluster {
     /// The fallback both the management plane ([`Cluster::trigger_fallback`])
     /// and the data plane's graceful degradation start: re-arm the home
     /// with the master tables unless it still holds them (dual-running
-    /// again), enter `FallbackDual`, point the gateway back at the BE,
-    /// and tear the FEs down once every sender has learned that. Changes
-    /// nothing on error.
+    /// again), enter `FallbackDual`, sync the gateway (which then names
+    /// the home), and tear the FEs down once every sender has learned
+    /// that. Changes nothing on error.
     pub(crate) fn begin_fallback(&mut self, vnic: VnicId, now: SimTime) -> NezhaResult<()> {
         let home = *self
             .vnic_home
@@ -503,20 +505,12 @@ impl Cluster {
                 .map_err(|_| NezhaError::InsufficientMemory { what: "BE tables" })?;
         }
         meta.phase = OffloadPhase::FallbackDual;
-        let addr = self.vnic_addr[&vnic];
         let gw_at = now + GATEWAY_UPDATE_DELAY;
-        self.engine.schedule_at(
-            gw_at,
-            Event::config(ConfigOp::GatewayUpdate {
-                addr,
-                // Allocates: fallback is a rare control-plane event, not
-                // per-packet work.
-                servers: vec![home],
-            }),
-        );
+        self.engine
+            .schedule_at(gw_at, Event::Config(ConfigOp::GatewaySync { vnic }));
         self.engine.schedule_at(
             gw_at + LEARNING_INTERVAL + FALLBACK_FINAL_MARGIN,
-            Event::config(ConfigOp::FallbackFinal { vnic }),
+            Event::Config(ConfigOp::FallbackFinal { vnic }),
         );
         Ok(())
     }
@@ -559,32 +553,31 @@ impl Cluster {
                 if meta.all_ready() {
                     self.engine.schedule_in(
                         GATEWAY_UPDATE_DELAY,
-                        Event::config(ConfigOp::GatewaySyncFes { vnic }),
+                        Event::Config(ConfigOp::GatewaySync { vnic }),
                     );
                 }
             }
-            ConfigOp::GatewayUpdate { addr, servers } => {
-                let live: Vec<ServerId> =
-                    servers.into_iter().filter(|s| self.is_alive(*s)).collect();
-                if !live.is_empty() {
-                    self.gateway.update(addr, live, now);
-                }
-            }
-            ConfigOp::GatewaySyncFes { vnic } => {
-                let Some(meta) = self.be_meta.get(&vnic) else {
+            ConfigOp::GatewaySync { vnic } => {
+                let (Some(&home), Some(&addr)) =
+                    (self.vnic_home.get(&vnic), self.vnic_addr.get(&vnic))
+                else {
                     return;
                 };
-                let mut servers: Vec<ServerId> = meta
-                    .ready_fes()
-                    .iter()
-                    .copied()
-                    .filter(|s| self.is_alive(*s))
-                    .collect();
-                if servers.is_empty() {
-                    servers = vec![self.vnic_home[&vnic]];
+                // Worked out from the lifecycle as it is now (the live FEs
+                // while the BE steers through them, else the home), so a
+                // sync scheduled under an earlier phase cannot point the
+                // gateway at FEs a fallback is tearing down.
+                let mut servers: Vec<ServerId> = Vec::new();
+                if self.nezha_active_for_tx(vnic) {
+                    let ready = self.be_meta[&vnic].ready_fes();
+                    servers.extend(ready.iter().filter(|&&s| self.is_alive(s)));
                 }
-                let addr = self.vnic_addr[&vnic];
-                self.gateway.update(addr, servers, now);
+                if servers.is_empty() && self.is_alive(home) {
+                    servers.push(home);
+                }
+                if !servers.is_empty() {
+                    self.gateway.update(addr, servers, now);
+                }
             }
             ConfigOp::CheckActivation { vnic } => {
                 let Some(meta) = self.be_meta.get_mut(&vnic) else {
@@ -598,7 +591,7 @@ impl Cluster {
                     // Enter the final stage after learning-interval + RTT.
                     self.engine.schedule_in(
                         LEARNING_INTERVAL + SimDuration::from_millis(2),
-                        Event::config(ConfigOp::BeFinalStage { vnic }),
+                        Event::Config(ConfigOp::BeFinalStage { vnic }),
                     );
                 }
             }

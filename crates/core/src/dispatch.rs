@@ -24,11 +24,11 @@ use nezha_vswitch::{ProcessOutcome, VSwitch};
 
 /// Events driving the cluster.
 ///
-/// Sixteen bytes: a queued event is an id and a step index, never a
-/// payload. Packets park in the cluster's packet slab, and the rare
-/// control payloads ([`ConfigOp`], [`FaultKind`]) ride boxed, so the
-/// engine's `{at, seq, event}` queue entry is 32 bytes, where a 48-byte
-/// `FaultKind` inline would make it 64 or more.
+/// Sixteen bytes: a queued event holds ids and a step index, never a
+/// payload. Packets park in the cluster's packet slab, a [`ConfigOp`]
+/// (at most two 4-byte ids) rides inline, and the rare [`FaultKind`]
+/// rides boxed, so the engine's `{at, seq, event}` queue entry is 32
+/// bytes, where a 48-byte `FaultKind` inline would make it 64 or more.
 #[derive(Clone, Debug)]
 pub enum Event {
     /// A packet arrives at a server's vSwitch.
@@ -67,9 +67,8 @@ pub enum Event {
     MonitorTick,
     /// Periodic session-aging sweep.
     AgingTick,
-    /// A delayed configuration push takes effect (build with
-    /// [`Event::config`]).
-    Config(Box<ConfigOp>),
+    /// A delayed configuration push takes effect.
+    Config(ConfigOp),
     /// Begin a standalone probe packet's journey from `from`.
     StartProbe {
         /// Slab id of the parked probe packet (RX-oriented, trace has
@@ -83,15 +82,6 @@ pub enum Event {
 }
 
 const _: () = assert!(std::mem::size_of::<Event>() <= 16);
-
-impl Event {
-    /// A delayed configuration push.
-    pub fn config(op: ConfigOp) -> Event {
-        // Boxed so `Event` stays 16 bytes; control-plane events only, so the
-        // allocation is not per-packet work.
-        Event::Config(Box::new(op))
-    }
-}
 
 /// The flow hash used for FE selection: `Hash(5-tuple)` over the session's
 /// canonical orientation, so both directions of a session select the same
@@ -166,7 +156,7 @@ impl Cluster {
                 }
                 self.engine.schedule_in(AGING_PERIOD, Event::AgingTick);
             }
-            Event::Config(op) => self.apply_config(*op, now),
+            Event::Config(op) => self.apply_config(op, now),
             Event::StartProbe { pkt, from } => {
                 let (pkt, _) = self.pkt_slab.take(pkt);
                 self.start_probe(pkt, from, now);

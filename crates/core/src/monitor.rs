@@ -5,8 +5,8 @@
 //! probe outcome is the server's crash state in the fault record at tick
 //! time, which models an un-answered ping). After [`PING_MISSES`]
 //! consecutive silent periods the vSwitch is declared crashed and every
-//! FE it hosted is removed via the scale-in logic, keeping the pool at
-//! the ≥4-FE floor by adding replacements.
+//! FE it hosted is removed by `Cluster::replace_fe`, which keeps the pool
+//! at the ≥4-FE floor by adding replacements.
 //!
 //! Appendix C's production lesson is implemented too: when a majority of
 //! monitored FE hosts appear dead *simultaneously*, the monitor suspends
@@ -101,7 +101,7 @@ impl Cluster {
         // healthy BE and a healthy FE that the centralized monitor cannot
         // see. Runs at the same cadence here; production uses a lower
         // frequency because total partitions between servers are rare.
-        let mut pairs: Vec<(nezha_types::VnicId, ServerId, ServerId)> = self
+        let mut pairs: Vec<(VnicId, ServerId, ServerId)> = self
             .be_meta
             .iter()
             .flat_map(|(v, m)| {
@@ -126,12 +126,7 @@ impl Cluster {
                 let miss = self.monitor.mutual_missed.entry((be, fe)).or_insert(0);
                 *miss += 1;
                 if *miss >= PING_MISSES {
-                    self.remove_fe(vnic, fe);
-                    let cur = self.be_meta.get(&vnic).map_or(0, |m| m.fe_list.len());
-                    let floor = self.cfg.controller.min_fes;
-                    if cur < floor {
-                        self.scale_out_excluding(vnic, floor - cur, &[fe]);
-                    }
+                    self.replace_fe(vnic, fe);
                     self.tel.inc(Ctr::FailoverEvents);
                 }
             }
@@ -146,14 +141,7 @@ impl Cluster {
     /// Removes every FE on a crashed server and restores the ≥`min_fes`
     /// floor (§4.4 failover).
     pub(crate) fn failover_server(&mut self, dead: ServerId, now: SimTime) {
-        let mut victims: Vec<VnicId> = self
-            .fes
-            .keys()
-            .filter(|(s, _)| *s == dead)
-            .map(|(_, v)| *v)
-            .collect();
-        victims.sort_unstable_by_key(|v| v.0);
-        if victims.is_empty() {
+        if !self.replace_fes_on(dead) {
             return;
         }
         if let Some(crashed_at) = self.monitor.crash_pending.remove(&dead) {
@@ -161,16 +149,5 @@ impl Cluster {
                 .observe_duration(Hist::DetectionLatency, now.since(crashed_at));
         }
         self.tel.inc(Ctr::FailoverEvents);
-        for vnic in victims {
-            self.remove_fe(vnic, dead);
-            let cur = self.be_meta.get(&vnic).map_or(0, |m| m.fe_list.len());
-            let floor = self.cfg.controller.min_fes;
-            // "If one of the 4 FEs crashes, we will delete the faulty FE
-            // and add a new one. If there are more than 4 … only delete"
-            // (§4.4).
-            if cur < floor {
-                self.scale_out(vnic, floor - cur);
-            }
-        }
     }
 }

@@ -56,7 +56,7 @@ fn main() {
     let t0 = cluster.now();
     cluster.engine.schedule_in(
         SimDuration::from_micros(800), // one config push to the FEs
-        Event::config(ConfigOp::BeLocationUpdate { vnic, new_home }),
+        Event::Config(ConfigOp::BeLocationUpdate { vnic, new_home }),
     );
     cluster.run_until(t0 + SimDuration::from_millis(2));
 

@@ -76,7 +76,13 @@
 #            must never reach output), the `nezha-core`
 #            memory-ledger walk (after every lifecycle edge, from offload
 #            to a peer mapping that finds an FE host full, each server's
-#            pool equals what its owners hold), the byte budgets
+#            pool equals what its owners hold), the `nezha-core`
+#            `lifecycle_` tests (that walk again, `BackendMeta`'s ready
+#            tracking, and the lifecycle races: after a scale-out, or an
+#            FE crash detected, while a fallback runs, the gateway names
+#            the home and new connections complete there; two FE hosts
+#            crashing at one instant still refill the pool to its
+#            floor), the byte budgets
 #            (`tests/alloc_budget.rs`: allocations per event, heap bytes
 #            per registered connection, per session entry and per
 #            learned peer, none on the codec, probe and rule lookup), the
@@ -164,6 +170,8 @@ if [ "$fast" -eq 1 ]; then
     cargo test -q --test determinism
     echo "==> cargo test -q -p nezha-core ledger   (--fast: every server's pool equals what its owners hold, across the lifecycle)"
     cargo test -q -p nezha-core ledger
+    echo "==> cargo test -q -p nezha-core --lib lifecycle_   (--fast: the gateway entry and the pool floor through scale-out, crash and fallback races)"
+    cargo test -q -p nezha-core --lib lifecycle_
     echo "==> cargo test -q --test alloc_budget   (--fast: allocations per event, heap bytes per connection, session entry and learned peer)"
     cargo test -q --test alloc_budget
     echo "==> cargo test -q --test refactor_equivalence   (--fast: the datapath goldens)"
